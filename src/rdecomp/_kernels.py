@@ -1,12 +1,14 @@
-"""Numpy implementations of the numeric hot kernels.
+"""Numeric hot kernels of the tape engine and GAE, in numpy.
 
-This is the fallback backend; `rdecomp._kernels._ckernels` provides the
-same functions compiled with Cython. Both operate on C-contiguous float64
-arrays and must agree to floating-point roundoff (not bit-for-bit: the
-compiled backend may fuse loops and reassociate sums).
+`autodiff` and `trainer` call these through the module attribute
+(`_kernels.<name>`) at call time, so a wrapper set on this module reroutes
+every call. All operate on C-contiguous float64 arrays.
 """
 
 import numpy as np
+
+# Recorded in the benchmark's environment block (perfbench/run.py).
+BACKEND = "python"
 
 
 def matmul(a, b):
@@ -60,7 +62,6 @@ def layer_norm_rows(x, gain, bias, eps):
 
 def layer_norm_rows_vjp(xhat, inv_std, gain, g):
     """Backward pass of layer_norm_rows. Returns (dx, dgain, dbias)."""
-    m = xhat.shape[1]
     dgain = (g * xhat).sum(axis=0)
     dbias = g.sum(axis=0)
     gg = g * gain

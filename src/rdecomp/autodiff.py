@@ -260,18 +260,6 @@ def sum_axis(a, axis):
     return _result(a.data.sum(axis=axis, keepdims=True), (a,), vjp)
 
 
-def mean_pool(a):
-    """Mean over rows: (m, n) -> (1, n)."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"mean_pool: need 2-D, got {a.shape}")
-    m, n = a.shape
-    return _result(
-        a.data.mean(axis=0, keepdims=True),
-        (a,),
-        lambda g: (np.broadcast_to(g.reshape(1, n) / m, (m, n)).copy(),),
-    )
-
-
 # ---------------------------------------------------------------------------
 # structure
 

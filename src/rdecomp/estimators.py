@@ -63,16 +63,6 @@ def r_not_t(decomp, t_len):
     return rnot
 
 
-def score_matrix(policy, traj):
-    """Per-step score vectors: row t is grad_theta log pi(a_t | s_t), flat."""
-    return policy.score_matrix(traj)
-
-
-def _coefficient_gradient(policy, traj, coeffs):
-    """Sum_t coeffs[t] * grad log pi(a_t|s_t) in one backward pass."""
-    return policy.weighted_score_gradient(traj, coeffs)
-
-
 def _finish(per_sample, residuals):
     n = len(per_sample)
     stacked = np.stack(per_sample, axis=0)
@@ -87,7 +77,7 @@ def grad_reinforce(batch, policy):
     per_sample = []
     for traj in batch:
         coeffs = np.full(traj.length, traj.episodic_return)
-        per_sample.append(_coefficient_gradient(policy, traj, coeffs))
+        per_sample.append(policy.weighted_score_gradient(traj, coeffs))
     return _finish(per_sample, None)
 
 
@@ -96,7 +86,7 @@ def grad_composite(batch, policy, decomps):
     per_sample = []
     for traj, dec in zip(batch, decomps):
         q = generalized_q(dec, traj.length)
-        per_sample.append(_coefficient_gradient(policy, traj, q))
+        per_sample.append(policy.weighted_score_gradient(traj, q))
     return _finish(per_sample, [d.residual for d in decomps])
 
 
@@ -109,7 +99,7 @@ def grad_composite_by_interval(batch, policy, decomps):
     """
     per_sample = []
     for traj, dec in zip(batch, decomps):
-        scores = score_matrix(policy, traj)
+        scores = policy.score_matrix(traj)
         g = np.zeros(scores.shape[1])
         for i, value in enumerate(dec.per_interval):
             g += value * scores[: i + 1].sum(axis=0)
@@ -122,7 +112,7 @@ def grad_bias_corrected(batch, policy, decomps):
     per_sample = []
     for traj, dec in zip(batch, decomps):
         coeffs = dec.residual + generalized_q(dec, traj.length)
-        per_sample.append(_coefficient_gradient(policy, traj, coeffs))
+        per_sample.append(policy.weighted_score_gradient(traj, coeffs))
     return _finish(per_sample, [d.residual for d in decomps])
 
 
@@ -131,5 +121,5 @@ def grad_control_variate(batch, policy, decomps):
     per_sample = []
     for traj, dec in zip(batch, decomps):
         coeffs = traj.episodic_return - r_not_t(dec, traj.length)
-        per_sample.append(_coefficient_gradient(policy, traj, coeffs))
+        per_sample.append(policy.weighted_score_gradient(traj, coeffs))
     return _finish(per_sample, [d.residual for d in decomps])

@@ -1,5 +1,5 @@
 """Small neural-net building blocks shared by the reward models and the
-policy/value networks: fan-in-scaled initialization, linear/MLP application,
+policy/value networks: fan-in-scaled initialization, linear application,
 and an LSTM step built from tape primitives."""
 
 from __future__ import annotations
@@ -19,16 +19,6 @@ def init_linear(rng, fan_in, fan_out, scale=1.0):
 
 def linear(x, w, b):
     return ad.add(ad.matmul(x, w), b)
-
-
-def mlp(x, layers, activation=ad.tanh):
-    """Apply [(w, b), ...] with the activation between layers, none after."""
-    h = x
-    for i, (w, b) in enumerate(layers):
-        h = linear(h, w, b)
-        if i + 1 < len(layers):
-            h = activation(h)
-    return h
 
 
 def lstm_params(rng, input_dim, hidden_dim):
@@ -81,10 +71,6 @@ def assign_flat(params, flat):
     if i != flat.size:
         raise ValueError(f"flat vector length {flat.size}, parameters need {i}")
     return out
-
-
-def param_count(params):
-    return sum(p.size for p in params.values())
 
 
 class SgdOptimizer:

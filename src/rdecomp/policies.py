@@ -45,6 +45,29 @@ class _Trunk:
         return h
 
 
+# Score-gradient surfaces shared by both policies. Each class binds them in
+# its own body rather than inheriting them, so that each class's __dict__
+# holds them (perfbench/tracer.py wraps them there, per class).
+
+
+def _weighted_score_gradient(policy, traj, coeffs):
+    """Flat gradient of sum_t coeffs[t] log pi(a_t|s_t), in one backward pass."""
+    logp = policy.log_prob_tensor(ad.constant(traj.states), traj.actions)
+    weighted = ad.sum_all(ad.mul(logp, ad.constant(np.asarray(coeffs).reshape(-1, 1))))
+    return nn.flatten_grads(policy.params, ad.backward(weighted))
+
+
+def _score_matrix(policy, traj):
+    """Row t is grad_theta log pi(a_t|s_t), flattened over parameters."""
+    rows = []
+    for t in range(traj.length):
+        logp = policy.log_prob_tensor(
+            ad.constant(traj.states[t : t + 1]), traj.actions[t : t + 1]
+        )
+        rows.append(nn.flatten_grads(policy.params, ad.backward(ad.sum_all(logp))))
+    return np.stack(rows, axis=0)
+
+
 class CategoricalPolicy:
     """Softmax policy over a finite action set."""
 
@@ -85,21 +108,8 @@ class CategoricalPolicy:
         p = ad.softmax(nn.linear(h, self.params["head_w"], self.params["head_b"]))
         return ad.neg(ad.sum_axis(ad.mul(p, logp), axis=1))
 
-    def weighted_score_gradient(self, traj, coeffs):
-        """Flat gradient of sum_t coeffs[t] log pi(a_t|s_t)."""
-        logp = self.log_prob_tensor(ad.constant(traj.states), traj.actions)
-        weighted = ad.sum_all(ad.mul(logp, ad.constant(np.asarray(coeffs).reshape(-1, 1))))
-        return nn.flatten_grads(self.params, ad.backward(weighted))
-
-    def score_matrix(self, traj):
-        """Row t is grad_theta log pi(a_t|s_t), flattened over parameters."""
-        rows = []
-        for t in range(traj.length):
-            logp = self.log_prob_tensor(
-                ad.constant(traj.states[t : t + 1]), traj.actions[t : t + 1]
-            )
-            rows.append(nn.flatten_grads(self.params, ad.backward(ad.sum_all(logp))))
-        return np.stack(rows, axis=0)
+    weighted_score_gradient = _weighted_score_gradient
+    score_matrix = _score_matrix
 
 
 class GaussianPolicy:
@@ -149,19 +159,8 @@ class GaussianPolicy:
         ent = ad.shift(ent, 0.5 * self.action_dim * (1.0 + LOG_2PI))
         return ad.matmul(ad.constant(np.ones((t_len, 1))), ent)
 
-    def weighted_score_gradient(self, traj, coeffs):
-        logp = self.log_prob_tensor(ad.constant(traj.states), traj.actions)
-        weighted = ad.sum_all(ad.mul(logp, ad.constant(np.asarray(coeffs).reshape(-1, 1))))
-        return nn.flatten_grads(self.params, ad.backward(weighted))
-
-    def score_matrix(self, traj):
-        rows = []
-        for t in range(traj.length):
-            logp = self.log_prob_tensor(
-                ad.constant(traj.states[t : t + 1]), traj.actions[t : t + 1]
-            )
-            rows.append(nn.flatten_grads(self.params, ad.backward(ad.sum_all(logp))))
-        return np.stack(rows, axis=0)
+    weighted_score_gradient = _weighted_score_gradient
+    score_matrix = _score_matrix
 
 
 class ValueNetwork:

@@ -86,6 +86,10 @@ class TrainConfig:
             raise ValueError(f"clip must be in (0, 1), got {self.clip}")
         if self.interval_kind not in decomposer.VALID_KINDS:
             raise ValueError(f"bad interval_kind {self.interval_kind!r}")
+        if self.reward_optimizer not in ("adam", "sgd"):
+            raise ValueError(
+                f"reward_optimizer must be 'adam' or 'sgd', got {self.reward_optimizer!r}"
+            )
 
 
 def rollout(policy, env, n_steps, rng):

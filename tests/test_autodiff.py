@@ -99,7 +99,6 @@ UNARY_CASES = [
     ("transpose", ad.transpose, (3, 4)),
     ("sum_all", ad.sum_all, (3, 4)),
     ("mean_all", ad.mean_all, (3, 4)),
-    ("mean_pool", ad.mean_pool, (3, 4)),
     ("softmax", ad.softmax, (4, 4)),
     ("softmax_causal", lambda t: ad.softmax(t, causal=True), (4, 4)),
     ("log_softmax", ad.log_softmax, (4, 5)),

@@ -64,6 +64,8 @@ def test_type_checked_fields(tmp_path):
 def test_domain_validation_surfaces(tmp_path):
     with pytest.raises(config_mod.ConfigError, match="clip"):
         config_mod.load(write_config(tmp_path, clip=1.5))
+    with pytest.raises(config_mod.ConfigError, match="reward_optimizer"):
+        config_mod.load(write_config(tmp_path, reward_optimizer="Adam"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,35 +1,7 @@
 import numpy as np
 import pytest
 
-from rdecomp._kernels import _py_kernels
-
-try:
-    from rdecomp._kernels import _ckernels
-except ImportError:
-    _ckernels = None
-
-BACKENDS = [_py_kernels] if _ckernels is None else [_py_kernels, _ckernels]
-
-
-def both(name, *args, **kwargs):
-    results = [getattr(mod, name)(*args, **kwargs) for mod in BACKENDS]
-    return results
-
-
-def assert_backends_close(name, *args, **kwargs):
-    results = both(name, *args, **kwargs)
-    ref = results[0]
-    for other in results[1:]:
-        if isinstance(ref, tuple):
-            for a, b in zip(ref, other):
-                np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13)
-        else:
-            np.testing.assert_allclose(ref, other, rtol=1e-12, atol=1e-13)
-
-
-@pytest.mark.skipif(_ckernels is None, reason="compiled backend not built")
-def test_compiled_backend_present():
-    assert _ckernels is not None
+from rdecomp import _kernels
 
 
 def test_matmul_agrees_with_numpy():
@@ -37,40 +9,17 @@ def test_matmul_agrees_with_numpy():
     for shape in [(3, 4, 5), (20, 30, 40)]:
         a = rng.normal(size=shape[:2])
         b = rng.normal(size=shape[1:])
-        for mod in BACKENDS:
-            np.testing.assert_allclose(mod.matmul(a, b), a @ b, rtol=1e-12)
-
-
-def test_elementwise_vjps_match():
-    rng = np.random.default_rng(1)
-    y = np.tanh(rng.normal(size=(6, 7)))
-    g = rng.normal(size=(6, 7))
-    assert_backends_close("tanh_vjp", y, g)
-    s = 1 / (1 + np.exp(-rng.normal(size=(6, 7))))
-    assert_backends_close("sigmoid_vjp", s, g)
+        np.testing.assert_allclose(_kernels.matmul(a, b), a @ b, rtol=1e-12)
 
 
 @pytest.mark.parametrize("causal", [False, True])
 def test_softmax_rows_properties(causal):
     rng = np.random.default_rng(2)
     x = rng.normal(size=(5, 5)) * 3
-    for mod in BACKENDS:
-        p = mod.softmax_rows(x, causal)
-        np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
-        if causal:
-            assert np.array_equal(np.triu(p, k=1), np.zeros_like(p))
-    assert_backends_close("softmax_rows", x, causal)
-    p = _py_kernels.softmax_rows(x, causal)
-    assert_backends_close("softmax_rows_vjp", p, rng.normal(size=p.shape))
-
-
-def test_layer_norm_matches():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(4, 8))
-    gain, bias = rng.normal(size=8), rng.normal(size=8)
-    assert_backends_close("layer_norm_rows", x, gain, bias, 1e-5)
-    y, xhat, inv_std = _py_kernels.layer_norm_rows(x, gain, bias, 1e-5)
-    assert_backends_close("layer_norm_rows_vjp", xhat, inv_std, gain, rng.normal(size=x.shape))
+    p = _kernels.softmax_rows(x, causal)
+    np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
+    if causal:
+        assert np.array_equal(np.triu(p, k=1), np.zeros_like(p))
 
 
 def test_gae_matches_textbook_recursion():
@@ -84,13 +33,11 @@ def test_gae_matches_textbook_recursion():
     for t in reversed(range(9)):
         acc = deltas[t] + gamma * lam * acc
         expected[t] = acc
-    for mod in BACKENDS:
-        np.testing.assert_allclose(mod.gae(rewards, values, gamma, lam), expected, rtol=1e-12)
+    np.testing.assert_allclose(_kernels.gae(rewards, values, gamma, lam), expected, rtol=1e-12)
 
 
 def test_gae_monte_carlo_limit():
     # gamma = lam = 1 with zero values reduces to the undiscounted return-to-go
     rewards = np.array([1.0, 2.0, 3.0])
     values = np.zeros(4)
-    for mod in BACKENDS:
-        np.testing.assert_array_equal(mod.gae(rewards, values, 1.0, 1.0), [6.0, 5.0, 3.0])
+    np.testing.assert_array_equal(_kernels.gae(rewards, values, 1.0, 1.0), [6.0, 5.0, 3.0])
