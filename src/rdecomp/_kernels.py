@@ -25,28 +25,21 @@ def sigmoid_vjp(y, g):
     return g * y * (1.0 - y)
 
 
-def softmax_rows(x, causal=False):
-    """Row-wise softmax of a 2-D array.
+def softmax_rows(x, mask=None):
+    """Softmax over the last axis of an array.
 
-    With causal=True, entry (i, j) for j > i is excluded: row i is a
-    distribution over columns 0..i only and the excluded entries are 0.
+    With a boolean mask (broadcastable to x), entries where it is False are
+    excluded and come out exactly 0; every row must keep at least one entry.
     """
-    n, m = x.shape
-    if causal:
-        mask = np.tril(np.ones((n, m), dtype=bool))
-        shifted = np.where(mask, x, -np.inf)
-    else:
-        shifted = x
-    shifted = shifted - shifted.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    if causal:
-        e = np.where(mask, e, 0.0)
-    return e / e.sum(axis=1, keepdims=True)
+    if mask is not None:
+        x = np.where(mask, x, -np.inf)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_rows_vjp(p, g):
-    # dx = p * (g - sum_j g_j p_j); rows with masked zeros stay zero.
-    dot = (g * p).sum(axis=1, keepdims=True)
+    # dx = p * (g - sum_j g_j p_j); masked entries (p = 0) stay zero.
+    dot = (g * p).sum(axis=-1, keepdims=True)
     return p * (g - dot)
 
 

@@ -160,12 +160,11 @@ def tanh(a):
 
 
 def sigmoid(a):
+    # exp(-|x|) never overflows; each entry's value depends on that entry
+    # alone, not on how many other entries share its sign.
     x = a.data
-    y = np.empty_like(x)
-    pos = x >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))
+    y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return _result(y, (a,), lambda g: (_kernels.sigmoid_vjp(y, g),))
 
 
@@ -306,6 +305,21 @@ def narrow(a, axis, start, stop):
     return _result(a.data[tuple(idx)].copy(), (a,), vjp)
 
 
+def take_rows(a, rows):
+    """Rows of a 2-D tensor in the given order: out[i] = a[rows[i]]."""
+    if a.data.ndim != 2:
+        raise ShapeError(f"take_rows: need 2-D, got {a.shape}")
+    rows = np.asarray(rows, dtype=np.intp)
+    shape = a.shape
+
+    def vjp(g):
+        full = np.zeros(shape)
+        np.add.at(full, rows, g)
+        return (full,)
+
+    return _result(a.data[rows], (a,), vjp)
+
+
 def take_per_row(a, indices):
     """Pick one column per row: out[i] = a[i, indices[i]], shape (m, 1)."""
     if a.data.ndim != 2:
@@ -328,12 +342,72 @@ def take_per_row(a, indices):
 # row-wise normalized ops
 
 
-def softmax(a, causal=False):
-    """Row-wise softmax; with causal=True column j > i is masked out of row i."""
+def softmax(a, mask=None):
+    """Row-wise softmax; entries where the boolean `mask` is False are excluded."""
     if a.data.ndim != 2:
         raise ShapeError(f"softmax: need 2-D, got {a.shape}")
-    p = _kernels.softmax_rows(a.data, causal)
+    p = _kernels.softmax_rows(a.data, mask)
     return _result(p, (a,), lambda g: (_kernels.softmax_rows_vjp(p, g),))
+
+
+def segment_positions(lengths):
+    """Index of each stacked row within its own segment: 0..len-1 per segment."""
+    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
+def causal_attention(q, k, v, lengths, n_heads):
+    """Multi-head causal self-attention inside each segment of stacked rows.
+
+    q, k (N, n_heads * dk) and v (N, n_heads * dv) hold the rows of B
+    segments of the given lengths, one after another. Row i of a segment
+    attends to rows 0..i of the same segment only, with scores
+    q k^T / sqrt(dk). Returns the head outputs (N, n_heads * dv), side by
+    side, and the attention weights as an array (B, n_heads, T, T), T the
+    longest length; row i of segment b holds weights on its first i + 1
+    columns only.
+
+    The segments are scattered into a zero-padded (B, n_heads, T, .) block
+    so that every segment and head is one batched matmul under one causal
+    mask: a real row never reaches a padded column, which lies after it.
+    Padded rows get weights too, but their outputs are dropped and get no
+    gradient.
+    """
+    lengths = np.asarray(lengths, dtype=np.intp)
+    n = q.shape[0]
+    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() != n:
+        raise ShapeError(f"causal_attention: lengths {lengths.tolist()} for {n} rows")
+    if k.shape != q.shape or v.shape[0] != n or q.shape[1] % n_heads or v.shape[1] % n_heads:
+        raise ShapeError(
+            f"causal_attention: q {q.shape}, k {k.shape}, v {v.shape}, {n_heads} heads"
+        )
+    dk, dv = q.shape[1] // n_heads, v.shape[1] // n_heads
+    b, t = lengths.size, int(lengths.max())
+    seg, pos = np.repeat(np.arange(b), lengths), segment_positions(lengths)
+
+    def pad(rows, width):
+        out = np.zeros((b, t, n_heads, width))
+        out[seg, pos] = rows.reshape(n, n_heads, width)
+        return out.transpose(0, 2, 1, 3)
+
+    def unpad(block):
+        return block.transpose(0, 2, 1, 3)[seg, pos].reshape(n, -1)
+
+    mask = np.tril(np.ones((t, t), dtype=bool))
+    inv_sqrt = 1.0 / np.sqrt(dk)
+    qp, kp, vp = pad(q.data, dk), pad(k.data, dk), pad(v.data, dv)
+    p = _kernels.softmax_rows(np.matmul(qp, kp.transpose(0, 1, 3, 2)) * inv_sqrt, mask)
+    p.flags.writeable = False
+
+    def vjp(g):
+        gp = pad(g, dv)
+        ds = _kernels.softmax_rows_vjp(p, np.matmul(gp, vp.transpose(0, 1, 3, 2))) * inv_sqrt
+        return (
+            unpad(np.matmul(ds, kp)),
+            unpad(np.matmul(ds.transpose(0, 1, 3, 2), qp)),
+            unpad(np.matmul(p.transpose(0, 1, 3, 2), gp)),
+        )
+
+    return _result(unpad(np.matmul(p, vp)), (q, k, v), vjp), p
 
 
 def log_softmax(a):

@@ -19,6 +19,7 @@ import zlib
 
 import numpy as np
 
+from rdecomp import autodiff as ad
 from rdecomp import config as config_mod
 from rdecomp import decomposer, oracle, recipes, trainer
 from rdecomp.checkpoint import load as load_checkpoint
@@ -209,13 +210,8 @@ def cmd_export_attention(args):
         print("trajectory file is empty", file=sys.stderr)
         return 2
     traj = trajectories[args.index]
-    n_actions = None
-    if traj.discrete:
-        n_actions = model.input_dim - traj.states.shape[1]
-    from rdecomp import autodiff as ad
-
-    x = ad.constant(traj.input_matrix(n_actions))
-    rhat, z, attns = model.forward_full(x)
+    x, lengths = decomposer.input_rows(model, [traj])
+    rhat, z, attn = model.forward_full(ad.constant(x), lengths)
     values = rhat.data.reshape(-1)
     norm_state = meta.get("normalizer")
     if norm_state:
@@ -227,10 +223,9 @@ def cmd_export_attention(args):
         for t in range(traj.length):
             writer.writerow([t, float(z.data[t, 0]), float(values[t])])
     stem = os.path.splitext(args.out)[0]
-    for h, attn in enumerate(attns):
-        head_path = f"{stem}_head{h}.csv"
-        np.savetxt(head_path, attn.data, delimiter=",")
-    print(f"wrote {args.out} and {len(attns)} attention matrices")
+    for h, head in enumerate(attn[0]):
+        np.savetxt(f"{stem}_head{h}.csv", head, delimiter=",")
+    print(f"wrote {args.out} and {len(attn[0])} attention matrices")
     return 0
 
 

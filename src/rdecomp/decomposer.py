@@ -12,6 +12,10 @@ feed-forward net handles singletons only; the recurrent and attention
 variants are causal, so their output for interval i is a function of steps
 0..i exactly — perturbing any later step changes nothing.
 
+Every predictor runs on a batch at once: the rows of B trajectories are
+stacked into one (N, d) matrix and passed with the segment lengths, so a
+regression minibatch is one tape and `predict` is a batch of one.
+
 Training regresses the summed per-interval predictions onto the episodic
 return with a squared loss. Returns are standardized by a running
 normalizer before regression (raw returns can span orders of magnitude;
@@ -140,6 +144,14 @@ class ReturnNormalizer:
 
 # ---------------------------------------------------------------------------
 # predictor architectures
+#
+# `reward_sequence(x, kind, lengths)` maps stacked input rows x (N, d) of
+# trajectories with the given lengths (default: x is one trajectory) to the
+# per-interval rewards (N, 1), row for row.
+
+
+def _segment_lengths(x, lengths):
+    return np.array([x.shape[0]] if lengths is None else lengths, dtype=np.intp)
 
 
 class FeedForwardPredictor:
@@ -164,8 +176,8 @@ class FeedForwardPredictor:
     def supports(self, kind):
         return kind == "singletons"
 
-    def reward_sequence(self, x):
-        """x: Tensor (T, input_dim) -> Tensor (T, 1) of per-interval rewards."""
+    def reward_sequence(self, x, kind="singletons", lengths=None):
+        """Rows are independent, so the segment lengths are not needed."""
         h = x
         for i in range(self.n_layers):
             h = ad.tanh(nn.linear(h, self.params[f"l{i}_w"], self.params[f"l{i}_b"]))
@@ -205,26 +217,42 @@ class RecurrentPredictor:
     def supports(self, kind):
         return kind in VALID_KINDS
 
-    def _hidden_states(self, x):
-        t_len = x.shape[0]
-        v = ad.tanh(nn.linear(x, self.params["embed_w"], self.params["embed_b"]))
-        cell = {"w": self.params["lstm_w"], "b": self.params["lstm_b"]}
-        h = ad.constant(np.zeros((1, self.hidden_dim)))
-        c = ad.constant(np.zeros((1, self.hidden_dim)))
-        rows = []
-        for t in range(t_len):
-            h, c = nn.lstm_step(cell, ad.narrow(v, 0, t, t + 1), h, c, self.hidden_dim)
-            rows.append(h)
-        return ad.concat(rows, axis=0)
+    def reward_sequence(self, x, kind="prefixes", lengths=None):
+        """All trajectories step together, longest first.
 
-    def reward_sequence(self, x, kind="prefixes"):
-        hs = self._hidden_states(x)
-        if kind == "prefixes":
-            t_len = x.shape[0]
-            # Row t of the lower-triangular averaging matrix mean-pools h_0..h_t.
-            tri = np.tril(np.ones((t_len, t_len))) / np.arange(1, t_len + 1)[:, None]
-            hs = ad.matmul(ad.constant(tri), hs)
-        return nn.linear(hs, self.params["head_w"], self.params["head_b"])
+        The rows are reordered time-major: step t holds the n_t trajectories
+        still running, so the state is narrowed to its first n_t rows as
+        trajectories end. For prefixes, a running sum divided by t + 1
+        mean-pools h_0..h_t. The head's outputs go back to stacked order.
+        """
+        lengths = _segment_lengths(x, lengths)
+        starts = np.cumsum(lengths) - lengths
+        by_length = np.argsort(-lengths, kind="stable")
+        active = [int(np.count_nonzero(lengths > t)) for t in range(int(lengths.max()))]
+        time_major = np.concatenate(
+            [starts[by_length[:n]] + t for t, n in enumerate(active)]
+        )
+        p = self.params
+        v = ad.tanh(nn.linear(ad.take_rows(x, time_major), p["embed_w"], p["embed_b"]))
+        w_x = ad.narrow(p["lstm_w"], 0, 0, self.embed_dim)
+        w_h = ad.narrow(p["lstm_w"], 0, self.embed_dim, self.embed_dim + self.hidden_dim)
+        x_gates = nn.linear(v, w_x, p["lstm_b"])
+        h = c = total = ad.constant(np.zeros((active[0], self.hidden_dim)))
+        rows = []
+        offset = 0
+        for t, n in enumerate(active):
+            if n < h.shape[0]:
+                h, c, total = (ad.narrow(a, 0, 0, n) for a in (h, c, total))
+            gates = ad.narrow(x_gates, 0, offset, offset + n)
+            h, c = nn.lstm_step(gates, h, c, w_h, self.hidden_dim)
+            offset += n
+            if kind == "prefixes":
+                total = ad.add(total, h)
+                rows.append(ad.scale(total, 1.0 / (t + 1)))
+            else:
+                rows.append(h)
+        out = nn.linear(ad.concat(rows, axis=0), p["head_w"], p["head_b"])
+        return ad.take_rows(out, np.argsort(time_major))
 
     def hyperparams(self):
         return {"input_dim": self.input_dim, "scale": self.scale}
@@ -278,34 +306,26 @@ class AttentionPredictor:
         """Shared per-step embedding; identical (s, a) pairs embed identically."""
         return ad.tanh(nn.linear(x, self.params["embed_w"], self.params["embed_b"]))
 
-    def encode(self, v):
-        """Encoder layer; returns (H, list of per-head attention matrices).
+    def encode(self, v, lengths=None):
+        """Encoder layer; returns (H, attention weights (B, heads, T, T)).
 
         The position signal enters here, not in `embed`, so the embedding
-        stays a pure function of the state-action pair.
+        stays a pure function of the state-action pair. Positions restart
+        at 0 in every trajectory.
         """
         p = self.params
+        lengths = _segment_lengths(v, lengths)
         if self.positional:
-            pos = nn.sinusoidal_positions(v.shape[0], self.embed_dim)
-            v = ad.add(v, ad.constant(pos))
-        heads = []
-        attns = []
-        q_all = ad.matmul(v, p["wq"])
-        k_all = ad.matmul(v, p["wk"])
-        v_all = ad.matmul(v, p["wv"])
-        inv_sqrt = 1.0 / np.sqrt(self.qk_dim)
-        for h in range(self.n_heads):
-            q = ad.narrow(q_all, 1, h * self.qk_dim, (h + 1) * self.qk_dim)
-            k = ad.narrow(k_all, 1, h * self.qk_dim, (h + 1) * self.qk_dim)
-            val = ad.narrow(v_all, 1, h * self.head_dim, (h + 1) * self.head_dim)
-            scores = ad.scale(ad.matmul(q, ad.transpose(k)), inv_sqrt)
-            attn = ad.softmax(scores, causal=True)
-            attns.append(attn)
-            heads.append(ad.matmul(attn, val))
-        mixed = nn.linear(ad.concat(heads, axis=1), p["wo"], p["bo"])
+            pos = nn.sinusoidal_positions(int(lengths.max()), self.embed_dim)
+            v = ad.add(v, ad.constant(pos[ad.segment_positions(lengths)]))
+        heads, attn = ad.causal_attention(
+            ad.matmul(v, p["wq"]), ad.matmul(v, p["wk"]), ad.matmul(v, p["wv"]),
+            lengths, self.n_heads,
+        )
+        mixed = nn.linear(heads, p["wo"], p["bo"])
         u = ad.layer_norm(ad.add(v, mixed), p["ln1_g"], p["ln1_b"])
         ff = nn.linear(ad.tanh(nn.linear(u, p["ff1_w"], p["ff1_b"])), p["ff2_w"], p["ff2_b"])
-        return ad.layer_norm(ad.add(u, ff), p["ln2_g"], p["ln2_b"]), attns
+        return ad.layer_norm(ad.add(u, ff), p["ln2_g"], p["ln2_b"]), attn
 
     def importance(self, hs):
         """z_t in (0, 1) per step: sigmoid(w_s2 tanh(W_s1 H^T))."""
@@ -313,16 +333,16 @@ class AttentionPredictor:
             ad.matmul(ad.tanh(ad.matmul(hs, self.params["pool_w1"])), self.params["pool_w2"])
         )
 
-    def forward_full(self, x):
-        """Returns (rewards (T,1), z (T,1), per-head attention matrices)."""
-        hs, attns = self.encode(self.embed(x))
+    def forward_full(self, x, lengths=None):
+        """Returns (rewards (N, 1), z (N, 1), attention weights (B, heads, T, T))."""
+        hs, attn = self.encode(self.embed(x), lengths)
         z = self.importance(hs)
         pooled = ad.scale_rows(hs, z)
         rhat = nn.linear(pooled, self.params["head_w"], self.params["head_b"])
-        return rhat, z, attns
+        return rhat, z, attn
 
-    def reward_sequence(self, x):
-        return self.forward_full(x)[0]
+    def reward_sequence(self, x, kind="prefixes", lengths=None):
+        return self.forward_full(x, lengths)[0]
 
     def hyperparams(self):
         return {
@@ -364,16 +384,27 @@ def predictor_from_checkpoint(params, meta):
 # prediction and regression
 
 
-def _reward_tensor(model, traj, interval_set, n_actions=None):
-    x = ad.constant(traj.input_matrix(n_actions))
+def input_rows(model, batch, n_actions=None):
+    """Stacked (N, input_dim) input rows of a batch, and the lengths.
+
+    Discrete actions are one-hot encoded; without `n_actions` the width is
+    what the model's input leaves after the state, so a trajectory that
+    never took the last action still encodes to the model's width.
+    """
+    if n_actions is None:
+        n_actions = model.input_dim - batch[0].states.shape[1]
+    x = np.concatenate([traj.input_matrix(n_actions) for traj in batch], axis=0)
+    return x, [traj.length for traj in batch]
+
+
+def _reward_rows(model, batch, interval_set, n_actions=None):
     if not model.supports(interval_set.kind):
         raise ValueError(
             f"{model.architecture} predictor does not support "
             f"{interval_set.kind!r} intervals"
         )
-    if model.architecture == "recurrent":
-        return model.reward_sequence(x, interval_set.kind)
-    return model.reward_sequence(x)
+    x, lengths = input_rows(model, batch, n_actions)
+    return model.reward_sequence(ad.constant(x), interval_set.kind, lengths), lengths
 
 
 def destandardize(values, normalizer):
@@ -388,29 +419,44 @@ def destandardize(values, normalizer):
     return values
 
 
-def predict(model, traj, interval_set, normalizer=None, n_actions=None):
-    """Decompose one trajectory into per-interval rewards.
+def predict_batch(model, batch, interval_set, normalizer=None, n_actions=None):
+    """Decompose every trajectory of a batch into per-interval rewards.
 
-    With a normalizer, the model's standardized-scale outputs are mapped
-    back to return units by `destandardize`.
+    One forward pass over the whole batch. With a normalizer, the model's
+    standardized-scale outputs are mapped back to return units by
+    `destandardize`.
     """
-    values = _reward_tensor(model, traj, interval_set, n_actions).data.reshape(-1)
-    if normalizer is not None:
-        values = destandardize(values, normalizer)
-    return RewardDecomposition.from_values(values, traj.episodic_return)
+    rewards = _reward_rows(model, batch, interval_set, n_actions)[0].data.reshape(-1)
+    out = []
+    start = 0
+    for traj in batch:
+        values = rewards[start : start + traj.length]
+        start += traj.length
+        if normalizer is not None:
+            values = destandardize(values, normalizer)
+        out.append(RewardDecomposition.from_values(values, traj.episodic_return))
+    return out
+
+
+def predict(model, traj, interval_set, normalizer=None, n_actions=None):
+    """Decompose one trajectory: `predict_batch` on a batch of one."""
+    return predict_batch(model, [traj], interval_set, normalizer, n_actions)[0]
 
 
 def regression_loss(model, batch, interval_set, normalizer=None, n_actions=None):
-    """Tape-level squared loss: sum over batch of (sum r_hat - R)^2."""
-    per_traj = []
-    for traj in batch:
-        rhat = _reward_tensor(model, traj, interval_set, n_actions)
-        target = traj.episodic_return
-        if normalizer is not None:
-            target = normalizer.normalize(target)
-        err = ad.shift(ad.sum_all(rhat), -target)
-        per_traj.append(ad.square(err))
-    return ad.sum_all(ad.concat(per_traj, axis=0))
+    """Squared loss sum over batch of (sum r_hat - R)^2, on one tape.
+
+    A (B, N) 0/1 segment-sum matrix turns the stacked rewards into the B
+    composites.
+    """
+    rhat, lengths = _reward_rows(model, batch, interval_set, n_actions)
+    targets = np.array([traj.episodic_return for traj in batch])
+    if normalizer is not None:
+        targets = normalizer.normalize(targets)
+    segment = np.repeat(np.arange(len(batch)), lengths)
+    segment_sum = (segment[None, :] == np.arange(len(batch))[:, None]).astype(np.float64)
+    err = ad.sub(ad.matmul(ad.constant(segment_sum), rhat), ad.constant(targets.reshape(-1, 1)))
+    return ad.sum_all(ad.square(err))
 
 
 def regression_step(

@@ -22,7 +22,10 @@ def linear(x, w, b):
 
 
 def lstm_params(rng, input_dim, hidden_dim):
-    """One LSTM cell; the gate order inside the stacked weights is i, f, g, o."""
+    """One LSTM cell; the gate order inside the stacked weights is i, f, g, o.
+
+    Rows 0..input_dim of the weights act on the input, the rest on h.
+    """
     w, b = init_linear(rng, input_dim + hidden_dim, 4 * hidden_dim)
     # Positive forget-gate bias keeps early memory from decaying at init.
     bias = b.data.copy()
@@ -30,9 +33,14 @@ def lstm_params(rng, input_dim, hidden_dim):
     return {"w": w, "b": ad.Tensor(bias)}
 
 
-def lstm_step(params, x_t, h_prev, c_prev, hidden_dim):
-    """Single LSTM step; x_t (1, d), h_prev/c_prev (1, hidden)."""
-    stacked = linear(ad.concat([x_t, h_prev], axis=1), params["w"], params["b"])
+def lstm_step(x_gates, h_prev, c_prev, w_h, hidden_dim):
+    """Single LSTM step over a batch of n rows.
+
+    x_gates (n, 4 hidden) is the input's share of the gate pre-activations,
+    x_t W_x + b, computed for all steps before the loop; w_h is the
+    recurrent block of the stacked weights; h_prev/c_prev (n, hidden).
+    """
+    stacked = ad.add(x_gates, ad.matmul(h_prev, w_h))
     i_gate = ad.sigmoid(ad.narrow(stacked, 1, 0, hidden_dim))
     f_gate = ad.sigmoid(ad.narrow(stacked, 1, hidden_dim, 2 * hidden_dim))
     g_cell = ad.tanh(ad.narrow(stacked, 1, 2 * hidden_dim, 3 * hidden_dim))

@@ -267,11 +267,12 @@ class Trainer:
         self.env_steps = 0
         self.metrics = []
 
-    def decompose(self, traj):
+    def decompose(self, batch):
+        """Per-interval rewards of every trajectory, in one forward pass."""
         if self.model is None:
-            return _zero_decomposition(traj)
-        return decomposer.predict(
-            self.model, traj, self.interval_set, self.normalizer, self.n_actions
+            return [_zero_decomposition(traj) for traj in batch]
+        return decomposer.predict_batch(
+            self.model, batch, self.interval_set, self.normalizer, self.n_actions
         )
 
     def _regression_phase(self):
@@ -318,7 +319,7 @@ class Trainer:
             self.normalizer.update(returns)
         regression_loss = self._regression_phase()
 
-        decomps = [self.decompose(t) for t in batch]
+        decomps = self.decompose(batch)
         if not config.bias_correction:
             decomps = [
                 decomposer.RewardDecomposition(d.per_interval, d.composite, 0.0)

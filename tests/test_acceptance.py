@@ -252,6 +252,32 @@ def test_criterion_5_causality_fuzz():
     report(5, True, f"{cases} fuzz cases, outputs before the perturbed step exactly unchanged")
 
 
+def test_batch_isolation_fuzz():
+    """Criterion 5 across a minibatch: trajectories share one tape, so
+    perturbing any step of trajectory j must leave every other
+    trajectory's rewards bit-identical."""
+    cases = 0
+    rng = np.random.default_rng(8)
+    specs = [("ff", "singletons"), ("recurrent", "singletons"), ("recurrent", "prefixes"), ("attention", "prefixes")]
+    while cases < 80:
+        arch, kind = specs[cases % len(specs)]
+        lengths = rng.integers(1, 10, size=int(rng.integers(2, 6)))
+        model = decomposer.make_predictor(arch, 5, np.random.default_rng(cases), scale="desk")
+        x = rng.normal(size=(int(lengths.sum()), 5))
+        j = int(rng.integers(len(lengths)))
+        row = int(lengths[:j].sum() + rng.integers(lengths[j]))
+        bumped = x.copy()
+        bumped[row] += rng.normal(size=5) * rng.choice([1e-6, 1.0, 1e3])
+        base = model.reward_sequence(ad.constant(x), kind, lengths).data
+        after = model.reward_sequence(ad.constant(bumped), kind, lengths).data
+        others = np.repeat(np.arange(len(lengths)), lengths) != j
+        assert np.array_equal(base[others], after[others]), (
+            f"case {cases}: {arch}/{kind} lengths {lengths.tolist()}: "
+            f"perturbing trajectory {j} moved another trajectory's rewards"
+        )
+        cases += 1
+
+
 # ---------------------------------------------------------------------------
 # 6 + 7. regression convergence, then variance ordering with the fit model
 

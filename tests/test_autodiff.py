@@ -100,7 +100,7 @@ UNARY_CASES = [
     ("sum_all", ad.sum_all, (3, 4)),
     ("mean_all", ad.mean_all, (3, 4)),
     ("softmax", ad.softmax, (4, 4)),
-    ("softmax_causal", lambda t: ad.softmax(t, causal=True), (4, 4)),
+    ("softmax_causal", lambda t: ad.softmax(t, np.tril(np.ones((4, 4), dtype=bool))), (4, 4)),
     ("log_softmax", ad.log_softmax, (4, 5)),
     ("scale", lambda t: ad.scale(t, -1.7), (3, 4)),
     ("shift", lambda t: ad.shift(t, 0.3), (3, 4)),
@@ -190,6 +190,41 @@ def test_concat_gradients():
     assert relative_error(grads.of(b_t), fd[1]).max() < 1e-5
 
 
+def test_causal_attention_gradients_on_ragged_segments():
+    rng = np.random.default_rng(19)
+    lengths, n_heads = [3, 1, 4], 2
+    q, k, v = rng.normal(size=(8, 6)), rng.normal(size=(8, 6)), rng.normal(size=(8, 4))
+
+    def out(tensors):
+        return scalarize(ad.causal_attention(*tensors, lengths, n_heads)[0],
+                         np.random.default_rng(5))
+
+    tensors = [Tensor(q), Tensor(k), Tensor(v)]
+    grads = ad.backward(out(tensors))
+    fd = numeric_gradient(lambda ts: out(ts).item(), [q, k, v])
+    for t, want in zip(tensors, fd):
+        assert relative_error(grads.of(t), want).max() < 1e-5
+
+
+def test_causal_attention_weights_stay_inside_segments():
+    rng = np.random.default_rng(23)
+    lengths = [2, 1, 3]
+    q, k, v = (Tensor(rng.normal(size=(6, 4))) for _ in range(3))
+    out, attn = ad.causal_attention(q, k, v, lengths, 2)
+    assert out.shape == (6, 4) and attn.shape == (3, 2, 3, 3)
+    for b, t_len in enumerate(lengths):
+        inside = np.tril(np.ones((t_len, t_len), dtype=bool))
+        np.testing.assert_allclose(attn[b, :, :t_len].sum(axis=-1), 1.0, atol=1e-12)
+        assert np.all(attn[b, :, :t_len, :t_len][:, ~inside] == 0.0)
+        assert np.all(attn[b, :, :t_len, t_len:] == 0.0)
+    # the single-row segment attends to itself: its output is its own value row
+    np.testing.assert_array_equal(out.data[2], v.data[2])
+    with pytest.raises(ShapeError):
+        ad.causal_attention(q, k, v, [2, 3], 2)
+    with pytest.raises(ShapeError):
+        ad.causal_attention(q, k, v, [6, 0], 2)
+
+
 def test_take_per_row_gradient():
     rng = np.random.default_rng(17)
     x = rng.normal(size=(4, 3))
@@ -261,5 +296,6 @@ def test_determinism_bitwise():
 def test_forward_values_stay_finite():
     rng = np.random.default_rng(29)
     x = Tensor(rng.normal(size=(5, 5)) * 3)
-    for op in (ad.tanh, ad.sigmoid, lambda t: ad.softmax(t, causal=True), ad.log_softmax):
+    causal = np.tril(np.ones((5, 5), dtype=bool))
+    for op in (ad.tanh, ad.sigmoid, lambda t: ad.softmax(t, causal), ad.log_softmax):
         assert np.all(np.isfinite(op(x).data))

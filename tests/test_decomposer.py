@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import reference_predictors as reference
 
 from rdecomp import autodiff as ad
 from rdecomp import decomposer, nn
@@ -10,6 +11,7 @@ from rdecomp.decomposer import (
     ReturnNormalizer,
     make_predictor,
     predict,
+    predict_batch,
     regression_loss,
     regression_step,
 )
@@ -96,18 +98,18 @@ def test_two_token_attention_matches_hand_softmax():
     v = model.embed(ad.constant(x))
     if model.positional:
         v = ad.add(v, ad.constant(nn.sinusoidal_positions(2, model.embed_dim)))
-    _, attns = model.encode(model.embed(ad.constant(x)))
+    _, attn_block = model.encode(model.embed(ad.constant(x)))
     q_all = v.data @ model.params["wq"].data
     k_all = v.data @ model.params["wk"].data
     dk = model.qk_dim
-    for h, attn in enumerate(attns):
+    for h, attn in enumerate(attn_block[0]):
         q = q_all[:, h * dk : (h + 1) * dk]
         k = k_all[:, h * dk : (h + 1) * dk]
         s = (q @ k.T) / np.sqrt(dk)
         # row 0 attends only to itself; row 1 is a 2-way softmax
         e = np.exp(s[1] - s[1].max())
-        np.testing.assert_allclose(attn.data[0], [1.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(attn.data[1], e / e.sum(), rtol=1e-12)
+        np.testing.assert_allclose(attn[0], [1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(attn[1], e / e.sum(), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -381,3 +383,76 @@ def test_decomposition_from_values_identities():
     for v in values:
         total += float(v)
     assert dec.composite == total and dec.residual == 4.0 - total
+
+
+# ---------------------------------------------------------------------------
+# one batched tape against the per-trajectory reference
+
+
+BATCHED_SPECS = [
+    ("ff", "singletons", True),
+    ("recurrent", "singletons", True),
+    ("recurrent", "prefixes", True),
+    ("attention", "prefixes", True),
+    ("attention", "prefixes", False),
+]
+BATCH_LENGTHS = {"ragged": [5, 1, 9, 3, 1, 7], "equal": [4, 4, 4], "one": [6]}
+
+
+def _close(got, want, rel=1e-12):
+    return np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+@pytest.mark.parametrize("lengths", list(BATCH_LENGTHS), ids=list(BATCH_LENGTHS))
+@pytest.mark.parametrize("arch,kind,positional", BATCHED_SPECS,
+                         ids=[f"{a}-{k}-pos{int(p)}" for a, k, p in BATCHED_SPECS])
+def test_batched_loss_and_gradients_match_reference(arch, kind, positional, lengths):
+    rng = np.random.default_rng(40)
+    model = make_predictor(arch, 5, rng, positional=positional)
+    batch = [toy_trajectory(rng, t_len=t) for t in BATCH_LENGTHS[lengths]]
+    iset = IntervalSet(kind)
+    norm = ReturnNormalizer()
+    norm.update(rng.normal(2.0, 3.0, size=20))
+
+    loss = regression_loss(model, batch, iset, norm)
+    want = reference.regression_loss(model, batch, iset, norm)
+    assert _close(loss.data, want.data)
+    grads, want_grads = ad.backward(loss), ad.backward(want)
+    for name, param in model.params.items():
+        assert _close(grads.of(param), want_grads.of(param)), name
+
+    for traj, dec in zip(batch, predict_batch(model, batch, iset)):
+        ref = reference.reward_sequence(model, ad.constant(traj.input_matrix()), kind)
+        assert _close(dec.per_interval, ref.data.reshape(-1))
+
+
+def test_batched_attention_weights_match_reference():
+    rng = np.random.default_rng(41)
+    model = AttentionPredictor(5, rng)
+    trajs = [toy_trajectory(rng, t_len=t) for t in (3, 1, 5)]
+    x = np.concatenate([t.input_matrix() for t in trajs])
+    _, _, attn = model.forward_full(ad.constant(x), [3, 1, 5])
+    assert attn.shape == (3, model.n_heads, 5, 5)
+    for b, traj in enumerate(trajs):
+        _, heads = reference.attention_encode(model, ad.constant(traj.input_matrix()))
+        t_len = traj.length
+        for h, head in enumerate(heads):
+            assert _close(attn[b, h, :t_len, :t_len], head.data)
+            assert np.array_equal(attn[b, h, :t_len, t_len:], np.zeros((t_len, 5 - t_len)))
+
+
+@pytest.mark.parametrize("arch,kind", [("ff", "singletons"), ("recurrent", "prefixes"),
+                                       ("attention", "prefixes")])
+def test_n_actions_inferred_from_model_width(arch, kind):
+    # 4 actions, but the trajectory never takes the last one
+    model = make_predictor(arch, 3 + 4, np.random.default_rng(42))
+    rng = np.random.default_rng(43)
+    traj = Trajectory(states=rng.normal(size=(5, 3)), actions=[0, 2, 1, 0, 2],
+                      episodic_return=1.0)
+    iset = IntervalSet(kind)
+    implicit = predict(model, traj, iset)
+    explicit = predict(model, traj, iset, n_actions=4)
+    assert np.array_equal(implicit.per_interval, explicit.per_interval)
+    assert regression_loss(model, [traj], iset).item() == regression_loss(
+        model, [traj], iset, n_actions=4
+    ).item()

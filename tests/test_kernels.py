@@ -12,13 +12,14 @@ def test_matmul_agrees_with_numpy():
         np.testing.assert_allclose(_kernels.matmul(a, b), a @ b, rtol=1e-12)
 
 
-@pytest.mark.parametrize("causal", [False, True])
-def test_softmax_rows_properties(causal):
+@pytest.mark.parametrize("masked", [False, True])
+def test_softmax_rows_properties(masked):
     rng = np.random.default_rng(2)
     x = rng.normal(size=(5, 5)) * 3
-    p = _kernels.softmax_rows(x, causal)
+    mask = np.tril(np.ones((5, 5), dtype=bool)) if masked else None
+    p = _kernels.softmax_rows(x, mask)
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
-    if causal:
+    if masked:
         assert np.array_equal(np.triu(p, k=1), np.zeros_like(p))
 
 

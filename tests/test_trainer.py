@@ -3,7 +3,7 @@ import pytest
 
 from rdecomp import autodiff as ad
 from rdecomp import envs, estimators, nn
-from rdecomp.decomposer import RewardDecomposition
+from rdecomp.decomposer import RewardDecomposition, predict
 from rdecomp.policies import CategoricalPolicy, ValueNetwork, make_policy
 from rdecomp.trainer import (
     TrainConfig,
@@ -294,6 +294,21 @@ def test_save_restore_resumes(tmp_path):
     np.testing.assert_allclose(
         row_resumed["regression_loss"], row_direct["regression_loss"], rtol=1e-6
     )
+
+
+@pytest.mark.parametrize("arch,kind", [("ff", "singletons"), ("recurrent", "prefixes"),
+                                       ("attention", "prefixes")])
+def test_batched_decompose_matches_per_trajectory_predict(arch, kind):
+    trainer = Trainer(TrainConfig(**TINY, architecture=arch, interval_kind=kind), seed=3)
+    trainer.step()
+    batch = rollout(trainer.policy, trainer.env, 60, np.random.default_rng(4))
+    assert len({t.length for t in batch}) > 1
+    for traj, dec in zip(batch, trainer.decompose(batch), strict=True):
+        want = predict(trainer.model, traj, trainer.interval_set, trainer.normalizer,
+                       trainer.n_actions)
+        scale = np.abs(want.per_interval).max()
+        assert np.abs(dec.per_interval - want.per_interval).max() <= 1e-12 * scale
+        assert abs(dec.residual - want.residual) <= 1e-12 * max(abs(want.residual), scale)
 
 
 def test_continuous_environment_path():
