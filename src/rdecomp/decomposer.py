@@ -459,18 +459,14 @@ def regression_loss(model, batch, interval_set, normalizer=None, n_actions=None)
     return ad.sum_all(ad.square(err))
 
 
-def regression_step(
-    model, batch, interval_set, lr=None, optimizer=None, normalizer=None, n_actions=None
-):
-    """One gradient-descent update of the predictor; returns the loss value.
+def regression_step(model, batch, interval_set, optimizer, normalizer=None, n_actions=None):
+    """One update of the predictor by `optimizer`; returns the loss value.
 
     A non-finite loss aborts with the offending value before any parameter
     is touched.
     """
     if not batch:
         raise ValueError("regression_step: empty batch")
-    if optimizer is None:
-        optimizer = nn.SgdOptimizer(lr if lr is not None else 1e-3)
     loss = regression_loss(model, batch, interval_set, normalizer, n_actions)
     value = loss.item()
     if not np.isfinite(value):

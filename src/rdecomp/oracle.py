@@ -114,7 +114,7 @@ def enumerate_trajectories(mdp, policy, max_count=MAX_TRAJECTORIES):
                 actions=np.array(actions, dtype=np.int64),
                 episodic_return=ret,
             )
-            results.append((traj, prob, tuple(states), tuple(actions)))
+            results.append((traj, prob))
             return
         pi = action_probs(s)
         for a in range(mdp.n_actions):
@@ -135,7 +135,7 @@ def enumerate_trajectories(mdp, policy, max_count=MAX_TRAJECTORIES):
     for s0 in range(mdp.n_states):
         if mdp.initial_dist[s0] > 0.0:
             walk(s0, 0, [s0], [], float(mdp.initial_dist[s0]))
-    return [(traj, p) for traj, p, _, _ in results]
+    return results
 
 
 def sample_trajectory(mdp, policy, rng):
@@ -173,7 +173,14 @@ def exact_grad_j(mdp, policy):
 
 
 class OracleContext:
-    """Enumeration plus per-trajectory score matrices, computed once."""
+    """Enumeration, score block and exact gradient of one (MDP, policy), computed once.
+
+    `scores` is the (K, T, P) block of the K enumerated trajectories:
+    `scores[k, t]` is grad log pi(a_t|s_t) of trajectory k, flattened over
+    the P policy parameters, and zero for t at or past its length (T is the
+    longest length). `probabilities` holds the K exact probabilities and
+    `exact_grad` the exact policy gradient.
+    """
 
     def __init__(self, mdp, policy):
         self.mdp = mdp
@@ -184,18 +191,22 @@ class OracleContext:
         prob_sum = self.probabilities.sum()
         if abs(prob_sum - 1.0) > 1e-10:
             raise RuntimeError(f"enumerated probabilities sum to {prob_sum}")
-        self.scores = [policy.score_matrix(traj) for traj in self.trajectories]
-        self.n_params = self.scores[0].shape[1]
-        self.max_len = max(traj.length for traj in self.trajectories)
+        rows = [policy.score_matrix(traj) for traj in self.trajectories]
+        max_len = max(len(r) for r in rows)
+        self.scores = np.zeros((len(rows), max_len, rows[0].shape[1]))
+        for k, r in enumerate(rows):
+            self.scores[k, : len(r)] = r
+        self.exact_grad = exact_grad_j(mdp, policy)
 
-    def expectation(self, per_traj_fn):
-        """Exact expectation of a vector function of (index, trajectory, scores)."""
-        total = None
-        for i, traj in enumerate(self.trajectories):
-            v = per_traj_fn(i, traj, self.scores[i])
-            contrib = self.probabilities[i] * v
-            total = contrib if total is None else total + contrib
-        return total
+
+def _worst(errors):
+    """Largest error and the index of its first occurrence in C order; the
+    index is None when every error is zero."""
+    flat = int(np.argmax(errors))
+    worst = float(errors.flat[flat])
+    if not worst > 0.0:
+        return worst, None
+    return worst, tuple(int(i) for i in np.unravel_index(flat, errors.shape))
 
 
 def verify_identities(ctx, predictor_fn, tol=1e-8):
@@ -205,72 +216,56 @@ def verify_identities(ctx, predictor_fn, tol=1e-8):
     actual reward model or any fixed causal function, including adversarial
     ones. A predictor whose interval-i reward reads later steps breaks (a),
     (c) and (d).
+
+    The decompositions are stacked into (K, T) arrays zero-padded like
+    `ctx.scores` (interval rewards, generalized Q and its complement), so
+    each check is one probability-weighted contraction over the score block
+    and padded steps contribute nothing.
     Returns a report dict; report["pass"] is the conjunction of all checks.
     """
     decomps = [predictor_fn(traj) for traj in ctx.trajectories]
-    exact = exact_grad_j(ctx.mdp, ctx.policy)
+    scores = ctx.scores
+    rewards, q, rnot = (np.zeros(scores.shape[:2]) for _ in range(3))
+    for k, (traj, dec) in enumerate(zip(ctx.trajectories, decomps)):
+        n = traj.length
+        q[k, :n] = estimators.generalized_q(dec, n)
+        rnot[k, :n] = estimators.r_not_t(dec, n)
+        rewards[k, :n] = dec.per_interval
+    residual = np.array([d.residual for d in decomps])[:, None]
+    w = ctx.probabilities[:, None]
 
-    # (a) interval rewards are orthogonal to strictly later scores
-    worst_a, arg_a = 0.0, None
-    for t in range(1, ctx.max_len):
-        for i in range(t):
+    # (a) interval rewards are orthogonal to strictly later scores: entry
+    # [t, i] of the (T, T) error block, kept for i < t only
+    cross = np.einsum("ki,ktp->tip", w * rewards, scores)
+    worst_a, arg_a = _worst(np.tril(np.abs(cross).max(axis=2), -1))
+    worst_pair = None if arg_a is None else (arg_a[1], arg_a[0])
 
-            def accum(k, traj, scores, i=i, t=t):
-                if traj.length <= t:
-                    return np.zeros(ctx.n_params)
-                return decomps[k].per_interval[i] * scores[t]
-
-            err = float(np.abs(ctx.expectation(accum)).max())
-            if err > worst_a:
-                worst_a, arg_a = err, (i, t)
-
-    # (b) interval-major and step-major composite gradients agree
-    def composite_steps(k, traj, scores):
-        q = estimators.generalized_q(decomps[k], traj.length)
-        return q @ scores
-
-    def composite_intervals(k, traj, scores):
-        g = np.zeros(ctx.n_params)
-        for i, value in enumerate(decomps[k].per_interval):
-            g += value * scores[: i + 1].sum(axis=0)
-        return g
-
-    err_b = float(
-        np.abs(ctx.expectation(composite_steps) - ctx.expectation(composite_intervals)).max()
-    )
+    # (b) interval-major and step-major composite gradients agree; the
+    # interval-major side weights interval i by the scores of steps 0..i
+    step_major = np.einsum("kt,ktp->p", w * q, scores)
+    interval_major = np.einsum("ki,kip->p", w * rewards, np.cumsum(scores, axis=1))
+    err_b = float(np.abs(step_major - interval_major).max())
 
     # (c) residual-corrected estimator is exactly the true gradient
-    def corrected(k, traj, scores):
-        coeffs = decomps[k].residual + estimators.generalized_q(decomps[k], traj.length)
-        return coeffs @ scores
-
-    err_c = float(np.abs(ctx.expectation(corrected) - exact).max())
+    corrected = np.einsum("kt,ktp->p", w * (residual + q), scores)
+    err_c = float(np.abs(corrected - ctx.exact_grad).max())
 
     # (d) the complement term is a zero-mean control variate at every step
-    worst_d, arg_d = 0.0, None
-    for t in range(ctx.max_len):
-
-        def accum_d(k, traj, scores, t=t):
-            if traj.length <= t:
-                return np.zeros(ctx.n_params)
-            rnot = estimators.r_not_t(decomps[k], traj.length)
-            return rnot[t] * scores[t]
-
-        err = float(np.abs(ctx.expectation(accum_d)).max())
-        if err > worst_d:
-            worst_d, arg_d = err, t
+    complement = np.einsum("kt,ktp->tp", w * rnot, scores)
+    worst_d, arg_d = _worst(np.abs(complement).max(axis=1))
+    worst_step = None if arg_d is None else arg_d[0]
 
     checks = {
         "interval_score_orthogonality": {
             "max_abs_error": worst_a,
-            "worst_pair": arg_a,
+            "worst_pair": worst_pair,
             "pass": worst_a <= tol,
         },
         "composite_forms_match": {"max_abs_error": err_b, "pass": err_b <= tol},
         "corrected_matches_true_gradient": {"max_abs_error": err_c, "pass": err_c <= tol},
         "complement_zero_mean": {
             "max_abs_error": worst_d,
-            "worst_step": arg_d,
+            "worst_step": worst_step,
             "pass": worst_d <= tol,
         },
     }

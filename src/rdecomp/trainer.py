@@ -32,7 +32,7 @@ import numpy as np
 
 from rdecomp import _kernels
 from rdecomp import autodiff as ad
-from rdecomp import checkpoint, decomposer, envs, nn
+from rdecomp import checkpoint, decomposer, envs, estimators, nn
 from rdecomp.buffers import ReplayBuffer
 from rdecomp.policies import ValueNetwork, make_policy
 from rdecomp.trajectory import Trajectory, read_jsonl, write_jsonl
@@ -45,6 +45,7 @@ METRIC_COLUMNS = (
     "regression_loss",
     "residual_abs_mean",
     "grad_variance",
+    "ppo_aborted",
 )
 
 
@@ -299,13 +300,7 @@ class Trainer:
 
     def _gradient_variance(self, batch, decomps):
         """Variance diagnostic of the corrected-estimator coefficients."""
-        grads = []
-        for traj, dec in zip(batch, decomps):
-            coeffs = dec.residual + np.cumsum(dec.per_interval[::-1])[::-1]
-            grads.append(self.policy.weighted_score_gradient(traj, coeffs))
-        if len(grads) < 2:
-            return 0.0
-        return float(np.stack(grads).var(axis=0).mean())
+        return estimators.grad_bias_corrected(batch, self.policy, decomps).variance
 
     def step(self):
         """One outer iteration; returns the metrics row."""
@@ -341,6 +336,7 @@ class Trainer:
             "regression_loss": regression_loss,
             "residual_abs_mean": float(np.mean([abs(d.residual) for d in decomps])),
             "grad_variance": self._gradient_variance(batch, decomps),
+            "ppo_aborted": int(ppo_metrics["aborted"]),
         }
         self.iteration += 1
         self.metrics.append(row)

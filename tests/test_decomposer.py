@@ -272,7 +272,7 @@ def test_bias_only_regression_reaches_mean_target():
     traj = toy_trajectory(np.random.default_rng(22), t_len=5, ret=3.0)
     iset = IntervalSet("singletons")
     for _ in range(400):
-        regression_step(model, [traj], iset, lr=1e-2)
+        regression_step(model, [traj], iset, optimizer=nn.SgdOptimizer(1e-2))
         # freeze everything except the bias to keep the problem 1-D
         keep = model.params["head_b"]
         model.params = dict(frozen)
@@ -285,7 +285,8 @@ def test_full_batch_loss_non_increasing_at_tiny_lr():
     model = AttentionPredictor(5, rng)
     batch = [toy_trajectory(np.random.default_rng(100 + i), t_len=4) for i in range(6)]
     iset = IntervalSet("prefixes")
-    losses = [regression_step(model, batch, iset, lr=1e-5) for _ in range(100)]
+    opt = nn.SgdOptimizer(1e-5)
+    losses = [regression_step(model, batch, iset, optimizer=opt) for _ in range(100)]
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
@@ -296,7 +297,7 @@ def test_non_finite_loss_aborts_without_update():
     before = {k: p.data.copy() for k, p in model.params.items()}
     traj = toy_trajectory(np.random.default_rng(25))
     with pytest.raises(FloatingPointError, match="non-finite"):
-        regression_step(model, [traj], IntervalSet("singletons"), lr=1e-3)
+        regression_step(model, [traj], IntervalSet("singletons"), optimizer=nn.SgdOptimizer(1e-3))
     for k, p in model.params.items():
         np.testing.assert_array_equal(p.data, before[k])
 
@@ -304,7 +305,7 @@ def test_non_finite_loss_aborts_without_update():
 def test_empty_batch_rejected():
     model = make_predictor("ff", 5, np.random.default_rng(26))
     with pytest.raises(ValueError, match="empty"):
-        regression_step(model, [], IntervalSet("singletons"), lr=1e-3)
+        regression_step(model, [], IntervalSet("singletons"), optimizer=nn.SgdOptimizer(1e-3))
 
 
 # ---------------------------------------------------------------------------

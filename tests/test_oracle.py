@@ -199,13 +199,12 @@ def test_true_stepwise_rewards_reduce_to_classic_policy_gradient():
     # residuals vanish, so the composite form alone equals the true gradient
     from rdecomp import estimators
 
-    decomps = [true_rewards(t) for t in ctx.trajectories]
-
-    def composite(k, traj, scores):
-        return estimators.generalized_q(decomps[k], traj.length) @ scores
-
+    composite = sum(
+        p * estimators.generalized_q(true_rewards(traj), traj.length) @ scores[: traj.length]
+        for traj, p, scores in zip(ctx.trajectories, ctx.probabilities, ctx.scores)
+    )
     exact = oracle.exact_grad_j(mdp, policy)
-    np.testing.assert_allclose(ctx.expectation(composite), exact, atol=1e-10)
+    np.testing.assert_allclose(composite, exact, atol=1e-10)
 
 
 @pytest.mark.parametrize("mdp_name", sorted(oracle.BUILTIN_MDPS))
@@ -241,6 +240,30 @@ def test_destandardized_predictions_pass_identities():
     assert report["pass"], report
 
 
+def return_leaking_predictor(traj):
+    """Non-causal: interval 0 is the episodic return, which depends on
+    every later step."""
+    values = np.zeros(traj.length)
+    values[0] = traj.episodic_return
+    return RewardDecomposition.from_values(values, traj.episodic_return)
+
+
+def test_non_causal_predictor_is_caught():
+    mdp = oracle.chain3_mdp()
+    ctx = oracle.OracleContext(mdp, CategoricalPolicy(np.random.default_rng(0), 3, 2, hidden=(8,)))
+    assert len({traj.length for traj in ctx.trajectories}) > 1  # padding is exercised
+    report = oracle.verify_identities(ctx, return_leaking_predictor)
+    checks = report["checks"]
+    assert not report["pass"]
+    assert not checks["interval_score_orthogonality"]["pass"]
+    assert not checks["corrected_matches_true_gradient"]["pass"]
+    assert not checks["complement_zero_mean"]["pass"]
+    # both composite forms are rearrangements of one sum, causal or not
+    assert checks["composite_forms_match"]["pass"]
+    assert checks["interval_score_orthogonality"]["worst_pair"] == (0, 2)
+    assert checks["complement_zero_mean"]["worst_step"] == 2
+
+
 def test_corrupted_q_breaks_composite_check(monkeypatch):
     """Mutation test: an off-by-one in the ends-at->=t rule must be caught."""
     mdp = oracle.chain3_mdp()
@@ -273,7 +296,7 @@ def test_monte_carlo_consistency():
     n = 10**5
     per_sample = np.stack(
         [
-            np.full(traj.length, traj.episodic_return) @ scores
+            np.full(traj.length, traj.episodic_return) @ scores[: traj.length]
             for traj, scores in zip(ctx.trajectories, ctx.scores)
         ]
     )

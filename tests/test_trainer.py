@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from rdecomp import envs, estimators, nn
 from rdecomp.decomposer import RewardDecomposition, predict
 from rdecomp.policies import CategoricalPolicy, ValueNetwork, make_policy
 from rdecomp.trainer import (
+    MetricsWriter,
     TrainConfig,
     Trainer,
     compute_advantages,
@@ -323,3 +326,22 @@ def test_continuous_environment_path():
     )
     result = train(config, seed=2)
     assert np.isfinite(result.metrics[0]["return_mean"])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_aborted_ppo_update_is_recorded(tmp_path):
+    trainer = Trainer(TrainConfig(**TINY), seed=0)
+    row, ppo_metrics = trainer.step()
+    assert row["ppo_aborted"] == 0 and not ppo_metrics["aborted"]
+    # an infinite value-head bias makes the value loss non-finite
+    trainer.value_net.params["vr_b"] = ad.Tensor(np.full(1, np.inf))
+    aborted_row, ppo_metrics = trainer.step()
+    assert ppo_metrics["aborted"]
+    assert aborted_row["ppo_aborted"] == 1
+    path = tmp_path / "metrics.csv"
+    writer = MetricsWriter(str(path))
+    for r in trainer.metrics:
+        writer.write(r)
+    writer.close()
+    rows = list(csv.DictReader(path.open()))
+    assert [r["ppo_aborted"] for r in rows] == ["0", "1"]
