@@ -1,10 +1,10 @@
-"""Checkpoint format: JSON manifest plus one flat little-endian f32 blob.
+"""Checkpoint format: JSON manifest plus one flat little-endian f64 blob.
 
 The manifest lists every tensor as {name, shape, dtype, byte_offset} along
 with the blob filename, total byte count, and a free-form `meta` object
-(model architecture and hyperparameters live there). Values are stored as
-32-bit floats, so a save/load round trip quantizes parameters to f32
-precision (~1e-7 relative); all in-memory math stays float64.
+(model architecture and hyperparameters live there). `save` writes
+format_version 2 (f64, so a round trip is exact); `load` also reads
+version 1 files, whose f32 values it widens to float64.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ def save(path, params, meta=None):
     chunks = []
     offset = 0
     for name in sorted(params):
-        arr = params[name].data.astype("<f4")
+        arr = params[name].data.astype("<f8")
         entries.append(
             {
                 "name": name,
                 "shape": list(arr.shape),
-                "dtype": "f32",
+                "dtype": "f64",
                 "byte_offset": offset,
             }
         )
@@ -41,7 +41,7 @@ def save(path, params, meta=None):
         chunks.append(raw)
         offset += len(raw)
     manifest = {
-        "format_version": 1,
+        "format_version": 2,
         "blob": os.path.basename(blob_path),
         "total_bytes": offset,
         "tensors": entries,
@@ -61,11 +61,12 @@ def load(path):
     blob_path = os.path.join(os.path.dirname(path) or ".", manifest["blob"])
     with open(blob_path, "rb") as fh:
         blob = fh.read()
+    dtypes = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
     expected = 0
     for entry in manifest["tensors"]:
-        if entry["dtype"] != "f32":
+        if entry["dtype"] not in dtypes:
             raise CheckpointError(f"unsupported dtype {entry['dtype']!r}")
-        expected += int(np.prod(entry["shape"])) * 4
+        expected += int(np.prod(entry["shape"])) * dtypes[entry["dtype"]].itemsize
     if expected != manifest["total_bytes"] or len(blob) != expected:
         raise CheckpointError(
             f"blob length mismatch: manifest {manifest['total_bytes']}, "
@@ -75,6 +76,6 @@ def load(path):
     for entry in manifest["tensors"]:
         count = int(np.prod(entry["shape"]))
         start = entry["byte_offset"]
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=start)
-        params[entry["name"]] = Tensor(arr.astype(np.float64).reshape(entry["shape"]))
+        arr = np.frombuffer(blob, dtype=dtypes[entry["dtype"]], count=count, offset=start)
+        params[entry["name"]] = Tensor(arr.reshape(entry["shape"]))
     return params, manifest.get("meta", {})

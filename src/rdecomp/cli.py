@@ -53,10 +53,14 @@ def _run_training(experiment, resume=False):
         writer = trainer.MetricsWriter(
             os.path.join(out_dir, f"metrics{suffix}.csv"), append=resuming
         )
+        # Save at iteration boundaries only, so --resume after a crash is exact.
+        if not resuming:
+            run.save(out_dir, suffix)
         try:
             while run.iteration < experiment.train.iterations:
                 row, _ = run.step()
                 writer.write(row)
+                run.save(out_dir, suffix)
                 print(
                     f"[{experiment.name} seed {seed}] iter {row['iteration']}"
                     f" return {row['return_mean']:.3f}"
@@ -64,7 +68,6 @@ def _run_training(experiment, resume=False):
                 )
         finally:
             writer.close()
-            run.save(out_dir, suffix)
     return out_dir
 
 

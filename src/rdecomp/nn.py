@@ -1,6 +1,7 @@
 """Small neural-net building blocks shared by the reward models and the
 policy/value networks: fan-in-scaled initialization, linear application,
-and an LSTM step built from tape primitives."""
+an LSTM step built from tape primitives, and optimizers that update a
+model as one flat float64 vector in sorted-name order (`flatten_params`)."""
 
 from __future__ import annotations
 
@@ -69,12 +70,13 @@ def flatten_grads(params, grads):
 
 
 def assign_flat(params, flat):
-    """Inverse of flatten_params: write a flat vector back into new Tensors."""
+    """Inverse of flatten_params: new Tensors, read-only views into `flat`."""
+    flat.flags.writeable = False
     out = {}
     i = 0
     for k in sorted(params):
         n = params[k].size
-        out[k] = ad.Tensor(flat[i : i + n].reshape(params[k].shape))
+        out[k] = ad._result(flat[i : i + n].reshape(params[k].shape), (), None)
         i += n
     if i != flat.size:
         raise ValueError(f"flat vector length {flat.size}, parameters need {i}")
@@ -82,41 +84,37 @@ def assign_flat(params, flat):
 
 
 class SgdOptimizer:
-    """Plain gradient descent: p <- p - lr * g."""
+    """Plain gradient descent on the flat vector: p <- p - lr * g."""
 
     def __init__(self, lr):
         self.lr = lr
 
     def step(self, params, grads):
-        return {
-            k: ad.Tensor(p.data - self.lr * grads.of(p)) for k, p in params.items()
-        }
+        return assign_flat(
+            params, flatten_params(params) - self.lr * flatten_grads(params, grads)
+        )
 
 
 class AdamOptimizer:
+    """Adam over the flat parameter vector. A step rebinds t, m and v and
+    never writes an array in place, so (t, m, v) can be saved by reference."""
+
     def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {}
-        self.v = {}
+        self.m = self.v = np.zeros(0)
 
     def step(self, params, grads):
+        g = flatten_grads(params, grads)
+        if self.t == 0:
+            self.m = self.v = np.zeros(g.size)
         self.t += 1
-        out = {}
-        for k, p in params.items():
-            g = grads.of(p)
-            m = self.m.get(k)
-            if m is None:
-                m = np.zeros(p.shape)
-                self.v[k] = np.zeros(p.shape)
-            v = self.v[k]
-            m = self.beta1 * m + (1 - self.beta1) * g
-            v = self.beta2 * v + (1 - self.beta2) * g * g
-            self.m[k], self.v[k] = m, v
-            mhat = m / (1 - self.beta1**self.t)
-            vhat = v / (1 - self.beta2**self.t)
-            out[k] = ad.Tensor(p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps))
-        return out
+        self.m = self.beta1 * self.m + (1 - self.beta1) * g
+        self.v = self.beta2 * self.v + (1 - self.beta2) * g * g
+        mhat = self.m / (1 - self.beta1**self.t)
+        vhat = self.v / (1 - self.beta2**self.t)
+        update = self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        return assign_flat(params, flatten_params(params) - update)

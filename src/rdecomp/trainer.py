@@ -162,8 +162,8 @@ def ppo_update(policy, value_net, batch, advantages, targets_r, targets_0, confi
     """Clipped-surrogate update over epochs x minibatches.
 
     Advantages are normalized across the whole batch first. If any loss
-    goes non-finite the previous parameters are restored and the update is
-    abandoned for this iteration.
+    goes non-finite the previous parameters and Adam states are restored
+    and the update is abandoned for this iteration.
     """
     states = np.concatenate([t.states for t in batch], axis=0)
     if batch[0].discrete:
@@ -179,6 +179,8 @@ def ppo_update(policy, value_net, batch, advantages, targets_r, targets_0, confi
 
     saved_policy = dict(policy.params)
     saved_value = dict(value_net.params)
+    # Optimizers rebind t, m and v on every step, so references suffice.
+    saved_opts = [(opt, opt.t, opt.m, opt.v) for opt in (policy_opt, value_opt)]
     n = len(adv)
     metrics = {"policy_loss": 0.0, "value_loss": 0.0, "updates": 0, "aborted": False}
     for _ in range(config.epochs):
@@ -202,6 +204,8 @@ def ppo_update(policy, value_net, batch, advantages, targets_r, targets_0, confi
             if not (np.isfinite(policy_loss.item()) and np.isfinite(value_loss.item())):
                 policy.params = saved_policy
                 value_net.params = saved_value
+                for opt, t, m, v in saved_opts:
+                    opt.t, opt.m, opt.v = t, m, v
                 metrics["aborted"] = True
                 return metrics
             policy.params = policy_opt.step(policy.params, ad.backward(policy_loss))
@@ -383,24 +387,17 @@ class Trainer:
         buffer_trajs, buffer_meta = self.buffer.snapshot()
         write_jsonl(os.path.join(out_dir, f"buffer{suffix}.jsonl"), buffer_trajs)
         opt_arrays = {}
+        steps = {}
         for label, opt in (("policy", self.policy_opt), ("value", self.value_opt),
                            ("reward", self.reward_opt)):
             if isinstance(opt, nn.AdamOptimizer):
-                for k, arr in opt.m.items():
-                    opt_arrays[f"{label}/m/{k}"] = ad.Tensor(arr)
-                for k, arr in opt.v.items():
-                    opt_arrays[f"{label}/v/{k}"] = ad.Tensor(arr)
+                opt_arrays[f"{label}/m"] = ad.Tensor(opt.m)
+                opt_arrays[f"{label}/v"] = ad.Tensor(opt.v)
+                steps[label] = opt.t
         checkpoint.save(
             os.path.join(out_dir, f"optimizer{suffix}.json"),
             opt_arrays,
-            meta={
-                "steps": {
-                    label: getattr(opt, "t", 0)
-                    for label, opt in (("policy", self.policy_opt),
-                                       ("value", self.value_opt),
-                                       ("reward", self.reward_opt))
-                }
-            },
+            meta={"steps": steps},
         )
         state = {
             "iteration": self.iteration,
@@ -438,17 +435,18 @@ class Trainer:
             read_jsonl(os.path.join(out_dir, f"buffer{suffix}.jsonl")),
             state["buffer_meta"],
         )
-        opt_arrays, opt_meta = checkpoint.load(os.path.join(out_dir, f"optimizer{suffix}.json"))
+        opt_path = os.path.join(out_dir, f"optimizer{suffix}.json")
+        opt_arrays, opt_meta = checkpoint.load(opt_path)
         for label, opt in (("policy", self.policy_opt), ("value", self.value_opt),
                            ("reward", self.reward_opt)):
             if isinstance(opt, nn.AdamOptimizer):
-                opt.t = opt_meta["steps"].get(label, 0)
-                for name, tensor in opt_arrays.items():
-                    kind, which, key = name.split("/", 2)
-                    if kind != label:
-                        continue
-                    target = opt.m if which == "m" else opt.v
-                    target[key] = np.array(tensor.data)
+                if f"{label}/m" not in opt_arrays or f"{label}/v" not in opt_arrays:
+                    raise checkpoint.CheckpointError(
+                        f"{opt_path} has no flat Adam state {label}/m, {label}/v"
+                    )
+                opt.t = opt_meta["steps"][label]
+                opt.m = opt_arrays[f"{label}/m"].data
+                opt.v = opt_arrays[f"{label}/v"].data
 
 
 def write_metrics_csv(path, rows):

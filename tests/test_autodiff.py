@@ -299,3 +299,54 @@ def test_forward_values_stay_finite():
     causal = np.tril(np.ones((5, 5), dtype=bool))
     for op in (ad.tanh, ad.sigmoid, lambda t: ad.softmax(t, causal), ad.log_softmax):
         assert np.all(np.isfinite(op(x).data))
+
+
+# ---------------------------------------------------------------------------
+# optimizers
+
+
+def quadratic_tanh_loss(params, x):
+    return ad.sum_all(ad.square(ad.tanh(nn.linear(x, params["w"], params["b"]))))
+
+
+def test_adam_matches_textbook_per_tensor_adam():
+    rng = np.random.default_rng(11)
+    x = ad.constant(rng.normal(size=(6, 5)))
+    w, b = nn.init_linear(rng, 5, 3)
+    params = {"w": w, "b": ad.Tensor(rng.normal(size=3))}
+    lr, beta1, beta2, eps = 0.05, 0.9, 0.999, 1e-8
+    opt = nn.AdamOptimizer(lr, beta1, beta2, eps)
+    ref = {k: p.data.copy() for k, p in params.items()}
+    m = {k: np.zeros(p.shape) for k, p in params.items()}
+    v = {k: np.zeros(p.shape) for k, p in params.items()}
+    for t in range(1, 4):
+        params = opt.step(params, ad.backward(quadratic_tanh_loss(params, x)))
+        ref_params = {k: ad.Tensor(a) for k, a in ref.items()}
+        grads = ad.backward(quadratic_tanh_loss(ref_params, x))
+        for k in ref:
+            g = grads.of(ref_params[k])
+            m[k] = beta1 * m[k] + (1 - beta1) * g
+            v[k] = beta2 * v[k] + (1 - beta2) * g * g
+            mhat = m[k] / (1 - beta1**t)
+            vhat = v[k] / (1 - beta2**t)
+            ref[k] = ref[k] - lr * mhat / (np.sqrt(vhat) + eps)
+        assert opt.t == t
+        for k in ref:
+            assert np.array_equal(params[k].data, ref[k])
+        assert np.array_equal(opt.m, np.concatenate([m["b"], m["w"].reshape(-1)]))
+        assert np.array_equal(opt.v, np.concatenate([v["b"], v["w"].reshape(-1)]))
+
+
+def test_optimizer_steps_return_read_only_views_of_one_vector():
+    rng = np.random.default_rng(12)
+    x = ad.constant(rng.normal(size=(4, 5)))
+    w, b = nn.init_linear(rng, 5, 3)
+    params = {"w": w, "b": b}
+    for opt in (nn.SgdOptimizer(0.1), nn.AdamOptimizer(0.1)):
+        new = opt.step(params, ad.backward(quadratic_tanh_loss(params, x)))
+        assert {k: p.shape for k, p in new.items()} == {k: p.shape for k, p in params.items()}
+        base = new["b"].data.base
+        assert base is not None and all(p.data.base is base for p in new.values())
+        assert not base.flags.writeable
+        assert not any(p.data.flags.writeable for p in new.values())
+        assert np.array_equal(nn.flatten_params(new), base)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ def make_params(rng):
     }
 
 
-def test_round_trip_quantizes_to_f32(tmp_path):
+def test_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(0)
     params = make_params(rng)
     path = str(tmp_path / "model.json")
@@ -22,12 +24,34 @@ def test_round_trip_quantizes_to_f32(tmp_path):
     assert meta == {"architecture": "attention", "note": 7}
     assert set(loaded) == set(params)
     for k in params:
-        orig, back = params[k].data, loaded[k].data
-        assert back.shape == orig.shape
-        # storage is f32: exact round trip through float32, not float64
-        np.testing.assert_array_equal(back, orig.astype(np.float32).astype(np.float64))
-        rel = np.abs(back - orig) / (np.abs(orig) + 1e-12)
-        assert rel.max() < 1.5e-7
+        assert loaded[k].data.dtype == np.float64
+        np.testing.assert_array_equal(loaded[k].data, params[k].data)
+    doc = json.loads((tmp_path / "model.json").read_text())
+    assert doc["format_version"] == 2
+    assert {e["dtype"] for e in doc["tensors"]} == {"f64"}
+
+
+def test_format_version_1_f32_file_still_loads(tmp_path):
+    # hand-built in the version-1 layout: f32 values, 4 bytes each
+    w = np.arange(6, dtype="<f4").reshape(2, 3) / 7
+    b = np.array([0.1, -2.5], dtype="<f4")
+    (tmp_path / "old.bin").write_bytes(b.tobytes() + w.tobytes())
+    doc = {
+        "format_version": 1,
+        "blob": "old.bin",
+        "total_bytes": 32,
+        "tensors": [
+            {"name": "b", "shape": [2], "dtype": "f32", "byte_offset": 0},
+            {"name": "w", "shape": [2, 3], "dtype": "f32", "byte_offset": 8},
+        ],
+        "meta": {"architecture": "attention"},
+    }
+    (tmp_path / "old.json").write_text(json.dumps(doc))
+    loaded, meta = checkpoint.load(str(tmp_path / "old.json"))
+    assert meta == {"architecture": "attention"}
+    assert loaded["w"].data.dtype == np.float64
+    np.testing.assert_array_equal(loaded["w"].data, w.astype(np.float64))
+    np.testing.assert_array_equal(loaded["b"].data, b.astype(np.float64))
 
 
 def test_truncated_blob_rejected(tmp_path):
@@ -41,8 +65,6 @@ def test_truncated_blob_rejected(tmp_path):
 
 
 def test_manifest_total_bytes_validated(tmp_path):
-    import json
-
     params = make_params(np.random.default_rng(2))
     path = str(tmp_path / "model.json")
     checkpoint.save(path, params)
@@ -54,8 +76,6 @@ def test_manifest_total_bytes_validated(tmp_path):
 
 
 def test_unknown_dtype_rejected(tmp_path):
-    import json
-
     params = make_params(np.random.default_rng(3))
     path = str(tmp_path / "model.json")
     checkpoint.save(path, params)
@@ -70,13 +90,11 @@ def test_byte_offsets_are_recorded_in_name_order(tmp_path):
     params = make_params(np.random.default_rng(4))
     path = str(tmp_path / "model.json")
     checkpoint.save(path, params)
-    import json
-
     doc = json.loads((tmp_path / "model.json").read_text())
     names = [e["name"] for e in doc["tensors"]]
     assert names == sorted(names)
     offsets = [e["byte_offset"] for e in doc["tensors"]]
     assert offsets == sorted(offsets)
     assert doc["total_bytes"] == sum(
-        int(np.prod(e["shape"])) * 4 for e in doc["tensors"]
+        int(np.prod(e["shape"])) * 8 for e in doc["tensors"]
     )

@@ -129,6 +129,33 @@ def test_train_resume_continues(tmp_path, monkeypatch):
     assert [int(r["iteration"]) for r in rows] == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("crash_call", [1, 3])
+def test_resume_after_crash_mid_step_is_bit_identical(tmp_path, monkeypatch, crash_call):
+    monkeypatch.setenv("RDECOMP_OUTPUT_ROOT", str(tmp_path))
+    assert cli.main(["train", "--config", write_config(
+        tmp_path, seeds=[4], output_dir="straight", iterations=4)]) == 0
+    cfg = write_config(tmp_path, seeds=[4], output_dir="crashed", iterations=4)
+    real_update = cli.trainer.ppo_update
+    calls = []
+
+    def crash_in_ppo(*args, **kwargs):
+        # rollout, buffer insert and regression of this step have already run
+        calls.append(1)
+        if len(calls) == crash_call:
+            raise RuntimeError("crash mid-step")
+        return real_update(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.trainer, "ppo_update", crash_in_ppo)
+        with pytest.raises(RuntimeError, match="crash mid-step"):
+            cli.main(["train", "--config", cfg])
+    rows = list(csv.DictReader((tmp_path / "crashed" / "metrics_seed4.csv").open()))
+    assert len(rows) == crash_call - 1
+    assert cli.main(["train", "--config", cfg, "--resume"]) == 0
+    assert ((tmp_path / "crashed" / "metrics_seed4.csv").read_bytes()
+            == (tmp_path / "straight" / "metrics_seed4.csv").read_bytes())
+
+
 def test_invalid_config_exits_nonzero(tmp_path, capsys):
     code = cli.main(["train", "--config", write_config(tmp_path, bogus=1)])
     assert code == 2

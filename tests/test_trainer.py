@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rdecomp import autodiff as ad
-from rdecomp import envs, estimators, nn
+from rdecomp import checkpoint, envs, estimators, nn
 from rdecomp.decomposer import RewardDecomposition, predict
 from rdecomp.policies import CategoricalPolicy, ValueNetwork, make_policy
 from rdecomp.trainer import (
@@ -237,6 +237,28 @@ def test_non_finite_loss_restores_parameters():
         np.testing.assert_array_equal(p.data, before_v[k])
 
 
+def test_aborted_update_restores_optimizer_state():
+    batch, _ = random_batch(8, n=8)
+    config = TrainConfig(**{**TINY, "minibatch": 5})
+    policy = CategoricalPolicy(np.random.default_rng(5), 4, 2, hidden=(8,))
+    value_net = ValueNetwork(np.random.default_rng(6), 4, hidden=(8,))
+    opts = (nn.AdamOptimizer(config.policy_lr), nn.AdamOptimizer(config.policy_lr))
+    advantages = [np.ones(t.length) for t in batch]
+    targets = [np.ones(t.length) for t in batch]
+    rng = np.random.default_rng(0)
+    ppo_update(policy, value_net, batch, advantages, targets, targets, config, rng, *opts)
+    before = [(opt.t, opt.m.copy(), opt.v.copy()) for opt in opts]
+    bad_targets = [t.copy() for t in targets]
+    bad_targets[-1][-1] = np.inf
+    metrics = ppo_update(
+        policy, value_net, batch, advantages, bad_targets, targets, config, rng, *opts
+    )
+    assert metrics["aborted"] and metrics["updates"] > 0
+    for opt, (t, m, v) in zip(opts, before):
+        assert opt.t == t
+        assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
+
+
 # ---------------------------------------------------------------------------
 # full loop
 
@@ -293,10 +315,39 @@ def test_save_restore_resumes(tmp_path):
     row_resumed, _ = resumed.step()
     row_direct, _ = first.step()
     assert row_resumed["iteration"] == row_direct["iteration"] == 2
-    assert row_resumed["return_mean"] == row_direct["return_mean"]
-    np.testing.assert_allclose(
-        row_resumed["regression_loss"], row_direct["regression_loss"], rtol=1e-6
+    assert row_resumed == row_direct
+
+
+@pytest.mark.parametrize("arch,kind", [("ff", "singletons"), ("recurrent", "prefixes"),
+                                       ("attention", "prefixes")])
+def test_resume_matches_uninterrupted_run(tmp_path, arch, kind):
+    config = TrainConfig(**{**TINY, "iterations": 6}, architecture=arch, interval_kind=kind)
+    straight = train(config, seed=2).metrics
+    first = Trainer(config, seed=2)
+    for _ in range(3):
+        first.step()
+    first.save(str(tmp_path))
+    resumed = Trainer(config, seed=2)
+    resumed.restore(str(tmp_path))
+    resumed.metrics = list(first.metrics)
+    resumed.run()
+    assert len(resumed.metrics) == 6
+    for got, want in zip(resumed.metrics, straight, strict=True):
+        assert got == want
+
+
+def test_restore_rejects_per_tensor_optimizer_state(tmp_path):
+    trainer = Trainer(TrainConfig(**TINY), seed=0)
+    trainer.step()
+    trainer.save(str(tmp_path))
+    path = str(tmp_path / "optimizer.json")
+    _, meta = checkpoint.load(path)
+    # the layout before flat optimizer state: one entry per parameter tensor
+    checkpoint.save(
+        path, {f"policy/m/{k}": p for k, p in trainer.policy.params.items()}, meta
     )
+    with pytest.raises(checkpoint.CheckpointError, match="policy/m"):
+        Trainer(TrainConfig(**TINY), seed=0).restore(str(tmp_path))
 
 
 @pytest.mark.parametrize("arch,kind", [("ff", "singletons"), ("recurrent", "prefixes"),
