@@ -159,6 +159,47 @@ def tanh(a):
     return _result(y, (a,), lambda g: (_kernels.tanh_vjp(y, g),))
 
 
+def tanh_mlp_layers(x, weights, biases):
+    """Numpy forward of a tanh MLP: [x, h_1, ..., h_L], h_i = tanh(h_{i-1} W + b)."""
+    hs = [x]
+    for w, b in zip(weights, biases, strict=True):
+        if x.ndim != 2 or w.shape[0] != hs[-1].shape[1] or b.shape != w.shape[1:]:
+            raise ShapeError(f"tanh_mlp: layer {w.shape} + {b.shape} on {hs[-1].shape}")
+        hs.append(np.tanh(_kernels.matmul(hs[-1], w) + b))
+    return hs
+
+
+def tanh_mlp_deltas(hs, weights, g):
+    """Gradients at each layer's pre-activation, given g at the output of the
+    MLP whose activations `tanh_mlp_layers` returned."""
+    deltas = [_kernels.tanh_vjp(hs[-1], g)]
+    for i in range(len(weights) - 1, 0, -1):
+        deltas.insert(0, _kernels.tanh_vjp(hs[i], _kernels.matmul(deltas[0], weights[i].T)))
+    return deltas
+
+
+def tanh_mlp(x, weights, biases):
+    """A stack of tanh(h W + b) layers as one tape node with a hand-written vjp.
+
+    Same float ops as the chain matmul -> add -> tanh per layer, so values
+    and gradients are bit-identical to it.
+    """
+    if not weights:
+        raise ShapeError("tanh_mlp: needs at least one layer")
+    wd = [w.data for w in weights]
+    hs = tanh_mlp_layers(x.data, wd, [b.data for b in biases])
+
+    def vjp(g):
+        deltas = tanh_mlp_deltas(hs, wd, g)
+        return (
+            _kernels.matmul(deltas[0], wd[0].T),
+            *(_kernels.matmul(h.T, d) for h, d in zip(hs, deltas)),
+            *(d.sum(axis=0) for d in deltas),
+        )
+
+    return _result(hs[-1], (x, *weights, *biases), vjp)
+
+
 def sigmoid(a):
     # exp(-|x|) never overflows; each entry's value depends on that entry
     # alone, not on how many other entries share its sign.
@@ -355,6 +396,14 @@ def segment_positions(lengths):
     return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
+def pad_segments(rows, lengths):
+    """Stacked rows of segments of the given lengths, scattered into a
+    zero-padded (B, T, ...) block; T is the longest length."""
+    out = np.zeros((lengths.size, int(lengths.max())) + rows.shape[1:])
+    out[np.repeat(np.arange(lengths.size), lengths), segment_positions(lengths)] = rows
+    return out
+
+
 def causal_attention(q, k, v, lengths, n_heads):
     """Multi-head causal self-attention inside each segment of stacked rows.
 
@@ -385,9 +434,7 @@ def causal_attention(q, k, v, lengths, n_heads):
     seg, pos = np.repeat(np.arange(b), lengths), segment_positions(lengths)
 
     def pad(rows, width):
-        out = np.zeros((b, t, n_heads, width))
-        out[seg, pos] = rows.reshape(n, n_heads, width)
-        return out.transpose(0, 2, 1, 3)
+        return pad_segments(rows.reshape(n, n_heads, width), lengths).transpose(0, 2, 1, 3)
 
     def unpad(block):
         return block.transpose(0, 2, 1, 3)[seg, pos].reshape(n, -1)

@@ -22,7 +22,7 @@ import numpy as np
 from rdecomp import autodiff as ad
 from rdecomp import config as config_mod
 from rdecomp import decomposer, oracle, recipes, trainer
-from rdecomp.checkpoint import load as load_checkpoint
+from rdecomp.checkpoint import CheckpointError, load as load_checkpoint
 from rdecomp.policies import CategoricalPolicy
 from rdecomp.trajectory import read_jsonl
 
@@ -77,7 +77,11 @@ def cmd_train(args):
     except config_mod.ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
-    _run_training(experiment, resume=args.resume)
+    try:
+        _run_training(experiment, resume=args.resume)
+    except CheckpointError as exc:
+        print(f"cannot resume: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

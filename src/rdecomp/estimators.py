@@ -64,30 +64,24 @@ def r_not_t(decomp, t_len):
 
 
 def _finish(per_sample, residuals):
+    """Batch mean and variance of the (B, P) per-trajectory gradients."""
     n = len(per_sample)
-    stacked = np.stack(per_sample, axis=0)
-    grad = stacked.sum(axis=0) / n
-    variance = float(stacked.var(axis=0).mean()) if n > 1 else 0.0
+    grad = per_sample.sum(axis=0) / n
+    variance = float(per_sample.var(axis=0).mean()) if n > 1 else 0.0
     res = float(np.mean(np.abs(residuals))) if residuals is not None else 0.0
     return GradientEstimate(grad, variance, res)
 
 
 def grad_reinforce(batch, policy):
     """Episodic likelihood-ratio estimator: R(tau) times the summed scores."""
-    per_sample = []
-    for traj in batch:
-        coeffs = np.full(traj.length, traj.episodic_return)
-        per_sample.append(policy.weighted_score_gradient(traj, coeffs))
-    return _finish(per_sample, None)
+    coeffs = [np.full(traj.length, traj.episodic_return) for traj in batch]
+    return _finish(policy.weighted_score_gradient(batch, coeffs), None)
 
 
 def grad_composite(batch, policy, decomps):
     """Step-major form: per-step coefficient is the generalized Q-value."""
-    per_sample = []
-    for traj, dec in zip(batch, decomps):
-        q = generalized_q(dec, traj.length)
-        per_sample.append(policy.weighted_score_gradient(traj, q))
-    return _finish(per_sample, [d.residual for d in decomps])
+    coeffs = [generalized_q(dec, traj.length) for traj, dec in zip(batch, decomps)]
+    return _finish(policy.weighted_score_gradient(batch, coeffs), [d.residual for d in decomps])
 
 
 def grad_composite_by_interval(batch, policy, decomps):
@@ -104,22 +98,17 @@ def grad_composite_by_interval(batch, policy, decomps):
         for i, value in enumerate(dec.per_interval):
             g += value * scores[: i + 1].sum(axis=0)
         per_sample.append(g)
-    return _finish(per_sample, [d.residual for d in decomps])
+    return _finish(np.stack(per_sample), [d.residual for d in decomps])
 
 
 def grad_bias_corrected(batch, policy, decomps):
     """Composite gradient plus the residual term; unbiased for any predictor."""
-    per_sample = []
-    for traj, dec in zip(batch, decomps):
-        coeffs = dec.residual + generalized_q(dec, traj.length)
-        per_sample.append(policy.weighted_score_gradient(traj, coeffs))
-    return _finish(per_sample, [d.residual for d in decomps])
+    coeffs = [dec.residual + generalized_q(dec, traj.length) for traj, dec in zip(batch, decomps)]
+    return _finish(policy.weighted_score_gradient(batch, coeffs), [d.residual for d in decomps])
 
 
 def grad_control_variate(batch, policy, decomps):
     """Baseline form: coefficient R(tau) - rnot_t; equals the corrected form."""
-    per_sample = []
-    for traj, dec in zip(batch, decomps):
-        coeffs = traj.episodic_return - r_not_t(dec, traj.length)
-        per_sample.append(policy.weighted_score_gradient(traj, coeffs))
-    return _finish(per_sample, [d.residual for d in decomps])
+    coeffs = [traj.episodic_return - r_not_t(dec, traj.length)
+              for traj, dec in zip(batch, decomps)]
+    return _finish(policy.weighted_score_gradient(batch, coeffs), [d.residual for d in decomps])

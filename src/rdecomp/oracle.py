@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from rdecomp import estimators
+from rdecomp.autodiff import pad_segments
 from rdecomp.trajectory import Trajectory
 
 MAX_TRAJECTORIES = 10**6
@@ -163,13 +164,9 @@ def exact_j(mdp, policy):
 
 def exact_grad_j(mdp, policy):
     """Exact policy gradient: sum over trajectories of p * R * summed scores."""
-    total = None
-    for traj, p in enumerate_trajectories(mdp, policy):
-        g = policy.weighted_score_gradient(
-            traj, np.full(traj.length, traj.episodic_return)
-        )
-        total = p * g if total is None else total + p * g
-    return total
+    trajs, probs = zip(*enumerate_trajectories(mdp, policy))
+    coeffs = [np.full(t.length, t.episodic_return) for t in trajs]
+    return (np.array(probs)[:, None] * policy.weighted_score_gradient(trajs, coeffs)).sum(axis=0)
 
 
 class OracleContext:
@@ -191,11 +188,14 @@ class OracleContext:
         prob_sum = self.probabilities.sum()
         if abs(prob_sum - 1.0) > 1e-10:
             raise RuntimeError(f"enumerated probabilities sum to {prob_sum}")
-        rows = [policy.score_matrix(traj) for traj in self.trajectories]
-        max_len = max(len(r) for r in rows)
-        self.scores = np.zeros((len(rows), max_len, rows[0].shape[1]))
-        for k, r in enumerate(rows):
-            self.scores[k, : len(r)] = r
+        # Every enumerated step in one score_matrix call, scattered into the block.
+        steps = Trajectory(
+            states=np.concatenate([t.states for t in self.trajectories]),
+            actions=np.concatenate([t.actions for t in self.trajectories]),
+            episodic_return=0.0,
+        )
+        rows = policy.score_matrix(steps)
+        self.scores = pad_segments(rows, np.array([t.length for t in self.trajectories]))
         self.exact_grad = exact_grad_j(mdp, policy)
 
 

@@ -6,15 +6,19 @@ is a single global vector; the discrete policy is a categorical head, which
 is what the exact-enumeration oracle differentiates. The value network has
 two scalar heads, one per advantage stream (predicted-reward and residual).
 
-Policies expose two gradient surfaces: tape-level log-probs for PPO, and
-per-step score vectors / coefficient-weighted score sums for the estimator
-and oracle modules.
+Policies expose two gradient surfaces: tape log-probs and entropies per
+step for PPO, from one trunk and head pass, and closed-form score sums for
+the estimators and the oracle. Those need no tape: a numpy forward keeps
+the trunk's activations, the head's delta goes back through the trunk by
+the trunk vjp's own per-layer code, and each layer's sums per trajectory
+are one padded batched matmul.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from rdecomp import _kernels
 from rdecomp import autodiff as ad
 from rdecomp import nn
 
@@ -32,11 +36,13 @@ class _Trunk:
         self.n_layers = len(hidden)
         self.out_dim = self.sizes[-1]
 
+    def layers(self, params):
+        """The weight and the bias Tensors of each layer, first layer first."""
+        idx = range(self.n_layers)
+        return [params[f"t{i}_w"] for i in idx], [params[f"t{i}_b"] for i in idx]
+
     def apply(self, params, x):
-        h = x
-        for i in range(self.n_layers):
-            h = ad.tanh(nn.linear(h, params[f"t{i}_w"], params[f"t{i}_b"]))
-        return h
+        return ad.tanh_mlp(x, *self.layers(params))
 
     def apply_np(self, params, x):
         h = x
@@ -50,22 +56,44 @@ class _Trunk:
 # holds them (perfbench/tracer.py wraps them there, per class).
 
 
-def _weighted_score_gradient(policy, traj, coeffs):
-    """Flat gradient of sum_t coeffs[t] log pi(a_t|s_t), in one backward pass."""
-    logp = policy.log_prob_tensor(ad.constant(traj.states), traj.actions)
-    weighted = ad.sum_all(ad.mul(logp, ad.constant(np.asarray(coeffs).reshape(-1, 1))))
-    return nn.flatten_grads(policy.params, ad.backward(weighted))
+def _segment_scores(policy, states, actions, coeffs, lengths):
+    """(B, P): row b sums coeffs[t] grad log pi(a_t|s_t) over segment b of the
+    stacked steps, flattened over parameters in `flatten_grads` order."""
+    params = policy.params
+    weights, biases = policy.trunk.layers(params)
+    wd = [w.data for w in weights]
+    hs = ad.tanh_mlp_layers(states, wd, [b.data for b in biases])
+    head, extra = policy.head_deltas(hs[-1], actions, coeffs.reshape(-1, 1))
+    deltas = ad.tanh_mlp_deltas(hs, wd, _kernels.matmul(head, params["head_w"].data.T))
+
+    sums = {name: ad.pad_segments(rows, lengths).sum(axis=1) for name, rows in extra.items()}
+    layers = [(f"t{i}", hs[i], d) for i, d in enumerate(deltas)] + [("head", hs[-1], head)]
+    for name, h, d in layers:
+        block = ad.pad_segments(d, lengths)
+        sums[f"{name}_w"] = np.matmul(ad.pad_segments(h, lengths).transpose(0, 2, 1), block)
+        sums[f"{name}_b"] = block.sum(axis=1)
+    return np.concatenate([sums[k].reshape(lengths.size, -1) for k in sorted(params)], axis=1)
+
+
+def _weighted_score_gradient(policy, trajs, coeffs):
+    """(B, P): row b is the flat gradient of sum_t coeffs[b][t] log pi(a_t|s_t)
+    over trajectory b."""
+    lengths = np.array([t.length for t in trajs])
+    if [len(c) for c in coeffs] != lengths.tolist():
+        raise ValueError("one coefficient per step of each trajectory is required")
+    return _segment_scores(
+        policy,
+        np.concatenate([t.states for t in trajs]),
+        np.concatenate([t.actions for t in trajs]),
+        np.concatenate(coeffs).astype(np.float64),
+        lengths,
+    )
 
 
 def _score_matrix(policy, traj):
     """Row t is grad_theta log pi(a_t|s_t), flattened over parameters."""
-    rows = []
-    for t in range(traj.length):
-        logp = policy.log_prob_tensor(
-            ad.constant(traj.states[t : t + 1]), traj.actions[t : t + 1]
-        )
-        rows.append(nn.flatten_grads(policy.params, ad.backward(ad.sum_all(logp))))
-    return np.stack(rows, axis=0)
+    ones = np.ones(traj.length)
+    return _segment_scores(policy, traj.states, traj.actions, ones, ones.astype(np.intp))
 
 
 class CategoricalPolicy:
@@ -89,24 +117,31 @@ class CategoricalPolicy:
         return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
     def act(self, state, rng):
+        # The draw Generator.choice(n, p=p) makes, without its per-call overhead.
         p = np.exp(self.log_prob_matrix_np(state)[0])
-        return int(rng.choice(self.n_actions, p=p / p.sum()))
+        cdf = np.cumsum(p / p.sum())
+        if not np.isfinite(cdf[-1]):
+            raise ValueError("probabilities contain NaN")
+        cdf /= cdf[-1]
+        return int(cdf.searchsorted(rng.random(), side="right"))
 
     def log_prob_tensor(self, states, actions):
-        """Tape log pi(a_t|s_t) per step; states (T, d), actions (T,) ints."""
+        """Tape log pi(a_t|s_t) and entropy per step, each (T, 1), from one
+        trunk and head pass; states (T, d), actions (T,) ints."""
         h = self.trunk.apply(self.params, states)
-        logits = nn.linear(h, self.params["head_w"], self.params["head_b"])
-        return ad.take_per_row(ad.log_softmax(logits), actions)
+        logp = ad.log_softmax(nn.linear(h, self.params["head_w"], self.params["head_b"]))
+        entropy = ad.neg(ad.sum_axis(ad.mul(ad.exp(logp), logp), axis=1))
+        return ad.take_per_row(logp, actions), entropy
 
     def log_prob_np(self, states, actions):
         lp = self.log_prob_matrix_np(states)
         return lp[np.arange(len(actions)), np.asarray(actions, dtype=int)]
 
-    def entropy_tensor(self, states):
-        h = self.trunk.apply(self.params, states)
-        logp = ad.log_softmax(nn.linear(h, self.params["head_w"], self.params["head_b"]))
-        p = ad.softmax(nn.linear(h, self.params["head_w"], self.params["head_b"]))
-        return ad.neg(ad.sum_axis(ad.mul(p, logp), axis=1))
+    def head_deltas(self, h, actions, c):
+        """Gradient of sum_t c_t log pi(a_t|s_t) at the logits, given the
+        trunk output h; no parameter outside the head and trunk."""
+        logits = h @ self.params["head_w"].data + self.params["head_b"].data
+        return c * (np.eye(self.n_actions)[actions] - _kernels.softmax_rows(logits)), {}
 
     weighted_score_gradient = _weighted_score_gradient
     score_matrix = _score_matrix
@@ -134,7 +169,8 @@ class GaussianPolicy:
         return mean + std * rng.standard_normal(self.action_dim)
 
     def log_prob_tensor(self, states, actions):
-        """Tape log pi per step; states (T, d), actions (T, action_dim)."""
+        """Tape log pi and entropy per step, each (T, 1); states (T, d),
+        actions (T, action_dim). The entropy depends on log_std alone."""
         h = self.trunk.apply(self.params, states)
         mean = nn.linear(h, self.params["head_w"], self.params["head_b"])
         log_std = self.params["log_std"]
@@ -145,7 +181,9 @@ class GaussianPolicy:
         per_dim = ad.shift(
             ad.add(ad.scale(zsq, 0.5), log_std), 0.5 * LOG_2PI
         )
-        return ad.neg(ad.sum_axis(per_dim, axis=1))
+        ent = ad.shift(ad.sum_all(log_std), 0.5 * self.action_dim * (1.0 + LOG_2PI))
+        entropy = ad.matmul(ad.constant(np.ones((states.shape[0], 1))), ent)
+        return ad.neg(ad.sum_axis(per_dim, axis=1)), entropy
 
     def log_prob_np(self, states, actions):
         mean = self.mean_np(states)
@@ -153,11 +191,13 @@ class GaussianPolicy:
         z = (np.asarray(actions) - mean) / np.exp(log_std)
         return -0.5 * (z * z).sum(axis=1) - log_std.sum() - 0.5 * LOG_2PI * self.action_dim
 
-    def entropy_tensor(self, states):
-        t_len = np.atleast_2d(states.data if isinstance(states, ad.Tensor) else states).shape[0]
-        ent = ad.sum_all(self.params["log_std"])
-        ent = ad.shift(ent, 0.5 * self.action_dim * (1.0 + LOG_2PI))
-        return ad.matmul(ad.constant(np.ones((t_len, 1))), ent)
+    def head_deltas(self, h, actions, c):
+        """Gradient of sum_t c_t log pi(a_t|s_t) at the mean, given the trunk
+        output h, and the per-step rows of its gradient at log_std."""
+        mean = h @ self.params["head_w"].data + self.params["head_b"].data
+        std = np.exp(self.params["log_std"].data)
+        z = (actions - mean) / std
+        return c * z / std, {"log_std": c * (z * z - 1.0)}
 
     weighted_score_gradient = _weighted_score_gradient
     score_matrix = _score_matrix

@@ -191,13 +191,13 @@ def ppo_update(policy, value_net, batch, advantages, targets_r, targets_0, confi
             a_mb = actions[idx]
             adv_mb = ad.constant(adv[idx].reshape(-1, 1))
 
-            logp_new = policy.log_prob_tensor(s_mb, a_mb)
+            logp_new, entropy = policy.log_prob_tensor(s_mb, a_mb)
             ratio = ad.exp(ad.sub(logp_new, ad.constant(old_logp[idx].reshape(-1, 1))))
             unclipped = ad.mul(ratio, adv_mb)
             clipped = ad.mul(ad.clip(ratio, 1.0 - config.clip, 1.0 + config.clip), adv_mb)
             policy_loss = ad.neg(ad.mean_all(ad.minimum(unclipped, clipped)))
             if config.entropy_coef > 0.0:
-                ent = ad.mean_all(policy.entropy_tensor(s_mb))
+                ent = ad.mean_all(entropy)
                 policy_loss = ad.sub(policy_loss, ad.scale(ent, config.entropy_coef))
             value_loss = value_net.loss_tensor(s_mb, t_r[idx], t_0[idx])
 
@@ -415,38 +415,46 @@ class Trainer:
             json.dump(state, fh, indent=1)
 
     def restore(self, out_dir, suffix=""):
-        """Resume from artifacts written by `save`."""
-        self.policy.params, _ = checkpoint.load(os.path.join(out_dir, f"policy{suffix}.json"))
-        self.value_net.params, _ = checkpoint.load(os.path.join(out_dir, f"value{suffix}.json"))
+        """Resume from artifacts written by `save`. Every artifact is read and
+        checked before any state is replaced, so a failure leaves the
+        trainer as it was."""
+
+        def path(name, ext=".json"):
+            return os.path.join(out_dir, f"{name}{suffix}{ext}")
+
+        policy_params, _ = checkpoint.load(path("policy"))
+        value_params, _ = checkpoint.load(path("value"))
         if self.model is not None:
-            self.model.params, meta = checkpoint.load(
-                os.path.join(out_dir, f"reward_model{suffix}.json")
-            )
+            model_params, meta = checkpoint.load(path("reward_model"))
+        with open(path("state"), "r", encoding="utf-8") as fh:
+            state = json.load(fh)
+        buffer_trajs = read_jsonl(path("buffer", ".jsonl"))
+        opt_arrays, opt_meta = checkpoint.load(path("optimizer"))
+        adams = {}
+        for label, opt in (("policy", self.policy_opt), ("value", self.value_opt),
+                           ("reward", self.reward_opt)):
+            if not isinstance(opt, nn.AdamOptimizer):
+                continue
+            if f"{label}/m" not in opt_arrays or f"{label}/v" not in opt_arrays:
+                raise checkpoint.CheckpointError(
+                    f"{path('optimizer')} has no flat Adam state {label}/m, {label}/v"
+                )
+            adams[opt] = (opt_meta["steps"][label], opt_arrays[f"{label}/m"].data,
+                          opt_arrays[f"{label}/v"].data)
+
+        self.policy.params, self.value_net.params = policy_params, value_params
+        if self.model is not None:
+            self.model.params = model_params
             if self.normalizer is not None and meta.get("normalizer"):
                 self.normalizer = decomposer.ReturnNormalizer.from_state(meta["normalizer"])
-        with open(os.path.join(out_dir, f"state{suffix}.json"), "r", encoding="utf-8") as fh:
-            state = json.load(fh)
         self.iteration = state["iteration"]
         self.env_steps = state["env_steps"]
         for name, rng_state in state["rngs"].items():
             getattr(self, name).bit_generator.state = rng_state
         self.buffer.rng.bit_generator.state = state["buffer_rng"]
-        self.buffer.restore_snapshot(
-            read_jsonl(os.path.join(out_dir, f"buffer{suffix}.jsonl")),
-            state["buffer_meta"],
-        )
-        opt_path = os.path.join(out_dir, f"optimizer{suffix}.json")
-        opt_arrays, opt_meta = checkpoint.load(opt_path)
-        for label, opt in (("policy", self.policy_opt), ("value", self.value_opt),
-                           ("reward", self.reward_opt)):
-            if isinstance(opt, nn.AdamOptimizer):
-                if f"{label}/m" not in opt_arrays or f"{label}/v" not in opt_arrays:
-                    raise checkpoint.CheckpointError(
-                        f"{opt_path} has no flat Adam state {label}/m, {label}/v"
-                    )
-                opt.t = opt_meta["steps"][label]
-                opt.m = opt_arrays[f"{label}/m"].data
-                opt.v = opt_arrays[f"{label}/v"].data
+        self.buffer.restore_snapshot(buffer_trajs, state["buffer_meta"])
+        for opt, (t, m, v) in adams.items():
+            opt.t, opt.m, opt.v = t, m, v
 
 
 def write_metrics_csv(path, rows):

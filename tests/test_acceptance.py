@@ -189,7 +189,7 @@ def test_criterion_4_gradient_correctness():
 
         def cat_loss(params):
             cat.params = params
-            logp = cat.log_prob_tensor(ad.constant(states), cat_actions)
+            logp, _ = cat.log_prob_tensor(ad.constant(states), cat_actions)
             return ad.sum_all(ad.mul(logp, coeffs))
 
         worst = max(worst, _fd_check(cat.params, cat_loss, data_rng))
@@ -199,7 +199,7 @@ def test_criterion_4_gradient_correctness():
 
         def gauss_loss(params):
             gauss.params = params
-            logp = gauss.log_prob_tensor(ad.constant(states), gauss_actions)
+            logp, _ = gauss.log_prob_tensor(ad.constant(states), gauss_actions)
             return ad.sum_all(ad.mul(logp, coeffs))
 
         worst = max(worst, _fd_check(gauss.params, gauss_loss, data_rng))

@@ -206,6 +206,44 @@ def test_causal_attention_gradients_on_ragged_segments():
         assert relative_error(grads.of(t), want).max() < 1e-5
 
 
+@pytest.mark.parametrize("sizes", [(3, 4), (3, 4, 2)])
+def test_tanh_mlp_matches_finite_differences(sizes):
+    rng = np.random.default_rng(29)
+    n = len(sizes) - 1
+    arrays = [rng.normal(size=(5, sizes[0]))]
+    arrays += [rng.normal(size=(sizes[i], sizes[i + 1])) for i in range(n)]
+    arrays += [rng.normal(size=sizes[i + 1]) for i in range(n)]
+
+    def out(ts):
+        return scalarize(ad.tanh_mlp(ts[0], ts[1 : 1 + n], ts[1 + n :]),
+                         np.random.default_rng(6))
+
+    tensors = [Tensor(a) for a in arrays]
+    grads = ad.backward(out(tensors))
+    fd = numeric_gradient(lambda ts: out(ts).item(), arrays)
+    for t, want in zip(tensors, fd):
+        assert relative_error(grads.of(t), want).max() < 1e-5
+
+
+def test_tanh_mlp_is_bitwise_the_layer_chain():
+    rng = np.random.default_rng(31)
+    x = Tensor(rng.normal(size=(6, 3)))
+    ws = [Tensor(rng.normal(size=(3, 5))), Tensor(rng.normal(size=(5, 4)))]
+    bs = [Tensor(rng.normal(size=5)), Tensor(rng.normal(size=4))]
+    chain = x
+    for w, b in zip(ws, bs):
+        chain = ad.tanh(nn.linear(chain, w, b))
+    fused = ad.tanh_mlp(x, ws, bs)
+    assert np.array_equal(fused.data, chain.data)
+    cot = rng.normal(size=(6, 4))
+    g_fused = ad.backward(ad.sum_all(ad.mul(fused, ad.constant(cot))))
+    g_chain = ad.backward(ad.sum_all(ad.mul(chain, ad.constant(cot))))
+    for t in [x, *ws, *bs]:
+        assert np.array_equal(g_fused.of(t), g_chain.of(t))
+    with pytest.raises(ShapeError):
+        ad.tanh_mlp(x, ws[::-1], bs[::-1])
+
+
 def test_causal_attention_weights_stay_inside_segments():
     rng = np.random.default_rng(23)
     lengths = [2, 1, 3]

@@ -156,6 +156,20 @@ def test_resume_after_crash_mid_step_is_bit_identical(tmp_path, monkeypatch, cra
             == (tmp_path / "straight" / "metrics_seed4.csv").read_bytes())
 
 
+def test_resume_without_flat_optimizer_state_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("RDECOMP_OUTPUT_ROOT", str(tmp_path))
+    cfg = write_config(tmp_path, seeds=[4], output_dir="r", iterations=1)
+    assert cli.main(["train", "--config", cfg]) == 0
+    path = str(tmp_path / "r" / "optimizer_seed4.json")
+    arrays, meta = checkpoint.load(path)
+    del arrays["policy/m"]
+    checkpoint.save(path, arrays, meta)
+    capsys.readouterr()
+    assert cli.main(["train", "--config", cfg, "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert "policy/m" in err and len(err.strip().splitlines()) == 1
+
+
 def test_invalid_config_exits_nonzero(tmp_path, capsys):
     code = cli.main(["train", "--config", write_config(tmp_path, bogus=1)])
     assert code == 2

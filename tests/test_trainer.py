@@ -209,7 +209,7 @@ def test_clipped_ratios_have_zero_policy_gradient():
     batch, _ = random_batch(6, n=1, t_len=6)
     traj = batch[0]
     policy = CategoricalPolicy(np.random.default_rng(3), 4, 2, hidden=(8,))
-    logp = policy.log_prob_tensor(ad.constant(traj.states), traj.actions)
+    logp, _ = policy.log_prob_tensor(ad.constant(traj.states), traj.actions)
     old = ad.constant(logp.data - 1.0)  # ratio = e > 1.2 everywhere
     adv = ad.constant(np.abs(np.random.default_rng(4).normal(size=(6, 1))) + 0.1)
     ratio = ad.exp(ad.sub(logp, old))
@@ -348,6 +348,28 @@ def test_restore_rejects_per_tensor_optimizer_state(tmp_path):
     )
     with pytest.raises(checkpoint.CheckpointError, match="policy/m"):
         Trainer(TrainConfig(**TINY), seed=0).restore(str(tmp_path))
+
+
+def test_failed_restore_leaves_trainer_unchanged(tmp_path):
+    saved = Trainer(TrainConfig(**TINY), seed=0)
+    saved.step()
+    saved.save(str(tmp_path))
+    path = str(tmp_path / "optimizer.json")
+    arrays, meta = checkpoint.load(path)
+    del arrays["policy/m"]
+    checkpoint.save(path, arrays, meta)
+    fresh = Trainer(TrainConfig(**TINY), seed=0)
+    params = {k: p.data.copy() for k, p in fresh.policy.params.items()}
+    value = {k: p.data.copy() for k, p in fresh.value_net.params.items()}
+    rng_state = fresh.rollout_rng.bit_generator.state
+    with pytest.raises(checkpoint.CheckpointError, match="policy/m"):
+        fresh.restore(str(tmp_path))
+    for k, p in fresh.policy.params.items():
+        np.testing.assert_array_equal(p.data, params[k])
+    for k, p in fresh.value_net.params.items():
+        np.testing.assert_array_equal(p.data, value[k])
+    assert fresh.rollout_rng.bit_generator.state == rng_state
+    assert (fresh.iteration, len(fresh.buffer), fresh.policy_opt.t) == (0, 0, 0)
 
 
 @pytest.mark.parametrize("arch,kind", [("ff", "singletons"), ("recurrent", "prefixes"),
