@@ -94,9 +94,9 @@ def _spec_mdp(path):
         doc = json.load(fh)
     rewards = np.asarray(doc["step_rewards"], dtype=np.float64)
     return oracle.TabularMdp(
-        n_states=doc["n_states"],
-        n_actions=doc["n_actions"],
-        horizon=doc["horizon"],
+        doc["n_states"],
+        doc["n_actions"],
+        doc["horizon"],
         transition=np.asarray(doc["transition"], dtype=np.float64),
         initial_dist=np.asarray(doc["initial_dist"], dtype=np.float64),
         step_rewards=lambda s, a, s2: float(rewards[s, a]),
@@ -110,7 +110,12 @@ def make_verify_predictors(mdp, n_inits, seed=0):
     decomposer models of every architecture, plus deliberately badly fit
     variants (parameters blown up 50x, and a causal pseudo-random function
     of the trajectory prefix that ignores the return entirely: its value
-    for interval t depends on steps 0..t alone)."""
+    for interval t depends on steps 0..t alone).
+
+    Each predictor is a batch function, as `oracle.verify_identities`
+    takes: a list of trajectories in, their decompositions out. A model
+    predicts a whole chunk in one forward pass; the chaotic adversary
+    hashes each trajectory on its own behind a list adapter."""
     input_dim = mdp.n_states + mdp.n_actions
     rotation = [("attention", "prefixes"), ("recurrent", "prefixes"), ("ff", "singletons")]
     fns = []
@@ -122,12 +127,9 @@ def make_verify_predictors(mdp, n_inits, seed=0):
             model.params = {
                 k: type(p)(p.data * 50.0) for k, p in model.params.items()
             }
-        interval_set = decomposer.IntervalSet(kind)
 
-        def fn(traj, model=model, interval_set=interval_set):
-            return decomposer.predict(
-                model, traj, interval_set, n_actions=mdp.n_actions
-            )
+        def fn(batch, model=model, kind=kind):
+            return decomposer.predict(model, batch, kind)
 
         fns.append((f"{arch}-{kind}{'-blown' if i % 4 == 3 else ''}-{i}", fn))
         if i % 5 == 4:
@@ -145,7 +147,7 @@ def make_verify_predictors(mdp, n_inits, seed=0):
                     values, traj.episodic_return
                 )
 
-            fns.append((f"chaotic-{i}", chaotic))
+            fns.append((f"chaotic-{i}", lambda batch, one=chaotic: [one(t) for t in batch]))
     return fns
 
 

@@ -14,7 +14,8 @@ variants are causal, so their output for interval i is a function of steps
 
 Every predictor runs on a batch at once: the rows of B trajectories are
 stacked into one (N, d) matrix and passed with the segment lengths, so a
-regression minibatch is one tape and `predict` is a batch of one.
+regression minibatch is one tape and `predict` is one forward pass over a
+list of trajectories, for the trainer and the oracle alike.
 
 Training regresses the summed per-interval predictions onto the episodic
 return with a squared loss. Returns are standardized by a running
@@ -60,28 +61,6 @@ WIDTHS = {
         "ff_channels": [64, 64, 64, 128],
     },
 }
-
-
-class IntervalSet:
-    """The family of time intervals the surrogate rewards are defined on."""
-
-    def __init__(self, kind):
-        if kind not in VALID_KINDS:
-            raise ValueError(f"interval kind must be one of {VALID_KINDS}, got {kind!r}")
-        self.kind = kind
-
-    def members(self, i):
-        """Time steps covered by interval i (its max index is always i)."""
-        return list(range(i + 1)) if self.kind == "prefixes" else [i]
-
-    def count(self, t_len):
-        return t_len
-
-    def max_index(self, i):
-        return i
-
-    def __repr__(self):
-        return f"IntervalSet({self.kind!r})"
 
 
 @dataclass
@@ -384,27 +363,23 @@ def predictor_from_checkpoint(params, meta):
 # prediction and regression
 
 
-def input_rows(model, batch, n_actions=None):
+def input_rows(model, batch):
     """Stacked (N, input_dim) input rows of a batch, and the lengths.
 
-    Discrete actions are one-hot encoded; without `n_actions` the width is
-    what the model's input leaves after the state, so a trajectory that
-    never took the last action still encodes to the model's width.
+    Discrete actions are one-hot encoded to the width the model's input
+    leaves after the state, so a trajectory that never took the last action
+    still encodes to the model's width.
     """
-    if n_actions is None:
-        n_actions = model.input_dim - batch[0].states.shape[1]
+    n_actions = model.input_dim - batch[0].states.shape[1]
     x = np.concatenate([traj.input_matrix(n_actions) for traj in batch], axis=0)
     return x, [traj.length for traj in batch]
 
 
-def _reward_rows(model, batch, interval_set, n_actions=None):
-    if not model.supports(interval_set.kind):
-        raise ValueError(
-            f"{model.architecture} predictor does not support "
-            f"{interval_set.kind!r} intervals"
-        )
-    x, lengths = input_rows(model, batch, n_actions)
-    return model.reward_sequence(ad.constant(x), interval_set.kind, lengths), lengths
+def _reward_rows(model, batch, kind):
+    if not model.supports(kind):
+        raise ValueError(f"{model.architecture} predictor does not support {kind!r} intervals")
+    x, lengths = input_rows(model, batch)
+    return model.reward_sequence(ad.constant(x), kind, lengths), lengths
 
 
 def destandardize(values, normalizer):
@@ -419,14 +394,15 @@ def destandardize(values, normalizer):
     return values
 
 
-def predict_batch(model, batch, interval_set, normalizer=None, n_actions=None):
+def predict(model, batch, kind, normalizer=None):
     """Decompose every trajectory of a batch into per-interval rewards.
 
-    One forward pass over the whole batch. With a normalizer, the model's
+    One forward pass over the whole batch; returns one RewardDecomposition
+    per trajectory, in order. With a normalizer, the model's
     standardized-scale outputs are mapped back to return units by
     `destandardize`.
     """
-    rewards = _reward_rows(model, batch, interval_set, n_actions)[0].data.reshape(-1)
+    rewards = _reward_rows(model, batch, kind)[0].data.reshape(-1)
     out = []
     start = 0
     for traj in batch:
@@ -438,18 +414,13 @@ def predict_batch(model, batch, interval_set, normalizer=None, n_actions=None):
     return out
 
 
-def predict(model, traj, interval_set, normalizer=None, n_actions=None):
-    """Decompose one trajectory: `predict_batch` on a batch of one."""
-    return predict_batch(model, [traj], interval_set, normalizer, n_actions)[0]
-
-
-def regression_loss(model, batch, interval_set, normalizer=None, n_actions=None):
+def regression_loss(model, batch, kind, normalizer=None):
     """Squared loss sum over batch of (sum r_hat - R)^2, on one tape.
 
     A (B, N) 0/1 segment-sum matrix turns the stacked rewards into the B
     composites.
     """
-    rhat, lengths = _reward_rows(model, batch, interval_set, n_actions)
+    rhat, lengths = _reward_rows(model, batch, kind)
     targets = np.array([traj.episodic_return for traj in batch])
     if normalizer is not None:
         targets = normalizer.normalize(targets)
@@ -459,7 +430,7 @@ def regression_loss(model, batch, interval_set, normalizer=None, n_actions=None)
     return ad.sum_all(ad.square(err))
 
 
-def regression_step(model, batch, interval_set, optimizer, normalizer=None, n_actions=None):
+def regression_step(model, batch, kind, optimizer, normalizer=None):
     """One update of the predictor by `optimizer`; returns the loss value.
 
     A non-finite loss aborts with the offending value before any parameter
@@ -467,7 +438,7 @@ def regression_step(model, batch, interval_set, optimizer, normalizer=None, n_ac
     """
     if not batch:
         raise ValueError("regression_step: empty batch")
-    loss = regression_loss(model, batch, interval_set, normalizer, n_actions)
+    loss = regression_loss(model, batch, kind, normalizer)
     value = loss.item()
     if not np.isfinite(value):
         raise FloatingPointError(f"regression loss is non-finite ({value})")

@@ -45,10 +45,8 @@ class _Trunk:
         return ad.tanh_mlp(x, *self.layers(params))
 
     def apply_np(self, params, x):
-        h = x
-        for i in range(self.n_layers):
-            h = np.tanh(h @ params[f"t{i}_w"].data + params[f"t{i}_b"].data)
-        return h
+        weights, biases = self.layers(params)
+        return ad.tanh_mlp_layers(x, [w.data for w in weights], [b.data for b in biases])[-1]
 
 
 # Score-gradient surfaces shared by both policies. Each class binds them in

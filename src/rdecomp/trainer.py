@@ -239,14 +239,11 @@ class Trainer:
         self.value_net = ValueNetwork(
             self.init_rng, self.env.state_dim, config.hidden, config.two_value_heads
         )
-        self.n_actions = getattr(self.env, "n_actions", None)
-        self.interval_set = decomposer.IntervalSet(config.interval_kind)
         self.model = None
         self.normalizer = None
         if config.use_decomposer:
-            input_dim = self.env.state_dim + (
-                self.n_actions if self.n_actions else self.env.action_dim
-            )
+            n_actions = getattr(self.env, "n_actions", None)
+            input_dim = self.env.state_dim + (n_actions if n_actions else self.env.action_dim)
             self.model = decomposer.make_predictor(
                 config.architecture,
                 input_dim,
@@ -276,9 +273,7 @@ class Trainer:
         """Per-interval rewards of every trajectory, in one forward pass."""
         if self.model is None:
             return [_zero_decomposition(traj) for traj in batch]
-        return decomposer.predict_batch(
-            self.model, batch, self.interval_set, self.normalizer, self.n_actions
-        )
+        return decomposer.predict(self.model, batch, self.config.interval_kind, self.normalizer)
 
     def _regression_phase(self):
         if self.model is None or len(self.buffer) == 0:
@@ -294,10 +289,9 @@ class Trainer:
                     decomposer.regression_step(
                         self.model,
                         chunk,
-                        self.interval_set,
+                        self.config.interval_kind,
                         optimizer=self.reward_opt,
                         normalizer=self.normalizer,
-                        n_actions=self.n_actions,
                     )
                 )
         return float(np.mean(losses))

@@ -88,12 +88,12 @@ def reward_sequence(model, x, kind):
     return _attention(model, x)
 
 
-def regression_loss(model, batch, interval_set, normalizer=None, n_actions=None):
+def regression_loss(model, batch, kind, normalizer=None):
     """Sum over the batch of (sum r_hat - R)^2, one tape per trajectory."""
     per_traj = []
     for traj in batch:
-        x = ad.constant(traj.input_matrix(n_actions))
-        rhat = reward_sequence(model, x, interval_set.kind)
+        x = ad.constant(traj.input_matrix())
+        rhat = reward_sequence(model, x, kind)
         target = traj.episodic_return
         if normalizer is not None:
             target = normalizer.normalize(target)

@@ -16,7 +16,7 @@ from fdcheck import relative_error
 from rdecomp import autodiff as ad
 from rdecomp import cli, decomposer, envs, estimators, nn, oracle, recipes
 from rdecomp.buffers import ReplayBuffer
-from rdecomp.decomposer import IntervalSet, RewardDecomposition
+from rdecomp.decomposer import RewardDecomposition
 from rdecomp.policies import CategoricalPolicy, GaussianPolicy, ValueNetwork, make_policy
 from rdecomp.trainer import TrainConfig, rollout, train
 from rdecomp.trajectory import Trajectory
@@ -173,11 +173,10 @@ def test_criterion_4_gradient_correctness():
                 actions=data_rng.normal(size=(t_len, 2)),
                 episodic_return=float(data_rng.normal()),
             )
-            iset = IntervalSet(kind)
 
-            def loss_fn(params, model=model, traj=traj, iset=iset):
+            def loss_fn(params, model=model, traj=traj, kind=kind):
                 model.params = params
-                return decomposer.regression_loss(model, [traj], iset)
+                return decomposer.regression_loss(model, [traj], kind)
 
             worst = max(worst, _fd_check(model.params, loss_fn, data_rng))
             n_runs += 1
@@ -293,13 +292,12 @@ def converged_chain_decomposer():
     buffered, held_out = trajs[:200], trajs[200:250]
 
     model = decomposer.make_predictor("attention", env.state_dim + 2, np.random.default_rng(1), scale="desk")
-    iset = IntervalSet("prefixes")
     norm = decomposer.ReturnNormalizer()
     norm.update([t.episodic_return for t in buffered])
     opt = nn.AdamOptimizer(1e-3)  # the published reward-predictor rate
 
     def full_loss():
-        return decomposer.regression_loss(model, buffered, iset, norm, 2).item()
+        return decomposer.regression_loss(model, buffered, "prefixes", norm).item()
 
     initial = full_loss()
     steps = 0
@@ -308,7 +306,7 @@ def converged_chain_decomposer():
         order = reg_rng.permutation(len(buffered))
         for s in range(0, len(buffered), 16):
             chunk = [buffered[i] for i in order[s : s + 16]]
-            decomposer.regression_step(model, chunk, iset, optimizer=opt, normalizer=norm, n_actions=2)
+            decomposer.regression_step(model, chunk, "prefixes", optimizer=opt, normalizer=norm)
             steps += 1
             if steps >= 3000:
                 break
@@ -316,7 +314,6 @@ def converged_chain_decomposer():
         "env": env,
         "policy": policy,
         "model": model,
-        "iset": iset,
         "norm": norm,
         "initial": initial,
         "final": full_loss(),
@@ -330,8 +327,9 @@ def test_criterion_6_regression_convergence(converged_chain_decomposer):
     ratio = fit["initial"] / max(fit["final"], 1e-300)
     violations = 0
     worst = 0.0
-    for traj in fit["held_out"]:
-        dec = decomposer.predict(fit["model"], traj, fit["iset"], fit["norm"], 2)
+    held_out = fit["held_out"]
+    decomps = decomposer.predict(fit["model"], held_out, "prefixes", fit["norm"])
+    for traj, dec in zip(held_out, decomps, strict=True):
         err = abs(dec.composite - traj.episodic_return)
         bound = 0.05 * abs(traj.episodic_return) + 0.05
         worst = max(worst, err)
@@ -355,9 +353,7 @@ def test_criterion_7_variance_ordering(converged_chain_decomposer):
         cv_total = rf_total = 0.0
         for _ in range(200):
             batch = rollout(policy, env, 40, batch_rng)
-            decomps = [
-                decomposer.predict(fit["model"], t, fit["iset"], fit["norm"], 2) for t in batch
-            ]
+            decomps = decomposer.predict(fit["model"], batch, "prefixes", fit["norm"])
             cv_total += estimators.grad_control_variate(batch, policy, decomps).variance
             rf_total += estimators.grad_reinforce(batch, policy).variance
         wins += cv_total < rf_total

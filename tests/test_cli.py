@@ -66,6 +66,8 @@ def test_domain_validation_surfaces(tmp_path):
         config_mod.load(write_config(tmp_path, clip=1.5))
     with pytest.raises(config_mod.ConfigError, match="reward_optimizer"):
         config_mod.load(write_config(tmp_path, reward_optimizer="Adam"))
+    with pytest.raises(config_mod.ConfigError, match="interval_kind"):
+        config_mod.load(write_config(tmp_path, interval_kind="pairs"))
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +235,7 @@ def test_chaotic_adversary_is_causal():
             actions[cut:] = 1 - actions[cut:]
         bumped = Trajectory(states=states, actions=actions, episodic_return=traj.episodic_return + 1.0)
         for fn in chaotic:
-            base, after = fn(traj).per_interval, fn(bumped).per_interval
+            base, after = (dec.per_interval for dec in fn([traj, bumped]))
             assert np.array_equal(base[:cut], after[:cut])
             assert not np.array_equal(base[cut:], after[cut:])
 

@@ -6,12 +6,10 @@ from rdecomp import autodiff as ad
 from rdecomp import decomposer, nn
 from rdecomp.decomposer import (
     AttentionPredictor,
-    IntervalSet,
     RewardDecomposition,
     ReturnNormalizer,
     make_predictor,
     predict,
-    predict_batch,
     regression_loss,
     regression_step,
 )
@@ -204,7 +202,7 @@ def test_bias_only_model_predicts_constant():
     model.params = {k: ad.Tensor(np.zeros(p.shape)) for k, p in model.params.items()}
     model.params["head_b"] = ad.Tensor(np.array([1.25]))
     traj = toy_trajectory(np.random.default_rng(12), t_len=4, ret=7.0)
-    dec = predict(model, traj, IntervalSet("singletons"))
+    dec = predict(model, [traj], "singletons")[0]
     np.testing.assert_array_equal(dec.per_interval, np.full(4, 1.25))
     assert dec.composite == 4 * 1.25
     assert dec.residual == 7.0 - 5.0
@@ -216,7 +214,7 @@ def test_ff_is_markov_per_step():
     x = np.random.default_rng(14).normal(size=(6, 5))
     x[4] = x[1]
     traj = Trajectory(states=x[:, :3], actions=x[:, 3:], episodic_return=0.0)
-    dec = predict(model, traj, IntervalSet("singletons"))
+    dec = predict(model, [traj], "singletons")[0]
     assert dec.per_interval[4] == dec.per_interval[1]
 
 
@@ -224,26 +222,19 @@ def test_ff_rejects_prefix_intervals():
     model = make_predictor("ff", 5, np.random.default_rng(15))
     traj = toy_trajectory(np.random.default_rng(16))
     with pytest.raises(ValueError, match="does not support"):
-        predict(model, traj, IntervalSet("prefixes"))
+        predict(model, [traj], "prefixes")
+    with pytest.raises(ValueError, match="does not support 'pairs'"):
+        predict(AttentionPredictor(5, np.random.default_rng(15)), [traj], "pairs")
 
 
 def test_composite_is_ascending_sum_of_outputs():
     rng = np.random.default_rng(17)
     model = AttentionPredictor(5, rng)
     traj = toy_trajectory(np.random.default_rng(18), t_len=3)
-    dec = predict(model, traj, IntervalSet("prefixes"))
+    dec = predict(model, [traj], "prefixes")[0]
     vals = model.reward_sequence(ad.constant(traj.input_matrix())).data.reshape(-1)
     assert dec.composite == (float(vals[0]) + float(vals[1])) + float(vals[2])
     assert dec.residual == traj.episodic_return - dec.composite
-
-
-def test_interval_set_contract():
-    with pytest.raises(ValueError, match="interval kind"):
-        IntervalSet("pairs")
-    singles, prefixes = IntervalSet("singletons"), IntervalSet("prefixes")
-    assert singles.members(3) == [3] and prefixes.members(3) == [0, 1, 2, 3]
-    assert singles.max_index(3) == prefixes.max_index(3) == 3
-    assert singles.count(7) == prefixes.count(7) == 7
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +247,7 @@ def test_exact_model_has_zero_loss_and_zero_gradient():
     model.params = {k: ad.Tensor(np.zeros(p.shape)) for k, p in model.params.items()}
     model.params["head_b"] = ad.Tensor(np.array([0.5]))
     traj = toy_trajectory(np.random.default_rng(20), t_len=4, ret=2.0)  # 4 * 0.5 == 2
-    loss = regression_loss(model, [traj], IntervalSet("singletons"))
+    loss = regression_loss(model, [traj], "singletons")
     assert loss.item() == 0.0
     grads = ad.backward(loss)
     for p in model.params.values():
@@ -270,9 +261,8 @@ def test_bias_only_regression_reaches_mean_target():
     frozen = {k: ad.Tensor(np.zeros(p.shape)) for k, p in model.params.items()}
     model.params = frozen
     traj = toy_trajectory(np.random.default_rng(22), t_len=5, ret=3.0)
-    iset = IntervalSet("singletons")
     for _ in range(400):
-        regression_step(model, [traj], iset, optimizer=nn.SgdOptimizer(1e-2))
+        regression_step(model, [traj], "singletons", optimizer=nn.SgdOptimizer(1e-2))
         # freeze everything except the bias to keep the problem 1-D
         keep = model.params["head_b"]
         model.params = dict(frozen)
@@ -284,9 +274,8 @@ def test_full_batch_loss_non_increasing_at_tiny_lr():
     rng = np.random.default_rng(23)
     model = AttentionPredictor(5, rng)
     batch = [toy_trajectory(np.random.default_rng(100 + i), t_len=4) for i in range(6)]
-    iset = IntervalSet("prefixes")
     opt = nn.SgdOptimizer(1e-5)
-    losses = [regression_step(model, batch, iset, optimizer=opt) for _ in range(100)]
+    losses = [regression_step(model, batch, "prefixes", optimizer=opt) for _ in range(100)]
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
@@ -297,7 +286,7 @@ def test_non_finite_loss_aborts_without_update():
     before = {k: p.data.copy() for k, p in model.params.items()}
     traj = toy_trajectory(np.random.default_rng(25))
     with pytest.raises(FloatingPointError, match="non-finite"):
-        regression_step(model, [traj], IntervalSet("singletons"), optimizer=nn.SgdOptimizer(1e-3))
+        regression_step(model, [traj], "singletons", optimizer=nn.SgdOptimizer(1e-3))
     for k, p in model.params.items():
         np.testing.assert_array_equal(p.data, before[k])
 
@@ -305,7 +294,7 @@ def test_non_finite_loss_aborts_without_update():
 def test_empty_batch_rejected():
     model = make_predictor("ff", 5, np.random.default_rng(26))
     with pytest.raises(ValueError, match="empty"):
-        regression_step(model, [], IntervalSet("singletons"), optimizer=nn.SgdOptimizer(1e-3))
+        regression_step(model, [], "singletons", optimizer=nn.SgdOptimizer(1e-3))
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +324,10 @@ def test_order_dependent_target_is_learnable():
     fwd = Trajectory(states=steps[:, :2], actions=steps[:, 2:], episodic_return=1.0)
     rev = Trajectory(states=steps[::-1, :2], actions=steps[::-1, 2:], episodic_return=-1.0)
     model = make_predictor("attention", 4, np.random.default_rng(30), scale="desk")
-    iset = IntervalSet("prefixes")
     opt = nn.AdamOptimizer(3e-3)
     loss = None
     for _ in range(300):
-        loss = regression_step(model, [fwd, rev], iset, optimizer=opt)
+        loss = regression_step(model, [fwd, rev], "prefixes", optimizer=opt)
     assert loss < 0.5
 
 
@@ -363,13 +351,13 @@ def test_destandardized_prediction_keeps_identities():
     norm = ReturnNormalizer()
     norm.update(np.random.default_rng(33).normal(10.0, 4.0, size=100))
     traj = toy_trajectory(np.random.default_rng(34), t_len=5, ret=12.0)
-    dec = predict(model, traj, IntervalSet("prefixes"), normalizer=norm)
+    dec = predict(model, [traj], "prefixes", normalizer=norm)[0]
     total = 0.0
     for v in dec.per_interval:
         total += float(v)
     assert dec.composite == total
     assert dec.residual == 12.0 - dec.composite
-    raw = predict(model, traj, IntervalSet("prefixes"))
+    raw = predict(model, [traj], "prefixes")[0]
     # de-standardization scales the raw outputs and adds the whole mean at
     # interval 0, a constant, so no interval reads the episode length
     want = norm.std * raw.per_interval
@@ -411,18 +399,17 @@ def test_batched_loss_and_gradients_match_reference(arch, kind, positional, leng
     rng = np.random.default_rng(40)
     model = make_predictor(arch, 5, rng, positional=positional)
     batch = [toy_trajectory(rng, t_len=t) for t in BATCH_LENGTHS[lengths]]
-    iset = IntervalSet(kind)
     norm = ReturnNormalizer()
     norm.update(rng.normal(2.0, 3.0, size=20))
 
-    loss = regression_loss(model, batch, iset, norm)
-    want = reference.regression_loss(model, batch, iset, norm)
+    loss = regression_loss(model, batch, kind, norm)
+    want = reference.regression_loss(model, batch, kind, norm)
     assert _close(loss.data, want.data)
     grads, want_grads = ad.backward(loss), ad.backward(want)
     for name, param in model.params.items():
         assert _close(grads.of(param), want_grads.of(param)), name
 
-    for traj, dec in zip(batch, predict_batch(model, batch, iset)):
+    for traj, dec in zip(batch, predict(model, batch, kind), strict=True):
         ref = reference.reward_sequence(model, ad.constant(traj.input_matrix()), kind)
         assert _close(dec.per_interval, ref.data.reshape(-1))
 
@@ -450,10 +437,8 @@ def test_n_actions_inferred_from_model_width(arch, kind):
     rng = np.random.default_rng(43)
     traj = Trajectory(states=rng.normal(size=(5, 3)), actions=[0, 2, 1, 0, 2],
                       episodic_return=1.0)
-    iset = IntervalSet(kind)
-    implicit = predict(model, traj, iset)
-    explicit = predict(model, traj, iset, n_actions=4)
-    assert np.array_equal(implicit.per_interval, explicit.per_interval)
-    assert regression_loss(model, [traj], iset).item() == regression_loss(
-        model, [traj], iset, n_actions=4
-    ).item()
+    x = ad.constant(traj.input_matrix(4))
+    want = model.reward_sequence(x, kind).data.reshape(-1)
+    np.testing.assert_array_equal(predict(model, [traj], kind)[0].per_interval, want)
+    loss = regression_loss(model, [traj], kind).item()
+    assert loss == pytest.approx((want.sum() - 1.0) ** 2, rel=1e-12)

@@ -3,7 +3,7 @@ import pytest
 
 from fdcheck import numeric_gradient
 from rdecomp import decomposer, nn, oracle
-from rdecomp.decomposer import IntervalSet, RewardDecomposition
+from rdecomp.decomposer import RewardDecomposition
 from rdecomp.policies import CategoricalPolicy
 
 
@@ -167,8 +167,8 @@ def test_exact_gradient_matches_finite_differences_of_exact_j():
 # identity verification
 
 
-def zero_predictor(traj):
-    return RewardDecomposition.from_values(np.zeros(traj.length), traj.episodic_return)
+def zero_predictor(batch):
+    return [RewardDecomposition.from_values(np.zeros(t.length), t.episodic_return) for t in batch]
 
 
 def test_zero_predictor_trivially_passes():
@@ -185,23 +185,29 @@ def test_true_stepwise_rewards_reduce_to_classic_policy_gradient():
     policy = CategoricalPolicy(np.random.default_rng(7), 2, 2, hidden=(8,))
     ctx = oracle.OracleContext(mdp, policy)
 
-    def true_rewards(traj):
+    def true_rewards(batch):
         # recover per-step dense rewards from the one-hot states and actions
-        states = [int(s.argmax()) for s in traj.states]
-        values = []
-        for t in range(traj.length):
-            s2 = None  # windy2 rewards depend on (s, a) only
-            values.append(mdp.step_rewards(states[t], int(traj.actions[t]), s2))
-        return RewardDecomposition.from_values(np.array(values), traj.episodic_return)
+        out = []
+        for traj in batch:
+            states = [int(s.argmax()) for s in traj.states]
+            values = []
+            for t in range(traj.length):
+                s2 = None  # windy2 rewards depend on (s, a) only
+                values.append(mdp.step_rewards(states[t], int(traj.actions[t]), s2))
+            out.append(RewardDecomposition.from_values(np.array(values), traj.episodic_return))
+        return out
 
     report = oracle.verify_identities(ctx, true_rewards)
     assert report["pass"]
     # residuals vanish, so the composite form alone equals the true gradient
     from rdecomp import estimators
 
+    decomps = true_rewards(ctx.trajectories)
     composite = sum(
-        p * estimators.generalized_q(true_rewards(traj), traj.length) @ scores[: traj.length]
-        for traj, p, scores in zip(ctx.trajectories, ctx.probabilities, ctx.scores)
+        p * estimators.generalized_q(dec, traj.length) @ scores[: traj.length]
+        for traj, dec, p, scores in zip(
+            ctx.trajectories, decomps, ctx.probabilities, ctx.scores, strict=True
+        )
     )
     exact = oracle.exact_grad_j(mdp, policy)
     np.testing.assert_allclose(composite, exact, atol=1e-10)
@@ -216,8 +222,7 @@ def test_random_decomposers_pass_identities(mdp_name):
         model = decomposer.make_predictor(
             "attention", mdp.n_states + mdp.n_actions, np.random.default_rng(50 + seed)
         )
-        iset = IntervalSet("prefixes")
-        fn = lambda traj: decomposer.predict(model, traj, iset, n_actions=mdp.n_actions)
+        fn = lambda batch: decomposer.predict(model, batch, "prefixes")
         report = oracle.verify_identities(ctx, fn)
         assert report["pass"], report
 
@@ -231,21 +236,23 @@ def test_destandardized_predictions_pass_identities():
     ctx = oracle.OracleContext(mdp, policy)
     assert len({traj.length for traj in ctx.trajectories}) > 1
     model = decomposer.make_predictor("attention", 5, np.random.default_rng(50))
-    iset = IntervalSet("prefixes")
     norm = decomposer.ReturnNormalizer()
     norm.update([0.4, 1.0, 0.7])
     assert norm.mean == pytest.approx(0.7)
-    fn = lambda traj: decomposer.predict(model, traj, iset, norm, n_actions=2)
+    fn = lambda batch: decomposer.predict(model, batch, "prefixes", norm)
     report = oracle.verify_identities(ctx, fn, tol=1e-8)
     assert report["pass"], report
 
 
-def return_leaking_predictor(traj):
+def return_leaking_predictor(batch):
     """Non-causal: interval 0 is the episodic return, which depends on
     every later step."""
-    values = np.zeros(traj.length)
-    values[0] = traj.episodic_return
-    return RewardDecomposition.from_values(values, traj.episodic_return)
+    out = []
+    for traj in batch:
+        values = np.zeros(traj.length)
+        values[0] = traj.episodic_return
+        out.append(RewardDecomposition.from_values(values, traj.episodic_return))
+    return out
 
 
 def test_non_causal_predictor_is_caught():
@@ -264,14 +271,44 @@ def test_non_causal_predictor_is_caught():
     assert checks["complement_zero_mean"]["worst_step"] == 2
 
 
+def test_predictor_sees_every_trajectory_once_in_chunks():
+    mdp = oracle.windy2_mdp()
+    ctx = oracle.OracleContext(mdp, uniform_policy(mdp))
+    assert len(ctx.trajectories) > oracle.PREDICT_CHUNK
+    calls = []
+
+    def recording(batch):
+        calls.append(list(batch))
+        return zero_predictor(batch)
+
+    assert oracle.verify_identities(ctx, recording)["pass"]
+    assert all(1 <= len(batch) <= 16 for batch in calls)
+    seen = [traj for batch in calls for traj in batch]
+    assert len(seen) == len(ctx.trajectories)
+    assert all(a is b for a, b in zip(seen, ctx.trajectories))
+
+
+def test_exact_gradient_enumerates_once(monkeypatch):
+    mdp = oracle.chain3_mdp()
+    policy = uniform_policy(mdp, seed=4)
+    calls = []
+    enumerate_all = oracle.enumerate_trajectories
+    monkeypatch.setattr(
+        oracle, "enumerate_trajectories", lambda *a: calls.append(a) or enumerate_all(*a)
+    )
+    ctx = oracle.OracleContext(mdp, policy)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(oracle.exact_grad_j(mdp, policy), ctx.exact_grad)
+    assert len(calls) == 2
+
+
 def test_corrupted_q_breaks_composite_check(monkeypatch):
     """Mutation test: an off-by-one in the ends-at->=t rule must be caught."""
     mdp = oracle.chain3_mdp()
     policy = CategoricalPolicy(np.random.default_rng(9), 3, 2, hidden=(8,))
     ctx = oracle.OracleContext(mdp, policy)
     model = decomposer.make_predictor("attention", 5, np.random.default_rng(10))
-    iset = IntervalSet("prefixes")
-    fn = lambda traj: decomposer.predict(model, traj, iset, n_actions=2)
+    fn = lambda batch: decomposer.predict(model, batch, "prefixes")
 
     true_q = oracle.estimators.generalized_q
 

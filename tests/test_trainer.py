@@ -380,8 +380,7 @@ def test_batched_decompose_matches_per_trajectory_predict(arch, kind):
     batch = rollout(trainer.policy, trainer.env, 60, np.random.default_rng(4))
     assert len({t.length for t in batch}) > 1
     for traj, dec in zip(batch, trainer.decompose(batch), strict=True):
-        want = predict(trainer.model, traj, trainer.interval_set, trainer.normalizer,
-                       trainer.n_actions)
+        want = predict(trainer.model, [traj], kind, trainer.normalizer)[0]
         scale = np.abs(want.per_interval).max()
         assert np.abs(dec.per_interval - want.per_interval).max() <= 1e-12 * scale
         assert abs(dec.residual - want.residual) <= 1e-12 * max(abs(want.residual), scale)
