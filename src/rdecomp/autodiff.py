@@ -164,7 +164,7 @@ def tanh_mlp_layers(x, weights, biases):
     hs = [x]
     for w, b in zip(weights, biases, strict=True):
         if x.ndim != 2 or w.shape[0] != hs[-1].shape[1] or b.shape != w.shape[1:]:
-            raise ShapeError(f"tanh_mlp: layer {w.shape} + {b.shape} on {hs[-1].shape}")
+            raise ShapeError(f"tanh_mlp_layers: layer {w.shape} + {b.shape} on {hs[-1].shape}")
         hs.append(np.tanh(_kernels.matmul(hs[-1], w) + b))
     return hs
 
@@ -176,28 +176,6 @@ def tanh_mlp_deltas(hs, weights, g):
     for i in range(len(weights) - 1, 0, -1):
         deltas.insert(0, _kernels.tanh_vjp(hs[i], _kernels.matmul(deltas[0], weights[i].T)))
     return deltas
-
-
-def tanh_mlp(x, weights, biases):
-    """A stack of tanh(h W + b) layers as one tape node with a hand-written vjp.
-
-    Same float ops as the chain matmul -> add -> tanh per layer, so values
-    and gradients are bit-identical to it.
-    """
-    if not weights:
-        raise ShapeError("tanh_mlp: needs at least one layer")
-    wd = [w.data for w in weights]
-    hs = tanh_mlp_layers(x.data, wd, [b.data for b in biases])
-
-    def vjp(g):
-        deltas = tanh_mlp_deltas(hs, wd, g)
-        return (
-            _kernels.matmul(deltas[0], wd[0].T),
-            *(_kernels.matmul(h.T, d) for h, d in zip(hs, deltas)),
-            *(d.sum(axis=0) for d in deltas),
-        )
-
-    return _result(hs[-1], (x, *weights, *biases), vjp)
 
 
 def sigmoid(a):

@@ -79,9 +79,8 @@ class RewardDecomposition:
     @classmethod
     def from_values(cls, values, episodic_return):
         values = np.asarray(values, dtype=np.float64)
-        composite = 0.0
-        for v in values:
-            composite += float(v)
+        # a left-to-right sum, as cumsum adds; not pairwise like np.sum
+        composite = float(np.cumsum(values)[-1]) if values.size else 0.0
         return cls(values, composite, episodic_return - composite)
 
 
@@ -443,5 +442,5 @@ def regression_step(model, batch, kind, optimizer, normalizer=None):
     if not np.isfinite(value):
         raise FloatingPointError(f"regression loss is non-finite ({value})")
     grads = ad.backward(loss)
-    model.params = optimizer.step(model.params, grads)
+    model.params = optimizer.step(model.params, nn.flatten_grads(model.params, grads))
     return value

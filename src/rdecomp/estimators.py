@@ -37,12 +37,9 @@ def generalized_q(decomp, t_len):
     values = decomp.per_interval
     if len(values) != t_len:
         raise ValueError(f"decomposition has {len(values)} entries for T={t_len}")
-    q = np.empty(t_len)
-    acc = 0.0
-    for t in range(t_len - 1, -1, -1):
-        acc += values[t]
-        q[t] = acc
-    return q
+    # cumsum adds one term at a time, so q[t] folds values[T-1], ..., values[t]
+    # in that order
+    return np.cumsum(np.asarray(values, dtype=np.float64)[::-1])[::-1]
 
 
 def r_not_t(decomp, t_len):
@@ -55,11 +52,8 @@ def r_not_t(decomp, t_len):
     values = decomp.per_interval
     if len(values) != t_len:
         raise ValueError(f"decomposition has {len(values)} entries for T={t_len}")
-    rnot = np.empty(t_len)
-    acc = 0.0
-    for t in range(t_len):
-        rnot[t] = acc
-        acc += values[t]
+    rnot = np.zeros(t_len)
+    rnot[1:] = np.cumsum(np.asarray(values, dtype=np.float64)[:-1])
     return rnot
 
 

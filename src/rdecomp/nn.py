@@ -89,10 +89,9 @@ class SgdOptimizer:
     def __init__(self, lr):
         self.lr = lr
 
-    def step(self, params, grads):
-        return assign_flat(
-            params, flatten_params(params) - self.lr * flatten_grads(params, grads)
-        )
+    def step(self, params, g):
+        """New parameters from the flat gradient g, in `flatten_params` order."""
+        return assign_flat(params, flatten_params(params) - self.lr * g)
 
 
 class AdamOptimizer:
@@ -107,8 +106,8 @@ class AdamOptimizer:
         self.t = 0
         self.m = self.v = np.zeros(0)
 
-    def step(self, params, grads):
-        g = flatten_grads(params, grads)
+    def step(self, params, g):
+        """New parameters from the flat gradient g, in `flatten_params` order."""
         if self.t == 0:
             self.m = self.v = np.zeros(g.size)
         self.t += 1

@@ -6,12 +6,16 @@ is a single global vector; the discrete policy is a categorical head, which
 is what the exact-enumeration oracle differentiates. The value network has
 two scalar heads, one per advantage stream (predicted-reward and residual).
 
-Policies expose two gradient surfaces: tape log-probs and entropies per
-step for PPO, from one trunk and head pass, and closed-form score sums for
-the estimators and the oracle. Those need no tape: a numpy forward keeps
-the trunk's activations, the head's delta goes back through the trunk by
-the trunk vjp's own per-layer code, and each layer's sums per trajectory
-are one padded batched matmul.
+No gradient here uses the tape. A numpy forward keeps the trunk's
+activations, the head's delta goes back through the trunk by
+`autodiff.tanh_mlp_deltas`, and each layer's gradient is a matmul with its
+input. Policies have two gradient surfaces: the PPO minibatch loss and its
+gradient (`ppo_loss_grad`), and score sums per trajectory for the
+estimators and the oracle, where each layer's sums are one padded batched
+matmul. `ValueNetwork.loss_grad` is the value net's squared error and its
+gradient. The PPO and value forms make the float ops of the equivalent
+tape in the tape's order, so they are bit-identical to `autodiff.backward`
+on it (tests/reference_scores.py holds that tape).
 """
 
 from __future__ import annotations
@@ -41,12 +45,28 @@ class _Trunk:
         idx = range(self.n_layers)
         return [params[f"t{i}_w"] for i in idx], [params[f"t{i}_b"] for i in idx]
 
-    def apply(self, params, x):
-        return ad.tanh_mlp(x, *self.layers(params))
+    def forward(self, params, x):
+        """The weight arrays and [x, h_1, ..., h_L], for `grads`."""
+        weights, biases = self.layers(params)
+        wd = [w.data for w in weights]
+        return wd, ad.tanh_mlp_layers(x, wd, [b.data for b in biases])
 
     def apply_np(self, params, x):
-        weights, biases = self.layers(params)
-        return ad.tanh_mlp_layers(x, [w.data for w in weights], [b.data for b in biases])[-1]
+        return self.forward(params, x)[1][-1]
+
+    def grads(self, wd, hs, g):
+        """Gradients of the trunk's parameters, given g at its output."""
+        deltas = ad.tanh_mlp_deltas(hs, wd, g)
+        out = {}
+        for i, (h, d) in enumerate(zip(hs, deltas)):
+            out[f"t{i}_w"] = _kernels.matmul(h.T, d)
+            out[f"t{i}_b"] = d.sum(axis=0)
+        return out
+
+
+def _flat(params, grads):
+    """A dict of gradient arrays as one vector in `flatten_grads` order."""
+    return np.concatenate([grads[k].reshape(-1) for k in sorted(params)])
 
 
 # Score-gradient surfaces shared by both policies. Each class binds them in
@@ -94,6 +114,39 @@ def _score_matrix(policy, traj):
     return _segment_scores(policy, traj.states, traj.actions, ones, ones.astype(np.intp))
 
 
+def _ppo_loss_grad(policy, states, actions, old_logp, adv, clip, entropy_coef):
+    """Loss of one PPO minibatch and its flat gradient, or None for the
+    gradient when the loss is not finite.
+
+    The loss is the clipped surrogate -mean(min(r A, clip(r, 1 - clip,
+    1 + clip) A)), r = pi(a|s) / exp(old_logp), minus entropy_coef times the
+    mean entropy when entropy_coef > 0.
+    """
+    wd, hs = policy.trunk.forward(policy.params, states)
+    logp, entropy, head_grads = policy.log_prob_head(hs[-1], actions)
+    adv = adv.reshape(-1, 1)
+    ratio = np.exp(logp - old_logp.reshape(-1, 1))
+    unclipped = ratio * adv
+    clipped = np.clip(ratio, 1.0 - clip, 1.0 + clip) * adv
+    n = ratio.size
+    loss = np.minimum(unclipped, clipped).mean() * -1.0
+    g_entropy = None
+    if entropy_coef > 0.0:
+        loss = loss - entropy.mean() * entropy_coef
+        g_entropy = np.full(entropy.shape, -entropy_coef / n)
+    if not np.isfinite(loss):
+        return float(loss), None
+    # The minimum takes the unclipped branch on ties; the clipped one passes
+    # gradient only where the ratio lies inside the clip range.
+    take = (unclipped <= clipped).astype(np.float64)
+    inside = ((ratio >= 1.0 - clip) & (ratio <= 1.0 + clip)).astype(np.float64)
+    g = np.full(ratio.shape, -1.0 / n)
+    g_ratio = g * take * adv + g * (1.0 - take) * adv * inside
+    g_h, grads = head_grads(g_ratio * ratio, g_entropy)
+    grads.update(policy.trunk.grads(wd, hs, g_h))
+    return float(loss), _flat(policy.params, grads)
+
+
 class CategoricalPolicy:
     """Softmax policy over a finite action set."""
 
@@ -123,13 +176,31 @@ class CategoricalPolicy:
         cdf /= cdf[-1]
         return int(cdf.searchsorted(rng.random(), side="right"))
 
-    def log_prob_tensor(self, states, actions):
-        """Tape log pi(a_t|s_t) and entropy per step, each (T, 1), from one
-        trunk and head pass; states (T, d), actions (T,) ints."""
-        h = self.trunk.apply(self.params, states)
-        logp = ad.log_softmax(nn.linear(h, self.params["head_w"], self.params["head_b"]))
-        entropy = ad.neg(ad.sum_axis(ad.mul(ad.exp(logp), logp), axis=1))
-        return ad.take_per_row(logp, actions), entropy
+    def log_prob_head(self, h, actions):
+        """log pi(a_t|s_t) and the entropy per step, each (m, 1), given the
+        trunk output h, and the map from their gradients (the entropy's may
+        be None) to the gradient at h and the head's parameter gradients."""
+        w = self.params["head_w"].data
+        logits = _kernels.matmul(h, w) + self.params["head_b"].data
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        p = np.exp(logp)
+        rows, idx = np.arange(len(h)), np.asarray(actions, dtype=np.intp)
+
+        def grads(g_logp, g_entropy):
+            g = np.zeros(logp.shape)
+            g[rows, idx] = g_logp.reshape(-1)
+            if g_entropy is not None:
+                # entropy = -sum p log p: through log p, then through p
+                ge = np.broadcast_to(g_entropy * -1.0, logp.shape)
+                g = g + ge * p + ge * logp * p
+            g = g - p * g.sum(axis=1, keepdims=True)
+            return _kernels.matmul(g, w.T), {
+                "head_w": _kernels.matmul(h.T, g), "head_b": g.sum(axis=0),
+            }
+
+        entropy = (p * logp).sum(axis=1, keepdims=True) * -1.0
+        return logp[rows, idx].reshape(-1, 1), entropy, grads
 
     def log_prob_np(self, states, actions):
         lp = self.log_prob_matrix_np(states)
@@ -143,6 +214,7 @@ class CategoricalPolicy:
 
     weighted_score_gradient = _weighted_score_gradient
     score_matrix = _score_matrix
+    ppo_loss_grad = _ppo_loss_grad
 
 
 class GaussianPolicy:
@@ -166,22 +238,32 @@ class GaussianPolicy:
         std = np.exp(self.params["log_std"].data)
         return mean + std * rng.standard_normal(self.action_dim)
 
-    def log_prob_tensor(self, states, actions):
-        """Tape log pi and entropy per step, each (T, 1); states (T, d),
-        actions (T, action_dim). The entropy depends on log_std alone."""
-        h = self.trunk.apply(self.params, states)
-        mean = nn.linear(h, self.params["head_w"], self.params["head_b"])
-        log_std = self.params["log_std"]
-        inv_std = ad.exp(ad.neg(log_std))
-        diff = ad.sub(ad.constant(np.asarray(actions, dtype=np.float64)), mean)
-        # Row-vector broadcast multiplies each action dimension by 1/std.
-        zsq = ad.square(ad.mul(diff, inv_std))
-        per_dim = ad.shift(
-            ad.add(ad.scale(zsq, 0.5), log_std), 0.5 * LOG_2PI
-        )
-        ent = ad.shift(ad.sum_all(log_std), 0.5 * self.action_dim * (1.0 + LOG_2PI))
-        entropy = ad.matmul(ad.constant(np.ones((states.shape[0], 1))), ent)
-        return ad.neg(ad.sum_axis(per_dim, axis=1)), entropy
+    def log_prob_head(self, h, actions):
+        """As `CategoricalPolicy.log_prob_head`; actions (m, action_dim).
+        The entropy depends on log_std alone."""
+        w = self.params["head_w"].data
+        log_std = self.params["log_std"].data
+        inv_std = np.exp(log_std * -1.0)
+        diff = actions - (_kernels.matmul(h, w) + self.params["head_b"].data)
+        z = diff * inv_std
+        per_dim = (z * z * 0.5 + log_std) + 0.5 * LOG_2PI
+        ent = log_std.sum() + 0.5 * self.action_dim * (1.0 + LOG_2PI)
+
+        def grads(g_logp, g_entropy):
+            g = np.broadcast_to(g_logp * -1.0, diff.shape).copy()
+            g_z = 2.0 * (g * 0.5) * z
+            g_mean = -(g_z * inv_std)
+            g_log_std = g.sum(axis=0) + (g_z * diff).sum(axis=0) * inv_std * -1.0
+            if g_entropy is not None:
+                g_ent = _kernels.matmul(np.ones((len(h), 1)).T, g_entropy)
+                g_log_std = g_log_std + np.full(log_std.shape, g_ent[0, 0])
+            return _kernels.matmul(g_mean, w.T), {
+                "head_w": _kernels.matmul(h.T, g_mean), "head_b": g_mean.sum(axis=0),
+                "log_std": g_log_std,
+            }
+
+        logp = per_dim.sum(axis=1, keepdims=True) * -1.0
+        return logp, np.full((len(h), 1), ent), grads
 
     def log_prob_np(self, states, actions):
         mean = self.mean_np(states)
@@ -199,6 +281,7 @@ class GaussianPolicy:
 
     weighted_score_gradient = _weighted_score_gradient
     score_matrix = _score_matrix
+    ppo_loss_grad = _ppo_loss_grad
 
 
 class ValueNetwork:
@@ -222,16 +305,29 @@ class ValueNetwork:
         v0 = (h @ self.params["v0_w"].data + self.params["v0_b"].data).reshape(-1)
         return vr, v0
 
-    def loss_tensor(self, states, target_r, target_0):
-        h = self.trunk.apply(self.params, states)
-        vr = nn.linear(h, self.params["vr_w"], self.params["vr_b"])
-        err = ad.sub(vr, ad.constant(np.asarray(target_r).reshape(-1, 1)))
-        loss = ad.mean_all(ad.square(err))
-        if self.two_heads:
-            v0 = nn.linear(h, self.params["v0_w"], self.params["v0_b"])
-            err0 = ad.sub(v0, ad.constant(np.asarray(target_0).reshape(-1, 1)))
-            loss = ad.add(loss, ad.mean_all(ad.square(err0)))
-        return loss
+    def loss_grad(self, states, target_r, target_0):
+        """Mean squared error of each head against its targets, summed over
+        the heads, and its flat gradient, or None for the gradient when the
+        loss is not finite; target_0 is unused with one head."""
+        wd, hs = self.trunk.forward(self.params, states)
+        h = hs[-1]
+        heads = [("vr", target_r), ("v0", target_0)][: 1 + self.two_heads]
+        errs = [
+            _kernels.matmul(h, self.params[f"{name}_w"].data) + self.params[f"{name}_b"].data
+            - target.reshape(-1, 1)
+            for name, target in heads
+        ]
+        loss = sum((err * err).mean() for err in errs)
+        if not np.isfinite(loss):
+            return float(loss), None
+        g_h, grads = None, {}
+        for (name, _), err in zip(heads, errs):
+            w = self.params[f"{name}_w"].data
+            g = 2.0 * np.full(err.shape, 1.0 / err.size) * err
+            grads[f"{name}_w"], grads[f"{name}_b"] = _kernels.matmul(h.T, g), g.sum(axis=0)
+            g_h = _kernels.matmul(g, w.T) if g_h is None else g_h + _kernels.matmul(g, w.T)
+        grads.update(self.trunk.grads(wd, hs, g_h))
+        return float(loss), _flat(self.params, grads)
 
 
 def make_policy(rng, env, hidden=(64, 64)):

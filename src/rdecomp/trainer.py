@@ -18,7 +18,9 @@ disabling the decomposer entirely leaves only stream 2 carrying the raw
 episodic return, which is the episodic-PPO baseline.
 
 Regression draws from the (possibly stale) replay buffer; the policy
-gradient only ever sees the freshest on-policy batch.
+gradient only ever sees the freshest on-policy batch. Only regression
+builds a tape: each PPO minibatch's losses and gradients come in closed
+form from the policy (`ppo_loss_grad`) and the value net (`loss_grad`).
 """
 
 from __future__ import annotations
@@ -165,15 +167,12 @@ def ppo_update(policy, value_net, batch, advantages, targets_r, targets_0, confi
     goes non-finite the previous parameters and Adam states are restored
     and the update is abandoned for this iteration.
     """
-    states = np.concatenate([t.states for t in batch], axis=0)
-    if batch[0].discrete:
-        actions = np.concatenate([t.actions for t in batch])
-    else:
-        actions = np.concatenate([t.actions for t in batch], axis=0)
+    states = np.concatenate([t.states for t in batch])
+    actions = np.concatenate([t.actions for t in batch])
     adv = np.concatenate(advantages)
     t_r = np.concatenate(targets_r)
     t_0 = np.concatenate(targets_0)
-    old_logp = np.concatenate([policy.log_prob_np(t.states, t.actions) for t in batch])
+    old_logp = policy.log_prob_np(states, actions)
 
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
@@ -187,31 +186,23 @@ def ppo_update(policy, value_net, batch, advantages, targets_r, targets_0, confi
         order = rng.permutation(n)
         for start in range(0, n, config.minibatch):
             idx = order[start : start + config.minibatch]
-            s_mb = ad.constant(states[idx])
-            a_mb = actions[idx]
-            adv_mb = ad.constant(adv[idx].reshape(-1, 1))
+            policy_loss, policy_grad = policy.ppo_loss_grad(
+                states[idx], actions[idx], old_logp[idx], adv[idx], config.clip,
+                config.entropy_coef,
+            )
+            value_loss, value_grad = value_net.loss_grad(states[idx], t_r[idx], t_0[idx])
 
-            logp_new, entropy = policy.log_prob_tensor(s_mb, a_mb)
-            ratio = ad.exp(ad.sub(logp_new, ad.constant(old_logp[idx].reshape(-1, 1))))
-            unclipped = ad.mul(ratio, adv_mb)
-            clipped = ad.mul(ad.clip(ratio, 1.0 - config.clip, 1.0 + config.clip), adv_mb)
-            policy_loss = ad.neg(ad.mean_all(ad.minimum(unclipped, clipped)))
-            if config.entropy_coef > 0.0:
-                ent = ad.mean_all(entropy)
-                policy_loss = ad.sub(policy_loss, ad.scale(ent, config.entropy_coef))
-            value_loss = value_net.loss_tensor(s_mb, t_r[idx], t_0[idx])
-
-            if not (np.isfinite(policy_loss.item()) and np.isfinite(value_loss.item())):
+            if not (np.isfinite(policy_loss) and np.isfinite(value_loss)):
                 policy.params = saved_policy
                 value_net.params = saved_value
                 for opt, t, m, v in saved_opts:
                     opt.t, opt.m, opt.v = t, m, v
                 metrics["aborted"] = True
                 return metrics
-            policy.params = policy_opt.step(policy.params, ad.backward(policy_loss))
-            value_net.params = value_opt.step(value_net.params, ad.backward(value_loss))
-            metrics["policy_loss"] += policy_loss.item()
-            metrics["value_loss"] += value_loss.item()
+            policy.params = policy_opt.step(policy.params, policy_grad)
+            value_net.params = value_opt.step(value_net.params, value_grad)
+            metrics["policy_loss"] += policy_loss
+            metrics["value_loss"] += value_loss
             metrics["updates"] += 1
     return metrics
 

@@ -1,21 +1,75 @@
-"""Tape reference for the policies' closed-form score sums.
+"""Tape reference for the policies' and the value net's closed forms.
 
-One tape and one backward pass per trajectory for the weighted sums, and
-one per step for the score matrix, built from `log_prob_tensor` and
-`autodiff.backward` alone, so the closed form can be checked against it.
+The trunk is the matmul -> add -> tanh chain of tape primitives, each
+head the tape ops its closed form mirrors. The score sums take one tape
+and one backward pass per trajectory, and the score matrix one per step;
+the PPO and value losses are one tape per minibatch, as `ppo_update` built
+them before it moved off the tape.
 """
 
 import numpy as np
 
 from rdecomp import autodiff as ad
 from rdecomp import nn
+from rdecomp.policies import LOG_2PI
+
+
+def trunk_tensor(model, states):
+    h = states
+    for w, b in zip(*model.trunk.layers(model.params)):
+        h = ad.tanh(nn.linear(h, w, b))
+    return h
+
+
+def log_prob_tensor(policy, states, actions):
+    """Tape log pi(a_t|s_t) and entropy per step, each (T, 1); states is a
+    Tensor (T, d)."""
+    h = trunk_tensor(policy, states)
+    out = nn.linear(h, policy.params["head_w"], policy.params["head_b"])
+    if hasattr(policy, "n_actions"):
+        logp = ad.log_softmax(out)
+        entropy = ad.neg(ad.sum_axis(ad.mul(ad.exp(logp), logp), axis=1))
+        return ad.take_per_row(logp, actions), entropy
+    log_std = policy.params["log_std"]
+    inv_std = ad.exp(ad.neg(log_std))
+    diff = ad.sub(ad.constant(np.asarray(actions, dtype=np.float64)), out)
+    zsq = ad.square(ad.mul(diff, inv_std))
+    per_dim = ad.shift(ad.add(ad.scale(zsq, 0.5), log_std), 0.5 * LOG_2PI)
+    ent = ad.shift(ad.sum_all(log_std), 0.5 * policy.action_dim * (1.0 + LOG_2PI))
+    entropy = ad.matmul(ad.constant(np.ones((states.shape[0], 1))), ent)
+    return ad.neg(ad.sum_axis(per_dim, axis=1)), entropy
+
+
+def ppo_loss(policy, states, actions, old_logp, adv, clip, entropy_coef):
+    """(loss, flat gradient) of the clipped surrogate on one tape."""
+    adv_t = ad.constant(adv.reshape(-1, 1))
+    logp, entropy = log_prob_tensor(policy, ad.constant(states), actions)
+    ratio = ad.exp(ad.sub(logp, ad.constant(old_logp.reshape(-1, 1))))
+    unclipped = ad.mul(ratio, adv_t)
+    clipped = ad.mul(ad.clip(ratio, 1.0 - clip, 1.0 + clip), adv_t)
+    loss = ad.neg(ad.mean_all(ad.minimum(unclipped, clipped)))
+    if entropy_coef > 0.0:
+        loss = ad.sub(loss, ad.scale(ad.mean_all(entropy), entropy_coef))
+    return loss.item(), nn.flatten_grads(policy.params, ad.backward(loss))
+
+
+def value_loss(value_net, states, target_r, target_0):
+    """(loss, flat gradient) of the value heads' squared error on one tape."""
+    h = trunk_tensor(value_net, ad.constant(states))
+    heads = [("vr", target_r), ("v0", target_0)][: 1 + value_net.two_heads]
+    loss = None
+    for name, target in heads:
+        v = nn.linear(h, value_net.params[f"{name}_w"], value_net.params[f"{name}_b"])
+        err = ad.mean_all(ad.square(ad.sub(v, ad.constant(target.reshape(-1, 1)))))
+        loss = err if loss is None else ad.add(loss, err)
+    return loss.item(), nn.flatten_grads(value_net.params, ad.backward(loss))
 
 
 def weighted_score_gradient(policy, trajs, coeffs):
     """(B, P): row b is the gradient of sum_t coeffs[b][t] log pi(a_t|s_t)."""
     rows = []
     for traj, c in zip(trajs, coeffs, strict=True):
-        logp, _ = policy.log_prob_tensor(ad.constant(traj.states), traj.actions)
+        logp, _ = log_prob_tensor(policy, ad.constant(traj.states), traj.actions)
         weighted = ad.sum_all(ad.mul(logp, ad.constant(np.asarray(c).reshape(-1, 1))))
         rows.append(nn.flatten_grads(policy.params, ad.backward(weighted)))
     return np.stack(rows)
@@ -25,8 +79,8 @@ def score_matrix(policy, traj):
     """Row t is grad log pi(a_t|s_t), one backward pass per step."""
     rows = []
     for t in range(traj.length):
-        logp, _ = policy.log_prob_tensor(
-            ad.constant(traj.states[t : t + 1]), traj.actions[t : t + 1]
+        logp, _ = log_prob_tensor(
+            policy, ad.constant(traj.states[t : t + 1]), traj.actions[t : t + 1]
         )
         rows.append(nn.flatten_grads(policy.params, ad.backward(ad.sum_all(logp))))
     return np.stack(rows)

@@ -138,10 +138,10 @@ def _probe_coordinates(params, rng, per_tensor=3):
     return coords
 
 
-def _fd_check(params, loss_fn, rng, h=1e-5, tol=1e-4):
-    """Compare backward() against central differences on probed coordinates."""
-    loss = loss_fn(params)
-    grads = ad.backward(loss)
+def _fd_check(params, loss_grad, rng, h=1e-5):
+    """Compare a flat gradient against central differences on probed
+    coordinates; loss_grad(params) returns the loss and that gradient."""
+    grads = nn.assign_flat(params, loss_grad(params)[1])
     worst = 0.0
     for name, flat_idx in _probe_coordinates(params, rng):
         base = params[name].data
@@ -152,8 +152,8 @@ def _fd_check(params, loss_fn, rng, h=1e-5, tol=1e-4):
         up[name] = ad.Tensor(base + bump)
         down = dict(params)
         down[name] = ad.Tensor(base - bump)
-        fd = (loss_fn(up).item() - loss_fn(down).item()) / (2 * h)
-        auto = grads.of(params[name]).reshape(-1)[flat_idx]
+        fd = (loss_grad(up)[0] - loss_grad(down)[0]) / (2 * h)
+        auto = grads[name].data.reshape(-1)[flat_idx]
         worst = max(worst, float(relative_error(auto, fd, floor=1e-6)))
     return worst
 
@@ -174,34 +174,31 @@ def test_criterion_4_gradient_correctness():
                 episodic_return=float(data_rng.normal()),
             )
 
-            def loss_fn(params, model=model, traj=traj, kind=kind):
+            def loss_grad(params, model=model, traj=traj, kind=kind):
                 model.params = params
-                return decomposer.regression_loss(model, [traj], kind)
+                loss = decomposer.regression_loss(model, [traj], kind)
+                return loss.item(), nn.flatten_grads(params, ad.backward(loss))
 
-            worst = max(worst, _fd_check(model.params, loss_fn, data_rng))
+            worst = max(worst, _fd_check(model.params, loss_grad, data_rng))
             n_runs += 1
 
+        # PPO minibatch losses with ratios near e^-0.5, 1 and e^0.5, well
+        # away from the clip range's kinks at 0.8 and 1.2
         states = data_rng.normal(size=(t_len, 4))
+        adv = data_rng.normal(size=t_len)
+        offsets = data_rng.choice([-0.5, 0.0, 0.5], size=t_len)
+        offsets += data_rng.uniform(-0.05, 0.05, size=t_len)
         cat = CategoricalPolicy(rng, 4, 3, hidden=(8, 8))
-        cat_actions = data_rng.integers(0, 3, size=t_len)
-        coeffs = ad.constant(data_rng.normal(size=(t_len, 1)))
-
-        def cat_loss(params):
-            cat.params = params
-            logp, _ = cat.log_prob_tensor(ad.constant(states), cat_actions)
-            return ad.sum_all(ad.mul(logp, coeffs))
-
-        worst = max(worst, _fd_check(cat.params, cat_loss, data_rng))
-
         gauss = GaussianPolicy(rng, 4, 2, hidden=(8, 8))
-        gauss_actions = data_rng.normal(size=(t_len, 2))
+        for policy, actions in ((cat, data_rng.integers(0, 3, size=t_len)),
+                                (gauss, data_rng.normal(size=(t_len, 2)))):
+            old_logp = policy.log_prob_np(states, actions) - offsets
 
-        def gauss_loss(params):
-            gauss.params = params
-            logp, _ = gauss.log_prob_tensor(ad.constant(states), gauss_actions)
-            return ad.sum_all(ad.mul(logp, coeffs))
+            def ppo_loss(params, policy=policy, actions=actions, old_logp=old_logp):
+                policy.params = params
+                return policy.ppo_loss_grad(states, actions, old_logp, adv, 0.2, 0.01)
 
-        worst = max(worst, _fd_check(gauss.params, gauss_loss, data_rng))
+            worst = max(worst, _fd_check(policy.params, ppo_loss, data_rng))
 
         value = ValueNetwork(rng, 4, hidden=(8, 8))
         t_r = data_rng.normal(size=t_len)
@@ -209,7 +206,7 @@ def test_criterion_4_gradient_correctness():
 
         def value_loss(params):
             value.params = params
-            return value.loss_tensor(ad.constant(states), t_r, t_0)
+            return value.loss_grad(states, t_r, t_0)
 
         worst = max(worst, _fd_check(value.params, value_loss, data_rng))
         n_runs += 3
@@ -217,7 +214,8 @@ def test_criterion_4_gradient_correctness():
     report(
         4,
         ok,
-        f"{n_runs} gradchecks (3 reward architectures + policies/value, 20 seeds each): "
+        f"{n_runs} gradchecks (3 reward architectures, both policies' PPO losses and the "
+        f"value loss, 20 seeds each): "
         f"max rel err vs central differences {worst:.2e} (tol 1e-4)",
     )
 

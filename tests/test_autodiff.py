@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fdcheck import numeric_gradient, relative_error
+from rdecomp import _kernels, nn
 from rdecomp import autodiff as ad
-from rdecomp import nn
 from rdecomp.autodiff import ShapeError, Tensor
 
 
@@ -206,6 +206,19 @@ def test_causal_attention_gradients_on_ragged_segments():
         assert relative_error(grads.of(t), want).max() < 1e-5
 
 
+def tanh_mlp_grads(x, ws, bs, cot):
+    """Output and gradients (x, weights, biases) of sum(out * cot) for the
+    numpy tanh MLP, by `tanh_mlp_deltas` and the per-layer products that
+    the policies' trunk uses."""
+    hs = ad.tanh_mlp_layers(x, ws, bs)
+    deltas = ad.tanh_mlp_deltas(hs, ws, cot)
+    return hs[-1], [
+        _kernels.matmul(deltas[0], ws[0].T),
+        *(_kernels.matmul(h.T, d) for h, d in zip(hs, deltas)),
+        *(d.sum(axis=0) for d in deltas),
+    ]
+
+
 @pytest.mark.parametrize("sizes", [(3, 4), (3, 4, 2)])
 def test_tanh_mlp_matches_finite_differences(sizes):
     rng = np.random.default_rng(29)
@@ -213,16 +226,16 @@ def test_tanh_mlp_matches_finite_differences(sizes):
     arrays = [rng.normal(size=(5, sizes[0]))]
     arrays += [rng.normal(size=(sizes[i], sizes[i + 1])) for i in range(n)]
     arrays += [rng.normal(size=sizes[i + 1]) for i in range(n)]
+    cot = rng.normal(size=(5, sizes[-1]))
 
     def out(ts):
-        return scalarize(ad.tanh_mlp(ts[0], ts[1 : 1 + n], ts[1 + n :]),
-                         np.random.default_rng(6))
+        return float((ad.tanh_mlp_layers(ts[0].data, [t.data for t in ts[1 : 1 + n]],
+                                         [t.data for t in ts[1 + n :]])[-1] * cot).sum())
 
-    tensors = [Tensor(a) for a in arrays]
-    grads = ad.backward(out(tensors))
-    fd = numeric_gradient(lambda ts: out(ts).item(), arrays)
-    for t, want in zip(tensors, fd):
-        assert relative_error(grads.of(t), want).max() < 1e-5
+    _, grads = tanh_mlp_grads(arrays[0], arrays[1 : 1 + n], arrays[1 + n :], cot)
+    fd = numeric_gradient(out, arrays)
+    for got, want in zip(grads, fd, strict=True):
+        assert relative_error(got, want).max() < 1e-5
 
 
 def test_tanh_mlp_is_bitwise_the_layer_chain():
@@ -233,15 +246,14 @@ def test_tanh_mlp_is_bitwise_the_layer_chain():
     chain = x
     for w, b in zip(ws, bs):
         chain = ad.tanh(nn.linear(chain, w, b))
-    fused = ad.tanh_mlp(x, ws, bs)
-    assert np.array_equal(fused.data, chain.data)
     cot = rng.normal(size=(6, 4))
-    g_fused = ad.backward(ad.sum_all(ad.mul(fused, ad.constant(cot))))
+    out, grads = tanh_mlp_grads(x.data, [w.data for w in ws], [b.data for b in bs], cot)
+    assert np.array_equal(out, chain.data)
     g_chain = ad.backward(ad.sum_all(ad.mul(chain, ad.constant(cot))))
-    for t in [x, *ws, *bs]:
-        assert np.array_equal(g_fused.of(t), g_chain.of(t))
+    for t, got in zip([x, *ws, *bs], grads, strict=True):
+        assert np.array_equal(got, g_chain.of(t))
     with pytest.raises(ShapeError):
-        ad.tanh_mlp(x, ws[::-1], bs[::-1])
+        ad.tanh_mlp_layers(x.data, [w.data for w in ws[::-1]], [b.data for b in bs[::-1]])
 
 
 def test_causal_attention_weights_stay_inside_segments():
@@ -358,7 +370,8 @@ def test_adam_matches_textbook_per_tensor_adam():
     m = {k: np.zeros(p.shape) for k, p in params.items()}
     v = {k: np.zeros(p.shape) for k, p in params.items()}
     for t in range(1, 4):
-        params = opt.step(params, ad.backward(quadratic_tanh_loss(params, x)))
+        grads = ad.backward(quadratic_tanh_loss(params, x))
+        params = opt.step(params, nn.flatten_grads(params, grads))
         ref_params = {k: ad.Tensor(a) for k, a in ref.items()}
         grads = ad.backward(quadratic_tanh_loss(ref_params, x))
         for k in ref:
@@ -381,7 +394,8 @@ def test_optimizer_steps_return_read_only_views_of_one_vector():
     w, b = nn.init_linear(rng, 5, 3)
     params = {"w": w, "b": b}
     for opt in (nn.SgdOptimizer(0.1), nn.AdamOptimizer(0.1)):
-        new = opt.step(params, ad.backward(quadratic_tanh_loss(params, x)))
+        grads = ad.backward(quadratic_tanh_loss(params, x))
+        new = opt.step(params, nn.flatten_grads(params, grads))
         assert {k: p.shape for k, p in new.items()} == {k: p.shape for k, p in params.items()}
         base = new["b"].data.base
         assert base is not None and all(p.data.base is base for p in new.values())

@@ -56,6 +56,33 @@ def test_generalized_q_matches_brute_force_membership():
             assert q[t] == pytest.approx(total, rel=1e-13)
 
 
+def test_cumulative_sums_equal_the_step_loops_bit_for_bit():
+    # The step-by-step loops these functions replaced, as the reference.
+    def loop_q(values):
+        q, acc = np.empty(len(values)), 0.0
+        for t in range(len(values) - 1, -1, -1):
+            acc += values[t]
+            q[t] = acc
+        return q
+
+    def loop_rnot(values):
+        rnot, acc = np.empty(len(values)), 0.0
+        for t in range(len(values)):
+            rnot[t] = acc
+            acc += values[t]
+        return rnot, acc
+
+    rng = np.random.default_rng(12)
+    for t_len in [*range(1, 40), 100, 517, 2000]:
+        # mixed magnitudes, so that the order of the additions shows
+        values = rng.normal(size=t_len) * 10.0 ** rng.integers(-8, 9, size=t_len)
+        dec = decomposition(values, 1.0)
+        rnot, total = loop_rnot(values)
+        assert np.array_equal(estimators.generalized_q(dec, t_len), loop_q(values))
+        assert np.array_equal(estimators.r_not_t(dec, t_len), rnot)
+        assert dec.composite == total
+
+
 def test_generalized_q_length_mismatch_rejected():
     with pytest.raises(ValueError, match="entries"):
         estimators.generalized_q(decomposition([1.0], 1.0), 3)

@@ -4,7 +4,7 @@ import pytest
 import reference_scores
 from fdcheck import numeric_gradient, relative_error
 from rdecomp import autodiff as ad
-from rdecomp.policies import CategoricalPolicy, GaussianPolicy
+from rdecomp.policies import CategoricalPolicy, GaussianPolicy, ValueNetwork
 from rdecomp.trajectory import Trajectory
 
 LENGTHS = (4, 1, 6, 2)
@@ -51,33 +51,85 @@ def test_weighted_scores_need_one_coefficient_per_step():
         policy.weighted_score_gradient(trajs, coeffs[:-1] + [np.ones(1)])
 
 
+def ppo_minibatch(policy, states, actions, rng):
+    """old log-probs that put the ratios at about e^-0.5, 1 and e^0.5, so
+    inside and on both sides of the clip range, and advantages of both signs."""
+    m = len(states)
+    offsets = rng.choice([-0.5, 0.0, 0.5], size=m) + rng.uniform(-0.05, 0.05, size=m)
+    old_logp = policy.log_prob_np(states, actions) - offsets
+    adv = rng.normal(size=m)
+    return old_logp, adv
+
+
+def make_minibatch(kind, seed, m=24):
+    policy, trajs, _ = make(kind, seed)
+    rng = np.random.default_rng(seed + 100)
+    states = rng.normal(size=(m, 3))
+    if kind == "categorical":
+        actions = rng.integers(0, 4, size=m)
+    else:
+        actions = rng.normal(size=(m, 2))
+    return policy, states, actions, *ppo_minibatch(policy, states, actions, rng)
+
+
+@pytest.mark.parametrize("entropy_coef", [0.0, 0.01])
+@pytest.mark.parametrize("kind", ["categorical", "gaussian"])
+def test_ppo_loss_grad_is_bitwise_the_tape(kind, entropy_coef):
+    # several seeds: one draw can hide a change in the order of a gradient sum
+    for seed in range(8):
+        policy, states, actions, old_logp, adv = make_minibatch(kind, seed)
+        ratio = np.exp(policy.log_prob_np(states, actions) - old_logp)
+        outside = (ratio < 0.8) | (ratio > 1.2)
+        for clipped, sign in [(False, 1), (False, -1), (True, 1), (True, -1)]:
+            assert np.any((outside == clipped) & (np.sign(adv) == sign))
+        loss, grad = policy.ppo_loss_grad(states, actions, old_logp, adv, 0.2, entropy_coef)
+        want_loss, want_grad = reference_scores.ppo_loss(
+            policy, states, actions, old_logp, adv, 0.2, entropy_coef
+        )
+        assert loss == want_loss
+        assert np.array_equal(grad, want_grad)
+
+
+@pytest.mark.parametrize("two_heads", [True, False])
+def test_value_loss_grad_is_bitwise_the_tape(two_heads):
+    rng = np.random.default_rng(10)
+    value_net = ValueNetwork(rng, 3, hidden=(8, 8), two_heads=two_heads)
+    states = rng.normal(size=(24, 3))
+    t_r, t_0 = rng.normal(size=24), rng.normal(size=24)
+    loss, grad = value_net.loss_grad(states, t_r, t_0)
+    want_loss, want_grad = reference_scores.value_loss(value_net, states, t_r, t_0)
+    assert loss == want_loss
+    assert np.array_equal(grad, want_grad)
+
+
 @pytest.mark.parametrize("kind", ["categorical", "gaussian"])
 def test_entropy_matches_closed_form_and_finite_differences(kind):
+    # With zero advantages the PPO loss is minus the mean entropy.
     policy, trajs, _ = make(kind, 4)
     traj = trajs[2]
-    states = ad.constant(traj.states)
-    names = sorted(policy.params)
-    cot = ad.constant(np.random.default_rng(5).normal(size=(traj.length, 1)))
-
-    def objective(tensors):
-        policy.params = dict(zip(names, tensors))
-        _, entropy = policy.log_prob_tensor(states, traj.actions)
-        return ad.sum_all(ad.mul(entropy, cot))
-
-    tensors = [policy.params[k] for k in names]
-    _, entropy = policy.log_prob_tensor(states, traj.actions)
+    old_logp, zeros = np.zeros(traj.length), np.zeros(traj.length)
+    h = policy.trunk.apply_np(policy.params, traj.states)
+    _, entropy, _ = policy.log_prob_head(h, traj.actions)
     if kind == "categorical":
         lp = policy.log_prob_matrix_np(traj.states)
         want = -(np.exp(lp) * lp).sum(axis=1)
     else:
         log_std = policy.params["log_std"].data
         want = np.full(traj.length, log_std.sum() + log_std.size * 0.5 * (1 + np.log(2 * np.pi)))
-    np.testing.assert_allclose(entropy.data.reshape(-1), want, rtol=1e-13)
+    np.testing.assert_allclose(entropy.reshape(-1), want, rtol=1e-13)
 
-    grads = ad.backward(objective(tensors))
-    fd = numeric_gradient(lambda ts: objective(ts).item(), [t.data for t in tensors])
-    for t, want_g in zip(tensors, fd):
-        assert relative_error(grads.of(t), want_g).max() < 1e-5
+    names = sorted(policy.params)
+
+    def loss(tensors):
+        policy.params = dict(zip(names, tensors))
+        return policy.ppo_loss_grad(traj.states, traj.actions, old_logp, zeros, 0.2, 1.0)[0]
+
+    arrays = [policy.params[k].data for k in names]
+    _, grad = policy.ppo_loss_grad(traj.states, traj.actions, old_logp, zeros, 0.2, 1.0)
+    fd = numeric_gradient(loss, arrays)
+    np.testing.assert_array_less(
+        relative_error(grad, np.concatenate([g.reshape(-1) for g in fd])), 1e-5
+    )
 
 
 def test_categorical_act_draws_what_generator_choice_draws():

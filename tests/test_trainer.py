@@ -209,16 +209,35 @@ def test_clipped_ratios_have_zero_policy_gradient():
     batch, _ = random_batch(6, n=1, t_len=6)
     traj = batch[0]
     policy = CategoricalPolicy(np.random.default_rng(3), 4, 2, hidden=(8,))
-    logp, _ = policy.log_prob_tensor(ad.constant(traj.states), traj.actions)
-    old = ad.constant(logp.data - 1.0)  # ratio = e > 1.2 everywhere
-    adv = ad.constant(np.abs(np.random.default_rng(4).normal(size=(6, 1))) + 0.1)
-    ratio = ad.exp(ad.sub(logp, old))
-    clipped = ad.mul(ad.clip(ratio, 0.8, 1.2), adv)
-    unclipped = ad.mul(ratio, adv)
-    loss = ad.neg(ad.mean_all(ad.minimum(unclipped, clipped)))
-    grads = ad.backward(loss)
-    for p in policy.params.values():
-        np.testing.assert_array_equal(grads.of(p), np.zeros(p.shape))
+    old = policy.log_prob_np(traj.states, traj.actions) - 1.0  # ratio = e > 1.2 everywhere
+    adv = np.abs(np.random.default_rng(4).normal(size=6)) + 0.1
+    _, grad = policy.ppo_loss_grad(traj.states, traj.actions, old, adv, 0.2, 0.0)
+    assert np.array_equal(grad, np.zeros(grad.size))
+
+
+@pytest.mark.parametrize("env_name", ["chain", "point_mass"])
+def test_ppo_update_builds_no_tape(monkeypatch, env_name):
+    # A tape node is a Tensor with parents; the optimizers' new parameter
+    # Tensors are leaves and do not count.
+    env = envs.make_env(env_name, {"horizon": 5})
+    policy = make_policy(np.random.default_rng(1), env, hidden=(8,))
+    value_net = ValueNetwork(np.random.default_rng(2), env.state_dim, hidden=(8,))
+    batch = rollout(policy, env, 30, np.random.default_rng(3))
+    advantages = [np.random.default_rng(4).normal(size=t.length) for t in batch]
+    nodes, backward_calls = [], []
+    result, backward = ad._result, ad.backward
+
+    def counted_result(arr, parents, vjp):
+        if parents:
+            nodes.append(vjp)
+        return result(arr, parents, vjp)
+
+    monkeypatch.setattr(ad, "_result", counted_result)
+    monkeypatch.setattr(ad, "backward", lambda root: backward_calls.append(root) or backward(root))
+    metrics = run_ppo(policy, value_net, batch, advantages, advantages, advantages,
+                      entropy_coef=0.01)
+    assert metrics["updates"] > 0 and not metrics["aborted"]
+    assert nodes == [] and backward_calls == []
 
 
 def test_non_finite_loss_restores_parameters():
