@@ -32,14 +32,16 @@ class GradientEstimate:
     residual_abs_mean: float
 
 
-def generalized_q(decomp, t_len):
-    """q[t] = sum of per-interval rewards over intervals ending at >= t."""
-    values = decomp.per_interval
+def _values(decomp, t_len):
+    values = np.asarray(decomp.per_interval, dtype=np.float64)
     if len(values) != t_len:
         raise ValueError(f"decomposition has {len(values)} entries for T={t_len}")
-    # cumsum adds one term at a time, so q[t] folds values[T-1], ..., values[t]
-    # in that order
-    return np.cumsum(np.asarray(values, dtype=np.float64)[::-1])[::-1]
+    return values
+
+
+def generalized_q(decomp, t_len):
+    """q[t] = sum of per-interval rewards over intervals ending at >= t."""
+    return generalized_q_rows(_values(decomp, t_len)[None])[0]
 
 
 def r_not_t(decomp, t_len):
@@ -49,11 +51,25 @@ def r_not_t(decomp, t_len):
     partition identity rnot[t] + q[t] == composite holds to roundoff; the
     two sides fold the same values in different association orders.
     """
-    values = decomp.per_interval
-    if len(values) != t_len:
-        raise ValueError(f"decomposition has {len(values)} entries for T={t_len}")
-    rnot = np.zeros(t_len)
-    rnot[1:] = np.cumsum(np.asarray(values, dtype=np.float64)[:-1])
+    return r_not_t_rows(_values(decomp, t_len)[None], np.array([t_len]))[0]
+
+
+def generalized_q_rows(rewards):
+    """generalized_q of each row of a (K, T) block of per-interval rewards,
+    zero-padded past each trajectory's end, where q is 0.
+
+    cumsum adds one term at a time, so q[k, t] folds rewards[k, T-1], ...,
+    rewards[k, t] in that order; the padding comes first and adds nothing.
+    """
+    return np.cumsum(rewards[:, ::-1], axis=1)[:, ::-1]
+
+
+def r_not_t_rows(rewards, lengths):
+    """r_not_t of each row of a zero-padded (K, T) block of per-interval
+    rewards with the given lengths; 0 past each trajectory's end."""
+    rnot = np.zeros_like(rewards)
+    rnot[:, 1:] = np.cumsum(rewards[:, :-1], axis=1)
+    rnot[np.arange(rewards.shape[1]) >= lengths[:, None]] = 0.0
     return rnot
 
 

@@ -236,12 +236,15 @@ def verify_identities(ctx, predictor_fn, tol=1e-8):
         for dec in predictor_fn(trajs[start : start + PREDICT_CHUNK])
     ]
     scores = ctx.scores
-    rewards, q, rnot = (np.zeros(scores.shape[:2]) for _ in range(3))
+    rewards = np.zeros(scores.shape[:2])
     for k, (traj, dec) in enumerate(zip(trajs, decomps, strict=True)):
-        n = traj.length
-        q[k, :n] = estimators.generalized_q(dec, n)
-        rnot[k, :n] = estimators.r_not_t(dec, n)
-        rewards[k, :n] = dec.per_interval
+        if len(dec.per_interval) != traj.length:
+            raise ValueError(
+                f"decomposition has {len(dec.per_interval)} entries for T={traj.length}"
+            )
+        rewards[k, : traj.length] = dec.per_interval
+    q = estimators.generalized_q_rows(rewards)
+    rnot = estimators.r_not_t_rows(rewards, np.array([traj.length for traj in trajs]))
     residual = np.array([d.residual for d in decomps])[:, None]
     w = ctx.probabilities[:, None]
 

@@ -73,14 +73,27 @@ def test_cumulative_sums_equal_the_step_loops_bit_for_bit():
         return rnot, acc
 
     rng = np.random.default_rng(12)
-    for t_len in [*range(1, 40), 100, 517, 2000]:
-        # mixed magnitudes, so that the order of the additions shows
-        values = rng.normal(size=t_len) * 10.0 ** rng.integers(-8, 9, size=t_len)
+    t_lens = [*range(1, 40), 100, 517, 2000]
+    # mixed magnitudes, so that the order of the additions shows
+    rows = [rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n) for n in t_lens]
+    for t_len, values in zip(t_lens, rows):
         dec = decomposition(values, 1.0)
         rnot, total = loop_rnot(values)
         assert np.array_equal(estimators.generalized_q(dec, t_len), loop_q(values))
         assert np.array_equal(estimators.r_not_t(dec, t_len), rnot)
         assert dec.composite == total
+
+    # the padded-block forms the oracle uses: zero past each row's end
+    lengths = np.array(t_lens[:39])
+    block = np.zeros((39, 39))
+    for k, values in enumerate(rows[:39]):
+        block[k, : len(values)] = values
+    q_rows = estimators.generalized_q_rows(block)
+    rnot_rows = estimators.r_not_t_rows(block, lengths)
+    for k, values in enumerate(rows[:39]):
+        n = len(values)
+        assert np.array_equal(q_rows[k], np.append(loop_q(values), np.zeros(39 - n)))
+        assert np.array_equal(rnot_rows[k], np.append(loop_rnot(values)[0], np.zeros(39 - n)))
 
 
 def test_generalized_q_length_mismatch_rejected():

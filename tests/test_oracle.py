@@ -180,6 +180,16 @@ def test_zero_predictor_trivially_passes():
     assert report["checks"]["complement_zero_mean"]["max_abs_error"] == 0.0
 
 
+def test_decomposition_of_wrong_length_is_rejected():
+    # one value for a trajectory of several steps would otherwise broadcast
+    mdp = oracle.chain3_mdp()
+    ctx = oracle.OracleContext(mdp, CategoricalPolicy(np.random.default_rng(6), 3, 2, hidden=(8,)))
+    assert max(t.length for t in ctx.trajectories) > 1
+    one_value = lambda batch: [RewardDecomposition.from_values([0.0], 0.0) for _ in batch]
+    with pytest.raises(ValueError, match="entries for T="):
+        oracle.verify_identities(ctx, one_value)
+
+
 def test_true_stepwise_rewards_reduce_to_classic_policy_gradient():
     mdp = oracle.windy2_mdp()
     policy = CategoricalPolicy(np.random.default_rng(7), 2, 2, hidden=(8,))
@@ -310,13 +320,12 @@ def test_corrupted_q_breaks_composite_check(monkeypatch):
     model = decomposer.make_predictor("attention", 5, np.random.default_rng(10))
     fn = lambda batch: decomposer.predict(model, batch, "prefixes")
 
-    true_q = oracle.estimators.generalized_q
+    true_q = oracle.estimators.generalized_q_rows
 
-    def off_by_one(dec, t_len):
-        q = true_q(dec, t_len)
-        return np.roll(q, 1)
+    def off_by_one(rewards):
+        return np.roll(true_q(rewards), 1, axis=1)
 
-    monkeypatch.setattr(oracle.estimators, "generalized_q", off_by_one)
+    monkeypatch.setattr(oracle.estimators, "generalized_q_rows", off_by_one)
     report = oracle.verify_identities(ctx, fn)
     assert not report["checks"]["composite_forms_match"]["pass"]
 

@@ -51,25 +51,20 @@ def test_weighted_scores_need_one_coefficient_per_step():
         policy.weighted_score_gradient(trajs, coeffs[:-1] + [np.ones(1)])
 
 
-def ppo_minibatch(policy, states, actions, rng):
-    """old log-probs that put the ratios at about e^-0.5, 1 and e^0.5, so
-    inside and on both sides of the clip range, and advantages of both signs."""
-    m = len(states)
-    offsets = rng.choice([-0.5, 0.0, 0.5], size=m) + rng.uniform(-0.05, 0.05, size=m)
-    old_logp = policy.log_prob_np(states, actions) - offsets
-    adv = rng.normal(size=m)
-    return old_logp, adv
-
-
 def make_minibatch(kind, seed, m=24):
-    policy, trajs, _ = make(kind, seed)
+    """A policy, a PPO minibatch of m steps, and old log-probs that put the
+    ratios at about e^-0.5, 1 and e^0.5, so inside and on both sides of the
+    clip range; advantages of both signs."""
+    policy, _, _ = make(kind, seed)
     rng = np.random.default_rng(seed + 100)
     states = rng.normal(size=(m, 3))
     if kind == "categorical":
         actions = rng.integers(0, 4, size=m)
     else:
         actions = rng.normal(size=(m, 2))
-    return policy, states, actions, *ppo_minibatch(policy, states, actions, rng)
+    offsets = rng.choice([-0.5, 0.0, 0.5], size=m) + rng.uniform(-0.05, 0.05, size=m)
+    old_logp = policy.log_prob_np(states, actions) - offsets
+    return policy, states, actions, old_logp, rng.normal(size=m)
 
 
 @pytest.mark.parametrize("entropy_coef", [0.0, 0.01])
