@@ -18,9 +18,10 @@ disabling the decomposer entirely leaves only stream 2 carrying the raw
 episodic return, which is the episodic-PPO baseline.
 
 Regression draws from the (possibly stale) replay buffer; the policy
-gradient only ever sees the freshest on-policy batch. Only regression
-builds a tape: each PPO minibatch's losses and gradients come in closed
-form from the policy (`ppo_loss_grad`) and the value net (`loss_grad`).
+gradient only ever sees the freshest on-policy batch. Only the reward
+predictor uses the tape: each PPO minibatch's losses and gradients come in
+closed form from the policy (`ppo_loss_grad`) and the value net
+(`loss_grad`).
 """
 
 from __future__ import annotations
