@@ -1,12 +1,12 @@
 """Interleaved A/B runs of the benchmark, written as BENCH_<workload>.json.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \
-        --workload train-baseline --pairs 10 --seconds 40
+        --workload train-baseline --pairs 10
 
 --parent and --change are two checkouts of the repository (a clone of the
 parent commit, and the change). Pair i runs `perfbench/run.py --trace 0`
-with seed i in both, the parent first for odd i and the change first for
-even i. Then, unless --traced-seed is 0, one `--trace 1` run per side
+for SECONDS with seed i in both, the parent first for odd i and the change
+first for even i. Then one `--trace 1` run per side, with --traced-seed,
 gives the per-layer numbers. Each run is one process in its checkout's
 directory; a run that prints `correct: false` or exits non-zero stops the
 script.
@@ -27,6 +27,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+SECONDS = 40
+
 
 def git_sha(checkout):
     out = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
@@ -34,10 +36,10 @@ def git_sha(checkout):
     return out.stdout.strip()
 
 
-def run(checkout, workload, seed, seconds, trace):
+def run(checkout, workload, seed, trace):
     """The metrics of one perfbench run, and its recorded environment."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines else {}
@@ -72,10 +74,8 @@ def parse_args(argv):
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=40)
     parser.add_argument("--traced-seed", type=int, default=11,
-                        help="seed of the one traced run per side; 0 for none")
-    parser.add_argument("--out", type=Path, help="default: BENCH_<workload>.json")
+                        help="seed of the one traced run per side")
     return parser.parse_args(argv)
 
 
@@ -89,12 +89,12 @@ def main(argv=None):
     for seed in seeds:
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         for side in order:
-            metrics, environment = run(sides[side], args.workload, seed, args.seconds, 0)
+            metrics, environment = run(sides[side], args.workload, seed, 0)
             values[side].append(metrics)
             print(f"seed {seed} {side}: iter_s_p50 {metrics['iter_s_p50']:.4f} s", flush=True)
 
     base = f"python3 perfbench/run.py --workload {args.workload} --seed <seed>" \
-           f" --seconds {args.seconds:g}"
+           f" --seconds {SECONDS}"
     out = {
         "workload": args.workload,
         "command": f"{base} --trace 0",
@@ -112,17 +112,15 @@ def main(argv=None):
             for gate in gates
         },
     }
-    if args.traced_seed:
-        traced = {side: run(sides[side], args.workload, args.traced_seed, args.seconds, 1)[0]
-                  for side in sides}
-        names = [n for n in traced["change"] if traced["parent"].get(n) or traced["change"][n]]
-        out["traced"] = {
-            "command": base.replace("<seed>", str(args.traced_seed)) + " --trace 1",
-            "unit": "per iteration (seconds at the reference speed, or counts);"
-                    " metrics that read 0 on both sides are left out",
-            **{side: {n: traced[side].get(n, 0.0) for n in names} for side in sides},
-        }
-    path = args.out or Path(f"BENCH_{args.workload}.json")
+    traced = {side: run(sides[side], args.workload, args.traced_seed, 1)[0] for side in sides}
+    names = [n for n in traced["change"] if traced["parent"].get(n) or traced["change"][n]]
+    out["traced"] = {
+        "command": base.replace("<seed>", str(args.traced_seed)) + " --trace 1",
+        "unit": "per iteration (seconds at the reference speed, or counts);"
+                " metrics that read 0 on both sides are left out",
+        **{side: {n: traced[side].get(n, 0.0) for n in names} for side in sides},
+    }
+    path = Path(f"BENCH_{args.workload}.json")
     path.write_text(json.dumps(out, indent=1) + "\n")
     claim = out["end_to_end"]["iter_s_p50"]
     print(f"wrote {path}: iter_s_p50 median {claim['parent']['median']:.4f} ->"

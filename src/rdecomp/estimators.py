@@ -32,7 +32,9 @@ class GradientEstimate:
     residual_abs_mean: float
 
 
-def _values(decomp, t_len):
+def interval_rewards(decomp, t_len):
+    """The decomposition's per-interval rewards as float64, checked to be
+    one per step of a trajectory of length t_len."""
     values = np.asarray(decomp.per_interval, dtype=np.float64)
     if len(values) != t_len:
         raise ValueError(f"decomposition has {len(values)} entries for T={t_len}")
@@ -41,7 +43,7 @@ def _values(decomp, t_len):
 
 def generalized_q(decomp, t_len):
     """q[t] = sum of per-interval rewards over intervals ending at >= t."""
-    return generalized_q_rows(_values(decomp, t_len)[None])[0]
+    return generalized_q_rows(interval_rewards(decomp, t_len)[None])[0]
 
 
 def r_not_t(decomp, t_len):
@@ -51,7 +53,7 @@ def r_not_t(decomp, t_len):
     partition identity rnot[t] + q[t] == composite holds to roundoff; the
     two sides fold the same values in different association orders.
     """
-    return r_not_t_rows(_values(decomp, t_len)[None], np.array([t_len]))[0]
+    return r_not_t_rows(interval_rewards(decomp, t_len)[None], np.array([t_len]))[0]
 
 
 def generalized_q_rows(rewards):

@@ -60,13 +60,19 @@ def sinusoidal_positions(t_len, dim):
     return enc
 
 
+def flatten_arrays(params, arrays):
+    """Arrays keyed like params, concatenated (sorted by name) into one flat
+    vector: the order of the flat parameter and gradient vectors."""
+    return np.concatenate([arrays[k].reshape(-1) for k in sorted(params)])
+
+
 def flatten_params(params):
-    """Concatenate parameter values (sorted by name) into one flat vector."""
-    return np.concatenate([params[k].data.reshape(-1) for k in sorted(params)])
+    return flatten_arrays(params, {k: p.data for k, p in params.items()})
 
 
 def flatten_grads(params, grads):
-    return np.concatenate([grads.of(params[k]).reshape(-1) for k in sorted(params)])
+    """The gradients of ad.backward at params, in `flatten_params` order."""
+    return flatten_arrays(params, {k: grads.of(p) for k, p in params.items()})
 
 
 def assign_flat(params, flat):

@@ -238,11 +238,7 @@ def verify_identities(ctx, predictor_fn, tol=1e-8):
     scores = ctx.scores
     rewards = np.zeros(scores.shape[:2])
     for k, (traj, dec) in enumerate(zip(trajs, decomps, strict=True)):
-        if len(dec.per_interval) != traj.length:
-            raise ValueError(
-                f"decomposition has {len(dec.per_interval)} entries for T={traj.length}"
-            )
-        rewards[k, : traj.length] = dec.per_interval
+        rewards[k, : traj.length] = estimators.interval_rewards(dec, traj.length)
     q = estimators.generalized_q_rows(rewards)
     rnot = estimators.r_not_t_rows(rewards, np.array([traj.length for traj in trajs]))
     residual = np.array([d.residual for d in decomps])[:, None]

@@ -64,11 +64,6 @@ class _Trunk:
         return out
 
 
-def _flat(params, grads):
-    """A dict of gradient arrays as one vector in `flatten_grads` order."""
-    return np.concatenate([grads[k].reshape(-1) for k in sorted(params)])
-
-
 # Score-gradient surfaces shared by both policies. Each class binds them in
 # its own body rather than inheriting them, so that each class's __dict__
 # holds them (perfbench/tracer.py wraps them there, per class).
@@ -116,7 +111,9 @@ def _score_matrix(policy, traj):
 
 def _ppo_loss_grad(policy, states, actions, old_logp, adv, clip, entropy_coef):
     """Loss of one PPO minibatch and its flat gradient, or None for the
-    gradient when the loss is not finite.
+    gradient when the loss or a ratio is not finite. (A ratio that overflows
+    where the advantage is positive leaves the loss finite, through the
+    clipped branch, but its gradient would be 0 * inf.)
 
     The loss is the clipped surrogate -mean(min(r A, clip(r, 1 - clip,
     1 + clip) A)), r = pi(a|s) / exp(old_logp), minus entropy_coef times the
@@ -134,7 +131,7 @@ def _ppo_loss_grad(policy, states, actions, old_logp, adv, clip, entropy_coef):
     if entropy_coef > 0.0:
         loss = loss - entropy.mean() * entropy_coef
         g_entropy = np.full(entropy.shape, -entropy_coef / n)
-    if not np.isfinite(loss):
+    if not (np.isfinite(loss) and np.isfinite(ratio).all()):
         return float(loss), None
     # The minimum takes the unclipped branch on ties; the clipped one passes
     # gradient only where the ratio lies inside the clip range.
@@ -144,7 +141,7 @@ def _ppo_loss_grad(policy, states, actions, old_logp, adv, clip, entropy_coef):
     g_ratio = g * take * adv + g * (1.0 - take) * adv * inside
     g_h, grads = head_grads(g_ratio * ratio, g_entropy)
     grads.update(policy.trunk.grads(wd, hs, g_h))
-    return float(loss), _flat(policy.params, grads)
+    return float(loss), nn.flatten_arrays(policy.params, grads)
 
 
 class CategoricalPolicy:
@@ -327,7 +324,7 @@ class ValueNetwork:
             grads[f"{name}_w"], grads[f"{name}_b"] = _kernels.matmul(h.T, g), g.sum(axis=0)
             g_h = _kernels.matmul(g, w.T) if g_h is None else g_h + _kernels.matmul(g, w.T)
         grads.update(self.trunk.grads(wd, hs, g_h))
-        return float(loss), _flat(self.params, grads)
+        return float(loss), nn.flatten_arrays(self.params, grads)
 
 
 def make_policy(rng, env, hidden=(64, 64)):

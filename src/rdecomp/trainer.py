@@ -164,9 +164,10 @@ def ppo_update(policy, value_net, batch, advantages, targets_r, targets_0, confi
                rng, policy_opt, value_opt):
     """Clipped-surrogate update over epochs x minibatches.
 
-    Advantages are normalized across the whole batch first. If any loss
-    goes non-finite the previous parameters and Adam states are restored
-    and the update is abandoned for this iteration.
+    Advantages are normalized across the whole batch first. If a loss or a
+    probability ratio goes non-finite (a gradient comes back None), the
+    previous parameters and Adam states are restored and the update is
+    abandoned for this iteration.
     """
     states = np.concatenate([t.states for t in batch])
     actions = np.concatenate([t.actions for t in batch])
@@ -193,7 +194,7 @@ def ppo_update(policy, value_net, batch, advantages, targets_r, targets_0, confi
             )
             value_loss, value_grad = value_net.loss_grad(states[idx], t_r[idx], t_0[idx])
 
-            if not (np.isfinite(policy_loss) and np.isfinite(value_loss)):
+            if policy_grad is None or value_grad is None:
                 policy.params = saved_policy
                 value_net.params = saved_value
                 for opt, t, m, v in saved_opts:

@@ -256,6 +256,31 @@ def test_non_finite_loss_restores_parameters():
         np.testing.assert_array_equal(p.data, before_v[k])
 
 
+def test_overflowing_ratio_with_positive_advantage_aborts(monkeypatch):
+    # exp(logp + 800) overflows; where the advantage is positive the minimum
+    # takes the finite clipped branch, so the loss stays finite and only the
+    # ratio shows the fault. One minibatch, one epoch: nothing runs after it.
+    batch, _ = random_batch(7)
+    policy = CategoricalPolicy(np.random.default_rng(5), 4, 2, hidden=(8,))
+    value_net = ValueNetwork(np.random.default_rng(6), 4, hidden=(8,))
+    before_p = {k: p.data.copy() for k, p in policy.params.items()}
+    before_v = {k: p.data.copy() for k, p in value_net.params.items()}
+    advantages = [np.where(np.arange(t.length) % 2, 1.0, -1.0) for t in batch]
+    positive = np.concatenate(advantages) > 0
+    log_prob_np = policy.log_prob_np
+    monkeypatch.setattr(policy, "log_prob_np",
+                        lambda s, a: log_prob_np(s, a) - 800.0 * positive)
+    targets = [np.ones(t.length) for t in batch]
+    with np.errstate(over="ignore"):
+        metrics = run_ppo(policy, value_net, batch, advantages, targets, targets,
+                          epochs=1, minibatch=len(positive))
+    assert metrics["aborted"] and metrics["updates"] == 0
+    for k, p in policy.params.items():
+        np.testing.assert_array_equal(p.data, before_p[k])
+    for k, p in value_net.params.items():
+        np.testing.assert_array_equal(p.data, before_v[k])
+
+
 def test_aborted_update_restores_optimizer_state():
     batch, _ = random_batch(8, n=8)
     config = TrainConfig(**{**TINY, "minibatch": 5})
