@@ -1,4 +1,5 @@
-"""Numeric hot kernels of the tape engine and GAE, in numpy.
+"""Numeric hot kernels of the tape engine, the closed-form gradients and
+GAE, in numpy.
 
 `autodiff` and `trainer` call these through the module attribute
 (`_kernels.<name>`) at call time, so a wrapper set on this module reroutes
@@ -18,6 +19,13 @@ def matmul(a, b):
 def tanh_vjp(y, g):
     # y is tanh(x); d tanh = 1 - y^2
     return g * (1.0 - y * y)
+
+
+def sigmoid(x):
+    # exp(-|x|) never overflows; each entry's value depends on that entry
+    # alone, not on how many other entries share its sign.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid_vjp(y, g):

@@ -1,17 +1,19 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float64 tensors with reverse-mode automatic differentiation, and
+the numpy forward and backward helpers that the closed-form gradients share.
 
 The computation graph doubles as the tape: every operation returns a new
 Tensor holding its cached forward value, its parent tensors, and a closure
 that maps the incoming gradient to per-parent gradients. `backward` walks
 that graph once in reverse topological order. Tapes are rebuilt on every
-forward pass, so variable-length inputs need no special casing.
+forward pass, so variable-length inputs need no special casing. Only the
+recurrent reward predictor still builds tapes; the primitives it does not
+use are in tests/tape_ops.py, where the closed forms are checked.
 
 Tensors are immutable after construction (their buffers are marked
 read-only); parameter updates replace the Tensor object. Broadcasting is
 deliberately restricted: elementwise ops accept equal shapes or a trailing
-row vector against a matrix, and `scale_rows` covers per-row scaling.
-Anything else must be reshaped explicitly so shape bugs surface where they
-are made.
+row vector against a matrix. Anything else must be reshaped explicitly so
+shape bugs surface where they are made.
 """
 
 from __future__ import annotations
@@ -65,11 +67,6 @@ def constant(data):
     return Tensor(data)
 
 
-def _check_finite(arr, op):
-    if not np.all(np.isfinite(arr)):
-        raise FloatingPointError(f"{op} produced non-finite values")
-
-
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 
@@ -93,16 +90,6 @@ def add(a, b):
     return _result(a.data + b.data, (a, b), vjp)
 
 
-def sub(a, b):
-    mode = _binary_shapes(a, b, "sub")
-
-    def vjp(g):
-        gb = -g if mode == "same" else -g.sum(axis=0)
-        return g, gb
-
-    return _result(a.data - b.data, (a, b), vjp)
-
-
 def mul(a, b):
     mode = _binary_shapes(a, b, "mul")
     ad, bd = a.data, b.data
@@ -119,35 +106,6 @@ def scale(a, c):
     """Multiply by a python float (no gradient for c)."""
     c = float(c)
     return _result(a.data * c, (a,), lambda g: (g * c,))
-
-
-def shift(a, c):
-    """Add a python float (no gradient for c)."""
-    return _result(a.data + float(c), (a,), lambda g: (g,))
-
-
-def neg(a):
-    return scale(a, -1.0)
-
-
-def square(a):
-    ad = a.data
-    return _result(ad * ad, (a,), lambda g: (2.0 * g * ad,))
-
-
-def scale_rows(x, s):
-    """Multiply row i of x by s[i]. s has shape (m,) or (m, 1) for x (m, n)."""
-    sd = s.data.reshape(-1)
-    if x.data.ndim != 2 or sd.shape[0] != x.shape[0]:
-        raise ShapeError(f"scale_rows: got x {x.shape}, s {s.shape}")
-    xd = x.data
-
-    def vjp(g):
-        gx = g * sd[:, None]
-        gs = (g * xd).sum(axis=1).reshape(s.shape)
-        return gx, gs
-
-    return _result(xd * sd[:, None], (x, s), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -178,53 +136,20 @@ def tanh_mlp_deltas(hs, weights, g):
     return deltas
 
 
+def tanh_mlp_grads(hs, weights, g, names):
+    """Gradients of each layer's weight and bias (keys f"{name}_w" and
+    f"{name}_b"), given g at the MLP's output, and the first layer's delta."""
+    deltas = tanh_mlp_deltas(hs, weights, g)
+    out = {}
+    for name, h, d in zip(names, hs[:-1], deltas, strict=True):
+        out[f"{name}_w"] = _kernels.matmul(h.T, d)
+        out[f"{name}_b"] = d.sum(axis=0)
+    return out, deltas[0]
+
+
 def sigmoid(a):
-    # exp(-|x|) never overflows; each entry's value depends on that entry
-    # alone, not on how many other entries share its sign.
-    x = a.data
-    e = np.exp(-np.abs(x))
-    y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    y = _kernels.sigmoid(a.data)
     return _result(y, (a,), lambda g: (_kernels.sigmoid_vjp(y, g),))
-
-
-def exp(a):
-    y = np.exp(a.data)
-    _check_finite(y, "exp")
-    return _result(y, (a,), lambda g: (g * y,))
-
-
-def log(a):
-    if np.any(a.data <= 0.0):
-        raise FloatingPointError("log of non-positive value")
-    ad = a.data
-    return _result(np.log(ad), (a,), lambda g: (g / ad,))
-
-
-def clip(a, lo, hi):
-    """Clamp to [lo, hi]; gradient is zero on the clamped entries."""
-    ad = a.data
-    inside = ((ad >= lo) & (ad <= hi)).astype(np.float64)
-    return _result(np.clip(ad, lo, hi), (a,), lambda g: (g * inside,))
-
-
-def minimum(a, b):
-    _binary_shapes(a, b, "minimum")
-    take_a = (a.data <= b.data).astype(np.float64)
-
-    def vjp(g):
-        return g * take_a, g * (1.0 - take_a)
-
-    return _result(np.minimum(a.data, b.data), (a, b), vjp)
-
-
-def maximum(a, b):
-    _binary_shapes(a, b, "maximum")
-    take_a = (a.data >= b.data).astype(np.float64)
-
-    def vjp(g):
-        return g * take_a, g * (1.0 - take_a)
-
-    return _result(np.maximum(a.data, b.data), (a, b), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -242,50 +167,8 @@ def matmul(a, b):
     return _result(_kernels.matmul(ad, bd), (a, b), vjp)
 
 
-def transpose(a):
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: need 2-D, got {a.shape}")
-    return _result(np.ascontiguousarray(a.data.T), (a,), lambda g: (g.T,))
-
-
-def sum_all(a):
-    shape = a.shape
-    return _result(
-        np.array([[a.data.sum()]]), (a,), lambda g: (np.full(shape, g.reshape(-1)[0]),)
-    )
-
-
-def mean_all(a):
-    n = a.data.size
-    shape = a.shape
-    return _result(
-        np.array([[a.data.mean()]]),
-        (a,),
-        lambda g: (np.full(shape, g.reshape(-1)[0] / n),),
-    )
-
-
-def sum_axis(a, axis):
-    if a.data.ndim != 2:
-        raise ShapeError(f"sum_axis: need 2-D, got {a.shape}")
-    m, n = a.shape
-
-    def vjp(g):
-        if axis == 0:
-            return (np.broadcast_to(g.reshape(1, n), (m, n)).copy(),)
-        return (np.broadcast_to(g.reshape(m, 1), (m, n)).copy(),)
-
-    return _result(a.data.sum(axis=axis, keepdims=True), (a,), vjp)
-
-
 # ---------------------------------------------------------------------------
 # structure
-
-
-def reshape(a, shape):
-    old = a.shape
-    out = a.data.reshape(shape)
-    return _result(out.copy(), (a,), lambda g: (g.reshape(old),))
 
 
 def concat(tensors, axis=0):
@@ -339,34 +222,8 @@ def take_rows(a, rows):
     return _result(a.data[rows], (a,), vjp)
 
 
-def take_per_row(a, indices):
-    """Pick one column per row: out[i] = a[i, indices[i]], shape (m, 1)."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"take_per_row: need 2-D, got {a.shape}")
-    idx = np.asarray(indices, dtype=np.intp).reshape(-1)
-    if idx.shape[0] != a.shape[0]:
-        raise ShapeError(f"take_per_row: {idx.shape[0]} indices for {a.shape[0]} rows")
-    m, n = a.shape
-    rows = np.arange(m)
-
-    def vjp(g):
-        full = np.zeros((m, n))
-        full[rows, idx] = g.reshape(-1)
-        return (full,)
-
-    return _result(a.data[rows, idx].reshape(m, 1), (a,), vjp)
-
-
 # ---------------------------------------------------------------------------
-# row-wise normalized ops
-
-
-def softmax(a, mask=None):
-    """Row-wise softmax; entries where the boolean `mask` is False are excluded."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"softmax: need 2-D, got {a.shape}")
-    p = _kernels.softmax_rows(a.data, mask)
-    return _result(p, (a,), lambda g: (_kernels.softmax_rows_vjp(p, g),))
+# segments of stacked rows
 
 
 def segment_positions(lengths):
@@ -385,13 +242,13 @@ def pad_segments(rows, lengths):
 def causal_attention(q, k, v, lengths, n_heads):
     """Multi-head causal self-attention inside each segment of stacked rows.
 
-    q, k (N, n_heads * dk) and v (N, n_heads * dv) hold the rows of B
-    segments of the given lengths, one after another. Row i of a segment
-    attends to rows 0..i of the same segment only, with scores
+    q, k (N, n_heads * dk) and v (N, n_heads * dv) are arrays holding the
+    rows of B segments of the given lengths, one after another. Row i of a
+    segment attends to rows 0..i of the same segment only, with scores
     q k^T / sqrt(dk). Returns the head outputs (N, n_heads * dv), side by
-    side, and the attention weights as an array (B, n_heads, T, T), T the
-    longest length; row i of segment b holds weights on its first i + 1
-    columns only.
+    side; the attention weights (B, n_heads, T, T), T the longest length,
+    where row i of segment b holds weights on its first i + 1 columns only;
+    and the map from the outputs' gradient to those of q, k and v.
 
     The segments are scattered into a zero-padded (B, n_heads, T, .) block
     so that every segment and head is one batched matmul under one causal
@@ -412,14 +269,16 @@ def causal_attention(q, k, v, lengths, n_heads):
     seg, pos = np.repeat(np.arange(b), lengths), segment_positions(lengths)
 
     def pad(rows, width):
-        return pad_segments(rows.reshape(n, n_heads, width), lengths).transpose(0, 2, 1, 3)
+        out = np.zeros((b, t, n_heads, width))
+        out[seg, pos] = rows.reshape(n, n_heads, width)
+        return out.transpose(0, 2, 1, 3)
 
     def unpad(block):
         return block.transpose(0, 2, 1, 3)[seg, pos].reshape(n, -1)
 
     mask = np.tril(np.ones((t, t), dtype=bool))
     inv_sqrt = 1.0 / np.sqrt(dk)
-    qp, kp, vp = pad(q.data, dk), pad(k.data, dk), pad(v.data, dv)
+    qp, kp, vp = pad(q, dk), pad(k, dk), pad(v, dv)
     p = _kernels.softmax_rows(np.matmul(qp, kp.transpose(0, 1, 3, 2)) * inv_sqrt, mask)
     p.flags.writeable = False
 
@@ -432,43 +291,7 @@ def causal_attention(q, k, v, lengths, n_heads):
             unpad(np.matmul(p.transpose(0, 1, 3, 2), gp)),
         )
 
-    return _result(unpad(np.matmul(p, vp)), (q, k, v), vjp), p
-
-
-def log_softmax(a):
-    if a.data.ndim != 2:
-        raise ShapeError(f"log_softmax: need 2-D, got {a.shape}")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    out = shifted - logz
-    p = np.exp(out)
-
-    def vjp(g):
-        return (g - p * g.sum(axis=1, keepdims=True),)
-
-    return _result(out, (a,), vjp)
-
-
-def layer_norm(x, gain, bias, eps=1e-5):
-    """Row-wise layer normalization with learned gain and bias."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"layer_norm: need 2-D, got {x.shape}")
-    n = x.shape[1]
-    if gain.data.reshape(-1).shape[0] != n or bias.data.reshape(-1).shape[0] != n:
-        raise ShapeError(
-            f"layer_norm: gain {gain.shape} / bias {bias.shape} vs width {n}"
-        )
-    y, xhat, inv_std = _kernels.layer_norm_rows(
-        x.data, gain.data.reshape(-1), bias.data.reshape(-1), eps
-    )
-
-    def vjp(g):
-        dx, dgain, dbias = _kernels.layer_norm_rows_vjp(
-            xhat, inv_std, gain.data.reshape(-1), g
-        )
-        return dx, dgain.reshape(gain.shape), dbias.reshape(bias.shape)
-
-    return _result(y, (x, gain, bias), vjp)
+    return unpad(np.matmul(p, vp)), p, vjp
 
 
 # ---------------------------------------------------------------------------
@@ -510,11 +333,16 @@ def _topo_order(root):
     return order
 
 
-def backward(root):
-    """Reverse-mode sweep from a scalar root; returns a `Gradients` map."""
-    if root.data.size != 1:
-        raise ShapeError(f"backward: root must be scalar, got shape {root.shape}")
-    table = {id(root): np.ones(root.shape)}
+def backward(root, seed=None):
+    """Reverse-mode sweep from root, with the gradient `seed` at the root
+    (ones at a scalar root by default); returns a `Gradients` map."""
+    if seed is None:
+        if root.data.size != 1:
+            raise ShapeError(f"backward: root must be scalar, got shape {root.shape}")
+        seed = np.ones(root.shape)
+    elif seed.shape != root.shape:
+        raise ShapeError(f"backward: seed {seed.shape} for root {root.shape}")
+    table = {id(root): seed}
     for node in reversed(_topo_order(root)):
         g = table.get(id(node))
         if g is None or node.vjp is None:

@@ -19,7 +19,6 @@ import zlib
 
 import numpy as np
 
-from rdecomp import autodiff as ad
 from rdecomp import config as config_mod
 from rdecomp import decomposer, oracle, recipes, trainer
 from rdecomp.checkpoint import CheckpointError, load as load_checkpoint
@@ -219,9 +218,9 @@ def cmd_export_attention(args):
         print("trajectory file is empty", file=sys.stderr)
         return 2
     traj = trajectories[args.index]
-    x, lengths = decomposer.input_rows(model, [traj])
-    rhat, z, attn = model.forward_full(ad.constant(x), lengths)
-    values = rhat.data.reshape(-1)
+    out = model.forward(decomposer.input_rows(model, [traj])[0])
+    z, attn = out["z"], out["attn"]
+    values = out["rhat"].reshape(-1)
     norm_state = meta.get("normalizer")
     if norm_state:
         normalizer = decomposer.ReturnNormalizer.from_state(norm_state)
@@ -230,7 +229,7 @@ def cmd_export_attention(args):
         writer = csv.writer(fh)
         writer.writerow(["t", "z", "r_hat"])
         for t in range(traj.length):
-            writer.writerow([t, float(z.data[t, 0]), float(values[t])])
+            writer.writerow([t, float(z[t, 0]), float(values[t])])
     stem = os.path.splitext(args.out)[0]
     for h, head in enumerate(attn[0]):
         np.savetxt(f"{stem}_head{h}.csv", head, delimiter=",")

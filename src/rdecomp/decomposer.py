@@ -14,8 +14,10 @@ variants are causal, so their output for interval i is a function of steps
 
 Every predictor runs on a batch at once: the rows of B trajectories are
 stacked into one (N, d) matrix and passed with the segment lengths, so a
-regression minibatch is one tape and `predict` is one forward pass over a
-list of trajectories, for the trainer and the oracle alike.
+regression minibatch is one forward and one backward pass, and `predict`
+is one forward pass over a list of trajectories, for the trainer and the
+oracle alike. Only the recurrent predictor's gradient uses the tape; the
+others have one numpy forward each and a closed-form backward.
 
 Training regresses the summed per-interval predictions onto the episodic
 return with a squared loss. Returns are standardized by a running
@@ -34,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from rdecomp import _kernels
 from rdecomp import autodiff as ad
 from rdecomp import nn
 
@@ -123,9 +126,13 @@ class ReturnNormalizer:
 # ---------------------------------------------------------------------------
 # predictor architectures
 #
-# `reward_sequence(x, kind, lengths)` maps stacked input rows x (N, d) of
-# trajectories with the given lengths (default: x is one trajectory) to the
-# per-interval rewards (N, 1), row for row.
+# `reward_sequence(x, kind, lengths)` maps the stacked input rows x, an
+# (N, d) array, of trajectories with the given lengths (default: x is one
+# trajectory) to the per-interval rewards (N, 1), row for row.
+# `loss_grad(x, lengths, targets, kind)` returns their `regression_loss` and
+# its flat gradient, or None for it if the loss is not finite. The closed
+# forms make the tape's float ops in the tape's order, so they are
+# bit-identical to the tapes in tests/reference_predictors.py.
 
 
 def _segment_lengths(x, lengths):
@@ -154,12 +161,27 @@ class FeedForwardPredictor:
     def supports(self, kind):
         return kind == "singletons"
 
+    def _forward(self, x):
+        """The weights, the activations [x, h_1, ..., h_L] and the rewards."""
+        p = self.params
+        weights = [p[f"l{i}_w"].data for i in range(self.n_layers)]
+        hs = ad.tanh_mlp_layers(x, weights, [p[f"l{i}_b"].data for i in range(self.n_layers)])
+        return weights, hs, _kernels.matmul(hs[-1], p["head_w"].data) + p["head_b"].data
+
     def reward_sequence(self, x, kind="singletons", lengths=None):
         """Rows are independent, so the segment lengths are not needed."""
-        h = x
-        for i in range(self.n_layers):
-            h = ad.tanh(nn.linear(h, self.params[f"l{i}_w"], self.params[f"l{i}_b"]))
-        return nn.linear(h, self.params["head_w"], self.params["head_b"])
+        return self._forward(x)[2]
+
+    def loss_grad(self, x, lengths, targets, kind="singletons"):
+        weights, hs, rhat = self._forward(x)
+        loss, g = regression_loss(rhat, lengths, targets)
+        if g is None:
+            return loss, None
+        head_w = self.params["head_w"].data
+        grads, _ = ad.tanh_mlp_grads(hs, weights, _kernels.matmul(g, head_w.T),
+                                     [f"l{i}" for i in range(self.n_layers)])
+        grads["head_w"], grads["head_b"] = _kernels.matmul(hs[-1].T, g), g.sum(axis=0)
+        return loss, nn.flatten_arrays(self.params, grads)
 
     def hyperparams(self):
         return {"input_dim": self.input_dim, "scale": self.scale}
@@ -195,8 +217,9 @@ class RecurrentPredictor:
     def supports(self, kind):
         return kind in VALID_KINDS
 
-    def reward_sequence(self, x, kind="prefixes", lengths=None):
-        """All trajectories step together, longest first.
+    def reward_tensor(self, x, kind="prefixes", lengths=None):
+        """Tape form of `reward_sequence`, x a Tensor. All trajectories
+        step together, longest first.
 
         The rows are reordered time-major: step t holds the n_t trajectories
         still running, so the state is narrowed to its first n_t rows as
@@ -231,6 +254,17 @@ class RecurrentPredictor:
                 rows.append(h)
         out = nn.linear(ad.concat(rows, axis=0), p["head_w"], p["head_b"])
         return ad.take_rows(out, np.argsort(time_major))
+
+    def reward_sequence(self, x, kind="prefixes", lengths=None):
+        return self.reward_tensor(ad.constant(x), kind, lengths).data
+
+    def loss_grad(self, x, lengths, targets, kind="prefixes"):
+        """`autodiff.backward` from the rewards, seeded by `regression_loss`."""
+        rhat = self.reward_tensor(ad.constant(x), kind, lengths)
+        loss, g = regression_loss(rhat.data, lengths, targets)
+        if g is None:
+            return loss, None
+        return loss, nn.flatten_grads(self.params, ad.backward(rhat, g))
 
     def hyperparams(self):
         return {"input_dim": self.input_dim, "scale": self.scale}
@@ -280,47 +314,74 @@ class AttentionPredictor:
     def supports(self, kind):
         return kind in VALID_KINDS
 
-    def embed(self, x):
-        """Shared per-step embedding; identical (s, a) pairs embed identically."""
-        return ad.tanh(nn.linear(x, self.params["embed_w"], self.params["embed_b"]))
-
-    def encode(self, v, lengths=None):
-        """Encoder layer; returns (H, attention weights (B, heads, T, T)).
-
-        The position signal enters here, not in `embed`, so the embedding
-        stays a pure function of the state-action pair. Positions restart
-        at 0 in every trajectory.
-        """
-        p = self.params
-        lengths = _segment_lengths(v, lengths)
+    def forward(self, x, lengths=None):
+        """Activations by name, among them the rewards "rhat" (N, 1), the
+        importance "z" (N, 1) and the attention weights "attn" (B, heads,
+        T, T). Positions, from 0 in each trajectory, are added after
+        "embed", which thus depends on (s, a) alone."""
+        p = {k: t.data for k, t in self.params.items()}
+        lengths = _segment_lengths(x, lengths)
+        mm = _kernels.matmul
+        v = ad.tanh_mlp_layers(x, [p["embed_w"]], [p["embed_b"]])[1]
+        a = {"embed": v}
         if self.positional:
             pos = nn.sinusoidal_positions(int(lengths.max()), self.embed_dim)
-            v = ad.add(v, ad.constant(pos[ad.segment_positions(lengths)]))
-        heads, attn = ad.causal_attention(
-            ad.matmul(v, p["wq"]), ad.matmul(v, p["wk"]), ad.matmul(v, p["wv"]),
-            lengths, self.n_heads,
+            v = v + pos[ad.segment_positions(lengths)]
+        a["v"] = v
+        a["heads"], a["attn"], a["attn_vjp"] = ad.causal_attention(
+            mm(v, p["wq"]), mm(v, p["wk"]), mm(v, p["wv"]), lengths, self.n_heads
         )
-        mixed = nn.linear(heads, p["wo"], p["bo"])
-        u = ad.layer_norm(ad.add(v, mixed), p["ln1_g"], p["ln1_b"])
-        ff = nn.linear(ad.tanh(nn.linear(u, p["ff1_w"], p["ff1_b"])), p["ff2_w"], p["ff2_b"])
-        return ad.layer_norm(ad.add(u, ff), p["ln2_g"], p["ln2_b"]), attn
-
-    def importance(self, hs):
-        """z_t in (0, 1) per step: sigmoid(w_s2 tanh(W_s1 H^T))."""
-        return ad.sigmoid(
-            ad.matmul(ad.tanh(ad.matmul(hs, self.params["pool_w1"])), self.params["pool_w2"])
-        )
-
-    def forward_full(self, x, lengths=None):
-        """Returns (rewards (N, 1), z (N, 1), attention weights (B, heads, T, T))."""
-        hs, attn = self.encode(self.embed(x), lengths)
-        z = self.importance(hs)
-        pooled = ad.scale_rows(hs, z)
-        rhat = nn.linear(pooled, self.params["head_w"], self.params["head_b"])
-        return rhat, z, attn
+        mixed = mm(a["heads"], p["wo"]) + p["bo"]
+        a["ln1"] = _kernels.layer_norm_rows(v + mixed, p["ln1_g"], p["ln1_b"], 1e-5)
+        a["u"], a["f"] = ad.tanh_mlp_layers(a["ln1"][0], [p["ff1_w"]], [p["ff1_b"]])
+        ff = mm(a["f"], p["ff2_w"]) + p["ff2_b"]
+        a["ln2"] = _kernels.layer_norm_rows(a["u"] + ff, p["ln2_g"], p["ln2_b"], 1e-5)
+        hs = a["hs"] = a["ln2"][0]
+        # importance gate z = sigmoid(w_s2 tanh(W_s1 H^T)), head on z_t h_t
+        a["pool"] = np.tanh(mm(hs, p["pool_w1"]))
+        a["z"] = _kernels.sigmoid(mm(a["pool"], p["pool_w2"]))
+        a["pooled"] = hs * a["z"]
+        a["rhat"] = mm(a["pooled"], p["head_w"]) + p["head_b"]
+        return a
 
     def reward_sequence(self, x, kind="prefixes", lengths=None):
-        return self.forward_full(x, lengths)[0]
+        return self.forward(x, lengths)["rhat"]
+
+    def loss_grad(self, x, lengths, targets, kind="prefixes"):
+        a = self.forward(x, lengths)
+        loss, g = regression_loss(a["rhat"], lengths, targets)
+        if g is None:
+            return loss, None
+        p = {k: t.data for k, t in self.params.items()}
+        mm = _kernels.matmul
+        grads = {"head_w": mm(a["pooled"].T, g), "head_b": g.sum(axis=0)}
+        g_pooled = mm(g, p["head_w"].T)
+        g_gate = _kernels.sigmoid_vjp(a["z"], (g_pooled * a["hs"]).sum(axis=1).reshape(-1, 1))
+        grads["pool_w2"] = mm(a["pool"].T, g_gate)
+        g_pool = _kernels.tanh_vjp(a["pool"], mm(g_gate, p["pool_w2"].T))
+        grads["pool_w1"] = mm(a["hs"].T, g_pool)
+        g_hs = g_pooled * a["z"] + mm(g_pool, p["pool_w1"].T)
+
+        g_r2, grads["ln2_g"], grads["ln2_b"] = _kernels.layer_norm_rows_vjp(
+            *a["ln2"][1:], p["ln2_g"], g_hs
+        )
+        grads["ff2_w"], grads["ff2_b"] = mm(a["f"].T, g_r2), g_r2.sum(axis=0)
+        ff1, d_f = ad.tanh_mlp_grads([a["u"], a["f"]], [p["ff1_w"]],
+                                     mm(g_r2, p["ff2_w"].T), ["ff1"])
+        grads.update(ff1)
+        g_r1, grads["ln1_g"], grads["ln1_b"] = _kernels.layer_norm_rows_vjp(
+            *a["ln1"][1:], p["ln1_g"], g_r2 + mm(d_f, p["ff1_w"].T)
+        )
+        grads["wo"], grads["bo"] = mm(a["heads"].T, g_r1), g_r1.sum(axis=0)
+        # v reaches the loss through the residual, q, k and v; the tape sums
+        # their gradients in that order.
+        g_v = g_r1
+        for name, g_in in zip(("wq", "wk", "wv"), a["attn_vjp"](mm(g_r1, p["wo"].T))):
+            grads[name] = mm(a["v"].T, g_in)
+            g_v = g_v + mm(g_in, p[name].T)
+        embed, _ = ad.tanh_mlp_grads([x, a["embed"]], [p["embed_w"]], g_v, ["embed"])
+        grads.update(embed)
+        return loss, nn.flatten_arrays(self.params, grads)
 
     def hyperparams(self):
         return {
@@ -363,22 +424,19 @@ def predictor_from_checkpoint(params, meta):
 
 
 def input_rows(model, batch):
-    """Stacked (N, input_dim) input rows of a batch, and the lengths.
+    """Each trajectory's (T, input_dim) input rows, in a list.
 
     Discrete actions are one-hot encoded to the width the model's input
     leaves after the state, so a trajectory that never took the last action
     still encodes to the model's width.
     """
     n_actions = model.input_dim - batch[0].states.shape[1]
-    x = np.concatenate([traj.input_matrix(n_actions) for traj in batch], axis=0)
-    return x, [traj.length for traj in batch]
+    return [traj.input_matrix(n_actions) for traj in batch]
 
 
-def _reward_rows(model, batch, kind):
+def _check_kind(model, kind):
     if not model.supports(kind):
         raise ValueError(f"{model.architecture} predictor does not support {kind!r} intervals")
-    x, lengths = input_rows(model, batch)
-    return model.reward_sequence(ad.constant(x), kind, lengths), lengths
 
 
 def destandardize(values, normalizer):
@@ -401,7 +459,9 @@ def predict(model, batch, kind, normalizer=None):
     standardized-scale outputs are mapped back to return units by
     `destandardize`.
     """
-    rewards = _reward_rows(model, batch, kind)[0].data.reshape(-1)
+    _check_kind(model, kind)
+    x = np.concatenate(input_rows(model, batch))
+    rewards = model.reward_sequence(x, kind, [traj.length for traj in batch]).reshape(-1)
     out = []
     start = 0
     for traj in batch:
@@ -413,34 +473,37 @@ def predict(model, batch, kind, normalizer=None):
     return out
 
 
-def regression_loss(model, batch, kind, normalizer=None):
-    """Squared loss sum over batch of (sum r_hat - R)^2, on one tape.
-
-    A (B, N) 0/1 segment-sum matrix turns the stacked rewards into the B
-    composites.
-    """
-    rhat, lengths = _reward_rows(model, batch, kind)
+def regression_targets(batch, normalizer=None):
+    """The episodic returns of a batch, standardized by the normalizer if given."""
     targets = np.array([traj.episodic_return for traj in batch])
-    if normalizer is not None:
-        targets = normalizer.normalize(targets)
-    segment = np.repeat(np.arange(len(batch)), lengths)
-    segment_sum = (segment[None, :] == np.arange(len(batch))[:, None]).astype(np.float64)
-    err = ad.sub(ad.matmul(ad.constant(segment_sum), rhat), ad.constant(targets.reshape(-1, 1)))
-    return ad.sum_all(ad.square(err))
+    return targets if normalizer is None else normalizer.normalize(targets)
 
 
-def regression_step(model, batch, kind, optimizer, normalizer=None):
-    """One update of the predictor by `optimizer`; returns the loss value.
+def regression_loss(rhat, lengths, targets):
+    """Sum over trajectories of (sum of its rewards - target)^2, given the
+    stacked rewards rhat (N, 1), and the gradient at rhat, or None if the
+    loss is not finite. A (B, N) 0/1 segment-sum matrix makes the B
+    composites."""
+    b = len(lengths)
+    segment = np.repeat(np.arange(b), lengths)
+    segment_sum = (segment[None, :] == np.arange(b)[:, None]).astype(np.float64)
+    err = _kernels.matmul(segment_sum, rhat) - np.reshape(targets, (-1, 1))
+    loss = float((err * err).sum())
+    if not np.isfinite(loss):
+        return loss, None
+    return loss, _kernels.matmul(segment_sum.T, 2.0 * err)
 
-    A non-finite loss aborts with the offending value before any parameter
-    is touched.
-    """
-    if not batch:
+
+def regression_step(model, x, lengths, targets, kind, optimizer):
+    """One update of the predictor by `optimizer` on the stacked input rows
+    x of trajectories with the given lengths and regression targets;
+    returns the loss. A non-finite loss aborts with the offending value
+    before any parameter is touched."""
+    if len(lengths) == 0:
         raise ValueError("regression_step: empty batch")
-    loss = regression_loss(model, batch, kind, normalizer)
-    value = loss.item()
-    if not np.isfinite(value):
-        raise FloatingPointError(f"regression loss is non-finite ({value})")
-    grads = ad.backward(loss)
-    model.params = optimizer.step(model.params, nn.flatten_grads(model.params, grads))
-    return value
+    _check_kind(model, kind)
+    loss, grad = model.loss_grad(x, lengths, targets, kind)
+    if grad is None:
+        raise FloatingPointError(f"regression loss is non-finite ({loss})")
+    model.params = optimizer.step(model.params, grad)
+    return loss

@@ -56,12 +56,7 @@ class _Trunk:
 
     def grads(self, wd, hs, g):
         """Gradients of the trunk's parameters, given g at its output."""
-        deltas = ad.tanh_mlp_deltas(hs, wd, g)
-        out = {}
-        for i, (h, d) in enumerate(zip(hs, deltas)):
-            out[f"t{i}_w"] = _kernels.matmul(h.T, d)
-            out[f"t{i}_b"] = d.sum(axis=0)
-        return out
+        return ad.tanh_mlp_grads(hs, wd, g, [f"t{i}" for i in range(self.n_layers)])[0]
 
 
 # Score-gradient surfaces shared by both policies. Each class binds them in
@@ -164,14 +159,27 @@ class CategoricalPolicy:
         shifted = logits - logits.max(axis=1, keepdims=True)
         return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
+    def sampler(self):
+        """`act` while the parameters stay fixed, with each state's cdf
+        computed once; each call still draws one `rng.random()`."""
+        cdfs = {}
+
+        def sample(state, rng):
+            key = state.tobytes()
+            cdf = cdfs.get(key)
+            if cdf is None:
+                # The draw Generator.choice(n, p=p) makes, without its per-call overhead.
+                p = np.exp(self.log_prob_matrix_np(state)[0])
+                cdf = np.cumsum(p / p.sum())
+                if not np.isfinite(cdf[-1]):
+                    raise ValueError("probabilities contain NaN")
+                cdf = cdfs[key] = cdf / cdf[-1]
+            return int(cdf.searchsorted(rng.random(), side="right"))
+
+        return sample
+
     def act(self, state, rng):
-        # The draw Generator.choice(n, p=p) makes, without its per-call overhead.
-        p = np.exp(self.log_prob_matrix_np(state)[0])
-        cdf = np.cumsum(p / p.sum())
-        if not np.isfinite(cdf[-1]):
-            raise ValueError("probabilities contain NaN")
-        cdf /= cdf[-1]
-        return int(cdf.searchsorted(rng.random(), side="right"))
+        return self.sampler()(state, rng)
 
     def log_prob_head(self, h, actions):
         """log pi(a_t|s_t) and the entropy per step, each (m, 1), given the
@@ -234,6 +242,10 @@ class GaussianPolicy:
         mean = self.mean_np(state)[0]
         std = np.exp(self.params["log_std"].data)
         return mean + std * rng.standard_normal(self.action_dim)
+
+    def sampler(self):
+        """`act`: continuous states do not repeat, so nothing is cached."""
+        return self.act
 
     def log_prob_head(self, h, actions):
         """As `CategoricalPolicy.log_prob_head`; actions (m, action_dim).

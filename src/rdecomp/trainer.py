@@ -18,10 +18,10 @@ disabling the decomposer entirely leaves only stream 2 carrying the raw
 episodic return, which is the episodic-PPO baseline.
 
 Regression draws from the (possibly stale) replay buffer; the policy
-gradient only ever sees the freshest on-policy batch. Only the reward
-predictor uses the tape: each PPO minibatch's losses and gradients come in
-closed form from the policy (`ppo_loss_grad`) and the value net
-(`loss_grad`).
+gradient only ever sees the freshest on-policy batch. Each minibatch's
+loss and flat gradient come from one call: `ppo_loss_grad` on the policy,
+`loss_grad` on the value net and on the reward predictor. Only the
+recurrent predictor's uses the tape.
 """
 
 from __future__ import annotations
@@ -100,9 +100,11 @@ def rollout(policy, env, n_steps, rng):
     """Whole episodes until at least n_steps environment steps are collected.
 
     Episodic returns come from the wrapper: zero everywhere, the summed
-    dense reward at the final step.
+    dense reward at the final step. The policy is fixed for the whole call,
+    so its sampler may cache per state.
     """
     wrapper = envs.EpisodicWrapper(env)
+    act = policy.sampler()
     batch = []
     steps = 0
     while steps < n_steps:
@@ -111,7 +113,7 @@ def rollout(policy, env, n_steps, rng):
         final_reward = 0.0
         done = False
         while not done:
-            action = policy.act(state, rng)
+            action = act(state, rng)
             result = wrapper.step(state, action, rng)
             states.append(state)
             actions.append(action)
@@ -272,21 +274,19 @@ class Trainer:
         if self.model is None or len(self.buffer) == 0:
             return 0.0
         sample = self.buffer.sample(self.config.buffer_capacity)
+        rows = decomposer.input_rows(self.model, sample)
+        lengths = np.array([len(r) for r in rows])
+        targets = decomposer.regression_targets(sample, self.normalizer)
         losses = []
-        mb = self.config.regression_minibatch
+        mb, kind = self.config.regression_minibatch, self.config.interval_kind
         for _ in range(self.config.regression_epochs):
             order = self.regression_rng.permutation(len(sample))
             for start in range(0, len(sample), mb):
-                chunk = [sample[i] for i in order[start : start + mb]]
-                losses.append(
-                    decomposer.regression_step(
-                        self.model,
-                        chunk,
-                        self.config.interval_kind,
-                        optimizer=self.reward_opt,
-                        normalizer=self.normalizer,
-                    )
-                )
+                idx = order[start : start + mb]
+                x = np.concatenate([rows[i] for i in idx])
+                losses.append(decomposer.regression_step(
+                    self.model, x, lengths[idx], targets[idx], kind, self.reward_opt
+                ))
         return float(np.mean(losses))
 
     def _gradient_variance(self, batch, decomps):

@@ -8,6 +8,7 @@ them before it moved off the tape.
 """
 
 import numpy as np
+import tape_ops as tape
 
 from rdecomp import autodiff as ad
 from rdecomp import nn
@@ -27,29 +28,29 @@ def log_prob_tensor(policy, states, actions):
     h = trunk_tensor(policy, states)
     out = nn.linear(h, policy.params["head_w"], policy.params["head_b"])
     if hasattr(policy, "n_actions"):
-        logp = ad.log_softmax(out)
-        entropy = ad.neg(ad.sum_axis(ad.mul(ad.exp(logp), logp), axis=1))
-        return ad.take_per_row(logp, actions), entropy
+        logp = tape.log_softmax(out)
+        entropy = tape.neg(tape.sum_axis(ad.mul(tape.exp(logp), logp), axis=1))
+        return tape.take_per_row(logp, actions), entropy
     log_std = policy.params["log_std"]
-    inv_std = ad.exp(ad.neg(log_std))
-    diff = ad.sub(ad.constant(np.asarray(actions, dtype=np.float64)), out)
-    zsq = ad.square(ad.mul(diff, inv_std))
-    per_dim = ad.shift(ad.add(ad.scale(zsq, 0.5), log_std), 0.5 * LOG_2PI)
-    ent = ad.shift(ad.sum_all(log_std), 0.5 * policy.action_dim * (1.0 + LOG_2PI))
+    inv_std = tape.exp(tape.neg(log_std))
+    diff = tape.sub(ad.constant(np.asarray(actions, dtype=np.float64)), out)
+    zsq = tape.square(ad.mul(diff, inv_std))
+    per_dim = tape.shift(ad.add(ad.scale(zsq, 0.5), log_std), 0.5 * LOG_2PI)
+    ent = tape.shift(tape.sum_all(log_std), 0.5 * policy.action_dim * (1.0 + LOG_2PI))
     entropy = ad.matmul(ad.constant(np.ones((states.shape[0], 1))), ent)
-    return ad.neg(ad.sum_axis(per_dim, axis=1)), entropy
+    return tape.neg(tape.sum_axis(per_dim, axis=1)), entropy
 
 
 def ppo_loss(policy, states, actions, old_logp, adv, clip, entropy_coef):
     """(loss, flat gradient) of the clipped surrogate on one tape."""
     adv_t = ad.constant(adv.reshape(-1, 1))
     logp, entropy = log_prob_tensor(policy, ad.constant(states), actions)
-    ratio = ad.exp(ad.sub(logp, ad.constant(old_logp.reshape(-1, 1))))
+    ratio = tape.exp(tape.sub(logp, ad.constant(old_logp.reshape(-1, 1))))
     unclipped = ad.mul(ratio, adv_t)
-    clipped = ad.mul(ad.clip(ratio, 1.0 - clip, 1.0 + clip), adv_t)
-    loss = ad.neg(ad.mean_all(ad.minimum(unclipped, clipped)))
+    clipped = ad.mul(tape.clip(ratio, 1.0 - clip, 1.0 + clip), adv_t)
+    loss = tape.neg(tape.mean_all(tape.minimum(unclipped, clipped)))
     if entropy_coef > 0.0:
-        loss = ad.sub(loss, ad.scale(ad.mean_all(entropy), entropy_coef))
+        loss = tape.sub(loss, ad.scale(tape.mean_all(entropy), entropy_coef))
     return loss.item(), nn.flatten_grads(policy.params, ad.backward(loss))
 
 
@@ -60,7 +61,7 @@ def value_loss(value_net, states, target_r, target_0):
     loss = None
     for name, target in heads:
         v = nn.linear(h, value_net.params[f"{name}_w"], value_net.params[f"{name}_b"])
-        err = ad.mean_all(ad.square(ad.sub(v, ad.constant(target.reshape(-1, 1)))))
+        err = tape.mean_all(tape.square(tape.sub(v, ad.constant(target.reshape(-1, 1)))))
         loss = err if loss is None else ad.add(loss, err)
     return loss.item(), nn.flatten_grads(value_net.params, ad.backward(loss))
 
@@ -70,7 +71,7 @@ def weighted_score_gradient(policy, trajs, coeffs):
     rows = []
     for traj, c in zip(trajs, coeffs, strict=True):
         logp, _ = log_prob_tensor(policy, ad.constant(traj.states), traj.actions)
-        weighted = ad.sum_all(ad.mul(logp, ad.constant(np.asarray(c).reshape(-1, 1))))
+        weighted = tape.sum_all(ad.mul(logp, ad.constant(np.asarray(c).reshape(-1, 1))))
         rows.append(nn.flatten_grads(policy.params, ad.backward(weighted)))
     return np.stack(rows)
 
@@ -82,5 +83,5 @@ def score_matrix(policy, traj):
         logp, _ = log_prob_tensor(
             policy, ad.constant(traj.states[t : t + 1]), traj.actions[t : t + 1]
         )
-        rows.append(nn.flatten_grads(policy.params, ad.backward(ad.sum_all(logp))))
+        rows.append(nn.flatten_grads(policy.params, ad.backward(tape.sum_all(logp))))
     return np.stack(rows)

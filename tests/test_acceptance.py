@@ -12,6 +12,7 @@ import os
 import numpy as np
 import pytest
 
+import reference_predictors as reference
 from fdcheck import relative_error
 from rdecomp import autodiff as ad
 from rdecomp import cli, decomposer, envs, estimators, nn, oracle, recipes
@@ -176,8 +177,7 @@ def test_criterion_4_gradient_correctness():
 
             def loss_grad(params, model=model, traj=traj, kind=kind):
                 model.params = params
-                loss = decomposer.regression_loss(model, [traj], kind)
-                return loss.item(), nn.flatten_grads(params, ad.backward(loss))
+                return model.loss_grad(*reference.stacked(model, [traj]), kind)
 
             worst = max(worst, _fd_check(model.params, loss_grad, data_rng))
             n_runs += 1
@@ -237,12 +237,7 @@ def test_criterion_5_causality_fuzz():
         bumped = x.copy()
         bumped[cut:] += rng.normal(size=(t_len - cut, 5)) * rng.choice([1e-6, 1.0, 1e3])
 
-        def outputs(inp):
-            if arch == "recurrent":
-                return model.reward_sequence(ad.constant(inp), kind).data
-            return model.reward_sequence(ad.constant(inp)).data
-
-        base, after = outputs(x), outputs(bumped)
+        base, after = model.reward_sequence(x, kind), model.reward_sequence(bumped, kind)
         if not np.array_equal(base[:cut], after[:cut]):
             report(5, False, f"case {cases}: {arch}/{kind} leaked future inputs at cut {cut}")
         cases += 1
@@ -265,8 +260,8 @@ def test_batch_isolation_fuzz():
         row = int(lengths[:j].sum() + rng.integers(lengths[j]))
         bumped = x.copy()
         bumped[row] += rng.normal(size=5) * rng.choice([1e-6, 1.0, 1e3])
-        base = model.reward_sequence(ad.constant(x), kind, lengths).data
-        after = model.reward_sequence(ad.constant(bumped), kind, lengths).data
+        base = model.reward_sequence(x, kind, lengths)
+        after = model.reward_sequence(bumped, kind, lengths)
         others = np.repeat(np.arange(len(lengths)), lengths) != j
         assert np.array_equal(base[others], after[others]), (
             f"case {cases}: {arch}/{kind} lengths {lengths.tolist()}: "
@@ -295,7 +290,7 @@ def converged_chain_decomposer():
     opt = nn.AdamOptimizer(1e-3)  # the published reward-predictor rate
 
     def full_loss():
-        return decomposer.regression_loss(model, buffered, "prefixes", norm).item()
+        return model.loss_grad(*reference.stacked(model, buffered, norm), "prefixes")[0]
 
     initial = full_loss()
     steps = 0
@@ -304,7 +299,8 @@ def converged_chain_decomposer():
         order = reg_rng.permutation(len(buffered))
         for s in range(0, len(buffered), 16):
             chunk = [buffered[i] for i in order[s : s + 16]]
-            decomposer.regression_step(model, chunk, "prefixes", optimizer=opt, normalizer=norm)
+            decomposer.regression_step(model, *reference.stacked(model, chunk, norm), "prefixes",
+                                       opt)
             steps += 1
             if steps >= 3000:
                 break

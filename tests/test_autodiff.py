@@ -2,6 +2,7 @@ import zlib
 
 import numpy as np
 import pytest
+import tape_ops as tape
 
 from fdcheck import numeric_gradient, relative_error
 from rdecomp import _kernels, nn
@@ -12,7 +13,7 @@ from rdecomp.autodiff import ShapeError, Tensor
 def scalarize(out, rng):
     """Contract an op output to a scalar with a fixed random cotangent."""
     cot = ad.constant(rng.normal(size=out.shape))
-    return ad.sum_all(ad.mul(out, cot))
+    return tape.sum_all(ad.mul(out, cot))
 
 
 def test_matmul_identity():
@@ -26,7 +27,7 @@ def test_sigmoid_symmetry_point():
 
 
 def test_softmax_uniform_rows():
-    out = ad.softmax(Tensor([[2.5, 2.5, 2.5]]))
+    out = tape.softmax(Tensor([[2.5, 2.5, 2.5]]))
     assert np.allclose(out.data, 1.0 / 3.0, atol=1e-15)
 
 
@@ -48,6 +49,20 @@ def test_backward_rejects_non_scalar_root():
         ad.backward(Tensor([[1.0, 2.0]]))
 
 
+def test_seeded_backward_equals_backward_of_the_contraction():
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.normal(size=(4, 3)))
+    w = Tensor(rng.normal(size=(3, 2)))
+    out = ad.tanh(ad.matmul(x, w))
+    seed = rng.normal(size=(4, 2))
+    seeded = ad.backward(out, seed)
+    contracted = ad.backward(tape.sum_all(ad.mul(out, ad.constant(seed))))
+    for t in (x, w):
+        assert np.array_equal(seeded.of(t), contracted.of(t))
+    with pytest.raises(ShapeError, match="seed"):
+        ad.backward(out, seed.T)
+
+
 def test_matmul_shape_error_reports_dimensions():
     with pytest.raises(ShapeError) as err:
         ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
@@ -62,14 +77,14 @@ def test_add_shape_error():
 def test_unreachable_leaf_reads_zero():
     x = Tensor([[1.0]])
     orphan = Tensor([[2.0]])
-    grads = ad.backward(ad.sum_all(ad.square(x)))
+    grads = ad.backward(tape.sum_all(tape.square(x)))
     assert np.array_equal(grads.of(orphan), np.zeros((1, 1)))
     assert orphan not in grads
 
 
 def test_gradient_of_constant_is_exactly_zero():
     leaf = Tensor(np.ones((2, 2)))
-    loss = ad.sum_all(ad.constant(np.ones((2, 2))))
+    loss = tape.sum_all(ad.constant(np.ones((2, 2))))
     assert np.array_equal(ad.backward(loss).of(leaf), np.zeros((2, 2)))
 
 
@@ -82,7 +97,7 @@ def test_tensors_are_immutable():
 def test_grad_accumulates_over_reuse():
     x = Tensor([[2.0]])
     # x*x + 3x: derivative 2x + 3 = 7
-    loss = ad.sum_all(ad.add(ad.mul(x, x), ad.scale(x, 3.0)))
+    loss = tape.sum_all(ad.add(ad.mul(x, x), ad.scale(x, 3.0)))
     assert ad.backward(loss).of(x)[0, 0] == pytest.approx(7.0)
 
 
@@ -93,23 +108,23 @@ def test_grad_accumulates_over_reuse():
 UNARY_CASES = [
     ("tanh", ad.tanh, (3, 4)),
     ("sigmoid", ad.sigmoid, (3, 4)),
-    ("exp", ad.exp, (3, 4)),
-    ("square", ad.square, (3, 4)),
-    ("neg", ad.neg, (3, 4)),
-    ("transpose", ad.transpose, (3, 4)),
-    ("sum_all", ad.sum_all, (3, 4)),
-    ("mean_all", ad.mean_all, (3, 4)),
-    ("softmax", ad.softmax, (4, 4)),
-    ("softmax_causal", lambda t: ad.softmax(t, np.tril(np.ones((4, 4), dtype=bool))), (4, 4)),
-    ("log_softmax", ad.log_softmax, (4, 5)),
+    ("exp", tape.exp, (3, 4)),
+    ("square", tape.square, (3, 4)),
+    ("neg", tape.neg, (3, 4)),
+    ("transpose", tape.transpose, (3, 4)),
+    ("sum_all", tape.sum_all, (3, 4)),
+    ("mean_all", tape.mean_all, (3, 4)),
+    ("softmax", tape.softmax, (4, 4)),
+    ("softmax_causal", lambda t: tape.softmax(t, np.tril(np.ones((4, 4), dtype=bool))), (4, 4)),
+    ("log_softmax", tape.log_softmax, (4, 5)),
     ("scale", lambda t: ad.scale(t, -1.7), (3, 4)),
-    ("shift", lambda t: ad.shift(t, 0.3), (3, 4)),
-    ("sum_rows", lambda t: ad.sum_axis(t, 0), (3, 4)),
-    ("sum_cols", lambda t: ad.sum_axis(t, 1), (3, 4)),
-    ("reshape", lambda t: ad.reshape(t, (4, 3)), (3, 4)),
+    ("shift", lambda t: tape.shift(t, 0.3), (3, 4)),
+    ("sum_rows", lambda t: tape.sum_axis(t, 0), (3, 4)),
+    ("sum_cols", lambda t: tape.sum_axis(t, 1), (3, 4)),
+    ("reshape", lambda t: tape.reshape(t, (4, 3)), (3, 4)),
     ("narrow_rows", lambda t: ad.narrow(t, 0, 1, 3), (4, 4)),
     ("narrow_cols", lambda t: ad.narrow(t, 1, 0, 2), (4, 4)),
-    ("clip", lambda t: ad.clip(t, -0.9, 0.9), (3, 4)),
+    ("clip", lambda t: tape.clip(t, -0.9, 0.9), (3, 4)),
 ]
 
 
@@ -133,13 +148,13 @@ def test_unary_op_gradients(name, op, shape):
 BINARY_CASES = [
     ("add", ad.add, (3, 4), (3, 4)),
     ("add_row", ad.add, (3, 4), (4,)),
-    ("sub", ad.sub, (3, 4), (3, 4)),
+    ("sub", tape.sub, (3, 4), (3, 4)),
     ("mul", ad.mul, (3, 4), (3, 4)),
     ("mul_row", ad.mul, (3, 4), (4,)),
     ("matmul", ad.matmul, (3, 4), (4, 2)),
-    ("minimum", ad.minimum, (3, 4), (3, 4)),
-    ("maximum", ad.maximum, (3, 4), (3, 4)),
-    ("scale_rows", ad.scale_rows, (3, 4), (3,)),
+    ("minimum", tape.minimum, (3, 4), (3, 4)),
+    ("maximum", tape.maximum, (3, 4), (3, 4)),
+    ("scale_rows", tape.scale_rows, (3, 4), (3,)),
 ]
 
 
@@ -168,10 +183,10 @@ def test_log_gradient():
     x = rng.uniform(0.5, 2.0, size=(3, 3))
 
     def f(tensors):
-        return scalarize(ad.log(tensors[0]), np.random.default_rng(5)).item()
+        return scalarize(tape.log(tensors[0]), np.random.default_rng(5)).item()
 
     x_t = Tensor(x)
-    grads = ad.backward(scalarize(ad.log(x_t), np.random.default_rng(5)))
+    grads = ad.backward(scalarize(tape.log(x_t), np.random.default_rng(5)))
     fd = numeric_gradient(f, [x])[0]
     assert relative_error(grads.of(x_t), fd).max() < 1e-5
 
@@ -196,7 +211,7 @@ def test_causal_attention_gradients_on_ragged_segments():
     q, k, v = rng.normal(size=(8, 6)), rng.normal(size=(8, 6)), rng.normal(size=(8, 4))
 
     def out(tensors):
-        return scalarize(ad.causal_attention(*tensors, lengths, n_heads)[0],
+        return scalarize(tape.causal_attention(*tensors, lengths, n_heads)[0],
                          np.random.default_rng(5))
 
     tensors = [Tensor(q), Tensor(k), Tensor(v)]
@@ -249,7 +264,7 @@ def test_tanh_mlp_is_bitwise_the_layer_chain():
     cot = rng.normal(size=(6, 4))
     out, grads = tanh_mlp_grads(x.data, [w.data for w in ws], [b.data for b in bs], cot)
     assert np.array_equal(out, chain.data)
-    g_chain = ad.backward(ad.sum_all(ad.mul(chain, ad.constant(cot))))
+    g_chain = ad.backward(tape.sum_all(ad.mul(chain, ad.constant(cot))))
     for t, got in zip([x, *ws, *bs], grads, strict=True):
         assert np.array_equal(got, g_chain.of(t))
     with pytest.raises(ShapeError):
@@ -260,7 +275,7 @@ def test_causal_attention_weights_stay_inside_segments():
     rng = np.random.default_rng(23)
     lengths = [2, 1, 3]
     q, k, v = (Tensor(rng.normal(size=(6, 4))) for _ in range(3))
-    out, attn = ad.causal_attention(q, k, v, lengths, 2)
+    out, attn = tape.causal_attention(q, k, v, lengths, 2)
     assert out.shape == (6, 4) and attn.shape == (3, 2, 3, 3)
     for b, t_len in enumerate(lengths):
         inside = np.tril(np.ones((t_len, t_len), dtype=bool))
@@ -270,9 +285,9 @@ def test_causal_attention_weights_stay_inside_segments():
     # the single-row segment attends to itself: its output is its own value row
     np.testing.assert_array_equal(out.data[2], v.data[2])
     with pytest.raises(ShapeError):
-        ad.causal_attention(q, k, v, [2, 3], 2)
+        tape.causal_attention(q, k, v, [2, 3], 2)
     with pytest.raises(ShapeError):
-        ad.causal_attention(q, k, v, [6, 0], 2)
+        tape.causal_attention(q, k, v, [6, 0], 2)
 
 
 def test_take_per_row_gradient():
@@ -281,10 +296,10 @@ def test_take_per_row_gradient():
     idx = np.array([0, 2, 1, 1])
 
     def f(tensors):
-        return scalarize(ad.take_per_row(tensors[0], idx), np.random.default_rng(5)).item()
+        return scalarize(tape.take_per_row(tensors[0], idx), np.random.default_rng(5)).item()
 
     x_t = Tensor(x)
-    grads = ad.backward(scalarize(ad.take_per_row(x_t, idx), np.random.default_rng(5)))
+    grads = ad.backward(scalarize(tape.take_per_row(x_t, idx), np.random.default_rng(5)))
     fd = numeric_gradient(f, [x])[0]
     assert relative_error(grads.of(x_t), fd).max() < 1e-5
 
@@ -295,11 +310,11 @@ def test_layer_norm_gradients():
 
     def f(tensors):
         return scalarize(
-            ad.layer_norm(tensors[0], tensors[1], tensors[2]), np.random.default_rng(5)
+            tape.layer_norm(tensors[0], tensors[1], tensors[2]), np.random.default_rng(5)
         ).item()
 
     xs = [Tensor(x), Tensor(g), Tensor(b)]
-    grads = ad.backward(scalarize(ad.layer_norm(*xs), np.random.default_rng(5)))
+    grads = ad.backward(scalarize(tape.layer_norm(*xs), np.random.default_rng(5)))
     fd = numeric_gradient(f, [x, g, b])
     for t, ref in zip(xs, fd):
         assert relative_error(grads.of(t), ref).max() < 1e-4
@@ -318,7 +333,7 @@ def test_three_layer_net_matches_finite_differences():
             h = ad.tanh(ad.add(ad.matmul(ad.constant(x), w1), b1))
             h = ad.sigmoid(ad.add(ad.matmul(h, w2), b2))
             out = ad.add(ad.matmul(h, w3), b3)
-            return ad.sum_all(ad.square(out))
+            return tape.sum_all(tape.square(out))
 
         tensors = [Tensor(a) for a in arrays]
         grads = ad.backward(net(tensors))
@@ -332,7 +347,7 @@ def test_determinism_bitwise():
         rng = np.random.default_rng(123)
         w, b = nn.init_linear(rng, 5, 3)
         x = ad.constant(rng.normal(size=(4, 5)))
-        loss = ad.sum_all(ad.square(ad.tanh(nn.linear(x, w, b))))
+        loss = tape.sum_all(tape.square(ad.tanh(nn.linear(x, w, b))))
         grads = ad.backward(loss)
         return loss.item(), grads.of(w).copy(), grads.of(b).copy()
 
@@ -347,7 +362,7 @@ def test_forward_values_stay_finite():
     rng = np.random.default_rng(29)
     x = Tensor(rng.normal(size=(5, 5)) * 3)
     causal = np.tril(np.ones((5, 5), dtype=bool))
-    for op in (ad.tanh, ad.sigmoid, lambda t: ad.softmax(t, causal), ad.log_softmax):
+    for op in (ad.tanh, ad.sigmoid, lambda t: tape.softmax(t, causal), tape.log_softmax):
         assert np.all(np.isfinite(op(x).data))
 
 
@@ -356,7 +371,7 @@ def test_forward_values_stay_finite():
 
 
 def quadratic_tanh_loss(params, x):
-    return ad.sum_all(ad.square(ad.tanh(nn.linear(x, params["w"], params["b"]))))
+    return tape.sum_all(tape.square(ad.tanh(nn.linear(x, params["w"], params["b"]))))
 
 
 def test_adam_matches_textbook_per_tensor_adam():

@@ -10,7 +10,6 @@ from rdecomp.decomposer import (
     ReturnNormalizer,
     make_predictor,
     predict,
-    regression_loss,
     regression_step,
 )
 from rdecomp.trajectory import Trajectory
@@ -33,7 +32,7 @@ def test_embed_shares_parameters_across_time():
     model = AttentionPredictor(5, rng, scale="desk")
     x = np.random.default_rng(1).normal(size=(6, 5))
     x[5] = x[0]  # duplicate the (s, a) pair at two distant steps
-    v = model.embed(ad.constant(x)).data
+    v = model.forward(x)["embed"]
     np.testing.assert_array_equal(v[0], v[5])
 
 
@@ -42,15 +41,15 @@ def test_embed_zero_parameters_give_zero():
     model = AttentionPredictor(4, rng)
     model.params["embed_w"] = ad.Tensor(np.zeros((4, model.embed_dim)))
     model.params["embed_b"] = ad.Tensor(np.zeros(model.embed_dim))
-    v = model.embed(ad.constant(np.random.default_rng(2).normal(size=(3, 4))))
-    assert np.array_equal(v.data, np.zeros((3, model.embed_dim)))
+    v = model.forward(np.random.default_rng(2).normal(size=(3, 4)))["embed"]
+    assert np.array_equal(v, np.zeros((3, model.embed_dim)))
 
 
 def test_embed_matches_hand_matrix_arithmetic():
     rng = np.random.default_rng(3)
     model = AttentionPredictor(4, rng)
     x = rng.normal(size=(5, 4))
-    v = model.embed(ad.constant(x)).data
+    v = model.forward(x)["embed"]
     want = np.tanh(x @ model.params["embed_w"].data + model.params["embed_b"].data)
     np.testing.assert_allclose(v, want, rtol=1e-12, atol=1e-14)
 
@@ -64,19 +63,11 @@ def test_causality_exact_zero_difference():
     for arch in ("recurrent", "attention"):
         model = make_predictor(arch, 5, np.random.default_rng(10), scale="desk")
         x = rng.normal(size=(7, 5))
-        base = (
-            model.reward_sequence(ad.constant(x), "prefixes")
-            if arch == "recurrent"
-            else model.reward_sequence(ad.constant(x))
-        ).data
+        base = model.reward_sequence(x, "prefixes")
         for t_perturb in range(1, 7):
             bumped = x.copy()
             bumped[t_perturb:] += rng.normal(size=(7 - t_perturb, 5))
-            out = (
-                model.reward_sequence(ad.constant(bumped), "prefixes")
-                if arch == "recurrent"
-                else model.reward_sequence(ad.constant(bumped))
-            ).data
+            out = model.reward_sequence(bumped, "prefixes")
             np.testing.assert_array_equal(out[:t_perturb], base[:t_perturb])
 
 
@@ -84,21 +75,22 @@ def test_single_token_encoding_matches_prefix():
     rng = np.random.default_rng(5)
     model = AttentionPredictor(5, rng)
     x = rng.normal(size=(4, 5))
-    h_full, _ = model.encode(model.embed(ad.constant(x)))
-    h_one, _ = model.encode(model.embed(ad.constant(x[:1])))
-    np.testing.assert_allclose(h_full.data[0], h_one.data[0], rtol=0, atol=1e-12)
+    h_full = model.forward(x)["hs"]
+    h_one = model.forward(x[:1])["hs"]
+    np.testing.assert_allclose(h_full[0], h_one[0], rtol=0, atol=1e-12)
 
 
 def test_two_token_attention_matches_hand_softmax():
     rng = np.random.default_rng(6)
     model = AttentionPredictor(3, rng)
     x = rng.normal(size=(2, 3))
-    v = model.embed(ad.constant(x))
+    out = model.forward(x)
+    v = out["embed"]
     if model.positional:
-        v = ad.add(v, ad.constant(nn.sinusoidal_positions(2, model.embed_dim)))
-    _, attn_block = model.encode(model.embed(ad.constant(x)))
-    q_all = v.data @ model.params["wq"].data
-    k_all = v.data @ model.params["wk"].data
+        v = v + nn.sinusoidal_positions(2, model.embed_dim)
+    attn_block = out["attn"]
+    q_all = v @ model.params["wq"].data
+    k_all = v @ model.params["wk"].data
     dk = model.qk_dim
     for h, attn in enumerate(attn_block[0]):
         q = q_all[:, h * dk : (h + 1) * dk]
@@ -119,8 +111,8 @@ def test_importance_is_half_when_w2_zero():
     model = AttentionPredictor(4, rng)
     model.params["pool_w2"] = ad.Tensor(np.zeros((model.pool_dim, 1)))
     x = rng.normal(size=(5, 4))
-    _, z, _ = model.forward_full(ad.constant(x))
-    np.testing.assert_array_equal(z.data, np.full((5, 1), 0.5))
+    z = model.forward(x)["z"]
+    np.testing.assert_array_equal(z, np.full((5, 1), 0.5))
 
 
 def test_vanishing_importance_pins_output_to_head_bias():
@@ -128,10 +120,10 @@ def test_vanishing_importance_pins_output_to_head_bias():
     model = AttentionPredictor(4, rng)
     model.params["pool_w2"] = ad.Tensor(np.full((model.pool_dim, 1), -500.0))
     x = rng.normal(size=(5, 4))
-    rhat, z, _ = model.forward_full(ad.constant(x))
-    assert z.data.max() < 1e-8
+    out = model.forward(x)
+    assert out["z"].max() < 1e-8
     np.testing.assert_allclose(
-        rhat.data, np.full((5, 1), model.params["head_b"].item()), atol=1e-6
+        out["rhat"], np.full((5, 1), model.params["head_b"].item()), atol=1e-6
     )
 
 
@@ -139,11 +131,11 @@ def test_importance_matches_hand_computation():
     rng = np.random.default_rng(9)
     model = AttentionPredictor(4, rng)
     x = rng.normal(size=(6, 4))
-    hs, _ = model.encode(model.embed(ad.constant(x)))
-    z = model.importance(hs).data
+    out = model.forward(x)
+    hs, z = out["hs"], out["z"]
     want = 1.0 / (
         1.0
-        + np.exp(-(np.tanh(hs.data @ model.params["pool_w1"].data) @ model.params["pool_w2"].data))
+        + np.exp(-(np.tanh(hs @ model.params["pool_w1"].data) @ model.params["pool_w2"].data))
     )
     np.testing.assert_allclose(z, want, rtol=1e-12)
 
@@ -187,7 +179,7 @@ def test_attention_forward_matches_numpy_reimplementation():
     rng = np.random.default_rng(10)
     model = AttentionPredictor(6, rng)
     x = rng.normal(size=(8, 6))
-    got = model.reward_sequence(ad.constant(x)).data
+    got = model.reward_sequence(x)
     want = numpy_attention_forward(model, x)
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
@@ -232,7 +224,7 @@ def test_composite_is_ascending_sum_of_outputs():
     model = AttentionPredictor(5, rng)
     traj = toy_trajectory(np.random.default_rng(18), t_len=3)
     dec = predict(model, [traj], "prefixes")[0]
-    vals = model.reward_sequence(ad.constant(traj.input_matrix())).data.reshape(-1)
+    vals = model.reward_sequence(traj.input_matrix()).reshape(-1)
     assert dec.composite == (float(vals[0]) + float(vals[1])) + float(vals[2])
     assert dec.residual == traj.episodic_return - dec.composite
 
@@ -247,11 +239,9 @@ def test_exact_model_has_zero_loss_and_zero_gradient():
     model.params = {k: ad.Tensor(np.zeros(p.shape)) for k, p in model.params.items()}
     model.params["head_b"] = ad.Tensor(np.array([0.5]))
     traj = toy_trajectory(np.random.default_rng(20), t_len=4, ret=2.0)  # 4 * 0.5 == 2
-    loss = regression_loss(model, [traj], "singletons")
-    assert loss.item() == 0.0
-    grads = ad.backward(loss)
-    for p in model.params.values():
-        assert np.array_equal(grads.of(p), np.zeros(p.shape))
+    loss, grad = model.loss_grad(*reference.stacked(model, [traj]), "singletons")
+    assert loss == 0.0
+    assert np.array_equal(grad, np.zeros(grad.shape))
 
 
 def test_bias_only_regression_reaches_mean_target():
@@ -262,7 +252,8 @@ def test_bias_only_regression_reaches_mean_target():
     model.params = frozen
     traj = toy_trajectory(np.random.default_rng(22), t_len=5, ret=3.0)
     for _ in range(400):
-        regression_step(model, [traj], "singletons", optimizer=nn.SgdOptimizer(1e-2))
+        regression_step(model, *reference.stacked(model, [traj]), "singletons",
+                        nn.SgdOptimizer(1e-2))
         # freeze everything except the bias to keep the problem 1-D
         keep = model.params["head_b"]
         model.params = dict(frozen)
@@ -275,7 +266,8 @@ def test_full_batch_loss_non_increasing_at_tiny_lr():
     model = AttentionPredictor(5, rng)
     batch = [toy_trajectory(np.random.default_rng(100 + i), t_len=4) for i in range(6)]
     opt = nn.SgdOptimizer(1e-5)
-    losses = [regression_step(model, batch, "prefixes", optimizer=opt) for _ in range(100)]
+    rows = reference.stacked(model, batch)
+    losses = [regression_step(model, *rows, "prefixes", opt) for _ in range(100)]
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
@@ -286,7 +278,8 @@ def test_non_finite_loss_aborts_without_update():
     before = {k: p.data.copy() for k, p in model.params.items()}
     traj = toy_trajectory(np.random.default_rng(25))
     with pytest.raises(FloatingPointError, match="non-finite"):
-        regression_step(model, [traj], "singletons", optimizer=nn.SgdOptimizer(1e-3))
+        regression_step(model, *reference.stacked(model, [traj]), "singletons",
+                        nn.SgdOptimizer(1e-3))
     for k, p in model.params.items():
         np.testing.assert_array_equal(p.data, before[k])
 
@@ -294,7 +287,8 @@ def test_non_finite_loss_aborts_without_update():
 def test_empty_batch_rejected():
     model = make_predictor("ff", 5, np.random.default_rng(26))
     with pytest.raises(ValueError, match="empty"):
-        regression_step(model, [], "singletons", optimizer=nn.SgdOptimizer(1e-3))
+        regression_step(model, np.zeros((0, 5)), [], np.zeros(0), "singletons",
+                        nn.SgdOptimizer(1e-3))
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +301,9 @@ def _order_probe(arch):
     x = np.random.default_rng(28).normal(size=(5, 4))
     swapped = x.copy()
     swapped[[0, 1]] = swapped[[1, 0]]
-    a = model.reward_sequence(ad.constant(x), "prefixes") if arch == "recurrent" else model.reward_sequence(ad.constant(x))
-    b = model.reward_sequence(ad.constant(swapped), "prefixes") if arch == "recurrent" else model.reward_sequence(ad.constant(swapped))
-    return float(np.abs(a.data[4, 0] - b.data[4, 0]))
+    a = model.reward_sequence(x, "prefixes")
+    b = model.reward_sequence(swapped, "prefixes")
+    return float(np.abs(a[4, 0] - b[4, 0]))
 
 
 @pytest.mark.parametrize("arch", ["recurrent", "attention"])
@@ -325,9 +319,10 @@ def test_order_dependent_target_is_learnable():
     rev = Trajectory(states=steps[::-1, :2], actions=steps[::-1, 2:], episodic_return=-1.0)
     model = make_predictor("attention", 4, np.random.default_rng(30), scale="desk")
     opt = nn.AdamOptimizer(3e-3)
+    rows = reference.stacked(model, [fwd, rev])
     loss = None
     for _ in range(300):
-        loss = regression_step(model, [fwd, rev], "prefixes", optimizer=opt)
+        loss = regression_step(model, *rows, "prefixes", opt)
     assert loss < 0.5
 
 
@@ -402,12 +397,12 @@ def test_batched_loss_and_gradients_match_reference(arch, kind, positional, leng
     norm = ReturnNormalizer()
     norm.update(rng.normal(2.0, 3.0, size=20))
 
-    loss = regression_loss(model, batch, kind, norm)
+    loss, grad = model.loss_grad(*reference.stacked(model, batch, norm), kind)
     want = reference.regression_loss(model, batch, kind, norm)
-    assert _close(loss.data, want.data)
-    grads, want_grads = ad.backward(loss), ad.backward(want)
+    assert _close(np.array(loss), want.data)
+    grads, want_grads = nn.assign_flat(model.params, grad), ad.backward(want)
     for name, param in model.params.items():
-        assert _close(grads.of(param), want_grads.of(param)), name
+        assert _close(grads[name].data, want_grads.of(param)), name
 
     for traj, dec in zip(batch, predict(model, batch, kind), strict=True):
         ref = reference.reward_sequence(model, ad.constant(traj.input_matrix()), kind)
@@ -419,7 +414,7 @@ def test_batched_attention_weights_match_reference():
     model = AttentionPredictor(5, rng)
     trajs = [toy_trajectory(rng, t_len=t) for t in (3, 1, 5)]
     x = np.concatenate([t.input_matrix() for t in trajs])
-    _, _, attn = model.forward_full(ad.constant(x), [3, 1, 5])
+    attn = model.forward(x, [3, 1, 5])["attn"]
     assert attn.shape == (3, model.n_heads, 5, 5)
     for b, traj in enumerate(trajs):
         _, heads = reference.attention_encode(model, ad.constant(traj.input_matrix()))
@@ -437,8 +432,76 @@ def test_n_actions_inferred_from_model_width(arch, kind):
     rng = np.random.default_rng(43)
     traj = Trajectory(states=rng.normal(size=(5, 3)), actions=[0, 2, 1, 0, 2],
                       episodic_return=1.0)
-    x = ad.constant(traj.input_matrix(4))
-    want = model.reward_sequence(x, kind).data.reshape(-1)
+    want = model.reward_sequence(traj.input_matrix(4), kind).reshape(-1)
     np.testing.assert_array_equal(predict(model, [traj], kind)[0].per_interval, want)
-    loss = regression_loss(model, [traj], kind).item()
+    loss = model.loss_grad(*reference.stacked(model, [traj]), kind)[0]
     assert loss == pytest.approx((want.sum() - 1.0) ** 2, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# closed-form regression gradients against the batched tape, bit for bit
+
+
+BITWISE_SPECS = [
+    ("attention", "prefixes", True),
+    ("attention", "prefixes", False),
+    ("attention", "singletons", True),
+    ("attention", "singletons", False),
+    ("ff", "singletons", True),
+    ("recurrent", "prefixes", True),
+    ("recurrent", "singletons", True),
+]
+# ragged minibatches like the trainer's, a batch of one, length-1 trajectories
+BITWISE_LENGTHS = [[5, 1, 9, 3, 1, 16, 7], [6], [1], [1, 1, 1], [16] * 4]
+
+
+def _bitwise_case(arch, kind, positional, lengths, seed, scale):
+    rng = np.random.default_rng(seed)
+    model = make_predictor(arch, 7, rng, positional=positional)
+    # x50 parameters saturate the tanh and sigmoid gates, as the blown-up
+    # predictors of `make_verify_predictors` do
+    model.params = {k: ad.Tensor(p.data * scale) for k, p in model.params.items()}
+    batch = [toy_trajectory(rng, t_len=t, d_s=4, d_a=3) for t in lengths]
+    norm = ReturnNormalizer()
+    norm.update(rng.normal(2.0, 3.0, size=20))
+    return model, batch, norm
+
+
+@pytest.mark.parametrize("scale", [1.0, 50.0])
+@pytest.mark.parametrize("arch,kind,positional", BITWISE_SPECS,
+                         ids=[f"{a}-{k}-pos{int(p)}" for a, k, p in BITWISE_SPECS])
+def test_loss_grad_is_bitwise_the_tape(arch, kind, positional, scale):
+    for seed, lengths in enumerate(BITWISE_LENGTHS):
+        model, batch, norm = _bitwise_case(arch, kind, positional, lengths, seed, scale)
+        x, lengths, targets = reference.stacked(model, batch, norm)
+        loss, grad = model.loss_grad(x, lengths, targets, kind)
+        want_loss, want_grad = reference.loss_grad(model, x, lengths, targets, kind)
+        assert loss == want_loss
+        assert np.array_equal(grad, want_grad), (seed, lengths)
+
+
+@pytest.mark.parametrize("arch,kind,positional", BITWISE_SPECS,
+                         ids=[f"{a}-{k}-pos{int(p)}" for a, k, p in BITWISE_SPECS])
+def test_regression_step_applies_the_tape_gradient(arch, kind, positional):
+    model, batch, norm = _bitwise_case(arch, kind, positional, BITWISE_LENGTHS[0], 7, 1.0)
+    x, lengths, targets = reference.stacked(model, batch, norm)
+    want_loss, want_grad = reference.loss_grad(model, x, lengths, targets, kind)
+    want = nn.flatten_params(model.params) - 1e-2 * want_grad
+    loss = regression_step(model, x, lengths, targets, kind, nn.SgdOptimizer(1e-2))
+    assert loss == want_loss
+    assert np.array_equal(nn.flatten_params(model.params), want)
+
+
+@pytest.mark.parametrize("scale", [1.0, 50.0])
+@pytest.mark.parametrize("arch,kind,positional", BITWISE_SPECS[:5],
+                         ids=[f"{a}-{k}-pos{int(p)}" for a, k, p in BITWISE_SPECS[:5]])
+def test_predict_is_bitwise_the_tape_forward(arch, kind, positional, scale):
+    for seed, lengths in enumerate(BITWISE_LENGTHS):
+        model, batch, _ = _bitwise_case(arch, kind, positional, lengths, seed, scale)
+        x, lengths, _ = reference.stacked(model, batch)
+        rhat, z, attn = reference.batched_rewards(model, ad.constant(x), lengths)
+        got = np.concatenate([d.per_interval for d in predict(model, batch, kind)])
+        assert np.array_equal(got, rhat.data.reshape(-1))
+        if arch == "attention":
+            out = model.forward(x, lengths)
+            assert np.array_equal(out["z"], z.data) and np.array_equal(out["attn"], attn)

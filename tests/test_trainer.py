@@ -5,7 +5,7 @@ import pytest
 
 from rdecomp import autodiff as ad
 from rdecomp import checkpoint, envs, estimators, nn
-from rdecomp.decomposer import RewardDecomposition, predict
+from rdecomp.decomposer import RewardDecomposition, make_predictor, predict
 from rdecomp.policies import CategoricalPolicy, ValueNetwork, make_policy
 from rdecomp.trainer import (
     MetricsWriter,
@@ -65,6 +65,37 @@ def test_rollout_deterministic_given_seed():
         np.testing.assert_array_equal(x.states, y.states)
         np.testing.assert_array_equal(x.actions, y.actions)
         assert x.episodic_return == y.episodic_return
+
+
+@pytest.mark.parametrize("env_name,params", [("grid", {"size": 4, "horizon": 16}),
+                                             ("point_mass", {"horizon": 12})])
+def test_cached_rollout_equals_per_step_act(monkeypatch, env_name, params):
+    env = envs.make_env(env_name, params)
+    policy = make_policy(np.random.default_rng(1), env, hidden=(8,))
+    forwards = []
+    for name in ("log_prob_matrix_np", "mean_np"):
+        if hasattr(policy, name):
+            original = getattr(policy, name)
+            monkeypatch.setattr(policy, name, lambda s, f=original: forwards.append(1) or f(s))
+    rng = np.random.default_rng(3)
+    cached = rollout(policy, env, 300, rng)
+    n_forwards = len(forwards)
+    # per-step act: a fresh sampler, so a fresh cache, for every step
+    sampler = type(policy).sampler
+    monkeypatch.setattr(policy, "sampler", lambda: lambda s, r: sampler(policy)(s, r))
+    per_step_rng = np.random.default_rng(3)
+    per_step = rollout(policy, env, 300, per_step_rng)
+    assert len(cached) == len(per_step)
+    for x, y in zip(cached, per_step):
+        assert np.array_equal(x.states, y.states) and np.array_equal(x.actions, y.actions)
+        assert x.episodic_return == y.episodic_return
+    assert rng.bit_generator.state == per_step_rng.bit_generator.state
+    steps = sum(t.length for t in cached)
+    if env_name == "grid":
+        distinct = {s.tobytes() for t in cached for s in t.states}
+        assert n_forwards == len(distinct) <= 16 < steps
+    else:
+        assert n_forwards == steps
 
 
 def test_rollout_mean_return_matches_enumeration():
@@ -237,6 +268,32 @@ def test_ppo_update_builds_no_tape(monkeypatch, env_name):
     metrics = run_ppo(policy, value_net, batch, advantages, advantages, advantages,
                       entropy_coef=0.01)
     assert metrics["updates"] > 0 and not metrics["aborted"]
+    assert nodes == [] and backward_calls == []
+
+
+def test_regression_and_predict_build_no_tape(monkeypatch):
+    config = dict(TINY, env="grid", env_params={"size": 3, "horizon": 6}, ppo_batch=64,
+                  regression_minibatch=4, architecture="attention", interval_kind="prefixes")
+    trainer = Trainer(TrainConfig(**config), seed=0)
+    batch = rollout(trainer.policy, trainer.env, 64, trainer.rollout_rng)
+    trainer.buffer.insert(batch)
+    trainer.normalizer.update([t.episodic_return for t in batch])
+    ff = make_predictor("ff", trainer.model.input_dim, np.random.default_rng(1))
+    nodes, backward_calls = [], []
+    result, backward = ad._result, ad.backward
+
+    def counted_result(arr, parents, vjp):
+        if parents:
+            nodes.append(vjp)
+        return result(arr, parents, vjp)
+
+    monkeypatch.setattr(ad, "_result", counted_result)
+    monkeypatch.setattr(ad, "backward", lambda *a: backward_calls.append(a) or backward(*a))
+    before = nn.flatten_params(trainer.model.params)
+    loss = trainer._regression_phase()
+    predict(trainer.model, batch, "prefixes", trainer.normalizer)
+    predict(ff, batch, "singletons")
+    assert np.isfinite(loss) and not np.array_equal(nn.flatten_params(trainer.model.params), before)
     assert nodes == [] and backward_calls == []
 
 
