@@ -1,9 +1,8 @@
-"""Numeric hot kernels of the tape engine, the closed-form gradients and
-GAE, in numpy.
+"""Numeric hot kernels of the closed-form gradients and GAE, in numpy.
 
-`autodiff` and `trainer` call these through the module attribute
-(`_kernels.<name>`) at call time, so a wrapper set on this module reroutes
-every call. All operate on C-contiguous float64 arrays.
+Callers look these up through the module attribute (`_kernels.<name>`) at
+call time, so a wrapper set on this module reroutes every call. All
+operate on float64 arrays.
 """
 
 import numpy as np

@@ -1,19 +1,13 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation, and
-the numpy forward and backward helpers that the closed-form gradients share.
+"""The numpy forward and backward helpers that the closed-form gradients
+share, and a reverse-mode tape engine over dense float64 tensors.
 
-The computation graph doubles as the tape: every operation returns a new
-Tensor holding its cached forward value, its parent tensors, and a closure
-that maps the incoming gradient to per-parent gradients. `backward` walks
-that graph once in reverse topological order. Tapes are rebuilt on every
-forward pass, so variable-length inputs need no special casing. Only the
-recurrent reward predictor still builds tapes; the primitives it does not
-use are in tests/tape_ops.py, where the closed forms are checked.
-
-Tensors are immutable after construction (their buffers are marked
-read-only); parameter updates replace the Tensor object. Broadcasting is
-deliberately restricted: elementwise ops accept equal shapes or a trailing
-row vector against a matrix. Anything else must be reshaped explicitly so
-shape bugs surface where they are made.
+No package code builds a tape: every model's gradient is a closed form in
+numpy. The engine (`Tensor`, `backward`) stays as the base of the tape
+references in tests/ (tests/tape_ops.py holds the primitives), against
+which every closed form is checked bit for bit. A tape's nodes are Tensors
+holding a read-only forward value, their parent tensors and a closure that
+maps the incoming gradient to per-parent gradients; `backward` walks the
+graph once in reverse topological order.
 """
 
 from __future__ import annotations
@@ -62,59 +56,8 @@ def _result(arr, parents, vjp):
     return out
 
 
-def constant(data):
-    """Leaf tensor; gradients never flow into it."""
-    return Tensor(data)
-
-
 # ---------------------------------------------------------------------------
-# elementwise arithmetic
-
-
-def _binary_shapes(a, b, op):
-    """Equal shapes, or b a row vector broadcast over a's leading dim."""
-    if a.shape == b.shape:
-        return "same"
-    if a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
-        return "row"
-    raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
-
-
-def add(a, b):
-    mode = _binary_shapes(a, b, "add")
-
-    def vjp(g):
-        gb = g if mode == "same" else g.sum(axis=0)
-        return g, gb
-
-    return _result(a.data + b.data, (a, b), vjp)
-
-
-def mul(a, b):
-    mode = _binary_shapes(a, b, "mul")
-    ad, bd = a.data, b.data
-
-    def vjp(g):
-        ga = g * bd
-        gb = g * ad if mode == "same" else (g * ad).sum(axis=0)
-        return ga, gb
-
-    return _result(ad * bd, (a, b), vjp)
-
-
-def scale(a, c):
-    """Multiply by a python float (no gradient for c)."""
-    c = float(c)
-    return _result(a.data * c, (a,), lambda g: (g * c,))
-
-
-# ---------------------------------------------------------------------------
-# nonlinearities
-
-
-def tanh(a):
-    y = np.tanh(a.data)
-    return _result(y, (a,), lambda g: (_kernels.tanh_vjp(y, g),))
+# numpy forward and backward helpers of the closed forms
 
 
 def tanh_mlp_layers(x, weights, biases):
@@ -145,81 +88,6 @@ def tanh_mlp_grads(hs, weights, g, names):
         out[f"{name}_w"] = _kernels.matmul(h.T, d)
         out[f"{name}_b"] = d.sum(axis=0)
     return out, deltas[0]
-
-
-def sigmoid(a):
-    y = _kernels.sigmoid(a.data)
-    return _result(y, (a,), lambda g: (_kernels.sigmoid_vjp(y, g),))
-
-
-# ---------------------------------------------------------------------------
-# contractions and reductions
-
-
-def matmul(a, b):
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    ad, bd = a.data, b.data
-
-    def vjp(g):
-        return _kernels.matmul(g, bd.T), _kernels.matmul(ad.T, g)
-
-    return _result(_kernels.matmul(ad, bd), (a, b), vjp)
-
-
-# ---------------------------------------------------------------------------
-# structure
-
-
-def concat(tensors, axis=0):
-    tensors = list(tensors)
-    if not tensors:
-        raise ShapeError("concat: empty input")
-    ndim = tensors[0].data.ndim
-    for t in tensors:
-        if t.data.ndim != ndim:
-            raise ShapeError(f"concat: mixed ranks {[t.shape for t in tensors]}")
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        return tuple(
-            np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(sizes))
-        )
-
-    return _result(np.concatenate([t.data for t in tensors], axis=axis), tensors, vjp)
-
-
-def narrow(a, axis, start, stop):
-    """Contiguous slice along one axis (the `slice` primitive)."""
-    if not (0 <= start < stop <= a.shape[axis]):
-        raise ShapeError(f"narrow: [{start}:{stop}] out of range for {a.shape} axis {axis}")
-    idx = [slice(None)] * a.data.ndim
-    idx[axis] = slice(start, stop)
-    shape = a.shape
-
-    def vjp(g):
-        full = np.zeros(shape)
-        full[tuple(idx)] = g
-        return (full,)
-
-    return _result(a.data[tuple(idx)].copy(), (a,), vjp)
-
-
-def take_rows(a, rows):
-    """Rows of a 2-D tensor in the given order: out[i] = a[rows[i]]."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"take_rows: need 2-D, got {a.shape}")
-    rows = np.asarray(rows, dtype=np.intp)
-    shape = a.shape
-
-    def vjp(g):
-        full = np.zeros(shape)
-        np.add.at(full, rows, g)
-        return (full,)
-
-    return _result(a.data[rows], (a,), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import zlib
 import numpy as np
 
 from rdecomp import config as config_mod
-from rdecomp import decomposer, oracle, recipes, trainer
+from rdecomp import decomposer, nn, oracle, recipes, trainer
 from rdecomp.checkpoint import CheckpointError, load as load_checkpoint
 from rdecomp.policies import CategoricalPolicy
 from rdecomp.trajectory import read_jsonl
@@ -50,7 +50,7 @@ def _run_training(experiment, resume=False):
         if resuming:
             run.restore(out_dir, suffix)
         writer = trainer.MetricsWriter(
-            os.path.join(out_dir, f"metrics{suffix}.csv"), append=resuming
+            os.path.join(out_dir, f"metrics{suffix}.csv"), run.iteration if resuming else None
         )
         # Save at iteration boundaries only, so --resume after a crash is exact.
         if not resuming:
@@ -123,9 +123,7 @@ def make_verify_predictors(mdp, n_inits, seed=0):
         arch, kind = rotation[i % len(rotation)]
         model = decomposer.make_predictor(arch, input_dim, rng, scale="desk")
         if i % 4 == 3:
-            model.params = {
-                k: type(p)(p.data * 50.0) for k, p in model.params.items()
-            }
+            model.params = {k: nn.read_only(p * 50.0) for k, p in model.params.items()}
 
         def fn(batch, model=model, kind=kind):
             return decomposer.predict(model, batch, kind)

@@ -16,8 +16,8 @@ Every predictor runs on a batch at once: the rows of B trajectories are
 stacked into one (N, d) matrix and passed with the segment lengths, so a
 regression minibatch is one forward and one backward pass, and `predict`
 is one forward pass over a list of trajectories, for the trainer and the
-oracle alike. Only the recurrent predictor's gradient uses the tape; the
-others have one numpy forward each and a closed-form backward.
+oracle alike. Each predictor has one numpy forward and a closed-form
+backward; none builds a tape.
 
 Training regresses the summed per-interval predictions onto the episodic
 return with a squared loss. Returns are standardized by a running
@@ -139,6 +139,15 @@ def _segment_lengths(x, lengths):
     return np.array([x.shape[0]] if lengths is None else lengths, dtype=np.intp)
 
 
+def _plus_head(a, b):
+    """a with b added to its first len(b) rows; None adds nothing."""
+    if b is None:
+        return a
+    out = a.copy()
+    out[: len(b)] += b
+    return out
+
+
 class FeedForwardPredictor:
     """Per-step MLP: interval i sees (s_i, a_i) only. Singleton intervals."""
 
@@ -164,9 +173,9 @@ class FeedForwardPredictor:
     def _forward(self, x):
         """The weights, the activations [x, h_1, ..., h_L] and the rewards."""
         p = self.params
-        weights = [p[f"l{i}_w"].data for i in range(self.n_layers)]
-        hs = ad.tanh_mlp_layers(x, weights, [p[f"l{i}_b"].data for i in range(self.n_layers)])
-        return weights, hs, _kernels.matmul(hs[-1], p["head_w"].data) + p["head_b"].data
+        weights = [p[f"l{i}_w"] for i in range(self.n_layers)]
+        hs = ad.tanh_mlp_layers(x, weights, [p[f"l{i}_b"] for i in range(self.n_layers)])
+        return weights, hs, _kernels.matmul(hs[-1], p["head_w"]) + p["head_b"]
 
     def reward_sequence(self, x, kind="singletons", lengths=None):
         """Rows are independent, so the segment lengths are not needed."""
@@ -177,7 +186,7 @@ class FeedForwardPredictor:
         loss, g = regression_loss(rhat, lengths, targets)
         if g is None:
             return loss, None
-        head_w = self.params["head_w"].data
+        head_w = self.params["head_w"]
         grads, _ = ad.tanh_mlp_grads(hs, weights, _kernels.matmul(g, head_w.T),
                                      [f"l{i}" for i in range(self.n_layers)])
         grads["head_w"], grads["head_b"] = _kernels.matmul(hs[-1].T, g), g.sum(axis=0)
@@ -217,54 +226,90 @@ class RecurrentPredictor:
     def supports(self, kind):
         return kind in VALID_KINDS
 
-    def reward_tensor(self, x, kind="prefixes", lengths=None):
-        """Tape form of `reward_sequence`, x a Tensor. All trajectories
-        step together, longest first.
+    def forward(self, x, kind="prefixes", lengths=None):
+        """Activations by name, among them the rewards "rhat" (N, 1). All
+        trajectories step together, longest first.
 
-        The rows are reordered time-major: step t holds the n_t trajectories
-        still running, so the state is narrowed to its first n_t rows as
-        trajectories end. For prefixes, a running sum divided by t + 1
-        mean-pools h_0..h_t. The head's outputs go back to stacked order.
+        The rows are reordered time-major ("order"): step t holds the n_t
+        trajectories still running, so the state is narrowed to its first
+        n_t rows as trajectories end. For prefixes, a running sum divided by
+        t + 1 mean-pools h_0..h_t. The head's outputs go back to stacked
+        order.
         """
         lengths = _segment_lengths(x, lengths)
         starts = np.cumsum(lengths) - lengths
         by_length = np.argsort(-lengths, kind="stable")
         active = [int(np.count_nonzero(lengths > t)) for t in range(int(lengths.max()))]
-        time_major = np.concatenate(
-            [starts[by_length[:n]] + t for t, n in enumerate(active)]
-        )
-        p = self.params
-        v = ad.tanh(nn.linear(ad.take_rows(x, time_major), p["embed_w"], p["embed_b"]))
-        w_x = ad.narrow(p["lstm_w"], 0, 0, self.embed_dim)
-        w_h = ad.narrow(p["lstm_w"], 0, self.embed_dim, self.embed_dim + self.hidden_dim)
-        x_gates = nn.linear(v, w_x, p["lstm_b"])
-        h = c = total = ad.constant(np.zeros((active[0], self.hidden_dim)))
+        order = np.concatenate([starts[by_length[:n]] + t for t, n in enumerate(active)])
+        p, e, hd = self.params, self.embed_dim, self.hidden_dim
+        mm, sigmoid = _kernels.matmul, _kernels.sigmoid
+        a = {"order": order, "active": active, "steps": []}
+        a["x"], a["v"] = ad.tanh_mlp_layers(x[order], [p["embed_w"]], [p["embed_b"]])
+        x_gates = mm(a["v"], p["lstm_w"][:e]) + p["lstm_b"]
+        h = c = total = np.zeros((active[0], hd))
         rows = []
         offset = 0
         for t, n in enumerate(active):
-            if n < h.shape[0]:
-                h, c, total = (ad.narrow(a, 0, 0, n) for a in (h, c, total))
-            gates = ad.narrow(x_gates, 0, offset, offset + n)
-            h, c = nn.lstm_step(gates, h, c, w_h, self.hidden_dim)
+            h, c, total = h[:n], c[:n], total[:n]
+            s = x_gates[offset : offset + n] + mm(h, p["lstm_w"][e:])
+            gates = (sigmoid(s[:, :hd]), sigmoid(s[:, hd : 2 * hd]),
+                     np.tanh(s[:, 2 * hd : 3 * hd]), sigmoid(s[:, 3 * hd :]))
+            i, f, g, o = gates
+            c_next = f * c + i * g
+            tanh_c = np.tanh(c_next)
+            a["steps"].append((h, c, gates, tanh_c))
+            h, c = o * tanh_c, c_next
             offset += n
             if kind == "prefixes":
-                total = ad.add(total, h)
-                rows.append(ad.scale(total, 1.0 / (t + 1)))
+                total = total + h
+                rows.append(total * (1.0 / (t + 1)))
             else:
                 rows.append(h)
-        out = nn.linear(ad.concat(rows, axis=0), p["head_w"], p["head_b"])
-        return ad.take_rows(out, np.argsort(time_major))
+        a["pooled"] = np.concatenate(rows)
+        a["rhat"] = (mm(a["pooled"], p["head_w"]) + p["head_b"])[np.argsort(order)]
+        return a
 
     def reward_sequence(self, x, kind="prefixes", lengths=None):
-        return self.reward_tensor(ad.constant(x), kind, lengths).data
+        return self.forward(x, kind, lengths)["rhat"]
 
     def loss_grad(self, x, lengths, targets, kind="prefixes"):
-        """`autodiff.backward` from the rewards, seeded by `regression_loss`."""
-        rhat = self.reward_tensor(ad.constant(x), kind, lengths)
-        loss, g = regression_loss(rhat.data, lengths, targets)
+        """Backpropagation through time, from the last step to the first.
+        The recurrent weights' gradient sums the steps' in that order."""
+        a = self.forward(x, kind, lengths)
+        loss, g = regression_loss(a["rhat"], lengths, targets)
         if g is None:
             return loss, None
-        return loss, nn.flatten_grads(self.params, ad.backward(rhat, g))
+        p, e, hd = self.params, self.embed_dim, self.hidden_dim
+        mm = _kernels.matmul
+        g = g[a["order"]]
+        grads = {"head_w": mm(a["pooled"].T, g), "head_b": g.sum(axis=0)}
+        g_rows = mm(g, p["head_w"].T)
+        # gradients at the gate pre-activations, time-major like x_gates
+        g_gates = np.empty((len(g), 4 * hd))
+        g_h = g_c = g_total = g_wh = None
+        end = len(g)
+        for t in range(len(a["active"]) - 1, -1, -1):
+            h_prev, c_prev, (i, f, gc, o), tanh_c = a["steps"][t]
+            start = end - len(h_prev)
+            g_t = g_rows[start:end]
+            if kind == "prefixes":
+                g_t = g_total = _plus_head(g_t * (1.0 / (t + 1)), g_total)
+            g_t = _plus_head(g_t, g_h)
+            g_ct = _plus_head(_kernels.tanh_vjp(tanh_c, g_t * o), g_c)
+            d = g_gates[start:end]
+            d[:, :hd] = _kernels.sigmoid_vjp(i, g_ct * gc)
+            d[:, hd : 2 * hd] = _kernels.sigmoid_vjp(f, g_ct * c_prev)
+            d[:, 2 * hd : 3 * hd] = _kernels.tanh_vjp(gc, g_ct * i)
+            d[:, 3 * hd :] = _kernels.sigmoid_vjp(o, g_t * tanh_c)
+            g_wh = mm(h_prev.T, d) if g_wh is None else g_wh + mm(h_prev.T, d)
+            g_h, g_c = mm(d, p["lstm_w"][e:].T), g_ct * f
+            end = start
+        grads["lstm_b"] = g_gates.sum(axis=0)
+        grads["lstm_w"] = np.concatenate([mm(a["v"].T, g_gates), g_wh])
+        embed, _ = ad.tanh_mlp_grads([a["x"], a["v"]], [p["embed_w"]],
+                                     mm(g_gates, p["lstm_w"][:e].T), ["embed"])
+        grads.update(embed)
+        return loss, nn.flatten_arrays(self.params, grads)
 
     def hyperparams(self):
         return {"input_dim": self.input_dim, "scale": self.scale}
@@ -300,12 +345,10 @@ class AttentionPredictor:
         p["wk"], _ = nn.init_linear(rng, d, self.n_heads * self.qk_dim)
         p["wv"], _ = nn.init_linear(rng, d, self.n_heads * self.head_dim)
         p["wo"], p["bo"] = nn.init_linear(rng, self.n_heads * self.head_dim, d)
-        p["ln1_g"] = ad.Tensor(np.ones(d))
-        p["ln1_b"] = ad.Tensor(np.zeros(d))
+        p["ln1_g"], p["ln1_b"] = nn.read_only(np.ones(d)), nn.read_only(np.zeros(d))
         p["ff1_w"], p["ff1_b"] = nn.init_linear(rng, d, self.ff_hidden)
         p["ff2_w"], p["ff2_b"] = nn.init_linear(rng, self.ff_hidden, d)
-        p["ln2_g"] = ad.Tensor(np.ones(d))
-        p["ln2_b"] = ad.Tensor(np.zeros(d))
+        p["ln2_g"], p["ln2_b"] = nn.read_only(np.ones(d)), nn.read_only(np.zeros(d))
         p["pool_w1"], _ = nn.init_linear(rng, d, self.pool_dim)
         p["pool_w2"], _ = nn.init_linear(rng, self.pool_dim, 1)
         p["head_w"], p["head_b"] = nn.init_linear(rng, d, 1)
@@ -319,7 +362,7 @@ class AttentionPredictor:
         importance "z" (N, 1) and the attention weights "attn" (B, heads,
         T, T). Positions, from 0 in each trajectory, are added after
         "embed", which thus depends on (s, a) alone."""
-        p = {k: t.data for k, t in self.params.items()}
+        p = self.params
         lengths = _segment_lengths(x, lengths)
         mm = _kernels.matmul
         v = ad.tanh_mlp_layers(x, [p["embed_w"]], [p["embed_b"]])[1]
@@ -352,7 +395,7 @@ class AttentionPredictor:
         loss, g = regression_loss(a["rhat"], lengths, targets)
         if g is None:
             return loss, None
-        p = {k: t.data for k, t in self.params.items()}
+        p = self.params
         mm = _kernels.matmul
         grads = {"head_w": mm(a["pooled"].T, g), "head_b": g.sum(axis=0)}
         g_pooled = mm(g, p["head_w"].T)

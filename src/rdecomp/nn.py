@@ -1,25 +1,25 @@
 """Small neural-net building blocks shared by the reward models and the
-policy/value networks: fan-in-scaled initialization, linear application,
-an LSTM step built from tape primitives, and optimizers that update a
-model as one flat float64 vector in sorted-name order (`flatten_params`)."""
+policy/value networks: fan-in-scaled initialization of read-only float64
+parameter arrays, and optimizers that update a model as one flat float64
+vector in sorted-name order (`flatten_params`)."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from rdecomp import autodiff as ad
+
+def read_only(arr):
+    """A float64 copy of arr that cannot be written: a parameter array."""
+    out = np.array(arr, dtype=np.float64)
+    out.flags.writeable = False
+    return out
 
 
 def init_linear(rng, fan_in, fan_out, scale=1.0):
     """Uniform(-b, b) weights with b = scale / sqrt(fan_in); zero bias."""
     bound = scale / np.sqrt(fan_in)
     w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-    b = np.zeros(fan_out)
-    return ad.Tensor(w), ad.Tensor(b)
-
-
-def linear(x, w, b):
-    return ad.add(ad.matmul(x, w), b)
+    return read_only(w), read_only(np.zeros(fan_out))
 
 
 def lstm_params(rng, input_dim, hidden_dim):
@@ -29,26 +29,9 @@ def lstm_params(rng, input_dim, hidden_dim):
     """
     w, b = init_linear(rng, input_dim + hidden_dim, 4 * hidden_dim)
     # Positive forget-gate bias keeps early memory from decaying at init.
-    bias = b.data.copy()
+    bias = b.copy()
     bias[hidden_dim : 2 * hidden_dim] = 1.0
-    return {"w": w, "b": ad.Tensor(bias)}
-
-
-def lstm_step(x_gates, h_prev, c_prev, w_h, hidden_dim):
-    """Single LSTM step over a batch of n rows.
-
-    x_gates (n, 4 hidden) is the input's share of the gate pre-activations,
-    x_t W_x + b, computed for all steps before the loop; w_h is the
-    recurrent block of the stacked weights; h_prev/c_prev (n, hidden).
-    """
-    stacked = ad.add(x_gates, ad.matmul(h_prev, w_h))
-    i_gate = ad.sigmoid(ad.narrow(stacked, 1, 0, hidden_dim))
-    f_gate = ad.sigmoid(ad.narrow(stacked, 1, hidden_dim, 2 * hidden_dim))
-    g_cell = ad.tanh(ad.narrow(stacked, 1, 2 * hidden_dim, 3 * hidden_dim))
-    o_gate = ad.sigmoid(ad.narrow(stacked, 1, 3 * hidden_dim, 4 * hidden_dim))
-    c_t = ad.add(ad.mul(f_gate, c_prev), ad.mul(i_gate, g_cell))
-    h_t = ad.mul(o_gate, ad.tanh(c_t))
-    return h_t, c_t
+    return {"w": w, "b": read_only(bias)}
 
 
 def sinusoidal_positions(t_len, dim):
@@ -67,22 +50,17 @@ def flatten_arrays(params, arrays):
 
 
 def flatten_params(params):
-    return flatten_arrays(params, {k: p.data for k, p in params.items()})
-
-
-def flatten_grads(params, grads):
-    """The gradients of ad.backward at params, in `flatten_params` order."""
-    return flatten_arrays(params, {k: grads.of(p) for k, p in params.items()})
+    return flatten_arrays(params, params)
 
 
 def assign_flat(params, flat):
-    """Inverse of flatten_params: new Tensors, read-only views into `flat`."""
+    """Inverse of flatten_params: read-only views into `flat`."""
     flat.flags.writeable = False
     out = {}
     i = 0
     for k in sorted(params):
         n = params[k].size
-        out[k] = ad._result(flat[i : i + n].reshape(params[k].shape), (), None)
+        out[k] = flat[i : i + n].reshape(params[k].shape)
         i += n
     if i != flat.size:
         raise ValueError(f"flat vector length {flat.size}, parameters need {i}")

@@ -30,9 +30,10 @@ from rdecomp.trajectory import Trajectory
 
 MAX_TRAJECTORIES = 10**6
 # Trajectories per predictor call in `verify_identities`. One call on a
-# whole enumerated set keeps that set's whole forward tape alive (windy2 has
-# 128 trajectories): default sweeps then peaked at 43.6 MB, against 38.7 MB
-# in chunks of 16 and 38.3 MB one trajectory at a time.
+# whole enumerated set (windy2 has 128 trajectories) keeps all of its
+# forward activations alive at once: 16 default sweeps in one process
+# peaked at 41.3-41.5 MB that way, against 39.3 MB in chunks of 16 and
+# 38.8-38.9 MB one trajectory at a time.
 PREDICT_CHUNK = 16
 
 
@@ -220,8 +221,8 @@ def verify_identities(ctx, predictor_fn, tol=1e-8):
     in order; it can be an actual reward model or any fixed causal function,
     including adversarial ones. A predictor whose interval-i reward reads
     later steps breaks (a), (c) and (d). It is called on `ctx.trajectories`
-    in consecutive chunks of PREDICT_CHUNK, so a model's forward tape lives
-    for one chunk at a time rather than for the whole enumerated set.
+    in consecutive chunks of PREDICT_CHUNK, so a model's forward activations
+    live for one chunk at a time rather than for the whole enumerated set.
 
     The decompositions are stacked into (K, T) arrays zero-padded like
     `ctx.scores` (interval rewards, generalized Q and its complement), so

@@ -41,15 +41,14 @@ class _Trunk:
         self.out_dim = self.sizes[-1]
 
     def layers(self, params):
-        """The weight and the bias Tensors of each layer, first layer first."""
+        """The weight and the bias arrays of each layer, first layer first."""
         idx = range(self.n_layers)
         return [params[f"t{i}_w"] for i in idx], [params[f"t{i}_b"] for i in idx]
 
     def forward(self, params, x):
         """The weight arrays and [x, h_1, ..., h_L], for `grads`."""
         weights, biases = self.layers(params)
-        wd = [w.data for w in weights]
-        return wd, ad.tanh_mlp_layers(x, wd, [b.data for b in biases])
+        return weights, ad.tanh_mlp_layers(x, weights, biases)
 
     def apply_np(self, params, x):
         return self.forward(params, x)[1][-1]
@@ -66,13 +65,11 @@ class _Trunk:
 
 def _segment_scores(policy, states, actions, coeffs, lengths):
     """(B, P): row b sums coeffs[t] grad log pi(a_t|s_t) over segment b of the
-    stacked steps, flattened over parameters in `flatten_grads` order."""
+    stacked steps, flattened over parameters in `flatten_params` order."""
     params = policy.params
-    weights, biases = policy.trunk.layers(params)
-    wd = [w.data for w in weights]
-    hs = ad.tanh_mlp_layers(states, wd, [b.data for b in biases])
+    wd, hs = policy.trunk.forward(params, states)
     head, extra = policy.head_deltas(hs[-1], actions, coeffs.reshape(-1, 1))
-    deltas = ad.tanh_mlp_deltas(hs, wd, _kernels.matmul(head, params["head_w"].data.T))
+    deltas = ad.tanh_mlp_deltas(hs, wd, _kernels.matmul(head, params["head_w"].T))
 
     sums = {name: ad.pad_segments(rows, lengths).sum(axis=1) for name, rows in extra.items()}
     layers = [(f"t{i}", hs[i], d) for i, d in enumerate(deltas)] + [("head", hs[-1], head)]
@@ -152,7 +149,7 @@ class CategoricalPolicy:
 
     def logits_np(self, states):
         h = self.trunk.apply_np(self.params, np.atleast_2d(states))
-        return h @ self.params["head_w"].data + self.params["head_b"].data
+        return h @ self.params["head_w"] + self.params["head_b"]
 
     def log_prob_matrix_np(self, states):
         logits = self.logits_np(states)
@@ -185,8 +182,8 @@ class CategoricalPolicy:
         """log pi(a_t|s_t) and the entropy per step, each (m, 1), given the
         trunk output h, and the map from their gradients (the entropy's may
         be None) to the gradient at h and the head's parameter gradients."""
-        w = self.params["head_w"].data
-        logits = _kernels.matmul(h, w) + self.params["head_b"].data
+        w = self.params["head_w"]
+        logits = _kernels.matmul(h, w) + self.params["head_b"]
         shifted = logits - logits.max(axis=1, keepdims=True)
         logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         p = np.exp(logp)
@@ -214,7 +211,7 @@ class CategoricalPolicy:
     def head_deltas(self, h, actions, c):
         """Gradient of sum_t c_t log pi(a_t|s_t) at the logits, given the
         trunk output h; no parameter outside the head and trunk."""
-        logits = h @ self.params["head_w"].data + self.params["head_b"].data
+        logits = h @ self.params["head_w"] + self.params["head_b"]
         return c * (np.eye(self.n_actions)[actions] - _kernels.softmax_rows(logits)), {}
 
     weighted_score_gradient = _weighted_score_gradient
@@ -232,15 +229,15 @@ class GaussianPolicy:
         head_w, head_b = nn.init_linear(rng, self.trunk.out_dim, action_dim, scale=0.1)
         self.params = dict(self.trunk.params)
         self.params["head_w"], self.params["head_b"] = head_w, head_b
-        self.params["log_std"] = ad.Tensor(np.full(action_dim, init_log_std))
+        self.params["log_std"] = nn.read_only(np.full(action_dim, init_log_std))
 
     def mean_np(self, states):
         h = self.trunk.apply_np(self.params, np.atleast_2d(states))
-        return h @ self.params["head_w"].data + self.params["head_b"].data
+        return h @ self.params["head_w"] + self.params["head_b"]
 
     def act(self, state, rng):
         mean = self.mean_np(state)[0]
-        std = np.exp(self.params["log_std"].data)
+        std = np.exp(self.params["log_std"])
         return mean + std * rng.standard_normal(self.action_dim)
 
     def sampler(self):
@@ -250,10 +247,10 @@ class GaussianPolicy:
     def log_prob_head(self, h, actions):
         """As `CategoricalPolicy.log_prob_head`; actions (m, action_dim).
         The entropy depends on log_std alone."""
-        w = self.params["head_w"].data
-        log_std = self.params["log_std"].data
+        w = self.params["head_w"]
+        log_std = self.params["log_std"]
         inv_std = np.exp(log_std * -1.0)
-        diff = actions - (_kernels.matmul(h, w) + self.params["head_b"].data)
+        diff = actions - (_kernels.matmul(h, w) + self.params["head_b"])
         z = diff * inv_std
         per_dim = (z * z * 0.5 + log_std) + 0.5 * LOG_2PI
         ent = log_std.sum() + 0.5 * self.action_dim * (1.0 + LOG_2PI)
@@ -276,15 +273,15 @@ class GaussianPolicy:
 
     def log_prob_np(self, states, actions):
         mean = self.mean_np(states)
-        log_std = self.params["log_std"].data
+        log_std = self.params["log_std"]
         z = (np.asarray(actions) - mean) / np.exp(log_std)
         return -0.5 * (z * z).sum(axis=1) - log_std.sum() - 0.5 * LOG_2PI * self.action_dim
 
     def head_deltas(self, h, actions, c):
         """Gradient of sum_t c_t log pi(a_t|s_t) at the mean, given the trunk
         output h, and the per-step rows of its gradient at log_std."""
-        mean = h @ self.params["head_w"].data + self.params["head_b"].data
-        std = np.exp(self.params["log_std"].data)
+        mean = h @ self.params["head_w"] + self.params["head_b"]
+        std = np.exp(self.params["log_std"])
         z = (actions - mean) / std
         return c * z / std, {"log_std": c * (z * z - 1.0)}
 
@@ -308,10 +305,10 @@ class ValueNetwork:
 
     def values_np(self, states):
         h = self.trunk.apply_np(self.params, np.atleast_2d(states))
-        vr = (h @ self.params["vr_w"].data + self.params["vr_b"].data).reshape(-1)
+        vr = (h @ self.params["vr_w"] + self.params["vr_b"]).reshape(-1)
         if not self.two_heads:
             return vr, np.zeros_like(vr)
-        v0 = (h @ self.params["v0_w"].data + self.params["v0_b"].data).reshape(-1)
+        v0 = (h @ self.params["v0_w"] + self.params["v0_b"]).reshape(-1)
         return vr, v0
 
     def loss_grad(self, states, target_r, target_0):
@@ -322,7 +319,7 @@ class ValueNetwork:
         h = hs[-1]
         heads = [("vr", target_r), ("v0", target_0)][: 1 + self.two_heads]
         errs = [
-            _kernels.matmul(h, self.params[f"{name}_w"].data) + self.params[f"{name}_b"].data
+            _kernels.matmul(h, self.params[f"{name}_w"]) + self.params[f"{name}_b"]
             - target.reshape(-1, 1)
             for name, target in heads
         ]
@@ -331,7 +328,7 @@ class ValueNetwork:
             return float(loss), None
         g_h, grads = None, {}
         for (name, _), err in zip(heads, errs):
-            w = self.params[f"{name}_w"].data
+            w = self.params[f"{name}_w"]
             g = 2.0 * np.full(err.shape, 1.0 / err.size) * err
             grads[f"{name}_w"], grads[f"{name}_b"] = _kernels.matmul(h.T, g), g.sum(axis=0)
             g_h = _kernels.matmul(g, w.T) if g_h is None else g_h + _kernels.matmul(g, w.T)

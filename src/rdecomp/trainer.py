@@ -20,13 +20,14 @@ episodic return, which is the episodic-PPO baseline.
 Regression draws from the (possibly stale) replay buffer; the policy
 gradient only ever sees the freshest on-policy batch. Each minibatch's
 loss and flat gradient come from one call: `ppo_loss_grad` on the policy,
-`loss_grad` on the value net and on the reward predictor. Only the
-recurrent predictor's uses the tape.
+`loss_grad` on the value net and on the reward predictor, all closed
+forms in numpy.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 from dataclasses import dataclass, field
@@ -34,7 +35,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from rdecomp import _kernels
-from rdecomp import autodiff as ad
 from rdecomp import checkpoint, decomposer, envs, estimators, nn
 from rdecomp.buffers import ReplayBuffer
 from rdecomp.policies import ValueNetwork, make_policy
@@ -343,16 +343,21 @@ class Trainer:
     # -- persistence --------------------------------------------------------
 
     def save(self, out_dir, suffix=""):
+        """Write every artifact of the run through `checkpoint.write_atomic`:
+        the checkpoints, each with the iteration in its meta, then the
+        buffer, and the state last. A crash inside a save thus leaves
+        either the old set or a checkpoint whose iteration is not the
+        state's, which `restore` refuses."""
         os.makedirs(out_dir, exist_ok=True)
         checkpoint.save(
             os.path.join(out_dir, f"policy{suffix}.json"),
             self.policy.params,
-            meta={"kind": "policy", "seed": self.seed},
+            meta={"kind": "policy", "seed": self.seed, "iteration": self.iteration},
         )
         checkpoint.save(
             os.path.join(out_dir, f"value{suffix}.json"),
             self.value_net.params,
-            meta={"kind": "value"},
+            meta={"kind": "value", "iteration": self.iteration},
         )
         if self.model is not None:
             meta = {
@@ -360,6 +365,7 @@ class Trainer:
                 "architecture": self.model.architecture,
                 "hyperparams": self.model.hyperparams(),
                 "interval_kind": self.config.interval_kind,
+                "iteration": self.iteration,
             }
             if self.normalizer is not None:
                 meta["normalizer"] = self.normalizer.state()
@@ -371,21 +377,21 @@ class Trainer:
         self._save_state(out_dir, suffix)
 
     def _save_state(self, out_dir, suffix):
-        buffer_trajs, buffer_meta = self.buffer.snapshot()
-        write_jsonl(os.path.join(out_dir, f"buffer{suffix}.jsonl"), buffer_trajs)
         opt_arrays = {}
         steps = {}
         for label, opt in (("policy", self.policy_opt), ("value", self.value_opt),
                            ("reward", self.reward_opt)):
             if isinstance(opt, nn.AdamOptimizer):
-                opt_arrays[f"{label}/m"] = ad.Tensor(opt.m)
-                opt_arrays[f"{label}/v"] = ad.Tensor(opt.v)
+                opt_arrays[f"{label}/m"] = opt.m
+                opt_arrays[f"{label}/v"] = opt.v
                 steps[label] = opt.t
         checkpoint.save(
             os.path.join(out_dir, f"optimizer{suffix}.json"),
             opt_arrays,
-            meta={"steps": steps},
+            meta={"steps": steps, "iteration": self.iteration},
         )
+        buffer_trajs, buffer_meta = self.buffer.snapshot()
+        write_jsonl(os.path.join(out_dir, f"buffer{suffix}.jsonl"), buffer_trajs)
         state = {
             "iteration": self.iteration,
             "env_steps": self.env_steps,
@@ -398,25 +404,30 @@ class Trainer:
                 for name in ("rollout_rng", "ppo_rng", "regression_rng")
             },
         }
-        with open(os.path.join(out_dir, f"state{suffix}.json"), "w", encoding="utf-8") as fh:
-            json.dump(state, fh, indent=1)
+        checkpoint.write_atomic(os.path.join(out_dir, f"state{suffix}.json"),
+                                json.dumps(state, indent=1))
 
     def restore(self, out_dir, suffix=""):
         """Resume from artifacts written by `save`. Every artifact is read and
         checked before any state is replaced, so a failure leaves the
-        trainer as it was."""
+        trainer as it was; a checkpoint from another iteration than the
+        state's (a save cut short) raises CheckpointError."""
 
         def path(name, ext=".json"):
             return os.path.join(out_dir, f"{name}{suffix}{ext}")
 
-        policy_params, _ = checkpoint.load(path("policy"))
-        value_params, _ = checkpoint.load(path("value"))
-        if self.model is not None:
-            model_params, meta = checkpoint.load(path("reward_model"))
+        names = ["policy", "value", "optimizer"] + ([] if self.model is None else ["reward_model"])
+        loaded = {name: checkpoint.load(path(name)) for name in names}
         with open(path("state"), "r", encoding="utf-8") as fh:
             state = json.load(fh)
+        for name, (_, meta) in loaded.items():
+            if meta.get("iteration", state["iteration"]) != state["iteration"]:
+                raise checkpoint.CheckpointError(
+                    f"{path(name)} is from iteration {meta['iteration']} but"
+                    f" {path('state')} from {state['iteration']}: a save was cut short"
+                )
         buffer_trajs = read_jsonl(path("buffer", ".jsonl"))
-        opt_arrays, opt_meta = checkpoint.load(path("optimizer"))
+        opt_arrays, opt_meta = loaded["optimizer"]
         adams = {}
         for label, opt in (("policy", self.policy_opt), ("value", self.value_opt),
                            ("reward", self.reward_opt)):
@@ -426,12 +437,12 @@ class Trainer:
                 raise checkpoint.CheckpointError(
                     f"{path('optimizer')} has no flat Adam state {label}/m, {label}/v"
                 )
-            adams[opt] = (opt_meta["steps"][label], opt_arrays[f"{label}/m"].data,
-                          opt_arrays[f"{label}/v"].data)
+            adams[opt] = (opt_meta["steps"][label], opt_arrays[f"{label}/m"],
+                          opt_arrays[f"{label}/v"])
 
-        self.policy.params, self.value_net.params = policy_params, value_params
+        self.policy.params, self.value_net.params = loaded["policy"][0], loaded["value"][0]
         if self.model is not None:
-            self.model.params = model_params
+            self.model.params, meta = loaded["reward_model"]
             if self.normalizer is not None and meta.get("normalizer"):
                 self.normalizer = decomposer.ReturnNormalizer.from_state(meta["normalizer"])
         self.iteration = state["iteration"]
@@ -453,15 +464,22 @@ def write_metrics_csv(path, rows):
 
 
 class MetricsWriter:
-    """Append-only CSV sink, flushed per row so partial runs keep their logs."""
+    """CSV sink, flushed per row so partial runs keep their logs. Resuming at
+    an iteration keeps the rows before it: a crash after a row was written
+    but before its iteration was saved repeats that iteration."""
 
-    def __init__(self, path, append=False):
-        mode = "a" if append and os.path.exists(path) else "w"
-        self._fh = open(path, mode, newline="", encoding="utf-8")
+    def __init__(self, path, resume_at=None):
+        kept = []
+        if resume_at is not None and os.path.exists(path):
+            with open(path, "r", newline="", encoding="utf-8") as fh:
+                kept = [row for row in csv.DictReader(fh) if int(row["iteration"]) < resume_at]
+        head = io.StringIO()
+        writer = csv.DictWriter(head, fieldnames=METRIC_COLUMNS)
+        writer.writeheader()
+        writer.writerows(kept)
+        checkpoint.write_atomic(path, head.getvalue())
+        self._fh = open(path, "a", newline="", encoding="utf-8")
         self._writer = csv.DictWriter(self._fh, fieldnames=METRIC_COLUMNS)
-        if mode == "w":
-            self._writer.writeheader()
-            self._fh.flush()
 
     def write(self, row):
         self._writer.writerow({k: row[k] for k in METRIC_COLUMNS})

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from rdecomp import checkpoint
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -84,9 +85,7 @@ def from_record(rec):
 
 
 def write_jsonl(path, trajectories):
-    with open(path, "w", encoding="utf-8") as fh:
-        for traj in trajectories:
-            fh.write(json.dumps(to_record(traj)) + "\n")
+    checkpoint.write_atomic(path, "".join(json.dumps(to_record(traj)) + "\n" for traj in trajectories))
 
 
 def read_jsonl(path):

@@ -1,18 +1,183 @@
-"""Tape primitives that no code in the package calls any more.
+"""The tape primitives: no code in the package builds a tape any more.
 
 The closed-form gradients in `rdecomp` replaced the tapes that used them;
-they stay here as the reference those closed forms are checked against
-(tests/reference_scores.py, tests/reference_predictors.py), each with its
-finite-difference test in tests/test_autodiff.py. They build on the
-package's `Tensor` and `_result`, so a tape may mix them with the
-primitives still in `rdecomp.autodiff`.
+the primitives stay here as the reference those closed forms are checked
+against (tests/reference_scores.py, tests/reference_predictors.py), each
+with its finite-difference test in tests/test_autodiff.py. They build on
+the package's tape engine (`Tensor`, `_result`, `backward`). Model
+parameters are plain arrays; `leaves` makes them tape leaves and
+`flatten_grads` reads their gradients back in the package's flat order.
 """
 
 import numpy as np
 
 from rdecomp import _kernels
-from rdecomp import autodiff as ad
-from rdecomp.autodiff import ShapeError, _binary_shapes, _result
+from rdecomp import nn
+from rdecomp.autodiff import ShapeError, Tensor, _result
+from rdecomp.autodiff import causal_attention as _causal_attention
+
+
+def leaves(params):
+    """Each parameter array as a tape leaf, keyed like params."""
+    return {k: Tensor(p) for k, p in params.items()}
+
+
+def flatten_grads(leaves, grads):
+    """The gradients of `autodiff.backward` at the leaves, in
+    `nn.flatten_params` order."""
+    return nn.flatten_arrays(leaves, {k: grads.of(t) for k, t in leaves.items()})
+
+
+def constant(data):
+    """Leaf tensor; gradients never flow into it."""
+    return Tensor(data)
+
+
+# ---------------------------------------------------------------------------
+# elementwise arithmetic
+
+
+def _binary_shapes(a, b, op):
+    """Equal shapes, or b a row vector broadcast over a's leading dim."""
+    if a.shape == b.shape:
+        return "same"
+    if a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
+        return "row"
+    raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
+
+
+def add(a, b):
+    mode = _binary_shapes(a, b, "add")
+
+    def vjp(g):
+        gb = g if mode == "same" else g.sum(axis=0)
+        return g, gb
+
+    return _result(a.data + b.data, (a, b), vjp)
+
+
+def mul(a, b):
+    mode = _binary_shapes(a, b, "mul")
+    ad, bd = a.data, b.data
+
+    def vjp(g):
+        ga = g * bd
+        gb = g * ad if mode == "same" else (g * ad).sum(axis=0)
+        return ga, gb
+
+    return _result(ad * bd, (a, b), vjp)
+
+
+def scale(a, c):
+    """Multiply by a python float (no gradient for c)."""
+    c = float(c)
+    return _result(a.data * c, (a,), lambda g: (g * c,))
+
+
+# ---------------------------------------------------------------------------
+# nonlinearities
+
+
+def tanh(a):
+    y = np.tanh(a.data)
+    return _result(y, (a,), lambda g: (_kernels.tanh_vjp(y, g),))
+
+
+def sigmoid(a):
+    y = _kernels.sigmoid(a.data)
+    return _result(y, (a,), lambda g: (_kernels.sigmoid_vjp(y, g),))
+
+
+# ---------------------------------------------------------------------------
+# contractions and reductions
+
+
+def matmul(a, b):
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+    ad, bd = a.data, b.data
+
+    def vjp(g):
+        return _kernels.matmul(g, bd.T), _kernels.matmul(ad.T, g)
+
+    return _result(_kernels.matmul(ad, bd), (a, b), vjp)
+
+
+# ---------------------------------------------------------------------------
+# structure
+
+
+def concat(tensors, axis=0):
+    tensors = list(tensors)
+    if not tensors:
+        raise ShapeError("concat: empty input")
+    ndim = tensors[0].data.ndim
+    for t in tensors:
+        if t.data.ndim != ndim:
+            raise ShapeError(f"concat: mixed ranks {[t.shape for t in tensors]}")
+    sizes = [t.shape[axis] for t in tensors]
+    offsets = np.cumsum([0] + sizes)
+
+    def vjp(g):
+        return tuple(
+            np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=axis)
+            for i in range(len(sizes))
+        )
+
+    return _result(np.concatenate([t.data for t in tensors], axis=axis), tensors, vjp)
+
+
+def narrow(a, axis, start, stop):
+    """Contiguous slice along one axis (the `slice` primitive)."""
+    if not (0 <= start < stop <= a.shape[axis]):
+        raise ShapeError(f"narrow: [{start}:{stop}] out of range for {a.shape} axis {axis}")
+    idx = [slice(None)] * a.data.ndim
+    idx[axis] = slice(start, stop)
+    shape = a.shape
+
+    def vjp(g):
+        full = np.zeros(shape)
+        full[tuple(idx)] = g
+        return (full,)
+
+    return _result(a.data[tuple(idx)].copy(), (a,), vjp)
+
+
+def take_rows(a, rows):
+    """Rows of a 2-D tensor in the given order: out[i] = a[rows[i]]."""
+    if a.data.ndim != 2:
+        raise ShapeError(f"take_rows: need 2-D, got {a.shape}")
+    rows = np.asarray(rows, dtype=np.intp)
+    shape = a.shape
+
+    def vjp(g):
+        full = np.zeros(shape)
+        np.add.at(full, rows, g)
+        return (full,)
+
+    return _result(a.data[rows], (a,), vjp)
+
+
+def linear(x, w, b):
+    return add(matmul(x, w), b)
+
+
+def lstm_step(x_gates, h_prev, c_prev, w_h, hidden_dim):
+    """Single LSTM step over a batch of n rows.
+
+    x_gates (n, 4 hidden) is the input's share of the gate pre-activations,
+    x_t W_x + b, computed for all steps before the loop; w_h is the
+    recurrent block of the stacked weights; h_prev/c_prev (n, hidden).
+    """
+    stacked = add(x_gates, matmul(h_prev, w_h))
+    i_gate = sigmoid(narrow(stacked, 1, 0, hidden_dim))
+    f_gate = sigmoid(narrow(stacked, 1, hidden_dim, 2 * hidden_dim))
+    g_cell = tanh(narrow(stacked, 1, 2 * hidden_dim, 3 * hidden_dim))
+    o_gate = sigmoid(narrow(stacked, 1, 3 * hidden_dim, 4 * hidden_dim))
+    c_t = add(mul(f_gate, c_prev), mul(i_gate, g_cell))
+    h_t = mul(o_gate, tanh(c_t))
+    return h_t, c_t
+
 
 
 def _check_finite(arr, op):
@@ -38,7 +203,7 @@ def shift(a, c):
 
 
 def neg(a):
-    return ad.scale(a, -1.0)
+    return scale(a, -1.0)
 
 
 def square(a):
@@ -213,5 +378,5 @@ def layer_norm(x, gain, bias, eps=1e-5):
 
 def causal_attention(q, k, v, lengths, n_heads):
     """Tape form of `autodiff.causal_attention`: (head outputs Tensor, weights)."""
-    out, p, vjp = ad.causal_attention(q.data, k.data, v.data, lengths, n_heads)
+    out, p, vjp = _causal_attention(q.data, k.data, v.data, lengths, n_heads)
     return _result(out, (q, k, v), vjp), p

@@ -14,7 +14,6 @@ import pytest
 
 import reference_predictors as reference
 from fdcheck import relative_error
-from rdecomp import autodiff as ad
 from rdecomp import cli, decomposer, envs, estimators, nn, oracle, recipes
 from rdecomp.buffers import ReplayBuffer
 from rdecomp.decomposer import RewardDecomposition
@@ -30,8 +29,8 @@ def report(criterion, ok, detail):
 
 def uniform_policy(env, hidden=(8,)):
     policy = make_policy(np.random.default_rng(0), env, hidden)
-    policy.params["head_w"] = ad.Tensor(np.zeros(policy.params["head_w"].shape))
-    policy.params["head_b"] = ad.Tensor(np.zeros(policy.params["head_b"].shape))
+    policy.params["head_w"] = np.zeros(policy.params["head_w"].shape)
+    policy.params["head_b"] = np.zeros(policy.params["head_b"].shape)
     return policy
 
 
@@ -145,16 +144,16 @@ def _fd_check(params, loss_grad, rng, h=1e-5):
     grads = nn.assign_flat(params, loss_grad(params)[1])
     worst = 0.0
     for name, flat_idx in _probe_coordinates(params, rng):
-        base = params[name].data
+        base = params[name]
         bump = np.zeros(base.size)
         bump[flat_idx] = h
         bump = bump.reshape(base.shape)
         up = dict(params)
-        up[name] = ad.Tensor(base + bump)
+        up[name] = base + bump
         down = dict(params)
-        down[name] = ad.Tensor(base - bump)
+        down[name] = base - bump
         fd = (loss_grad(up)[0] - loss_grad(down)[0]) / (2 * h)
-        auto = grads[name].data.reshape(-1)[flat_idx]
+        auto = grads[name].reshape(-1)[flat_idx]
         worst = max(worst, float(relative_error(auto, fd, floor=1e-6)))
     return worst
 

@@ -3,15 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from rdecomp import checkpoint
-from rdecomp.autodiff import Tensor
+from rdecomp import checkpoint, decomposer, nn
+from rdecomp.policies import GaussianPolicy
 
 
 def make_params(rng):
     return {
-        "layer/w": Tensor(rng.normal(size=(6, 4))),
-        "layer/b": Tensor(rng.normal(size=4)),
-        "scalar": Tensor(np.array([[3.14159265358979]])),
+        "layer/w": rng.normal(size=(6, 4)),
+        "layer/b": rng.normal(size=4),
+        "scalar": np.array([[3.14159265358979]]),
     }
 
 
@@ -24,15 +24,16 @@ def test_round_trip_is_exact(tmp_path):
     assert meta == {"architecture": "attention", "note": 7}
     assert set(loaded) == set(params)
     for k in params:
-        assert loaded[k].data.dtype == np.float64
-        np.testing.assert_array_equal(loaded[k].data, params[k].data)
+        assert loaded[k].dtype == np.float64
+        np.testing.assert_array_equal(loaded[k], params[k])
     doc = json.loads((tmp_path / "model.json").read_text())
     assert doc["format_version"] == 2
     assert {e["dtype"] for e in doc["tensors"]} == {"f64"}
 
 
-def test_format_version_1_f32_file_still_loads(tmp_path):
-    # hand-built in the version-1 layout: f32 values, 4 bytes each
+def write_version_1(tmp_path):
+    """A checkpoint hand-built in the version-1 layout: f32 values, 4 bytes
+    each, no CRC; returns its path and its arrays."""
     w = np.arange(6, dtype="<f4").reshape(2, 3) / 7
     b = np.array([0.1, -2.5], dtype="<f4")
     (tmp_path / "old.bin").write_bytes(b.tobytes() + w.tobytes())
@@ -47,11 +48,48 @@ def test_format_version_1_f32_file_still_loads(tmp_path):
         "meta": {"architecture": "attention"},
     }
     (tmp_path / "old.json").write_text(json.dumps(doc))
-    loaded, meta = checkpoint.load(str(tmp_path / "old.json"))
+    return str(tmp_path / "old.json"), w, b
+
+
+def test_format_version_1_f32_file_still_loads(tmp_path):
+    path, w, b = write_version_1(tmp_path)
+    loaded, meta = checkpoint.load(path)
     assert meta == {"architecture": "attention"}
-    assert loaded["w"].data.dtype == np.float64
-    np.testing.assert_array_equal(loaded["w"].data, w.astype(np.float64))
-    np.testing.assert_array_equal(loaded["b"].data, b.astype(np.float64))
+    assert loaded["w"].dtype == np.float64
+    np.testing.assert_array_equal(loaded["w"], w.astype(np.float64))
+    np.testing.assert_array_equal(loaded["b"], b.astype(np.float64))
+
+
+def _read_only_f64(params):
+    return all(type(p) is np.ndarray and p.dtype == np.float64 and not p.flags.writeable
+               for p in params.values())
+
+
+def test_parameters_are_read_only_float64_arrays(tmp_path):
+    rng = np.random.default_rng(5)
+    models = [decomposer.make_predictor(arch, 7, rng) for arch in ("ff", "recurrent", "attention")]
+    policy = GaussianPolicy(rng, 3, 2, hidden=(8,))
+    for params in [m.params for m in models] + [policy.params]:
+        assert _read_only_f64(params)
+        grad = np.ones(nn.flatten_params(params).size)
+        assert _read_only_f64(nn.AdamOptimizer(1e-3).step(params, grad))
+        assert _read_only_f64(nn.SgdOptimizer(1e-3).step(params, grad))
+    path = str(tmp_path / "model.json")
+    checkpoint.save(path, policy.params)
+    assert _read_only_f64(checkpoint.load(path)[0])
+    assert _read_only_f64(checkpoint.load(write_version_1(tmp_path)[0])[0])
+
+
+def test_blob_of_another_save_rejected(tmp_path):
+    # a crash between the blob and the manifest of one save leaves a new
+    # blob under the old manifest: same length, other values
+    path = str(tmp_path / "model.json")
+    checkpoint.save(path, make_params(np.random.default_rng(6)))
+    old_manifest = (tmp_path / "model.json").read_bytes()
+    checkpoint.save(path, make_params(np.random.default_rng(7)))
+    (tmp_path / "model.json").write_bytes(old_manifest)
+    with pytest.raises(checkpoint.CheckpointError, match="CRC"):
+        checkpoint.load(path)
 
 
 def test_truncated_blob_rejected(tmp_path):

@@ -158,6 +158,65 @@ def test_resume_after_crash_mid_step_is_bit_identical(tmp_path, monkeypatch, cra
             == (tmp_path / "straight" / "metrics_seed4.csv").read_bytes())
 
 
+def test_resume_after_crash_in_save_keeps_one_row_per_iteration(tmp_path, monkeypatch):
+    monkeypatch.setenv("RDECOMP_OUTPUT_ROOT", str(tmp_path))
+    assert cli.main(["train", "--config", write_config(
+        tmp_path, seeds=[4], output_dir="straight", iterations=4)]) == 0
+    cfg = write_config(tmp_path, seeds=[4], output_dir="crashed", iterations=4)
+    real_save = cli.trainer.Trainer.save
+
+    def crash_in_save(self, out_dir, suffix=""):
+        # iteration 1's row is written, no file of its save yet
+        if self.iteration == 2:
+            raise RuntimeError("crash in save")
+        return real_save(self, out_dir, suffix)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.trainer.Trainer, "save", crash_in_save)
+        with pytest.raises(RuntimeError, match="crash in save"):
+            cli.main(["train", "--config", cfg])
+    assert cli.main(["train", "--config", cfg, "--resume"]) == 0
+    assert ((tmp_path / "crashed" / "metrics_seed4.csv").read_bytes()
+            == (tmp_path / "straight" / "metrics_seed4.csv").read_bytes())
+
+
+# A save writes 10 files: the policy, value, reward model and optimizer
+# checkpoints (blob, then manifest), the buffer, and the state last.
+@pytest.mark.parametrize("written", range(10))
+def test_crash_between_files_of_one_save_never_resumes_a_mix(tmp_path, monkeypatch, capsys,
+                                                             written):
+    monkeypatch.setenv("RDECOMP_OUTPUT_ROOT", str(tmp_path))
+    assert cli.main(["train", "--config", write_config(
+        tmp_path, seeds=[4], output_dir="straight", iterations=2)]) == 0
+    cfg = write_config(tmp_path, seeds=[4], output_dir="crashed", iterations=2)
+    real_write = checkpoint.write_atomic
+    calls = []
+
+    def crash_in_second_save(path, data):
+        # the metrics header and the 10 files of the first save come first
+        calls.append(os.path.basename(path))
+        if len(calls) == 1 + 10 + written + 1:
+            raise RuntimeError("crash in save")
+        real_write(path, data)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(checkpoint, "write_atomic", crash_in_second_save)
+        with pytest.raises(RuntimeError, match="crash in save"):
+            cli.main(["train", "--config", cfg])
+    assert calls[:2] == ["metrics_seed4.csv", "policy_seed4.bin"]
+    assert calls[10:12] == ["state_seed4.json", "policy_seed4.bin"]
+    capsys.readouterr()
+    code = cli.main(["train", "--config", cfg, "--resume"])
+    if written == 0:
+        # every file is still the first save's: the resume is exact
+        assert code == 0
+        assert ((tmp_path / "crashed" / "metrics_seed4.csv").read_bytes()
+                == (tmp_path / "straight" / "metrics_seed4.csv").read_bytes())
+    else:
+        assert code == 2
+        assert capsys.readouterr().err.startswith("cannot resume: ")
+
+
 def test_resume_without_flat_optimizer_state_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("RDECOMP_OUTPUT_ROOT", str(tmp_path))
     cfg = write_config(tmp_path, seeds=[4], output_dir="r", iterations=1)

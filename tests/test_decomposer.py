@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import reference_predictors as reference
+import tape_ops as tape
 
 from rdecomp import autodiff as ad
 from rdecomp import decomposer, nn
@@ -39,8 +40,8 @@ def test_embed_shares_parameters_across_time():
 def test_embed_zero_parameters_give_zero():
     rng = np.random.default_rng(0)
     model = AttentionPredictor(4, rng)
-    model.params["embed_w"] = ad.Tensor(np.zeros((4, model.embed_dim)))
-    model.params["embed_b"] = ad.Tensor(np.zeros(model.embed_dim))
+    model.params["embed_w"] = np.zeros((4, model.embed_dim))
+    model.params["embed_b"] = np.zeros(model.embed_dim)
     v = model.forward(np.random.default_rng(2).normal(size=(3, 4)))["embed"]
     assert np.array_equal(v, np.zeros((3, model.embed_dim)))
 
@@ -50,7 +51,7 @@ def test_embed_matches_hand_matrix_arithmetic():
     model = AttentionPredictor(4, rng)
     x = rng.normal(size=(5, 4))
     v = model.forward(x)["embed"]
-    want = np.tanh(x @ model.params["embed_w"].data + model.params["embed_b"].data)
+    want = np.tanh(x @ model.params["embed_w"] + model.params["embed_b"])
     np.testing.assert_allclose(v, want, rtol=1e-12, atol=1e-14)
 
 
@@ -89,8 +90,8 @@ def test_two_token_attention_matches_hand_softmax():
     if model.positional:
         v = v + nn.sinusoidal_positions(2, model.embed_dim)
     attn_block = out["attn"]
-    q_all = v @ model.params["wq"].data
-    k_all = v @ model.params["wk"].data
+    q_all = v @ model.params["wq"]
+    k_all = v @ model.params["wk"]
     dk = model.qk_dim
     for h, attn in enumerate(attn_block[0]):
         q = q_all[:, h * dk : (h + 1) * dk]
@@ -109,7 +110,7 @@ def test_two_token_attention_matches_hand_softmax():
 def test_importance_is_half_when_w2_zero():
     rng = np.random.default_rng(7)
     model = AttentionPredictor(4, rng)
-    model.params["pool_w2"] = ad.Tensor(np.zeros((model.pool_dim, 1)))
+    model.params["pool_w2"] = np.zeros((model.pool_dim, 1))
     x = rng.normal(size=(5, 4))
     z = model.forward(x)["z"]
     np.testing.assert_array_equal(z, np.full((5, 1), 0.5))
@@ -118,7 +119,7 @@ def test_importance_is_half_when_w2_zero():
 def test_vanishing_importance_pins_output_to_head_bias():
     rng = np.random.default_rng(8)
     model = AttentionPredictor(4, rng)
-    model.params["pool_w2"] = ad.Tensor(np.full((model.pool_dim, 1), -500.0))
+    model.params["pool_w2"] = np.full((model.pool_dim, 1), -500.0)
     x = rng.normal(size=(5, 4))
     out = model.forward(x)
     assert out["z"].max() < 1e-8
@@ -135,7 +136,7 @@ def test_importance_matches_hand_computation():
     hs, z = out["hs"], out["z"]
     want = 1.0 / (
         1.0
-        + np.exp(-(np.tanh(hs @ model.params["pool_w1"].data) @ model.params["pool_w2"].data))
+        + np.exp(-(np.tanh(hs @ model.params["pool_w1"]) @ model.params["pool_w2"]))
     )
     np.testing.assert_allclose(z, want, rtol=1e-12)
 
@@ -146,7 +147,7 @@ def test_importance_matches_hand_computation():
 
 def numpy_attention_forward(model, x):
     """Independent full re-computation of the attention predictor."""
-    p = {k: t.data for k, t in model.params.items()}
+    p = model.params
     v = np.tanh(x @ p["embed_w"] + p["embed_b"])
     if model.positional:
         v = v + nn.sinusoidal_positions(len(x), model.embed_dim)
@@ -191,8 +192,8 @@ def test_attention_forward_matches_numpy_reimplementation():
 def test_bias_only_model_predicts_constant():
     rng = np.random.default_rng(11)
     model = make_predictor("ff", 5, rng)
-    model.params = {k: ad.Tensor(np.zeros(p.shape)) for k, p in model.params.items()}
-    model.params["head_b"] = ad.Tensor(np.array([1.25]))
+    model.params = {k: np.zeros(p.shape) for k, p in model.params.items()}
+    model.params["head_b"] = np.array([1.25])
     traj = toy_trajectory(np.random.default_rng(12), t_len=4, ret=7.0)
     dec = predict(model, [traj], "singletons")[0]
     np.testing.assert_array_equal(dec.per_interval, np.full(4, 1.25))
@@ -236,8 +237,8 @@ def test_composite_is_ascending_sum_of_outputs():
 def test_exact_model_has_zero_loss_and_zero_gradient():
     rng = np.random.default_rng(19)
     model = make_predictor("ff", 5, rng)
-    model.params = {k: ad.Tensor(np.zeros(p.shape)) for k, p in model.params.items()}
-    model.params["head_b"] = ad.Tensor(np.array([0.5]))
+    model.params = {k: np.zeros(p.shape) for k, p in model.params.items()}
+    model.params["head_b"] = np.array([0.5])
     traj = toy_trajectory(np.random.default_rng(20), t_len=4, ret=2.0)  # 4 * 0.5 == 2
     loss, grad = model.loss_grad(*reference.stacked(model, [traj]), "singletons")
     assert loss == 0.0
@@ -248,7 +249,7 @@ def test_bias_only_regression_reaches_mean_target():
     # single trajectory, only the head bias is free: optimum is R / T
     rng = np.random.default_rng(21)
     model = make_predictor("ff", 5, rng)
-    frozen = {k: ad.Tensor(np.zeros(p.shape)) for k, p in model.params.items()}
+    frozen = {k: np.zeros(p.shape) for k, p in model.params.items()}
     model.params = frozen
     traj = toy_trajectory(np.random.default_rng(22), t_len=5, ret=3.0)
     for _ in range(400):
@@ -274,14 +275,14 @@ def test_full_batch_loss_non_increasing_at_tiny_lr():
 def test_non_finite_loss_aborts_without_update():
     rng = np.random.default_rng(24)
     model = make_predictor("ff", 5, rng)
-    model.params["head_b"] = ad.Tensor(np.array([np.inf]))
-    before = {k: p.data.copy() for k, p in model.params.items()}
+    model.params["head_b"] = np.array([np.inf])
+    before = {k: p.copy() for k, p in model.params.items()}
     traj = toy_trajectory(np.random.default_rng(25))
     with pytest.raises(FloatingPointError, match="non-finite"):
         regression_step(model, *reference.stacked(model, [traj]), "singletons",
                         nn.SgdOptimizer(1e-3))
     for k, p in model.params.items():
-        np.testing.assert_array_equal(p.data, before[k])
+        np.testing.assert_array_equal(p, before[k])
 
 
 def test_empty_batch_rejected():
@@ -398,14 +399,14 @@ def test_batched_loss_and_gradients_match_reference(arch, kind, positional, leng
     norm.update(rng.normal(2.0, 3.0, size=20))
 
     loss, grad = model.loss_grad(*reference.stacked(model, batch, norm), kind)
-    want = reference.regression_loss(model, batch, kind, norm)
+    want, leaves = reference.regression_loss(model, batch, kind, norm)
     assert _close(np.array(loss), want.data)
     grads, want_grads = nn.assign_flat(model.params, grad), ad.backward(want)
-    for name, param in model.params.items():
-        assert _close(grads[name].data, want_grads.of(param)), name
+    for name, leaf in leaves.items():
+        assert _close(grads[name], want_grads.of(leaf)), name
 
     for traj, dec in zip(batch, predict(model, batch, kind), strict=True):
-        ref = reference.reward_sequence(model, ad.constant(traj.input_matrix()), kind)
+        ref = reference.reward_sequence(model, tape.constant(traj.input_matrix()), kind)
         assert _close(dec.per_interval, ref.data.reshape(-1))
 
 
@@ -417,7 +418,7 @@ def test_batched_attention_weights_match_reference():
     attn = model.forward(x, [3, 1, 5])["attn"]
     assert attn.shape == (3, model.n_heads, 5, 5)
     for b, traj in enumerate(trajs):
-        _, heads = reference.attention_encode(model, ad.constant(traj.input_matrix()))
+        _, heads = reference.attention_encode(model, tape.constant(traj.input_matrix()))
         t_len = traj.length
         for h, head in enumerate(heads):
             assert _close(attn[b, h, :t_len, :t_len], head.data)
@@ -460,7 +461,7 @@ def _bitwise_case(arch, kind, positional, lengths, seed, scale):
     model = make_predictor(arch, 7, rng, positional=positional)
     # x50 parameters saturate the tanh and sigmoid gates, as the blown-up
     # predictors of `make_verify_predictors` do
-    model.params = {k: ad.Tensor(p.data * scale) for k, p in model.params.items()}
+    model.params = {k: p * scale for k, p in model.params.items()}
     batch = [toy_trajectory(rng, t_len=t, d_s=4, d_a=3) for t in lengths]
     norm = ReturnNormalizer()
     norm.update(rng.normal(2.0, 3.0, size=20))
@@ -493,13 +494,13 @@ def test_regression_step_applies_the_tape_gradient(arch, kind, positional):
 
 
 @pytest.mark.parametrize("scale", [1.0, 50.0])
-@pytest.mark.parametrize("arch,kind,positional", BITWISE_SPECS[:5],
-                         ids=[f"{a}-{k}-pos{int(p)}" for a, k, p in BITWISE_SPECS[:5]])
+@pytest.mark.parametrize("arch,kind,positional", BITWISE_SPECS,
+                         ids=[f"{a}-{k}-pos{int(p)}" for a, k, p in BITWISE_SPECS])
 def test_predict_is_bitwise_the_tape_forward(arch, kind, positional, scale):
     for seed, lengths in enumerate(BITWISE_LENGTHS):
         model, batch, _ = _bitwise_case(arch, kind, positional, lengths, seed, scale)
         x, lengths, _ = reference.stacked(model, batch)
-        rhat, z, attn = reference.batched_rewards(model, ad.constant(x), lengths)
+        rhat, z, attn = reference.batched_rewards(model, tape.constant(x), lengths, kind)
         got = np.concatenate([d.per_interval for d in predict(model, batch, kind)])
         assert np.array_equal(got, rhat.data.reshape(-1))
         if arch == "attention":

@@ -10,12 +10,8 @@ from rdecomp.policies import CategoricalPolicy
 def uniform_policy(mdp, seed=0):
     """Categorical policy with zeroed head: uniform over actions everywhere."""
     policy = CategoricalPolicy(np.random.default_rng(seed), mdp.state_dim, mdp.n_actions, hidden=(8,))
-    policy.params["head_w"] = type(policy.params["head_w"])(
-        np.zeros(policy.params["head_w"].shape)
-    )
-    policy.params["head_b"] = type(policy.params["head_b"])(
-        np.zeros(policy.params["head_b"].shape)
-    )
+    policy.params["head_w"] = np.zeros(policy.params["head_w"].shape)
+    policy.params["head_b"] = np.zeros(policy.params["head_b"].shape)
     return policy
 
 

@@ -3,7 +3,6 @@ import pytest
 
 import reference_scores
 from fdcheck import numeric_gradient, relative_error
-from rdecomp import autodiff as ad
 from rdecomp.policies import CategoricalPolicy, GaussianPolicy, ValueNetwork
 from rdecomp.trajectory import Trajectory
 
@@ -20,7 +19,7 @@ def make(kind, seed, hidden=(8, 8)):
         policy = GaussianPolicy(rng, 3, 2, hidden)
         actions = [rng.normal(size=(n, 2)) for n in LENGTHS]
     # head weights well away from their small init, so every term matters
-    policy.params["head_w"] = ad.Tensor(rng.normal(size=policy.params["head_w"].shape))
+    policy.params["head_w"] = rng.normal(size=policy.params["head_w"].shape)
     trajs = [Trajectory(states=rng.normal(size=(n, 3)), actions=a, episodic_return=0.0)
              for n, a in zip(LENGTHS, actions)]
     coeffs = [rng.normal(size=n) for n in LENGTHS]
@@ -109,17 +108,17 @@ def test_entropy_matches_closed_form_and_finite_differences(kind):
         lp = policy.log_prob_matrix_np(traj.states)
         want = -(np.exp(lp) * lp).sum(axis=1)
     else:
-        log_std = policy.params["log_std"].data
+        log_std = policy.params["log_std"]
         want = np.full(traj.length, log_std.sum() + log_std.size * 0.5 * (1 + np.log(2 * np.pi)))
     np.testing.assert_allclose(entropy.reshape(-1), want, rtol=1e-13)
 
     names = sorted(policy.params)
 
     def loss(tensors):
-        policy.params = dict(zip(names, tensors))
+        policy.params = {k: t.data for k, t in zip(names, tensors)}
         return policy.ppo_loss_grad(traj.states, traj.actions, old_logp, zeros, 0.2, 1.0)[0]
 
-    arrays = [policy.params[k].data for k in names]
+    arrays = [policy.params[k] for k in names]
     _, grad = policy.ppo_loss_grad(traj.states, traj.actions, old_logp, zeros, 0.2, 1.0)
     fd = numeric_gradient(loss, arrays)
     np.testing.assert_array_less(
@@ -131,7 +130,7 @@ def test_categorical_act_draws_what_generator_choice_draws():
     rng = np.random.default_rng(6)
     policy = CategoricalPolicy(rng, 3, 5, hidden=(8,))
     # scaled-up heads give near-deterministic rows as well as flat ones
-    policy.params["head_w"] = ad.Tensor(rng.normal(size=(8, 5)) * 4.0)
+    policy.params["head_w"] = rng.normal(size=(8, 5)) * 4.0
     states = rng.normal(size=(10_000, 3)) * rng.uniform(0.0, 3.0, size=(10_000, 1))
     ours, twin = np.random.default_rng(7), np.random.default_rng(7)
     for s in states:
@@ -142,6 +141,6 @@ def test_categorical_act_draws_what_generator_choice_draws():
 
 def test_categorical_act_rejects_non_finite_probabilities():
     policy = CategoricalPolicy(np.random.default_rng(8), 3, 2, hidden=(8,))
-    policy.params["head_b"] = ad.Tensor([np.nan, 0.0])
+    policy.params["head_b"] = np.array([np.nan, 0.0])
     with pytest.raises(ValueError, match="NaN"):
         policy.act(np.zeros(3), np.random.default_rng(0))

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from rdecomp import autodiff as ad
-from rdecomp import checkpoint, envs, estimators, nn
-from rdecomp.decomposer import RewardDecomposition, make_predictor, predict
+from rdecomp import checkpoint, cli, envs, estimators, nn, oracle
+from rdecomp.decomposer import (
+    RewardDecomposition,
+    input_rows,
+    make_predictor,
+    predict,
+    regression_step,
+    regression_targets,
+)
 from rdecomp.policies import CategoricalPolicy, ValueNetwork, make_policy
 from rdecomp.trainer import (
     MetricsWriter,
@@ -31,14 +38,14 @@ TINY = dict(
 
 def zeroed_value_net(state_dim, two_heads=True):
     net = ValueNetwork(np.random.default_rng(0), state_dim, hidden=(8,), two_heads=two_heads)
-    net.params = {k: ad.Tensor(np.zeros(p.shape)) for k, p in net.params.items()}
+    net.params = {k: np.zeros(p.shape) for k, p in net.params.items()}
     return net
 
 
 def uniform_policy(env):
     policy = make_policy(np.random.default_rng(0), env, hidden=(8,))
-    policy.params["head_w"] = ad.Tensor(np.zeros(policy.params["head_w"].shape))
-    policy.params["head_b"] = ad.Tensor(np.zeros(policy.params["head_b"].shape))
+    policy.params["head_w"] = np.zeros(policy.params["head_w"].shape)
+    policy.params["head_b"] = np.zeros(policy.params["head_b"].shape)
     return policy
 
 
@@ -226,12 +233,12 @@ def test_zero_advantages_leave_policy_unchanged():
     batch, _ = random_batch(5)
     policy = CategoricalPolicy(np.random.default_rng(1), 4, 2, hidden=(8,))
     value_net = ValueNetwork(np.random.default_rng(2), 4, hidden=(8,))
-    before = {k: p.data.copy() for k, p in policy.params.items()}
+    before = {k: p.copy() for k, p in policy.params.items()}
     zeros = [np.zeros(t.length) for t in batch]
     targets = [np.ones(t.length) for t in batch]
     run_ppo(policy, value_net, batch, zeros, targets, targets)
     for k, p in policy.params.items():
-        np.testing.assert_array_equal(p.data, before[k])
+        np.testing.assert_array_equal(p, before[k])
 
 
 def test_clipped_ratios_have_zero_policy_gradient():
@@ -248,8 +255,7 @@ def test_clipped_ratios_have_zero_policy_gradient():
 
 @pytest.mark.parametrize("env_name", ["chain", "point_mass"])
 def test_ppo_update_builds_no_tape(monkeypatch, env_name):
-    # A tape node is a Tensor with parents; the optimizers' new parameter
-    # Tensors are leaves and do not count.
+    # A tape node is a Tensor with parents.
     env = envs.make_env(env_name, {"horizon": 5})
     policy = make_policy(np.random.default_rng(1), env, hidden=(8,))
     value_net = ValueNetwork(np.random.default_rng(2), env.state_dim, hidden=(8,))
@@ -294,6 +300,14 @@ def test_regression_and_predict_build_no_tape(monkeypatch):
     predict(trainer.model, batch, "prefixes", trainer.normalizer)
     predict(ff, batch, "singletons")
     assert np.isfinite(loss) and not np.array_equal(nn.flatten_params(trainer.model.params), before)
+    for kind in ("prefixes", "singletons"):
+        recurrent = make_predictor("recurrent", trainer.model.input_dim, np.random.default_rng(2))
+        x = np.concatenate(input_rows(recurrent, batch))
+        lengths = [t.length for t in batch]
+        regression_step(recurrent, x, lengths, regression_targets(batch), kind,
+                        nn.AdamOptimizer(1e-3))
+        predict(recurrent, batch, kind)
+    assert cli.run_verification([oracle.chain3_mdp()], n_inits=3)["pass"]
     assert nodes == [] and backward_calls == []
 
 
@@ -301,16 +315,16 @@ def test_non_finite_loss_restores_parameters():
     batch, _ = random_batch(7)
     policy = CategoricalPolicy(np.random.default_rng(5), 4, 2, hidden=(8,))
     value_net = ValueNetwork(np.random.default_rng(6), 4, hidden=(8,))
-    before_p = {k: p.data.copy() for k, p in policy.params.items()}
-    before_v = {k: p.data.copy() for k, p in value_net.params.items()}
+    before_p = {k: p.copy() for k, p in policy.params.items()}
+    before_v = {k: p.copy() for k, p in value_net.params.items()}
     advantages = [np.ones(t.length) for t in batch]
     bad_targets = [np.full(t.length, np.inf) for t in batch]
     metrics = run_ppo(policy, value_net, batch, advantages, bad_targets, bad_targets)
     assert metrics["aborted"]
     for k, p in policy.params.items():
-        np.testing.assert_array_equal(p.data, before_p[k])
+        np.testing.assert_array_equal(p, before_p[k])
     for k, p in value_net.params.items():
-        np.testing.assert_array_equal(p.data, before_v[k])
+        np.testing.assert_array_equal(p, before_v[k])
 
 
 def test_overflowing_ratio_with_positive_advantage_aborts(monkeypatch):
@@ -320,8 +334,8 @@ def test_overflowing_ratio_with_positive_advantage_aborts(monkeypatch):
     batch, _ = random_batch(7)
     policy = CategoricalPolicy(np.random.default_rng(5), 4, 2, hidden=(8,))
     value_net = ValueNetwork(np.random.default_rng(6), 4, hidden=(8,))
-    before_p = {k: p.data.copy() for k, p in policy.params.items()}
-    before_v = {k: p.data.copy() for k, p in value_net.params.items()}
+    before_p = {k: p.copy() for k, p in policy.params.items()}
+    before_v = {k: p.copy() for k, p in value_net.params.items()}
     advantages = [np.where(np.arange(t.length) % 2, 1.0, -1.0) for t in batch]
     positive = np.concatenate(advantages) > 0
     log_prob_np = policy.log_prob_np
@@ -333,9 +347,9 @@ def test_overflowing_ratio_with_positive_advantage_aborts(monkeypatch):
                           epochs=1, minibatch=len(positive))
     assert metrics["aborted"] and metrics["updates"] == 0
     for k, p in policy.params.items():
-        np.testing.assert_array_equal(p.data, before_p[k])
+        np.testing.assert_array_equal(p, before_p[k])
     for k, p in value_net.params.items():
-        np.testing.assert_array_equal(p.data, before_v[k])
+        np.testing.assert_array_equal(p, before_v[k])
 
 
 def test_aborted_update_restores_optimizer_state():
@@ -460,15 +474,15 @@ def test_failed_restore_leaves_trainer_unchanged(tmp_path):
     del arrays["policy/m"]
     checkpoint.save(path, arrays, meta)
     fresh = Trainer(TrainConfig(**TINY), seed=0)
-    params = {k: p.data.copy() for k, p in fresh.policy.params.items()}
-    value = {k: p.data.copy() for k, p in fresh.value_net.params.items()}
+    params = {k: p.copy() for k, p in fresh.policy.params.items()}
+    value = {k: p.copy() for k, p in fresh.value_net.params.items()}
     rng_state = fresh.rollout_rng.bit_generator.state
     with pytest.raises(checkpoint.CheckpointError, match="policy/m"):
         fresh.restore(str(tmp_path))
     for k, p in fresh.policy.params.items():
-        np.testing.assert_array_equal(p.data, params[k])
+        np.testing.assert_array_equal(p, params[k])
     for k, p in fresh.value_net.params.items():
-        np.testing.assert_array_equal(p.data, value[k])
+        np.testing.assert_array_equal(p, value[k])
     assert fresh.rollout_rng.bit_generator.state == rng_state
     assert (fresh.iteration, len(fresh.buffer), fresh.policy_opt.t) == (0, 0, 0)
 
@@ -507,7 +521,7 @@ def test_aborted_ppo_update_is_recorded(tmp_path):
     row, ppo_metrics = trainer.step()
     assert row["ppo_aborted"] == 0 and not ppo_metrics["aborted"]
     # an infinite value-head bias makes the value loss non-finite
-    trainer.value_net.params["vr_b"] = ad.Tensor(np.full(1, np.inf))
+    trainer.value_net.params["vr_b"] = np.full(1, np.inf)
     aborted_row, ppo_metrics = trainer.step()
     assert ppo_metrics["aborted"]
     assert aborted_row["ppo_aborted"] == 1
