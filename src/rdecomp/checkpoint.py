@@ -22,6 +22,7 @@ import numpy as np
 
 from rdecomp import nn
 
+
 class CheckpointError(ValueError):
     pass
 
@@ -87,7 +88,8 @@ def load(path):
             f"blob length mismatch: manifest {manifest['total_bytes']}, "
             f"tensors need {expected}, file has {len(blob)}"
         )
-    if manifest.get("blob_crc32", zlib.crc32(blob)) != zlib.crc32(blob):
+    crc = zlib.crc32(blob)
+    if manifest.get("blob_crc32", crc) != crc:
         raise CheckpointError(f"{blob_path} does not match the CRC-32 in {path}")
     params = {}
     for entry in manifest["tensors"]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 
+from rdecomp import checkpoint
 from rdecomp.trainer import TrainConfig
 
 SCHEMA_VERSION = 1
@@ -107,6 +108,4 @@ def load(path):
 
 
 def save(path, experiment):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(experiment.to_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    checkpoint.write_atomic(path, json.dumps(experiment.to_dict(), indent=1, sort_keys=True) + "\n")

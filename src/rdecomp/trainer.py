@@ -456,11 +456,12 @@ class Trainer:
 
 
 def write_metrics_csv(path, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=METRIC_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row[k] for k in METRIC_COLUMNS})
+    """Write the header and the rows through `checkpoint.write_atomic`."""
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=METRIC_COLUMNS)
+    writer.writeheader()
+    writer.writerows({k: row[k] for k in METRIC_COLUMNS} for row in rows)
+    checkpoint.write_atomic(path, text.getvalue())
 
 
 class MetricsWriter:
@@ -473,11 +474,7 @@ class MetricsWriter:
         if resume_at is not None and os.path.exists(path):
             with open(path, "r", newline="", encoding="utf-8") as fh:
                 kept = [row for row in csv.DictReader(fh) if int(row["iteration"]) < resume_at]
-        head = io.StringIO()
-        writer = csv.DictWriter(head, fieldnames=METRIC_COLUMNS)
-        writer.writeheader()
-        writer.writerows(kept)
-        checkpoint.write_atomic(path, head.getvalue())
+        write_metrics_csv(path, kept)
         self._fh = open(path, "a", newline="", encoding="utf-8")
         self._writer = csv.DictWriter(self._fh, fieldnames=METRIC_COLUMNS)
 

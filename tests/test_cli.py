@@ -193,9 +193,10 @@ def test_crash_between_files_of_one_save_never_resumes_a_mix(tmp_path, monkeypat
     calls = []
 
     def crash_in_second_save(path, data):
-        # the metrics header and the 10 files of the first save come first
+        # the config, the metrics header and the 10 files of the first save
+        # come first
         calls.append(os.path.basename(path))
-        if len(calls) == 1 + 10 + written + 1:
+        if len(calls) == 2 + 10 + written + 1:
             raise RuntimeError("crash in save")
         real_write(path, data)
 
@@ -203,8 +204,8 @@ def test_crash_between_files_of_one_save_never_resumes_a_mix(tmp_path, monkeypat
         patch.setattr(checkpoint, "write_atomic", crash_in_second_save)
         with pytest.raises(RuntimeError, match="crash in save"):
             cli.main(["train", "--config", cfg])
-    assert calls[:2] == ["metrics_seed4.csv", "policy_seed4.bin"]
-    assert calls[10:12] == ["state_seed4.json", "policy_seed4.bin"]
+    assert calls[:3] == ["config.json", "metrics_seed4.csv", "policy_seed4.bin"]
+    assert calls[11:13] == ["state_seed4.json", "policy_seed4.bin"]
     capsys.readouterr()
     code = cli.main(["train", "--config", cfg, "--resume"])
     if written == 0:
