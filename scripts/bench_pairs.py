@@ -68,12 +68,20 @@ def compare(parent, change, better):
     }
 
 
+def pair_count(text):
+    """--pairs: quartiles need at least two runs per side."""
+    pairs = int(text)
+    if pairs < 2:
+        raise argparse.ArgumentTypeError(f"needs at least 2 pairs for quartiles, got {pairs}")
+    return pairs
+
+
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=pair_count, default=10)
     parser.add_argument("--traced-seed", type=int, default=11,
                         help="seed of the one traced run per side")
     return parser.parse_args(argv)

@@ -121,7 +121,7 @@ def make_verify_predictors(mdp, n_inits, seed=0):
     for i in range(n_inits):
         rng = np.random.default_rng(seed * 1000 + i)
         arch, kind = rotation[i % len(rotation)]
-        model = decomposer.make_predictor(arch, input_dim, rng, scale="desk")
+        model = decomposer.make_predictor(arch, input_dim, rng)
         if i % 4 == 3:
             model.params = {k: nn.read_only(p * 50.0) for k, p in model.params.items()}
 
@@ -167,6 +167,9 @@ def run_verification(mdps, n_inits=6, tol=1e-8, seed=0):
 
 
 def cmd_verify(args):
+    if args.inits < 1:
+        print(f"--inits must be at least 1, got {args.inits}", file=sys.stderr)
+        return 2
     if args.spec:
         mdps = [_spec_mdp(args.spec)]
     elif args.mdp:
@@ -210,10 +213,18 @@ def cmd_export_attention(args):
             file=sys.stderr,
         )
         return 2
-    model = decomposer.predictor_from_checkpoint(params, meta)
+    try:
+        model = decomposer.predictor_from_checkpoint(params, meta)
+    except ValueError as exc:
+        print(f"cannot rebuild the predictor: {exc}", file=sys.stderr)
+        return 2
     trajectories = read_jsonl(args.traj)
-    if not trajectories:
-        print("trajectory file is empty", file=sys.stderr)
+    if not 0 <= args.index < len(trajectories):
+        print(
+            f"--index {args.index} is out of range: the trajectory file holds"
+            f" {len(trajectories)} trajectories",
+            file=sys.stderr,
+        )
         return 2
     traj = trajectories[args.index]
     out = model.forward(decomposer.input_rows(model, [traj])[0])

@@ -19,6 +19,17 @@ SCHEMA_VERSION = 1
 # keys handled at the experiment level rather than inside TrainConfig
 _RUN_KEYS = {"schema_version", "seeds", "output_dir", "name"}
 
+# Switches of earlier versions, each at the one value the trainer still
+# implements. Every config.json those versions wrote holds all five, so they
+# load at that value (type-strict, like the bool fields) and at no other.
+RETIRED_KEYS = {
+    "model_scale": "desk",
+    "positional": True,
+    "two_value_heads": True,
+    "normalize_targets": True,
+    "reward_optimizer": "adam",
+}
+
 _TYPE_CHECKS = {
     int: (int,),
     float: (int, float),
@@ -75,9 +86,15 @@ def from_dict(doc):
     field_defaults = {f.name: f.default if f.default is not dataclasses.MISSING
                       else f.default_factory()
                       for f in dataclasses.fields(TrainConfig)}
-    unknown = set(doc) - _RUN_KEYS - set(field_defaults)
+    unknown = set(doc) - _RUN_KEYS - set(RETIRED_KEYS) - set(field_defaults)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for name, fixed in RETIRED_KEYS.items():
+        value = doc.get(name, fixed)
+        if type(value) is not type(fixed) or value != fixed:
+            raise ConfigError(
+                f"field {name!r} is retired and only accepts {json.dumps(fixed)}, got {value!r}"
+            )
     kwargs = {}
     for name, default in field_defaults.items():
         if name in doc:

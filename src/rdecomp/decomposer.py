@@ -42,28 +42,20 @@ from rdecomp import nn
 
 VALID_KINDS = ("singletons", "prefixes")
 
-# Layer widths at the two scales. "paper" is the published configuration;
-# "desk" halves every width for the small benchmark environments.
+# Layer widths: half the published ones (all but the head count), for the
+# small benchmark environments.
 WIDTHS = {
-    "paper": {
-        "embed": 64,
-        "heads": 4,
-        "qk": 32,
-        "ff_hidden": 128,
-        "pool": 64,
-        "lstm_hidden": 96,
-        "ff_channels": [128, 128, 128, 256],
-    },
-    "desk": {
-        "embed": 32,
-        "heads": 4,
-        "qk": 16,
-        "ff_hidden": 64,
-        "pool": 32,
-        "lstm_hidden": 48,
-        "ff_channels": [64, 64, 64, 128],
-    },
+    "embed": 32,
+    "heads": 4,
+    "qk": 16,
+    "ff_hidden": 64,
+    "pool": 32,
+    "lstm_hidden": 48,
+    "ff_channels": [64, 64, 64, 128],
 }
+# What `predictor_from_checkpoint` accepts of the hyperparameters that
+# checkpoints of earlier versions recorded: the one model built today.
+_RETIRED_HYPERPARAMS = {"scale": "desk", "positional": True}
 
 
 @dataclass
@@ -153,11 +145,9 @@ class FeedForwardPredictor:
 
     architecture = "ff"
 
-    def __init__(self, input_dim, rng, scale="desk"):
-        widths = WIDTHS[scale]
-        channels = widths["ff_channels"]
+    def __init__(self, input_dim, rng):
+        channels = WIDTHS["ff_channels"]
         self.input_dim = input_dim
-        self.scale = scale
         params = {}
         dims = [input_dim] + channels
         for i in range(len(channels)):
@@ -193,7 +183,7 @@ class FeedForwardPredictor:
         return loss, nn.flatten_arrays(self.params, grads)
 
     def hyperparams(self):
-        return {"input_dim": self.input_dim, "scale": self.scale}
+        return {"input_dim": self.input_dim}
 
 
 class RecurrentPredictor:
@@ -205,12 +195,10 @@ class RecurrentPredictor:
 
     architecture = "recurrent"
 
-    def __init__(self, input_dim, rng, scale="desk"):
-        widths = WIDTHS[scale]
+    def __init__(self, input_dim, rng):
         self.input_dim = input_dim
-        self.scale = scale
-        self.embed_dim = widths["embed"]
-        self.hidden_dim = widths["lstm_hidden"]
+        self.embed_dim = WIDTHS["embed"]
+        self.hidden_dim = WIDTHS["lstm_hidden"]
         ew, eb = nn.init_linear(rng, input_dim, self.embed_dim)
         cell = nn.lstm_params(rng, self.embed_dim, self.hidden_dim)
         hw, hb = nn.init_linear(rng, self.hidden_dim, 1)
@@ -312,33 +300,30 @@ class RecurrentPredictor:
         return loss, nn.flatten_arrays(self.params, grads)
 
     def hyperparams(self):
-        return {"input_dim": self.input_dim, "scale": self.scale}
+        return {"input_dim": self.input_dim}
 
 
 class AttentionPredictor:
     """Causally masked single-layer attention encoder with importance pooling.
 
-    Pipeline per trajectory: shared embedding v_t (optionally plus a
-    sinusoidal position signal), one encoder layer (multi-head causal
-    self-attention, residual, layer norm, position-wise feed-forward,
-    residual, layer norm) giving h_t, an importance gate
-    z = sigmoid(w_s2 tanh(W_s1 H^T)), and a linear head on h*_t = z_t h_t.
+    Pipeline per trajectory: shared embedding v_t plus a sinusoidal
+    position signal, one encoder layer (multi-head causal self-attention,
+    residual, layer norm, position-wise feed-forward, residual, layer norm)
+    giving h_t, an importance gate z = sigmoid(w_s2 tanh(W_s1 H^T)), and a
+    linear head on h*_t = z_t h_t.
     """
 
     architecture = "attention"
 
-    def __init__(self, input_dim, rng, scale="desk", positional=True):
-        widths = WIDTHS[scale]
+    def __init__(self, input_dim, rng):
         self.input_dim = input_dim
-        self.scale = scale
-        self.positional = positional
-        d = widths["embed"]
+        d = WIDTHS["embed"]
         self.embed_dim = d
-        self.n_heads = widths["heads"]
-        self.qk_dim = widths["qk"]
+        self.n_heads = WIDTHS["heads"]
+        self.qk_dim = WIDTHS["qk"]
         self.head_dim = d // self.n_heads
-        self.ff_hidden = widths["ff_hidden"]
-        self.pool_dim = widths["pool"]
+        self.ff_hidden = WIDTHS["ff_hidden"]
+        self.pool_dim = WIDTHS["pool"]
         p = {}
         p["embed_w"], p["embed_b"] = nn.init_linear(rng, input_dim, d)
         p["wq"], _ = nn.init_linear(rng, d, self.n_heads * self.qk_dim)
@@ -367,10 +352,8 @@ class AttentionPredictor:
         mm = _kernels.matmul
         v = ad.tanh_mlp_layers(x, [p["embed_w"]], [p["embed_b"]])[1]
         a = {"embed": v}
-        if self.positional:
-            pos = nn.sinusoidal_positions(int(lengths.max()), self.embed_dim)
-            v = v + pos[ad.segment_positions(lengths)]
-        a["v"] = v
+        pos = nn.sinusoidal_positions(int(lengths.max()), self.embed_dim)
+        a["v"] = v = v + pos[ad.segment_positions(lengths)]
         a["heads"], a["attn"], a["attn_vjp"] = ad.causal_attention(
             mm(v, p["wq"]), mm(v, p["wk"]), mm(v, p["wv"]), lengths, self.n_heads
         )
@@ -427,34 +410,31 @@ class AttentionPredictor:
         return loss, nn.flatten_arrays(self.params, grads)
 
     def hyperparams(self):
-        return {
-            "input_dim": self.input_dim,
-            "scale": self.scale,
-            "positional": self.positional,
-        }
+        return {"input_dim": self.input_dim}
 
 
-def make_predictor(architecture, input_dim, rng, scale="desk", positional=True):
+def make_predictor(architecture, input_dim, rng):
     if architecture == "ff":
-        return FeedForwardPredictor(input_dim, rng, scale)
+        return FeedForwardPredictor(input_dim, rng)
     if architecture == "recurrent":
-        return RecurrentPredictor(input_dim, rng, scale)
+        return RecurrentPredictor(input_dim, rng)
     if architecture == "attention":
-        return AttentionPredictor(input_dim, rng, scale, positional)
+        return AttentionPredictor(input_dim, rng)
     raise ValueError(f"unknown architecture {architecture!r}")
 
 
 def predictor_from_checkpoint(params, meta):
-    """Rebuild a predictor from checkpoint contents (see rdecomp.checkpoint)."""
+    """Rebuild a predictor from checkpoint contents (see rdecomp.checkpoint).
+    A checkpoint of a model that is no longer built (without positions, or
+    at other widths) raises ValueError."""
     hp = meta["hyperparams"]
-    rng = np.random.default_rng(0)
-    model = make_predictor(
-        meta["architecture"],
-        hp["input_dim"],
-        rng,
-        hp.get("scale", "desk"),
-        hp.get("positional", True),
-    )
+    for key, fixed in _RETIRED_HYPERPARAMS.items():
+        value = hp.get(key, fixed)
+        if type(value) is not type(fixed) or value != fixed:
+            raise ValueError(
+                f"checkpoint predictor has {key}={value!r}; only {key}={fixed!r} is supported"
+            )
+    model = make_predictor(meta["architecture"], hp["input_dim"], np.random.default_rng(0))
     missing = set(model.params) ^ set(params)
     if missing:
         raise ValueError(f"checkpoint parameter mismatch: {sorted(missing)}")

@@ -1,6 +1,6 @@
 """Small neural-net building blocks shared by the reward models and the
 policy/value networks: fan-in-scaled initialization of read-only float64
-parameter arrays, and optimizers that update a model as one flat float64
+parameter arrays, and Adam, which updates a model as one flat float64
 vector in sorted-name order (`flatten_params`)."""
 
 from __future__ import annotations
@@ -65,17 +65,6 @@ def assign_flat(params, flat):
     if i != flat.size:
         raise ValueError(f"flat vector length {flat.size}, parameters need {i}")
     return out
-
-
-class SgdOptimizer:
-    """Plain gradient descent on the flat vector: p <- p - lr * g."""
-
-    def __init__(self, lr):
-        self.lr = lr
-
-    def step(self, params, g):
-        """New parameters from the flat gradient g, in `flatten_params` order."""
-        return assign_flat(params, flatten_params(params) - self.lr * g)
 
 
 class AdamOptimizer:

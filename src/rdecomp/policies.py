@@ -293,31 +293,26 @@ class GaussianPolicy:
 class ValueNetwork:
     """State-value model with one head per advantage stream."""
 
-    def __init__(self, rng, state_dim, hidden=(64, 64), two_heads=True):
+    def __init__(self, rng, state_dim, hidden=(64, 64)):
         self.trunk = _Trunk(rng, state_dim, hidden)
-        self.two_heads = two_heads
         self.params = dict(self.trunk.params)
-        wr, br = nn.init_linear(rng, self.trunk.out_dim, 1, scale=0.1)
-        self.params["vr_w"], self.params["vr_b"] = wr, br
-        if two_heads:
-            w0, b0 = nn.init_linear(rng, self.trunk.out_dim, 1, scale=0.1)
-            self.params["v0_w"], self.params["v0_b"] = w0, b0
+        for name in ("vr", "v0"):
+            w, b = nn.init_linear(rng, self.trunk.out_dim, 1, scale=0.1)
+            self.params[f"{name}_w"], self.params[f"{name}_b"] = w, b
 
     def values_np(self, states):
         h = self.trunk.apply_np(self.params, np.atleast_2d(states))
         vr = (h @ self.params["vr_w"] + self.params["vr_b"]).reshape(-1)
-        if not self.two_heads:
-            return vr, np.zeros_like(vr)
         v0 = (h @ self.params["v0_w"] + self.params["v0_b"]).reshape(-1)
         return vr, v0
 
     def loss_grad(self, states, target_r, target_0):
         """Mean squared error of each head against its targets, summed over
         the heads, and its flat gradient, or None for the gradient when the
-        loss is not finite; target_0 is unused with one head."""
+        loss is not finite."""
         wd, hs = self.trunk.forward(self.params, states)
         h = hs[-1]
-        heads = [("vr", target_r), ("v0", target_0)][: 1 + self.two_heads]
+        heads = [("vr", target_r), ("v0", target_0)]
         errs = [
             _kernels.matmul(h, self.params[f"{name}_w"]) + self.params[f"{name}_b"]
             - target.reshape(-1, 1)

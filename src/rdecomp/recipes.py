@@ -24,7 +24,6 @@ _BASE = dict(
     regression_minibatch=10,
     policy_lr=3e-4,
     entropy_coef=0.01,
-    model_scale="desk",
     seeds=[1],
 )
 

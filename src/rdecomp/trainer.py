@@ -76,11 +76,6 @@ class TrainConfig:
     regression_minibatch: int = 16
     entropy_coef: float = 0.0
     hidden: tuple = (64, 64)
-    model_scale: str = "desk"
-    positional: bool = True
-    two_value_heads: bool = True
-    normalize_targets: bool = True
-    reward_optimizer: str = "adam"
 
     def __post_init__(self):
         for name in ("policy_lr", "reward_lr"):
@@ -90,10 +85,6 @@ class TrainConfig:
             raise ValueError(f"clip must be in (0, 1), got {self.clip}")
         if self.interval_kind not in decomposer.VALID_KINDS:
             raise ValueError(f"bad interval_kind {self.interval_kind!r}")
-        if self.reward_optimizer not in ("adam", "sgd"):
-            raise ValueError(
-                f"reward_optimizer must be 'adam' or 'sgd', got {self.reward_optimizer!r}"
-            )
 
 
 def rollout(policy, env, n_steps, rng):
@@ -131,7 +122,7 @@ def rollout(policy, env, n_steps, rng):
     return batch
 
 
-def compute_advantages(batch, decomps, value_net, gamma, lam, two_heads=True):
+def compute_advantages(batch, decomps, value_net, gamma, lam):
     """Per-step advantages and value targets for both streams.
 
     Returns (advantages, targets_r, targets_0), each a list of per-episode
@@ -148,17 +139,11 @@ def compute_advantages(batch, decomps, value_net, gamma, lam, two_heads=True):
         r2 = np.zeros(traj.length)
         r2[-1] = dec.residual
         vr, v0 = value_net.values_np(traj.states)
-        if two_heads:
-            adv1 = _kernels.gae(r1, np.append(vr, 0.0), gamma, lam)
-            adv2 = _kernels.gae(r2, np.append(v0, 0.0), gamma, lam)
-            advantages.append(adv1 + adv2)
-            targets_r.append(adv1 + vr)
-            targets_0.append(adv2 + v0)
-        else:
-            adv = _kernels.gae(r1 + r2, np.append(vr, 0.0), gamma, lam)
-            advantages.append(adv)
-            targets_r.append(adv + vr)
-            targets_0.append(np.zeros(traj.length))
+        adv1 = _kernels.gae(r1, np.append(vr, 0.0), gamma, lam)
+        adv2 = _kernels.gae(r2, np.append(v0, 0.0), gamma, lam)
+        advantages.append(adv1 + adv2)
+        targets_r.append(adv1 + vr)
+        targets_0.append(adv2 + v0)
     return advantages, targets_r, targets_0
 
 
@@ -231,23 +216,14 @@ class Trainer:
 
         self.env = envs.make_env(config.env, config.env_params)
         self.policy = make_policy(self.init_rng, self.env, config.hidden)
-        self.value_net = ValueNetwork(
-            self.init_rng, self.env.state_dim, config.hidden, config.two_value_heads
-        )
+        self.value_net = ValueNetwork(self.init_rng, self.env.state_dim, config.hidden)
         self.model = None
         self.normalizer = None
         if config.use_decomposer:
             n_actions = getattr(self.env, "n_actions", None)
             input_dim = self.env.state_dim + (n_actions if n_actions else self.env.action_dim)
-            self.model = decomposer.make_predictor(
-                config.architecture,
-                input_dim,
-                self.init_rng,
-                config.model_scale,
-                config.positional,
-            )
-            if config.normalize_targets:
-                self.normalizer = decomposer.ReturnNormalizer()
+            self.model = decomposer.make_predictor(config.architecture, input_dim, self.init_rng)
+            self.normalizer = decomposer.ReturnNormalizer()
         self.buffer = ReplayBuffer(
             config.buffer_scheme,
             config.buffer_capacity,
@@ -256,10 +232,7 @@ class Trainer:
         )
         self.policy_opt = nn.AdamOptimizer(config.policy_lr)
         self.value_opt = nn.AdamOptimizer(config.policy_lr)
-        if config.reward_optimizer == "adam":
-            self.reward_opt = nn.AdamOptimizer(config.reward_lr)
-        else:
-            self.reward_opt = nn.SgdOptimizer(config.reward_lr)
+        self.reward_opt = nn.AdamOptimizer(config.reward_lr)
         self.iteration = 0
         self.env_steps = 0
         self.metrics = []
@@ -312,8 +285,7 @@ class Trainer:
                 for d in decomps
             ]
         advantages, t_r, t_0 = compute_advantages(
-            batch, decomps, self.value_net, config.gamma, config.lam,
-            config.two_value_heads,
+            batch, decomps, self.value_net, config.gamma, config.lam
         )
         ppo_metrics = ppo_update(
             self.policy, self.value_net, batch, advantages, t_r, t_0,
@@ -333,11 +305,9 @@ class Trainer:
         self.metrics.append(row)
         return row, ppo_metrics
 
-    def run(self, progress=None):
+    def run(self):
         while self.iteration < self.config.iterations:
-            row, _ = self.step()
-            if progress is not None:
-                progress(row)
+            self.step()
         return self.metrics
 
     # -- persistence --------------------------------------------------------
@@ -366,9 +336,8 @@ class Trainer:
                 "hyperparams": self.model.hyperparams(),
                 "interval_kind": self.config.interval_kind,
                 "iteration": self.iteration,
+                "normalizer": self.normalizer.state(),
             }
-            if self.normalizer is not None:
-                meta["normalizer"] = self.normalizer.state()
             checkpoint.save(
                 os.path.join(out_dir, f"reward_model{suffix}.json"),
                 self.model.params,
@@ -376,15 +345,17 @@ class Trainer:
             )
         self._save_state(out_dir, suffix)
 
+    def _optimizers(self):
+        return (("policy", self.policy_opt), ("value", self.value_opt),
+                ("reward", self.reward_opt))
+
     def _save_state(self, out_dir, suffix):
         opt_arrays = {}
         steps = {}
-        for label, opt in (("policy", self.policy_opt), ("value", self.value_opt),
-                           ("reward", self.reward_opt)):
-            if isinstance(opt, nn.AdamOptimizer):
-                opt_arrays[f"{label}/m"] = opt.m
-                opt_arrays[f"{label}/v"] = opt.v
-                steps[label] = opt.t
+        for label, opt in self._optimizers():
+            opt_arrays[f"{label}/m"] = opt.m
+            opt_arrays[f"{label}/v"] = opt.v
+            steps[label] = opt.t
         checkpoint.save(
             os.path.join(out_dir, f"optimizer{suffix}.json"),
             opt_arrays,
@@ -429,10 +400,7 @@ class Trainer:
         buffer_trajs = read_jsonl(path("buffer", ".jsonl"))
         opt_arrays, opt_meta = loaded["optimizer"]
         adams = {}
-        for label, opt in (("policy", self.policy_opt), ("value", self.value_opt),
-                           ("reward", self.reward_opt)):
-            if not isinstance(opt, nn.AdamOptimizer):
-                continue
+        for label, opt in self._optimizers():
             if f"{label}/m" not in opt_arrays or f"{label}/v" not in opt_arrays:
                 raise checkpoint.CheckpointError(
                     f"{path('optimizer')} has no flat Adam state {label}/m, {label}/v"
@@ -443,8 +411,7 @@ class Trainer:
         self.policy.params, self.value_net.params = loaded["policy"][0], loaded["value"][0]
         if self.model is not None:
             self.model.params, meta = loaded["reward_model"]
-            if self.normalizer is not None and meta.get("normalizer"):
-                self.normalizer = decomposer.ReturnNormalizer.from_state(meta["normalizer"])
+            self.normalizer = decomposer.ReturnNormalizer.from_state(meta["normalizer"])
         self.iteration = state["iteration"]
         self.env_steps = state["env_steps"]
         for name, rng_state in state["rngs"].items():
@@ -455,26 +422,22 @@ class Trainer:
             opt.t, opt.m, opt.v = t, m, v
 
 
-def write_metrics_csv(path, rows):
-    """Write the header and the rows through `checkpoint.write_atomic`."""
-    text = io.StringIO()
-    writer = csv.DictWriter(text, fieldnames=METRIC_COLUMNS)
-    writer.writeheader()
-    writer.writerows({k: row[k] for k in METRIC_COLUMNS} for row in rows)
-    checkpoint.write_atomic(path, text.getvalue())
-
-
 class MetricsWriter:
     """CSV sink, flushed per row so partial runs keep their logs. Resuming at
     an iteration keeps the rows before it: a crash after a row was written
-    but before its iteration was saved repeats that iteration."""
+    but before its iteration was saved repeats that iteration. The header
+    and the kept rows are written through `checkpoint.write_atomic`."""
 
     def __init__(self, path, resume_at=None):
         kept = []
         if resume_at is not None and os.path.exists(path):
             with open(path, "r", newline="", encoding="utf-8") as fh:
                 kept = [row for row in csv.DictReader(fh) if int(row["iteration"]) < resume_at]
-        write_metrics_csv(path, kept)
+        text = io.StringIO()
+        writer = csv.DictWriter(text, fieldnames=METRIC_COLUMNS)
+        writer.writeheader()
+        writer.writerows({k: row[k] for k in METRIC_COLUMNS} for row in kept)
+        checkpoint.write_atomic(path, text.getvalue())
         self._fh = open(path, "a", newline="", encoding="utf-8")
         self._writer = csv.DictWriter(self._fh, fieldnames=METRIC_COLUMNS)
 
@@ -486,13 +449,8 @@ class MetricsWriter:
         self._fh.close()
 
 
-def train(config, seed=0, out_dir=None, progress=None):
+def train(config, seed=0):
     """Run the full loop; returns the Trainer with models and metrics."""
     trainer = Trainer(config, seed)
-    trainer.run(progress)
-    if out_dir is not None:
-        trainer.save(out_dir, suffix=f"_seed{seed}")
-        write_metrics_csv(
-            os.path.join(out_dir, f"metrics_seed{seed}.csv"), trainer.metrics
-        )
+    trainer.run()
     return trainer

@@ -55,8 +55,7 @@ def attention_encode(model, x, p=None):
     p = tape.leaves(model.params) if p is None else p
     t_len = x.shape[0]
     v = tape.tanh(tape.linear(x, p["embed_w"], p["embed_b"]))
-    if model.positional:
-        v = tape.add(v, tape.constant(nn.sinusoidal_positions(t_len, model.embed_dim)))
+    v = tape.add(v, tape.constant(nn.sinusoidal_positions(t_len, model.embed_dim)))
     q_all = tape.matmul(v, p["wq"])
     k_all = tape.matmul(v, p["wk"])
     v_all = tape.matmul(v, p["wv"])
@@ -164,9 +163,8 @@ def batched_rewards(model, x, lengths, kind="prefixes", p=None):
         return recurrent_rewards(model, p, x, kind, lengths), None, None
     lengths = np.asarray(lengths)
     v = tape.tanh(tape.linear(x, p["embed_w"], p["embed_b"]))
-    if model.positional:
-        pos = nn.sinusoidal_positions(int(lengths.max()), model.embed_dim)
-        v = tape.add(v, tape.constant(pos[ad.segment_positions(lengths)]))
+    pos = nn.sinusoidal_positions(int(lengths.max()), model.embed_dim)
+    v = tape.add(v, tape.constant(pos[ad.segment_positions(lengths)]))
     heads, attn = tape.causal_attention(
         tape.matmul(v, p["wq"]), tape.matmul(v, p["wk"]), tape.matmul(v, p["wv"]),
         lengths, model.n_heads,

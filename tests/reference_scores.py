@@ -58,9 +58,8 @@ def value_loss(value_net, states, target_r, target_0):
     """(loss, flat gradient) of the value heads' squared error on one tape."""
     p = tape.leaves(value_net.params)
     h = trunk_tensor(value_net, p, tape.constant(states))
-    heads = [("vr", target_r), ("v0", target_0)][: 1 + value_net.two_heads]
     loss = None
-    for name, target in heads:
+    for name, target in (("vr", target_r), ("v0", target_0)):
         v = tape.linear(h, p[f"{name}_w"], p[f"{name}_b"])
         err = tape.mean_all(tape.square(tape.sub(v, tape.constant(target.reshape(-1, 1)))))
         loss = err if loss is None else tape.add(loss, err)

@@ -167,7 +167,7 @@ def test_criterion_4_gradient_correctness():
         t_len = 5
 
         for arch, kind in (("ff", "singletons"), ("recurrent", "prefixes"), ("attention", "prefixes")):
-            model = decomposer.make_predictor(arch, 5, rng, scale="desk")
+            model = decomposer.make_predictor(arch, 5, rng)
             traj = Trajectory(
                 states=data_rng.normal(size=(t_len, 3)),
                 actions=data_rng.normal(size=(t_len, 2)),
@@ -230,7 +230,7 @@ def test_criterion_5_causality_fuzz():
     while cases < 200:
         arch, kind = specs[cases % len(specs)]
         t_len = int(rng.integers(2, 10))
-        model = decomposer.make_predictor(arch, 5, np.random.default_rng(cases), scale="desk")
+        model = decomposer.make_predictor(arch, 5, np.random.default_rng(cases))
         x = rng.normal(size=(t_len, 5))
         cut = int(rng.integers(1, t_len))
         bumped = x.copy()
@@ -253,7 +253,7 @@ def test_batch_isolation_fuzz():
     while cases < 80:
         arch, kind = specs[cases % len(specs)]
         lengths = rng.integers(1, 10, size=int(rng.integers(2, 6)))
-        model = decomposer.make_predictor(arch, 5, np.random.default_rng(cases), scale="desk")
+        model = decomposer.make_predictor(arch, 5, np.random.default_rng(cases))
         x = rng.normal(size=(int(lengths.sum()), 5))
         j = int(rng.integers(len(lengths)))
         row = int(lengths[:j].sum() + rng.integers(lengths[j]))
@@ -283,7 +283,7 @@ def converged_chain_decomposer():
         trajs.extend(rollout(policy, env, 200, rng))
     buffered, held_out = trajs[:200], trajs[200:250]
 
-    model = decomposer.make_predictor("attention", env.state_dim + 2, np.random.default_rng(1), scale="desk")
+    model = decomposer.make_predictor("attention", env.state_dim + 2, np.random.default_rng(1))
     norm = decomposer.ReturnNormalizer()
     norm.update([t.episodic_return for t in buffered])
     opt = nn.AdamOptimizer(1e-3)  # the published reward-predictor rate

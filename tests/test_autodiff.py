@@ -5,6 +5,7 @@ import pytest
 import tape_ops as tape
 
 from fdcheck import numeric_gradient, relative_error
+from sgd import SgdOptimizer
 from rdecomp import _kernels, nn
 from rdecomp import autodiff as ad
 from rdecomp.autodiff import ShapeError, Tensor
@@ -409,7 +410,7 @@ def test_optimizer_steps_return_read_only_views_of_one_vector():
     x = tape.constant(rng.normal(size=(4, 5)))
     w, b = nn.init_linear(rng, 5, 3)
     params = {"w": w, "b": b}
-    for opt in (nn.SgdOptimizer(0.1), nn.AdamOptimizer(0.1)):
+    for opt in (SgdOptimizer(0.1), nn.AdamOptimizer(0.1)):
         leaves = tape.leaves(params)
         grads = ad.backward(quadratic_tanh_loss(leaves, x))
         new = opt.step(params, tape.flatten_grads(leaves, grads))

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from sgd import SgdOptimizer
 
 from rdecomp import checkpoint, decomposer, nn
 from rdecomp.policies import GaussianPolicy
@@ -73,7 +74,7 @@ def test_parameters_are_read_only_float64_arrays(tmp_path):
         assert _read_only_f64(params)
         grad = np.ones(nn.flatten_params(params).size)
         assert _read_only_f64(nn.AdamOptimizer(1e-3).step(params, grad))
-        assert _read_only_f64(nn.SgdOptimizer(1e-3).step(params, grad))
+        assert _read_only_f64(SgdOptimizer(1e-3).step(params, grad))
     path = str(tmp_path / "model.json")
     checkpoint.save(path, policy.params)
     assert _read_only_f64(checkpoint.load(path)[0])

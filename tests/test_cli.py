@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +70,62 @@ def test_domain_validation_surfaces(tmp_path):
         config_mod.load(write_config(tmp_path, reward_optimizer="Adam"))
     with pytest.raises(config_mod.ConfigError, match="interval_kind"):
         config_mod.load(write_config(tmp_path, interval_kind="pairs"))
+
+
+# A config.json as `rdecomp train` wrote it before five switches were
+# retired: every TrainConfig field of that version, the retired ones at the
+# values the trainer still implements.
+CONFIG_WITH_RETIRED_KEYS = {
+    "architecture": "attention", "bias_correction": True, "buffer_capacity": 8,
+    "buffer_scheme": "HO", "clip": 0.2, "entropy_coef": 0.0, "env": "chain",
+    "env_params": {"horizon": 5, "n_states": 4}, "epochs": 5, "gamma": 0.99,
+    "hidden": [64, 64], "interval_kind": "prefixes", "iterations": 2, "lam": 0.95,
+    "minibatch": 20, "model_scale": "desk", "name": "experiment",
+    "normalize_targets": True, "output_dir": "exp", "policy_lr": 0.0001,
+    "positional": True, "ppo_batch": 40, "regression_epochs": 5,
+    "regression_minibatch": 4, "reservoir_capacity": 500, "reward_lr": 0.001,
+    "reward_optimizer": "adam", "schema_version": 1, "seeds": [1],
+    "two_value_heads": True, "use_decomposer": True,
+}
+
+
+def test_config_with_retired_keys_at_their_values_loads(tmp_path):
+    exp = config_mod.from_dict(CONFIG_WITH_RETIRED_KEYS)
+    kept = {k: v for k, v in CONFIG_WITH_RETIRED_KEYS.items()
+            if k not in config_mod.RETIRED_KEYS}
+    assert exp.to_dict() == kept
+    assert set(CONFIG_WITH_RETIRED_KEYS) - set(kept) == set(config_mod.RETIRED_KEYS)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("model_scale", "paper"), ("model_scale", "Desk"),
+    ("positional", False), ("positional", 1),
+    ("two_value_heads", False), ("two_value_heads", 1),
+    ("normalize_targets", False), ("normalize_targets", 1),
+    ("reward_optimizer", "sgd"), ("reward_optimizer", "Adam"),
+])
+def test_retired_key_at_another_value_rejected(key, value):
+    with pytest.raises(config_mod.ConfigError, match=f"{key!r} is retired"):
+        config_mod.from_dict({**CONFIG_WITH_RETIRED_KEYS, key: value})
+
+
+def test_train_with_retired_key_at_another_value_exits_2(tmp_path, capsys):
+    assert cli.main(["train", "--config", write_config(tmp_path, positional=False)]) == 2
+    assert "invalid config: field 'positional' is retired" in capsys.readouterr().err
+
+
+def _readme_training_config():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"A minimal training config[^\n]*\n\s*```json\n(.*?)```", readme, re.S)
+    return json.loads(block.group(1))
+
+
+def test_readme_training_config_loads_and_ships():
+    doc = _readme_training_config()
+    exp = config_mod.from_dict(doc)
+    assert exp.train.env == doc["env"] and exp.seeds == doc["seeds"]
+    shipped = Path(__file__).parent.parent / "configs" / "grid-full.json"
+    assert json.loads(shipped.read_text()) == doc
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +311,13 @@ def test_verify_builtin_passes(tmp_path):
             assert "max_abs_error" in check and check["max_abs_error"] <= 1e-8
 
 
+@pytest.mark.parametrize("inits", ["0", "-2"])
+def test_verify_rejects_fewer_than_one_init(capsys, inits):
+    assert cli.main(["verify", "--mdp", "chain3", "--inits", inits]) == 2
+    out = capsys.readouterr()
+    assert "--inits must be at least 1" in out.err and "overall" not in out.out
+
+
 def test_verify_unknown_mdp(capsys):
     assert cli.main(["verify", "--mdp", "nope"]) == 2
     assert "builtin" in capsys.readouterr().err
@@ -304,15 +369,15 @@ def test_chaotic_adversary_is_causal():
 # export-attention command
 
 
-def make_attention_checkpoint(tmp_path, t_len=5, n_actions=2, state_dim=4):
+def make_attention_checkpoint(tmp_path, t_len=5, n_actions=2, state_dim=4, **hyperparams):
     model = decomposer.make_predictor(
-        "attention", state_dim + n_actions, np.random.default_rng(0), scale="desk"
+        "attention", state_dim + n_actions, np.random.default_rng(0)
     )
     ckpt = tmp_path / "model.json"
     checkpoint.save(
         str(ckpt),
         model.params,
-        meta={"architecture": "attention", "hyperparams": model.hyperparams()},
+        meta={"architecture": "attention", "hyperparams": {**model.hyperparams(), **hyperparams}},
     )
     rng = np.random.default_rng(1)
     traj = Trajectory(
@@ -355,6 +420,27 @@ def test_export_attention_single_step(tmp_path):
     assert len(rows) == 1
     attn = np.loadtxt(tmp_path / "one_head0.csv", delimiter=",")
     assert attn.reshape(1, 1)[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("index", ["1", "-1"])
+def test_export_attention_rejects_index_outside_the_file(tmp_path, capsys, index):
+    ckpt, traj_path = make_attention_checkpoint(tmp_path)
+    out = tmp_path / "attn.csv"
+    code = cli.main(["export-attention", "--ckpt", str(ckpt), "--traj", str(traj_path),
+                     "--out", str(out), "--index", index])
+    assert code == 2
+    assert f"--index {index} is out of range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("retired", [{"positional": False}, {"scale": "paper"}])
+def test_export_attention_rejects_retired_checkpoint(tmp_path, capsys, retired):
+    ckpt, traj_path = make_attention_checkpoint(tmp_path, **retired)
+    code = cli.main(["export-attention", "--ckpt", str(ckpt), "--traj", str(traj_path),
+                     "--out", str(tmp_path / "attn.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "cannot rebuild the predictor" in err and next(iter(retired)) in err
 
 
 def test_export_attention_rejects_ff_checkpoint(tmp_path, capsys):

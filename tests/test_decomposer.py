@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import reference_predictors as reference
 import tape_ops as tape
+from sgd import SgdOptimizer
 
 from rdecomp import autodiff as ad
 from rdecomp import decomposer, nn
@@ -30,7 +31,7 @@ def toy_trajectory(rng, t_len=6, d_s=3, d_a=2, ret=None):
 
 def test_embed_shares_parameters_across_time():
     rng = np.random.default_rng(0)
-    model = AttentionPredictor(5, rng, scale="desk")
+    model = AttentionPredictor(5, rng)
     x = np.random.default_rng(1).normal(size=(6, 5))
     x[5] = x[0]  # duplicate the (s, a) pair at two distant steps
     v = model.forward(x)["embed"]
@@ -62,7 +63,7 @@ def test_embed_matches_hand_matrix_arithmetic():
 def test_causality_exact_zero_difference():
     rng = np.random.default_rng(4)
     for arch in ("recurrent", "attention"):
-        model = make_predictor(arch, 5, np.random.default_rng(10), scale="desk")
+        model = make_predictor(arch, 5, np.random.default_rng(10))
         x = rng.normal(size=(7, 5))
         base = model.reward_sequence(x, "prefixes")
         for t_perturb in range(1, 7):
@@ -86,9 +87,7 @@ def test_two_token_attention_matches_hand_softmax():
     model = AttentionPredictor(3, rng)
     x = rng.normal(size=(2, 3))
     out = model.forward(x)
-    v = out["embed"]
-    if model.positional:
-        v = v + nn.sinusoidal_positions(2, model.embed_dim)
+    v = out["embed"] + nn.sinusoidal_positions(2, model.embed_dim)
     attn_block = out["attn"]
     q_all = v @ model.params["wq"]
     k_all = v @ model.params["wk"]
@@ -149,8 +148,7 @@ def numpy_attention_forward(model, x):
     """Independent full re-computation of the attention predictor."""
     p = model.params
     v = np.tanh(x @ p["embed_w"] + p["embed_b"])
-    if model.positional:
-        v = v + nn.sinusoidal_positions(len(x), model.embed_dim)
+    v = v + nn.sinusoidal_positions(len(x), model.embed_dim)
     t_len = len(x)
     heads = []
     for h in range(model.n_heads):
@@ -254,7 +252,7 @@ def test_bias_only_regression_reaches_mean_target():
     traj = toy_trajectory(np.random.default_rng(22), t_len=5, ret=3.0)
     for _ in range(400):
         regression_step(model, *reference.stacked(model, [traj]), "singletons",
-                        nn.SgdOptimizer(1e-2))
+                        SgdOptimizer(1e-2))
         # freeze everything except the bias to keep the problem 1-D
         keep = model.params["head_b"]
         model.params = dict(frozen)
@@ -266,7 +264,7 @@ def test_full_batch_loss_non_increasing_at_tiny_lr():
     rng = np.random.default_rng(23)
     model = AttentionPredictor(5, rng)
     batch = [toy_trajectory(np.random.default_rng(100 + i), t_len=4) for i in range(6)]
-    opt = nn.SgdOptimizer(1e-5)
+    opt = SgdOptimizer(1e-5)
     rows = reference.stacked(model, batch)
     losses = [regression_step(model, *rows, "prefixes", opt) for _ in range(100)]
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
@@ -280,7 +278,7 @@ def test_non_finite_loss_aborts_without_update():
     traj = toy_trajectory(np.random.default_rng(25))
     with pytest.raises(FloatingPointError, match="non-finite"):
         regression_step(model, *reference.stacked(model, [traj]), "singletons",
-                        nn.SgdOptimizer(1e-3))
+                        SgdOptimizer(1e-3))
     for k, p in model.params.items():
         np.testing.assert_array_equal(p, before[k])
 
@@ -289,7 +287,7 @@ def test_empty_batch_rejected():
     model = make_predictor("ff", 5, np.random.default_rng(26))
     with pytest.raises(ValueError, match="empty"):
         regression_step(model, np.zeros((0, 5)), [], np.zeros(0), "singletons",
-                        nn.SgdOptimizer(1e-3))
+                        SgdOptimizer(1e-3))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +296,7 @@ def test_empty_batch_rejected():
 
 def _order_probe(arch):
     rng = np.random.default_rng(27)
-    model = make_predictor(arch, 4, rng, scale="desk")
+    model = make_predictor(arch, 4, rng)
     x = np.random.default_rng(28).normal(size=(5, 4))
     swapped = x.copy()
     swapped[[0, 1]] = swapped[[1, 0]]
@@ -318,7 +316,7 @@ def test_order_dependent_target_is_learnable():
     steps = np.random.default_rng(29).normal(size=(4, 4))
     fwd = Trajectory(states=steps[:, :2], actions=steps[:, 2:], episodic_return=1.0)
     rev = Trajectory(states=steps[::-1, :2], actions=steps[::-1, 2:], episodic_return=-1.0)
-    model = make_predictor("attention", 4, np.random.default_rng(30), scale="desk")
+    model = make_predictor("attention", 4, np.random.default_rng(30))
     opt = nn.AdamOptimizer(3e-3)
     rows = reference.stacked(model, [fwd, rev])
     loss = None
@@ -371,16 +369,45 @@ def test_decomposition_from_values_identities():
 
 
 # ---------------------------------------------------------------------------
+# rebuilding from a checkpoint
+
+
+@pytest.mark.parametrize("arch", ["ff", "recurrent", "attention"])
+def test_predictor_from_checkpoint_rebuilds_the_model(arch):
+    model = make_predictor(arch, 5, np.random.default_rng(36))
+    # checkpoints of earlier versions also record scale and positional
+    for hp in (model.hyperparams(), {**model.hyperparams(), "scale": "desk", "positional": True}):
+        meta = {"architecture": arch, "hyperparams": hp}
+        rebuilt = decomposer.predictor_from_checkpoint(model.params, meta)
+        assert type(rebuilt) is type(model) and rebuilt.params is model.params
+
+
+@pytest.mark.parametrize("retired", [{"positional": False}, {"scale": "paper"},
+                                     {"positional": 1}])
+def test_predictor_from_checkpoint_rejects_retired_models(retired):
+    model = make_predictor("attention", 5, np.random.default_rng(37))
+    meta = {"architecture": "attention", "hyperparams": {**model.hyperparams(), **retired}}
+    with pytest.raises(ValueError, match=next(iter(retired))):
+        decomposer.predictor_from_checkpoint(model.params, meta)
+
+
+# ---------------------------------------------------------------------------
 # one batched tape against the per-trajectory reference
 
 
 BATCHED_SPECS = [
-    ("ff", "singletons", True),
-    ("recurrent", "singletons", True),
-    ("recurrent", "prefixes", True),
-    ("attention", "prefixes", True),
-    ("attention", "prefixes", False),
+    ("ff", "singletons"),
+    ("recurrent", "singletons"),
+    ("recurrent", "prefixes"),
+    ("attention", "prefixes"),
 ]
+
+
+def spec_ids(specs):
+    """Test ids of (architecture, kind) specs. The "-pos1" suffix is from
+    when attention could run without positions; it keeps the ids stable."""
+    return [f"{a}-{k}-pos1" for a, k in specs]
+
 BATCH_LENGTHS = {"ragged": [5, 1, 9, 3, 1, 7], "equal": [4, 4, 4], "one": [6]}
 
 
@@ -389,11 +416,10 @@ def _close(got, want, rel=1e-12):
 
 
 @pytest.mark.parametrize("lengths", list(BATCH_LENGTHS), ids=list(BATCH_LENGTHS))
-@pytest.mark.parametrize("arch,kind,positional", BATCHED_SPECS,
-                         ids=[f"{a}-{k}-pos{int(p)}" for a, k, p in BATCHED_SPECS])
-def test_batched_loss_and_gradients_match_reference(arch, kind, positional, lengths):
+@pytest.mark.parametrize("arch,kind", BATCHED_SPECS, ids=spec_ids(BATCHED_SPECS))
+def test_batched_loss_and_gradients_match_reference(arch, kind, lengths):
     rng = np.random.default_rng(40)
-    model = make_predictor(arch, 5, rng, positional=positional)
+    model = make_predictor(arch, 5, rng)
     batch = [toy_trajectory(rng, t_len=t) for t in BATCH_LENGTHS[lengths]]
     norm = ReturnNormalizer()
     norm.update(rng.normal(2.0, 3.0, size=20))
@@ -444,21 +470,19 @@ def test_n_actions_inferred_from_model_width(arch, kind):
 
 
 BITWISE_SPECS = [
-    ("attention", "prefixes", True),
-    ("attention", "prefixes", False),
-    ("attention", "singletons", True),
-    ("attention", "singletons", False),
-    ("ff", "singletons", True),
-    ("recurrent", "prefixes", True),
-    ("recurrent", "singletons", True),
+    ("attention", "prefixes"),
+    ("attention", "singletons"),
+    ("ff", "singletons"),
+    ("recurrent", "prefixes"),
+    ("recurrent", "singletons"),
 ]
 # ragged minibatches like the trainer's, a batch of one, length-1 trajectories
 BITWISE_LENGTHS = [[5, 1, 9, 3, 1, 16, 7], [6], [1], [1, 1, 1], [16] * 4]
 
 
-def _bitwise_case(arch, kind, positional, lengths, seed, scale):
+def _bitwise_case(arch, lengths, seed, scale):
     rng = np.random.default_rng(seed)
-    model = make_predictor(arch, 7, rng, positional=positional)
+    model = make_predictor(arch, 7, rng)
     # x50 parameters saturate the tanh and sigmoid gates, as the blown-up
     # predictors of `make_verify_predictors` do
     model.params = {k: p * scale for k, p in model.params.items()}
@@ -469,11 +493,10 @@ def _bitwise_case(arch, kind, positional, lengths, seed, scale):
 
 
 @pytest.mark.parametrize("scale", [1.0, 50.0])
-@pytest.mark.parametrize("arch,kind,positional", BITWISE_SPECS,
-                         ids=[f"{a}-{k}-pos{int(p)}" for a, k, p in BITWISE_SPECS])
-def test_loss_grad_is_bitwise_the_tape(arch, kind, positional, scale):
+@pytest.mark.parametrize("arch,kind", BITWISE_SPECS, ids=spec_ids(BITWISE_SPECS))
+def test_loss_grad_is_bitwise_the_tape(arch, kind, scale):
     for seed, lengths in enumerate(BITWISE_LENGTHS):
-        model, batch, norm = _bitwise_case(arch, kind, positional, lengths, seed, scale)
+        model, batch, norm = _bitwise_case(arch, lengths, seed, scale)
         x, lengths, targets = reference.stacked(model, batch, norm)
         loss, grad = model.loss_grad(x, lengths, targets, kind)
         want_loss, want_grad = reference.loss_grad(model, x, lengths, targets, kind)
@@ -481,24 +504,22 @@ def test_loss_grad_is_bitwise_the_tape(arch, kind, positional, scale):
         assert np.array_equal(grad, want_grad), (seed, lengths)
 
 
-@pytest.mark.parametrize("arch,kind,positional", BITWISE_SPECS,
-                         ids=[f"{a}-{k}-pos{int(p)}" for a, k, p in BITWISE_SPECS])
-def test_regression_step_applies_the_tape_gradient(arch, kind, positional):
-    model, batch, norm = _bitwise_case(arch, kind, positional, BITWISE_LENGTHS[0], 7, 1.0)
+@pytest.mark.parametrize("arch,kind", BITWISE_SPECS, ids=spec_ids(BITWISE_SPECS))
+def test_regression_step_applies_the_tape_gradient(arch, kind):
+    model, batch, norm = _bitwise_case(arch, BITWISE_LENGTHS[0], 7, 1.0)
     x, lengths, targets = reference.stacked(model, batch, norm)
     want_loss, want_grad = reference.loss_grad(model, x, lengths, targets, kind)
     want = nn.flatten_params(model.params) - 1e-2 * want_grad
-    loss = regression_step(model, x, lengths, targets, kind, nn.SgdOptimizer(1e-2))
+    loss = regression_step(model, x, lengths, targets, kind, SgdOptimizer(1e-2))
     assert loss == want_loss
     assert np.array_equal(nn.flatten_params(model.params), want)
 
 
 @pytest.mark.parametrize("scale", [1.0, 50.0])
-@pytest.mark.parametrize("arch,kind,positional", BITWISE_SPECS,
-                         ids=[f"{a}-{k}-pos{int(p)}" for a, k, p in BITWISE_SPECS])
-def test_predict_is_bitwise_the_tape_forward(arch, kind, positional, scale):
+@pytest.mark.parametrize("arch,kind", BITWISE_SPECS, ids=spec_ids(BITWISE_SPECS))
+def test_predict_is_bitwise_the_tape_forward(arch, kind, scale):
     for seed, lengths in enumerate(BITWISE_LENGTHS):
-        model, batch, _ = _bitwise_case(arch, kind, positional, lengths, seed, scale)
+        model, batch, _ = _bitwise_case(arch, lengths, seed, scale)
         x, lengths, _ = reference.stacked(model, batch)
         rhat, z, attn = reference.batched_rewards(model, tape.constant(x), lengths, kind)
         got = np.concatenate([d.per_interval for d in predict(model, batch, kind)])

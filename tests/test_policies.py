@@ -84,10 +84,9 @@ def test_ppo_loss_grad_is_bitwise_the_tape(kind, entropy_coef):
         assert np.array_equal(grad, want_grad)
 
 
-@pytest.mark.parametrize("two_heads", [True, False])
-def test_value_loss_grad_is_bitwise_the_tape(two_heads):
+def test_value_loss_grad_is_bitwise_the_tape():
     rng = np.random.default_rng(10)
-    value_net = ValueNetwork(rng, 3, hidden=(8, 8), two_heads=two_heads)
+    value_net = ValueNetwork(rng, 3, hidden=(8, 8))
     states = rng.normal(size=(24, 3))
     t_r, t_0 = rng.normal(size=24), rng.normal(size=24)
     loss, grad = value_net.loss_grad(states, t_r, t_0)

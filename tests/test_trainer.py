@@ -36,8 +36,8 @@ TINY = dict(
 )
 
 
-def zeroed_value_net(state_dim, two_heads=True):
-    net = ValueNetwork(np.random.default_rng(0), state_dim, hidden=(8,), two_heads=two_heads)
+def zeroed_value_net(state_dim):
+    net = ValueNetwork(np.random.default_rng(0), state_dim, hidden=(8,))
     net.params = {k: np.zeros(p.shape) for k, p in net.params.items()}
     return net
 
@@ -198,15 +198,6 @@ def test_gae_matches_direct_recursion_with_real_values():
 
     want = gae_ref(r1, vr) + gae_ref(r2, v0)
     np.testing.assert_allclose(advantages[0], want, rtol=1e-12)
-
-
-def test_single_head_mode_combines_streams():
-    batch, decomps = random_batch(3, n=2)
-    value_net = zeroed_value_net(4, two_heads=False)
-    advantages, _, _ = compute_advantages(batch, decomps, value_net, 1.0, 1.0, two_heads=False)
-    for traj, dec, adv in zip(batch, decomps, advantages):
-        want = dec.residual + estimators.generalized_q(dec, traj.length)
-        np.testing.assert_allclose(adv, want, rtol=1e-12)
 
 
 def test_length_mismatch_rejected():
