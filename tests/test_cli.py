@@ -89,12 +89,11 @@ CONFIG_WITH_RETIRED_KEYS = {
 }
 
 
-def test_config_with_retired_keys_at_their_values_loads(tmp_path):
+def test_config_with_retired_keys_at_their_values_loads():
     exp = config_mod.from_dict(CONFIG_WITH_RETIRED_KEYS)
     kept = {k: v for k, v in CONFIG_WITH_RETIRED_KEYS.items()
             if k not in config_mod.RETIRED_KEYS}
     assert exp.to_dict() == kept
-    assert set(CONFIG_WITH_RETIRED_KEYS) - set(kept) == set(config_mod.RETIRED_KEYS)
 
 
 @pytest.mark.parametrize("key,value", [
@@ -114,18 +113,14 @@ def test_train_with_retired_key_at_another_value_exits_2(tmp_path, capsys):
     assert "invalid config: field 'positional' is retired" in capsys.readouterr().err
 
 
-def _readme_training_config():
-    readme = (Path(__file__).parent.parent / "README.md").read_text()
-    block = re.search(r"A minimal training config[^\n]*\n\s*```json\n(.*?)```", readme, re.S)
-    return json.loads(block.group(1))
-
-
 def test_readme_training_config_loads_and_ships():
-    doc = _readme_training_config()
+    root = Path(__file__).parent.parent
+    readme = (root / "README.md").read_text()
+    block = re.search(r"A minimal training config[^\n]*\n\s*```json\n(.*?)```", readme, re.S)
+    doc = json.loads(block.group(1))
     exp = config_mod.from_dict(doc)
     assert exp.train.env == doc["env"] and exp.seeds == doc["seeds"]
-    shipped = Path(__file__).parent.parent / "configs" / "grid-full.json"
-    assert json.loads(shipped.read_text()) == doc
+    assert json.loads((root / "configs" / "grid-full.json").read_text()) == doc
 
 
 # ---------------------------------------------------------------------------
