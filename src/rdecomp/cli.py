@@ -256,9 +256,11 @@ def cmd_bench(args):
         overrides["iterations"] = args.iterations
     if args.ppo_batch is not None:
         overrides["ppo_batch"] = args.ppo_batch
-    seeds = None
-    if args.seeds:
-        seeds = [int(s) for s in args.seeds.split(",")]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else None
+    except ValueError:
+        print(f"--seeds takes comma-separated integers, got {args.seeds!r}", file=sys.stderr)
+        return 2
     try:
         pairs = recipes.expand(args.recipe, seeds=seeds, **overrides)
     except ValueError as exc:

@@ -65,14 +65,22 @@ class ExperimentConfig:
         return d
 
 
+def _is_int(value):
+    # JSON true and false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_field(name, value, default):
     expected = _TYPE_CHECKS.get(type(default))
     if isinstance(default, bool) and not isinstance(value, bool):
         raise ConfigError(f"field {name!r} must be a boolean, got {value!r}")
-    if expected is not None and not isinstance(value, expected):
+    if (expected is not None and not isinstance(value, expected)
+            or isinstance(value, bool) and not isinstance(default, bool)):
         raise ConfigError(
             f"field {name!r} expects {type(default).__name__}, got {type(value).__name__}"
         )
+    if name == "hidden" and not all(_is_int(n) and n > 0 for n in value):
+        raise ConfigError(f"field 'hidden' must hold positive integers, got {value!r}")
 
 
 def from_dict(doc):
@@ -106,7 +114,7 @@ def from_dict(doc):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     seeds = doc.get("seeds", [0])
-    if not isinstance(seeds, list) or not all(isinstance(s, int) for s in seeds):
+    if not isinstance(seeds, list) or not all(_is_int(s) for s in seeds):
         raise ConfigError("seeds must be a list of integers")
     output_dir = doc.get("output_dir", "runs")
     if not isinstance(output_dir, str):

@@ -144,6 +144,7 @@ class FeedForwardPredictor:
     """Per-step MLP: interval i sees (s_i, a_i) only. Singleton intervals."""
 
     architecture = "ff"
+    kinds = ("singletons",)
 
     def __init__(self, input_dim, rng):
         channels = WIDTHS["ff_channels"]
@@ -156,9 +157,6 @@ class FeedForwardPredictor:
         params["head_w"], params["head_b"] = nn.init_linear(rng, channels[-1], 1)
         self.params = params
         self.n_layers = len(channels)
-
-    def supports(self, kind):
-        return kind == "singletons"
 
     def _forward(self, x):
         """The weights, the activations [x, h_1, ..., h_L] and the rewards."""
@@ -194,6 +192,7 @@ class RecurrentPredictor:
     """
 
     architecture = "recurrent"
+    kinds = VALID_KINDS
 
     def __init__(self, input_dim, rng):
         self.input_dim = input_dim
@@ -210,9 +209,6 @@ class RecurrentPredictor:
             "head_w": hw,
             "head_b": hb,
         }
-
-    def supports(self, kind):
-        return kind in VALID_KINDS
 
     def forward(self, x, kind="prefixes", lengths=None):
         """Activations by name, among them the rewards "rhat" (N, 1). All
@@ -314,6 +310,7 @@ class AttentionPredictor:
     """
 
     architecture = "attention"
+    kinds = VALID_KINDS
 
     def __init__(self, input_dim, rng):
         self.input_dim = input_dim
@@ -338,9 +335,6 @@ class AttentionPredictor:
         p["pool_w2"], _ = nn.init_linear(rng, self.pool_dim, 1)
         p["head_w"], p["head_b"] = nn.init_linear(rng, d, 1)
         self.params = p
-
-    def supports(self, kind):
-        return kind in VALID_KINDS
 
     def forward(self, x, lengths=None):
         """Activations by name, among them the rewards "rhat" (N, 1), the
@@ -413,14 +407,17 @@ class AttentionPredictor:
         return {"input_dim": self.input_dim}
 
 
+# The predictor class of each architecture; each class's `kinds` are the
+# interval kinds it supports.
+PREDICTORS = {
+    cls.architecture: cls for cls in (FeedForwardPredictor, RecurrentPredictor, AttentionPredictor)
+}
+
+
 def make_predictor(architecture, input_dim, rng):
-    if architecture == "ff":
-        return FeedForwardPredictor(input_dim, rng)
-    if architecture == "recurrent":
-        return RecurrentPredictor(input_dim, rng)
-    if architecture == "attention":
-        return AttentionPredictor(input_dim, rng)
-    raise ValueError(f"unknown architecture {architecture!r}")
+    if architecture not in PREDICTORS:
+        raise ValueError(f"unknown architecture {architecture!r}")
+    return PREDICTORS[architecture](input_dim, rng)
 
 
 def predictor_from_checkpoint(params, meta):
@@ -457,9 +454,11 @@ def input_rows(model, batch):
     return [traj.input_matrix(n_actions) for traj in batch]
 
 
-def _check_kind(model, kind):
-    if not model.supports(kind):
-        raise ValueError(f"{model.architecture} predictor does not support {kind!r} intervals")
+def check_kind(predictor, kind):
+    """Raise ValueError unless the predictor (a model or its class) supports
+    intervals of this kind."""
+    if kind not in predictor.kinds:
+        raise ValueError(f"{predictor.architecture} predictor does not support {kind!r} intervals")
 
 
 def destandardize(values, normalizer):
@@ -482,7 +481,7 @@ def predict(model, batch, kind, normalizer=None):
     standardized-scale outputs are mapped back to return units by
     `destandardize`.
     """
-    _check_kind(model, kind)
+    check_kind(model, kind)
     x = np.concatenate(input_rows(model, batch))
     rewards = model.reward_sequence(x, kind, [traj.length for traj in batch]).reshape(-1)
     out = []
@@ -524,7 +523,7 @@ def regression_step(model, x, lengths, targets, kind, optimizer):
     before any parameter is touched."""
     if len(lengths) == 0:
         raise ValueError("regression_step: empty batch")
-    _check_kind(model, kind)
+    check_kind(model, kind)
     loss, grad = model.loss_grad(x, lengths, targets, kind)
     if grad is None:
         raise FloatingPointError(f"regression loss is non-finite ({loss})")

@@ -25,7 +25,28 @@ class StepResult:
     done: bool
 
 
-class ChainMdp:
+class _OneHotCells:
+    """A finite set of cells seen as one-hot state vectors. Subclasses set
+    `n_cells` and `initial_index` and define `transition(index, action)`,
+    which returns (next index, reward, done)."""
+
+    def state_vector(self, index):
+        v = np.zeros(self.n_cells)
+        v[index] = 1.0
+        return v
+
+    def state_index(self, state):
+        return int(np.argmax(state))
+
+    def reset(self, rng):
+        return self.state_vector(self.initial_index)
+
+    def step(self, state, action, rng):
+        nxt, reward, done = self.transition(self.state_index(state), int(action))
+        return StepResult(self.state_vector(nxt), reward, done)
+
+
+class ChainMdp(_OneHotCells):
     """Left/right walk on a line of states; +1 when the right end is reached.
 
     Action 0 moves left (floored at 0), action 1 moves right. Reaching the
@@ -44,28 +65,13 @@ class ChainMdp:
         self.n_cells = n_states
         self.initial_index = 0
 
-    def state_vector(self, index):
-        v = np.zeros(self.n_cells)
-        v[index] = 1.0
-        return v
-
-    def state_index(self, state):
-        return int(np.argmax(state))
-
     def transition(self, index, action):
         nxt = min(index + 1, self.n_states - 1) if action == 1 else max(index - 1, 0)
         reached_goal = nxt == self.n_states - 1
         return nxt, 1.0 if reached_goal else 0.0, reached_goal
 
-    def reset(self, rng):
-        return self.state_vector(self.initial_index)
 
-    def step(self, state, action, rng):
-        nxt, reward, done = self.transition(self.state_index(state), int(action))
-        return StepResult(self.state_vector(nxt), reward, done)
-
-
-class SparseGridworld:
+class SparseGridworld(_OneHotCells):
     """N x N grid, 4 moves, +1 on reaching the far corner from the near one."""
 
     ACTIONS = ((-1, 0), (0, 1), (1, 0), (0, -1))  # up, right, down, left
@@ -83,14 +89,6 @@ class SparseGridworld:
         self.initial_index = 0
         self.goal_index = self.n_cells - 1
 
-    def state_vector(self, index):
-        v = np.zeros(self.n_cells)
-        v[index] = 1.0
-        return v
-
-    def state_index(self, state):
-        return int(np.argmax(state))
-
     def transition(self, index, action):
         r, c = divmod(index, self.size)
         dr, dc = self.ACTIONS[action]
@@ -99,13 +97,6 @@ class SparseGridworld:
             index = nr * self.size + nc
         reached_goal = index == self.goal_index
         return index, 1.0 if reached_goal else 0.0, reached_goal
-
-    def reset(self, rng):
-        return self.state_vector(self.initial_index)
-
-    def step(self, state, action, rng):
-        nxt, reward, done = self.transition(self.state_index(state), int(action))
-        return StepResult(self.state_vector(nxt), reward, done)
 
 
 class PointMass:

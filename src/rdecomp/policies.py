@@ -9,8 +9,13 @@ two scalar heads, one per advantage stream (predicted-reward and residual).
 No gradient here uses the tape. A numpy forward keeps the trunk's
 activations, the head's delta goes back through the trunk by
 `autodiff.tanh_mlp_deltas`, and each layer's gradient is a matmul with its
-input. Policies have two gradient surfaces: the PPO minibatch loss and its
-gradient (`ppo_loss_grad`), and score sums per trajectory for the
+input. Each policy computes log pi and its gradient in one place,
+`log_prob_head`, whose map gives the per-row gradient at the head's output
+(the logits or the Gaussian mean) and the gradients of the head's other
+parameters (the Gaussian log_std) summed over rows by the caller's
+reduction. Every surface uses it: the old log-probs (`log_prob_np`), so a
+PPO update's first ratio is exactly 1; the PPO minibatch loss and its
+gradient (`ppo_loss_grad`); and the score sums per trajectory for the
 estimators and the oracle, where each layer's sums are one padded batched
 matmul. `ValueNetwork.loss_grad` is the value net's squared error and its
 gradient. The PPO and value forms make the float ops of the equivalent
@@ -58,9 +63,21 @@ class _Trunk:
         return ad.tanh_mlp_grads(hs, wd, g, [f"t{i}" for i in range(self.n_layers)])[0]
 
 
-# Score-gradient surfaces shared by both policies. Each class binds them in
-# its own body rather than inheriting them, so that each class's __dict__
-# holds them (perfbench/tracer.py wraps them there, per class).
+def _log_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+# Log-prob and score-gradient surfaces shared by both policies. Each class
+# binds them in its own body rather than inheriting them, so that each
+# class's __dict__ holds them (perfbench/tracer.py wraps them there, per
+# class).
+
+
+def _log_prob_np(policy, states, actions):
+    """(m,): log pi(a_t|s_t) per step, by the float ops of `ppo_loss_grad`."""
+    h = policy.trunk.apply_np(policy.params, states)
+    return policy.log_prob_head(h, actions)[0].reshape(-1)
 
 
 def _segment_scores(policy, states, actions, coeffs, lengths):
@@ -68,10 +85,12 @@ def _segment_scores(policy, states, actions, coeffs, lengths):
     stacked steps, flattened over parameters in `flatten_params` order."""
     params = policy.params
     wd, hs = policy.trunk.forward(params, states)
-    head, extra = policy.head_deltas(hs[-1], actions, coeffs.reshape(-1, 1))
+    head_grads = policy.log_prob_head(hs[-1], actions)[2]
+    head, sums = head_grads(
+        coeffs.reshape(-1, 1), None, lambda rows: ad.pad_segments(rows, lengths).sum(axis=1)
+    )
     deltas = ad.tanh_mlp_deltas(hs, wd, _kernels.matmul(head, params["head_w"].T))
 
-    sums = {name: ad.pad_segments(rows, lengths).sum(axis=1) for name, rows in extra.items()}
     layers = [(f"t{i}", hs[i], d) for i, d in enumerate(deltas)] + [("head", hs[-1], head)]
     for name, h, d in layers:
         block = ad.pad_segments(d, lengths)
@@ -131,8 +150,10 @@ def _ppo_loss_grad(policy, states, actions, old_logp, adv, clip, entropy_coef):
     inside = ((ratio >= 1.0 - clip) & (ratio <= 1.0 + clip)).astype(np.float64)
     g = np.full(ratio.shape, -1.0 / n)
     g_ratio = g * take * adv + g * (1.0 - take) * adv * inside
-    g_h, grads = head_grads(g_ratio * ratio, g_entropy)
-    grads.update(policy.trunk.grads(wd, hs, g_h))
+    g_out, grads = head_grads(g_ratio * ratio, g_entropy, lambda rows: rows.sum(axis=0))
+    h, w = hs[-1], policy.params["head_w"]
+    grads["head_w"], grads["head_b"] = _kernels.matmul(h.T, g_out), g_out.sum(axis=0)
+    grads.update(policy.trunk.grads(wd, hs, _kernels.matmul(g_out, w.T)))
     return float(loss), nn.flatten_arrays(policy.params, grads)
 
 
@@ -147,14 +168,9 @@ class CategoricalPolicy:
         self.params = dict(self.trunk.params)
         self.params["head_w"], self.params["head_b"] = head_w, head_b
 
-    def logits_np(self, states):
-        h = self.trunk.apply_np(self.params, np.atleast_2d(states))
-        return h @ self.params["head_w"] + self.params["head_b"]
-
     def log_prob_matrix_np(self, states):
-        logits = self.logits_np(states)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        h = self.trunk.apply_np(self.params, np.atleast_2d(states))
+        return _log_softmax(h @ self.params["head_w"] + self.params["head_b"])
 
     def sampler(self):
         """`act` while the parameters stay fixed, with each state's cdf
@@ -181,39 +197,25 @@ class CategoricalPolicy:
     def log_prob_head(self, h, actions):
         """log pi(a_t|s_t) and the entropy per step, each (m, 1), given the
         trunk output h, and the map from their gradients (the entropy's may
-        be None) to the gradient at h and the head's parameter gradients."""
-        w = self.params["head_w"]
-        logits = _kernels.matmul(h, w) + self.params["head_b"]
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        be None) and a row-sum to the per-row gradient at the logits and the
+        row-summed gradients of the head's other parameters (none here)."""
+        logp = _log_softmax(_kernels.matmul(h, self.params["head_w"]) + self.params["head_b"])
         p = np.exp(logp)
         rows, idx = np.arange(len(h)), np.asarray(actions, dtype=np.intp)
 
-        def grads(g_logp, g_entropy):
+        def grads(g_logp, g_entropy, row_sum):
             g = np.zeros(logp.shape)
             g[rows, idx] = g_logp.reshape(-1)
             if g_entropy is not None:
                 # entropy = -sum p log p: through log p, then through p
                 ge = np.broadcast_to(g_entropy * -1.0, logp.shape)
                 g = g + ge * p + ge * logp * p
-            g = g - p * g.sum(axis=1, keepdims=True)
-            return _kernels.matmul(g, w.T), {
-                "head_w": _kernels.matmul(h.T, g), "head_b": g.sum(axis=0),
-            }
+            return g - p * g.sum(axis=1, keepdims=True), {}
 
         entropy = (p * logp).sum(axis=1, keepdims=True) * -1.0
         return logp[rows, idx].reshape(-1, 1), entropy, grads
 
-    def log_prob_np(self, states, actions):
-        lp = self.log_prob_matrix_np(states)
-        return lp[np.arange(len(actions)), np.asarray(actions, dtype=int)]
-
-    def head_deltas(self, h, actions, c):
-        """Gradient of sum_t c_t log pi(a_t|s_t) at the logits, given the
-        trunk output h; no parameter outside the head and trunk."""
-        logits = h @ self.params["head_w"] + self.params["head_b"]
-        return c * (np.eye(self.n_actions)[actions] - _kernels.softmax_rows(logits)), {}
-
+    log_prob_np = _log_prob_np
     weighted_score_gradient = _weighted_score_gradient
     score_matrix = _score_matrix
     ppo_loss_grad = _ppo_loss_grad
@@ -245,46 +247,29 @@ class GaussianPolicy:
         return self.act
 
     def log_prob_head(self, h, actions):
-        """As `CategoricalPolicy.log_prob_head`; actions (m, action_dim).
-        The entropy depends on log_std alone."""
-        w = self.params["head_w"]
+        """As `CategoricalPolicy.log_prob_head`; actions (m, action_dim), the
+        head's output the mean, and log_std the head's other parameter. The
+        entropy depends on log_std alone."""
         log_std = self.params["log_std"]
         inv_std = np.exp(log_std * -1.0)
-        diff = actions - (_kernels.matmul(h, w) + self.params["head_b"])
+        diff = actions - (_kernels.matmul(h, self.params["head_w"]) + self.params["head_b"])
         z = diff * inv_std
         per_dim = (z * z * 0.5 + log_std) + 0.5 * LOG_2PI
         ent = log_std.sum() + 0.5 * self.action_dim * (1.0 + LOG_2PI)
 
-        def grads(g_logp, g_entropy):
+        def grads(g_logp, g_entropy, row_sum):
             g = np.broadcast_to(g_logp * -1.0, diff.shape).copy()
             g_z = 2.0 * (g * 0.5) * z
-            g_mean = -(g_z * inv_std)
-            g_log_std = g.sum(axis=0) + (g_z * diff).sum(axis=0) * inv_std * -1.0
+            g_log_std = row_sum(g) + row_sum(g_z * diff) * inv_std * -1.0
             if g_entropy is not None:
                 g_ent = _kernels.matmul(np.ones((len(h), 1)).T, g_entropy)
                 g_log_std = g_log_std + np.full(log_std.shape, g_ent[0, 0])
-            return _kernels.matmul(g_mean, w.T), {
-                "head_w": _kernels.matmul(h.T, g_mean), "head_b": g_mean.sum(axis=0),
-                "log_std": g_log_std,
-            }
+            return -(g_z * inv_std), {"log_std": g_log_std}
 
         logp = per_dim.sum(axis=1, keepdims=True) * -1.0
         return logp, np.full((len(h), 1), ent), grads
 
-    def log_prob_np(self, states, actions):
-        mean = self.mean_np(states)
-        log_std = self.params["log_std"]
-        z = (np.asarray(actions) - mean) / np.exp(log_std)
-        return -0.5 * (z * z).sum(axis=1) - log_std.sum() - 0.5 * LOG_2PI * self.action_dim
-
-    def head_deltas(self, h, actions, c):
-        """Gradient of sum_t c_t log pi(a_t|s_t) at the mean, given the trunk
-        output h, and the per-step rows of its gradient at log_std."""
-        mean = h @ self.params["head_w"] + self.params["head_b"]
-        std = np.exp(self.params["log_std"])
-        z = (actions - mean) / std
-        return c * z / std, {"log_std": c * (z * z - 1.0)}
-
+    log_prob_np = _log_prob_np
     weighted_score_gradient = _weighted_score_gradient
     score_matrix = _score_matrix
     ppo_loss_grad = _ppo_loss_grad

@@ -85,6 +85,9 @@ class TrainConfig:
             raise ValueError(f"clip must be in (0, 1), got {self.clip}")
         if self.interval_kind not in decomposer.VALID_KINDS:
             raise ValueError(f"bad interval_kind {self.interval_kind!r}")
+        if self.architecture not in decomposer.PREDICTORS:
+            raise ValueError(f"unknown architecture {self.architecture!r}")
+        decomposer.check_kind(decomposer.PREDICTORS[self.architecture], self.interval_kind)
 
 
 def rollout(policy, env, n_steps, rng):
@@ -367,7 +370,6 @@ class Trainer:
             "iteration": self.iteration,
             "env_steps": self.env_steps,
             "seed": self.seed,
-            "normalizer": self.normalizer.state() if self.normalizer else None,
             "buffer_rng": self.buffer.rng.bit_generator.state,
             "buffer_meta": buffer_meta,
             "rngs": {

@@ -63,6 +63,29 @@ def test_type_checked_fields(tmp_path):
         config_mod.load(write_config(tmp_path, seeds=["a"]))
 
 
+@pytest.mark.parametrize("key,value", [
+    ("iterations", True), ("policy_lr", True), ("hidden", [True, 3]), ("hidden", [64, 0]),
+    ("hidden", [64, 1.5]), ("seeds", [True]),
+])
+def test_booleans_and_bad_elements_rejected(key, value):
+    with pytest.raises(config_mod.ConfigError, match=key):
+        config_mod.from_dict({**BASE_CONFIG, key: value})
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"architecture": "ff"}, "ff predictor does not support 'prefixes' intervals"),
+    ({"architecture": "mlp"}, "unknown architecture 'mlp'"),
+])
+def test_unbuildable_predictor_rejected_before_training(tmp_path, monkeypatch, capsys,
+                                                         overrides, message):
+    with pytest.raises(config_mod.ConfigError, match=message):
+        config_mod.from_dict({"schema_version": 1, **overrides})
+    monkeypatch.setenv("RDECOMP_OUTPUT_ROOT", str(tmp_path / "runs"))
+    assert cli.main(["train", "--config", write_config(tmp_path, **overrides)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_domain_validation_surfaces(tmp_path):
     with pytest.raises(config_mod.ConfigError, match="clip"):
         config_mod.load(write_config(tmp_path, clip=1.5))
@@ -491,6 +514,13 @@ def test_expand_applies_overrides():
 def test_unknown_recipe():
     with pytest.raises(ValueError, match="unknown recipe"):
         recipes.expand("figure-everything")
+
+
+def test_bench_rejects_malformed_seeds(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("RDECOMP_OUTPUT_ROOT", str(tmp_path))
+    assert cli.main(["bench", "--recipe", "buffers", "--seeds", "1,,2"]) == 2
+    assert "--seeds takes comma-separated integers" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bench_command_runs_tiny(tmp_path, monkeypatch):

@@ -66,6 +66,23 @@ def make_minibatch(kind, seed, m=24):
     return policy, states, actions, old_logp, rng.normal(size=m)
 
 
+@pytest.mark.parametrize("kind", ["categorical", "gaussian"])
+def test_first_ppo_ratio_is_exactly_one(kind):
+    # old log-probs of the whole batch against each minibatch's own forward,
+    # as in the first minibatch of a PPO update
+    policy, _, _ = make(kind, 11, hidden=(64, 64))
+    rng = np.random.default_rng(111)
+    states = rng.normal(size=(512, 3))
+    actions = rng.integers(0, 4, size=512) if kind == "categorical" else rng.normal(size=(512, 2))
+    old_logp = policy.log_prob_np(states, actions)
+    for _ in range(8):
+        idx = rng.permutation(512)[:64]
+        h = policy.trunk.apply_np(policy.params, states[idx])
+        logp = policy.log_prob_head(h, actions[idx])[0].reshape(-1)
+        assert np.array_equal(logp, old_logp[idx])
+        assert np.all(np.exp(logp - old_logp[idx]) == 1.0)
+
+
 @pytest.mark.parametrize("entropy_coef", [0.0, 0.01])
 @pytest.mark.parametrize("kind", ["categorical", "gaussian"])
 def test_ppo_loss_grad_is_bitwise_the_tape(kind, entropy_coef):

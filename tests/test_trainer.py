@@ -1,4 +1,5 @@
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -422,6 +423,26 @@ def test_save_restore_resumes(tmp_path):
     row_direct, _ = first.step()
     assert row_resumed["iteration"] == row_direct["iteration"] == 2
     assert row_resumed == row_direct
+
+
+def test_state_file_without_normalizer_and_with_it_both_resume(tmp_path):
+    # restore reads the normalizer from the reward checkpoint's meta; state
+    # files of earlier versions also hold a copy, which is ignored
+    config = TrainConfig(**{**TINY, "iterations": 3})
+    first = Trainer(config, seed=5)
+    first.step()
+    first.save(str(tmp_path))
+    state_path = tmp_path / "state.json"
+    state = json.loads(state_path.read_text())
+    assert "normalizer" not in state
+    old_state = {**state, "normalizer": first.normalizer.state()}
+    want, _ = first.step()
+    for old in (False, True):
+        if old:
+            state_path.write_text(json.dumps(old_state))
+        resumed = Trainer(config, seed=5)
+        resumed.restore(str(tmp_path))
+        assert resumed.step()[0] == want
 
 
 @pytest.mark.parametrize("arch,kind", [("ff", "singletons"), ("recurrent", "prefixes"),
