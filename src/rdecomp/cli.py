@@ -88,10 +88,18 @@ def cmd_train(args):
 # verify
 
 
+# What reading a user's file can raise: a missing or unreadable file, bad
+# JSON, a missing key, a value of the wrong type or shape.
+_BAD_FILE = (OSError, KeyError, TypeError, ValueError)
+
+
 def _spec_mdp(path):
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     rewards = np.asarray(doc["step_rewards"], dtype=np.float64)
+    if rewards.shape != (doc["n_states"], doc["n_actions"]):
+        raise ValueError(f"step_rewards has shape {rewards.shape},"
+                         f" expected ({doc['n_states']}, {doc['n_actions']})")
     return oracle.TabularMdp(
         doc["n_states"],
         doc["n_actions"],
@@ -116,19 +124,19 @@ def make_verify_predictors(mdp, n_inits, seed=0):
     predicts a whole chunk in one forward pass; the chaotic adversary
     hashes each trajectory on its own behind a list adapter."""
     input_dim = mdp.n_states + mdp.n_actions
-    rotation = [("attention", "prefixes"), ("recurrent", "prefixes"), ("ff", "singletons")]
+    rotation = ["attention", "recurrent", "ff"]
     fns = []
     for i in range(n_inits):
         rng = np.random.default_rng(seed * 1000 + i)
-        arch, kind = rotation[i % len(rotation)]
+        arch = rotation[i % len(rotation)]
         model = decomposer.make_predictor(arch, input_dim, rng)
         if i % 4 == 3:
             model.params = {k: nn.read_only(p * 50.0) for k, p in model.params.items()}
 
-        def fn(batch, model=model, kind=kind):
-            return decomposer.predict(model, batch, kind)
+        def fn(batch, model=model):
+            return decomposer.predict(model, batch)
 
-        fns.append((f"{arch}-{kind}{'-blown' if i % 4 == 3 else ''}-{i}", fn))
+        fns.append((f"{arch}-{model.kind}{'-blown' if i % 4 == 3 else ''}-{i}", fn))
         if i % 5 == 4:
             def chaotic(traj, base=i):
                 # A running CRC over the steps seen so far: value t hashes
@@ -171,7 +179,12 @@ def cmd_verify(args):
         print(f"--inits must be at least 1, got {args.inits}", file=sys.stderr)
         return 2
     if args.spec:
-        mdps = [_spec_mdp(args.spec)]
+        try:
+            mdps = [_spec_mdp(args.spec)]
+        except _BAD_FILE as exc:
+            print(f"cannot load the MDP spec {args.spec}: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
+            return 2
     elif args.mdp:
         if args.mdp not in oracle.BUILTIN_MDPS:
             print(
@@ -205,7 +218,12 @@ def cmd_verify(args):
 
 
 def cmd_export_attention(args):
-    params, meta = load_checkpoint(args.ckpt)
+    try:
+        params, meta = load_checkpoint(args.ckpt)
+    except _BAD_FILE as exc:
+        print(f"cannot load the checkpoint {args.ckpt}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 2
     if meta.get("architecture") != "attention":
         print(
             f"checkpoint holds a {meta.get('architecture')!r} predictor;"
@@ -218,7 +236,12 @@ def cmd_export_attention(args):
     except ValueError as exc:
         print(f"cannot rebuild the predictor: {exc}", file=sys.stderr)
         return 2
-    trajectories = read_jsonl(args.traj)
+    try:
+        trajectories = read_jsonl(args.traj)
+    except _BAD_FILE as exc:
+        print(f"cannot load the trajectories {args.traj}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 2
     if not 0 <= args.index < len(trajectories):
         print(
             f"--index {args.index} is out of range: the trajectory file holds"
@@ -227,7 +250,7 @@ def cmd_export_attention(args):
         )
         return 2
     traj = trajectories[args.index]
-    out = model.forward(decomposer.input_rows(model, [traj])[0])
+    out = model.forward(decomposer.input_rows(model, [traj])[0], [traj.length])
     z, attn = out["z"], out["attn"]
     values = out["rhat"].reshape(-1)
     norm_state = meta.get("normalizer")

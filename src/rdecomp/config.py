@@ -71,6 +71,8 @@ def _is_int(value):
 
 
 def _check_field(name, value, default):
+    if default is None:  # interval_kind: TrainConfig checks it against the architecture
+        return
     expected = _TYPE_CHECKS.get(type(default))
     if isinstance(default, bool) and not isinstance(value, bool):
         raise ConfigError(f"field {name!r} must be a boolean, got {value!r}")

@@ -1,23 +1,22 @@
 """Learned decomposition of episodic returns over time intervals.
 
 A predictor maps a trajectory to one scalar surrogate reward per interval.
-Two interval families are supported, both indexed so that interval i ends
-at step i (max index i):
+Interval i ends at step i (max index i), and which steps it covers is a
+property of the architecture, its class's `kind`:
 
-  singletons: interval i covers step i alone
-  prefixes:   interval i covers steps 0..i
+  singletons: interval i covers step i alone (the per-step feed-forward net)
+  prefixes:   interval i covers steps 0..i (the recurrent and attention nets)
 
-Three architectures mirror the usual sequence-model ladder. The per-step
-feed-forward net handles singletons only; the recurrent and attention
-variants are causal, so their output for interval i is a function of steps
-0..i exactly — perturbing any later step changes nothing.
+The recurrent and attention predictors are causal, so their output for
+interval i is a function of steps 0..i exactly — perturbing any later step
+changes nothing.
 
 Every predictor runs on a batch at once: the rows of B trajectories are
 stacked into one (N, d) matrix and passed with the segment lengths, so a
 regression minibatch is one forward and one backward pass, and `predict`
 is one forward pass over a list of trajectories, for the trainer and the
-oracle alike. Each predictor has one numpy forward and a closed-form
-backward; none builds a tape.
+oracle alike. Each predictor has one numpy `forward` and a closed-form
+`backward`; none builds a tape.
 
 Training regresses the summed per-interval predictions onto the episodic
 return with a squared loss. Returns are standardized by a running
@@ -39,8 +38,6 @@ import numpy as np
 from rdecomp import _kernels
 from rdecomp import autodiff as ad
 from rdecomp import nn
-
-VALID_KINDS = ("singletons", "prefixes")
 
 # Layer widths: half the published ones (all but the head count), for the
 # small benchmark environments.
@@ -118,18 +115,13 @@ class ReturnNormalizer:
 # ---------------------------------------------------------------------------
 # predictor architectures
 #
-# `reward_sequence(x, kind, lengths)` maps the stacked input rows x, an
-# (N, d) array, of trajectories with the given lengths (default: x is one
-# trajectory) to the per-interval rewards (N, 1), row for row.
-# `loss_grad(x, lengths, targets, kind)` returns their `regression_loss` and
-# its flat gradient, or None for it if the loss is not finite. The closed
-# forms make the tape's float ops in the tape's order, so they are
-# bit-identical to the tapes in tests/reference_predictors.py.
-
-
-def _segment_lengths(x, lengths):
-    return np.array([x.shape[0]] if lengths is None else lengths, dtype=np.intp)
-
+# `forward(x, lengths)` maps the stacked input rows x, an (N, d) array, of
+# trajectories with the given lengths to its activations by name, among
+# them the per-interval rewards "rhat" (N, 1), row for row.
+# `backward(a, g)` takes those activations and the gradient g (N, 1) at
+# "rhat" and returns the gradient per parameter name. The closed forms make
+# the tape's float ops in the tape's order, so they are bit-identical to the
+# tapes in tests/reference_predictors.py.
 
 def _plus_head(a, b):
     """a with b added to its first len(b) rows; None adds nothing."""
@@ -144,7 +136,7 @@ class FeedForwardPredictor:
     """Per-step MLP: interval i sees (s_i, a_i) only. Singleton intervals."""
 
     architecture = "ff"
-    kinds = ("singletons",)
+    kind = "singletons"
 
     def __init__(self, input_dim, rng):
         channels = WIDTHS["ff_channels"]
@@ -158,41 +150,29 @@ class FeedForwardPredictor:
         self.params = params
         self.n_layers = len(channels)
 
-    def _forward(self, x):
-        """The weights, the activations [x, h_1, ..., h_L] and the rewards."""
+    def forward(self, x, lengths):
+        """The weights, the activations "hs" [x, h_1, ..., h_L] and the
+        rewards "rhat". Rows are independent, so the lengths are not read."""
         p = self.params
         weights = [p[f"l{i}_w"] for i in range(self.n_layers)]
         hs = ad.tanh_mlp_layers(x, weights, [p[f"l{i}_b"] for i in range(self.n_layers)])
-        return weights, hs, _kernels.matmul(hs[-1], p["head_w"]) + p["head_b"]
+        return {"weights": weights, "hs": hs,
+                "rhat": _kernels.matmul(hs[-1], p["head_w"]) + p["head_b"]}
 
-    def reward_sequence(self, x, kind="singletons", lengths=None):
-        """Rows are independent, so the segment lengths are not needed."""
-        return self._forward(x)[2]
-
-    def loss_grad(self, x, lengths, targets, kind="singletons"):
-        weights, hs, rhat = self._forward(x)
-        loss, g = regression_loss(rhat, lengths, targets)
-        if g is None:
-            return loss, None
-        head_w = self.params["head_w"]
-        grads, _ = ad.tanh_mlp_grads(hs, weights, _kernels.matmul(g, head_w.T),
+    def backward(self, a, g):
+        hs = a["hs"]
+        grads, _ = ad.tanh_mlp_grads(hs, a["weights"], _kernels.matmul(g, self.params["head_w"].T),
                                      [f"l{i}" for i in range(self.n_layers)])
         grads["head_w"], grads["head_b"] = _kernels.matmul(hs[-1].T, g), g.sum(axis=0)
-        return loss, nn.flatten_arrays(self.params, grads)
-
-    def hyperparams(self):
-        return {"input_dim": self.input_dim}
+        return grads
 
 
 class RecurrentPredictor:
-    """Shared embedding into an LSTM run forward in time.
-
-    For prefix intervals the hidden states 0..i are mean-pooled before the
-    regression head; for singletons the head reads h_i directly.
-    """
+    """Shared embedding into an LSTM run forward in time; the hidden states
+    0..i are mean-pooled before the regression head. Prefix intervals."""
 
     architecture = "recurrent"
-    kinds = VALID_KINDS
+    kind = "prefixes"
 
     def __init__(self, input_dim, rng):
         self.input_dim = input_dim
@@ -210,17 +190,16 @@ class RecurrentPredictor:
             "head_b": hb,
         }
 
-    def forward(self, x, kind="prefixes", lengths=None):
+    def forward(self, x, lengths):
         """Activations by name, among them the rewards "rhat" (N, 1). All
         trajectories step together, longest first.
 
         The rows are reordered time-major ("order"): step t holds the n_t
         trajectories still running, so the state is narrowed to its first
-        n_t rows as trajectories end. For prefixes, a running sum divided by
-        t + 1 mean-pools h_0..h_t. The head's outputs go back to stacked
-        order.
+        n_t rows as trajectories end. A running sum divided by t + 1
+        mean-pools h_0..h_t. The head's outputs go back to stacked order.
         """
-        lengths = _segment_lengths(x, lengths)
+        lengths = np.asarray(lengths)
         starts = np.cumsum(lengths) - lengths
         by_length = np.argsort(-lengths, kind="stable")
         active = [int(np.count_nonzero(lengths > t)) for t in range(int(lengths.max()))]
@@ -244,25 +223,15 @@ class RecurrentPredictor:
             a["steps"].append((h, c, gates, tanh_c))
             h, c = o * tanh_c, c_next
             offset += n
-            if kind == "prefixes":
-                total = total + h
-                rows.append(total * (1.0 / (t + 1)))
-            else:
-                rows.append(h)
+            total = total + h
+            rows.append(total * (1.0 / (t + 1)))
         a["pooled"] = np.concatenate(rows)
         a["rhat"] = (mm(a["pooled"], p["head_w"]) + p["head_b"])[np.argsort(order)]
         return a
 
-    def reward_sequence(self, x, kind="prefixes", lengths=None):
-        return self.forward(x, kind, lengths)["rhat"]
-
-    def loss_grad(self, x, lengths, targets, kind="prefixes"):
+    def backward(self, a, g):
         """Backpropagation through time, from the last step to the first.
         The recurrent weights' gradient sums the steps' in that order."""
-        a = self.forward(x, kind, lengths)
-        loss, g = regression_loss(a["rhat"], lengths, targets)
-        if g is None:
-            return loss, None
         p, e, hd = self.params, self.embed_dim, self.hidden_dim
         mm = _kernels.matmul
         g = g[a["order"]]
@@ -275,9 +244,7 @@ class RecurrentPredictor:
         for t in range(len(a["active"]) - 1, -1, -1):
             h_prev, c_prev, (i, f, gc, o), tanh_c = a["steps"][t]
             start = end - len(h_prev)
-            g_t = g_rows[start:end]
-            if kind == "prefixes":
-                g_t = g_total = _plus_head(g_t * (1.0 / (t + 1)), g_total)
+            g_t = g_total = _plus_head(g_rows[start:end] * (1.0 / (t + 1)), g_total)
             g_t = _plus_head(g_t, g_h)
             g_ct = _plus_head(_kernels.tanh_vjp(tanh_c, g_t * o), g_c)
             d = g_gates[start:end]
@@ -293,10 +260,7 @@ class RecurrentPredictor:
         embed, _ = ad.tanh_mlp_grads([a["x"], a["v"]], [p["embed_w"]],
                                      mm(g_gates, p["lstm_w"][:e].T), ["embed"])
         grads.update(embed)
-        return loss, nn.flatten_arrays(self.params, grads)
-
-    def hyperparams(self):
-        return {"input_dim": self.input_dim}
+        return grads
 
 
 class AttentionPredictor:
@@ -310,7 +274,7 @@ class AttentionPredictor:
     """
 
     architecture = "attention"
-    kinds = VALID_KINDS
+    kind = "prefixes"
 
     def __init__(self, input_dim, rng):
         self.input_dim = input_dim
@@ -336,16 +300,16 @@ class AttentionPredictor:
         p["head_w"], p["head_b"] = nn.init_linear(rng, d, 1)
         self.params = p
 
-    def forward(self, x, lengths=None):
+    def forward(self, x, lengths):
         """Activations by name, among them the rewards "rhat" (N, 1), the
         importance "z" (N, 1) and the attention weights "attn" (B, heads,
         T, T). Positions, from 0 in each trajectory, are added after
         "embed", which thus depends on (s, a) alone."""
         p = self.params
-        lengths = _segment_lengths(x, lengths)
+        lengths = np.asarray(lengths)
         mm = _kernels.matmul
         v = ad.tanh_mlp_layers(x, [p["embed_w"]], [p["embed_b"]])[1]
-        a = {"embed": v}
+        a = {"x": x, "embed": v}
         pos = nn.sinusoidal_positions(int(lengths.max()), self.embed_dim)
         a["v"] = v = v + pos[ad.segment_positions(lengths)]
         a["heads"], a["attn"], a["attn_vjp"] = ad.causal_attention(
@@ -364,14 +328,7 @@ class AttentionPredictor:
         a["rhat"] = mm(a["pooled"], p["head_w"]) + p["head_b"]
         return a
 
-    def reward_sequence(self, x, kind="prefixes", lengths=None):
-        return self.forward(x, lengths)["rhat"]
-
-    def loss_grad(self, x, lengths, targets, kind="prefixes"):
-        a = self.forward(x, lengths)
-        loss, g = regression_loss(a["rhat"], lengths, targets)
-        if g is None:
-            return loss, None
+    def backward(self, a, g):
         p = self.params
         mm = _kernels.matmul
         grads = {"head_w": mm(a["pooled"].T, g), "head_b": g.sum(axis=0)}
@@ -399,16 +356,13 @@ class AttentionPredictor:
         for name, g_in in zip(("wq", "wk", "wv"), a["attn_vjp"](mm(g_r1, p["wo"].T))):
             grads[name] = mm(a["v"].T, g_in)
             g_v = g_v + mm(g_in, p[name].T)
-        embed, _ = ad.tanh_mlp_grads([x, a["embed"]], [p["embed_w"]], g_v, ["embed"])
+        embed, _ = ad.tanh_mlp_grads([a["x"], a["embed"]], [p["embed_w"]], g_v, ["embed"])
         grads.update(embed)
-        return loss, nn.flatten_arrays(self.params, grads)
-
-    def hyperparams(self):
-        return {"input_dim": self.input_dim}
+        return grads
 
 
-# The predictor class of each architecture; each class's `kinds` are the
-# interval kinds it supports.
+# The predictor class of each architecture; each class's `kind` is the
+# interval kind it scores.
 PREDICTORS = {
     cls.architecture: cls for cls in (FeedForwardPredictor, RecurrentPredictor, AttentionPredictor)
 }
@@ -454,13 +408,6 @@ def input_rows(model, batch):
     return [traj.input_matrix(n_actions) for traj in batch]
 
 
-def check_kind(predictor, kind):
-    """Raise ValueError unless the predictor (a model or its class) supports
-    intervals of this kind."""
-    if kind not in predictor.kinds:
-        raise ValueError(f"{predictor.architecture} predictor does not support {kind!r} intervals")
-
-
 def destandardize(values, normalizer):
     """Map standardized-scale outputs back to return units, causally.
 
@@ -473,7 +420,7 @@ def destandardize(values, normalizer):
     return values
 
 
-def predict(model, batch, kind, normalizer=None):
+def predict(model, batch, normalizer=None):
     """Decompose every trajectory of a batch into per-interval rewards.
 
     One forward pass over the whole batch; returns one RewardDecomposition
@@ -481,9 +428,8 @@ def predict(model, batch, kind, normalizer=None):
     standardized-scale outputs are mapped back to return units by
     `destandardize`.
     """
-    check_kind(model, kind)
     x = np.concatenate(input_rows(model, batch))
-    rewards = model.reward_sequence(x, kind, [traj.length for traj in batch]).reshape(-1)
+    rewards = model.forward(x, [traj.length for traj in batch])["rhat"].reshape(-1)
     out = []
     start = 0
     for traj in batch:
@@ -516,15 +462,25 @@ def regression_loss(rhat, lengths, targets):
     return loss, _kernels.matmul(segment_sum.T, 2.0 * err)
 
 
-def regression_step(model, x, lengths, targets, kind, optimizer):
+def loss_grad(model, x, lengths, targets):
+    """The `regression_loss` of the model on the stacked input rows x of
+    trajectories with the given lengths and regression targets, and its
+    flat gradient, or None for it if the loss is not finite."""
+    a = model.forward(x, lengths)
+    loss, g = regression_loss(a["rhat"], lengths, targets)
+    if g is None:
+        return loss, None
+    return loss, nn.flatten_arrays(model.params, model.backward(a, g))
+
+
+def regression_step(model, x, lengths, targets, optimizer):
     """One update of the predictor by `optimizer` on the stacked input rows
     x of trajectories with the given lengths and regression targets;
     returns the loss. A non-finite loss aborts with the offending value
     before any parameter is touched."""
     if len(lengths) == 0:
         raise ValueError("regression_step: empty batch")
-    check_kind(model, kind)
-    loss, grad = model.loss_grad(x, lengths, targets, kind)
+    loss, grad = loss_grad(model, x, lengths, targets)
     if grad is None:
         raise FloatingPointError(f"regression loss is non-finite ({loss})")
     model.params = optimizer.step(model.params, grad)

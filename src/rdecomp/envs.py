@@ -182,7 +182,3 @@ def make_env(name, params=None):
     if name not in _REGISTRY:
         raise ValueError(f"unknown environment {name!r}; choices: {sorted(_REGISTRY)}")
     return _REGISTRY[name](params or {})
-
-
-def is_discrete(env):
-    return hasattr(env, "n_actions")

@@ -29,7 +29,6 @@ class GradientEstimate:
 
     grad: np.ndarray
     variance: float
-    residual_abs_mean: float
 
 
 def interval_rewards(decomp, t_len):
@@ -75,25 +74,24 @@ def r_not_t_rows(rewards, lengths):
     return rnot
 
 
-def _finish(per_sample, residuals):
+def _finish(per_sample):
     """Batch mean and variance of the (B, P) per-trajectory gradients."""
     n = len(per_sample)
     grad = per_sample.sum(axis=0) / n
     variance = float(per_sample.var(axis=0).mean()) if n > 1 else 0.0
-    res = float(np.mean(np.abs(residuals))) if residuals is not None else 0.0
-    return GradientEstimate(grad, variance, res)
+    return GradientEstimate(grad, variance)
 
 
 def grad_reinforce(batch, policy):
     """Episodic likelihood-ratio estimator: R(tau) times the summed scores."""
     coeffs = [np.full(traj.length, traj.episodic_return) for traj in batch]
-    return _finish(policy.weighted_score_gradient(batch, coeffs), None)
+    return _finish(policy.weighted_score_gradient(batch, coeffs))
 
 
 def grad_composite(batch, policy, decomps):
     """Step-major form: per-step coefficient is the generalized Q-value."""
     coeffs = [generalized_q(dec, traj.length) for traj, dec in zip(batch, decomps)]
-    return _finish(policy.weighted_score_gradient(batch, coeffs), [d.residual for d in decomps])
+    return _finish(policy.weighted_score_gradient(batch, coeffs))
 
 
 def grad_composite_by_interval(batch, policy, decomps):
@@ -110,17 +108,17 @@ def grad_composite_by_interval(batch, policy, decomps):
         for i, value in enumerate(dec.per_interval):
             g += value * scores[: i + 1].sum(axis=0)
         per_sample.append(g)
-    return _finish(np.stack(per_sample), [d.residual for d in decomps])
+    return _finish(np.stack(per_sample))
 
 
 def grad_bias_corrected(batch, policy, decomps):
     """Composite gradient plus the residual term; unbiased for any predictor."""
     coeffs = [dec.residual + generalized_q(dec, traj.length) for traj, dec in zip(batch, decomps)]
-    return _finish(policy.weighted_score_gradient(batch, coeffs), [d.residual for d in decomps])
+    return _finish(policy.weighted_score_gradient(batch, coeffs))
 
 
 def grad_control_variate(batch, policy, decomps):
     """Baseline form: coefficient R(tau) - rnot_t; equals the corrected form."""
     coeffs = [traj.episodic_return - r_not_t(dec, traj.length)
               for traj, dec in zip(batch, decomps)]
-    return _finish(policy.weighted_score_gradient(batch, coeffs), [d.residual for d in decomps])
+    return _finish(policy.weighted_score_gradient(batch, coeffs))

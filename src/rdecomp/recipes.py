@@ -46,10 +46,6 @@ def _experiment(name, seeds, output_dir="runs", **overrides):
     )
 
 
-def _kind_for(architecture):
-    return "singletons" if architecture == "ff" else "prefixes"
-
-
 def learning_curves(seeds=(1, 2, 3, 4, 5)):
     """Full method versus the episodic-PPO baseline on both benchmark envs."""
     out = []
@@ -81,9 +77,7 @@ def buffer_comparison(seeds=(1, 2, 3)):
 
 def network_comparison(seeds=(1, 2, 3)):
     return [
-        _experiment(
-            f"network-{arch}", seeds, architecture=arch, interval_kind=_kind_for(arch)
-        )
+        _experiment(f"network-{arch}", seeds, architecture=arch)
         for arch in ("ff", "recurrent", "attention")
     ]
 
@@ -123,7 +117,6 @@ def ablation_grid(seeds=(1,)):
                         seeds,
                         buffer_scheme=scheme,
                         architecture=arch,
-                        interval_kind=_kind_for(arch),
                         bias_correction=corrected,
                         reward_lr=lr,
                     )

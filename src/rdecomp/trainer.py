@@ -20,8 +20,8 @@ episodic return, which is the episodic-PPO baseline.
 Regression draws from the (possibly stale) replay buffer; the policy
 gradient only ever sees the freshest on-policy batch. Each minibatch's
 loss and flat gradient come from one call: `ppo_loss_grad` on the policy,
-`loss_grad` on the value net and on the reward predictor, all closed
-forms in numpy.
+`loss_grad` on the value net, `decomposer.loss_grad` on the reward
+predictor, all closed forms in numpy.
 """
 
 from __future__ import annotations
@@ -57,7 +57,8 @@ class TrainConfig:
     env: str = "grid"
     env_params: dict = field(default_factory=dict)
     iterations: int = 100
-    interval_kind: str = "prefixes"
+    # the architecture's interval kind, filled in from it; kept as a record
+    interval_kind: str | None = None
     architecture: str = "attention"
     buffer_scheme: str = "HO"
     bias_correction: bool = True
@@ -81,13 +82,25 @@ class TrainConfig:
         for name in ("policy_lr", "reward_lr"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("ppo_batch", "minibatch", "epochs", "buffer_capacity",
+                     "reservoir_capacity", "regression_epochs", "regression_minibatch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("gamma", "lam"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         if not 0.0 < self.clip < 1.0:
             raise ValueError(f"clip must be in (0, 1), got {self.clip}")
-        if self.interval_kind not in decomposer.VALID_KINDS:
-            raise ValueError(f"bad interval_kind {self.interval_kind!r}")
         if self.architecture not in decomposer.PREDICTORS:
             raise ValueError(f"unknown architecture {self.architecture!r}")
-        decomposer.check_kind(decomposer.PREDICTORS[self.architecture], self.interval_kind)
+        kind = decomposer.PREDICTORS[self.architecture].kind
+        if self.interval_kind is None:
+            self.interval_kind = kind
+        elif self.interval_kind != kind:
+            raise ValueError(
+                f"interval_kind: {self.architecture} predictor does not support"
+                f" {self.interval_kind!r} intervals, only {kind!r}"
+            )
 
 
 def rollout(policy, env, n_steps, rng):
@@ -244,7 +257,7 @@ class Trainer:
         """Per-interval rewards of every trajectory, in one forward pass."""
         if self.model is None:
             return [_zero_decomposition(traj) for traj in batch]
-        return decomposer.predict(self.model, batch, self.config.interval_kind, self.normalizer)
+        return decomposer.predict(self.model, batch, self.normalizer)
 
     def _regression_phase(self):
         if self.model is None or len(self.buffer) == 0:
@@ -254,14 +267,14 @@ class Trainer:
         lengths = np.array([len(r) for r in rows])
         targets = decomposer.regression_targets(sample, self.normalizer)
         losses = []
-        mb, kind = self.config.regression_minibatch, self.config.interval_kind
+        mb = self.config.regression_minibatch
         for _ in range(self.config.regression_epochs):
             order = self.regression_rng.permutation(len(sample))
             for start in range(0, len(sample), mb):
                 idx = order[start : start + mb]
                 x = np.concatenate([rows[i] for i in idx])
                 losses.append(decomposer.regression_step(
-                    self.model, x, lengths[idx], targets[idx], kind, self.reward_opt
+                    self.model, x, lengths[idx], targets[idx], self.reward_opt
                 ))
         return float(np.mean(losses))
 
@@ -336,7 +349,7 @@ class Trainer:
             meta = {
                 "kind": "reward_predictor",
                 "architecture": self.model.architecture,
-                "hyperparams": self.model.hyperparams(),
+                "hyperparams": {"input_dim": self.model.input_dim},
                 "interval_kind": self.config.interval_kind,
                 "iteration": self.iteration,
                 "normalizer": self.normalizer.state(),

@@ -1,14 +1,14 @@
 """Tape references for the three reward predictors.
 
-Two kinds. The per-trajectory forward is one tape per trajectory, built
+Two forms. The per-trajectory forward is one tape per trajectory, built
 the plain way: a Python loop over attention heads with a masked softmax
 each, and one LSTM run per trajectory with a lower-triangular averaging
 matrix for prefix pooling. It reads a model's parameters and nothing else
 of `decomposer`, so the batched forward can be checked against it.
 
 The batched tape (`batched_rewards`, `loss_grad`) is the one the
-predictors trained on before their closed forms: their `loss_grad` must
-match it bit for bit. Parameters enter every tape as the leaves that
+predictors trained on before their closed forms: `decomposer.loss_grad`
+must match it bit for bit. Parameters enter every tape as the leaves that
 `tape_ops.leaves` makes of a model's parameter arrays.
 """
 
@@ -26,7 +26,7 @@ def _ff(model, p, x):
     return tape.linear(h, p["head_w"], p["head_b"])
 
 
-def _recurrent(model, p, x, kind):
+def _recurrent(model, p, x):
     t_len = x.shape[0]
     v = tape.tanh(tape.linear(x, p["embed_w"], p["embed_b"]))
     hd = model.hidden_dim
@@ -44,10 +44,8 @@ def _recurrent(model, p, x, kind):
         h = tape.mul(o_gate, tape.tanh(c))
         rows.append(h)
     hs = tape.concat(rows, axis=0)
-    if kind == "prefixes":
-        tri = np.tril(np.ones((t_len, t_len))) / np.arange(1, t_len + 1)[:, None]
-        hs = tape.matmul(tape.constant(tri), hs)
-    return tape.linear(hs, p["head_w"], p["head_b"])
+    tri = np.tril(np.ones((t_len, t_len))) / np.arange(1, t_len + 1)[:, None]
+    return tape.linear(tape.matmul(tape.constant(tri), hs), p["head_w"], p["head_b"])
 
 
 def attention_encode(model, x, p=None):
@@ -82,25 +80,25 @@ def _attention(model, p, x):
     return tape.linear(tape.scale_rows(hs, z), p["head_w"], p["head_b"])
 
 
-def reward_sequence(model, x, kind, p=None):
+def reward_sequence(model, x, p=None):
     """Per-interval rewards (T, 1) of one trajectory's input rows x (T, d),
     on the leaves p (by default, fresh ones of the model's parameters)."""
     p = tape.leaves(model.params) if p is None else p
     if model.architecture == "ff":
         return _ff(model, p, x)
     if model.architecture == "recurrent":
-        return _recurrent(model, p, x, kind)
+        return _recurrent(model, p, x)
     return _attention(model, p, x)
 
 
-def regression_loss(model, batch, kind, normalizer=None):
+def regression_loss(model, batch, normalizer=None):
     """Sum over the batch of (sum r_hat - R)^2, one tape per trajectory, and
     the parameter leaves it was built on."""
     p = tape.leaves(model.params)
     per_traj = []
     for traj in batch:
         x = tape.constant(traj.input_matrix())
-        rhat = reward_sequence(model, x, kind, p)
+        rhat = reward_sequence(model, x, p)
         target = traj.episodic_return
         if normalizer is not None:
             target = normalizer.normalize(target)
@@ -115,14 +113,13 @@ def stacked(model, batch, normalizer=None):
     return x, [traj.length for traj in batch], decomposer.regression_targets(batch, normalizer)
 
 
-def recurrent_rewards(model, p, x, kind, lengths):
+def recurrent_rewards(model, p, x, lengths):
     """Batched tape of the recurrent predictor on stacked rows x (a Tensor).
     All trajectories step together, longest first.
 
     The rows are reordered time-major: step t holds the n_t trajectories
     still running, so the state is narrowed to its first n_t rows as
-    trajectories end. For prefixes, a running sum divided by t + 1
-    mean-pools h_0..h_t. The head's outputs go back to stacked order.
+    trajectories end. A running sum divided by t + 1 mean-pools h_0..h_t. The head's outputs go back to stacked order.
     """
     lengths = np.asarray(lengths)
     starts = np.cumsum(lengths) - lengths
@@ -143,16 +140,13 @@ def recurrent_rewards(model, p, x, kind, lengths):
         gates = tape.narrow(x_gates, 0, offset, offset + n)
         h, c = tape.lstm_step(gates, h, c, w_h, hd)
         offset += n
-        if kind == "prefixes":
-            total = tape.add(total, h)
-            rows.append(tape.scale(total, 1.0 / (t + 1)))
-        else:
-            rows.append(h)
+        total = tape.add(total, h)
+        rows.append(tape.scale(total, 1.0 / (t + 1)))
     out = tape.linear(tape.concat(rows, axis=0), p["head_w"], p["head_b"])
     return tape.take_rows(out, np.argsort(time_major))
 
 
-def batched_rewards(model, x, lengths, kind="prefixes", p=None):
+def batched_rewards(model, x, lengths, p=None):
     """Batched tape forward of a predictor on stacked rows x (a Tensor):
     (rewards (N, 1), z (N, 1) or None, attention weights (B, heads, T, T)
     or None)."""
@@ -160,7 +154,7 @@ def batched_rewards(model, x, lengths, kind="prefixes", p=None):
     if model.architecture == "ff":
         return _ff(model, p, x), None, None
     if model.architecture == "recurrent":
-        return recurrent_rewards(model, p, x, kind, lengths), None, None
+        return recurrent_rewards(model, p, x, lengths), None, None
     lengths = np.asarray(lengths)
     v = tape.tanh(tape.linear(x, p["embed_w"], p["embed_b"]))
     pos = nn.sinusoidal_positions(int(lengths.max()), model.embed_dim)
@@ -177,11 +171,11 @@ def batched_rewards(model, x, lengths, kind="prefixes", p=None):
     return tape.linear(tape.scale_rows(hs, z), p["head_w"], p["head_b"]), z, attn
 
 
-def loss_grad(model, x, lengths, targets, kind):
+def loss_grad(model, x, lengths, targets):
     """(loss, flat gradient) of the regression loss on one batched tape, with
     a (B, N) 0/1 segment-sum matrix turning the rewards into the composites."""
     p = tape.leaves(model.params)
-    rhat = batched_rewards(model, tape.constant(x), lengths, kind, p)[0]
+    rhat = batched_rewards(model, tape.constant(x), lengths, p)[0]
     b = len(lengths)
     segment = np.repeat(np.arange(b), lengths)
     segment_sum = (segment[None, :] == np.arange(b)[:, None]).astype(np.float64)

@@ -166,7 +166,7 @@ def test_criterion_4_gradient_correctness():
         data_rng = np.random.default_rng(1000 + seed)
         t_len = 5
 
-        for arch, kind in (("ff", "singletons"), ("recurrent", "prefixes"), ("attention", "prefixes")):
+        for arch in ("ff", "recurrent", "attention"):
             model = decomposer.make_predictor(arch, 5, rng)
             traj = Trajectory(
                 states=data_rng.normal(size=(t_len, 3)),
@@ -174,9 +174,9 @@ def test_criterion_4_gradient_correctness():
                 episodic_return=float(data_rng.normal()),
             )
 
-            def loss_grad(params, model=model, traj=traj, kind=kind):
+            def loss_grad(params, model=model, traj=traj):
                 model.params = params
-                return model.loss_grad(*reference.stacked(model, [traj]), kind)
+                return decomposer.loss_grad(model, *reference.stacked(model, [traj]))
 
             worst = max(worst, _fd_check(model.params, loss_grad, data_rng))
             n_runs += 1
@@ -226,9 +226,9 @@ def test_criterion_4_gradient_correctness():
 def test_criterion_5_causality_fuzz():
     cases = 0
     rng = np.random.default_rng(7)
-    specs = [("ff", "singletons"), ("recurrent", "singletons"), ("recurrent", "prefixes"), ("attention", "prefixes")]
+    archs = ["ff", "recurrent", "attention"]
     while cases < 200:
-        arch, kind = specs[cases % len(specs)]
+        arch = archs[cases % len(archs)]
         t_len = int(rng.integers(2, 10))
         model = decomposer.make_predictor(arch, 5, np.random.default_rng(cases))
         x = rng.normal(size=(t_len, 5))
@@ -236,9 +236,9 @@ def test_criterion_5_causality_fuzz():
         bumped = x.copy()
         bumped[cut:] += rng.normal(size=(t_len - cut, 5)) * rng.choice([1e-6, 1.0, 1e3])
 
-        base, after = model.reward_sequence(x, kind), model.reward_sequence(bumped, kind)
+        base, after = (model.forward(rows, [t_len])["rhat"] for rows in (x, bumped))
         if not np.array_equal(base[:cut], after[:cut]):
-            report(5, False, f"case {cases}: {arch}/{kind} leaked future inputs at cut {cut}")
+            report(5, False, f"case {cases}: {arch} leaked future inputs at cut {cut}")
         cases += 1
     report(5, True, f"{cases} fuzz cases, outputs before the perturbed step exactly unchanged")
 
@@ -249,9 +249,9 @@ def test_batch_isolation_fuzz():
     trajectory's rewards bit-identical."""
     cases = 0
     rng = np.random.default_rng(8)
-    specs = [("ff", "singletons"), ("recurrent", "singletons"), ("recurrent", "prefixes"), ("attention", "prefixes")]
+    archs = ["ff", "recurrent", "attention"]
     while cases < 80:
-        arch, kind = specs[cases % len(specs)]
+        arch = archs[cases % len(archs)]
         lengths = rng.integers(1, 10, size=int(rng.integers(2, 6)))
         model = decomposer.make_predictor(arch, 5, np.random.default_rng(cases))
         x = rng.normal(size=(int(lengths.sum()), 5))
@@ -259,11 +259,11 @@ def test_batch_isolation_fuzz():
         row = int(lengths[:j].sum() + rng.integers(lengths[j]))
         bumped = x.copy()
         bumped[row] += rng.normal(size=5) * rng.choice([1e-6, 1.0, 1e3])
-        base = model.reward_sequence(x, kind, lengths)
-        after = model.reward_sequence(bumped, kind, lengths)
+        base = model.forward(x, lengths)["rhat"]
+        after = model.forward(bumped, lengths)["rhat"]
         others = np.repeat(np.arange(len(lengths)), lengths) != j
         assert np.array_equal(base[others], after[others]), (
-            f"case {cases}: {arch}/{kind} lengths {lengths.tolist()}: "
+            f"case {cases}: {arch} lengths {lengths.tolist()}: "
             f"perturbing trajectory {j} moved another trajectory's rewards"
         )
         cases += 1
@@ -289,7 +289,7 @@ def converged_chain_decomposer():
     opt = nn.AdamOptimizer(1e-3)  # the published reward-predictor rate
 
     def full_loss():
-        return model.loss_grad(*reference.stacked(model, buffered, norm), "prefixes")[0]
+        return decomposer.loss_grad(model, *reference.stacked(model, buffered, norm))[0]
 
     initial = full_loss()
     steps = 0
@@ -298,8 +298,7 @@ def converged_chain_decomposer():
         order = reg_rng.permutation(len(buffered))
         for s in range(0, len(buffered), 16):
             chunk = [buffered[i] for i in order[s : s + 16]]
-            decomposer.regression_step(model, *reference.stacked(model, chunk, norm), "prefixes",
-                                       opt)
+            decomposer.regression_step(model, *reference.stacked(model, chunk, norm), opt)
             steps += 1
             if steps >= 3000:
                 break
@@ -321,7 +320,7 @@ def test_criterion_6_regression_convergence(converged_chain_decomposer):
     violations = 0
     worst = 0.0
     held_out = fit["held_out"]
-    decomps = decomposer.predict(fit["model"], held_out, "prefixes", fit["norm"])
+    decomps = decomposer.predict(fit["model"], held_out, fit["norm"])
     for traj, dec in zip(held_out, decomps, strict=True):
         err = abs(dec.composite - traj.episodic_return)
         bound = 0.05 * abs(traj.episodic_return) + 0.05
@@ -346,7 +345,7 @@ def test_criterion_7_variance_ordering(converged_chain_decomposer):
         cv_total = rf_total = 0.0
         for _ in range(200):
             batch = rollout(policy, env, 40, batch_rng)
-            decomps = decomposer.predict(fit["model"], batch, "prefixes", fit["norm"])
+            decomps = decomposer.predict(fit["model"], batch, fit["norm"])
             cv_total += estimators.grad_control_variate(batch, policy, decomps).variance
             rf_total += estimators.grad_reinforce(batch, policy).variance
         wins += cv_total < rf_total

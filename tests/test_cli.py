@@ -73,7 +73,8 @@ def test_booleans_and_bad_elements_rejected(key, value):
 
 
 @pytest.mark.parametrize("overrides,message", [
-    ({"architecture": "ff"}, "ff predictor does not support 'prefixes' intervals"),
+    ({"architecture": "ff", "interval_kind": "prefixes"},
+     "ff predictor does not support 'prefixes' intervals"),
     ({"architecture": "mlp"}, "unknown architecture 'mlp'"),
 ])
 def test_unbuildable_predictor_rejected_before_training(tmp_path, monkeypatch, capsys,
@@ -93,6 +94,42 @@ def test_domain_validation_surfaces(tmp_path):
         config_mod.load(write_config(tmp_path, reward_optimizer="Adam"))
     with pytest.raises(config_mod.ConfigError, match="interval_kind"):
         config_mod.load(write_config(tmp_path, interval_kind="pairs"))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("ppo_batch", 0), ("minibatch", 0), ("epochs", 0), ("buffer_capacity", 0),
+    ("reservoir_capacity", -1), ("regression_epochs", 0), ("regression_minibatch", 0),
+    ("gamma", -3.0), ("gamma", 1.5), ("lam", -0.1), ("lam", 2.0),
+])
+def test_train_rejects_bad_sizes(tmp_path, monkeypatch, capsys, key, value):
+    monkeypatch.setenv("RDECOMP_OUTPUT_ROOT", str(tmp_path / "runs"))
+    assert cli.main(["train", "--config", write_config(tmp_path, **{key: value})]) == 2
+    assert capsys.readouterr().err.startswith(f"invalid config: {key} must be")
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("architecture,kind,valid", [
+    ("attention", "prefixes", True), ("recurrent", "prefixes", True),
+    ("ff", "singletons", True), ("recurrent", "singletons", False),
+    ("ff", "prefixes", False), ("attention", "singletons", False),
+])
+def test_interval_kind_is_the_architectures(tmp_path, monkeypatch, capsys,
+                                            architecture, kind, valid):
+    """A config.json may restate the architecture's interval kind, or leave
+    it out; any other kind, such as the recurrent predictor on singletons
+    that earlier versions ran, is an invalid config, also on --resume."""
+    doc = {**BASE_CONFIG, "architecture": architecture}
+    if valid:
+        for d in (doc, {**doc, "interval_kind": kind}):
+            assert config_mod.from_dict(d).train.interval_kind == kind
+        return
+    with pytest.raises(config_mod.ConfigError, match="interval_kind"):
+        config_mod.from_dict({**doc, "interval_kind": kind})
+    monkeypatch.setenv("RDECOMP_OUTPUT_ROOT", str(tmp_path / "runs"))
+    cfg = write_config(tmp_path, architecture=architecture, interval_kind=kind)
+    assert cli.main(["train", "--config", cfg, "--resume"]) == 2
+    assert capsys.readouterr().err.startswith("invalid config: interval_kind")
+    assert not (tmp_path / "runs").exists()
 
 
 # A config.json as `rdecomp train` wrote it before five switches were
@@ -341,19 +378,52 @@ def test_verify_unknown_mdp(capsys):
     assert "builtin" in capsys.readouterr().err
 
 
+SPEC = {
+    "name": "custom2",
+    "n_states": 2,
+    "n_actions": 2,
+    "horizon": 3,
+    "transition": [[[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.5], [1.0, 0.0]]],
+    "initial_dist": [1.0, 0.0],
+    "step_rewards": [[0.0, 1.0], [0.5, -0.25]],
+}
+
+
 def test_verify_custom_spec(tmp_path):
-    spec = {
-        "name": "custom2",
-        "n_states": 2,
-        "n_actions": 2,
-        "horizon": 3,
-        "transition": [[[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.5], [1.0, 0.0]]],
-        "initial_dist": [1.0, 0.0],
-        "step_rewards": [[0.0, 1.0], [0.5, -0.25]],
-    }
     path = tmp_path / "mdp.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(SPEC))
     assert cli.main(["verify", "--spec", str(path), "--inits", "2"]) == 0
+
+
+@pytest.mark.parametrize("text,error", [
+    (None, "FileNotFoundError"),
+    ("{not json", "JSONDecodeError"),
+    (json.dumps({k: v for k, v in SPEC.items() if k != "step_rewards"}), "'step_rewards'"),
+    (json.dumps({**SPEC, "horizon": 9}), "capped at horizon 6"),
+    (json.dumps({**SPEC, "step_rewards": [[0.0, 1.0]]}), "step_rewards has shape (1, 2)"),
+    (json.dumps([SPEC]), "TypeError"),
+], ids=["missing", "corrupt", "no-step-rewards", "horizon-9", "rewards-shape", "not-an-object"])
+def test_verify_rejects_bad_spec(tmp_path, capsys, text, error):
+    path = tmp_path / "mdp.json"
+    if text is not None:
+        path.write_text(text)
+    assert cli.main(["verify", "--spec", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith(f"cannot load the MDP spec {path}: ") and error in out.err
+    assert len(out.err.strip().splitlines()) == 1 and out.out == ""
+
+
+def test_default_sweep_predictor_labels():
+    """The labels of the default `rdecomp verify` sweep, as its reports
+    record them: each model's architecture and its interval kind."""
+    mdps = [factory() for factory in oracle.BUILTIN_MDPS.values()]
+    report = cli.run_verification(mdps)
+    assert report["pass"]
+    want = ["attention-prefixes-0", "recurrent-prefixes-1", "ff-singletons-2",
+            "attention-prefixes-blown-3", "recurrent-prefixes-4", "chaotic-4",
+            "ff-singletons-5"]
+    for mdp in mdps:
+        assert [r["predictor"] for r in report["mdps"][mdp.name]] == want
 
 
 def test_chaotic_adversary_is_causal():
@@ -395,7 +465,8 @@ def make_attention_checkpoint(tmp_path, t_len=5, n_actions=2, state_dim=4, **hyp
     checkpoint.save(
         str(ckpt),
         model.params,
-        meta={"architecture": "attention", "hyperparams": {**model.hyperparams(), **hyperparams}},
+        meta={"architecture": "attention",
+              "hyperparams": {"input_dim": model.input_dim, **hyperparams}},
     )
     rng = np.random.default_rng(1)
     traj = Trajectory(
@@ -461,12 +532,40 @@ def test_export_attention_rejects_retired_checkpoint(tmp_path, capsys, retired):
     assert "cannot rebuild the predictor" in err and next(iter(retired)) in err
 
 
+@pytest.mark.parametrize("damage", ["missing", "corrupt-manifest", "short-blob"])
+def test_export_attention_rejects_unreadable_checkpoint(tmp_path, capsys, damage):
+    ckpt, traj_path = make_attention_checkpoint(tmp_path)
+    if damage == "missing":
+        ckpt.unlink()
+    elif damage == "corrupt-manifest":
+        ckpt.write_text(ckpt.read_text()[:40])
+    else:
+        blob = ckpt.with_suffix(".bin")
+        blob.write_bytes(blob.read_bytes()[:-8])
+    out = tmp_path / "attn.csv"
+    code = cli.main(["export-attention", "--ckpt", str(ckpt), "--traj", str(traj_path),
+                     "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot load the checkpoint {ckpt}: ")
+    assert len(err.strip().splitlines()) == 1 and not out.exists()
+
+
+def test_export_attention_rejects_missing_trajectories(tmp_path, capsys):
+    ckpt, _ = make_attention_checkpoint(tmp_path)
+    missing = tmp_path / "none.jsonl"
+    code = cli.main(["export-attention", "--ckpt", str(ckpt), "--traj", str(missing),
+                     "--out", str(tmp_path / "attn.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"cannot load the trajectories {missing}: ")
+
+
 def test_export_attention_rejects_ff_checkpoint(tmp_path, capsys):
     model = decomposer.make_predictor("ff", 6, np.random.default_rng(0))
     ckpt = tmp_path / "ff.json"
     checkpoint.save(
         str(ckpt), model.params,
-        meta={"architecture": "ff", "hyperparams": model.hyperparams()},
+        meta={"architecture": "ff", "hyperparams": {"input_dim": model.input_dim}},
     )
     _, traj_path = make_attention_checkpoint(tmp_path)
     code = cli.main(

@@ -10,10 +10,12 @@ from rdecomp.decomposer import (
     AttentionPredictor,
     RewardDecomposition,
     ReturnNormalizer,
+    loss_grad,
     make_predictor,
     predict,
     regression_step,
 )
+from rdecomp.trainer import TrainConfig
 from rdecomp.trajectory import Trajectory
 
 
@@ -34,7 +36,7 @@ def test_embed_shares_parameters_across_time():
     model = AttentionPredictor(5, rng)
     x = np.random.default_rng(1).normal(size=(6, 5))
     x[5] = x[0]  # duplicate the (s, a) pair at two distant steps
-    v = model.forward(x)["embed"]
+    v = model.forward(x, [6])["embed"]
     np.testing.assert_array_equal(v[0], v[5])
 
 
@@ -43,7 +45,7 @@ def test_embed_zero_parameters_give_zero():
     model = AttentionPredictor(4, rng)
     model.params["embed_w"] = np.zeros((4, model.embed_dim))
     model.params["embed_b"] = np.zeros(model.embed_dim)
-    v = model.forward(np.random.default_rng(2).normal(size=(3, 4)))["embed"]
+    v = model.forward(np.random.default_rng(2).normal(size=(3, 4)), [3])["embed"]
     assert np.array_equal(v, np.zeros((3, model.embed_dim)))
 
 
@@ -51,7 +53,7 @@ def test_embed_matches_hand_matrix_arithmetic():
     rng = np.random.default_rng(3)
     model = AttentionPredictor(4, rng)
     x = rng.normal(size=(5, 4))
-    v = model.forward(x)["embed"]
+    v = model.forward(x, [5])["embed"]
     want = np.tanh(x @ model.params["embed_w"] + model.params["embed_b"])
     np.testing.assert_allclose(v, want, rtol=1e-12, atol=1e-14)
 
@@ -65,11 +67,11 @@ def test_causality_exact_zero_difference():
     for arch in ("recurrent", "attention"):
         model = make_predictor(arch, 5, np.random.default_rng(10))
         x = rng.normal(size=(7, 5))
-        base = model.reward_sequence(x, "prefixes")
+        base = model.forward(x, [7])["rhat"]
         for t_perturb in range(1, 7):
             bumped = x.copy()
             bumped[t_perturb:] += rng.normal(size=(7 - t_perturb, 5))
-            out = model.reward_sequence(bumped, "prefixes")
+            out = model.forward(bumped, [7])["rhat"]
             np.testing.assert_array_equal(out[:t_perturb], base[:t_perturb])
 
 
@@ -77,8 +79,8 @@ def test_single_token_encoding_matches_prefix():
     rng = np.random.default_rng(5)
     model = AttentionPredictor(5, rng)
     x = rng.normal(size=(4, 5))
-    h_full = model.forward(x)["hs"]
-    h_one = model.forward(x[:1])["hs"]
+    h_full = model.forward(x, [4])["hs"]
+    h_one = model.forward(x[:1], [1])["hs"]
     np.testing.assert_allclose(h_full[0], h_one[0], rtol=0, atol=1e-12)
 
 
@@ -86,7 +88,7 @@ def test_two_token_attention_matches_hand_softmax():
     rng = np.random.default_rng(6)
     model = AttentionPredictor(3, rng)
     x = rng.normal(size=(2, 3))
-    out = model.forward(x)
+    out = model.forward(x, [2])
     v = out["embed"] + nn.sinusoidal_positions(2, model.embed_dim)
     attn_block = out["attn"]
     q_all = v @ model.params["wq"]
@@ -111,7 +113,7 @@ def test_importance_is_half_when_w2_zero():
     model = AttentionPredictor(4, rng)
     model.params["pool_w2"] = np.zeros((model.pool_dim, 1))
     x = rng.normal(size=(5, 4))
-    z = model.forward(x)["z"]
+    z = model.forward(x, [5])["z"]
     np.testing.assert_array_equal(z, np.full((5, 1), 0.5))
 
 
@@ -120,7 +122,7 @@ def test_vanishing_importance_pins_output_to_head_bias():
     model = AttentionPredictor(4, rng)
     model.params["pool_w2"] = np.full((model.pool_dim, 1), -500.0)
     x = rng.normal(size=(5, 4))
-    out = model.forward(x)
+    out = model.forward(x, [5])
     assert out["z"].max() < 1e-8
     np.testing.assert_allclose(
         out["rhat"], np.full((5, 1), model.params["head_b"].item()), atol=1e-6
@@ -131,7 +133,7 @@ def test_importance_matches_hand_computation():
     rng = np.random.default_rng(9)
     model = AttentionPredictor(4, rng)
     x = rng.normal(size=(6, 4))
-    out = model.forward(x)
+    out = model.forward(x, [6])
     hs, z = out["hs"], out["z"]
     want = 1.0 / (
         1.0
@@ -178,7 +180,7 @@ def test_attention_forward_matches_numpy_reimplementation():
     rng = np.random.default_rng(10)
     model = AttentionPredictor(6, rng)
     x = rng.normal(size=(8, 6))
-    got = model.reward_sequence(x)
+    got = model.forward(x, [8])["rhat"]
     want = numpy_attention_forward(model, x)
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
@@ -193,7 +195,7 @@ def test_bias_only_model_predicts_constant():
     model.params = {k: np.zeros(p.shape) for k, p in model.params.items()}
     model.params["head_b"] = np.array([1.25])
     traj = toy_trajectory(np.random.default_rng(12), t_len=4, ret=7.0)
-    dec = predict(model, [traj], "singletons")[0]
+    dec = predict(model, [traj])[0]
     np.testing.assert_array_equal(dec.per_interval, np.full(4, 1.25))
     assert dec.composite == 4 * 1.25
     assert dec.residual == 7.0 - 5.0
@@ -205,25 +207,25 @@ def test_ff_is_markov_per_step():
     x = np.random.default_rng(14).normal(size=(6, 5))
     x[4] = x[1]
     traj = Trajectory(states=x[:, :3], actions=x[:, 3:], episodic_return=0.0)
-    dec = predict(model, [traj], "singletons")[0]
+    dec = predict(model, [traj])[0]
     assert dec.per_interval[4] == dec.per_interval[1]
 
 
 def test_ff_rejects_prefix_intervals():
-    model = make_predictor("ff", 5, np.random.default_rng(15))
-    traj = toy_trajectory(np.random.default_rng(16))
+    # the interval kind is the architecture's; a config may only restate it
+    assert TrainConfig(architecture="ff").interval_kind == "singletons"
     with pytest.raises(ValueError, match="does not support"):
-        predict(model, [traj], "prefixes")
+        TrainConfig(architecture="ff", interval_kind="prefixes")
     with pytest.raises(ValueError, match="does not support 'pairs'"):
-        predict(AttentionPredictor(5, np.random.default_rng(15)), [traj], "pairs")
+        TrainConfig(architecture="attention", interval_kind="pairs")
 
 
 def test_composite_is_ascending_sum_of_outputs():
     rng = np.random.default_rng(17)
     model = AttentionPredictor(5, rng)
     traj = toy_trajectory(np.random.default_rng(18), t_len=3)
-    dec = predict(model, [traj], "prefixes")[0]
-    vals = model.reward_sequence(traj.input_matrix()).reshape(-1)
+    dec = predict(model, [traj])[0]
+    vals = model.forward(traj.input_matrix(), [3])["rhat"].reshape(-1)
     assert dec.composite == (float(vals[0]) + float(vals[1])) + float(vals[2])
     assert dec.residual == traj.episodic_return - dec.composite
 
@@ -238,7 +240,7 @@ def test_exact_model_has_zero_loss_and_zero_gradient():
     model.params = {k: np.zeros(p.shape) for k, p in model.params.items()}
     model.params["head_b"] = np.array([0.5])
     traj = toy_trajectory(np.random.default_rng(20), t_len=4, ret=2.0)  # 4 * 0.5 == 2
-    loss, grad = model.loss_grad(*reference.stacked(model, [traj]), "singletons")
+    loss, grad = loss_grad(model, *reference.stacked(model, [traj]))
     assert loss == 0.0
     assert np.array_equal(grad, np.zeros(grad.shape))
 
@@ -251,8 +253,7 @@ def test_bias_only_regression_reaches_mean_target():
     model.params = frozen
     traj = toy_trajectory(np.random.default_rng(22), t_len=5, ret=3.0)
     for _ in range(400):
-        regression_step(model, *reference.stacked(model, [traj]), "singletons",
-                        SgdOptimizer(1e-2))
+        regression_step(model, *reference.stacked(model, [traj]), SgdOptimizer(1e-2))
         # freeze everything except the bias to keep the problem 1-D
         keep = model.params["head_b"]
         model.params = dict(frozen)
@@ -266,7 +267,7 @@ def test_full_batch_loss_non_increasing_at_tiny_lr():
     batch = [toy_trajectory(np.random.default_rng(100 + i), t_len=4) for i in range(6)]
     opt = SgdOptimizer(1e-5)
     rows = reference.stacked(model, batch)
-    losses = [regression_step(model, *rows, "prefixes", opt) for _ in range(100)]
+    losses = [regression_step(model, *rows, opt) for _ in range(100)]
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
@@ -277,8 +278,7 @@ def test_non_finite_loss_aborts_without_update():
     before = {k: p.copy() for k, p in model.params.items()}
     traj = toy_trajectory(np.random.default_rng(25))
     with pytest.raises(FloatingPointError, match="non-finite"):
-        regression_step(model, *reference.stacked(model, [traj]), "singletons",
-                        SgdOptimizer(1e-3))
+        regression_step(model, *reference.stacked(model, [traj]), SgdOptimizer(1e-3))
     for k, p in model.params.items():
         np.testing.assert_array_equal(p, before[k])
 
@@ -286,8 +286,7 @@ def test_non_finite_loss_aborts_without_update():
 def test_empty_batch_rejected():
     model = make_predictor("ff", 5, np.random.default_rng(26))
     with pytest.raises(ValueError, match="empty"):
-        regression_step(model, np.zeros((0, 5)), [], np.zeros(0), "singletons",
-                        SgdOptimizer(1e-3))
+        regression_step(model, np.zeros((0, 5)), [], np.zeros(0), SgdOptimizer(1e-3))
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +299,8 @@ def _order_probe(arch):
     x = np.random.default_rng(28).normal(size=(5, 4))
     swapped = x.copy()
     swapped[[0, 1]] = swapped[[1, 0]]
-    a = model.reward_sequence(x, "prefixes")
-    b = model.reward_sequence(swapped, "prefixes")
+    a = model.forward(x, [5])["rhat"]
+    b = model.forward(swapped, [5])["rhat"]
     return float(np.abs(a[4, 0] - b[4, 0]))
 
 
@@ -321,7 +320,7 @@ def test_order_dependent_target_is_learnable():
     rows = reference.stacked(model, [fwd, rev])
     loss = None
     for _ in range(300):
-        loss = regression_step(model, *rows, "prefixes", opt)
+        loss = regression_step(model, *rows, opt)
     assert loss < 0.5
 
 
@@ -345,13 +344,13 @@ def test_destandardized_prediction_keeps_identities():
     norm = ReturnNormalizer()
     norm.update(np.random.default_rng(33).normal(10.0, 4.0, size=100))
     traj = toy_trajectory(np.random.default_rng(34), t_len=5, ret=12.0)
-    dec = predict(model, [traj], "prefixes", normalizer=norm)[0]
+    dec = predict(model, [traj], normalizer=norm)[0]
     total = 0.0
     for v in dec.per_interval:
         total += float(v)
     assert dec.composite == total
     assert dec.residual == 12.0 - dec.composite
-    raw = predict(model, [traj], "prefixes")[0]
+    raw = predict(model, [traj])[0]
     # de-standardization scales the raw outputs and adds the whole mean at
     # interval 0, a constant, so no interval reads the episode length
     want = norm.std * raw.per_interval
@@ -376,7 +375,7 @@ def test_decomposition_from_values_identities():
 def test_predictor_from_checkpoint_rebuilds_the_model(arch):
     model = make_predictor(arch, 5, np.random.default_rng(36))
     # checkpoints of earlier versions also record scale and positional
-    for hp in (model.hyperparams(), {**model.hyperparams(), "scale": "desk", "positional": True}):
+    for hp in ({"input_dim": 5}, {"input_dim": 5, "scale": "desk", "positional": True}):
         meta = {"architecture": arch, "hyperparams": hp}
         rebuilt = decomposer.predictor_from_checkpoint(model.params, meta)
         assert type(rebuilt) is type(model) and rebuilt.params is model.params
@@ -386,7 +385,7 @@ def test_predictor_from_checkpoint_rebuilds_the_model(arch):
                                      {"positional": 1}])
 def test_predictor_from_checkpoint_rejects_retired_models(retired):
     model = make_predictor("attention", 5, np.random.default_rng(37))
-    meta = {"architecture": "attention", "hyperparams": {**model.hyperparams(), **retired}}
+    meta = {"architecture": "attention", "hyperparams": {"input_dim": 5, **retired}}
     with pytest.raises(ValueError, match=next(iter(retired))):
         decomposer.predictor_from_checkpoint(model.params, meta)
 
@@ -397,14 +396,14 @@ def test_predictor_from_checkpoint_rejects_retired_models(retired):
 
 BATCHED_SPECS = [
     ("ff", "singletons"),
-    ("recurrent", "singletons"),
     ("recurrent", "prefixes"),
     ("attention", "prefixes"),
 ]
 
 
 def spec_ids(specs):
-    """Test ids of (architecture, kind) specs. The "-pos1" suffix is from
+    """Test ids of (architecture, interval kind) specs; each test also
+    checks that the kind is the architecture's. The "-pos1" suffix is from
     when attention could run without positions; it keeps the ids stable."""
     return [f"{a}-{k}-pos1" for a, k in specs]
 
@@ -420,19 +419,20 @@ def _close(got, want, rel=1e-12):
 def test_batched_loss_and_gradients_match_reference(arch, kind, lengths):
     rng = np.random.default_rng(40)
     model = make_predictor(arch, 5, rng)
+    assert model.kind == kind
     batch = [toy_trajectory(rng, t_len=t) for t in BATCH_LENGTHS[lengths]]
     norm = ReturnNormalizer()
     norm.update(rng.normal(2.0, 3.0, size=20))
 
-    loss, grad = model.loss_grad(*reference.stacked(model, batch, norm), kind)
-    want, leaves = reference.regression_loss(model, batch, kind, norm)
+    loss, grad = loss_grad(model, *reference.stacked(model, batch, norm))
+    want, leaves = reference.regression_loss(model, batch, norm)
     assert _close(np.array(loss), want.data)
     grads, want_grads = nn.assign_flat(model.params, grad), ad.backward(want)
     for name, leaf in leaves.items():
         assert _close(grads[name], want_grads.of(leaf)), name
 
-    for traj, dec in zip(batch, predict(model, batch, kind), strict=True):
-        ref = reference.reward_sequence(model, tape.constant(traj.input_matrix()), kind)
+    for traj, dec in zip(batch, predict(model, batch), strict=True):
+        ref = reference.reward_sequence(model, tape.constant(traj.input_matrix()))
         assert _close(dec.per_interval, ref.data.reshape(-1))
 
 
@@ -456,12 +456,13 @@ def test_batched_attention_weights_match_reference():
 def test_n_actions_inferred_from_model_width(arch, kind):
     # 4 actions, but the trajectory never takes the last one
     model = make_predictor(arch, 3 + 4, np.random.default_rng(42))
+    assert model.kind == kind
     rng = np.random.default_rng(43)
     traj = Trajectory(states=rng.normal(size=(5, 3)), actions=[0, 2, 1, 0, 2],
                       episodic_return=1.0)
-    want = model.reward_sequence(traj.input_matrix(4), kind).reshape(-1)
-    np.testing.assert_array_equal(predict(model, [traj], kind)[0].per_interval, want)
-    loss = model.loss_grad(*reference.stacked(model, [traj]), kind)[0]
+    want = model.forward(traj.input_matrix(4), [5])["rhat"].reshape(-1)
+    np.testing.assert_array_equal(predict(model, [traj])[0].per_interval, want)
+    loss = loss_grad(model, *reference.stacked(model, [traj]))[0]
     assert loss == pytest.approx((want.sum() - 1.0) ** 2, rel=1e-12)
 
 
@@ -471,18 +472,17 @@ def test_n_actions_inferred_from_model_width(arch, kind):
 
 BITWISE_SPECS = [
     ("attention", "prefixes"),
-    ("attention", "singletons"),
     ("ff", "singletons"),
     ("recurrent", "prefixes"),
-    ("recurrent", "singletons"),
 ]
 # ragged minibatches like the trainer's, a batch of one, length-1 trajectories
 BITWISE_LENGTHS = [[5, 1, 9, 3, 1, 16, 7], [6], [1], [1, 1, 1], [16] * 4]
 
 
-def _bitwise_case(arch, lengths, seed, scale):
+def _bitwise_case(arch, kind, lengths, seed, scale):
     rng = np.random.default_rng(seed)
     model = make_predictor(arch, 7, rng)
+    assert model.kind == kind
     # x50 parameters saturate the tanh and sigmoid gates, as the blown-up
     # predictors of `make_verify_predictors` do
     model.params = {k: p * scale for k, p in model.params.items()}
@@ -496,21 +496,21 @@ def _bitwise_case(arch, lengths, seed, scale):
 @pytest.mark.parametrize("arch,kind", BITWISE_SPECS, ids=spec_ids(BITWISE_SPECS))
 def test_loss_grad_is_bitwise_the_tape(arch, kind, scale):
     for seed, lengths in enumerate(BITWISE_LENGTHS):
-        model, batch, norm = _bitwise_case(arch, lengths, seed, scale)
+        model, batch, norm = _bitwise_case(arch, kind, lengths, seed, scale)
         x, lengths, targets = reference.stacked(model, batch, norm)
-        loss, grad = model.loss_grad(x, lengths, targets, kind)
-        want_loss, want_grad = reference.loss_grad(model, x, lengths, targets, kind)
+        loss, grad = loss_grad(model, x, lengths, targets)
+        want_loss, want_grad = reference.loss_grad(model, x, lengths, targets)
         assert loss == want_loss
         assert np.array_equal(grad, want_grad), (seed, lengths)
 
 
 @pytest.mark.parametrize("arch,kind", BITWISE_SPECS, ids=spec_ids(BITWISE_SPECS))
 def test_regression_step_applies_the_tape_gradient(arch, kind):
-    model, batch, norm = _bitwise_case(arch, BITWISE_LENGTHS[0], 7, 1.0)
+    model, batch, norm = _bitwise_case(arch, kind, BITWISE_LENGTHS[0], 7, 1.0)
     x, lengths, targets = reference.stacked(model, batch, norm)
-    want_loss, want_grad = reference.loss_grad(model, x, lengths, targets, kind)
+    want_loss, want_grad = reference.loss_grad(model, x, lengths, targets)
     want = nn.flatten_params(model.params) - 1e-2 * want_grad
-    loss = regression_step(model, x, lengths, targets, kind, SgdOptimizer(1e-2))
+    loss = regression_step(model, x, lengths, targets, SgdOptimizer(1e-2))
     assert loss == want_loss
     assert np.array_equal(nn.flatten_params(model.params), want)
 
@@ -519,10 +519,10 @@ def test_regression_step_applies_the_tape_gradient(arch, kind):
 @pytest.mark.parametrize("arch,kind", BITWISE_SPECS, ids=spec_ids(BITWISE_SPECS))
 def test_predict_is_bitwise_the_tape_forward(arch, kind, scale):
     for seed, lengths in enumerate(BITWISE_LENGTHS):
-        model, batch, _ = _bitwise_case(arch, lengths, seed, scale)
+        model, batch, _ = _bitwise_case(arch, kind, lengths, seed, scale)
         x, lengths, _ = reference.stacked(model, batch)
-        rhat, z, attn = reference.batched_rewards(model, tape.constant(x), lengths, kind)
-        got = np.concatenate([d.per_interval for d in predict(model, batch, kind)])
+        rhat, z, attn = reference.batched_rewards(model, tape.constant(x), lengths)
+        got = np.concatenate([d.per_interval for d in predict(model, batch)])
         assert np.array_equal(got, rhat.data.reshape(-1))
         if arch == "attention":
             out = model.forward(x, lengths)

@@ -229,8 +229,3 @@ def test_registry_round_trip():
     assert env.n_states == 4 and env.horizon == 6
     with pytest.raises(ValueError, match="unknown environment"):
         envs.make_env("mujoco")
-
-
-def test_discrete_classification():
-    assert envs.is_discrete(envs.chain_mdp(3, 3))
-    assert not envs.is_discrete(envs.point_mass(3))

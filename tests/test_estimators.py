@@ -235,7 +235,6 @@ def test_variance_zero_for_identical_samples():
     traj, policy, dec = random_setup(8, t_len=3)
     est = estimators.grad_bias_corrected([traj, traj], policy, [dec, dec])
     assert est.variance == 0.0
-    assert est.residual_abs_mean == abs(dec.residual)
 
 
 def test_batch_mean_and_variance_definition():

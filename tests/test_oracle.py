@@ -228,7 +228,7 @@ def test_random_decomposers_pass_identities(mdp_name):
         model = decomposer.make_predictor(
             "attention", mdp.n_states + mdp.n_actions, np.random.default_rng(50 + seed)
         )
-        fn = lambda batch: decomposer.predict(model, batch, "prefixes")
+        fn = lambda batch: decomposer.predict(model, batch)
         report = oracle.verify_identities(ctx, fn)
         assert report["pass"], report
 
@@ -245,7 +245,7 @@ def test_destandardized_predictions_pass_identities():
     norm = decomposer.ReturnNormalizer()
     norm.update([0.4, 1.0, 0.7])
     assert norm.mean == pytest.approx(0.7)
-    fn = lambda batch: decomposer.predict(model, batch, "prefixes", norm)
+    fn = lambda batch: decomposer.predict(model, batch, norm)
     report = oracle.verify_identities(ctx, fn, tol=1e-8)
     assert report["pass"], report
 
@@ -314,7 +314,7 @@ def test_corrupted_q_breaks_composite_check(monkeypatch):
     policy = CategoricalPolicy(np.random.default_rng(9), 3, 2, hidden=(8,))
     ctx = oracle.OracleContext(mdp, policy)
     model = decomposer.make_predictor("attention", 5, np.random.default_rng(10))
-    fn = lambda batch: decomposer.predict(model, batch, "prefixes")
+    fn = lambda batch: decomposer.predict(model, batch)
 
     true_q = oracle.estimators.generalized_q_rows
 

@@ -289,16 +289,14 @@ def test_regression_and_predict_build_no_tape(monkeypatch):
     monkeypatch.setattr(ad, "backward", lambda *a: backward_calls.append(a) or backward(*a))
     before = nn.flatten_params(trainer.model.params)
     loss = trainer._regression_phase()
-    predict(trainer.model, batch, "prefixes", trainer.normalizer)
-    predict(ff, batch, "singletons")
+    predict(trainer.model, batch, trainer.normalizer)
+    predict(ff, batch)
     assert np.isfinite(loss) and not np.array_equal(nn.flatten_params(trainer.model.params), before)
-    for kind in ("prefixes", "singletons"):
-        recurrent = make_predictor("recurrent", trainer.model.input_dim, np.random.default_rng(2))
-        x = np.concatenate(input_rows(recurrent, batch))
-        lengths = [t.length for t in batch]
-        regression_step(recurrent, x, lengths, regression_targets(batch), kind,
-                        nn.AdamOptimizer(1e-3))
-        predict(recurrent, batch, kind)
+    recurrent = make_predictor("recurrent", trainer.model.input_dim, np.random.default_rng(2))
+    x = np.concatenate(input_rows(recurrent, batch))
+    lengths = [t.length for t in batch]
+    regression_step(recurrent, x, lengths, regression_targets(batch), nn.AdamOptimizer(1e-3))
+    predict(recurrent, batch)
     assert cli.run_verification([oracle.chain3_mdp()], n_inits=3)["pass"]
     assert nodes == [] and backward_calls == []
 
@@ -507,7 +505,7 @@ def test_batched_decompose_matches_per_trajectory_predict(arch, kind):
     batch = rollout(trainer.policy, trainer.env, 60, np.random.default_rng(4))
     assert len({t.length for t in batch}) > 1
     for traj, dec in zip(batch, trainer.decompose(batch), strict=True):
-        want = predict(trainer.model, [traj], kind, trainer.normalizer)[0]
+        want = predict(trainer.model, [traj], trainer.normalizer)[0]
         scale = np.abs(want.per_interval).max()
         assert np.abs(dec.per_interval - want.per_interval).max() <= 1e-12 * scale
         assert abs(dec.residual - want.residual) <= 1e-12 * max(abs(want.residual), scale)
