@@ -123,6 +123,7 @@ class ReturnNormalizer:
 # the tape's float ops in the tape's order, so they are bit-identical to the
 # tapes in tests/reference_predictors.py.
 
+
 def _plus_head(a, b):
     """a with b added to its first len(b) rows; None adds nothing."""
     if b is None:

@@ -119,7 +119,8 @@ def recurrent_rewards(model, p, x, lengths):
 
     The rows are reordered time-major: step t holds the n_t trajectories
     still running, so the state is narrowed to its first n_t rows as
-    trajectories end. A running sum divided by t + 1 mean-pools h_0..h_t. The head's outputs go back to stacked order.
+    trajectories end. A running sum divided by t + 1 mean-pools h_0..h_t.
+    The head's outputs go back to stacked order.
     """
     lengths = np.asarray(lengths)
     starts = np.cumsum(lengths) - lengths

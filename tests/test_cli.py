@@ -76,6 +76,9 @@ def test_booleans_and_bad_elements_rejected(key, value):
     ({"architecture": "ff", "interval_kind": "prefixes"},
      "ff predictor does not support 'prefixes' intervals"),
     ({"architecture": "mlp"}, "unknown architecture 'mlp'"),
+    # what the config.json of a recurrent run on singletons, which earlier versions built, holds
+    ({"architecture": "recurrent", "interval_kind": "singletons"},
+     "recurrent predictor does not support 'singletons' intervals"),
 ])
 def test_unbuildable_predictor_rejected_before_training(tmp_path, monkeypatch, capsys,
                                                          overrides, message):
@@ -105,30 +108,6 @@ def test_train_rejects_bad_sizes(tmp_path, monkeypatch, capsys, key, value):
     monkeypatch.setenv("RDECOMP_OUTPUT_ROOT", str(tmp_path / "runs"))
     assert cli.main(["train", "--config", write_config(tmp_path, **{key: value})]) == 2
     assert capsys.readouterr().err.startswith(f"invalid config: {key} must be")
-    assert not (tmp_path / "runs").exists()
-
-
-@pytest.mark.parametrize("architecture,kind,valid", [
-    ("attention", "prefixes", True), ("recurrent", "prefixes", True),
-    ("ff", "singletons", True), ("recurrent", "singletons", False),
-    ("ff", "prefixes", False), ("attention", "singletons", False),
-])
-def test_interval_kind_is_the_architectures(tmp_path, monkeypatch, capsys,
-                                            architecture, kind, valid):
-    """A config.json may restate the architecture's interval kind, or leave
-    it out; any other kind, such as the recurrent predictor on singletons
-    that earlier versions ran, is an invalid config, also on --resume."""
-    doc = {**BASE_CONFIG, "architecture": architecture}
-    if valid:
-        for d in (doc, {**doc, "interval_kind": kind}):
-            assert config_mod.from_dict(d).train.interval_kind == kind
-        return
-    with pytest.raises(config_mod.ConfigError, match="interval_kind"):
-        config_mod.from_dict({**doc, "interval_kind": kind})
-    monkeypatch.setenv("RDECOMP_OUTPUT_ROOT", str(tmp_path / "runs"))
-    cfg = write_config(tmp_path, architecture=architecture, interval_kind=kind)
-    assert cli.main(["train", "--config", cfg, "--resume"]) == 2
-    assert capsys.readouterr().err.startswith("invalid config: interval_kind")
     assert not (tmp_path / "runs").exists()
 
 
