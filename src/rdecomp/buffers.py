@@ -141,29 +141,14 @@ class ReplayBuffer:
         return [stored[i] for i in sorted(chosen)]
 
     def _allocate(self, sizes, k):
-        """Spread k draws as uniformly as possible across bins.
-
-        Bins smaller than their share contribute everything; the deficit is
-        redistributed uniformly among bins that still have spare members,
-        repeating until k draws are placed or every bin is exhausted.
-        """
-        n_bins = len(sizes)
-        quota = [0] * n_bins
-        remaining = min(k, sum(sizes))
-        open_bins = [b for b in range(n_bins) if sizes[b] > 0]
-        while remaining > 0 and open_bins:
-            share = max(remaining // len(open_bins), 1)
-            progressed = False
-            for b in list(open_bins):
-                if remaining == 0:
-                    break
-                take = min(share, sizes[b] - quota[b], remaining)
-                if take > 0:
-                    quota[b] += take
-                    remaining -= take
-                    progressed = True
-                if quota[b] == sizes[b]:
-                    open_bins.remove(b)
-            if not progressed:
-                break
+        """Spread k draws as evenly as possible across bins: every bin gets
+        min(size, L) for the largest level L at which that totals at most k,
+        and what is left of k goes one each to the first bins with more than
+        L members."""
+        level = 0
+        while level < max(sizes) and sum(min(s, level + 1) for s in sizes) <= k:
+            level += 1
+        quota = [min(s, level) for s in sizes]
+        for b in [b for b, s in enumerate(sizes) if s > level][: k - sum(quota)]:
+            quota[b] += 1
         return quota

@@ -38,10 +38,31 @@ def _resolve(path):
 # train
 
 
+# The fields that shape a run's models, env and buffer: a resume keeps them.
+_RESUME_FIXED = ("env", "env_params", "architecture", "hidden", "use_decomposer",
+                "buffer_scheme", "buffer_capacity", "reservoir_capacity")
+
+
+def _check_resumable(config_path, train):
+    """CheckpointError unless the run's saved config has every _RESUME_FIXED
+    field of `train`."""
+    try:
+        saved = config_mod.load(config_path).train
+    except (OSError, config_mod.ConfigError) as exc:
+        raise CheckpointError(f"the run's config.json does not load: {exc}") from exc
+    for name in _RESUME_FIXED:
+        was, now = getattr(saved, name), getattr(train, name)
+        if was != now:
+            raise CheckpointError(f"{name} is {was!r} in the run's config.json, {now!r} here")
+
+
 def _run_training(experiment, resume=False):
     out_dir = _resolve(experiment.output_dir)
+    config_path = os.path.join(out_dir, "config.json")
+    if resume and os.path.exists(config_path):
+        _check_resumable(config_path, experiment.train)
     os.makedirs(out_dir, exist_ok=True)
-    config_mod.save(os.path.join(out_dir, "config.json"), experiment)
+    config_mod.save(config_path, experiment)
     for seed in experiment.seeds:
         run = trainer.Trainer(experiment.train, seed)
         suffix = f"_seed{seed}"

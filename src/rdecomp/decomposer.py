@@ -133,39 +133,26 @@ def _plus_head(a, b):
     return out
 
 
-class FeedForwardPredictor:
+class FeedForwardPredictor(nn.TanhMlp):
     """Per-step MLP: interval i sees (s_i, a_i) only. Singleton intervals."""
 
     architecture = "ff"
     kind = "singletons"
 
     def __init__(self, input_dim, rng):
-        channels = WIDTHS["ff_channels"]
+        super().__init__(rng, input_dim, WIDTHS["ff_channels"], {"head": 1}, prefix="l",
+                         head_scale=1.0)
         self.input_dim = input_dim
-        params = {}
-        dims = [input_dim] + channels
-        for i in range(len(channels)):
-            w, b = nn.init_linear(rng, dims[i], dims[i + 1])
-            params[f"l{i}_w"], params[f"l{i}_b"] = w, b
-        params["head_w"], params["head_b"] = nn.init_linear(rng, channels[-1], 1)
-        self.params = params
-        self.n_layers = len(channels)
 
     def forward(self, x, lengths):
-        """The weights, the activations "hs" [x, h_1, ..., h_L] and the
-        rewards "rhat". Rows are independent, so the lengths are not read."""
-        p = self.params
-        weights = [p[f"l{i}_w"] for i in range(self.n_layers)]
-        hs = ad.tanh_mlp_layers(x, weights, [p[f"l{i}_b"] for i in range(self.n_layers)])
-        return {"weights": weights, "hs": hs,
-                "rhat": _kernels.matmul(hs[-1], p["head_w"]) + p["head_b"]}
+        """`TanhMlp.forward`, with the head's output also under "rhat". Rows
+        are independent, so the lengths are not read."""
+        a = super().forward(x)
+        a["rhat"] = a["head"]
+        return a
 
     def backward(self, a, g):
-        hs = a["hs"]
-        grads, _ = ad.tanh_mlp_grads(hs, a["weights"], _kernels.matmul(g, self.params["head_w"].T),
-                                     [f"l{i}" for i in range(self.n_layers)])
-        grads["head_w"], grads["head_b"] = _kernels.matmul(hs[-1].T, g), g.sum(axis=0)
-        return grads
+        return super().backward(a, {"head": g})
 
 
 class RecurrentPredictor:

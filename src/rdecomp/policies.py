@@ -1,26 +1,27 @@
 """Policy and value networks for the PPO trainer and the estimator math.
 
-Both use the same trunk: a two-layer tanh MLP (64 hidden units by default).
-The continuous policy is a diagonal Gaussian whose log standard deviation
-is a single global vector; the discrete policy is a categorical head, which
-is what the exact-enumeration oracle differentiates. The value network has
-two scalar heads, one per advantage stream (predicted-reward and residual).
+All three are `nn.TanhMlp`s: a tanh MLP (two layers of 64 units by
+default) with linear heads. The continuous policy is a diagonal Gaussian
+whose head gives the mean and whose log standard deviation is a single
+global vector; the discrete policy's head gives the logits of a
+categorical, which is what the exact-enumeration oracle differentiates.
+The value network has two scalar heads, one per advantage stream
+(predicted-reward and residual).
 
-No gradient here uses the tape. A numpy forward keeps the trunk's
-activations, the head's delta goes back through the trunk by
-`autodiff.tanh_mlp_deltas`, and each layer's gradient is a matmul with its
-input. Each policy computes log pi and its gradient in one place,
-`log_prob_head`, whose map gives the per-row gradient at the head's output
-(the logits or the Gaussian mean) and the gradients of the head's other
-parameters (the Gaussian log_std) summed over rows by the caller's
-reduction. Every surface uses it: the old log-probs (`log_prob_np`), so a
-PPO update's first ratio is exactly 1; the PPO minibatch loss and its
-gradient (`ppo_loss_grad`); and the score sums per trajectory for the
-estimators and the oracle, where each layer's sums are one padded batched
-matmul. `ValueNetwork.loss_grad` is the value net's squared error and its
-gradient. The PPO and value forms make the float ops of the equivalent
-tape in the tape's order, so they are bit-identical to `autodiff.backward`
-on it (tests/reference_scores.py holds that tape).
+No gradient here uses the tape. `TanhMlp.forward` keeps the activations
+and `TanhMlp.backward` takes the gradient at the heads' outputs back
+through the layers. Each policy computes log pi and its gradient in one
+place, `log_prob_head`, which takes the head's output (the logits or the
+Gaussian mean) and whose map gives the per-row gradient there and the
+gradients of the policy's other parameters (the Gaussian log_std) summed
+over rows by the caller's reduction. Every surface uses it: the old
+log-probs (`log_prob_np`), so a PPO update's first ratio is exactly 1; the
+PPO minibatch loss and its gradient (`ppo_loss_grad`); and the score sums
+per trajectory for the estimators and the oracle, where each layer's sums
+are one padded batched matmul. `ValueNetwork.loss_grad` is the value net's
+squared error and its gradient. The PPO and value forms make the float ops
+of the equivalent tape in the tape's order, so they are bit-identical to
+`autodiff.backward` on it (tests/reference_scores.py holds that tape).
 """
 
 from __future__ import annotations
@@ -32,35 +33,6 @@ from rdecomp import autodiff as ad
 from rdecomp import nn
 
 LOG_2PI = float(np.log(2.0 * np.pi))
-
-
-class _Trunk:
-    def __init__(self, rng, input_dim, hidden=(64, 64)):
-        self.sizes = (input_dim,) + tuple(hidden)
-        params = {}
-        for i in range(len(hidden)):
-            w, b = nn.init_linear(rng, self.sizes[i], self.sizes[i + 1])
-            params[f"t{i}_w"], params[f"t{i}_b"] = w, b
-        self.params = params
-        self.n_layers = len(hidden)
-        self.out_dim = self.sizes[-1]
-
-    def layers(self, params):
-        """The weight and the bias arrays of each layer, first layer first."""
-        idx = range(self.n_layers)
-        return [params[f"t{i}_w"] for i in idx], [params[f"t{i}_b"] for i in idx]
-
-    def forward(self, params, x):
-        """The weight arrays and [x, h_1, ..., h_L], for `grads`."""
-        weights, biases = self.layers(params)
-        return weights, ad.tanh_mlp_layers(x, weights, biases)
-
-    def apply_np(self, params, x):
-        return self.forward(params, x)[1][-1]
-
-    def grads(self, wd, hs, g):
-        """Gradients of the trunk's parameters, given g at its output."""
-        return ad.tanh_mlp_grads(hs, wd, g, [f"t{i}" for i in range(self.n_layers)])[0]
 
 
 def _log_softmax(logits):
@@ -76,27 +48,26 @@ def _log_softmax(logits):
 
 def _log_prob_np(policy, states, actions):
     """(m,): log pi(a_t|s_t) per step, by the float ops of `ppo_loss_grad`."""
-    h = policy.trunk.apply_np(policy.params, states)
-    return policy.log_prob_head(h, actions)[0].reshape(-1)
+    return policy.log_prob_head(policy.forward(states)["head"], actions)[0].reshape(-1)
 
 
 def _segment_scores(policy, states, actions, coeffs, lengths):
     """(B, P): row b sums coeffs[t] grad log pi(a_t|s_t) over segment b of the
     stacked steps, flattened over parameters in `flatten_params` order."""
-    params = policy.params
-    wd, hs = policy.trunk.forward(params, states)
-    head_grads = policy.log_prob_head(hs[-1], actions)[2]
-    head, sums = head_grads(
+    a = policy.forward(states)
+    head_grads = policy.log_prob_head(a["head"], actions)[2]
+    g_head, sums = head_grads(
         coeffs.reshape(-1, 1), None, lambda rows: ad.pad_segments(rows, lengths).sum(axis=1)
     )
-    deltas = ad.tanh_mlp_deltas(hs, wd, _kernels.matmul(head, params["head_w"].T))
 
-    layers = [(f"t{i}", hs[i], d) for i, d in enumerate(deltas)] + [("head", hs[-1], head)]
-    for name, h, d in layers:
+    def segment_sums(h, d):
         block = ad.pad_segments(d, lengths)
-        sums[f"{name}_w"] = np.matmul(ad.pad_segments(h, lengths).transpose(0, 2, 1), block)
-        sums[f"{name}_b"] = block.sum(axis=1)
-    return np.concatenate([sums[k].reshape(lengths.size, -1) for k in sorted(params)], axis=1)
+        return np.matmul(ad.pad_segments(h, lengths).transpose(0, 2, 1), block), block.sum(axis=1)
+
+    sums.update(policy.backward(a, {"head": g_head}, segment_sums))
+    return np.concatenate(
+        [sums[k].reshape(lengths.size, -1) for k in sorted(policy.params)], axis=1
+    )
 
 
 def _weighted_score_gradient(policy, trajs, coeffs):
@@ -130,8 +101,8 @@ def _ppo_loss_grad(policy, states, actions, old_logp, adv, clip, entropy_coef):
     1 + clip) A)), r = pi(a|s) / exp(old_logp), minus entropy_coef times the
     mean entropy when entropy_coef > 0.
     """
-    wd, hs = policy.trunk.forward(policy.params, states)
-    logp, entropy, head_grads = policy.log_prob_head(hs[-1], actions)
+    a = policy.forward(states)
+    logp, entropy, head_grads = policy.log_prob_head(a["head"], actions)
     adv = adv.reshape(-1, 1)
     ratio = np.exp(logp - old_logp.reshape(-1, 1))
     unclipped = ratio * adv
@@ -150,27 +121,21 @@ def _ppo_loss_grad(policy, states, actions, old_logp, adv, clip, entropy_coef):
     inside = ((ratio >= 1.0 - clip) & (ratio <= 1.0 + clip)).astype(np.float64)
     g = np.full(ratio.shape, -1.0 / n)
     g_ratio = g * take * adv + g * (1.0 - take) * adv * inside
-    g_out, grads = head_grads(g_ratio * ratio, g_entropy, lambda rows: rows.sum(axis=0))
-    h, w = hs[-1], policy.params["head_w"]
-    grads["head_w"], grads["head_b"] = _kernels.matmul(h.T, g_out), g_out.sum(axis=0)
-    grads.update(policy.trunk.grads(wd, hs, _kernels.matmul(g_out, w.T)))
+    g_head, grads = head_grads(g_ratio * ratio, g_entropy, lambda rows: rows.sum(axis=0))
+    grads.update(policy.backward(a, {"head": g_head}))
     return float(loss), nn.flatten_arrays(policy.params, grads)
 
 
-class CategoricalPolicy:
-    """Softmax policy over a finite action set."""
+class CategoricalPolicy(nn.TanhMlp):
+    """Softmax policy over a finite action set; the head gives the logits."""
 
     def __init__(self, rng, state_dim, n_actions, hidden=(64, 64)):
+        super().__init__(rng, state_dim, hidden, {"head": n_actions})
         self.state_dim = state_dim
         self.n_actions = n_actions
-        self.trunk = _Trunk(rng, state_dim, hidden)
-        head_w, head_b = nn.init_linear(rng, self.trunk.out_dim, n_actions, scale=0.1)
-        self.params = dict(self.trunk.params)
-        self.params["head_w"], self.params["head_b"] = head_w, head_b
 
     def log_prob_matrix_np(self, states):
-        h = self.trunk.apply_np(self.params, np.atleast_2d(states))
-        return _log_softmax(h @ self.params["head_w"] + self.params["head_b"])
+        return _log_softmax(self.forward(np.atleast_2d(states))["head"])
 
     def sampler(self):
         """`act` while the parameters stay fixed, with each state's cdf
@@ -194,14 +159,15 @@ class CategoricalPolicy:
     def act(self, state, rng):
         return self.sampler()(state, rng)
 
-    def log_prob_head(self, h, actions):
+    def log_prob_head(self, logits, actions):
         """log pi(a_t|s_t) and the entropy per step, each (m, 1), given the
-        trunk output h, and the map from their gradients (the entropy's may
-        be None) and a row-sum to the per-row gradient at the logits and the
-        row-summed gradients of the head's other parameters (none here)."""
-        logp = _log_softmax(_kernels.matmul(h, self.params["head_w"]) + self.params["head_b"])
+        head's output (the logits), and the map from their gradients (the
+        entropy's may be None) and a row-sum to the per-row gradient at the
+        logits and the row-summed gradients of the policy's other
+        parameters (none here)."""
+        logp = _log_softmax(logits)
         p = np.exp(logp)
-        rows, idx = np.arange(len(h)), np.asarray(actions, dtype=np.intp)
+        rows, idx = np.arange(len(logits)), np.asarray(actions, dtype=np.intp)
 
         def grads(g_logp, g_entropy, row_sum):
             g = np.zeros(logp.shape)
@@ -221,21 +187,18 @@ class CategoricalPolicy:
     ppo_loss_grad = _ppo_loss_grad
 
 
-class GaussianPolicy:
-    """Diagonal Gaussian with state-dependent mean and a global log-std vector."""
+class GaussianPolicy(nn.TanhMlp):
+    """Diagonal Gaussian with a global log-std vector; the head gives the
+    state-dependent mean."""
 
     def __init__(self, rng, state_dim, action_dim, hidden=(64, 64), init_log_std=-0.5):
+        super().__init__(rng, state_dim, hidden, {"head": action_dim})
         self.state_dim = state_dim
         self.action_dim = action_dim
-        self.trunk = _Trunk(rng, state_dim, hidden)
-        head_w, head_b = nn.init_linear(rng, self.trunk.out_dim, action_dim, scale=0.1)
-        self.params = dict(self.trunk.params)
-        self.params["head_w"], self.params["head_b"] = head_w, head_b
         self.params["log_std"] = nn.read_only(np.full(action_dim, init_log_std))
 
     def mean_np(self, states):
-        h = self.trunk.apply_np(self.params, np.atleast_2d(states))
-        return h @ self.params["head_w"] + self.params["head_b"]
+        return self.forward(np.atleast_2d(states))["head"]
 
     def act(self, state, rng):
         mean = self.mean_np(state)[0]
@@ -246,13 +209,13 @@ class GaussianPolicy:
         """`act`: continuous states do not repeat, so nothing is cached."""
         return self.act
 
-    def log_prob_head(self, h, actions):
+    def log_prob_head(self, mean, actions):
         """As `CategoricalPolicy.log_prob_head`; actions (m, action_dim), the
-        head's output the mean, and log_std the head's other parameter. The
-        entropy depends on log_std alone."""
+        head's output the mean, and log_std the policy's other parameter.
+        The entropy depends on log_std alone."""
         log_std = self.params["log_std"]
         inv_std = np.exp(log_std * -1.0)
-        diff = actions - (_kernels.matmul(h, self.params["head_w"]) + self.params["head_b"])
+        diff = actions - mean
         z = diff * inv_std
         per_dim = (z * z * 0.5 + log_std) + 0.5 * LOG_2PI
         ent = log_std.sum() + 0.5 * self.action_dim * (1.0 + LOG_2PI)
@@ -262,12 +225,12 @@ class GaussianPolicy:
             g_z = 2.0 * (g * 0.5) * z
             g_log_std = row_sum(g) + row_sum(g_z * diff) * inv_std * -1.0
             if g_entropy is not None:
-                g_ent = _kernels.matmul(np.ones((len(h), 1)).T, g_entropy)
+                g_ent = _kernels.matmul(np.ones((len(mean), 1)).T, g_entropy)
                 g_log_std = g_log_std + np.full(log_std.shape, g_ent[0, 0])
             return -(g_z * inv_std), {"log_std": g_log_std}
 
         logp = per_dim.sum(axis=1, keepdims=True) * -1.0
-        return logp, np.full((len(h), 1), ent), grads
+        return logp, np.full((len(mean), 1), ent), grads
 
     log_prob_np = _log_prob_np
     weighted_score_gradient = _weighted_score_gradient
@@ -275,45 +238,27 @@ class GaussianPolicy:
     ppo_loss_grad = _ppo_loss_grad
 
 
-class ValueNetwork:
+class ValueNetwork(nn.TanhMlp):
     """State-value model with one head per advantage stream."""
 
     def __init__(self, rng, state_dim, hidden=(64, 64)):
-        self.trunk = _Trunk(rng, state_dim, hidden)
-        self.params = dict(self.trunk.params)
-        for name in ("vr", "v0"):
-            w, b = nn.init_linear(rng, self.trunk.out_dim, 1, scale=0.1)
-            self.params[f"{name}_w"], self.params[f"{name}_b"] = w, b
+        super().__init__(rng, state_dim, hidden, {"vr": 1, "v0": 1})
 
     def values_np(self, states):
-        h = self.trunk.apply_np(self.params, np.atleast_2d(states))
-        vr = (h @ self.params["vr_w"] + self.params["vr_b"]).reshape(-1)
-        v0 = (h @ self.params["v0_w"] + self.params["v0_b"]).reshape(-1)
-        return vr, v0
+        a = self.forward(np.atleast_2d(states))
+        return a["vr"].reshape(-1), a["v0"].reshape(-1)
 
     def loss_grad(self, states, target_r, target_0):
         """Mean squared error of each head against its targets, summed over
         the heads, and its flat gradient, or None for the gradient when the
         loss is not finite."""
-        wd, hs = self.trunk.forward(self.params, states)
-        h = hs[-1]
-        heads = [("vr", target_r), ("v0", target_0)]
-        errs = [
-            _kernels.matmul(h, self.params[f"{name}_w"]) + self.params[f"{name}_b"]
-            - target.reshape(-1, 1)
-            for name, target in heads
-        ]
-        loss = sum((err * err).mean() for err in errs)
+        a = self.forward(states)
+        errs = {"vr": a["vr"] - target_r.reshape(-1, 1), "v0": a["v0"] - target_0.reshape(-1, 1)}
+        loss = sum((err * err).mean() for err in errs.values())
         if not np.isfinite(loss):
             return float(loss), None
-        g_h, grads = None, {}
-        for (name, _), err in zip(heads, errs):
-            w = self.params[f"{name}_w"]
-            g = 2.0 * np.full(err.shape, 1.0 / err.size) * err
-            grads[f"{name}_w"], grads[f"{name}_b"] = _kernels.matmul(h.T, g), g.sum(axis=0)
-            g_h = _kernels.matmul(g, w.T) if g_h is None else g_h + _kernels.matmul(g, w.T)
-        grads.update(self.trunk.grads(wd, hs, g_h))
-        return float(loss), nn.flatten_arrays(self.params, grads)
+        g = {name: 2.0 * np.full(err.shape, 1.0 / err.size) * err for name, err in errs.items()}
+        return float(loss), nn.flatten_arrays(self.params, self.backward(a, g))
 
 
 def make_policy(rng, env, hidden=(64, 64)):

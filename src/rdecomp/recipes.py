@@ -27,11 +27,13 @@ _BASE = dict(
     seeds=[1],
 )
 
+# Criterion 8's configuration (tests/test_acceptance.py runs this recipe).
 _COMPARISON = dict(
     iterations=60,
     ppo_batch=512,
     minibatch=64,
     buffer_capacity=50,
+    regression_minibatch=16,
     policy_lr=3e-4,
 )
 

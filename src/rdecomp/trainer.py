@@ -91,6 +91,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         if not 0.0 < self.clip < 1.0:
             raise ValueError(f"clip must be in (0, 1), got {self.clip}")
+        if not (self.bias_correction or self.use_decomposer):
+            raise ValueError("bias_correction=False needs use_decomposer=True: without the"
+                             " predictor the return reaches PPO only through the residual")
         if self.architecture not in decomposer.PREDICTORS:
             raise ValueError(f"unknown architecture {self.architecture!r}")
         kind = decomposer.PREDICTORS[self.architecture].kind

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from rdecomp import checkpoint
+
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -21,7 +22,6 @@ class Trajectory:
     states: np.ndarray
     actions: np.ndarray
     episodic_return: float
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "states", np.asarray(self.states, dtype=np.float64))
@@ -64,23 +64,21 @@ class Trajectory:
         return np.concatenate([self.states, self.actions], axis=1)
 
 
-def to_record(traj, seed=None, iteration=None):
-    rec = {
+def to_record(traj):
+    return {
         "states": traj.states.tolist(),
         "actions": traj.actions.tolist(),
         "return": traj.episodic_return,
-        "seed": seed if seed is not None else traj.meta.get("seed"),
-        "iteration": iteration if iteration is not None else traj.meta.get("iteration"),
     }
-    return rec
 
 
 def from_record(rec):
+    """The trajectory of a record; other keys (earlier versions wrote "seed"
+    and "iteration", always null) are ignored."""
     return Trajectory(
         states=np.array(rec["states"], dtype=np.float64),
         actions=np.array(rec["actions"]),
         episodic_return=float(rec["return"]),
-        meta={"seed": rec.get("seed"), "iteration": rec.get("iteration")},
     )
 
 

@@ -21,8 +21,8 @@ from rdecomp import decomposer, nn
 
 def _ff(model, p, x):
     h = x
-    for i in range(model.n_layers):
-        h = tape.tanh(tape.linear(h, p[f"l{i}_w"], p[f"l{i}_b"]))
+    for name in model.layers:
+        h = tape.tanh(tape.linear(h, p[f"{name}_w"], p[f"{name}_b"]))
     return tape.linear(h, p["head_w"], p["head_b"])
 
 

@@ -1,7 +1,7 @@
 """Tape reference for the policies' and the value net's closed forms.
 
-The trunk is the matmul -> add -> tanh chain of tape primitives, each
-head the tape ops its closed form mirrors. The score sums take one tape
+The tanh layers are the matmul -> add -> tanh chain of tape primitives,
+each head the tape ops its closed form mirrors. The score sums take one tape
 and one backward pass per trajectory, and the score matrix one per step;
 the PPO and value losses are one tape per minibatch, as `ppo_update` built
 them before it moved off the tape.
@@ -16,8 +16,8 @@ from rdecomp.policies import LOG_2PI
 
 def trunk_tensor(model, p, states):
     h = states
-    for w, b in zip(*model.trunk.layers(p)):
-        h = tape.tanh(tape.linear(h, w, b))
+    for name in model.layers:
+        h = tape.tanh(tape.linear(h, p[f"{name}_w"], p[f"{name}_b"]))
     return h
 
 

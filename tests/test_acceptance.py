@@ -18,7 +18,7 @@ from rdecomp import cli, decomposer, envs, estimators, nn, oracle, recipes
 from rdecomp.buffers import ReplayBuffer
 from rdecomp.decomposer import RewardDecomposition
 from rdecomp.policies import CategoricalPolicy, GaussianPolicy, ValueNetwork, make_policy
-from rdecomp.trainer import TrainConfig, rollout, train
+from rdecomp.trainer import rollout, train
 from rdecomp.trajectory import Trajectory
 
 
@@ -373,22 +373,13 @@ def _whole_curve_scores(curves):
 
 
 def _run_learning_comparison(env_name, env_params, seeds, iterations):
-    shared = dict(
-        env=env_name,
-        env_params=env_params,
-        iterations=iterations,
-        ppo_batch=512,
-        minibatch=64,
-        buffer_capacity=50,
-        regression_minibatch=16,
-        policy_lr=3e-4,
-        entropy_coef=0.01,
-    )
+    """The `learning-curves` recipe's runs on one env, which must be the
+    given one at the given length."""
+    experiments = dict(recipes.learning_curves(seeds))
     curves = {"full": [], "baseline": []}
     for mode in ("full", "baseline"):
-        config = TrainConfig(**shared) if mode == "full" else TrainConfig(
-            **shared, use_decomposer=False
-        )
+        config = experiments[f"{env_name}-{mode}"].train
+        assert (config.env_params, config.iterations) == (env_params, iterations)
         for seed in seeds:
             result = train(config, seed=seed)
             curves[mode].append([row["return_mean"] for row in result.metrics])

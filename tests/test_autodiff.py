@@ -225,7 +225,7 @@ def test_causal_attention_gradients_on_ragged_segments():
 def tanh_mlp_grads(x, ws, bs, cot):
     """Output and gradients (x, weights, biases) of sum(out * cot) for the
     numpy tanh MLP, by `tanh_mlp_deltas` and the per-layer products that
-    the policies' trunk uses."""
+    `nn.TanhMlp.backward` uses."""
     hs = ad.tanh_mlp_layers(x, ws, bs)
     deltas = ad.tanh_mlp_deltas(hs, ws, cot)
     return hs[-1], [

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,37 @@ def test_stratified_histogram_near_uniform():
         counts += np.bincount(which, minlength=5)
     share = counts / counts.sum()
     assert np.abs(share - 0.2).max() < 0.02  # within 10% of the uniform share
+
+
+def reference_allocate(sizes, k):
+    """The stratified quota as a redistribution loop: an even share per open
+    bin, a bin that runs out closes, and its deficit goes round again."""
+    quota = [0] * len(sizes)
+    remaining = min(k, sum(sizes))
+    open_bins = [b for b in range(len(sizes)) if sizes[b] > 0]
+    while remaining > 0 and open_bins:
+        share = max(remaining // len(open_bins), 1)
+        progressed = False
+        for b in list(open_bins):
+            if remaining == 0:
+                break
+            take = min(share, sizes[b] - quota[b], remaining)
+            if take > 0:
+                quota[b] += take
+                remaining -= take
+                progressed = True
+            if quota[b] == sizes[b]:
+                open_bins.remove(b)
+        if not progressed:
+            break
+    return quota
+
+
+def test_stratified_quota_equals_the_redistribution_loop():
+    buf = ReplayBuffer("S")
+    for sizes in itertools.product(range(5), repeat=5):
+        for k in range(sum(sizes) + 3):
+            assert buf._allocate(list(sizes), k) == reference_allocate(sizes, k), (sizes, k)
 
 
 def test_stratified_underfull_returns_everything():

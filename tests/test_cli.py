@@ -111,6 +111,14 @@ def test_train_rejects_bad_sizes(tmp_path, monkeypatch, capsys, key, value):
     assert not (tmp_path / "runs").exists()
 
 
+def test_train_rejects_the_baseline_without_bias_correction(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("RDECOMP_OUTPUT_ROOT", str(tmp_path / "runs"))
+    cfg = write_config(tmp_path, use_decomposer=False, bias_correction=False)
+    assert cli.main(["train", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("invalid config: bias_correction")
+    assert not (tmp_path / "runs").exists()
+
+
 # A config.json as `rdecomp train` wrote it before five switches were
 # retired: every TrainConfig field of that version, the retired ones at the
 # values the trainer still implements.
@@ -173,12 +181,12 @@ def test_trajectory_record_round_trips_at_full_precision():
         actions=rng.normal(size=(3, 2)),
         episodic_return=0.1 + 0.2,  # a value with no short decimal form
     )
-    rec = json.loads(json.dumps(to_record(traj, seed=5, iteration=9)))
-    back = from_record(rec)
-    np.testing.assert_array_equal(back.states, traj.states)
-    np.testing.assert_array_equal(back.actions, traj.actions)
-    assert back.episodic_return == traj.episodic_return
-    assert back.meta == {"seed": 5, "iteration": 9}
+    rec = json.loads(json.dumps(to_record(traj)))
+    # a line as earlier versions wrote it, with null seed and iteration keys
+    for back in (from_record(rec), from_record({**rec, "seed": None, "iteration": None})):
+        np.testing.assert_array_equal(back.states, traj.states)
+        np.testing.assert_array_equal(back.actions, traj.actions)
+        assert back.episodic_return == traj.episodic_return
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +330,23 @@ def test_resume_without_flat_optimizer_state_exits_2(tmp_path, monkeypatch, caps
     assert cli.main(["train", "--config", cfg, "--resume"]) == 2
     err = capsys.readouterr().err
     assert "policy/m" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("field,value", [("architecture", "ff"), ("hidden", [32]),
+                                         ("env_params", {"n_states": 5, "horizon": 5})])
+def test_resume_with_a_config_that_reshapes_the_run_exits_2(tmp_path, monkeypatch, capsys,
+                                                            field, value):
+    monkeypatch.setenv("RDECOMP_OUTPUT_ROOT", str(tmp_path))
+    assert cli.main(["train", "--config", write_config(
+        tmp_path, seeds=[4], output_dir="r", iterations=1)]) == 0
+    run_dir = tmp_path / "r"
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    capsys.readouterr()
+    cfg = write_config(tmp_path, seeds=[4], output_dir="r", iterations=2, **{field: value})
+    assert cli.main(["train", "--config", cfg, "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot resume: {field} ") and len(err.strip().splitlines()) == 1
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
 
 
 def test_invalid_config_exits_nonzero(tmp_path, capsys):

@@ -77,8 +77,8 @@ def test_first_ppo_ratio_is_exactly_one(kind):
     old_logp = policy.log_prob_np(states, actions)
     for _ in range(8):
         idx = rng.permutation(512)[:64]
-        h = policy.trunk.apply_np(policy.params, states[idx])
-        logp = policy.log_prob_head(h, actions[idx])[0].reshape(-1)
+        head = policy.forward(states[idx])["head"]
+        logp = policy.log_prob_head(head, actions[idx])[0].reshape(-1)
         assert np.array_equal(logp, old_logp[idx])
         assert np.all(np.exp(logp - old_logp[idx]) == 1.0)
 
@@ -118,8 +118,7 @@ def test_entropy_matches_closed_form_and_finite_differences(kind):
     policy, trajs, _ = make(kind, 4)
     traj = trajs[2]
     old_logp, zeros = np.zeros(traj.length), np.zeros(traj.length)
-    h = policy.trunk.apply_np(policy.params, traj.states)
-    _, entropy, _ = policy.log_prob_head(h, traj.actions)
+    _, entropy, _ = policy.log_prob_head(policy.forward(traj.states)["head"], traj.actions)
     if kind == "categorical":
         lp = policy.log_prob_matrix_np(traj.states)
         want = -(np.exp(lp) * lp).sum(axis=1)
