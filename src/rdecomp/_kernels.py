@@ -40,7 +40,13 @@ def softmax_rows(x, mask=None):
     """
     if mask is not None:
         x = np.where(mask, x, -np.inf)
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    # The row max as a running maximum over the columns: a max is exact in
+    # any order, so this equals x.max(axis=-1), and on short rows it is
+    # faster than numpy's reduction along the last axis.
+    row_max = x[..., 0]
+    for j in range(1, x.shape[-1]):
+        row_max = np.maximum(row_max, x[..., j])
+    e = np.exp(x - row_max[..., None])
     return e / e.sum(axis=-1, keepdims=True)
 
 

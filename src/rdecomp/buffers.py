@@ -3,9 +3,10 @@
 Three update schemes:
 
   O  (online)             FIFO queue of the K most recent trajectories.
-  HO (historical+online)  the FIFO queue plus a second queue holding the K
-                          highest-return trajectories ever inserted (ties
-                          go to the more recent one).
+  HO (historical+online)  the union of the FIFO queue and a second queue
+                          holding the K highest-return trajectories ever
+                          inserted (ties go to the more recent one); a
+                          trajectory in both queues is held once.
   S  (stratified)         a reservoir of up to L trajectories; eviction is
                           uniform at random; sampling draws as evenly as
                           possible across five equal-width return bins.
@@ -38,11 +39,9 @@ class ReplayBuffer:
         self._inserted = 0
 
     def __len__(self):
-        if self.scheme == "O":
-            return len(self.online)
-        if self.scheme == "HO":
-            return len(self.online) + len(self.historical)
-        return len(self.reservoir)
+        """The number of distinct trajectories stored: the length of what
+        `contents()` returns."""
+        return len(self.contents())
 
     def insert(self, trajectories):
         for traj in trajectories:
@@ -67,47 +66,55 @@ class ReplayBuffer:
         return self
 
     def contents(self):
-        """Everything stored, in a deterministic order."""
-        if self.scheme == "O":
-            return list(self.online)
-        if self.scheme == "HO":
-            return list(self.online) + [t for _, _, t in self.historical]
-        return list(self.reservoir)
+        """Every distinct trajectory stored, in a deterministic order: for HO
+        the online queue in FIFO order, then the historical entries not in
+        it, in (return, recency) order."""
+        # The online queue holds insertion indices [start, _inserted), so an
+        # entry is in both queues exactly when its index is >= start. Keyed
+        # on the index, not on identity, this survives a restore, which
+        # rebuilds the queues from separate lines.
+        start = self._inserted - len(self.online)
+        older = [t for _, i, t in self.historical if i < start]
+        return list(self.online) + older + list(self.reservoir)
 
     def snapshot(self):
-        """(trajectories, structure) for persistence; see restore_snapshot."""
-        trajs = (
-            list(self.online)
-            + [t for _, _, t in self.historical]
-            + list(self.reservoir)
-        )
+        """(trajectories, structure) for persistence; see restore_snapshot.
+        The trajectories are `contents()`, each written once."""
         meta = {
+            "layout": 2,
             "online_count": len(self.online),
             "historical_keys": [[r, i] for r, i, _ in self.historical],
             "inserted": self._inserted,
         }
-        return trajs, meta
+        return self.contents(), meta
 
     def restore_snapshot(self, trajs, meta):
         """Rebuild the exact queue structure written by `snapshot`.
 
         Replaying the contents through `insert` would be wrong: it would
         duplicate historical entries into the online queue and reset the
-        recency indices used for tie-breaking.
+        recency indices used for tie-breaking. Layout 2 stores a historical
+        entry whose index lies in the online window as that online line;
+        the older layout (no "layout" key) stored every historical entry on
+        its own line after the online ones.
         """
         n_online = meta["online_count"]
-        keys = meta["historical_keys"]
         self.online = deque(trajs[:n_online], maxlen=self.capacity)
-        self.historical = [
-            (r, i, t) for (r, i), t in zip(keys, trajs[n_online : n_online + len(keys)])
-        ]
-        self.reservoir = list(trajs[n_online + len(keys) :])
         self._inserted = meta["inserted"]
+        start = self._inserted - n_online
+        shared = meta.get("layout", 1) >= 2
+        rest = iter(trajs[n_online:])
+        self.historical = [
+            (r, i, self.online[i - start] if shared and i >= start else next(rest))
+            for r, i in meta["historical_keys"]
+        ]
+        self.reservoir = list(rest)
 
     def sample(self, k):
         """Draw a regression batch according to the scheme.
 
-        O returns the whole queue; HO the union of both queues; S a
+        O returns the whole queue; HO the union of both queues, each
+        trajectory once, as `contents()` orders it; S a
         stratified draw of up to k trajectories across five equal-width
         return bins (under-populated bins contribute everything they have
         and their deficit is spread uniformly over the rest).

@@ -7,6 +7,8 @@ order (`flatten_params`)."""
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from rdecomp import _kernels
@@ -86,13 +88,16 @@ def lstm_params(rng, input_dim, hidden_dim):
     return {"w": w, "b": read_only(bias)}
 
 
+@functools.lru_cache(maxsize=None)
 def sinusoidal_positions(t_len, dim):
-    """Fixed position signal added to embeddings when enabled."""
+    """Fixed position signal added to embeddings when enabled: a read-only
+    (t_len, dim) table, built once per shape. Each entry depends on its
+    position and column alone, so the table for t_len is the first t_len
+    rows of any longer one."""
     pos = np.arange(t_len)[:, None]
     i = np.arange(dim)[None, :]
     angles = pos / np.power(10000.0, (2 * (i // 2)) / dim)
-    enc = np.where(i % 2 == 0, np.sin(angles), np.cos(angles))
-    return enc
+    return read_only(np.where(i % 2 == 0, np.sin(angles), np.cos(angles)))
 
 
 def flatten_arrays(params, arrays):

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -38,8 +39,20 @@ def test_historical_keeps_top_returns():
     buf.insert([traj(r) for r in (1, 5, 3, 9)])
     historical = [t for _, _, t in buf.historical]
     assert sorted(returns_of(historical)) == [5, 9]
-    # union of online(last 2) and historical
-    assert sorted(returns_of(buf.sample(99))) == [3, 5, 9, 9]
+    # union of online (last 2) and historical, each trajectory once
+    assert sorted(returns_of(buf.sample(99))) == [3, 5, 9]
+    assert len(buf) == 3
+
+
+def test_historical_union_order_online_then_older_historical():
+    buf = ReplayBuffer("HO", capacity=3)
+    a, b, c, d, e = (traj(r, seed=i) for i, r in enumerate((7, 8, 1, 6, 2)))
+    buf.insert([a, b, c, d, e])
+    # online holds c, d, e (indices 2-4); historical holds b, a, d by return,
+    # and d (index 3) is in the online window, so only b and a follow
+    assert [x for _, _, x in buf.historical] == [b, a, d]
+    assert buf.sample(99) == [c, d, e, b, a]
+    assert len(buf) == 5
 
 
 def test_historical_tie_breaks_to_recency():
@@ -182,3 +195,52 @@ def test_jsonl_round_trip():
         np.testing.assert_array_equal(a.states, b.states)
         np.testing.assert_array_equal(a.actions, b.actions)
         assert a.episodic_return == b.episodic_return
+
+
+def snapshot_round_trip(buf, trajs, meta, tmp_path):
+    path = str(tmp_path / "buffer.jsonl")
+    write_jsonl(path, trajs)
+    back = ReplayBuffer(buf.scheme, buf.capacity, buf.reservoir_capacity)
+    back.rng.bit_generator.state = buf.rng.bit_generator.state
+    back.restore_snapshot(read_jsonl(path), json.loads(json.dumps(meta)))
+    return back
+
+
+def assert_same_trajectories(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a.states, b.states)
+        np.testing.assert_array_equal(a.actions, b.actions)
+        assert a.episodic_return == b.episodic_return
+
+
+@pytest.mark.parametrize("scheme", ["O", "HO", "S"])
+def test_snapshot_writes_each_trajectory_once_and_restores(scheme, tmp_path):
+    buf = ReplayBuffer(scheme, capacity=4, reservoir_capacity=6, seed=2)
+    buf.insert([traj(r, seed=i) for i, r in enumerate((1, 9, 2, 8, 3, 7, 4, 5))])
+    trajs, meta = buf.snapshot()
+    assert trajs == buf.contents()
+    back = snapshot_round_trip(buf, trajs, meta, tmp_path)
+    assert back._inserted == buf._inserted
+    assert [(r, i) for r, i, _ in back.historical] == [(r, i) for r, i, _ in buf.historical]
+    assert_same_trajectories(back.contents(), buf.contents())
+    back.insert([traj(10, seed=20), traj(0, seed=21)])
+    buf.insert([traj(10, seed=20), traj(0, seed=21)])
+    assert_same_trajectories(back.contents(), buf.contents())
+
+
+def test_restore_reads_the_layout_that_wrote_every_historical_entry(tmp_path):
+    # Before the HO union was deduplicated, `snapshot` wrote the online queue
+    # and then every historical entry, in the window or not, with no "layout"
+    buf = ReplayBuffer("HO", capacity=4)
+    buf.insert([traj(r, seed=i) for i, r in enumerate((1, 9, 2, 8, 3, 7, 4, 5))])
+    old_trajs = list(buf.online) + [t for _, _, t in buf.historical]
+    old_meta = {
+        "online_count": len(buf.online),
+        "historical_keys": [[r, i] for r, i, _ in buf.historical],
+        "inserted": buf._inserted,
+    }
+    assert len(old_trajs) > len(buf.snapshot()[0])
+    back = snapshot_round_trip(buf, old_trajs, old_meta, tmp_path)
+    assert [(r, i) for r, i, _ in back.historical] == [(r, i) for r, i, _ in buf.historical]
+    assert_same_trajectories(back.sample(4), buf.sample(4))

@@ -84,6 +84,23 @@ def test_single_token_encoding_matches_prefix():
     np.testing.assert_allclose(h_full[0], h_one[0], rtol=0, atol=1e-12)
 
 
+def test_position_table_is_cached_read_only_and_bitwise_the_formula():
+    def formula(t_len, dim):
+        pos = np.arange(t_len)[:, None]
+        i = np.arange(dim)[None, :]
+        angles = pos / np.power(10000.0, (2 * (i // 2)) / dim)
+        return np.where(i % 2 == 0, np.sin(angles), np.cos(angles))
+
+    for dim in (7, 16):
+        table = nn.sinusoidal_positions(64, dim)
+        assert not table.flags.writeable
+        assert nn.sinusoidal_positions(64, dim) is table
+        for t_len in range(1, 65):
+            got = nn.sinusoidal_positions(t_len, dim)
+            assert np.array_equal(got, formula(t_len, dim))
+            assert np.array_equal(got, table[:t_len])
+
+
 def test_two_token_attention_matches_hand_softmax():
     rng = np.random.default_rng(6)
     model = AttentionPredictor(3, rng)

@@ -23,6 +23,32 @@ def test_softmax_rows_properties(masked):
         assert np.array_equal(np.triu(p, k=1), np.zeros_like(p))
 
 
+def reference_softmax_rows(x, mask=None):
+    # the row max as numpy's reduction over the last axis
+    if mask is not None:
+        x = np.where(mask, x, -np.inf)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("t_len", [1, 2, 7, 16])
+def test_softmax_rows_is_bitwise_the_reduction_max(t_len):
+    # a padded causal attention block: each row keeps its prefix, and rows
+    # past a trajectory's length keep only column 0
+    rng = np.random.default_rng(t_len)
+    x = rng.normal(size=(5, 4, t_len, t_len)) * 4
+    lengths = rng.integers(1, t_len + 1, size=5)
+    causal = np.tril(np.ones((t_len, t_len), dtype=bool))
+    live = np.arange(t_len)[None, None, None, :] < lengths[:, None, None, None]
+    mask = causal[None, None] & live
+    mask[..., 0] = True
+    for m in (None, np.tril(np.ones((t_len, t_len), dtype=bool)), mask):
+        assert np.array_equal(_kernels.softmax_rows(x, m), reference_softmax_rows(x, m))
+    # a large shift, where subtracting the max is what keeps exp finite
+    assert np.array_equal(_kernels.softmax_rows(x + 800.0, mask),
+                          reference_softmax_rows(x + 800.0, mask))
+
+
 def test_gae_matches_textbook_recursion():
     rng = np.random.default_rng(4)
     rewards = rng.normal(size=9)

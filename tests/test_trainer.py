@@ -24,7 +24,7 @@ from rdecomp.trainer import (
     rollout,
     train,
 )
-from rdecomp.trajectory import Trajectory
+from rdecomp.trajectory import Trajectory, read_jsonl, write_jsonl
 
 TINY = dict(
     env="chain",
@@ -459,6 +459,54 @@ def test_resume_matches_uninterrupted_run(tmp_path, arch, kind):
     assert len(resumed.metrics) == 6
     for got, want in zip(resumed.metrics, straight, strict=True):
         assert got == want
+
+
+def overlapping_ho_trainer(tmp_path):
+    """A trainer whose HO queues share trajectories, saved after 2 steps."""
+    config = TrainConfig(**{**TINY, "iterations": 4})
+    trainer = Trainer(config, seed=0)
+    for _ in range(2):
+        trainer.step()
+    buf = trainer.buffer
+    assert len(buf) < len(buf.online) + len(buf.historical)  # the queues overlap
+    trainer.save(str(tmp_path))
+    return config, trainer
+
+
+def assert_same_trajectories(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a.states, b.states)
+        np.testing.assert_array_equal(a.actions, b.actions)
+        assert a.episodic_return == b.episodic_return
+
+
+def test_resume_with_overlapping_ho_queues_is_bit_identical(tmp_path):
+    config, first = overlapping_ho_trainer(tmp_path)
+    resumed = Trainer(config, seed=0)
+    resumed.restore(str(tmp_path))
+    k = config.buffer_capacity
+    assert_same_trajectories(resumed.buffer.sample(k), first.buffer.sample(k))
+    assert resumed.step() == first.step()
+
+
+def test_old_layout_buffer_file_resumes_bit_identically(tmp_path):
+    # Before the HO union was deduplicated, buffer.jsonl held the online queue
+    # and then every historical entry, so a trajectory in both had two lines,
+    # and buffer_meta had no "layout"
+    config, first = overlapping_ho_trainer(tmp_path)
+    buf = first.buffer
+    lines = list(buf.online) + [t for _, _, t in buf.historical]
+    assert len(lines) > len(read_jsonl(str(tmp_path / "buffer.jsonl")))
+    write_jsonl(str(tmp_path / "buffer.jsonl"), lines)
+    state = json.loads((tmp_path / "state.json").read_text())
+    del state["buffer_meta"]["layout"]
+    (tmp_path / "state.json").write_text(json.dumps(state, indent=1))
+    resumed = Trainer(config, seed=0)
+    resumed.restore(str(tmp_path))
+    k = config.buffer_capacity
+    assert_same_trajectories(resumed.buffer.sample(k), buf.sample(k))
+    assert resumed.step() == first.step()
 
 
 def test_restore_rejects_per_tensor_optimizer_state(tmp_path):
