@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from test_buffers import assert_same_trajectories
 
 from rdecomp import autodiff as ad
 from rdecomp import checkpoint, cli, envs, estimators, nn, oracle
@@ -471,14 +472,6 @@ def overlapping_ho_trainer(tmp_path):
     assert len(buf) < len(buf.online) + len(buf.historical)  # the queues overlap
     trainer.save(str(tmp_path))
     return config, trainer
-
-
-def assert_same_trajectories(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        np.testing.assert_array_equal(a.states, b.states)
-        np.testing.assert_array_equal(a.actions, b.actions)
-        assert a.episodic_return == b.episodic_return
 
 
 def test_resume_with_overlapping_ho_queues_is_bit_identical(tmp_path):
