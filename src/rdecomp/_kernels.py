@@ -1,7 +1,8 @@
-"""Numeric hot kernels of the closed-form gradients and GAE, in numpy.
+"""Numeric hot kernels of the closed-form gradients and GAE, in numpy, and
+the segment layout of stacked rows that the batched models share.
 
-Callers look these up through the module attribute (`_kernels.<name>`) at
-call time, so a wrapper set on this module reroutes every call. All
+Callers look the kernels up through the module attribute (`_kernels.<name>`)
+at call time, so a wrapper set on this module reroutes every call. All
 operate on float64 arrays.
 """
 
@@ -9,6 +10,10 @@ import numpy as np
 
 # Recorded in the benchmark's environment block (perfbench/run.py).
 BACKEND = "python"
+
+
+class ShapeError(ValueError):
+    """Raised when an operation receives shape-incompatible inputs."""
 
 
 def matmul(a, b):
@@ -90,3 +95,16 @@ def gae(rewards, values, gamma, lam):
         acc = delta + gamma * lam * acc
         adv[t] = acc
     return adv
+
+
+def segment_positions(lengths):
+    """Index of each stacked row within its own segment: 0..len-1 per segment."""
+    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
+def pad_segments(rows, lengths):
+    """Stacked rows of segments of the given lengths, scattered into a
+    zero-padded (B, T, ...) block; T is the longest length."""
+    out = np.zeros((lengths.size, int(lengths.max())) + rows.shape[1:])
+    out[np.repeat(np.arange(lengths.size), lengths), segment_positions(lengths)] = rows
+    return out

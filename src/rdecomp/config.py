@@ -51,6 +51,13 @@ class ExperimentConfig:
     output_dir: str
     name: str = "experiment"
 
+    def __post_init__(self):
+        # each seed's run writes its own files; a repeat would rerun into them
+        if (not isinstance(self.seeds, list) or not all(_is_int(s) for s in self.seeds)
+                or not self.seeds or len(set(self.seeds)) != len(self.seeds)):
+            raise ConfigError(f"seeds must be a non-empty list of distinct integers,"
+                              f" got {self.seeds!r}")
+
     def to_dict(self):
         d = dataclasses.asdict(self.train)
         d["hidden"] = list(d["hidden"])
@@ -116,8 +123,6 @@ def from_dict(doc):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     seeds = doc.get("seeds", [0])
-    if not isinstance(seeds, list) or not all(_is_int(s) for s in seeds):
-        raise ConfigError("seeds must be a list of integers")
     output_dir = doc.get("output_dir", "runs")
     if not isinstance(output_dir, str):
         raise ConfigError("output_dir must be a string")

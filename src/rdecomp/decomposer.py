@@ -16,7 +16,9 @@ stacked into one (N, d) matrix and passed with the segment lengths, so a
 regression minibatch is one forward and one backward pass, and `predict`
 is one forward pass over a list of trajectories, for the trainer and the
 oracle alike. Each predictor has one numpy `forward` and a closed-form
-`backward`; none builds a tape.
+`backward`; none builds a tape. The attention predictor's multi-head causal
+attention (`causal_attention`) is one masked batched kernel over all the
+segments, and returns its backward map with its outputs.
 
 Training regresses the summed per-interval predictions onto the episodic
 return with a squared loss. Returns are standardized by a running
@@ -36,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from rdecomp import _kernels
-from rdecomp import autodiff as ad
 from rdecomp import nn
 
 # Layer widths: half the published ones (all but the head count), for the
@@ -195,7 +196,8 @@ class RecurrentPredictor:
         p, e, hd = self.params, self.embed_dim, self.hidden_dim
         mm, sigmoid = _kernels.matmul, _kernels.sigmoid
         a = {"order": order, "active": active, "steps": []}
-        a["x"], a["v"] = ad.tanh_mlp_layers(x[order], [p["embed_w"]], [p["embed_b"]])
+        a["x"] = x[order]
+        a["v"] = np.tanh(mm(a["x"], p["embed_w"]) + p["embed_b"])
         x_gates = mm(a["v"], p["lstm_w"][:e]) + p["lstm_b"]
         h = c = total = np.zeros((active[0], hd))
         rows = []
@@ -245,10 +247,64 @@ class RecurrentPredictor:
             end = start
         grads["lstm_b"] = g_gates.sum(axis=0)
         grads["lstm_w"] = np.concatenate([mm(a["v"].T, g_gates), g_wh])
-        embed, _ = ad.tanh_mlp_grads([a["x"], a["v"]], [p["embed_w"]],
-                                     mm(g_gates, p["lstm_w"][:e].T), ["embed"])
-        grads.update(embed)
+        g_embed = _kernels.tanh_vjp(a["v"], mm(g_gates, p["lstm_w"][:e].T))
+        grads["embed_w"], grads["embed_b"] = mm(a["x"].T, g_embed), g_embed.sum(axis=0)
         return grads
+
+
+def causal_attention(q, k, v, lengths, n_heads):
+    """Multi-head causal self-attention inside each segment of stacked rows.
+
+    q, k (N, n_heads * dk) and v (N, n_heads * dv) are arrays holding the
+    rows of B segments of the given lengths, one after another. Row i of a
+    segment attends to rows 0..i of the same segment only, with scores
+    q k^T / sqrt(dk). Returns the head outputs (N, n_heads * dv), side by
+    side; the attention weights (B, n_heads, T, T), T the longest length,
+    where row i of segment b holds weights on its first i + 1 columns only;
+    and the map from the outputs' gradient to those of q, k and v.
+
+    The segments are scattered into a zero-padded (B, n_heads, T, .) block
+    so that every segment and head is one batched matmul under one causal
+    mask: a real row never reaches a padded column, which lies after it.
+    Padded rows get weights too, but their outputs are dropped and get no
+    gradient.
+    """
+    lengths = np.asarray(lengths, dtype=np.intp)
+    n = q.shape[0]
+    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() != n:
+        raise _kernels.ShapeError(f"causal_attention: lengths {lengths.tolist()} for {n} rows")
+    if k.shape != q.shape or v.shape[0] != n or q.shape[1] % n_heads or v.shape[1] % n_heads:
+        raise _kernels.ShapeError(
+            f"causal_attention: q {q.shape}, k {k.shape}, v {v.shape}, {n_heads} heads"
+        )
+    dk, dv = q.shape[1] // n_heads, v.shape[1] // n_heads
+    b, t = lengths.size, int(lengths.max())
+    seg, pos = np.repeat(np.arange(b), lengths), _kernels.segment_positions(lengths)
+
+    def pad(rows, width):
+        out = np.zeros((b, t, n_heads, width))
+        out[seg, pos] = rows.reshape(n, n_heads, width)
+        return out.transpose(0, 2, 1, 3)
+
+    def unpad(block):
+        return block.transpose(0, 2, 1, 3)[seg, pos].reshape(n, -1)
+
+    mask = np.tril(np.ones((t, t), dtype=bool))
+    inv_sqrt = 1.0 / np.sqrt(dk)
+    qp, kp, vp = pad(q, dk), pad(k, dk), pad(v, dv)
+    p = _kernels.softmax_rows(np.matmul(qp, kp.transpose(0, 1, 3, 2)) * inv_sqrt, mask)
+    p.flags.writeable = False
+
+    def vjp(g):
+        gp = pad(g, dv)
+        ds = _kernels.softmax_rows_vjp(p, np.matmul(gp, vp.transpose(0, 1, 3, 2))) * inv_sqrt
+        return (
+            unpad(np.matmul(ds, kp)),
+            unpad(np.matmul(ds.transpose(0, 1, 3, 2), qp)),
+            unpad(np.matmul(p.transpose(0, 1, 3, 2), gp)),
+        )
+
+    return unpad(np.matmul(p, vp)), p, vjp
 
 
 class AttentionPredictor:
@@ -296,16 +352,17 @@ class AttentionPredictor:
         p = self.params
         lengths = np.asarray(lengths)
         mm = _kernels.matmul
-        v = ad.tanh_mlp_layers(x, [p["embed_w"]], [p["embed_b"]])[1]
+        v = np.tanh(mm(x, p["embed_w"]) + p["embed_b"])
         a = {"x": x, "embed": v}
         pos = nn.sinusoidal_positions(int(lengths.max()), self.embed_dim)
-        a["v"] = v = v + pos[ad.segment_positions(lengths)]
-        a["heads"], a["attn"], a["attn_vjp"] = ad.causal_attention(
+        a["v"] = v = v + pos[_kernels.segment_positions(lengths)]
+        a["heads"], a["attn"], a["attn_vjp"] = causal_attention(
             mm(v, p["wq"]), mm(v, p["wk"]), mm(v, p["wv"]), lengths, self.n_heads
         )
         mixed = mm(a["heads"], p["wo"]) + p["bo"]
         a["ln1"] = _kernels.layer_norm_rows(v + mixed, p["ln1_g"], p["ln1_b"], 1e-5)
-        a["u"], a["f"] = ad.tanh_mlp_layers(a["ln1"][0], [p["ff1_w"]], [p["ff1_b"]])
+        a["u"] = a["ln1"][0]
+        a["f"] = np.tanh(mm(a["u"], p["ff1_w"]) + p["ff1_b"])
         ff = mm(a["f"], p["ff2_w"]) + p["ff2_b"]
         a["ln2"] = _kernels.layer_norm_rows(a["u"] + ff, p["ln2_g"], p["ln2_b"], 1e-5)
         hs = a["hs"] = a["ln2"][0]
@@ -331,9 +388,8 @@ class AttentionPredictor:
             *a["ln2"][1:], p["ln2_g"], g_hs
         )
         grads["ff2_w"], grads["ff2_b"] = mm(a["f"].T, g_r2), g_r2.sum(axis=0)
-        ff1, d_f = ad.tanh_mlp_grads([a["u"], a["f"]], [p["ff1_w"]],
-                                     mm(g_r2, p["ff2_w"].T), ["ff1"])
-        grads.update(ff1)
+        d_f = _kernels.tanh_vjp(a["f"], mm(g_r2, p["ff2_w"].T))
+        grads["ff1_w"], grads["ff1_b"] = mm(a["u"].T, d_f), d_f.sum(axis=0)
         g_r1, grads["ln1_g"], grads["ln1_b"] = _kernels.layer_norm_rows_vjp(
             *a["ln1"][1:], p["ln1_g"], g_r2 + mm(d_f, p["ff1_w"].T)
         )
@@ -344,8 +400,8 @@ class AttentionPredictor:
         for name, g_in in zip(("wq", "wk", "wv"), a["attn_vjp"](mm(g_r1, p["wo"].T))):
             grads[name] = mm(a["v"].T, g_in)
             g_v = g_v + mm(g_in, p[name].T)
-        embed, _ = ad.tanh_mlp_grads([a["x"], a["embed"]], [p["embed_w"]], g_v, ["embed"])
-        grads.update(embed)
+        g_embed = _kernels.tanh_vjp(a["embed"], g_v)
+        grads["embed_w"], grads["embed_b"] = mm(a["x"].T, g_embed), g_embed.sum(axis=0)
         return grads
 
 

@@ -46,6 +46,13 @@ class _OneHotCells:
         return StepResult(self.state_vector(nxt), reward, done)
 
 
+def _check_int(name, value, least):
+    """ValueError unless value is an integer (not a bool) of at least `least`:
+    sizes and horizons come from JSON config files."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 class ChainMdp(_OneHotCells):
     """Left/right walk on a line of states; +1 when the right end is reached.
 
@@ -53,11 +60,9 @@ class ChainMdp(_OneHotCells):
     rightmost state ends the episode.
     """
 
-    def __init__(self, n_states, horizon):
-        if n_states < 2:
-            raise ValueError(f"chain_mdp needs n_states >= 2, got {n_states}")
-        if horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {horizon}")
+    def __init__(self, n_states=8, horizon=12):
+        _check_int("n_states", n_states, 2)
+        _check_int("horizon", horizon, 1)
         self.n_states = n_states
         self.horizon = horizon
         self.state_dim = n_states
@@ -76,11 +81,9 @@ class SparseGridworld(_OneHotCells):
 
     ACTIONS = ((-1, 0), (0, 1), (1, 0), (0, -1))  # up, right, down, left
 
-    def __init__(self, size, horizon):
-        if size < 2:
-            raise ValueError(f"sparse_gridworld needs size >= 2, got {size}")
-        if horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {horizon}")
+    def __init__(self, size=4, horizon=16):
+        _check_int("size", size, 2)
+        _check_int("horizon", horizon, 1)
         self.size = size
         self.horizon = horizon
         self.n_cells = size * size
@@ -110,9 +113,8 @@ class PointMass:
     DT = 0.05
     GOAL = np.array([1.0, 1.0])
 
-    def __init__(self, horizon):
-        if horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {horizon}")
+    def __init__(self, horizon=32):
+        _check_int("horizon", horizon, 1)
         self.horizon = horizon
         self.state_dim = 4
         self.action_dim = 2
@@ -129,18 +131,6 @@ class PointMass:
         pos = state[:2] + self.DT * vel
         reward = -float(np.sqrt(((pos - self.GOAL) ** 2).sum()))
         return StepResult(np.concatenate([pos, vel]), reward, False)
-
-
-def chain_mdp(n_states, horizon):
-    return ChainMdp(n_states, horizon)
-
-
-def sparse_gridworld(size, horizon):
-    return SparseGridworld(size, horizon)
-
-
-def point_mass(horizon):
-    return PointMass(horizon)
 
 
 class EpisodicWrapper:
@@ -170,15 +160,16 @@ class EpisodicWrapper:
         return StepResult(inner.next_state, visible, done)
 
 
-_REGISTRY = {
-    "chain": lambda p: chain_mdp(p.get("n_states", 8), p.get("horizon", 12)),
-    "grid": lambda p: sparse_gridworld(p.get("size", 4), p.get("horizon", 16)),
-    "point_mass": lambda p: point_mass(p.get("horizon", 32)),
-}
+_REGISTRY = {"chain": ChainMdp, "grid": SparseGridworld, "point_mass": PointMass}
 
 
 def make_env(name, params=None):
-    """Build an environment from its config name and JSON parameter object."""
+    """Build an environment from its config name and JSON parameter object:
+    the class's keyword arguments, each absent one at the class's default.
+    ValueError for an unknown name, parameter or value."""
     if name not in _REGISTRY:
         raise ValueError(f"unknown environment {name!r}; choices: {sorted(_REGISTRY)}")
-    return _REGISTRY[name](params or {})
+    try:
+        return _REGISTRY[name](**(params or {}))
+    except TypeError as exc:  # a parameter the class does not take
+        raise ValueError(f"{name}: {exc}") from exc

@@ -1,9 +1,9 @@
 """Small neural-net building blocks shared by the reward models and the
 policy/value networks: fan-in-scaled initialization of read-only float64
 parameter arrays; `TanhMlp`, the tanh MLP with linear heads that the
-policies, the value net and the per-step reward predictor all are; and
-Adam, which updates a model as one flat float64 vector in sorted-name
-order (`flatten_params`)."""
+policies, the value net and the per-step reward predictor all are, with its
+numpy forward and closed-form backward; and Adam, which updates a model as
+one flat float64 vector in sorted-name order (`flatten_params`)."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ import functools
 import numpy as np
 
 from rdecomp import _kernels
-from rdecomp import autodiff as ad
 
 
 def read_only(arr):
@@ -48,12 +47,18 @@ class TanhMlp:
         self.params = params
 
     def forward(self, x):
-        """The layers' weights "weights", their activations "hs" [x, h_1, ...,
-        h_L] and each head's output (m, width) under its name."""
+        """The activations "hs" [x, h_1, ..., h_L], h_i = tanh(h_{i-1} W_i + b_i),
+        and each head's output (m, width) under its name."""
         p = self.params
-        weights = [p[f"{name}_w"] for name in self.layers]
-        hs = ad.tanh_mlp_layers(x, weights, [p[f"{name}_b"] for name in self.layers])
-        a = {"weights": weights, "hs": hs}
+        hs = [x]
+        for name in self.layers:
+            w, b = p[f"{name}_w"], p[f"{name}_b"]
+            if x.ndim != 2 or w.shape[0] != hs[-1].shape[1] or b.shape != w.shape[1:]:
+                raise _kernels.ShapeError(
+                    f"TanhMlp: layer {name} {w.shape} + {b.shape} on {hs[-1].shape}"
+                )
+            hs.append(np.tanh(_kernels.matmul(hs[-1], w) + b))
+        a = {"hs": hs}
         for name in self.heads:
             a[name] = _kernels.matmul(hs[-1], p[f"{name}_w"]) + p[f"{name}_b"]
         return a
@@ -61,8 +66,8 @@ class TanhMlp:
     def backward(self, a, g_by_head, reduce=None):
         """The gradient per parameter name, given `forward`'s activations and
         the gradient at the output of each head in g_by_head. `reduce` maps a
-        layer's input and the gradient at its output to the gradients of its
-        weight and bias; by default the sums over rows."""
+        layer's input and the gradient at its pre-activation to the gradients
+        of its weight and bias; by default the sums over rows."""
         if reduce is None:
             def reduce(h, d):
                 return _kernels.matmul(h.T, d), d.sum(axis=0)
@@ -71,8 +76,12 @@ class TanhMlp:
             grads[f"{name}_w"], grads[f"{name}_b"] = reduce(hs[-1], g)
             g_in = _kernels.matmul(g, self.params[f"{name}_w"].T)
             g_h = g_in if g_h is None else g_h + g_in
-        for name, h, d in zip(self.layers, hs, ad.tanh_mlp_deltas(hs, a["weights"], g_h)):
-            grads[f"{name}_w"], grads[f"{name}_b"] = reduce(h, d)
+        d = _kernels.tanh_vjp(hs[-1], g_h)
+        for i in range(len(self.layers) - 1, -1, -1):
+            name = self.layers[i]
+            grads[f"{name}_w"], grads[f"{name}_b"] = reduce(hs[i], d)
+            if i:
+                d = _kernels.tanh_vjp(hs[i], _kernels.matmul(d, self.params[f"{name}_w"].T))
         return grads
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from rdecomp import estimators
-from rdecomp.autodiff import pad_segments
+from rdecomp._kernels import pad_segments
 from rdecomp.trajectory import Trajectory
 
 MAX_TRAJECTORIES = 10**6

@@ -8,9 +8,9 @@ categorical, which is what the exact-enumeration oracle differentiates.
 The value network has two scalar heads, one per advantage stream
 (predicted-reward and residual).
 
-No gradient here uses the tape. `TanhMlp.forward` keeps the activations
-and `TanhMlp.backward` takes the gradient at the heads' outputs back
-through the layers. Each policy computes log pi and its gradient in one
+Every gradient here is a closed form in numpy. `TanhMlp.forward` keeps
+the activations and `TanhMlp.backward` takes the gradient at the heads'
+outputs back through the layers. Each policy computes log pi and its gradient in one
 place, `log_prob_head`, which takes the head's output (the logits or the
 Gaussian mean) and whose map gives the per-row gradient there and the
 gradients of the policy's other parameters (the Gaussian log_std) summed
@@ -21,7 +21,8 @@ per trajectory for the estimators and the oracle, where each layer's sums
 are one padded batched matmul. `ValueNetwork.loss_grad` is the value net's
 squared error and its gradient. The PPO and value forms make the float ops
 of the equivalent tape in the tape's order, so they are bit-identical to
-`autodiff.backward` on it (tests/reference_scores.py holds that tape).
+the tape engine's `backward` on it (tests/reference_scores.py holds that
+tape).
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from __future__ import annotations
 import numpy as np
 
 from rdecomp import _kernels
-from rdecomp import autodiff as ad
 from rdecomp import nn
+from rdecomp._kernels import pad_segments
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -57,12 +58,12 @@ def _segment_scores(policy, states, actions, coeffs, lengths):
     a = policy.forward(states)
     head_grads = policy.log_prob_head(a["head"], actions)[2]
     g_head, sums = head_grads(
-        coeffs.reshape(-1, 1), None, lambda rows: ad.pad_segments(rows, lengths).sum(axis=1)
+        coeffs.reshape(-1, 1), None, lambda rows: pad_segments(rows, lengths).sum(axis=1)
     )
 
     def segment_sums(h, d):
-        block = ad.pad_segments(d, lengths)
-        return np.matmul(ad.pad_segments(h, lengths).transpose(0, 2, 1), block), block.sum(axis=1)
+        block = pad_segments(d, lengths)
+        return np.matmul(pad_segments(h, lengths).transpose(0, 2, 1), block), block.sum(axis=1)
 
     sums.update(policy.backward(a, {"head": g_head}, segment_sums))
     return np.concatenate(

@@ -94,6 +94,7 @@ class TrainConfig:
         if not (self.bias_correction or self.use_decomposer):
             raise ValueError("bias_correction=False needs use_decomposer=True: without the"
                              " predictor the return reaches PPO only through the residual")
+        envs.make_env(self.env, self.env_params)  # ValueError for a bad env or parameter
         if self.architecture not in decomposer.PREDICTORS:
             raise ValueError(f"unknown architecture {self.architecture!r}")
         kind = decomposer.PREDICTORS[self.architecture].kind
@@ -399,8 +400,10 @@ class Trainer:
     def restore(self, out_dir, suffix=""):
         """Resume from artifacts written by `save`. Every artifact is read and
         checked before any state is replaced, so a failure leaves the
-        trainer as it was; a checkpoint from another iteration than the
-        state's (a save cut short) raises CheckpointError."""
+        trainer as it was. CheckpointError for a checkpoint from another
+        iteration than the state's (a save cut short), or a model or Adam
+        state whose parameter names or sizes are not those of the model it
+        would replace."""
 
         def path(name, ext=".json"):
             return os.path.join(out_dir, f"{name}{suffix}{ext}")
@@ -418,13 +421,31 @@ class Trainer:
         buffer_trajs = read_jsonl(path("buffer", ".jsonl"))
         opt_arrays, opt_meta = loaded["optimizer"]
         adams = {}
-        for label, opt in self._optimizers():
+        models = (("policy", self.policy), ("value", self.value_net), ("reward_model", self.model))
+        for (label, opt), (name, model) in zip(self._optimizers(), models):
             if f"{label}/m" not in opt_arrays or f"{label}/v" not in opt_arrays:
                 raise checkpoint.CheckpointError(
                     f"{path('optimizer')} has no flat Adam state {label}/m, {label}/v"
                 )
-            adams[opt] = (opt_meta["steps"][label], opt_arrays[f"{label}/m"],
-                          opt_arrays[f"{label}/v"])
+            t, m, v = opt_meta["steps"][label], opt_arrays[f"{label}/m"], opt_arrays[f"{label}/v"]
+            size = 0
+            if model is not None:
+                got = {k: p.shape for k, p in loaded[name][0].items()}
+                want = {k: p.shape for k, p in model.params.items()}
+                bad = sorted(k for k in got.keys() | want.keys() if got.get(k) != want.get(k))
+                if bad:
+                    raise checkpoint.CheckpointError(
+                        f"{path(name)} does not fit the model: parameters {bad} differ"
+                        " in name or shape"
+                    )
+                size = sum(p.size for p in model.params.values())
+            # Adam's moments are empty until its first step
+            if not m.shape == v.shape == ((size if t else 0),):
+                raise checkpoint.CheckpointError(
+                    f"{path('optimizer')} holds Adam moments of shapes {m.shape}, {v.shape}"
+                    f" for {label}, which has {size} parameters"
+                )
+            adams[opt] = (t, m, v)
 
         self.policy.params, self.value_net.params = loaded["policy"][0], loaded["value"][0]
         if self.model is not None:

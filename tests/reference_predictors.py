@@ -15,8 +15,8 @@ must match it bit for bit. Parameters enter every tape as the leaves that
 import numpy as np
 import tape_ops as tape
 
+from rdecomp import _kernels, decomposer, nn
 from rdecomp import autodiff as ad
-from rdecomp import decomposer, nn
 
 
 def _ff(model, p, x):
@@ -159,7 +159,7 @@ def batched_rewards(model, x, lengths, p=None):
     lengths = np.asarray(lengths)
     v = tape.tanh(tape.linear(x, p["embed_w"], p["embed_b"]))
     pos = nn.sinusoidal_positions(int(lengths.max()), model.embed_dim)
-    v = tape.add(v, tape.constant(pos[ad.segment_positions(lengths)]))
+    v = tape.add(v, tape.constant(pos[_kernels.segment_positions(lengths)]))
     heads, attn = tape.causal_attention(
         tape.matmul(v, p["wq"]), tape.matmul(v, p["wk"]), tape.matmul(v, p["wv"]),
         lengths, model.n_heads,

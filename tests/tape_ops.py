@@ -13,8 +13,9 @@ import numpy as np
 
 from rdecomp import _kernels
 from rdecomp import nn
-from rdecomp.autodiff import ShapeError, Tensor, _result
-from rdecomp.autodiff import causal_attention as _causal_attention
+from rdecomp._kernels import ShapeError
+from rdecomp.autodiff import Tensor, _result
+from rdecomp.decomposer import causal_attention as _causal_attention
 
 
 def leaves(params):
@@ -377,6 +378,6 @@ def layer_norm(x, gain, bias, eps=1e-5):
 
 
 def causal_attention(q, k, v, lengths, n_heads):
-    """Tape form of `autodiff.causal_attention`: (head outputs Tensor, weights)."""
+    """Tape form of `decomposer.causal_attention`: (head outputs Tensor, weights)."""
     out, p, vjp = _causal_attention(q.data, k.data, v.data, lengths, n_heads)
     return _result(out, (q, k, v), vjp), p

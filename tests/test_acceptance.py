@@ -275,7 +275,7 @@ def test_batch_isolation_fuzz():
 
 @pytest.fixture(scope="module")
 def converged_chain_decomposer():
-    env = envs.chain_mdp(5, 8)
+    env = envs.ChainMdp(5, 8)
     policy = uniform_policy(env)
     rng = np.random.default_rng(42)
     trajs = []

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -6,7 +9,8 @@ import tape_ops as tape
 
 from fdcheck import numeric_gradient, relative_error
 from sgd import SgdOptimizer
-from rdecomp import _kernels, nn
+import rdecomp
+from rdecomp import nn
 from rdecomp import autodiff as ad
 from rdecomp.autodiff import ShapeError, Tensor
 
@@ -222,54 +226,75 @@ def test_causal_attention_gradients_on_ragged_segments():
         assert relative_error(grads.of(t), want).max() < 1e-5
 
 
-def tanh_mlp_grads(x, ws, bs, cot):
-    """Output and gradients (x, weights, biases) of sum(out * cot) for the
-    numpy tanh MLP, by `tanh_mlp_deltas` and the per-layer products that
-    `nn.TanhMlp.backward` uses."""
-    hs = ad.tanh_mlp_layers(x, ws, bs)
-    deltas = ad.tanh_mlp_deltas(hs, ws, cot)
-    return hs[-1], [
-        _kernels.matmul(deltas[0], ws[0].T),
-        *(_kernels.matmul(h.T, d) for h, d in zip(hs, deltas)),
-        *(d.sum(axis=0) for d in deltas),
-    ]
+def _tanh_mlp(rng, sizes, heads):
+    """An `nn.TanhMlp` on sizes[0] inputs with layers of sizes[1:], every
+    parameter redrawn from a normal so no bias sits at its zero init."""
+    mlp = nn.TanhMlp(rng, sizes[0], sizes[1:], heads)
+    mlp.params = {k: nn.read_only(rng.normal(size=p.shape)) for k, p in mlp.params.items()}
+    return mlp
 
 
 @pytest.mark.parametrize("sizes", [(3, 4), (3, 4, 2)])
 def test_tanh_mlp_matches_finite_differences(sizes):
     rng = np.random.default_rng(29)
-    n = len(sizes) - 1
-    arrays = [rng.normal(size=(5, sizes[0]))]
-    arrays += [rng.normal(size=(sizes[i], sizes[i + 1])) for i in range(n)]
-    arrays += [rng.normal(size=sizes[i + 1]) for i in range(n)]
-    cot = rng.normal(size=(5, sizes[-1]))
+    mlp = _tanh_mlp(rng, sizes, {"mean": 2, "aux": 1})
+    x = rng.normal(size=(5, sizes[0]))
+    cots = {"mean": rng.normal(size=(5, 2)), "aux": rng.normal(size=(5, 1))}
+    names = sorted(mlp.params)
+    grads = mlp.backward(mlp.forward(x), cots)
+    arrays = [mlp.params[k] for k in names]
 
     def out(ts):
-        return float((ad.tanh_mlp_layers(ts[0].data, [t.data for t in ts[1 : 1 + n]],
-                                         [t.data for t in ts[1 + n :]])[-1] * cot).sum())
+        mlp.params = {k: t.data for k, t in zip(names, ts)}
+        a = mlp.forward(x)
+        return float(sum((a[head] * cot).sum() for head, cot in cots.items()))
 
-    _, grads = tanh_mlp_grads(arrays[0], arrays[1 : 1 + n], arrays[1 + n :], cot)
     fd = numeric_gradient(out, arrays)
-    for got, want in zip(grads, fd, strict=True):
-        assert relative_error(got, want).max() < 1e-5
+    assert sorted(grads) == names
+    for k, want in zip(names, fd, strict=True):
+        assert relative_error(grads[k], want).max() < 1e-5, k
 
 
 def test_tanh_mlp_is_bitwise_the_layer_chain():
     rng = np.random.default_rng(31)
-    x = Tensor(rng.normal(size=(6, 3)))
-    ws = [Tensor(rng.normal(size=(3, 5))), Tensor(rng.normal(size=(5, 4)))]
-    bs = [Tensor(rng.normal(size=5)), Tensor(rng.normal(size=4))]
-    chain = x
-    for w, b in zip(ws, bs):
-        chain = tape.tanh(tape.linear(chain, w, b))
-    cot = rng.normal(size=(6, 4))
-    out, grads = tanh_mlp_grads(x.data, [w.data for w in ws], [b.data for b in bs], cot)
-    assert np.array_equal(out, chain.data)
-    g_chain = ad.backward(tape.sum_all(tape.mul(chain, tape.constant(cot))))
-    for t, got in zip([x, *ws, *bs], grads, strict=True):
-        assert np.array_equal(got, g_chain.of(t))
-    with pytest.raises(ShapeError):
-        ad.tanh_mlp_layers(x.data, [w.data for w in ws[::-1]], [b.data for b in bs[::-1]])
+    mlp = _tanh_mlp(rng, (3, 5, 4), {"head": 2})
+    x = rng.normal(size=(6, 3))
+    leaves = tape.leaves(mlp.params)
+    chain = tape.constant(x)
+    for name in mlp.layers:
+        chain = tape.tanh(tape.linear(chain, leaves[f"{name}_w"], leaves[f"{name}_b"]))
+    head = tape.linear(chain, leaves["head_w"], leaves["head_b"])
+    cot = rng.normal(size=(6, 2))
+    a = mlp.forward(x)
+    assert np.array_equal(a["head"], head.data)
+    grads = mlp.backward(a, {"head": cot})
+    g_chain = ad.backward(tape.sum_all(tape.mul(head, tape.constant(cot))))
+    assert sorted(grads) == sorted(leaves)
+    for k, t in leaves.items():
+        assert np.array_equal(grads[k], g_chain.of(t)), k
+    mlp.params = dict(mlp.params, t1_w=mlp.params["t1_w"].T)
+    with pytest.raises(ShapeError, match="t1"):
+        mlp.forward(x)
+
+
+def test_no_package_module_imports_the_tape_engine():
+    # Only tests build tapes: every package module, the CLI first, imports
+    # without loading the engine.
+    code = (
+        "import pkgutil, sys\n"
+        "import rdecomp, rdecomp.cli\n"
+        "names = [m.name for m in pkgutil.iter_modules(rdecomp.__path__)]\n"
+        "assert 'autodiff' in names and 'cli' in names, names\n"
+        "for name in names:\n"
+        "    if name != 'autodiff':\n"
+        "        __import__(f'rdecomp.{name}')\n"
+        "assert 'rdecomp.autodiff' not in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(rdecomp.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_causal_attention_weights_stay_inside_segments():

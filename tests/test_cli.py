@@ -119,6 +119,23 @@ def test_train_rejects_the_baseline_without_bias_correction(tmp_path, monkeypatc
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("overrides,message", [
+    ({"env": "chian"}, "unknown environment 'chian'"),
+    ({"env_params": {"n_state": 5}}, "unexpected keyword argument 'n_state'"),
+    ({"env": "grid", "env_params": {"size": 4.5}}, "size must be an integer >= 2"),
+    ({"env": "point_mass", "env_params": {"horizon": 0}}, "horizon must be an integer >= 1"),
+    ({"seeds": []}, "seeds must be a non-empty list of distinct integers"),
+    ({"seeds": [3, 1, 3]}, "seeds must be a non-empty list of distinct integers"),
+])
+def test_train_rejects_a_bad_env_or_seed_list(tmp_path, monkeypatch, capsys, overrides,
+                                              message):
+    monkeypatch.setenv("RDECOMP_OUTPUT_ROOT", str(tmp_path / "runs"))
+    assert cli.main(["train", "--config", write_config(tmp_path, **overrides)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: ") and message in err
+    assert not (tmp_path / "runs").exists()
+
+
 # A config.json as `rdecomp train` wrote it before five switches were
 # retired: every TrainConfig field of that version, the retired ones at the
 # values the trainer still implements.

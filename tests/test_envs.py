@@ -25,20 +25,20 @@ def run_policy(env, action_fn, rng, max_steps=None):
 
 
 def test_chain_one_step_to_goal():
-    env = envs.chain_mdp(2, 1)
+    env = envs.ChainMdp(2, 1)
     rewards, _ = run_policy(env, lambda s, r: 1, np.random.default_rng(0))
     assert rewards == [1.0]
 
 
 def test_chain_always_left_never_scores():
-    env = envs.chain_mdp(5, 10)
+    env = envs.ChainMdp(5, 10)
     rewards, _ = run_policy(env, lambda s, r: 0, np.random.default_rng(0))
     assert sum(rewards) == 0.0 and len(rewards) == 10
 
 
 def test_chain_rejects_tiny():
     with pytest.raises(ValueError, match="n_states"):
-        envs.chain_mdp(1, 5)
+        envs.ChainMdp(1, 5)
 
 
 def enumerate_expected_return(env, horizon, n_actions):
@@ -60,7 +60,7 @@ def enumerate_expected_return(env, horizon, n_actions):
 
 
 def test_chain_uniform_policy_matches_enumeration():
-    env = envs.chain_mdp(5, 10)
+    env = envs.ChainMdp(5, 10)
     # brute force over all 2^10 action sequences, each with probability 2^-10
     expected_brute = 0.0
     for bits in range(2**10):
@@ -91,14 +91,14 @@ def test_chain_uniform_policy_matches_enumeration():
 
 
 def test_grid_shortest_path():
-    env = envs.sparse_gridworld(2, 4)
+    env = envs.SparseGridworld(2, 4)
     actions = iter([1, 2])  # right, down
     rewards, _ = run_policy(env, lambda s, r: next(actions), np.random.default_rng(0))
     assert rewards == [0.0, 1.0]
 
 
 def test_grid_optimal_within_horizon():
-    env = envs.sparse_gridworld(4, 16)
+    env = envs.SparseGridworld(4, 16)
     moves = [1, 1, 1, 2, 2, 2]  # along the top edge then down
     actions = iter(moves)
     rewards, _ = run_policy(env, lambda s, r: next(actions), np.random.default_rng(0))
@@ -106,7 +106,7 @@ def test_grid_optimal_within_horizon():
 
 
 def test_grid_uniform_success_probability_matches_enumeration():
-    env = envs.sparse_gridworld(3, 4)
+    env = envs.SparseGridworld(3, 4)
     expected = enumerate_expected_return(env, 4, 4)
     rng = np.random.default_rng(7)
     n = 40000
@@ -120,11 +120,11 @@ def test_grid_uniform_success_probability_matches_enumeration():
 
 def test_grid_rejects_tiny():
     with pytest.raises(ValueError, match="size"):
-        envs.sparse_gridworld(1, 5)
+        envs.SparseGridworld(1, 5)
 
 
 def test_grid_walls_block():
-    env = envs.sparse_gridworld(3, 5)
+    env = envs.SparseGridworld(3, 5)
     idx, reward, done = env.transition(0, 0)  # up from the top-left corner
     assert idx == 0 and reward == 0.0 and not done
 
@@ -134,7 +134,7 @@ def test_grid_walls_block():
 
 
 def test_point_mass_zero_action_at_goal():
-    env = envs.point_mass(10)
+    env = envs.PointMass(10)
     state = np.array([1.0, 1.0, 0.0, 0.0])  # at goal, at rest
     total = 0.0
     for _ in range(10):
@@ -145,7 +145,7 @@ def test_point_mass_zero_action_at_goal():
 
 
 def test_point_mass_constant_action_matches_scripted_euler():
-    env = envs.point_mass(8)
+    env = envs.PointMass(8)
     action = np.array([1.0, 0.0])
     state = env.reset(np.random.default_rng(0))
     got = []
@@ -166,7 +166,7 @@ def test_point_mass_constant_action_matches_scripted_euler():
 
 
 def test_point_mass_action_clipping_contract():
-    env = envs.point_mass(5)
+    env = envs.PointMass(5)
     state = np.array([0.3, -0.2, 0.1, 0.0])
     rng = np.random.default_rng(0)
     big = env.step(state, np.array([6.0, 8.0]), rng)
@@ -180,7 +180,7 @@ def test_point_mass_action_clipping_contract():
 
 
 def test_wrapper_pays_exact_sum_once():
-    env = envs.point_mass(12)
+    env = envs.PointMass(12)
     rng = np.random.default_rng(5)
     wrapper = envs.EpisodicWrapper(env)
     state = wrapper.reset(rng)
@@ -200,14 +200,14 @@ def test_wrapper_pays_exact_sum_once():
 
 
 def test_wrapper_enforces_horizon():
-    env = envs.chain_mdp(10, 3)
+    env = envs.ChainMdp(10, 3)
     rewards, wrapper = run_policy(env, lambda s, r: 1, np.random.default_rng(0))
     assert len(rewards) == 3
     assert rewards[-1] == 0.0  # goal not reached, episodic return is 0
 
 
 def test_seeded_reproducibility():
-    env = envs.point_mass(6)
+    env = envs.PointMass(6)
 
     def trajectory(seed):
         rng = np.random.default_rng(seed)
@@ -227,5 +227,22 @@ def test_seeded_reproducibility():
 def test_registry_round_trip():
     env = envs.make_env("chain", {"n_states": 4, "horizon": 6})
     assert env.n_states == 4 and env.horizon == 6
+    chain, grid, point = (envs.make_env(name) for name in ("chain", "grid", "point_mass"))
+    assert (chain.n_states, chain.horizon, grid.size, grid.horizon, point.horizon) == (
+        8, 12, 4, 16, 32)
     with pytest.raises(ValueError, match="unknown environment"):
         envs.make_env("mujoco")
+
+
+@pytest.mark.parametrize("name,params,message", [
+    # a misspelled parameter used to build the default-sized env
+    ("chain", {"n_state": 5}, "unexpected keyword argument 'n_state'"),
+    ("chain", {"n_states": 5.0}, "n_states must be an integer"),
+    ("grid", {"size": True}, "size must be an integer"),
+    ("grid", {"horizon": "16"}, "horizon must be an integer"),
+    ("point_mass", {"horizon": 2.5}, "horizon must be an integer"),
+    ("point_mass", {"size": 4}, "unexpected keyword argument 'size'"),
+])
+def test_registry_rejects_bad_parameters(name, params, message):
+    with pytest.raises(ValueError, match=message):
+        envs.make_env(name, params)

@@ -56,7 +56,7 @@ def uniform_policy(env):
 
 
 def test_rollout_single_step_horizon():
-    env = envs.chain_mdp(2, 1)
+    env = envs.ChainMdp(2, 1)
     batch = rollout(uniform_policy(env), env, 30, np.random.default_rng(1))
     assert all(t.length == 1 for t in batch)
     for t in batch:
@@ -65,7 +65,7 @@ def test_rollout_single_step_horizon():
 
 
 def test_rollout_deterministic_given_seed():
-    env = envs.chain_mdp(5, 6)
+    env = envs.ChainMdp(5, 6)
     policy = uniform_policy(env)
     a = rollout(policy, env, 100, np.random.default_rng(7))
     b = rollout(policy, env, 100, np.random.default_rng(7))
@@ -108,7 +108,7 @@ def test_cached_rollout_equals_per_step_act(monkeypatch, env_name, params):
 
 
 def test_rollout_mean_return_matches_enumeration():
-    env = envs.chain_mdp(4, 6)
+    env = envs.ChainMdp(4, 6)
     policy = uniform_policy(env)
 
     def dfs(idx, t, prob):
@@ -536,6 +536,36 @@ def test_failed_restore_leaves_trainer_unchanged(tmp_path):
         np.testing.assert_array_equal(p, value[k])
     assert fresh.rollout_rng.bit_generator.state == rng_state
     assert (fresh.iteration, len(fresh.buffer), fresh.policy_opt.t) == (0, 0, 0)
+
+
+def _shrink_policy_moments(run_dir):
+    path = str(run_dir / "optimizer.json")
+    arrays, meta = checkpoint.load(path)
+    arrays["policy/m"] = arrays["policy/m"][:-1]
+    checkpoint.save(path, arrays, meta)
+
+
+@pytest.mark.parametrize("change,tamper,match", [
+    # before the check, this run rolled out with a mix of both networks and
+    # then died in ppo_loss_grad with KeyError 't1_b'
+    ({"hidden": (8,)}, None, "policy.json does not fit the model"),
+    ({"architecture": "ff"}, None, "reward_model.json does not fit the model"),
+    ({}, _shrink_policy_moments, "Adam moments"),
+], ids=["hidden", "architecture", "adam"])
+def test_restore_rejects_a_model_it_would_not_fit(tmp_path, change, tamper, match):
+    saved = Trainer(TrainConfig(**TINY), seed=0)
+    saved.step()
+    saved.save(str(tmp_path))
+    if tamper is not None:
+        tamper(tmp_path)
+    fresh = Trainer(TrainConfig(**{**TINY, **change}), seed=0)
+    models = (fresh.policy, fresh.value_net, fresh.model)
+    before = [m.params for m in models]
+    with pytest.raises(checkpoint.CheckpointError, match=match):
+        fresh.restore(str(tmp_path))
+    assert all(m.params is p for m, p in zip(models, before))
+    assert (fresh.iteration, len(fresh.buffer), fresh.policy_opt.t, fresh.reward_opt.t) == (
+        0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("arch,kind", [("ff", "singletons"), ("recurrent", "prefixes"),
