@@ -122,12 +122,12 @@ def from_dict(doc):
         train = TrainConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    seeds = doc.get("seeds", [0])
     output_dir = doc.get("output_dir", "runs")
     if not isinstance(output_dir, str):
         raise ConfigError("output_dir must be a string")
     name = doc.get("name", "experiment")
-    return ExperimentConfig(train=train, seeds=seeds, output_dir=output_dir, name=name)
+    return ExperimentConfig(train=train, seeds=doc.get("seeds", [0]), output_dir=output_dir,
+                            name=name)
 
 
 def load(path):

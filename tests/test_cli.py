@@ -640,6 +640,9 @@ def test_bench_rejects_malformed_seeds(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("RDECOMP_OUTPUT_ROOT", str(tmp_path))
     assert cli.main(["bench", "--recipe", "buffers", "--seeds", "1,,2"]) == 2
     assert "--seeds takes comma-separated integers" in capsys.readouterr().err
+    # a repeated seed would rerun into the same files
+    assert cli.main(["bench", "--recipe", "buffers", "--seeds", "1,2,1"]) == 2
+    assert "seeds must be a non-empty list of distinct integers" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
