@@ -37,18 +37,24 @@ def git_sha(checkout):
 
 
 def run(checkout, workload, seed, trace):
-    """The metrics of one perfbench run, and its recorded environment."""
+    """The metrics of one perfbench run, and the environment it printed.
+
+    Both come from the run's own stdout: the record it also writes under
+    perfbench/results/ is named by workload, seed and trace alone, so
+    another run of the same name (the perfbench smoke tests run seed 3)
+    can overwrite it."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines else {}
-    if proc.returncode != 0 or not result.get("correct"):
-        sys.exit(f"{' '.join(cmd)} in {checkout} failed (exit {proc.returncode}):\n"
+    prefix = "  environment "  # how run.py prints its environment block
+    environments = [json.loads(line[len(prefix):]) for line in lines if line.startswith(prefix)]
+    if proc.returncode != 0 or not result.get("correct") or len(environments) != 1:
+        sys.exit(f"{' '.join(cmd)} in {checkout} failed (exit {proc.returncode},"
+                 f" {len(environments)} environment lines):\n"
                  f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
-    record = Path(checkout, "perfbench", "results", f"{workload}-seed{seed}-trace{trace}.json")
-    environment = json.loads(record.read_text())["environment"]
-    return {name: m["value"] for name, m in result["metrics"].items()}, environment
+    return {name: m["value"] for name, m in result["metrics"].items()}, environments[0]
 
 
 def summary(runs):

@@ -133,6 +133,29 @@ def _spec_mdp(path):
     )
 
 
+def _chaotic_predictor(base):
+    """A batch function of the chaotic adversary: value t is a normal draw
+    (std 25) seeded by a running CRC over steps 0..t, seeded itself by
+    `base`, so the adversary stays causal. The draws are kept by digest in
+    this closure, so a prefix that many trajectories share draws once."""
+    drawn = {}
+
+    def predict(batch):
+        out = []
+        for traj in batch:
+            digest = zlib.crc32(bytes([base % 256]))
+            values = np.empty(traj.length)
+            for t in range(traj.length):
+                digest = zlib.crc32(traj.states[t].tobytes() + traj.actions[t].tobytes(), digest)
+                if digest not in drawn:
+                    drawn[digest] = np.random.default_rng(digest).normal(0.0, 25.0)
+                values[t] = drawn[digest]
+            out.append(decomposer.RewardDecomposition.from_values(values, traj.episodic_return))
+        return out
+
+    return predict
+
+
 def make_verify_predictors(mdp, n_inits, seed=0):
     """Reward predictors to throw at the oracle: freshly initialized
     decomposer models of every architecture, plus deliberately badly fit
@@ -143,7 +166,8 @@ def make_verify_predictors(mdp, n_inits, seed=0):
     Each predictor is a batch function, as `oracle.verify_identities`
     takes: a list of trajectories in, their decompositions out. A model
     predicts a whole chunk in one forward pass; the chaotic adversary
-    hashes each trajectory on its own behind a list adapter."""
+    hashes each trajectory's prefixes, drawing once per distinct prefix
+    over all the calls made to it."""
     input_dim = mdp.n_states + mdp.n_actions
     rotation = ["attention", "recurrent", "ff"]
     fns = []
@@ -159,21 +183,7 @@ def make_verify_predictors(mdp, n_inits, seed=0):
 
         fns.append((f"{arch}-{model.kind}{'-blown' if i % 4 == 3 else ''}-{i}", fn))
         if i % 5 == 4:
-            def chaotic(traj, base=i):
-                # A running CRC over the steps seen so far: value t hashes
-                # the prefix 0..t, so the adversary stays causal.
-                digest = zlib.crc32(bytes([base % 256]))
-                values = np.empty(traj.length)
-                for t in range(traj.length):
-                    digest = zlib.crc32(
-                        traj.states[t].tobytes() + traj.actions[t].tobytes(), digest
-                    )
-                    values[t] = np.random.default_rng(digest).normal(0.0, 25.0)
-                return decomposer.RewardDecomposition.from_values(
-                    values, traj.episodic_return
-                )
-
-            fns.append((f"chaotic-{i}", lambda batch, one=chaotic: [one(t) for t in batch]))
+            fns.append((f"chaotic-{i}", _chaotic_predictor(i)))
     return fns
 
 
@@ -271,13 +281,13 @@ def cmd_export_attention(args):
         )
         return 2
     traj = trajectories[args.index]
-    out = model.forward(decomposer.input_rows(model, [traj])[0], [traj.length])
+    out = model.forward(decomposer.input_rows(model, [traj]), [traj.length])
     z, attn = out["z"], out["attn"]
     values = out["rhat"].reshape(-1)
     norm_state = meta.get("normalizer")
     if norm_state:
         normalizer = decomposer.ReturnNormalizer.from_state(norm_state)
-        values = decomposer.destandardize(values, normalizer)
+        values = decomposer.destandardize(values, [traj.length], normalizer)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "z", "r_hat"])

@@ -126,6 +126,8 @@ def from_dict(doc):
     if not isinstance(output_dir, str):
         raise ConfigError("output_dir must be a string")
     name = doc.get("name", "experiment")
+    if not isinstance(name, str):
+        raise ConfigError("name must be a string")
     return ExperimentConfig(train=train, seeds=doc.get("seeds", [0]), output_dir=output_dir,
                             name=name)
 

@@ -442,47 +442,61 @@ def predictor_from_checkpoint(params, meta):
 
 
 def input_rows(model, batch):
-    """Each trajectory's (T, input_dim) input rows, in a list.
+    """The batch's (N, input_dim) input rows: each trajectory's (state,
+    action) rows, stacked in batch order.
 
     Discrete actions are one-hot encoded to the width the model's input
     leaves after the state, so a trajectory that never took the last action
     still encodes to the model's width.
     """
-    n_actions = model.input_dim - batch[0].states.shape[1]
-    return [traj.input_matrix(n_actions) for traj in batch]
+    states = np.concatenate([traj.states for traj in batch])
+    actions = np.concatenate([traj.actions for traj in batch])
+    if batch[0].discrete:
+        onehot = np.zeros((len(actions), model.input_dim - states.shape[1]))
+        onehot[np.arange(len(actions)), actions] = 1.0
+        actions = onehot
+    return np.concatenate([states, actions], axis=1)
 
 
-def destandardize(values, normalizer):
-    """Map standardized-scale outputs back to return units, causally.
+def destandardize(values, lengths, normalizer):
+    """Map the stacked standardized-scale outputs of trajectories with the
+    given lengths back to return units, causally.
 
-    Interval i gets std * r_i, and interval 0 also gets the whole mean, so
-    the composite matches the raw-return scale while interval i still
-    depends on steps 0..i alone.
+    Every interval gets std * r_i, and each trajectory's interval 0 also
+    gets the whole mean, so its composite matches the raw-return scale
+    while interval i still depends on steps 0..i alone.
     """
     values = normalizer.std * np.asarray(values, dtype=np.float64)
-    values[0] += normalizer.mean
+    values[np.cumsum(lengths) - lengths] += normalizer.mean
     return values
 
 
 def predict(model, batch, normalizer=None):
     """Decompose every trajectory of a batch into per-interval rewards.
 
-    One forward pass over the whole batch; returns one RewardDecomposition
-    per trajectory, in order. With a normalizer, the model's
-    standardized-scale outputs are mapped back to return units by
-    `destandardize`.
+    One forward pass over the batch's stacked rows; returns one
+    RewardDecomposition per trajectory, in order, whose `per_interval` is a
+    view of one read-only array of the batch's rewards. With a normalizer,
+    those rewards are mapped back to return units by `destandardize`. The
+    composites are the last entries of one row-wise `np.cumsum` over the
+    zero-padded (B, T) block of rewards: each row is summed left to right,
+    as `RewardDecomposition.from_values` sums one trajectory.
     """
-    x = np.concatenate(input_rows(model, batch))
-    rewards = model.forward(x, [traj.length for traj in batch])["rhat"].reshape(-1)
-    out = []
-    start = 0
-    for traj in batch:
-        values = rewards[start : start + traj.length]
-        start += traj.length
-        if normalizer is not None:
-            values = destandardize(values, normalizer)
-        out.append(RewardDecomposition.from_values(values, traj.episodic_return))
-    return out
+    lengths = np.array([traj.length for traj in batch])
+    rewards = model.forward(input_rows(model, batch), lengths)["rhat"].reshape(-1)
+    if normalizer is not None:
+        rewards = destandardize(rewards, lengths, normalizer)
+    rewards.flags.writeable = False
+    sums = np.cumsum(_kernels.pad_segments(rewards, lengths), axis=1)
+    composites = sums[np.arange(len(batch)), lengths - 1]
+    residuals = np.array([traj.episodic_return for traj in batch]) - composites
+    ends = np.cumsum(lengths)
+    return [
+        RewardDecomposition(rewards[end - n : end], composite, residual)
+        for end, n, composite, residual in zip(
+            ends.tolist(), lengths.tolist(), composites.tolist(), residuals.tolist()
+        )
+    ]
 
 
 def regression_targets(batch, normalizer=None):

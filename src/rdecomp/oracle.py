@@ -176,10 +176,11 @@ def exact_grad_j(mdp, policy):
 class OracleContext:
     """Enumeration, score block and exact gradient of one (MDP, policy), computed once.
 
-    `scores` is the (K, T, P) block of the K enumerated trajectories:
-    `scores[k, t]` is grad log pi(a_t|s_t) of trajectory k, flattened over
-    the P policy parameters, and zero for t at or past its length (T is the
-    longest length). `probabilities` holds the K exact probabilities and
+    `scores` is the (K, T, P) block of the K enumerated trajectories of the
+    given `lengths`: `scores[k, t]` is grad log pi(a_t|s_t) of trajectory
+    k, flattened over the P policy parameters, and zero for t at or past
+    its length (T is the longest length). `score_sums[k, t]` sums
+    `scores[k, 0..t]`. `probabilities` holds the K exact probabilities and
     `exact_grad` the exact policy gradient.
     """
 
@@ -199,7 +200,9 @@ class OracleContext:
             episodic_return=0.0,
         )
         rows = policy.score_matrix(steps)
-        self.scores = pad_segments(rows, np.array([t.length for t in self.trajectories]))
+        self.lengths = np.array([t.length for t in self.trajectories])
+        self.scores = pad_segments(rows, self.lengths)
+        self.score_sums = np.cumsum(self.scores, axis=1)
         returns = np.array([t.episodic_return for t in self.trajectories])
         self.exact_grad = np.einsum("k,ktp->p", self.probabilities * returns, self.scores)
 
@@ -224,24 +227,31 @@ def verify_identities(ctx, predictor_fn, tol=1e-8):
     in consecutive chunks of PREDICT_CHUNK, so a model's forward activations
     live for one chunk at a time rather than for the whole enumerated set.
 
-    The decompositions are stacked into (K, T) arrays zero-padded like
-    `ctx.scores` (interval rewards, generalized Q and its complement), so
-    each check is one probability-weighted contraction over the score block
-    and padded steps contribute nothing.
+    The decompositions must number one per trajectory, each with one entry
+    per step; otherwise ValueError. Their rewards are stacked and scattered
+    into one (K, T) block zero-padded like `ctx.scores` (by
+    `pad_segments`), from which generalized Q and its complement are row
+    cumsums, so each check is one probability-weighted contraction over the
+    score block and padded steps contribute nothing.
     Returns a report dict; report["pass"] is the conjunction of all checks.
     """
-    trajs = ctx.trajectories
+    trajs, lengths, scores = ctx.trajectories, ctx.lengths, ctx.scores
     decomps = [
         dec
         for start in range(0, len(trajs), PREDICT_CHUNK)
         for dec in predictor_fn(trajs[start : start + PREDICT_CHUNK])
     ]
-    scores = ctx.scores
-    rewards = np.zeros(scores.shape[:2])
-    for k, (traj, dec) in enumerate(zip(trajs, decomps, strict=True)):
-        rewards[k, : traj.length] = estimators.interval_rewards(dec, traj.length)
+    if len(decomps) != len(trajs):
+        raise ValueError(f"{len(decomps)} decompositions for {len(trajs)} trajectories")
+    sizes = np.array([len(dec.per_interval) for dec in decomps])
+    wrong = np.flatnonzero(sizes != lengths)
+    if wrong.size:
+        k = wrong[0]
+        raise ValueError(f"decomposition {k} has {sizes[k]} entries for T={lengths[k]}")
+    values = np.concatenate([dec.per_interval for dec in decomps], dtype=np.float64)
+    rewards = pad_segments(values, lengths)
     q = estimators.generalized_q_rows(rewards)
-    rnot = estimators.r_not_t_rows(rewards, np.array([traj.length for traj in trajs]))
+    rnot = estimators.r_not_t_rows(rewards, lengths)
     residual = np.array([d.residual for d in decomps])[:, None]
     w = ctx.probabilities[:, None]
 
@@ -254,7 +264,7 @@ def verify_identities(ctx, predictor_fn, tol=1e-8):
     # (b) interval-major and step-major composite gradients agree; the
     # interval-major side weights interval i by the scores of steps 0..i
     step_major = np.einsum("kt,ktp->p", w * q, scores)
-    interval_major = np.einsum("ki,kip->p", w * rewards, np.cumsum(scores, axis=1))
+    interval_major = np.einsum("ki,kip->p", w * rewards, ctx.score_sums)
     err_b = float(np.abs(step_major - interval_major).max())
 
     # (c) residual-corrected estimator is exactly the true gradient

@@ -267,8 +267,8 @@ class Trainer:
         if self.model is None or len(self.buffer) == 0:
             return 0.0
         sample = self.buffer.sample(self.config.buffer_capacity)
-        rows = decomposer.input_rows(self.model, sample)
-        lengths = np.array([len(r) for r in rows])
+        lengths = np.array([traj.length for traj in sample])
+        rows = np.split(decomposer.input_rows(self.model, sample), np.cumsum(lengths)[:-1])
         targets = decomposer.regression_targets(sample, self.normalizer)
         losses = []
         mb = self.config.regression_minibatch

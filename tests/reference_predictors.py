@@ -109,7 +109,7 @@ def regression_loss(model, batch, normalizer=None):
 def stacked(model, batch, normalizer=None):
     """(x, lengths, targets) of a batch, as `Trainer._regression_phase`
     passes them to `decomposer.regression_step`."""
-    x = np.concatenate(decomposer.input_rows(model, batch))
+    x = decomposer.input_rows(model, batch)
     return x, [traj.length for traj in batch], decomposer.regression_targets(batch, normalizer)
 
 

@@ -2,13 +2,15 @@ import csv
 import json
 import os
 import re
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rdecomp import checkpoint, cli, config as config_mod, decomposer, oracle, recipes
-from rdecomp.trajectory import Trajectory, from_record, to_record, write_jsonl
+from rdecomp.policies import CategoricalPolicy
+from rdecomp.trajectory import Trajectory, from_record, read_jsonl, to_record, write_jsonl
 
 BASE_CONFIG = {
     "schema_version": 1,
@@ -133,6 +135,15 @@ def test_train_rejects_a_bad_env_or_seed_list(tmp_path, monkeypatch, capsys, ove
     assert cli.main(["train", "--config", write_config(tmp_path, **overrides)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid config: ") and message in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_train_rejects_a_name_that_is_not_a_string(tmp_path, monkeypatch, capsys):
+    with pytest.raises(config_mod.ConfigError, match="name must be a string"):
+        config_mod.from_dict({"schema_version": 1, "name": 5})
+    monkeypatch.setenv("RDECOMP_OUTPUT_ROOT", str(tmp_path / "runs"))
+    assert cli.main(["train", "--config", write_config(tmp_path, name=5)]) == 2
+    assert capsys.readouterr().err.startswith("invalid config: name must be a string")
     assert not (tmp_path / "runs").exists()
 
 
@@ -474,21 +485,48 @@ def test_chaotic_adversary_is_causal():
             assert not np.array_equal(base[cut:], after[cut:])
 
 
+def test_chaotic_values_are_the_draws_of_the_running_crc():
+    """Each value is the draw seeded by the CRC of its prefix, on the first
+    call and on a later one that finds every prefix already drawn."""
+    for factory in oracle.BUILTIN_MDPS.values():
+        mdp = factory()
+        policy = CategoricalPolicy(np.random.default_rng(0), mdp.state_dim, mdp.n_actions,
+                                   hidden=(8,))
+        ctx = oracle.OracleContext(mdp, policy)
+        for label, fn in cli.make_verify_predictors(mdp, 10):
+            if not label.startswith("chaotic-"):
+                continue
+            base = int(label.split("-")[1])
+            for _ in range(2):
+                for traj, dec in zip(ctx.trajectories, fn(ctx.trajectories), strict=True):
+                    digest = zlib.crc32(bytes([base % 256]))
+                    for t in range(traj.length):
+                        digest = zlib.crc32(
+                            traj.states[t].tobytes() + traj.actions[t].tobytes(), digest)
+                        want = np.random.default_rng(digest).normal(0.0, 25.0)
+                        assert dec.per_interval[t] == want
+
+
+def test_repeated_verification_sweeps_report_the_same():
+    mdps = [factory() for factory in oracle.BUILTIN_MDPS.values()]
+    assert cli.run_verification(mdps, seed=2) == cli.run_verification(mdps, seed=2)
+
+
 # ---------------------------------------------------------------------------
 # export-attention command
 
 
-def make_attention_checkpoint(tmp_path, t_len=5, n_actions=2, state_dim=4, **hyperparams):
+def make_attention_checkpoint(tmp_path, t_len=5, n_actions=2, state_dim=4, normalizer=None,
+                              **hyperparams):
     model = decomposer.make_predictor(
         "attention", state_dim + n_actions, np.random.default_rng(0)
     )
     ckpt = tmp_path / "model.json"
-    checkpoint.save(
-        str(ckpt),
-        model.params,
-        meta={"architecture": "attention",
-              "hyperparams": {"input_dim": model.input_dim, **hyperparams}},
-    )
+    meta = {"architecture": "attention",
+            "hyperparams": {"input_dim": model.input_dim, **hyperparams}}
+    if normalizer is not None:
+        meta["normalizer"] = normalizer.state()
+    checkpoint.save(str(ckpt), model.params, meta=meta)
     rng = np.random.default_rng(1)
     traj = Trajectory(
         states=rng.normal(size=(t_len, state_dim)),
@@ -518,6 +556,21 @@ def test_export_attention_outputs(tmp_path):
         assert attn.shape == (5, 5)
         np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-6)
         assert np.array_equal(np.triu(attn, 1), np.zeros((5, 5)))
+
+
+def test_export_attention_r_hat_is_the_destandardized_prediction(tmp_path):
+    norm = decomposer.ReturnNormalizer()
+    norm.update([4.0, -1.5, 9.25, 0.5])
+    ckpt, traj_path = make_attention_checkpoint(tmp_path, t_len=7, normalizer=norm)
+    out = tmp_path / "attn.csv"
+    assert cli.main(
+        ["export-attention", "--ckpt", str(ckpt), "--traj", str(traj_path), "--out", str(out)]
+    ) == 0
+    r_hat = np.array([float(r["r_hat"]) for r in csv.DictReader(out.open())])
+    model = decomposer.predictor_from_checkpoint(*checkpoint.load(str(ckpt)))
+    trajectories = read_jsonl(str(traj_path))
+    assert np.array_equal(r_hat, decomposer.predict(model, trajectories, norm)[0].per_interval)
+    assert not np.array_equal(r_hat, decomposer.predict(model, trajectories)[0].per_interval)
 
 
 def test_export_attention_single_step(tmp_path):

@@ -544,3 +544,43 @@ def test_predict_is_bitwise_the_tape_forward(arch, kind, scale):
         if arch == "attention":
             out = model.forward(x, lengths)
             assert np.array_equal(out["z"], z.data) and np.array_equal(out["attn"], attn)
+
+
+def _per_trajectory_predict(model, batch, normalizer):
+    """The per-trajectory path that `predict` replaced: the rows from
+    `Trajectory.input_matrix`, one forward pass over their concatenation,
+    then `destandardize` and `RewardDecomposition.from_values` for each
+    trajectory on its own."""
+    n_actions = model.input_dim - batch[0].states.shape[1] if batch[0].discrete else None
+    x = np.concatenate([traj.input_matrix(n_actions) for traj in batch])
+    rewards = model.forward(x, [traj.length for traj in batch])["rhat"].reshape(-1)
+    out, start = [], 0
+    for traj in batch:
+        values = rewards[start : start + traj.length]
+        start += traj.length
+        if normalizer is not None:
+            values = decomposer.destandardize(values, [traj.length], normalizer)
+        out.append(RewardDecomposition.from_values(values, traj.episodic_return))
+    return out
+
+
+@pytest.mark.parametrize("discrete", [False, True], ids=["continuous", "discrete"])
+@pytest.mark.parametrize("normalized", [False, True], ids=["raw", "normalized"])
+@pytest.mark.parametrize("arch,kind", BITWISE_SPECS, ids=spec_ids(BITWISE_SPECS))
+def test_batched_predict_is_bitwise_the_per_trajectory_path(arch, kind, normalized, discrete):
+    for seed, lengths in enumerate(BITWISE_LENGTHS):
+        model, batch, norm = _bitwise_case(arch, kind, lengths, seed, 1.0)
+        if discrete:
+            # 3 actions one-hot; the first trajectory never takes the last one
+            rng = np.random.default_rng(100 + seed)
+            batch = [Trajectory(traj.states, rng.integers(0, 2 if b == 0 else 3, traj.length),
+                                traj.episodic_return) for b, traj in enumerate(batch)]
+        norm = norm if normalized else None
+        want = _per_trajectory_predict(model, batch, norm)
+        for traj, dec, ref in zip(batch, predict(model, batch, norm), want, strict=True):
+            assert np.array_equal(dec.per_interval, ref.per_interval), (seed, lengths)
+            assert dec.composite == float(np.cumsum(dec.per_interval)[-1]) == ref.composite
+            assert dec.residual == traj.episodic_return - dec.composite == ref.residual
+            assert type(dec.composite) is float and type(dec.residual) is float
+            with pytest.raises(ValueError, match="read-only"):
+                dec.per_interval[-1] = 0.0

@@ -186,6 +186,19 @@ def test_decomposition_of_wrong_length_is_rejected():
         oracle.verify_identities(ctx, one_value)
 
 
+@pytest.mark.parametrize("drop", [1, -1])
+def test_wrong_number_of_decompositions_is_rejected(drop):
+    mdp = oracle.windy2_mdp()
+    ctx = oracle.OracleContext(mdp, uniform_policy(mdp))
+
+    def miscounted(batch):
+        out = zero_predictor(batch)
+        return out[:-1] if drop > 0 else out + out[:1]
+
+    with pytest.raises(ValueError, match="decompositions for"):
+        oracle.verify_identities(ctx, miscounted)
+
+
 def test_true_stepwise_rewards_reduce_to_classic_policy_gradient():
     mdp = oracle.windy2_mdp()
     policy = CategoricalPolicy(np.random.default_rng(7), 2, 2, hidden=(8,))

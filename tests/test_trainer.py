@@ -294,7 +294,7 @@ def test_regression_and_predict_build_no_tape(monkeypatch):
     predict(ff, batch)
     assert np.isfinite(loss) and not np.array_equal(nn.flatten_params(trainer.model.params), before)
     recurrent = make_predictor("recurrent", trainer.model.input_dim, np.random.default_rng(2))
-    x = np.concatenate(input_rows(recurrent, batch))
+    x = input_rows(recurrent, batch)
     lengths = [t.length for t in batch]
     regression_step(recurrent, x, lengths, regression_targets(batch), nn.AdamOptimizer(1e-3))
     predict(recurrent, batch)
