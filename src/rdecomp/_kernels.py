@@ -82,18 +82,21 @@ def layer_norm_rows_vjp(xhat, inv_std, gain, g):
 
 
 def gae(rewards, values, gamma, lam):
-    """Generalized advantage estimation over one episode.
+    """Generalized advantage estimation, scanned backward over the last axis.
 
-    rewards has length T, values length T+1 (the trailing entry is the
-    bootstrap value after the final step; pass 0 for terminal episodes).
+    rewards is (T,) for one episode or (B, T) for B of them, values (T+1,)
+    or (B, T+1): the trailing entry is the bootstrap value after the final
+    step (pass 0 for terminal episodes). Terminal episodes shorter than T
+    share a block zero-padded after their last step, in rewards and values
+    alike: the padding's deltas are 0, so it adds exactly 0 to the scan, and
+    each row gets the float ops of its own one-row scan.
     """
-    t_len = rewards.shape[0]
-    adv = np.empty(t_len, dtype=np.float64)
+    adv = np.empty(rewards.shape, dtype=np.float64)
     acc = 0.0
-    for t in range(t_len - 1, -1, -1):
-        delta = rewards[t] + gamma * values[t + 1] - values[t]
+    for t in range(rewards.shape[-1] - 1, -1, -1):
+        delta = rewards[..., t] + gamma * values[..., t + 1] - values[..., t]
         acc = delta + gamma * lam * acc
-        adv[t] = acc
+        adv[..., t] = acc
     return adv
 
 

@@ -528,7 +528,7 @@ def loss_grad(model, x, lengths, targets):
     loss, g = regression_loss(a["rhat"], lengths, targets)
     if g is None:
         return loss, None
-    return loss, nn.flatten_arrays(model.params, model.backward(a, g))
+    return loss, nn.layout(model.params).flatten(model.backward(a, g))
 
 
 def regression_step(model, x, lengths, targets, optimizer):

@@ -2,8 +2,9 @@
 policy/value networks: fan-in-scaled initialization of read-only float64
 parameter arrays; `TanhMlp`, the tanh MLP with linear heads that the
 policies, the value net and the per-step reward predictor all are, with its
-numpy forward and closed-form backward; and Adam, which updates a model as
-one flat float64 vector in sorted-name order (`flatten_params`)."""
+numpy forward and closed-form backward; the `Layout` of a parameter set in
+one flat float64 vector, in sorted-name order; and Adam, which updates that
+vector and writes its moments in place."""
 
 from __future__ import annotations
 
@@ -66,20 +67,21 @@ class TanhMlp:
     def backward(self, a, g_by_head, reduce=None):
         """The gradient per parameter name, given `forward`'s activations and
         the gradient at the output of each head in g_by_head. `reduce` maps a
-        layer's input and the gradient at its pre-activation to the gradients
-        of its weight and bias; by default the sums over rows."""
+        layer's input, the gradient at its pre-activation and the layer's name
+        to the gradients of its weight and bias; by default the sums over
+        rows."""
         if reduce is None:
-            def reduce(h, d):
+            def reduce(h, d, name):
                 return _kernels.matmul(h.T, d), d.sum(axis=0)
         hs, grads, g_h = a["hs"], {}, None
         for name, g in g_by_head.items():
-            grads[f"{name}_w"], grads[f"{name}_b"] = reduce(hs[-1], g)
+            grads[f"{name}_w"], grads[f"{name}_b"] = reduce(hs[-1], g, name)
             g_in = _kernels.matmul(g, self.params[f"{name}_w"].T)
             g_h = g_in if g_h is None else g_h + g_in
         d = _kernels.tanh_vjp(hs[-1], g_h)
         for i in range(len(self.layers) - 1, -1, -1):
             name = self.layers[i]
-            grads[f"{name}_w"], grads[f"{name}_b"] = reduce(hs[i], d)
+            grads[f"{name}_w"], grads[f"{name}_b"] = reduce(hs[i], d, name)
             if i:
                 d = _kernels.tanh_vjp(hs[i], _kernels.matmul(d, self.params[f"{name}_w"].T))
         return grads
@@ -109,33 +111,58 @@ def sinusoidal_positions(t_len, dim):
     return read_only(np.where(i % 2 == 0, np.sin(angles), np.cos(angles)))
 
 
-def flatten_arrays(params, arrays):
-    """Arrays keyed like params, concatenated (sorted by name) into one flat
-    vector: the order of the flat parameter and gradient vectors."""
-    return np.concatenate([arrays[k].reshape(-1) for k in sorted(params)])
+class Layout:
+    """Where each parameter of a set lives in its flat vector: `entries` is
+    (name, slice, shape) in sorted-name order, `size` the vector's length.
+    `layout` builds one per set of names and shapes."""
+
+    def __init__(self, shapes):
+        self.entries = []
+        i = 0
+        for name, shape in shapes:
+            n = int(np.prod(shape, dtype=np.intp))
+            self.entries.append((name, slice(i, i + n), shape))
+            i += n
+        self.entries = tuple(self.entries)
+        self.size = i
+
+    def flatten(self, arrays):
+        """The arrays keyed by parameter name in one flat float64 vector."""
+        out = np.empty(self.size)
+        for name, where, _ in self.entries:
+            out[where] = arrays[name].reshape(-1)
+        return out
+
+    def blocks(self, rows):
+        """An empty (rows, size) matrix, and per parameter name the writable
+        view of its columns as a (rows, *shape) block."""
+        out = np.empty((rows, self.size))
+        return out, {name: out[:, where].reshape((rows,) + shape)
+                     for name, where, shape in self.entries}
+
+    def views(self, flat):
+        """Parameters as read-only views into `flat`, which becomes read-only."""
+        if flat.shape != (self.size,):
+            raise ValueError(f"flat vector of shape {flat.shape}, parameters need {self.size}")
+        flat.flags.writeable = False
+        return {name: flat[where].reshape(shape) for name, where, shape in self.entries}
 
 
-def flatten_params(params):
-    return flatten_arrays(params, params)
+@functools.lru_cache(maxsize=None)
+def _layout(shapes):
+    return Layout(shapes)
 
 
-def assign_flat(params, flat):
-    """Inverse of flatten_params: read-only views into `flat`."""
-    flat.flags.writeable = False
-    out = {}
-    i = 0
-    for k in sorted(params):
-        n = params[k].size
-        out[k] = flat[i : i + n].reshape(params[k].shape)
-        i += n
-    if i != flat.size:
-        raise ValueError(f"flat vector length {flat.size}, parameters need {i}")
-    return out
+def layout(params):
+    """The `Layout` of a parameter set, built once per names and shapes: the
+    order of the flat parameter and gradient vectors."""
+    return _layout(tuple(sorted((k, p.shape) for k, p in params.items())))
 
 
 class AdamOptimizer:
-    """Adam over the flat parameter vector. A step rebinds t, m and v and
-    never writes an array in place, so (t, m, v) can be saved by reference."""
+    """Adam over the flat parameter vector. A step writes the moments m and v
+    in place; the parameters it returns are read-only views into a fresh
+    vector, so a dict it returned earlier never changes."""
 
     def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -144,15 +171,45 @@ class AdamOptimizer:
         self.eps = eps
         self.t = 0
         self.m = self.v = np.zeros(0)
+        # the dict the last step returned, its values, layout and flat vector
+        self._returned = self._values = self._layout = self._flat = None
+        self._scratch = (np.zeros(0), np.zeros(0))
+
+    def _start(self, params):
+        """The layout and flat vector of params: the last step's vector if
+        params is the dict it returned, unchanged, else a fresh flatten."""
+        if params is self._returned and len(params) == len(self._values) and all(
+            a is b for a, b in zip(params.values(), self._values)
+        ):
+            return self._layout, self._flat
+        lay = layout(params)
+        return lay, lay.flatten(params)
 
     def step(self, params, g):
-        """New parameters from the flat gradient g, in `flatten_params` order."""
+        """New parameters from the flat gradient g, in the parameters' `layout`.
+        ValueError, before any state changes, if g is not a vector of the
+        parameters' size."""
+        lay, flat = self._start(params)
+        if g.shape != (lay.size,):
+            raise ValueError(f"gradient of shape {g.shape} (size {g.size}) for {lay.size}"
+                             " parameters")
         if self.t == 0:
-            self.m = self.v = np.zeros(g.size)
-        self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * g
-        self.v = self.beta2 * self.v + (1 - self.beta2) * g * g
-        mhat = self.m / (1 - self.beta1**self.t)
-        vhat = self.v / (1 - self.beta2**self.t)
-        update = self.lr * mhat / (np.sqrt(vhat) + self.eps)
-        return assign_flat(params, flatten_params(params) - update)
+            self.m, self.v = np.zeros(lay.size), np.zeros(lay.size)
+        if self._scratch[0].size != lay.size:
+            self._scratch = (np.empty(lay.size), np.empty(lay.size))
+        s, r = self._scratch
+        m, v, b1, b2, t = self.m, self.v, self.beta1, self.beta2, self.t + 1
+        # The float ops of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
+        # lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps), in that order.
+        np.multiply(m, b1, out=m)
+        np.add(m, np.multiply(g, 1 - b1, out=s), out=m)
+        np.multiply(np.multiply(g, 1 - b2, out=s), g, out=s)
+        np.multiply(v, b2, out=v)
+        np.add(v, s, out=v)
+        np.multiply(np.divide(m, 1 - b1**t, out=s), self.lr, out=s)
+        np.add(np.sqrt(np.divide(v, 1 - b2**t, out=r), out=r), self.eps, out=r)
+        new = np.subtract(flat, np.divide(s, r, out=s))
+        out = lay.views(new)
+        self.t, self._layout, self._flat, self._returned = t, lay, new, out
+        self._values = tuple(out.values())
+        return out

@@ -54,21 +54,25 @@ def _log_prob_np(policy, states, actions):
 
 def _segment_scores(policy, states, actions, coeffs, lengths):
     """(B, P): row b sums coeffs[t] grad log pi(a_t|s_t) over segment b of the
-    stacked steps, flattened over parameters in `flatten_params` order."""
+    stacked steps. Each parameter's sums are written straight into its
+    columns of the policy's `nn.layout`."""
+    out, blocks = nn.layout(policy.params).blocks(lengths.size)
     a = policy.forward(states)
     head_grads = policy.log_prob_head(a["head"], actions)[2]
     g_head, sums = head_grads(
         coeffs.reshape(-1, 1), None, lambda rows: pad_segments(rows, lengths).sum(axis=1)
     )
+    for name, block in sums.items():
+        blocks[name][...] = block
 
-    def segment_sums(h, d):
+    def segment_sums(h, d, name):
         block = pad_segments(d, lengths)
-        return np.matmul(pad_segments(h, lengths).transpose(0, 2, 1), block), block.sum(axis=1)
+        return (np.matmul(pad_segments(h, lengths).transpose(0, 2, 1), block,
+                          out=blocks[f"{name}_w"]),
+                block.sum(axis=1, out=blocks[f"{name}_b"]))
 
-    sums.update(policy.backward(a, {"head": g_head}, segment_sums))
-    return np.concatenate(
-        [sums[k].reshape(lengths.size, -1) for k in sorted(policy.params)], axis=1
-    )
+    policy.backward(a, {"head": g_head}, segment_sums)
+    return out
 
 
 def _weighted_score_gradient(policy, trajs, coeffs):
@@ -124,7 +128,7 @@ def _ppo_loss_grad(policy, states, actions, old_logp, adv, clip, entropy_coef):
     g_ratio = g * take * adv + g * (1.0 - take) * adv * inside
     g_head, grads = head_grads(g_ratio * ratio, g_entropy, lambda rows: rows.sum(axis=0))
     grads.update(policy.backward(a, {"head": g_head}))
-    return float(loss), nn.flatten_arrays(policy.params, grads)
+    return float(loss), nn.layout(policy.params).flatten(grads)
 
 
 class CategoricalPolicy(nn.TanhMlp):
@@ -259,7 +263,7 @@ class ValueNetwork(nn.TanhMlp):
         if not np.isfinite(loss):
             return float(loss), None
         g = {name: 2.0 * np.full(err.shape, 1.0 / err.size) * err for name, err in errs.items()}
-        return float(loss), nn.flatten_arrays(self.params, self.backward(a, g))
+        return float(loss), nn.layout(self.params).flatten(self.backward(a, g))
 
 
 def make_policy(rng, env, hidden=(64, 64)):

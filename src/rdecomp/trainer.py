@@ -147,24 +147,33 @@ def compute_advantages(batch, decomps, value_net, gamma, lam):
 
     Returns (advantages, targets_r, targets_0), each a list of per-episode
     arrays aligned with `batch`. Episodes are terminal by construction, so
-    the bootstrap value after the last step is zero.
+    the bootstrap value after the last step is zero, and each stream is one
+    GAE scan over the batch's zero-padded (B, T) block. The value net runs
+    once per episode: its rows then meet the same matrix products as an
+    episode alone, which keeps the values' bits.
     """
-    advantages, targets_r, targets_0 = [], [], []
+    lengths = np.array([traj.length for traj in batch])
     for traj, dec in zip(batch, decomps):
         if len(dec.per_interval) != traj.length:
             raise ValueError(
                 f"decomposition length {len(dec.per_interval)} != T {traj.length}"
             )
-        r1 = np.asarray(dec.per_interval, dtype=np.float64)
-        r2 = np.zeros(traj.length)
-        r2[-1] = dec.residual
-        vr, v0 = value_net.values_np(traj.states)
-        adv1 = _kernels.gae(r1, np.append(vr, 0.0), gamma, lam)
-        adv2 = _kernels.gae(r2, np.append(v0, 0.0), gamma, lam)
-        advantages.append(adv1 + adv2)
-        targets_r.append(adv1 + vr)
-        targets_0.append(adv2 + v0)
-    return advantages, targets_r, targets_0
+    b, t_len = lengths.size, int(lengths.max())
+    at = (np.repeat(np.arange(b), lengths), _kernels.segment_positions(lengths))
+    # each stream's rewards and values, zero-padded to (B, T + 1); the
+    # rewards' last column only pads
+    r1, vr, r2, v0 = np.zeros((4, b, t_len + 1))
+    r1[at] = np.concatenate([np.asarray(d.per_interval, dtype=np.float64) for d in decomps])
+    r2[np.arange(b), lengths - 1] = [d.residual for d in decomps]
+    values = [value_net.values_np(traj.states) for traj in batch]
+    vr[at] = np.concatenate([v[0] for v in values])
+    v0[at] = np.concatenate([v[1] for v in values])
+    adv1 = _kernels.gae(r1[:, :t_len], vr, gamma, lam)
+    adv2 = _kernels.gae(r2[:, :t_len], v0, gamma, lam)
+    return tuple(
+        [row[:n] for row, n in zip(block, lengths.tolist())]
+        for block in (adv1 + adv2, adv1 + vr[:, :t_len], adv2 + v0[:, :t_len])
+    )
 
 
 def ppo_update(policy, value_net, batch, advantages, targets_r, targets_0, config,
@@ -187,8 +196,9 @@ def ppo_update(policy, value_net, batch, advantages, targets_r, targets_0, confi
 
     saved_policy = dict(policy.params)
     saved_value = dict(value_net.params)
-    # Optimizers rebind t, m and v on every step, so references suffice.
-    saved_opts = [(opt, opt.t, opt.m, opt.v) for opt in (policy_opt, value_opt)]
+    # A step returns fresh parameter arrays, so references to them suffice;
+    # it writes the Adam moments in place, so those are copied.
+    saved_opts = [(opt, opt.t, opt.m.copy(), opt.v.copy()) for opt in (policy_opt, value_opt)]
     n = len(adv)
     metrics = {"policy_loss": 0.0, "value_loss": 0.0, "updates": 0, "aborted": False}
     for _ in range(config.epochs):
@@ -458,7 +468,8 @@ class Trainer:
         self.buffer.rng.bit_generator.state = state["buffer_rng"]
         self.buffer.restore_snapshot(buffer_trajs, state["buffer_meta"])
         for opt, (t, m, v) in adams.items():
-            opt.t, opt.m, opt.v = t, m, v
+            # loaded arrays are read-only, and a step writes the moments in place
+            opt.t, opt.m, opt.v = t, m.copy(), v.copy()
 
 
 class MetricsWriter:

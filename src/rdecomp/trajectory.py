@@ -48,21 +48,6 @@ class Trajectory:
     def discrete(self):
         return self.actions.dtype.kind in "iu"
 
-    def input_matrix(self, n_actions=None):
-        """(T, d_s + d_a) float matrix of concatenated state/action pairs.
-
-        Discrete actions are one-hot encoded, which needs `n_actions`: the
-        largest action taken is no guide, since an episode may never take
-        the last one.
-        """
-        if self.discrete:
-            if n_actions is None:
-                raise ValueError("one-hot encoding discrete actions needs n_actions")
-            onehot = np.zeros((self.length, n_actions))
-            onehot[np.arange(self.length), self.actions] = 1.0
-            return np.concatenate([self.states, onehot], axis=1)
-        return np.concatenate([self.states, self.actions], axis=1)
-
 
 def to_record(traj):
     return {

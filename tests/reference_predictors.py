@@ -19,6 +19,19 @@ from rdecomp import _kernels, decomposer, nn
 from rdecomp import autodiff as ad
 
 
+def input_matrix(traj, n_actions=None):
+    """(T, d_s + d_a) float matrix of one trajectory's state/action pairs,
+    discrete actions one-hot encoded over n_actions: the per-trajectory
+    encoding that `decomposer.input_rows` makes for a whole batch."""
+    if traj.discrete:
+        if n_actions is None:
+            raise ValueError("one-hot encoding discrete actions needs n_actions")
+        onehot = np.zeros((traj.length, n_actions))
+        onehot[np.arange(traj.length), traj.actions] = 1.0
+        return np.concatenate([traj.states, onehot], axis=1)
+    return np.concatenate([traj.states, traj.actions], axis=1)
+
+
 def _ff(model, p, x):
     h = x
     for name in model.layers:
@@ -97,7 +110,7 @@ def regression_loss(model, batch, normalizer=None):
     p = tape.leaves(model.params)
     per_traj = []
     for traj in batch:
-        x = tape.constant(traj.input_matrix())
+        x = tape.constant(input_matrix(traj))
         rhat = reward_sequence(model, x, p)
         target = traj.episodic_return
         if normalizer is not None:

@@ -11,5 +11,6 @@ class SgdOptimizer:
         self.lr = lr
 
     def step(self, params, g):
-        """New parameters from the flat gradient g, in `flatten_params` order."""
-        return nn.assign_flat(params, nn.flatten_params(params) - self.lr * g)
+        """New parameters from the flat gradient g, in `nn.layout` order."""
+        layout = nn.layout(params)
+        return layout.views(layout.flatten(params) - self.lr * g)

@@ -24,9 +24,10 @@ def leaves(params):
 
 
 def flatten_grads(leaves, grads):
-    """The gradients of `autodiff.backward` at the leaves, in
-    `nn.flatten_params` order."""
-    return nn.flatten_arrays(leaves, {k: grads.of(t) for k, t in leaves.items()})
+    """The gradients of `autodiff.backward` at the leaves in one flat
+    vector, in `nn.layout` order."""
+    by_name = {k: grads.of(t) for k, t in leaves.items()}
+    return nn.layout(by_name).flatten(by_name)
 
 
 def constant(data):

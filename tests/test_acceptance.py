@@ -141,7 +141,7 @@ def _probe_coordinates(params, rng, per_tensor=3):
 def _fd_check(params, loss_grad, rng, h=1e-5):
     """Compare a flat gradient against central differences on probed
     coordinates; loss_grad(params) returns the loss and that gradient."""
-    grads = nn.assign_flat(params, loss_grad(params)[1])
+    grads = nn.layout(params).views(loss_grad(params)[1])
     worst = 0.0
     for name, flat_idx in _probe_coordinates(params, rng):
         base = params[name]

@@ -445,4 +445,4 @@ def test_optimizer_steps_return_read_only_views_of_one_vector():
         assert not base.flags.writeable
         assert not any(p.flags.writeable for p in new.values())
         assert all(type(p) is np.ndarray and p.dtype == np.float64 for p in new.values())
-        assert np.array_equal(nn.flatten_params(new), base)
+        assert np.array_equal(nn.layout(new).flatten(new), base)

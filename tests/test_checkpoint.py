@@ -72,7 +72,7 @@ def test_parameters_are_read_only_float64_arrays(tmp_path):
     policy = GaussianPolicy(rng, 3, 2, hidden=(8,))
     for params in [m.params for m in models] + [policy.params]:
         assert _read_only_f64(params)
-        grad = np.ones(nn.flatten_params(params).size)
+        grad = np.ones(nn.layout(params).size)
         assert _read_only_f64(nn.AdamOptimizer(1e-3).step(params, grad))
         assert _read_only_f64(SgdOptimizer(1e-3).step(params, grad))
     path = str(tmp_path / "model.json")

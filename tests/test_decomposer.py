@@ -242,7 +242,7 @@ def test_composite_is_ascending_sum_of_outputs():
     model = AttentionPredictor(5, rng)
     traj = toy_trajectory(np.random.default_rng(18), t_len=3)
     dec = predict(model, [traj])[0]
-    vals = model.forward(traj.input_matrix(), [3])["rhat"].reshape(-1)
+    vals = model.forward(reference.input_matrix(traj), [3])["rhat"].reshape(-1)
     assert dec.composite == (float(vals[0]) + float(vals[1])) + float(vals[2])
     assert dec.residual == traj.episodic_return - dec.composite
 
@@ -444,12 +444,12 @@ def test_batched_loss_and_gradients_match_reference(arch, kind, lengths):
     loss, grad = loss_grad(model, *reference.stacked(model, batch, norm))
     want, leaves = reference.regression_loss(model, batch, norm)
     assert _close(np.array(loss), want.data)
-    grads, want_grads = nn.assign_flat(model.params, grad), ad.backward(want)
+    grads, want_grads = nn.layout(model.params).views(grad), ad.backward(want)
     for name, leaf in leaves.items():
         assert _close(grads[name], want_grads.of(leaf)), name
 
     for traj, dec in zip(batch, predict(model, batch), strict=True):
-        ref = reference.reward_sequence(model, tape.constant(traj.input_matrix()))
+        ref = reference.reward_sequence(model, tape.constant(reference.input_matrix(traj)))
         assert _close(dec.per_interval, ref.data.reshape(-1))
 
 
@@ -457,11 +457,11 @@ def test_batched_attention_weights_match_reference():
     rng = np.random.default_rng(41)
     model = AttentionPredictor(5, rng)
     trajs = [toy_trajectory(rng, t_len=t) for t in (3, 1, 5)]
-    x = np.concatenate([t.input_matrix() for t in trajs])
+    x = np.concatenate([reference.input_matrix(t) for t in trajs])
     attn = model.forward(x, [3, 1, 5])["attn"]
     assert attn.shape == (3, model.n_heads, 5, 5)
     for b, traj in enumerate(trajs):
-        _, heads = reference.attention_encode(model, tape.constant(traj.input_matrix()))
+        _, heads = reference.attention_encode(model, tape.constant(reference.input_matrix(traj)))
         t_len = traj.length
         for h, head in enumerate(heads):
             assert _close(attn[b, h, :t_len, :t_len], head.data)
@@ -477,7 +477,7 @@ def test_n_actions_inferred_from_model_width(arch, kind):
     rng = np.random.default_rng(43)
     traj = Trajectory(states=rng.normal(size=(5, 3)), actions=[0, 2, 1, 0, 2],
                       episodic_return=1.0)
-    want = model.forward(traj.input_matrix(4), [5])["rhat"].reshape(-1)
+    want = model.forward(reference.input_matrix(traj, 4), [5])["rhat"].reshape(-1)
     np.testing.assert_array_equal(predict(model, [traj])[0].per_interval, want)
     loss = loss_grad(model, *reference.stacked(model, [traj]))[0]
     assert loss == pytest.approx((want.sum() - 1.0) ** 2, rel=1e-12)
@@ -526,10 +526,11 @@ def test_regression_step_applies_the_tape_gradient(arch, kind):
     model, batch, norm = _bitwise_case(arch, kind, BITWISE_LENGTHS[0], 7, 1.0)
     x, lengths, targets = reference.stacked(model, batch, norm)
     want_loss, want_grad = reference.loss_grad(model, x, lengths, targets)
-    want = nn.flatten_params(model.params) - 1e-2 * want_grad
+    layout = nn.layout(model.params)
+    want = layout.flatten(model.params) - 1e-2 * want_grad
     loss = regression_step(model, x, lengths, targets, SgdOptimizer(1e-2))
     assert loss == want_loss
-    assert np.array_equal(nn.flatten_params(model.params), want)
+    assert np.array_equal(layout.flatten(model.params), want)
 
 
 @pytest.mark.parametrize("scale", [1.0, 50.0])
@@ -548,11 +549,11 @@ def test_predict_is_bitwise_the_tape_forward(arch, kind, scale):
 
 def _per_trajectory_predict(model, batch, normalizer):
     """The per-trajectory path that `predict` replaced: the rows from
-    `Trajectory.input_matrix`, one forward pass over their concatenation,
+    `reference.input_matrix`, one forward pass over their concatenation,
     then `destandardize` and `RewardDecomposition.from_values` for each
     trajectory on its own."""
     n_actions = model.input_dim - batch[0].states.shape[1] if batch[0].discrete else None
-    x = np.concatenate([traj.input_matrix(n_actions) for traj in batch])
+    x = np.concatenate([reference.input_matrix(traj, n_actions) for traj in batch])
     rewards = model.forward(x, [traj.length for traj in batch])["rhat"].reshape(-1)
     out, start = [], 0
     for traj in batch:

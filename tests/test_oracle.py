@@ -141,10 +141,11 @@ def test_exact_gradient_matches_finite_differences_of_exact_j():
     policy = CategoricalPolicy(np.random.default_rng(5), mdp.state_dim, mdp.n_actions, hidden=(6,))
     grad = oracle.exact_grad_j(mdp, policy)
 
-    base = nn.flatten_params(policy.params)
+    layout = nn.layout(policy.params)
+    base = layout.flatten(policy.params)
 
     def j_of(flat):
-        policy.params = nn.assign_flat(policy.params, flat)
+        policy.params = layout.views(flat)
         return oracle.exact_j(mdp, policy)
 
     fd = np.zeros_like(base)
@@ -154,7 +155,7 @@ def test_exact_gradient_matches_finite_differences_of_exact_j():
         up[i] += h
         down[i] -= h
         fd[i] = (j_of(up) - j_of(down)) / (2 * h)
-    policy.params = nn.assign_flat(policy.params, base)
+    policy.params = layout.views(base)
     rel = np.abs(grad - fd).max() / (np.abs(fd).max() + 1e-12)
     assert rel < 1e-6
 

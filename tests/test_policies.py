@@ -3,6 +3,7 @@ import pytest
 
 import reference_scores
 from fdcheck import numeric_gradient, relative_error
+from rdecomp._kernels import pad_segments
 from rdecomp.policies import CategoricalPolicy, GaussianPolicy, ValueNetwork
 from rdecomp.trajectory import Trajectory
 
@@ -42,6 +43,31 @@ def test_closed_form_score_matrix_matches_tape(kind):
     for traj in trajs:
         want = reference_scores.score_matrix(policy, traj)
         np.testing.assert_allclose(policy.score_matrix(traj), want, rtol=0, atol=1e-12)
+
+
+def concatenated_scores(policy, trajs, coeffs):
+    """The float ops of `weighted_score_gradient` into fresh per-parameter
+    arrays, concatenated in sorted-name order afterwards."""
+    lengths = np.array([t.length for t in trajs])
+    a = policy.forward(np.concatenate([t.states for t in trajs]))
+    head_grads = policy.log_prob_head(a["head"], np.concatenate([t.actions for t in trajs]))[2]
+    g_head, sums = head_grads(np.concatenate(coeffs).reshape(-1, 1), None,
+                              lambda rows: pad_segments(rows, lengths).sum(axis=1))
+
+    def segment_sums(h, d, name):
+        block = pad_segments(d, lengths)
+        return np.matmul(pad_segments(h, lengths).transpose(0, 2, 1), block), block.sum(axis=1)
+
+    sums.update(policy.backward(a, {"head": g_head}, segment_sums))
+    return np.concatenate([sums[k].reshape(lengths.size, -1) for k in sorted(policy.params)],
+                          axis=1)
+
+
+@pytest.mark.parametrize("kind", ["categorical", "gaussian"])
+def test_score_rows_written_in_place_are_bitwise_the_concatenation(kind):
+    policy, trajs, coeffs = make(kind, 4, hidden=(16, 8))
+    assert np.array_equal(policy.weighted_score_gradient(trajs, coeffs),
+                          concatenated_scores(policy, trajs, coeffs))
 
 
 def test_weighted_scores_need_one_coefficient_per_step():

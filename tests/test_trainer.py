@@ -6,7 +6,7 @@ import pytest
 from test_buffers import assert_same_trajectories
 
 from rdecomp import autodiff as ad
-from rdecomp import checkpoint, cli, envs, estimators, nn, oracle
+from rdecomp import _kernels, checkpoint, cli, envs, estimators, nn, oracle
 from rdecomp.decomposer import (
     RewardDecomposition,
     input_rows,
@@ -202,6 +202,45 @@ def test_gae_matches_direct_recursion_with_real_values():
     np.testing.assert_allclose(advantages[0], want, rtol=1e-12)
 
 
+RAGGED = [1, 7, 3, 12, 1, 5]
+
+
+def test_batched_gae_is_bitwise_the_per_row_scans():
+    """Rows of a zero-padded (B, T) block, ragged and of length 1, get the
+    bits of their own one-row scans; the padding stays 0."""
+    rng = np.random.default_rng(7)
+    t_len = max(RAGGED)
+    rewards, values = np.zeros((len(RAGGED), t_len)), np.zeros((len(RAGGED), t_len + 1))
+    rows = []
+    for b, n in enumerate(RAGGED):
+        r, v = rng.normal(size=n), rng.normal(size=n)
+        rewards[b, :n], values[b, :n] = r, v
+        rows.append(_kernels.gae(r, np.append(v, 0.0), 0.99, 0.95))
+    adv = _kernels.gae(rewards, values, 0.99, 0.95)
+    for b, (n, row) in enumerate(zip(RAGGED, rows)):
+        assert np.array_equal(adv[b, :n], row) and not adv[b, n:].any()
+
+
+def test_advantages_are_bitwise_the_per_episode_scans():
+    rng = np.random.default_rng(8)
+    batch, decomps = [], []
+    for n in RAGGED:
+        traj = Trajectory(states=rng.normal(size=(n, 4)), actions=rng.integers(0, 2, size=n),
+                          episodic_return=float(rng.normal()))
+        batch.append(traj)
+        decomps.append(RewardDecomposition.from_values(rng.normal(size=n), traj.episodic_return))
+    value_net = ValueNetwork(np.random.default_rng(9), 4, hidden=(8,))
+    got = compute_advantages(batch, decomps, value_net, 0.99, 0.95)
+    for b, (traj, dec) in enumerate(zip(batch, decomps)):
+        r2 = np.zeros(traj.length)
+        r2[-1] = dec.residual
+        vr, v0 = value_net.values_np(traj.states)
+        adv1 = _kernels.gae(np.asarray(dec.per_interval), np.append(vr, 0.0), 0.99, 0.95)
+        adv2 = _kernels.gae(r2, np.append(v0, 0.0), 0.99, 0.95)
+        for out, want in zip(got, (adv1 + adv2, adv1 + vr, adv2 + v0)):
+            assert np.array_equal(out[b], want)
+
+
 def test_length_mismatch_rejected():
     batch, decomps = random_batch(4)
     decomps[0] = RewardDecomposition.from_values(np.zeros(2), 0.0)
@@ -288,11 +327,12 @@ def test_regression_and_predict_build_no_tape(monkeypatch):
 
     monkeypatch.setattr(ad, "_result", counted_result)
     monkeypatch.setattr(ad, "backward", lambda *a: backward_calls.append(a) or backward(*a))
-    before = nn.flatten_params(trainer.model.params)
+    before = nn.layout(trainer.model.params).flatten(trainer.model.params)
     loss = trainer._regression_phase()
     predict(trainer.model, batch, trainer.normalizer)
     predict(ff, batch)
-    assert np.isfinite(loss) and not np.array_equal(nn.flatten_params(trainer.model.params), before)
+    after = nn.layout(trainer.model.params).flatten(trainer.model.params)
+    assert np.isfinite(loss) and not np.array_equal(after, before)
     recurrent = make_predictor("recurrent", trainer.model.input_dim, np.random.default_rng(2))
     x = input_rows(recurrent, batch)
     lengths = [t.length for t in batch]
