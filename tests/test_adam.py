@@ -29,7 +29,7 @@ def n_params(params):
 def gradients(size, n, seed):
     """n gradients of varied scale, with some exact zeros."""
     rng = np.random.default_rng(seed)
-    for i in range(n):
+    for _ in range(n):
         g = rng.normal(size=size) * 10.0 ** rng.uniform(-6, 2, size=size)
         g[rng.random(size) < 0.05] = 0.0
         yield g
