@@ -16,8 +16,8 @@ class ShapeError(ValueError):
     """Raised when an operation receives shape-incompatible inputs."""
 
 
-def matmul(a, b):
-    return np.dot(a, b)
+def matmul(a, b, out=None):
+    return np.dot(a, b, out=out)
 
 
 def tanh_vjp(y, g):

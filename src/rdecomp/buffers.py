@@ -17,6 +17,7 @@ never copies.
 
 from __future__ import annotations
 
+import bisect
 from collections import deque
 
 import numpy as np
@@ -53,9 +54,9 @@ class ReplayBuffer:
         if self.scheme in ("O", "HO"):
             self.online.append(traj)
         if self.scheme == "HO":
-            self.historical.append((traj.episodic_return, idx, traj))
-            # Sort by (return, recency): on equal returns the newer entry wins.
-            self.historical.sort(key=lambda e: (e[0], e[1]), reverse=True)
+            # (return, recency) order, highest first: on equal returns the newer wins
+            bisect.insort(self.historical, (traj.episodic_return, idx, traj),
+                          key=lambda e: (-e[0], -e[1]))
             del self.historical[self.capacity :]
         if self.scheme == "S":
             if len(self.reservoir) < self.reservoir_capacity:

@@ -541,5 +541,5 @@ def regression_step(model, x, lengths, targets, optimizer):
     loss, grad = loss_grad(model, x, lengths, targets)
     if grad is None:
         raise FloatingPointError(f"regression loss is non-finite ({loss})")
-    model.params = optimizer.step(model.params, grad)
+    (model.params,) = optimizer.step([model.params], grad)
     return loss

@@ -11,9 +11,9 @@ in the per-step coefficient applied to the score vectors grad log pi:
   control variate      R(tau) - rnot_t        (same estimator, rearranged)
 
 The corrected and control-variate forms are per-sample identical up to
-float reassociation; so are the two composite forms (interval-major versus
-step-major summation). All batch reductions use fixed ascending order so
-those identities hold at tight tolerances.
+float reassociation; so is the composite form and its interval-major
+rearrangement, which the tests keep. All batch reductions use fixed
+ascending order so those identities hold at tight tolerances.
 """
 
 from __future__ import annotations
@@ -92,23 +92,6 @@ def grad_composite(batch, policy, decomps):
     """Step-major form: per-step coefficient is the generalized Q-value."""
     coeffs = [generalized_q(dec, traj.length) for traj, dec in zip(batch, decomps)]
     return _finish(policy.weighted_score_gradient(batch, coeffs))
-
-
-def grad_composite_by_interval(batch, policy, decomps):
-    """Interval-major form of the composite gradient.
-
-    Sums r_hat_i times the scores of steps 0..i, interval by interval; a
-    pure rearrangement of grad_composite kept as an independent
-    implementation for identity checks.
-    """
-    per_sample = []
-    for traj, dec in zip(batch, decomps):
-        scores = policy.score_matrix(traj)
-        g = np.zeros(scores.shape[1])
-        for i, value in enumerate(dec.per_interval):
-            g += value * scores[: i + 1].sum(axis=0)
-        per_sample.append(g)
-    return _finish(np.stack(per_sample))
 
 
 def grad_bias_corrected(batch, policy, decomps):

@@ -3,8 +3,8 @@ policy/value networks: fan-in-scaled initialization of read-only float64
 parameter arrays; `TanhMlp`, the tanh MLP with linear heads that the
 policies, the value net and the per-step reward predictor all are, with its
 numpy forward and closed-form backward; the `Layout` of a parameter set in
-one flat float64 vector, in sorted-name order; and Adam, which updates that
-vector and writes its moments in place."""
+one flat float64 vector, in sorted-name order; and Adam over such vectors
+laid end to end, which writes its moments in place."""
 
 from __future__ import annotations
 
@@ -86,6 +86,22 @@ class TanhMlp:
                 d = _kernels.tanh_vjp(hs[i], _kernels.matmul(d, self.params[f"{name}_w"].T))
         return grads
 
+    def flat_grad(self, a, g_by_head, grads, out=None):
+        """The flat gradient, written into out (a fresh vector if None): the
+        arrays in grads as they are, the rest summed over rows by `backward`."""
+        lay = layout(self.params)
+        out = np.empty(lay.size) if out is None else out
+        blocks = lay.blocks(out)
+        for name, g in grads.items():
+            blocks[name][...] = g
+
+        def reduce(h, d, name):
+            return (_kernels.matmul(h.T, d, out=blocks[f"{name}_w"]),
+                    d.sum(axis=0, out=blocks[f"{name}_b"]))
+
+        self.backward(a, g_by_head, reduce)
+        return out
+
 
 def lstm_params(rng, input_dim, hidden_dim):
     """One LSTM cell; the gate order inside the stacked weights is i, f, g, o.
@@ -133,12 +149,11 @@ class Layout:
             out[where] = arrays[name].reshape(-1)
         return out
 
-    def blocks(self, rows):
-        """An empty (rows, size) matrix, and per parameter name the writable
-        view of its columns as a (rows, *shape) block."""
-        out = np.empty((rows, self.size))
-        return out, {name: out[:, where].reshape((rows,) + shape)
-                     for name, where, shape in self.entries}
+    def blocks(self, out):
+        """Per parameter name the writable view of its entries of `out`, a
+        (size,) or (rows, size) array, shaped `shape` or (rows, *shape)."""
+        lead = out.shape[:-1]
+        return {name: out[..., where].reshape(lead + shape) for name, where, shape in self.entries}
 
     def views(self, flat):
         """Parameters as read-only views into `flat`, which becomes read-only."""
@@ -160,9 +175,9 @@ def layout(params):
 
 
 class AdamOptimizer:
-    """Adam over the flat parameter vector. A step writes the moments m and v
-    in place; the parameters it returns are read-only views into a fresh
-    vector, so a dict it returned earlier never changes."""
+    """Adam over parameter dicts laid end to end, each in its `layout`. A step
+    writes the moments m and v in place; the dicts it returns are read-only
+    views into a fresh vector, so a dict it returned earlier never changes."""
 
     def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -171,32 +186,29 @@ class AdamOptimizer:
         self.eps = eps
         self.t = 0
         self.m = self.v = np.zeros(0)
-        # the dict the last step returned, its values, layout and flat vector
-        self._returned = self._values = self._layout = self._flat = None
+        # (dict, its values) per dict the last step returned, their layouts, vector
+        self._returned, self._layouts, self._flat = (), None, None
         self._scratch = (np.zeros(0), np.zeros(0))
 
-    def _start(self, params):
-        """The layout and flat vector of params: the last step's vector if
-        params is the dict it returned, unchanged, else a fresh flatten."""
-        if params is self._returned and len(params) == len(self._values) and all(
-            a is b for a, b in zip(params.values(), self._values)
-        ):
-            return self._layout, self._flat
-        lay = layout(params)
-        return lay, lay.flatten(params)
-
     def step(self, params, g):
-        """New parameters from the flat gradient g, in the parameters' `layout`.
-        ValueError, before any state changes, if g is not a vector of the
-        parameters' size."""
-        lay, flat = self._start(params)
-        if g.shape != (lay.size,):
-            raise ValueError(f"gradient of shape {g.shape} (size {g.size}) for {lay.size}"
-                             " parameters")
+        """New parameter dicts, one per dict in the sequence params, from their
+        flat gradient g. ValueError, before any state changes, if g is not a
+        vector of their total size."""
+        # the last step's vector if params are the dicts it returned, unchanged
+        lays, flat = self._layouts, self._flat
+        if len(params) != len(self._returned) or not all(
+            p is r and len(p) == len(values) and all(a is b for a, b in zip(p.values(), values))
+            for p, (r, values) in zip(params, self._returned)
+        ):
+            lays = [layout(p) for p in params]
+            flat = np.concatenate([lay.flatten(p) for lay, p in zip(lays, params)])
+        size = flat.size
+        if g.shape != (size,):
+            raise ValueError(f"gradient of shape {g.shape} (size {g.size}) for {size} parameters")
         if self.t == 0:
-            self.m, self.v = np.zeros(lay.size), np.zeros(lay.size)
-        if self._scratch[0].size != lay.size:
-            self._scratch = (np.empty(lay.size), np.empty(lay.size))
+            self.m, self.v = np.zeros(size), np.zeros(size)
+        if self._scratch[0].size != size:
+            self._scratch = (np.empty(size), np.empty(size))
         s, r = self._scratch
         m, v, b1, b2, t = self.m, self.v, self.beta1, self.beta2, self.t + 1
         # The float ops of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
@@ -209,7 +221,11 @@ class AdamOptimizer:
         np.multiply(np.divide(m, 1 - b1**t, out=s), self.lr, out=s)
         np.add(np.sqrt(np.divide(v, 1 - b2**t, out=r), out=r), self.eps, out=r)
         new = np.subtract(flat, np.divide(s, r, out=s))
-        out = lay.views(new)
-        self.t, self._layout, self._flat, self._returned = t, lay, new, out
-        self._values = tuple(out.values())
+        new.flags.writeable = False
+        out, i = [], 0
+        for lay in lays:
+            out.append(lay.views(new[i : i + lay.size]))
+            i += lay.size
+        self.t, self._layouts, self._flat = t, lays, new
+        self._returned = [(p, tuple(p.values())) for p in out]
         return out

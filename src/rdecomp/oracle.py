@@ -145,29 +145,6 @@ def enumerate_trajectories(mdp, policy, max_count=MAX_TRAJECTORIES):
     return results
 
 
-def sample_trajectory(mdp, policy, rng):
-    s = int(rng.choice(mdp.n_states, p=mdp.initial_dist))
-    states, actions = [s], []
-    for _ in range(mdp.horizon):
-        if s in mdp.terminal:
-            break
-        a = policy.act(mdp.state_vector(s), rng)
-        s_next = int(rng.choice(mdp.n_states, p=mdp.transition[s, a]))
-        actions.append(a)
-        states.append(s_next)
-        s = s_next
-    return Trajectory(
-        states=np.array([mdp.state_vector(si) for si in states[:-1]]),
-        actions=np.array(actions, dtype=np.int64),
-        episodic_return=mdp.episodic_return(states, actions),
-    )
-
-
-def exact_j(mdp, policy):
-    """Exact expected episodic return under the policy."""
-    return sum(p * traj.episodic_return for traj, p in enumerate_trajectories(mdp, policy))
-
-
 def exact_grad_j(mdp, policy):
     """Exact policy gradient: sum over trajectories of p * R * summed scores."""
     return OracleContext(mdp, policy).exact_grad

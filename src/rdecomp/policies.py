@@ -56,7 +56,9 @@ def _segment_scores(policy, states, actions, coeffs, lengths):
     """(B, P): row b sums coeffs[t] grad log pi(a_t|s_t) over segment b of the
     stacked steps. Each parameter's sums are written straight into its
     columns of the policy's `nn.layout`."""
-    out, blocks = nn.layout(policy.params).blocks(lengths.size)
+    lay = nn.layout(policy.params)
+    out = np.empty((lengths.size, lay.size))
+    blocks = lay.blocks(out)
     a = policy.forward(states)
     head_grads = policy.log_prob_head(a["head"], actions)[2]
     g_head, sums = head_grads(
@@ -96,9 +98,9 @@ def _score_matrix(policy, traj):
     return _segment_scores(policy, traj.states, traj.actions, ones, ones.astype(np.intp))
 
 
-def _ppo_loss_grad(policy, states, actions, old_logp, adv, clip, entropy_coef):
-    """Loss of one PPO minibatch and its flat gradient, or None for the
-    gradient when the loss or a ratio is not finite. (A ratio that overflows
+def _ppo_loss_grad(policy, states, actions, old_logp, adv, clip, entropy_coef, out=None):
+    """Loss of one PPO minibatch and its flat gradient, written into `out` if
+    given, or None for the gradient when the loss or a ratio is not finite. (A ratio that overflows
     where the advantage is positive leaves the loss finite, through the
     clipped branch, but its gradient would be 0 * inf.)
 
@@ -113,10 +115,11 @@ def _ppo_loss_grad(policy, states, actions, old_logp, adv, clip, entropy_coef):
     unclipped = ratio * adv
     clipped = np.clip(ratio, 1.0 - clip, 1.0 + clip) * adv
     n = ratio.size
-    loss = np.minimum(unclipped, clipped).mean() * -1.0
+    # sum() / n: the float ops of mean(), without its Python overhead
+    loss = np.minimum(unclipped, clipped).sum() / n * -1.0
     g_entropy = None
     if entropy_coef > 0.0:
-        loss = loss - entropy.mean() * entropy_coef
+        loss = loss - entropy.sum() / n * entropy_coef
         g_entropy = np.full(entropy.shape, -entropy_coef / n)
     if not (np.isfinite(loss) and np.isfinite(ratio).all()):
         return float(loss), None
@@ -124,11 +127,10 @@ def _ppo_loss_grad(policy, states, actions, old_logp, adv, clip, entropy_coef):
     # gradient only where the ratio lies inside the clip range.
     take = (unclipped <= clipped).astype(np.float64)
     inside = ((ratio >= 1.0 - clip) & (ratio <= 1.0 + clip)).astype(np.float64)
-    g = np.full(ratio.shape, -1.0 / n)
+    g = -1.0 / n
     g_ratio = g * take * adv + g * (1.0 - take) * adv * inside
     g_head, grads = head_grads(g_ratio * ratio, g_entropy, lambda rows: rows.sum(axis=0))
-    grads.update(policy.backward(a, {"head": g_head}))
-    return float(loss), nn.layout(policy.params).flatten(grads)
+    return float(loss), policy.flat_grad(a, {"head": g_head}, grads, out)
 
 
 class CategoricalPolicy(nn.TanhMlp):
@@ -179,7 +181,7 @@ class CategoricalPolicy(nn.TanhMlp):
             g[rows, idx] = g_logp.reshape(-1)
             if g_entropy is not None:
                 # entropy = -sum p log p: through log p, then through p
-                ge = np.broadcast_to(g_entropy * -1.0, logp.shape)
+                ge = g_entropy * -1.0
                 g = g + ge * p + ge * logp * p
             return g - p * g.sum(axis=1, keepdims=True), {}
 
@@ -253,17 +255,17 @@ class ValueNetwork(nn.TanhMlp):
         a = self.forward(np.atleast_2d(states))
         return a["vr"].reshape(-1), a["v0"].reshape(-1)
 
-    def loss_grad(self, states, target_r, target_0):
+    def loss_grad(self, states, target_r, target_0, out=None):
         """Mean squared error of each head against its targets, summed over
-        the heads, and its flat gradient, or None for the gradient when the
-        loss is not finite."""
+        the heads, and its flat gradient, written into `out` if given, or
+        None for the gradient when the loss is not finite."""
         a = self.forward(states)
         errs = {"vr": a["vr"] - target_r.reshape(-1, 1), "v0": a["v0"] - target_0.reshape(-1, 1)}
-        loss = sum((err * err).mean() for err in errs.values())
+        loss = sum((err * err).sum() / err.size for err in errs.values())
         if not np.isfinite(loss):
             return float(loss), None
-        g = {name: 2.0 * np.full(err.shape, 1.0 / err.size) * err for name, err in errs.items()}
-        return float(loss), nn.layout(self.params).flatten(self.backward(a, g))
+        g = {name: (2.0 * (1.0 / err.size)) * err for name, err in errs.items()}
+        return float(loss), self.flat_grad(a, g, {}, out)
 
 
 def make_policy(rng, env, hidden=(64, 64)):

@@ -177,13 +177,14 @@ def compute_advantages(batch, decomps, value_net, gamma, lam):
 
 
 def ppo_update(policy, value_net, batch, advantages, targets_r, targets_0, config,
-               rng, policy_opt, value_opt):
+               rng, opt):
     """Clipped-surrogate update over epochs x minibatches.
 
-    Advantages are normalized across the whole batch first. If a loss or a
-    probability ratio goes non-finite (a gradient comes back None), the
-    previous parameters and Adam states are restored and the update is
-    abandoned for this iteration.
+    Advantages are normalized across the whole batch first. `opt` steps the
+    policy and the value net as one vector. If a loss or a probability ratio
+    goes non-finite (a gradient comes back None), the previous parameters
+    and Adam state are restored and the update is abandoned for this
+    iteration.
     """
     states = np.concatenate([t.states for t in batch])
     actions = np.concatenate([t.actions for t in batch])
@@ -194,11 +195,11 @@ def ppo_update(policy, value_net, batch, advantages, targets_r, targets_0, confi
 
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
-    saved_policy = dict(policy.params)
-    saved_value = dict(value_net.params)
     # A step returns fresh parameter arrays, so references to them suffice;
     # it writes the Adam moments in place, so those are copied.
-    saved_opts = [(opt, opt.t, opt.m.copy(), opt.v.copy()) for opt in (policy_opt, value_opt)]
+    saved = (dict(policy.params), dict(value_net.params), opt.t, opt.m.copy(), opt.v.copy())
+    n_policy = nn.layout(policy.params).size
+    grad = np.empty(n_policy + nn.layout(value_net.params).size)
     n = len(adv)
     metrics = {"policy_loss": 0.0, "value_loss": 0.0, "updates": 0, "aborted": False}
     for _ in range(config.epochs):
@@ -207,19 +208,16 @@ def ppo_update(policy, value_net, batch, advantages, targets_r, targets_0, confi
             idx = order[start : start + config.minibatch]
             policy_loss, policy_grad = policy.ppo_loss_grad(
                 states[idx], actions[idx], old_logp[idx], adv[idx], config.clip,
-                config.entropy_coef,
+                config.entropy_coef, grad[:n_policy],
             )
-            value_loss, value_grad = value_net.loss_grad(states[idx], t_r[idx], t_0[idx])
+            value_loss, value_grad = value_net.loss_grad(states[idx], t_r[idx], t_0[idx],
+                                                         grad[n_policy:])
 
             if policy_grad is None or value_grad is None:
-                policy.params = saved_policy
-                value_net.params = saved_value
-                for opt, t, m, v in saved_opts:
-                    opt.t, opt.m, opt.v = t, m, v
+                policy.params, value_net.params, opt.t, opt.m, opt.v = saved
                 metrics["aborted"] = True
                 return metrics
-            policy.params = policy_opt.step(policy.params, policy_grad)
-            value_net.params = value_opt.step(value_net.params, value_grad)
+            policy.params, value_net.params = opt.step((policy.params, value_net.params), grad)
             metrics["policy_loss"] += policy_loss
             metrics["value_loss"] += value_loss
             metrics["updates"] += 1
@@ -260,8 +258,8 @@ class Trainer:
             config.reservoir_capacity,
             seed=seqs[4],
         )
-        self.policy_opt = nn.AdamOptimizer(config.policy_lr)
-        self.value_opt = nn.AdamOptimizer(config.policy_lr)
+        # one Adam over the policy and the value net, laid end to end
+        self.ppo_opt = nn.AdamOptimizer(config.policy_lr)
         self.reward_opt = nn.AdamOptimizer(config.reward_lr)
         self.iteration = 0
         self.env_steps = 0
@@ -319,7 +317,7 @@ class Trainer:
         )
         ppo_metrics = ppo_update(
             self.policy, self.value_net, batch, advantages, t_r, t_0,
-            config, self.ppo_rng, self.policy_opt, self.value_opt,
+            config, self.ppo_rng, self.ppo_opt,
         )
         row = {
             "iteration": self.iteration,
@@ -376,15 +374,16 @@ class Trainer:
         self._save_state(out_dir, suffix)
 
     def _optimizers(self):
-        return (("policy", self.policy_opt), ("value", self.value_opt),
-                ("reward", self.reward_opt))
+        """(label, Adam, the label's slice of the Adam's moments)."""
+        n_policy = nn.layout(self.policy.params).size
+        return (("policy", self.ppo_opt, slice(0, n_policy)),
+                ("value", self.ppo_opt, slice(n_policy, None)),
+                ("reward", self.reward_opt, slice(None)))
 
     def _save_state(self, out_dir, suffix):
-        opt_arrays = {}
-        steps = {}
-        for label, opt in self._optimizers():
-            opt_arrays[f"{label}/m"] = opt.m
-            opt_arrays[f"{label}/v"] = opt.v
+        opt_arrays, steps = {}, {}
+        for label, opt, part in self._optimizers():
+            opt_arrays[f"{label}/m"], opt_arrays[f"{label}/v"] = opt.m[part], opt.v[part]
             steps[label] = opt.t
         checkpoint.save(
             os.path.join(out_dir, f"optimizer{suffix}.json"),
@@ -411,9 +410,9 @@ class Trainer:
         """Resume from artifacts written by `save`. Every artifact is read and
         checked before any state is replaced, so a failure leaves the
         trainer as it was. CheckpointError for a checkpoint from another
-        iteration than the state's (a save cut short), or a model or Adam
-        state whose parameter names or sizes are not those of the model it
-        would replace."""
+        iteration than the state's (a save cut short), a model or Adam state
+        whose parameter names or sizes are not those of the model it would
+        replace, or policy and value Adam states at different step counts."""
 
         def path(name, ext=".json"):
             return os.path.join(out_dir, f"{name}{suffix}{ext}")
@@ -432,7 +431,7 @@ class Trainer:
         opt_arrays, opt_meta = loaded["optimizer"]
         adams = {}
         models = (("policy", self.policy), ("value", self.value_net), ("reward_model", self.model))
-        for (label, opt), (name, model) in zip(self._optimizers(), models):
+        for (label, opt, _), (name, model) in zip(self._optimizers(), models):
             if f"{label}/m" not in opt_arrays or f"{label}/v" not in opt_arrays:
                 raise checkpoint.CheckpointError(
                     f"{path('optimizer')} has no flat Adam state {label}/m, {label}/v"
@@ -455,7 +454,13 @@ class Trainer:
                     f"{path('optimizer')} holds Adam moments of shapes {m.shape}, {v.shape}"
                     f" for {label}, which has {size} parameters"
                 )
-            adams[opt] = (t, m, v)
+            t_pair, ms, vs = adams.setdefault(opt, (t, [], []))
+            if t != t_pair:
+                raise checkpoint.CheckpointError(
+                    f"{path('optimizer')}: policy Adam step {t_pair}, value {t}"
+                )
+            ms.append(m)
+            vs.append(v)
 
         self.policy.params, self.value_net.params = loaded["policy"][0], loaded["value"][0]
         if self.model is not None:
@@ -467,9 +472,9 @@ class Trainer:
             getattr(self, name).bit_generator.state = rng_state
         self.buffer.rng.bit_generator.state = state["buffer_rng"]
         self.buffer.restore_snapshot(buffer_trajs, state["buffer_meta"])
-        for opt, (t, m, v) in adams.items():
-            # loaded arrays are read-only, and a step writes the moments in place
-            opt.t, opt.m, opt.v = t, m.copy(), v.copy()
+        for opt, (t, ms, vs) in adams.items():
+            # copies: loaded arrays are read-only, and a step writes the moments
+            opt.t, opt.m, opt.v = t, np.concatenate(ms), np.concatenate(vs)
 
 
 class MetricsWriter:

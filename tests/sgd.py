@@ -11,6 +11,12 @@ class SgdOptimizer:
         self.lr = lr
 
     def step(self, params, g):
-        """New parameters from the flat gradient g, in `nn.layout` order."""
-        layout = nn.layout(params)
-        return layout.views(layout.flatten(params) - self.lr * g)
+        """New parameter dicts, one per dict in the sequence params, from the
+        flat gradient g of all of them laid end to end, each in `nn.layout`
+        order."""
+        out, i = [], 0
+        for p in params:
+            layout = nn.layout(p)
+            out.append(layout.views(layout.flatten(p) - self.lr * g[i : i + layout.size]))
+            i += layout.size
+        return out

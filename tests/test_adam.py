@@ -1,18 +1,23 @@
 """`nn.AdamOptimizer` writes its moments in place and starts each step from
 the flat vector behind the parameters it returned last; these tests hold it
-to the out-of-place formula in tests/reference_adam.py, bit for bit."""
+to the out-of-place formula in tests/reference_adam.py, bit for bit, on one
+parameter dict and on a pair laid end to end."""
 
 import numpy as np
 import pytest
 from reference_adam import ReferenceAdam
 
 from rdecomp import decomposer, envs, nn
-from rdecomp.policies import make_policy
+from rdecomp.policies import ValueNetwork, make_policy
 
 
 def grid_policy_params():
     env = envs.make_env("grid", {"size": 4, "horizon": 16})
     return make_policy(np.random.default_rng(0), env, (64, 64)).params
+
+
+def grid_value_params():
+    return ValueNetwork(np.random.default_rng(7), 16, (64, 64)).params
 
 
 def attention_params():
@@ -51,8 +56,27 @@ def test_in_place_steps_are_bitwise_the_out_of_place_formula(model):
         if i == 12:
             # a dict the optimizer did not return, as after an abort or a restore
             params = dict(params)
-        params, want = opt.step(params, g), ref.step(want, g)
+        (params,), want = opt.step([params], g), ref.step(want, g)
         assert_same_state(opt, ref, params, want)
+
+
+def test_a_pair_step_is_bitwise_two_steps_of_the_reference():
+    # the policy and the value net of the PPO update: one Adam, one gradient
+    # laid end to end, against one reference Adam per network
+    pair = want = (grid_policy_params(), grid_value_params())
+    opt, refs = nn.AdamOptimizer(3e-3), (ReferenceAdam(3e-3), ReferenceAdam(3e-3))
+    split = n_params(pair[0])
+    for i, g in enumerate(gradients(split + n_params(pair[1]), 24, seed=8)):
+        if i == 12:
+            pair = (pair[0], dict(pair[1]))
+        pair = opt.step(pair, g)
+        want = [ref.step(w, part) for ref, w, part in zip(refs, want, (g[:split], g[split:]))]
+        assert opt.t == refs[0].t == refs[1].t
+        assert np.array_equal(opt.m, np.concatenate([ref.m for ref in refs]))
+        assert np.array_equal(opt.v, np.concatenate([ref.v for ref in refs]))
+        for params, w in zip(pair, want, strict=True):
+            assert params.keys() == w.keys()
+            assert all(np.array_equal(params[k], w[k]) for k in w)
 
 
 def test_returned_parameters_never_change_or_share_memory():
@@ -60,7 +84,7 @@ def test_returned_parameters_never_change_or_share_memory():
     opt = nn.AdamOptimizer(1e-2)
     returned = []
     for g in gradients(n_params(params), 20, seed=3):
-        params = opt.step(params, g)
+        (params,) = opt.step([params], g)
         returned.append((params, {k: p.copy() for k, p in params.items()}))
     bases = [next(iter(p.values())).base for p, _ in returned]
     assert len({id(b) for b in bases}) == len(bases)
@@ -74,9 +98,9 @@ def test_a_rebound_entry_of_a_returned_dict_is_read():
     params = grid_policy_params()
     opt, ref = nn.AdamOptimizer(1e-2), ReferenceAdam(1e-2)
     g = next(gradients(n_params(params), 1, seed=4))
-    params, want = opt.step(params, g), ref.step(params, g)
+    (params,), want = opt.step([params], g), ref.step(params, g)
     params["head_b"] = want["head_b"] = nn.read_only(np.ones(params["head_b"].shape))
-    assert_same_state(opt, ref, opt.step(params, g), ref.step(want, g))
+    assert_same_state(opt, ref, opt.step([params], g)[0], ref.step(want, g))
 
 
 def test_wrong_size_gradient_leaves_a_fresh_optimizer_untouched():
@@ -84,11 +108,11 @@ def test_wrong_size_gradient_leaves_a_fresh_optimizer_untouched():
     size = n_params(params)
     opt, ref = nn.AdamOptimizer(1e-3), ReferenceAdam(1e-3)
     with pytest.raises(ValueError) as exc:
-        opt.step(params, np.ones(size + 1))
+        opt.step([params], np.ones(size + 1))
     assert opt.t == 0 and opt.m.size == 0 and opt.v.size == 0
     assert f"(size {size + 1}) for {size} parameters" in str(exc.value)
     g = next(gradients(size, 1, seed=5))
-    assert_same_state(opt, ref, opt.step(params, g), ref.step(params, g))
+    assert_same_state(opt, ref, opt.step([params], g)[0], ref.step(params, g))
 
 
 @pytest.mark.parametrize("shape", [(3,), (1, "size"), ("size", 1)])
@@ -98,14 +122,14 @@ def test_wrong_size_gradient_leaves_a_running_optimizer_untouched(shape):
     opt, ref = nn.AdamOptimizer(1e-3), ReferenceAdam(1e-3)
     grads = list(gradients(size, 3, seed=6))
     for g in grads[:2]:
-        params, want = opt.step(params, g), ref.step(want, g)
+        (params,), want = opt.step([params], g), ref.step(want, g)
     t, m, v = opt.t, opt.m.copy(), opt.v.copy()
     bad = np.ones([size if n == "size" else n for n in shape])
     with pytest.raises(ValueError) as exc:
-        opt.step(params, bad)
+        opt.step([params], bad)
     assert opt.t == t and np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
     assert f"{bad.shape} (size {bad.size}) for {size} parameters" in str(exc.value)
-    assert_same_state(opt, ref, opt.step(params, grads[2]), ref.step(want, grads[2]))
+    assert_same_state(opt, ref, opt.step([params], grads[2])[0], ref.step(want, grads[2]))
 
 
 def test_layout_flattens_vectors_and_writes_row_blocks():
@@ -116,9 +140,14 @@ def test_layout_flattens_vectors_and_writes_row_blocks():
     assert np.array_equal(lay.flatten(params), flat)
     views = lay.views(flat.copy())
     assert all(np.array_equal(views[k], params[k]) for k in params)
-    out, blocks = lay.blocks(3)
+    out = np.empty((3, lay.size))
+    blocks = lay.blocks(out)
     for k, p in params.items():
         blocks[k][...] = np.stack([p, 2.0 * p, -p])
     assert np.array_equal(out, np.stack([flat, 2.0 * flat, -flat]))
+    row = np.empty(lay.size)
+    for k, block in lay.blocks(row).items():
+        block[...] = params[k]
+    assert np.array_equal(row, flat)
     with pytest.raises(ValueError, match=f"parameters need {lay.size}"):
         lay.views(np.zeros(lay.size - 1))

@@ -413,7 +413,7 @@ def test_adam_matches_textbook_per_tensor_adam():
     for t in range(1, 4):
         leaves = tape.leaves(params)
         grads = ad.backward(quadratic_tanh_loss(leaves, x))
-        params = opt.step(params, tape.flatten_grads(leaves, grads))
+        (params,) = opt.step([params], tape.flatten_grads(leaves, grads))
         ref_params = tape.leaves(ref)
         grads = ad.backward(quadratic_tanh_loss(ref_params, x))
         for k in ref:
@@ -438,7 +438,7 @@ def test_optimizer_steps_return_read_only_views_of_one_vector():
     for opt in (SgdOptimizer(0.1), nn.AdamOptimizer(0.1)):
         leaves = tape.leaves(params)
         grads = ad.backward(quadratic_tanh_loss(leaves, x))
-        new = opt.step(params, tape.flatten_grads(leaves, grads))
+        (new,) = opt.step([params], tape.flatten_grads(leaves, grads))
         assert {k: p.shape for k, p in new.items()} == {k: p.shape for k, p in params.items()}
         base = new["b"].base
         assert base is not None and all(p.base is base for p in new.values())

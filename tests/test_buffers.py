@@ -75,6 +75,29 @@ def test_historical_matches_naive_sort_after_every_insert():
         assert got == want
 
 
+def test_historical_is_the_sorted_list_under_ties_cut_and_restore(tmp_path):
+    # returns drawn from few values, so most inserts tie with stored entries;
+    # the list must be exactly what the full sort by (return, index),
+    # highest first, keeps
+    rng = np.random.default_rng(3)
+    buf = ReplayBuffer("HO", capacity=9)
+    keys = []
+
+    def insert(buffers, i, high):
+        t = traj(float(rng.integers(-2, high)) * 0.5, seed=i)
+        keys.append((t.episodic_return, i))
+        for b in buffers:
+            b.insert([t])
+            assert [(r, j) for r, j, _ in b.historical] == sorted(keys, reverse=True)[:9]
+
+    for i in range(200):
+        insert([buf], i, 3)
+    back = snapshot_round_trip(buf, *buf.snapshot(), tmp_path)
+    for i in range(200, 260):
+        insert([buf, back], i, 4)
+    assert_same_trajectories(back.contents(), buf.contents())
+
+
 def test_reservoir_capacity_and_uniform_eviction():
     buf = ReplayBuffer("S", reservoir_capacity=100, seed=42)
     buf.insert([traj(i) for i in range(100)])

@@ -73,8 +73,8 @@ def test_parameters_are_read_only_float64_arrays(tmp_path):
     for params in [m.params for m in models] + [policy.params]:
         assert _read_only_f64(params)
         grad = np.ones(nn.layout(params).size)
-        assert _read_only_f64(nn.AdamOptimizer(1e-3).step(params, grad))
-        assert _read_only_f64(SgdOptimizer(1e-3).step(params, grad))
+        assert _read_only_f64(nn.AdamOptimizer(1e-3).step([params], grad)[0])
+        assert _read_only_f64(SgdOptimizer(1e-3).step([params], grad)[0])
     path = str(tmp_path / "model.json")
     checkpoint.save(path, policy.params)
     assert _read_only_f64(checkpoint.load(path)[0])

@@ -5,6 +5,7 @@ from fdcheck import numeric_gradient
 from rdecomp import decomposer, nn, oracle
 from rdecomp.decomposer import RewardDecomposition
 from rdecomp.policies import CategoricalPolicy
+from rdecomp.trajectory import Trajectory
 
 
 def uniform_policy(mdp, seed=0):
@@ -13,6 +14,31 @@ def uniform_policy(mdp, seed=0):
     policy.params["head_w"] = np.zeros(policy.params["head_w"].shape)
     policy.params["head_b"] = np.zeros(policy.params["head_b"].shape)
     return policy
+
+
+def sample_trajectory(mdp, policy, rng):
+    """One episode of the MDP under the policy, drawn with rng."""
+    s = int(rng.choice(mdp.n_states, p=mdp.initial_dist))
+    states, actions = [s], []
+    for _ in range(mdp.horizon):
+        if s in mdp.terminal:
+            break
+        a = policy.act(mdp.state_vector(s), rng)
+        s_next = int(rng.choice(mdp.n_states, p=mdp.transition[s, a]))
+        actions.append(a)
+        states.append(s_next)
+        s = s_next
+    return Trajectory(
+        states=np.array([mdp.state_vector(si) for si in states[:-1]]),
+        actions=np.array(actions, dtype=np.int64),
+        episodic_return=mdp.episodic_return(states, actions),
+    )
+
+
+def exact_j(mdp, policy):
+    """Exact expected episodic return under the policy."""
+    pairs = oracle.enumerate_trajectories(mdp, policy)
+    return sum(p * traj.episodic_return for traj, p in pairs)
 
 
 class StubDeterministicPolicy:
@@ -49,7 +75,7 @@ def test_uniform_enumeration_normalizes():
 def test_chain_expected_return_matches_value_iteration():
     mdp = oracle.chain3_mdp()
     policy = uniform_policy(mdp)
-    got = oracle.exact_j(mdp, policy)
+    got = exact_j(mdp, policy)
 
     # independent dynamic program over (state, steps left)
     pi = np.full(2, 0.5)
@@ -146,7 +172,7 @@ def test_exact_gradient_matches_finite_differences_of_exact_j():
 
     def j_of(flat):
         policy.params = layout.views(flat)
-        return oracle.exact_j(mdp, policy)
+        return exact_j(mdp, policy)
 
     fd = np.zeros_like(base)
     h = 1e-6
@@ -372,8 +398,8 @@ def test_sample_trajectory_statistics():
     rng = np.random.default_rng(14)
     n = 4000
     returns = np.array(
-        [oracle.sample_trajectory(mdp, policy, rng).episodic_return for _ in range(n)]
+        [sample_trajectory(mdp, policy, rng).episodic_return for _ in range(n)]
     )
-    want = oracle.exact_j(mdp, policy)
+    want = exact_j(mdp, policy)
     se = returns.std() / np.sqrt(n)
     assert abs(returns.mean() - want) < 3 * se + 1e-9

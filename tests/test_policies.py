@@ -138,6 +138,33 @@ def test_value_loss_grad_is_bitwise_the_tape():
     assert np.array_equal(grad, want_grad)
 
 
+@pytest.mark.parametrize("entropy_coef", [0.0, 0.01])
+@pytest.mark.parametrize("kind", ["categorical", "gaussian"])
+def test_gradients_written_into_a_slice_are_the_fresh_vectors(kind, entropy_coef):
+    # the PPO update's layout: the policy's gradient, then the value net's,
+    # in one vector, each written by its own call
+    policy, states, actions, old_logp, adv = make_minibatch(kind, 3)
+    value_net = ValueNetwork(np.random.default_rng(12), 3, hidden=(8, 8))
+    t_r, t_0 = np.random.default_rng(13).normal(size=(2, len(states)))
+    loss, grad = policy.ppo_loss_grad(states, actions, old_logp, adv, 0.2, entropy_coef)
+    value_loss, value_grad = value_net.loss_grad(states, t_r, t_0)
+    size = grad.size
+    for call, part, want_loss, want in [
+        (lambda out: policy.ppo_loss_grad(states, actions, old_logp, adv, 0.2, entropy_coef,
+                                          out), slice(0, size), loss, grad),
+        (lambda out: value_net.loss_grad(states, t_r, t_0, out), slice(size, None),
+         value_loss, value_grad),
+    ]:
+        fill = np.random.default_rng(14).normal(size=size + value_grad.size)
+        both = fill.copy()
+        got_loss, got = call(both[part])
+        assert got_loss == want_loss and got.base is both
+        assert np.array_equal(both[part], want)
+        rest = np.ones(both.size, dtype=bool)
+        rest[part] = False
+        assert np.array_equal(both[rest], fill[rest])
+
+
 @pytest.mark.parametrize("kind", ["categorical", "gaussian"])
 def test_entropy_matches_closed_form_and_finite_differences(kind):
     # With zero advantages the PPO loss is minus the mean entropy.

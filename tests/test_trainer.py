@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from reference_adam import ReferenceAdam
 from test_buffers import assert_same_trajectories
 
 from rdecomp import autodiff as ad
@@ -257,7 +258,6 @@ def run_ppo(policy, value_net, batch, advantages, t_r, t_0, **overrides):
     return ppo_update(
         policy, value_net, batch, advantages, t_r, t_0, config,
         np.random.default_rng(0), nn.AdamOptimizer(config.policy_lr),
-        nn.AdamOptimizer(config.policy_lr),
     )
 
 
@@ -388,21 +388,76 @@ def test_aborted_update_restores_optimizer_state():
     config = TrainConfig(**{**TINY, "minibatch": 5})
     policy = CategoricalPolicy(np.random.default_rng(5), 4, 2, hidden=(8,))
     value_net = ValueNetwork(np.random.default_rng(6), 4, hidden=(8,))
-    opts = (nn.AdamOptimizer(config.policy_lr), nn.AdamOptimizer(config.policy_lr))
+    opt = nn.AdamOptimizer(config.policy_lr)
     advantages = [np.ones(t.length) for t in batch]
     targets = [np.ones(t.length) for t in batch]
     rng = np.random.default_rng(0)
-    ppo_update(policy, value_net, batch, advantages, targets, targets, config, rng, *opts)
-    before = [(opt.t, opt.m.copy(), opt.v.copy()) for opt in opts]
+    ppo_update(policy, value_net, batch, advantages, targets, targets, config, rng, opt)
+    steps, m, v = opt.t, opt.m.copy(), opt.v.copy()
     bad_targets = [t.copy() for t in targets]
     bad_targets[-1][-1] = np.inf
     metrics = ppo_update(
-        policy, value_net, batch, advantages, bad_targets, targets, config, rng, *opts
+        policy, value_net, batch, advantages, bad_targets, targets, config, rng, opt
     )
     assert metrics["aborted"] and metrics["updates"] > 0
-    for opt, (t, m, v) in zip(opts, before):
-        assert opt.t == t
-        assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
+    assert opt.t == steps
+    assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
+
+
+def two_adam_ppo(policy, value_net, batch, advantages, t_r, t_0, config, rng, adams):
+    """`ppo_update` as a loop with one reference Adam per network, each
+    gradient a fresh vector. Returns whether a gradient came back None, which
+    leaves the models and Adams where that minibatch found them."""
+    states = np.concatenate([t.states for t in batch])
+    actions = np.concatenate([t.actions for t in batch])
+    adv, t_r, t_0 = (np.concatenate(x) for x in (advantages, t_r, t_0))
+    old_logp = policy.log_prob_np(states, actions)
+    adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+    for _ in range(config.epochs):
+        order = rng.permutation(len(adv))
+        for start in range(0, len(adv), config.minibatch):
+            idx = order[start : start + config.minibatch]
+            _, g_policy = policy.ppo_loss_grad(states[idx], actions[idx], old_logp[idx],
+                                               adv[idx], config.clip, config.entropy_coef)
+            _, g_value = value_net.loss_grad(states[idx], t_r[idx], t_0[idx])
+            if g_policy is None or g_value is None:
+                return True
+            policy.params = adams[0].step(policy.params, g_policy)
+            value_net.params = adams[1].step(value_net.params, g_value)
+    return False
+
+
+def test_ppo_update_is_bitwise_a_loop_with_two_adams():
+    batch, _ = random_batch(9, n=8)
+    config = TrainConfig(**{**TINY, "minibatch": 5, "entropy_coef": 0.01})
+    models = [(CategoricalPolicy(np.random.default_rng(5), 4, 2, hidden=(8,)),
+               ValueNetwork(np.random.default_rng(6), 4, hidden=(8,))) for _ in range(2)]
+    (policy, value_net), (ref_policy, ref_value) = models
+    opt, adams = nn.AdamOptimizer(config.policy_lr), [ReferenceAdam(config.policy_lr)
+                                                      for _ in range(2)]
+    rng, ref_rng = np.random.default_rng(0), np.random.default_rng(0)
+    draw = np.random.default_rng(1)
+    advantages = [draw.normal(size=t.length) for t in batch]
+    targets = [draw.normal(size=t.length) for t in batch]
+    bad_targets = [t.copy() for t in targets]
+    bad_targets[-1][-1] = np.inf
+    for t_r in (targets, bad_targets, targets):
+        metrics = ppo_update(policy, value_net, batch, advantages, t_r, targets, config, rng, opt)
+        saved = (dict(ref_policy.params), dict(ref_value.params),
+                 [(a.t, a.m, a.v) for a in adams])
+        aborted = two_adam_ppo(ref_policy, ref_value, batch, advantages, t_r, targets, config,
+                               ref_rng, adams)
+        assert metrics["aborted"] == aborted and metrics["updates"] > 0
+        if aborted:
+            ref_policy.params, ref_value.params = saved[0], saved[1]
+            for a, (t, m, v) in zip(adams, saved[2]):
+                a.t, a.m, a.v = t, m, v
+        for model, ref in ((policy, ref_policy), (value_net, ref_value)):
+            assert model.params.keys() == ref.params.keys()
+            assert all(np.array_equal(model.params[k], ref.params[k]) for k in ref.params)
+        assert opt.t == adams[0].t == adams[1].t
+        assert np.array_equal(opt.m, np.concatenate([a.m for a in adams]))
+        assert np.array_equal(opt.v, np.concatenate([a.v for a in adams]))
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +630,49 @@ def test_failed_restore_leaves_trainer_unchanged(tmp_path):
     for k, p in fresh.value_net.params.items():
         np.testing.assert_array_equal(p, value[k])
     assert fresh.rollout_rng.bit_generator.state == rng_state
-    assert (fresh.iteration, len(fresh.buffer), fresh.policy_opt.t) == (0, 0, 0)
+    assert (fresh.iteration, len(fresh.buffer), fresh.ppo_opt.t) == (0, 0, 0)
+
+
+def test_optimizer_file_keeps_one_adam_state_per_model(tmp_path):
+    # the PPO Adam spans the policy and the value net; the file still holds
+    # each model's slice of its moments under the model's label
+    trainer = Trainer(TrainConfig(**TINY), seed=0)
+    sizes = {label: nn.layout(model.params).size for label, model in
+             (("policy", trainer.policy), ("value", trainer.value_net),
+              ("reward", trainer.model))}
+    for steps in (0, 1):
+        if steps:
+            trainer.step()
+        trainer.save(str(tmp_path))
+        arrays, meta = checkpoint.load(str(tmp_path / "optimizer.json"))
+        assert sorted(arrays) == sorted(f"{label}/{k}" for label in sizes for k in "mv")
+        for label, size in sizes.items():
+            assert arrays[f"{label}/m"].shape == arrays[f"{label}/v"].shape == (
+                size if steps else 0,)
+        assert meta["steps"]["policy"] == meta["steps"]["value"] == trainer.ppo_opt.t
+        n = sizes["policy"]
+        assert np.array_equal(np.concatenate([arrays["policy/m"], arrays["value/m"]]),
+                              trainer.ppo_opt.m)
+        assert np.array_equal(arrays["value/v"], trainer.ppo_opt.v[n:])
+
+
+def test_restore_rejects_policy_and_value_adams_at_different_steps(tmp_path):
+    saved = Trainer(TrainConfig(**TINY), seed=0)
+    saved.step()
+    saved.save(str(tmp_path))
+    path = str(tmp_path / "optimizer.json")
+    arrays, meta = checkpoint.load(path)
+    t = meta["steps"]["value"]
+    meta["steps"]["value"] += 1
+    checkpoint.save(path, arrays, meta)
+    fresh = Trainer(TrainConfig(**TINY), seed=0)
+    models = (fresh.policy, fresh.value_net, fresh.model)
+    before = [m.params for m in models]
+    with pytest.raises(checkpoint.CheckpointError, match=f"policy Adam step {t}, value {t + 1}"):
+        fresh.restore(str(tmp_path))
+    assert all(m.params is p for m, p in zip(models, before))
+    assert (fresh.iteration, len(fresh.buffer), fresh.ppo_opt.t, fresh.ppo_opt.m.size) == (
+        0, 0, 0, 0)
 
 
 def _shrink_policy_moments(run_dir):
@@ -604,7 +701,7 @@ def test_restore_rejects_a_model_it_would_not_fit(tmp_path, change, tamper, matc
     with pytest.raises(checkpoint.CheckpointError, match=match):
         fresh.restore(str(tmp_path))
     assert all(m.params is p for m, p in zip(models, before))
-    assert (fresh.iteration, len(fresh.buffer), fresh.policy_opt.t, fresh.reward_opt.t) == (
+    assert (fresh.iteration, len(fresh.buffer), fresh.ppo_opt.t, fresh.reward_opt.t) == (
         0, 0, 0, 0)
 
 
