@@ -650,10 +650,9 @@ def test_optimizer_file_keeps_one_adam_state_per_model(tmp_path):
             assert arrays[f"{label}/m"].shape == arrays[f"{label}/v"].shape == (
                 size if steps else 0,)
         assert meta["steps"]["policy"] == meta["steps"]["value"] == trainer.ppo_opt.t
-        n = sizes["policy"]
-        assert np.array_equal(np.concatenate([arrays["policy/m"], arrays["value/m"]]),
-                              trainer.ppo_opt.m)
-        assert np.array_equal(arrays["value/v"], trainer.ppo_opt.v[n:])
+        for k in "mv":
+            pair = np.concatenate([arrays[f"policy/{k}"], arrays[f"value/{k}"]])
+            assert np.array_equal(pair, getattr(trainer.ppo_opt, k))
 
 
 def test_restore_rejects_policy_and_value_adams_at_different_steps(tmp_path):
