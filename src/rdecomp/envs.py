@@ -26,17 +26,25 @@ class StepResult:
 
 
 class _OneHotCells:
-    """A finite set of cells seen as one-hot state vectors. Subclasses set
-    `n_cells` and `initial_index` and define `transition(index, action)`,
-    which returns (next index, reward, done)."""
+    """A finite set of cells seen as one-hot state vectors. Subclasses pass
+    `n_cells` and `initial_index` to `__init__` and define
+    `transition(index, action)`, which returns (next index, reward, done).
+
+    The states handed out are rows of one read-only identity table, built
+    once per env (n_cells^2 floats): writing into one raises instead of
+    changing every later state of that cell."""
+
+    def __init__(self, n_cells, initial_index):
+        self.n_cells = n_cells
+        self.initial_index = initial_index
+        self._cells = np.eye(n_cells)
+        self._cells.flags.writeable = False
 
     def state_vector(self, index):
-        v = np.zeros(self.n_cells)
-        v[index] = 1.0
-        return v
+        return self._cells[index]
 
     def state_index(self, state):
-        return int(np.argmax(state))
+        return int(state.argmax())
 
     def reset(self, rng):
         return self.state_vector(self.initial_index)
@@ -63,12 +71,11 @@ class ChainMdp(_OneHotCells):
     def __init__(self, n_states=8, horizon=12):
         _check_int("n_states", n_states, 2)
         _check_int("horizon", horizon, 1)
+        super().__init__(n_states, 0)
         self.n_states = n_states
         self.horizon = horizon
         self.state_dim = n_states
         self.n_actions = 2
-        self.n_cells = n_states
-        self.initial_index = 0
 
     def transition(self, index, action):
         nxt = min(index + 1, self.n_states - 1) if action == 1 else max(index - 1, 0)
@@ -84,12 +91,11 @@ class SparseGridworld(_OneHotCells):
     def __init__(self, size=4, horizon=16):
         _check_int("size", size, 2)
         _check_int("horizon", horizon, 1)
+        super().__init__(size * size, 0)
         self.size = size
         self.horizon = horizon
-        self.n_cells = size * size
         self.state_dim = self.n_cells
         self.n_actions = 4
-        self.initial_index = 0
         self.goal_index = self.n_cells - 1
 
     def transition(self, index, action):

@@ -86,12 +86,16 @@ class TanhMlp:
                 d = _kernels.tanh_vjp(hs[i], _kernels.matmul(d, self.params[f"{name}_w"].T))
         return grads
 
-    def flat_grad(self, a, g_by_head, grads, out=None):
+    def flat_grad(self, a, g_by_head, grads, out=None, blocks=None):
         """The flat gradient, written into out (a fresh vector if None): the
-        arrays in grads as they are, the rest summed over rows by `backward`."""
-        lay = layout(self.params)
-        out = np.empty(lay.size) if out is None else out
-        blocks = lay.blocks(out)
+        arrays in grads as they are, the rest summed over rows by `backward`.
+        `blocks`, if given, is `layout(self.params).blocks(out)`, built once
+        by a caller that writes into the same out many times; it is written
+        through and out returned as given."""
+        if blocks is None:
+            lay = layout(self.params)
+            out = np.empty(lay.size) if out is None else out
+            blocks = lay.blocks(out)
         for name, g in grads.items():
             blocks[name][...] = g
 
@@ -151,7 +155,10 @@ class Layout:
 
     def blocks(self, out):
         """Per parameter name the writable view of its entries of `out`, a
-        (size,) or (rows, size) array, shaped `shape` or (rows, *shape)."""
+        (size,) or (rows, size) array, shaped `shape` or (rows, *shape).
+        The views keep `out` alive, so nothing here caches them: a caller
+        that writes into one `out` many times builds them once and drops
+        them when it is done."""
         lead = out.shape[:-1]
         return {name: out[..., where].reshape(lead + shape) for name, where, shape in self.entries}
 

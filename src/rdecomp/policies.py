@@ -27,6 +27,8 @@ tape).
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 from rdecomp import _kernels
@@ -98,9 +100,11 @@ def _score_matrix(policy, traj):
     return _segment_scores(policy, traj.states, traj.actions, ones, ones.astype(np.intp))
 
 
-def _ppo_loss_grad(policy, states, actions, old_logp, adv, clip, entropy_coef, out=None):
+def _ppo_loss_grad(policy, states, actions, old_logp, adv, clip, entropy_coef, out=None,
+                   blocks=None):
     """Loss of one PPO minibatch and its flat gradient, written into `out` if
-    given, or None for the gradient when the loss or a ratio is not finite. (A ratio that overflows
+    given (through its prebuilt `blocks`, as `TanhMlp.flat_grad` takes them),
+    or None for the gradient when the loss or a ratio is not finite. (A ratio that overflows
     where the advantage is positive leaves the loss finite, through the
     clipped branch, but its gradient would be 0 * inf.)
 
@@ -130,7 +134,7 @@ def _ppo_loss_grad(policy, states, actions, old_logp, adv, clip, entropy_coef, o
     g = -1.0 / n
     g_ratio = g * take * adv + g * (1.0 - take) * adv * inside
     g_head, grads = head_grads(g_ratio * ratio, g_entropy, lambda rows: rows.sum(axis=0))
-    return float(loss), policy.flat_grad(a, {"head": g_head}, grads, out)
+    return float(loss), policy.flat_grad(a, {"head": g_head}, grads, out, blocks)
 
 
 class CategoricalPolicy(nn.TanhMlp):
@@ -146,7 +150,9 @@ class CategoricalPolicy(nn.TanhMlp):
 
     def sampler(self):
         """`act` while the parameters stay fixed, with each state's cdf
-        computed once; each call still draws one `rng.random()`."""
+        computed once and kept as a list of floats; each call still draws
+        one `rng.random()`. `bisect_right` on the list is the index that
+        `searchsorted(u, side="right")` gives on the float64 cdf."""
         cdfs = {}
 
         def sample(state, rng):
@@ -158,8 +164,8 @@ class CategoricalPolicy(nn.TanhMlp):
                 cdf = np.cumsum(p / p.sum())
                 if not np.isfinite(cdf[-1]):
                     raise ValueError("probabilities contain NaN")
-                cdf = cdfs[key] = cdf / cdf[-1]
-            return int(cdf.searchsorted(rng.random(), side="right"))
+                cdf = cdfs[key] = (cdf / cdf[-1]).tolist()
+            return bisect.bisect_right(cdf, rng.random())
 
         return sample
 
@@ -255,17 +261,18 @@ class ValueNetwork(nn.TanhMlp):
         a = self.forward(np.atleast_2d(states))
         return a["vr"].reshape(-1), a["v0"].reshape(-1)
 
-    def loss_grad(self, states, target_r, target_0, out=None):
+    def loss_grad(self, states, target_r, target_0, out=None, blocks=None):
         """Mean squared error of each head against its targets, summed over
-        the heads, and its flat gradient, written into `out` if given, or
-        None for the gradient when the loss is not finite."""
+        the heads, and its flat gradient, written into `out` if given
+        (through its prebuilt `blocks`, as `TanhMlp.flat_grad` takes them),
+        or None for the gradient when the loss is not finite."""
         a = self.forward(states)
         errs = {"vr": a["vr"] - target_r.reshape(-1, 1), "v0": a["v0"] - target_0.reshape(-1, 1)}
         loss = sum((err * err).sum() / err.size for err in errs.values())
         if not np.isfinite(loss):
             return float(loss), None
         g = {name: (2.0 * (1.0 / err.size)) * err for name, err in errs.items()}
-        return float(loss), self.flat_grad(a, g, {}, out)
+        return float(loss), self.flat_grad(a, g, {}, out, blocks)
 
 
 def make_policy(rng, env, hidden=(64, 64)):

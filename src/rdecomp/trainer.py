@@ -198,20 +198,28 @@ def ppo_update(policy, value_net, batch, advantages, targets_r, targets_0, confi
     # A step returns fresh parameter arrays, so references to them suffice;
     # it writes the Adam moments in place, so those are copied.
     saved = (dict(policy.params), dict(value_net.params), opt.t, opt.m.copy(), opt.v.copy())
-    n_policy = nn.layout(policy.params).size
-    grad = np.empty(n_policy + nn.layout(value_net.params).size)
+    # Each net writes its gradient into its slice of one vector, through
+    # views built once for the update: the layouts do not change.
+    lays = nn.layout(policy.params), nn.layout(value_net.params)
+    grad = np.empty(lays[0].size + lays[1].size)
+    policy_out, value_out = grad[: lays[0].size], grad[lays[0].size :]
+    policy_blocks, value_blocks = lays[0].blocks(policy_out), lays[1].blocks(value_out)
     n = len(adv)
     metrics = {"policy_loss": 0.0, "value_loss": 0.0, "updates": 0, "aborted": False}
     for _ in range(config.epochs):
+        # gathered once per epoch, so each minibatch is a contiguous slice
         order = rng.permutation(n)
+        e_states, e_actions, e_logp, e_adv, e_tr, e_t0 = (
+            x[order] for x in (states, actions, old_logp, adv, t_r, t_0)
+        )
         for start in range(0, n, config.minibatch):
-            idx = order[start : start + config.minibatch]
+            mb = slice(start, start + config.minibatch)
             policy_loss, policy_grad = policy.ppo_loss_grad(
-                states[idx], actions[idx], old_logp[idx], adv[idx], config.clip,
-                config.entropy_coef, grad[:n_policy],
+                e_states[mb], e_actions[mb], e_logp[mb], e_adv[mb], config.clip,
+                config.entropy_coef, policy_out, policy_blocks,
             )
-            value_loss, value_grad = value_net.loss_grad(states[idx], t_r[idx], t_0[idx],
-                                                         grad[n_policy:])
+            value_loss, value_grad = value_net.loss_grad(e_states[mb], e_tr[mb], e_t0[mb],
+                                                         value_out, value_blocks)
 
             if policy_grad is None or value_grad is None:
                 policy.params, value_net.params, opt.t, opt.m, opt.v = saved

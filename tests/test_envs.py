@@ -36,6 +36,36 @@ def test_chain_always_left_never_scores():
     assert sum(rewards) == 0.0 and len(rewards) == 10
 
 
+@pytest.mark.parametrize("make", [lambda: envs.ChainMdp(6, 9), lambda: envs.SparseGridworld(3, 7)],
+                         ids=["chain", "grid"])
+def test_one_hot_cells_are_read_only_rows_of_fresh_one_hots(make):
+    env = make()
+
+    def fresh(index):
+        v = np.zeros(env.n_cells)
+        v[index] = 1.0
+        return v
+
+    for index in range(env.n_cells):
+        state = env.state_vector(index)
+        assert state.dtype == np.float64 and np.array_equal(state, fresh(index))
+        assert env.state_index(state) == index == env.state_index(fresh(index))
+    rng = np.random.default_rng(0)
+    handed_out = [env.reset(rng)]
+    for action in rng.integers(0, env.n_actions, size=40):
+        result = env.step(handed_out[-1], action, rng)
+        # a fresh one-hot of the same cell steps the same way
+        again = env.step(fresh(env.state_index(handed_out[-1])), action, rng)
+        assert np.array_equal(result.next_state, again.next_state)
+        assert (result.dense_reward, result.done) == (again.dense_reward, again.done)
+        handed_out.append(result.next_state)
+    for state in handed_out:
+        with pytest.raises(ValueError, match="read-only"):
+            state[0] = 2.0
+    assert np.array_equal(env.reset(rng), fresh(env.initial_index))
+    assert all(np.array_equal(env.state_vector(i), fresh(i)) for i in range(env.n_cells))
+
+
 def test_chain_rejects_tiny():
     with pytest.raises(ValueError, match="n_states"):
         envs.ChainMdp(1, 5)

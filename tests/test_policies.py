@@ -3,6 +3,7 @@ import pytest
 
 import reference_scores
 from fdcheck import numeric_gradient, relative_error
+from rdecomp import nn
 from rdecomp._kernels import pad_segments
 from rdecomp.policies import CategoricalPolicy, GaussianPolicy, ValueNetwork
 from rdecomp.trajectory import Trajectory
@@ -142,27 +143,81 @@ def test_value_loss_grad_is_bitwise_the_tape():
 @pytest.mark.parametrize("kind", ["categorical", "gaussian"])
 def test_gradients_written_into_a_slice_are_the_fresh_vectors(kind, entropy_coef):
     # the PPO update's layout: the policy's gradient, then the value net's,
-    # in one vector, each written by its own call
+    # in one vector, each written by its own call, given the slice alone
+    # (out=) or also its blocks built beforehand, as `ppo_update` does
     policy, states, actions, old_logp, adv = make_minibatch(kind, 3)
     value_net = ValueNetwork(np.random.default_rng(12), 3, hidden=(8, 8))
     t_r, t_0 = np.random.default_rng(13).normal(size=(2, len(states)))
     loss, grad = policy.ppo_loss_grad(states, actions, old_logp, adv, 0.2, entropy_coef)
     value_loss, value_grad = value_net.loss_grad(states, t_r, t_0)
     size = grad.size
-    for call, part, want_loss, want in [
-        (lambda out: policy.ppo_loss_grad(states, actions, old_logp, adv, 0.2, entropy_coef,
-                                          out), slice(0, size), loss, grad),
-        (lambda out: value_net.loss_grad(states, t_r, t_0, out), slice(size, None),
-         value_loss, value_grad),
+    for call, net, part, want_loss, want in [
+        (lambda *out: policy.ppo_loss_grad(states, actions, old_logp, adv, 0.2, entropy_coef,
+                                           *out), policy, slice(0, size), loss, grad),
+        (lambda *out: value_net.loss_grad(states, t_r, t_0, *out), value_net,
+         slice(size, None), value_loss, value_grad),
     ]:
         fill = np.random.default_rng(14).normal(size=size + value_grad.size)
+        rest = np.ones(fill.size, dtype=bool)
+        rest[part] = False
         both = fill.copy()
         got_loss, got = call(both[part])
         assert got_loss == want_loss and got.base is both
         assert np.array_equal(both[part], want)
-        rest = np.ones(both.size, dtype=bool)
-        rest[part] = False
         assert np.array_equal(both[rest], fill[rest])
+        # prebuilt blocks: the out= vector's bits, written twice through the
+        # same views, with a different fill left between the calls
+        out = fill.copy()
+        blocks = nn.layout(net.params).blocks(out[part])
+        for _ in range(2):
+            got_loss, got = call(out[part], blocks)
+            assert got_loss == want_loss and got.base is out
+            assert np.array_equal(out[part], both[part])
+            assert np.array_equal(out[rest], fill[rest])
+            out[part] = -fill[part]
+
+
+class FixedDraws:
+    """Stands in for a Generator whose `random()` returns the given values."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
+def searchsorted_draw(policy, state, u):
+    """The reference draw: the float64 cdf's `searchsorted(u, side="right")`."""
+    p = np.exp(policy.log_prob_matrix_np(state)[0])
+    cdf = np.cumsum(p / p.sum())
+    cdf = cdf / cdf[-1]
+    return int(cdf.searchsorted(u, side="right")), cdf
+
+
+def test_sampler_draws_the_searchsorted_index():
+    rng = np.random.default_rng(20)
+    ties = 0
+    for trial in range(60):
+        policy = CategoricalPolicy(rng, 3, 7, hidden=(4,))
+        # head weights from small to huge: huge ones push some probabilities
+        # to exactly 0, which repeats entries of the cdf
+        scale = (1.0, 30.0, 3000.0)[trial % 3]
+        policy.params["head_w"] = rng.normal(scale=scale, size=policy.params["head_w"].shape)
+        sample = policy.sampler()
+        for state in rng.normal(size=(4, 3)):
+            cdf = searchsorted_draw(policy, state, 0.0)[1]
+            ties += np.any(cdf[1:] == cdf[:-1])
+            # every entry but the final 1.0 (random() < 1), and its neighbours
+            us = [0.0] + [np.nextafter(c, d) for c in cdf[:-1] for d in (0.0, c, 1.0)]
+            got = [sample(state, FixedDraws([u])) for u in us]
+            assert got == [searchsorted_draw(policy, state, u)[0] for u in us]
+            draws, want_draws = (np.random.default_rng(trial) for _ in range(2))
+            got = [sample(state, draws) for _ in range(20)]
+            assert got == [searchsorted_draw(policy, state, want_draws.random())[0]
+                           for _ in range(20)]
+            assert draws.bit_generator.state == want_draws.bit_generator.state
+    assert ties > 20
 
 
 @pytest.mark.parametrize("kind", ["categorical", "gaussian"])

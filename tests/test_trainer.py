@@ -428,36 +428,43 @@ def two_adam_ppo(policy, value_net, batch, advantages, t_r, t_0, config, rng, ad
 
 
 def test_ppo_update_is_bitwise_a_loop_with_two_adams():
-    batch, _ = random_batch(9, n=8)
-    config = TrainConfig(**{**TINY, "minibatch": 5, "entropy_coef": 0.01})
-    models = [(CategoricalPolicy(np.random.default_rng(5), 4, 2, hidden=(8,)),
-               ValueNetwork(np.random.default_rng(6), 4, hidden=(8,))) for _ in range(2)]
-    (policy, value_net), (ref_policy, ref_value) = models
-    opt, adams = nn.AdamOptimizer(config.policy_lr), [ReferenceAdam(config.policy_lr)
-                                                      for _ in range(2)]
-    rng, ref_rng = np.random.default_rng(0), np.random.default_rng(0)
-    draw = np.random.default_rng(1)
-    advantages = [draw.normal(size=t.length) for t in batch]
-    targets = [draw.normal(size=t.length) for t in batch]
-    bad_targets = [t.copy() for t in targets]
-    bad_targets[-1][-1] = np.inf
-    for t_r in (targets, bad_targets, targets):
-        metrics = ppo_update(policy, value_net, batch, advantages, t_r, targets, config, rng, opt)
-        saved = (dict(ref_policy.params), dict(ref_value.params),
-                 [(a.t, a.m, a.v) for a in adams])
-        aborted = two_adam_ppo(ref_policy, ref_value, batch, advantages, t_r, targets, config,
-                               ref_rng, adams)
-        assert metrics["aborted"] == aborted and metrics["updates"] > 0
-        if aborted:
-            ref_policy.params, ref_value.params = saved[0], saved[1]
-            for a, (t, m, v) in zip(adams, saved[2]):
-                a.t, a.m, a.v = t, m, v
-        for model, ref in ((policy, ref_policy), (value_net, ref_value)):
-            assert model.params.keys() == ref.params.keys()
-            assert all(np.array_equal(model.params[k], ref.params[k]) for k in ref.params)
-        assert opt.t == adams[0].t == adams[1].t
-        assert np.array_equal(opt.m, np.concatenate([a.m for a in adams]))
-        assert np.array_equal(opt.v, np.concatenate([a.v for a in adams]))
+    # (episodes of 5 steps, minibatch): 40 steps in 8 full minibatches, 30
+    # in 3, and 40 in 3 of 13 and a 1-step tail
+    for n, minibatch in ((8, 5), (6, 10), (8, 13)):
+        batch, _ = random_batch(9, n=n)
+        config = TrainConfig(**{**TINY, "minibatch": minibatch, "entropy_coef": 0.01})
+        models = [(CategoricalPolicy(np.random.default_rng(5), 4, 2, hidden=(8,)),
+                   ValueNetwork(np.random.default_rng(6), 4, hidden=(8,))) for _ in range(2)]
+        (policy, value_net), (ref_policy, ref_value) = models
+        opt, adams = nn.AdamOptimizer(config.policy_lr), [ReferenceAdam(config.policy_lr)
+                                                          for _ in range(2)]
+        rng, ref_rng = np.random.default_rng(0), np.random.default_rng(0)
+        draw = np.random.default_rng(1)
+        advantages = [draw.normal(size=t.length) for t in batch]
+        targets = [draw.normal(size=t.length) for t in batch]
+        bad_targets = [t.copy() for t in targets]
+        bad_targets[-1][-1] = np.inf
+        for t_r in (targets, bad_targets, targets):
+            metrics = ppo_update(policy, value_net, batch, advantages, t_r, targets, config,
+                                 rng, opt)
+            saved = (dict(ref_policy.params), dict(ref_value.params),
+                     [(a.t, a.m, a.v) for a in adams])
+            aborted = two_adam_ppo(ref_policy, ref_value, batch, advantages, t_r, targets,
+                                   config, ref_rng, adams)
+            assert metrics["aborted"] == aborted and metrics["updates"] > 0
+            if aborted:
+                ref_policy.params, ref_value.params = saved[0], saved[1]
+                for a, (t, m, v) in zip(adams, saved[2]):
+                    a.t, a.m, a.v = t, m, v
+            else:
+                assert metrics["updates"] == config.epochs * -(-n * 5 // minibatch)
+            for model, ref in ((policy, ref_policy), (value_net, ref_value)):
+                assert model.params.keys() == ref.params.keys()
+                assert all(np.array_equal(model.params[k], ref.params[k]) for k in ref.params)
+            assert opt.t == adams[0].t == adams[1].t
+            assert np.array_equal(opt.m, np.concatenate([a.m for a in adams]))
+            assert np.array_equal(opt.v, np.concatenate([a.v for a in adams]))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
