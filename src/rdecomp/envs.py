@@ -30,18 +30,24 @@ class _OneHotCells:
     `n_cells` and `initial_index` to `__init__` and define
     `transition(index, action)`, which returns (next index, reward, done).
 
-    The states handed out are rows of one read-only identity table, built
-    once per env (n_cells^2 floats): writing into one raises instead of
-    changing every later state of that cell."""
+    Each cell's state is one read-only vector, built at its first use (an
+    identity table up front would hold n_cells^2 floats) and handed out
+    again at every later one: a step allocates no state, and writing into a
+    state raises instead of changing every later state of that cell."""
 
     def __init__(self, n_cells, initial_index):
         self.n_cells = n_cells
         self.initial_index = initial_index
-        self._cells = np.eye(n_cells)
-        self._cells.flags.writeable = False
+        self._vectors = [None] * n_cells
 
     def state_vector(self, index):
-        return self._cells[index]
+        v = self._vectors[index]
+        if v is None:
+            v = np.zeros(self.n_cells)
+            v[index] = 1.0
+            v.flags.writeable = False
+            self._vectors[index] = v
+        return v
 
     def state_index(self, state):
         return int(state.argmax())

@@ -200,10 +200,10 @@ def ppo_update(policy, value_net, batch, advantages, targets_r, targets_0, confi
     saved = (dict(policy.params), dict(value_net.params), opt.t, opt.m.copy(), opt.v.copy())
     # Each net writes its gradient into its slice of one vector, through
     # views built once for the update: the layouts do not change.
-    lays = nn.layout(policy.params), nn.layout(value_net.params)
-    grad = np.empty(lays[0].size + lays[1].size)
-    policy_out, value_out = grad[: lays[0].size], grad[lays[0].size :]
-    policy_blocks, value_blocks = lays[0].blocks(policy_out), lays[1].blocks(value_out)
+    policy_lay, value_lay = nn.layout(policy.params), nn.layout(value_net.params)
+    grad = np.empty(policy_lay.size + value_lay.size)
+    policy_out, value_out = grad[: policy_lay.size], grad[policy_lay.size :]
+    policy_blocks, value_blocks = policy_lay.blocks(policy_out), value_lay.blocks(value_out)
     n = len(adv)
     metrics = {"policy_loss": 0.0, "value_loss": 0.0, "updates": 0, "aborted": False}
     for _ in range(config.epochs):

@@ -38,7 +38,7 @@ def test_chain_always_left_never_scores():
 
 @pytest.mark.parametrize("make", [lambda: envs.ChainMdp(6, 9), lambda: envs.SparseGridworld(3, 7)],
                          ids=["chain", "grid"])
-def test_one_hot_cells_are_read_only_rows_of_fresh_one_hots(make):
+def test_one_hot_cells_are_read_only_fresh_one_hots(make):
     env = make()
 
     def fresh(index):
@@ -49,6 +49,7 @@ def test_one_hot_cells_are_read_only_rows_of_fresh_one_hots(make):
     for index in range(env.n_cells):
         state = env.state_vector(index)
         assert state.dtype == np.float64 and np.array_equal(state, fresh(index))
+        assert env.state_vector(index) is state
         assert env.state_index(state) == index == env.state_index(fresh(index))
     rng = np.random.default_rng(0)
     handed_out = [env.reset(rng)]
