@@ -63,9 +63,11 @@ def softmax_rows_vjp(p, g):
 
 def layer_norm_rows(x, gain, bias, eps):
     """Row-wise layer normalization. Returns (y, xhat, inv_std)."""
-    mean = x.mean(axis=1, keepdims=True)
+    # sum / n: the float ops of mean(), without its Python overhead
+    n = x.shape[1]
+    mean = x.sum(axis=1, keepdims=True) / n
     centered = x - mean
-    var = (centered * centered).mean(axis=1)
+    var = (centered * centered).sum(axis=1) / n
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std[:, None]
     return xhat * gain + bias, xhat, inv_std
@@ -76,8 +78,9 @@ def layer_norm_rows_vjp(xhat, inv_std, gain, g):
     dgain = (g * xhat).sum(axis=0)
     dbias = g.sum(axis=0)
     gg = g * gain
-    dx = (gg - gg.mean(axis=1, keepdims=True)
-          - xhat * (gg * xhat).mean(axis=1, keepdims=True)) * inv_std[:, None]
+    n = g.shape[1]
+    dx = (gg - gg.sum(axis=1, keepdims=True) / n
+          - xhat * ((gg * xhat).sum(axis=1, keepdims=True) / n)) * inv_std[:, None]
     return dx, dgain, dbias
 
 

@@ -75,11 +75,19 @@ def r_not_t_rows(rewards, lengths):
 
 
 def _finish(per_sample):
-    """Batch mean and variance of the (B, P) per-trajectory gradients."""
+    """Batch mean and variance of the (B, P) per-trajectory gradients.
+
+    Overwrites per_sample, which every caller builds fresh for it: the
+    variance squares the deviations in place, with the float ops of
+    `per_sample.var(axis=0).mean()` in its order, so it needs no (B, P)
+    temporary. A batch of one has variance 0.0."""
     n = len(per_sample)
     grad = per_sample.sum(axis=0) / n
-    variance = float(per_sample.var(axis=0).mean()) if n > 1 else 0.0
-    return GradientEstimate(grad, variance)
+    if n == 1:
+        return GradientEstimate(grad, 0.0)
+    np.subtract(per_sample, grad, out=per_sample)
+    np.multiply(per_sample, per_sample, out=per_sample)
+    return GradientEstimate(grad, float((per_sample.sum(axis=0) / n).mean()))
 
 
 def grad_reinforce(batch, policy):

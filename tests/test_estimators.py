@@ -266,3 +266,14 @@ def test_batch_mean_and_variance_definition():
     singles = np.stack([estimators.grad_reinforce([t], policy).grad for t in trajs])
     np.testing.assert_allclose(est.grad, singles.mean(axis=0), rtol=1e-12)
     np.testing.assert_allclose(est.variance, singles.var(axis=0).mean(), rtol=1e-10)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 57])
+def test_finish_is_bitwise_the_column_mean_and_numpy_variance(batch):
+    rng = np.random.default_rng(batch)
+    for scale in (1e-6, 1.0, 1e4):
+        x = rng.normal(size=(batch, 301)) * scale + rng.normal(size=301)
+        est = estimators._finish(x.copy())
+        assert np.array_equal(est.grad, x.sum(axis=0) / batch)
+        want = 0.0 if batch == 1 else float(x.var(axis=0).mean())
+        assert type(est.variance) is float and est.variance == want

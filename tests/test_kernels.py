@@ -68,3 +68,35 @@ def test_gae_monte_carlo_limit():
     rewards = np.array([1.0, 2.0, 3.0])
     values = np.zeros(4)
     np.testing.assert_array_equal(_kernels.gae(rewards, values, 1.0, 1.0), [6.0, 5.0, 3.0])
+
+
+def mean_form_layer_norm(x, gain, bias, eps):
+    # layer_norm_rows and its vjp with numpy's .mean, the form they replaced
+    mean = x.mean(axis=1, keepdims=True)
+    centered = x - mean
+    var = (centered * centered).mean(axis=1)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv_std[:, None]
+    return xhat * gain + bias, xhat, inv_std
+
+
+def mean_form_layer_norm_vjp(xhat, inv_std, gain, g):
+    gg = g * gain
+    dx = (gg - gg.mean(axis=1, keepdims=True)
+          - xhat * (gg * xhat).mean(axis=1, keepdims=True)) * inv_std[:, None]
+    return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 17, 130])
+@pytest.mark.parametrize("width", [1, 5, 16, 33, 200])
+def test_layer_norm_rows_is_bitwise_the_mean_form(rows, width):
+    rng = np.random.default_rng(rows * 1000 + width)
+    x = rng.normal(size=(rows, width)) * 10.0 ** rng.uniform(-3, 3, size=(rows, 1)) + 7.0
+    gain, bias = rng.normal(size=width), rng.normal(size=width)
+    g = rng.normal(size=(rows, width))
+    got = _kernels.layer_norm_rows(x, gain, bias, 1e-5)
+    want = mean_form_layer_norm(x, gain, bias, 1e-5)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+    got = _kernels.layer_norm_rows_vjp(want[1], want[2], gain, g)
+    want = mean_form_layer_norm_vjp(want[1], want[2], gain, g)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
