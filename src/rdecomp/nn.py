@@ -9,6 +9,7 @@ laid end to end, which writes its moments in place."""
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -218,15 +219,20 @@ class AdamOptimizer:
             self._scratch = (np.empty(size), np.empty(size))
         s, r = self._scratch
         m, v, b1, b2, t = self.m, self.v, self.beta1, self.beta2, self.t + 1
-        # The float ops of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
-        # lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps), in that order.
+        # Kingma & Ba's efficient form (arXiv 1412.6980, end of section 2):
+        # both bias corrections fold into the Python scalars alpha_t and
+        # eps_hat, so the update is one division. The float ops of
+        # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
+        # (m alpha_t) / (sqrt(v) + eps_hat), in that order.
+        root = math.sqrt(1 - b2**t)
+        alpha, eps_hat = self.lr * root / (1 - b1**t), self.eps * root
         np.multiply(m, b1, out=m)
         np.add(m, np.multiply(g, 1 - b1, out=s), out=m)
         np.multiply(np.multiply(g, 1 - b2, out=s), g, out=s)
         np.multiply(v, b2, out=v)
         np.add(v, s, out=v)
-        np.multiply(np.divide(m, 1 - b1**t, out=s), self.lr, out=s)
-        np.add(np.sqrt(np.divide(v, 1 - b2**t, out=r), out=r), self.eps, out=r)
+        np.multiply(m, alpha, out=s)
+        np.add(np.sqrt(v, out=r), eps_hat, out=r)
         new = np.subtract(flat, np.divide(s, r, out=s))
         new.flags.writeable = False
         out, i = [], 0

@@ -2,7 +2,12 @@
 
 Each step rebinds t, m and v to new arrays, and builds the new parameter
 vector from a fresh concatenation of the parameters in sorted-name order.
+The update is Kingma & Ba's efficient form (arXiv 1412.6980, end of
+section 2): both bias corrections folded into the step size alpha_t and
+into eps_hat.
 """
+
+import math
 
 import numpy as np
 
@@ -23,9 +28,9 @@ class ReferenceAdam:
         self.t += 1
         self.m = self.beta1 * self.m + (1 - self.beta1) * g
         self.v = self.beta2 * self.v + (1 - self.beta2) * g * g
-        mhat = self.m / (1 - self.beta1**self.t)
-        vhat = self.v / (1 - self.beta2**self.t)
-        update = self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        root = math.sqrt(1 - self.beta2**self.t)
+        alpha = self.lr * root / (1 - self.beta1**self.t)
+        update = self.m * alpha / (np.sqrt(self.v) + self.eps * root)
         flat = np.concatenate([params[k].reshape(-1) for k in sorted(params)]) - update
         out, i = {}, 0
         for k in sorted(params):

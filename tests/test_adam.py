@@ -151,3 +151,31 @@ def test_layout_flattens_vectors_and_writes_row_blocks():
     assert np.array_equal(row, flat)
     with pytest.raises(ValueError, match=f"parameters need {lay.size}"):
         lay.views(np.zeros(lay.size - 1))
+
+
+def test_folded_steps_agree_with_algorithm_1_as_printed():
+    # Algorithm 1 of Kingma & Ba (arXiv 1412.6980) divides by both bias
+    # corrections; the folded form differs from it by rounding alone. The
+    # gradients never depend on the parameters and keep one sign per
+    # coordinate, so from 0 both runs move each coordinate one way and
+    # agree to a relative 1e-12. Coordinates 0-9 always see 0 (v stays 0:
+    # the update is 0 over eps), and 10-19 see ~1e-9, where eps is as
+    # large as sqrt(v_hat).
+    lr, beta1, beta2, eps = 1e-2, 0.9, 0.999, 1e-8
+    size = 300
+    rng = np.random.default_rng(9)
+    signs = rng.choice([-1.0, 1.0], size=size)
+    opt, params = nn.AdamOptimizer(lr, beta1, beta2, eps), {"x": np.zeros(size)}
+    want, m, v = np.zeros(size), np.zeros(size), np.zeros(size)
+    for t, g in enumerate(gradients(size, 200, seed=10), start=1):
+        g = np.abs(g) * signs
+        g[:10] = 0.0
+        g[10:20] = np.abs(rng.normal(size=10)) * 1e-9 * signs[10:20]
+        (params,) = opt.step([params], g)
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g**2
+        mhat = m / (1 - beta1**t)
+        vhat = v / (1 - beta2**t)
+        want = want - lr * mhat / (np.sqrt(vhat) + eps)
+        np.testing.assert_allclose(params["x"], want, rtol=1e-12, atol=0)
+    assert not params["x"][:10].any() and np.abs(params["x"][10:]).min() > 1e-3

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -420,9 +421,10 @@ def test_adam_matches_textbook_per_tensor_adam():
             g = grads.of(ref_params[k])
             m[k] = beta1 * m[k] + (1 - beta1) * g
             v[k] = beta2 * v[k] + (1 - beta2) * g * g
-            mhat = m[k] / (1 - beta1**t)
-            vhat = v[k] / (1 - beta2**t)
-            ref[k] = ref[k] - lr * mhat / (np.sqrt(vhat) + eps)
+            # Kingma & Ba's efficient form (arXiv 1412.6980, end of section 2)
+            alpha = lr * math.sqrt(1 - beta2**t) / (1 - beta1**t)
+            eps_hat = eps * math.sqrt(1 - beta2**t)
+            ref[k] = ref[k] - m[k] * alpha / (np.sqrt(v[k]) + eps_hat)
         assert opt.t == t
         for k in ref:
             assert np.array_equal(params[k], ref[k])
