@@ -1,7 +1,7 @@
 """Command-line entry points.
 
   rdecomp train --config exp.json [--resume]
-  rdecomp verify [--mdp NAME | --spec PATH] [--inits N] [--out report.json]
+  rdecomp verify [--mdp NAME | --spec PATH] [--inits N] [--tol T] [--out report.json]
   rdecomp export-attention --ckpt model.json --traj rollouts.jsonl --out attn.csv
   rdecomp bench --recipe NAME [--seeds 1,2,3] [--iterations N] ...
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -21,7 +22,7 @@ import numpy as np
 
 from rdecomp import config as config_mod
 from rdecomp import decomposer, nn, oracle, recipes, trainer
-from rdecomp.checkpoint import CheckpointError, load as load_checkpoint
+from rdecomp.checkpoint import CheckpointError, load as load_checkpoint, write_atomic
 from rdecomp.policies import CategoricalPolicy
 from rdecomp.trajectory import read_jsonl
 
@@ -236,8 +237,7 @@ def cmd_verify(args):
                     f" max_err={payload['max_abs_error']:.3e}"
                 )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=1)
+        write_atomic(args.out, json.dumps(report, indent=1))
         print(f"report written to {args.out}")
     print(""
           f"overall: {'PASS' if report['pass'] else 'FAIL'} (tolerance {report['tolerance']})")
@@ -288,14 +288,17 @@ def cmd_export_attention(args):
     if norm_state:
         normalizer = decomposer.ReturnNormalizer.from_state(norm_state)
         values = decomposer.destandardize(values, [traj.length], normalizer)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "z", "r_hat"])
-        for t in range(traj.length):
-            writer.writerow([t, float(z[t, 0]), float(values[t])])
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["t", "z", "r_hat"])
+    for t in range(traj.length):
+        writer.writerow([t, float(z[t, 0]), float(values[t])])
+    write_atomic(args.out, text.getvalue())
     stem = os.path.splitext(args.out)[0]
     for h, head in enumerate(attn[0]):
-        np.savetxt(f"{stem}_head{h}.csv", head, delimiter=",")
+        text = io.StringIO()
+        np.savetxt(text, head, delimiter=",")
+        write_atomic(f"{stem}_head{h}.csv", text.getvalue())
     print(f"wrote {args.out} and {len(attn[0])} attention matrices")
     return 0
 
@@ -320,7 +323,8 @@ def cmd_bench(args):
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    root = args.output_root or os.path.join(_output_root(), args.recipe)
+    # relative: _run_training resolves it against the output root
+    root = args.output_root or args.recipe
     failures = []
     for name, experiment in pairs:
         experiment.output_dir = os.path.join(root, name)

@@ -122,10 +122,10 @@ def lstm_params(rng, input_dim, hidden_dim):
 
 @functools.lru_cache(maxsize=None)
 def sinusoidal_positions(t_len, dim):
-    """Fixed position signal added to embeddings when enabled: a read-only
-    (t_len, dim) table, built once per shape. Each entry depends on its
-    position and column alone, so the table for t_len is the first t_len
-    rows of any longer one."""
+    """Fixed position signal the attention predictor adds to its embeddings,
+    always: a read-only (t_len, dim) table, built once per shape. Each entry
+    depends on its position and column alone, so the table for t_len is the
+    first t_len rows of any longer one."""
     pos = np.arange(t_len)[:, None]
     i = np.arange(dim)[None, :]
     angles = pos / np.power(10000.0, (2 * (i // 2)) / dim)

@@ -35,8 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from rdecomp import _kernels
-from rdecomp import checkpoint, decomposer, envs, estimators, nn
-from rdecomp.buffers import ReplayBuffer
+from rdecomp import buffers, checkpoint, decomposer, envs, estimators, nn
 from rdecomp.policies import ValueNetwork, make_policy
 from rdecomp.trajectory import Trajectory, read_jsonl, write_jsonl
 
@@ -91,6 +90,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         if not 0.0 < self.clip < 1.0:
             raise ValueError(f"clip must be in (0, 1), got {self.clip}")
+        if self.buffer_scheme not in buffers.SCHEMES:
+            raise ValueError(f"buffer_scheme must be one of {buffers.SCHEMES},"
+                             f" got {self.buffer_scheme!r}")
         if not (self.bias_correction or self.use_decomposer):
             raise ValueError("bias_correction=False needs use_decomposer=True: without the"
                              " predictor the return reaches PPO only through the residual")
@@ -145,12 +147,13 @@ def rollout(policy, env, n_steps, rng):
 def compute_advantages(batch, decomps, value_net, gamma, lam):
     """Per-step advantages and value targets for both streams.
 
-    Returns (advantages, targets_r, targets_0), each a list of per-episode
-    arrays aligned with `batch`. Episodes are terminal by construction, so
-    the bootstrap value after the last step is zero, and each stream is one
-    GAE scan over the batch's zero-padded (B, T) block. The value net runs
-    once per episode: its rows then meet the same matrix products as an
-    episode alone, which keeps the values' bits.
+    Returns (advantages, targets_r, targets_0), each one (N,) array over the
+    batch's steps, episode after episode in batch order. Episodes are
+    terminal by construction, so the bootstrap value after the last step is
+    zero, and each stream is one GAE scan over the batch's zero-padded
+    (B, T) block. The value net runs once per episode: its rows then meet
+    the same matrix products as an episode alone, which keeps the values'
+    bits.
     """
     lengths = np.array([traj.length for traj in batch])
     for traj, dec in zip(batch, decomps):
@@ -166,34 +169,28 @@ def compute_advantages(batch, decomps, value_net, gamma, lam):
     r1[at] = np.concatenate([np.asarray(d.per_interval, dtype=np.float64) for d in decomps])
     r2[np.arange(b), lengths - 1] = [d.residual for d in decomps]
     values = [value_net.values_np(traj.states) for traj in batch]
-    vr[at] = np.concatenate([v[0] for v in values])
-    v0[at] = np.concatenate([v[1] for v in values])
-    adv1 = _kernels.gae(r1[:, :t_len], vr, gamma, lam)
-    adv2 = _kernels.gae(r2[:, :t_len], v0, gamma, lam)
-    return tuple(
-        [row[:n] for row, n in zip(block, lengths.tolist())]
-        for block in (adv1 + adv2, adv1 + vr[:, :t_len], adv2 + v0[:, :t_len])
-    )
+    vr[at], v0[at] = (np.concatenate([v[i] for v in values]) for i in (0, 1))
+    adv1 = _kernels.gae(r1[:, :t_len], vr, gamma, lam)[at]
+    adv2 = _kernels.gae(r2[:, :t_len], v0, gamma, lam)[at]
+    return adv1 + adv2, adv1 + vr[at], adv2 + v0[at]
 
 
 def ppo_update(policy, value_net, batch, advantages, targets_r, targets_0, config,
                rng, opt):
     """Clipped-surrogate update over epochs x minibatches.
 
-    Advantages are normalized across the whole batch first. `opt` steps the
-    policy and the value net as one vector. If a loss or a probability ratio
-    goes non-finite (a gradient comes back None), the previous parameters
-    and Adam state are restored and the update is abandoned for this
-    iteration.
+    `advantages`, `targets_r` and `targets_0` are (N,) arrays over the
+    batch's steps, as `compute_advantages` returns them. Advantages are
+    normalized across the whole batch first. `opt` steps the policy and
+    the value net as one vector. If a loss or a probability ratio goes
+    non-finite (a gradient comes back None), the previous parameters and
+    Adam state are restored and the update is abandoned for this iteration.
     """
     states = np.concatenate([t.states for t in batch])
     actions = np.concatenate([t.actions for t in batch])
-    adv = np.concatenate(advantages)
-    t_r = np.concatenate(targets_r)
-    t_0 = np.concatenate(targets_0)
     old_logp = policy.log_prob_np(states, actions)
 
-    adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+    adv = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
 
     # A step returns fresh parameter arrays, so references to them suffice;
     # it writes the Adam moments in place, so those are copied.
@@ -210,7 +207,7 @@ def ppo_update(policy, value_net, batch, advantages, targets_r, targets_0, confi
         # gathered once per epoch, so each minibatch is a contiguous slice
         order = rng.permutation(n)
         e_states, e_actions, e_logp, e_adv, e_tr, e_t0 = (
-            x[order] for x in (states, actions, old_logp, adv, t_r, t_0)
+            x[order] for x in (states, actions, old_logp, adv, targets_r, targets_0)
         )
         for start in range(0, n, config.minibatch):
             mb = slice(start, start + config.minibatch)
@@ -239,7 +236,8 @@ def _zero_decomposition(traj):
 
 
 class Trainer:
-    """Owns the models, buffer, and RNG streams for one seeded training run."""
+    """Owns the models, Adams and RNG streams of one seeded training run; with
+    a decomposer, also the replay buffer and the reward Adam."""
 
     def __init__(self, config, seed=0):
         self.config = config
@@ -253,22 +251,18 @@ class Trainer:
         self.env = envs.make_env(config.env, config.env_params)
         self.policy = make_policy(self.init_rng, self.env, config.hidden)
         self.value_net = ValueNetwork(self.init_rng, self.env.state_dim, config.hidden)
-        self.model = None
-        self.normalizer = None
+        self.model = self.normalizer = self.buffer = self.reward_opt = None
         if config.use_decomposer:
             n_actions = getattr(self.env, "n_actions", None)
             input_dim = self.env.state_dim + (n_actions if n_actions else self.env.action_dim)
             self.model = decomposer.make_predictor(config.architecture, input_dim, self.init_rng)
             self.normalizer = decomposer.ReturnNormalizer()
-        self.buffer = ReplayBuffer(
-            config.buffer_scheme,
-            config.buffer_capacity,
-            config.reservoir_capacity,
-            seed=seqs[4],
-        )
+            # seqs[4] is spawned for the baseline too, so no stream moves
+            self.buffer = buffers.ReplayBuffer(config.buffer_scheme, config.buffer_capacity,
+                                               config.reservoir_capacity, seed=seqs[4])
+            self.reward_opt = nn.AdamOptimizer(config.reward_lr)
         # one Adam over the policy and the value net, laid end to end
         self.ppo_opt = nn.AdamOptimizer(config.policy_lr)
-        self.reward_opt = nn.AdamOptimizer(config.reward_lr)
         self.iteration = 0
         self.env_steps = 0
         self.metrics = []
@@ -309,8 +303,8 @@ class Trainer:
         self.env_steps += sum(t.length for t in batch)
         returns = np.array([t.episodic_return for t in batch])
 
-        self.buffer.insert(batch)
-        if self.normalizer is not None:
+        if self.model is not None:
+            self.buffer.insert(batch)
             self.normalizer.update(returns)
         regression_loss = self._regression_phase()
 
@@ -350,10 +344,10 @@ class Trainer:
 
     def save(self, out_dir, suffix=""):
         """Write every artifact of the run through `checkpoint.write_atomic`:
-        the checkpoints, each with the iteration in its meta, then the
-        buffer, and the state last. A crash inside a save thus leaves
-        either the old set or a checkpoint whose iteration is not the
-        state's, which `restore` refuses."""
+        the checkpoints, each with the iteration in its meta, then a
+        decomposer run's buffer, and the state last. A crash inside a save
+        thus leaves either the old set or a checkpoint whose iteration is
+        not the state's, which `restore` refuses."""
         os.makedirs(out_dir, exist_ok=True)
         checkpoint.save(
             os.path.join(out_dir, f"policy{suffix}.json"),
@@ -382,11 +376,14 @@ class Trainer:
         self._save_state(out_dir, suffix)
 
     def _optimizers(self):
-        """(label, Adam, the label's slice of the Adam's moments)."""
+        """(label, Adam, the label's slice of the Adam's moments); the reward
+        entry only with a reward model."""
         n_policy = nn.layout(self.policy.params).size
-        return (("policy", self.ppo_opt, slice(0, n_policy)),
-                ("value", self.ppo_opt, slice(n_policy, None)),
-                ("reward", self.reward_opt, slice(None)))
+        entries = (("policy", self.ppo_opt, slice(0, n_policy)),
+                   ("value", self.ppo_opt, slice(n_policy, None)))
+        if self.model is None:
+            return entries
+        return entries + (("reward", self.reward_opt, slice(None)),)
 
     def _save_state(self, out_dir, suffix):
         opt_arrays, steps = {}, {}
@@ -398,18 +395,14 @@ class Trainer:
             opt_arrays,
             meta={"steps": steps, "iteration": self.iteration},
         )
-        buffer_trajs, buffer_meta = self.buffer.snapshot()
-        write_jsonl(os.path.join(out_dir, f"buffer{suffix}.jsonl"), buffer_trajs)
-        state = {
-            "iteration": self.iteration,
-            "env_steps": self.env_steps,
-            "seed": self.seed,
-            "buffer_rng": self.buffer.rng.bit_generator.state,
-            "buffer_meta": buffer_meta,
-            "rngs": {
-                name: getattr(self, name).bit_generator.state
-                for name in ("rollout_rng", "ppo_rng", "regression_rng")
-            },
+        state = {"iteration": self.iteration, "env_steps": self.env_steps, "seed": self.seed}
+        if self.buffer is not None:
+            buffer_trajs, state["buffer_meta"] = self.buffer.snapshot()
+            write_jsonl(os.path.join(out_dir, f"buffer{suffix}.jsonl"), buffer_trajs)
+            state["buffer_rng"] = self.buffer.rng.bit_generator.state
+        state["rngs"] = {
+            name: getattr(self, name).bit_generator.state
+            for name in ("rollout_rng", "ppo_rng", "regression_rng")
         }
         checkpoint.write_atomic(os.path.join(out_dir, f"state{suffix}.json"),
                                 json.dumps(state, indent=1))
@@ -420,7 +413,8 @@ class Trainer:
         trainer as it was. CheckpointError for a checkpoint from another
         iteration than the state's (a save cut short), a model or Adam state
         whose parameter names or sizes are not those of the model it would
-        replace, or policy and value Adam states at different step counts."""
+        replace, or policy and value Adam states at different step counts.
+        A baseline ignores the buffer and reward Adam that older saves hold."""
 
         def path(name, ext=".json"):
             return os.path.join(out_dir, f"{name}{suffix}{ext}")
@@ -435,27 +429,26 @@ class Trainer:
                     f"{path(name)} is from iteration {meta['iteration']} but"
                     f" {path('state')} from {state['iteration']}: a save was cut short"
                 )
-        buffer_trajs = read_jsonl(path("buffer", ".jsonl"))
+        buffer_trajs = None if self.buffer is None else read_jsonl(path("buffer", ".jsonl"))
         opt_arrays, opt_meta = loaded["optimizer"]
         adams = {}
         models = (("policy", self.policy), ("value", self.value_net), ("reward_model", self.model))
+        # a baseline lists no reward Adam, so the zip stops before its None model
         for (label, opt, _), (name, model) in zip(self._optimizers(), models):
             if f"{label}/m" not in opt_arrays or f"{label}/v" not in opt_arrays:
                 raise checkpoint.CheckpointError(
                     f"{path('optimizer')} has no flat Adam state {label}/m, {label}/v"
                 )
             t, m, v = opt_meta["steps"][label], opt_arrays[f"{label}/m"], opt_arrays[f"{label}/v"]
-            size = 0
-            if model is not None:
-                got = {k: p.shape for k, p in loaded[name][0].items()}
-                want = {k: p.shape for k, p in model.params.items()}
-                bad = sorted(k for k in got.keys() | want.keys() if got.get(k) != want.get(k))
-                if bad:
-                    raise checkpoint.CheckpointError(
-                        f"{path(name)} does not fit the model: parameters {bad} differ"
-                        " in name or shape"
-                    )
-                size = sum(p.size for p in model.params.values())
+            got = {k: p.shape for k, p in loaded[name][0].items()}
+            want = {k: p.shape for k, p in model.params.items()}
+            bad = sorted(k for k in got.keys() | want.keys() if got.get(k) != want.get(k))
+            if bad:
+                raise checkpoint.CheckpointError(
+                    f"{path(name)} does not fit the model: parameters {bad} differ"
+                    " in name or shape"
+                )
+            size = sum(p.size for p in model.params.values())
             # Adam's moments are empty until its first step
             if not m.shape == v.shape == ((size if t else 0),):
                 raise checkpoint.CheckpointError(
@@ -474,12 +467,12 @@ class Trainer:
         if self.model is not None:
             self.model.params, meta = loaded["reward_model"]
             self.normalizer = decomposer.ReturnNormalizer.from_state(meta["normalizer"])
+            self.buffer.rng.bit_generator.state = state["buffer_rng"]
+            self.buffer.restore_snapshot(buffer_trajs, state["buffer_meta"])
         self.iteration = state["iteration"]
         self.env_steps = state["env_steps"]
         for name, rng_state in state["rngs"].items():
             getattr(self, name).bit_generator.state = rng_state
-        self.buffer.rng.bit_generator.state = state["buffer_rng"]
-        self.buffer.restore_snapshot(buffer_trajs, state["buffer_meta"])
         for opt, (t, ms, vs) in adams.items():
             # copies: loaded arrays are read-only, and a step writes the moments
             opt.t, opt.m, opt.v = t, np.concatenate(ms), np.concatenate(vs)

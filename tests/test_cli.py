@@ -512,6 +512,17 @@ def test_repeated_verification_sweeps_report_the_same():
     assert cli.run_verification(mdps, seed=2) == cli.run_verification(mdps, seed=2)
 
 
+def test_verify_out_that_fails_to_serialize_keeps_the_earlier_report(tmp_path, monkeypatch):
+    out = tmp_path / "report.json"
+    out.write_text('{"pass": true}')
+    monkeypatch.setattr(cli, "run_verification", lambda mdps, n_inits, tol: {
+        "pass": True, "tolerance": tol, "mdps": {}, "unserializable": object()})
+    with pytest.raises(TypeError):
+        cli.main(["verify", "--mdp", "chain3", "--out", str(out)])
+    assert out.read_text() == '{"pass": true}'
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
 # ---------------------------------------------------------------------------
 # export-attention command
 
@@ -583,6 +594,21 @@ def test_export_attention_single_step(tmp_path):
     assert len(rows) == 1
     attn = np.loadtxt(tmp_path / "one_head0.csv", delimiter=",")
     assert attn.reshape(1, 1)[0, 0] == 1.0
+
+
+def test_export_that_raises_midway_keeps_the_earlier_files(tmp_path, monkeypatch):
+    ckpt, traj_path = make_attention_checkpoint(tmp_path, normalizer=decomposer.ReturnNormalizer())
+    out = tmp_path / "attn.csv"
+    earlier = [out] + [tmp_path / f"attn_head{h}.csv" for h in range(4)]
+    for path in earlier:
+        path.write_text("earlier\n")
+    # r_hat for the first two steps only: the row of step 2 raises IndexError
+    monkeypatch.setattr(cli.decomposer, "destandardize", lambda values, *_: values[:2])
+    with pytest.raises(IndexError):
+        cli.main(["export-attention", "--ckpt", str(ckpt), "--traj", str(traj_path),
+                  "--out", str(out)])
+    assert [path.read_text() for path in earlier] == ["earlier\n"] * 5
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 @pytest.mark.parametrize("index", ["1", "-1"])
@@ -697,6 +723,22 @@ def test_bench_rejects_malformed_seeds(tmp_path, monkeypatch, capsys):
     assert cli.main(["bench", "--recipe", "buffers", "--seeds", "1,2,1"]) == 2
     assert "seeds must be a non-empty list of distinct integers" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("env_root", [None, "out"])
+def test_bench_under_a_relative_output_root_nests_it_once(tmp_path, monkeypatch, env_root):
+    monkeypatch.chdir(tmp_path)
+    if env_root is None:
+        monkeypatch.delenv("RDECOMP_OUTPUT_ROOT", raising=False)
+    else:
+        monkeypatch.setenv("RDECOMP_OUTPUT_ROOT", env_root)
+    root = env_root or "runs"
+    assert cli.main(["bench", "--recipe", "buffers", "--seeds", "1", "--iterations", "1",
+                     "--ppo-batch", "20"]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == [root]
+    assert [p.name for p in (tmp_path / root).iterdir()] == ["buffers"]
+    for scheme in ("O", "HO", "S"):
+        assert (tmp_path / root / "buffers" / f"buffer-{scheme}" / "metrics_seed1.csv").exists()
 
 
 def test_bench_command_runs_tiny(tmp_path, monkeypatch):

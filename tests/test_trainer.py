@@ -8,6 +8,8 @@ from test_buffers import assert_same_trajectories
 
 from rdecomp import autodiff as ad
 from rdecomp import _kernels, checkpoint, cli, envs, estimators, nn, oracle
+from rdecomp import trainer as trainer_mod
+from rdecomp.buffers import ReplayBuffer
 from rdecomp.decomposer import (
     RewardDecomposition,
     input_rows,
@@ -153,11 +155,16 @@ def random_batch(seed, n=3, t_len=5, d_s=4):
     return batch, decomps
 
 
+def per_episode(steps, batch):
+    """A (N,) array over the batch's steps split into per-episode arrays."""
+    return np.split(steps, np.cumsum([t.length for t in batch])[:-1])
+
+
 def test_monte_carlo_limit_recovers_corrected_coefficients():
     batch, decomps = random_batch(0)
     value_net = zeroed_value_net(4)
     advantages, _, _ = compute_advantages(batch, decomps, value_net, 1.0, 1.0)
-    for traj, dec, adv in zip(batch, decomps, advantages):
+    for traj, dec, adv in zip(batch, decomps, per_episode(advantages, batch), strict=True):
         want = dec.residual + estimators.generalized_q(dec, traj.length)
         np.testing.assert_array_equal(adv, want)
         # and ties back to the baseline-subtracted coefficient form
@@ -174,8 +181,7 @@ def test_exact_decomposition_zeroes_residual_stream():
     decomps = [RewardDecomposition(d.per_interval, d.composite, 0.0) for d in decomps]
     value_net = zeroed_value_net(4)
     _, _, targets_0 = compute_advantages(batch, decomps, value_net, 0.99, 0.95)
-    for t0 in targets_0:
-        np.testing.assert_array_equal(t0, np.zeros_like(t0))
+    np.testing.assert_array_equal(targets_0, np.zeros(sum(t.length for t in batch)))
 
 
 def test_gae_matches_direct_recursion_with_real_values():
@@ -200,7 +206,7 @@ def test_gae_matches_direct_recursion_with_real_values():
         return adv
 
     want = gae_ref(r1, vr) + gae_ref(r2, v0)
-    np.testing.assert_allclose(advantages[0], want, rtol=1e-12)
+    np.testing.assert_allclose(advantages, want, rtol=1e-12)
 
 
 RAGGED = [1, 7, 3, 12, 1, 5]
@@ -232,14 +238,18 @@ def test_advantages_are_bitwise_the_per_episode_scans():
         decomps.append(RewardDecomposition.from_values(rng.normal(size=n), traj.episodic_return))
     value_net = ValueNetwork(np.random.default_rng(9), 4, hidden=(8,))
     got = compute_advantages(batch, decomps, value_net, 0.99, 0.95)
-    for b, (traj, dec) in enumerate(zip(batch, decomps)):
+    want = [[], [], []]
+    for traj, dec in zip(batch, decomps):
         r2 = np.zeros(traj.length)
         r2[-1] = dec.residual
         vr, v0 = value_net.values_np(traj.states)
         adv1 = _kernels.gae(np.asarray(dec.per_interval), np.append(vr, 0.0), 0.99, 0.95)
         adv2 = _kernels.gae(r2, np.append(v0, 0.0), 0.99, 0.95)
-        for out, want in zip(got, (adv1 + adv2, adv1 + vr, adv2 + v0)):
-            assert np.array_equal(out[b], want)
+        for rows, row in zip(want, (adv1 + adv2, adv1 + vr, adv2 + v0)):
+            rows.append(row)
+    # each output is the per-episode rows stacked in batch order
+    for out, rows in zip(got, want, strict=True):
+        assert out.shape == (sum(RAGGED),) and np.array_equal(out, np.concatenate(rows))
 
 
 def test_length_mismatch_rejected():
@@ -266,9 +276,8 @@ def test_zero_advantages_leave_policy_unchanged():
     policy = CategoricalPolicy(np.random.default_rng(1), 4, 2, hidden=(8,))
     value_net = ValueNetwork(np.random.default_rng(2), 4, hidden=(8,))
     before = {k: p.copy() for k, p in policy.params.items()}
-    zeros = [np.zeros(t.length) for t in batch]
-    targets = [np.ones(t.length) for t in batch]
-    run_ppo(policy, value_net, batch, zeros, targets, targets)
+    n = sum(t.length for t in batch)
+    run_ppo(policy, value_net, batch, np.zeros(n), np.ones(n), np.ones(n))
     for k, p in policy.params.items():
         np.testing.assert_array_equal(p, before[k])
 
@@ -292,7 +301,7 @@ def test_ppo_update_builds_no_tape(monkeypatch, env_name):
     policy = make_policy(np.random.default_rng(1), env, hidden=(8,))
     value_net = ValueNetwork(np.random.default_rng(2), env.state_dim, hidden=(8,))
     batch = rollout(policy, env, 30, np.random.default_rng(3))
-    advantages = [np.random.default_rng(4).normal(size=t.length) for t in batch]
+    advantages = np.random.default_rng(4).normal(size=sum(t.length for t in batch))
     nodes, backward_calls = [], []
     result, backward = ad._result, ad.backward
 
@@ -348,9 +357,9 @@ def test_non_finite_loss_restores_parameters():
     value_net = ValueNetwork(np.random.default_rng(6), 4, hidden=(8,))
     before_p = {k: p.copy() for k, p in policy.params.items()}
     before_v = {k: p.copy() for k, p in value_net.params.items()}
-    advantages = [np.ones(t.length) for t in batch]
-    bad_targets = [np.full(t.length, np.inf) for t in batch]
-    metrics = run_ppo(policy, value_net, batch, advantages, bad_targets, bad_targets)
+    n = sum(t.length for t in batch)
+    bad_targets = np.full(n, np.inf)
+    metrics = run_ppo(policy, value_net, batch, np.ones(n), bad_targets, bad_targets)
     assert metrics["aborted"]
     for k, p in policy.params.items():
         np.testing.assert_array_equal(p, before_p[k])
@@ -367,12 +376,12 @@ def test_overflowing_ratio_with_positive_advantage_aborts(monkeypatch):
     value_net = ValueNetwork(np.random.default_rng(6), 4, hidden=(8,))
     before_p = {k: p.copy() for k, p in policy.params.items()}
     before_v = {k: p.copy() for k, p in value_net.params.items()}
-    advantages = [np.where(np.arange(t.length) % 2, 1.0, -1.0) for t in batch]
-    positive = np.concatenate(advantages) > 0
+    advantages = np.concatenate([np.where(np.arange(t.length) % 2, 1.0, -1.0) for t in batch])
+    positive = advantages > 0
     log_prob_np = policy.log_prob_np
     monkeypatch.setattr(policy, "log_prob_np",
                         lambda s, a: log_prob_np(s, a) - 800.0 * positive)
-    targets = [np.ones(t.length) for t in batch]
+    targets = np.ones(len(advantages))
     with np.errstate(over="ignore"):
         metrics = run_ppo(policy, value_net, batch, advantages, targets, targets,
                           epochs=1, minibatch=len(positive))
@@ -389,13 +398,12 @@ def test_aborted_update_restores_optimizer_state():
     policy = CategoricalPolicy(np.random.default_rng(5), 4, 2, hidden=(8,))
     value_net = ValueNetwork(np.random.default_rng(6), 4, hidden=(8,))
     opt = nn.AdamOptimizer(config.policy_lr)
-    advantages = [np.ones(t.length) for t in batch]
-    targets = [np.ones(t.length) for t in batch]
+    advantages = targets = np.ones(sum(t.length for t in batch))
     rng = np.random.default_rng(0)
     ppo_update(policy, value_net, batch, advantages, targets, targets, config, rng, opt)
     steps, m, v = opt.t, opt.m.copy(), opt.v.copy()
-    bad_targets = [t.copy() for t in targets]
-    bad_targets[-1][-1] = np.inf
+    bad_targets = targets.copy()
+    bad_targets[-1] = np.inf
     metrics = ppo_update(
         policy, value_net, batch, advantages, bad_targets, targets, config, rng, opt
     )
@@ -410,9 +418,8 @@ def two_adam_ppo(policy, value_net, batch, advantages, t_r, t_0, config, rng, ad
     leaves the models and Adams where that minibatch found them."""
     states = np.concatenate([t.states for t in batch])
     actions = np.concatenate([t.actions for t in batch])
-    adv, t_r, t_0 = (np.concatenate(x) for x in (advantages, t_r, t_0))
     old_logp = policy.log_prob_np(states, actions)
-    adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+    adv = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
     for _ in range(config.epochs):
         order = rng.permutation(len(adv))
         for start in range(0, len(adv), config.minibatch):
@@ -440,10 +447,10 @@ def test_ppo_update_is_bitwise_a_loop_with_two_adams():
                                                           for _ in range(2)]
         rng, ref_rng = np.random.default_rng(0), np.random.default_rng(0)
         draw = np.random.default_rng(1)
-        advantages = [draw.normal(size=t.length) for t in batch]
-        targets = [draw.normal(size=t.length) for t in batch]
-        bad_targets = [t.copy() for t in targets]
-        bad_targets[-1][-1] = np.inf
+        advantages = draw.normal(size=n * 5)
+        targets = draw.normal(size=n * 5)
+        bad_targets = targets.copy()
+        bad_targets[-1] = np.inf
         for t_r in (targets, bad_targets, targets):
             metrics = ppo_update(policy, value_net, batch, advantages, t_r, targets, config,
                                  rng, opt)
@@ -487,6 +494,12 @@ def test_baseline_mode_runs_and_logs():
         # with a zero decomposition the residual is the whole return
         assert row["residual_abs_mean"] >= 0.0
         assert np.isfinite(row["return_mean"])
+
+
+def test_unknown_buffer_scheme_rejected_with_or_without_a_decomposer():
+    for use_decomposer in (True, False):
+        with pytest.raises(ValueError, match="buffer_scheme must be one of"):
+            TrainConfig(**TINY, buffer_scheme="X", use_decomposer=use_decomposer)
 
 
 def test_training_metrics_deterministic():
@@ -546,10 +559,14 @@ def test_state_file_without_normalizer_and_with_it_both_resume(tmp_path):
         assert resumed.step()[0] == want
 
 
-@pytest.mark.parametrize("arch,kind", [("ff", "singletons"), ("recurrent", "prefixes"),
-                                       ("attention", "prefixes")])
-def test_resume_matches_uninterrupted_run(tmp_path, arch, kind):
-    config = TrainConfig(**{**TINY, "iterations": 6}, architecture=arch, interval_kind=kind)
+@pytest.mark.parametrize("overrides", [
+    {"architecture": "ff", "interval_kind": "singletons"},
+    {"architecture": "recurrent", "interval_kind": "prefixes"},
+    {"architecture": "attention", "interval_kind": "prefixes"},
+    {"use_decomposer": False},
+], ids=["ff-singletons", "recurrent-prefixes", "attention-prefixes", "baseline"])
+def test_resume_matches_uninterrupted_run(tmp_path, overrides):
+    config = TrainConfig(**{**TINY, "iterations": 6, **overrides})
     straight = train(config, seed=2).metrics
     first = Trainer(config, seed=2)
     for _ in range(3):
@@ -562,6 +579,54 @@ def test_resume_matches_uninterrupted_run(tmp_path, arch, kind):
     assert len(resumed.metrics) == 6
     for got, want in zip(resumed.metrics, straight, strict=True):
         assert got == want
+
+
+BASELINE = dict(TINY, use_decomposer=False)
+
+
+def saved_baseline(tmp_path):
+    """A baseline trainer saved to tmp_path after 2 steps."""
+    trainer = Trainer(TrainConfig(**BASELINE), seed=2)
+    trainer.step()
+    trainer.step()
+    trainer.save(str(tmp_path))
+    return trainer
+
+
+def test_baseline_keeps_and_saves_no_reward_learning_state(tmp_path):
+    first = saved_baseline(tmp_path)
+    assert first.model is first.buffer is first.reward_opt is None
+    assert list(tmp_path.glob("buffer*.jsonl")) == []
+    state = json.loads((tmp_path / "state.json").read_text())
+    assert not {"buffer_rng", "buffer_meta"} & state.keys()
+    arrays, meta = checkpoint.load(str(tmp_path / "optimizer.json"))
+    assert sorted(arrays) == ["policy/m", "policy/v", "value/m", "value/v"]
+    assert sorted(meta["steps"]) == ["policy", "value"]
+
+
+def test_baseline_directory_with_reward_learning_state_resumes_bit_identically(
+        tmp_path, monkeypatch):
+    # Baseline saves used to write an HO buffer file, its keys in state.json
+    # and an empty reward Adam. Restore neither reads nor deletes them.
+    first = saved_baseline(tmp_path)
+    buf = ReplayBuffer("HO", BASELINE["buffer_capacity"],
+                       seed=np.random.SeedSequence(2).spawn(5)[4])
+    buf.insert(rollout(first.policy, first.env, 60, np.random.default_rng(0)))
+    trajs, buffer_meta = buf.snapshot()
+    write_jsonl(str(tmp_path / "buffer.jsonl"), trajs)
+    state = json.loads((tmp_path / "state.json").read_text())
+    state.update(buffer_rng=buf.rng.bit_generator.state, buffer_meta=buffer_meta)
+    (tmp_path / "state.json").write_text(json.dumps(state, indent=1))
+    arrays, meta = checkpoint.load(str(tmp_path / "optimizer.json"))
+    arrays.update({"reward/m": np.zeros(0), "reward/v": np.zeros(0)})
+    meta["steps"]["reward"] = 0
+    checkpoint.save(str(tmp_path / "optimizer.json"), arrays, meta)
+    files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.setattr(trainer_mod, "read_jsonl", lambda path: pytest.fail(f"read {path}"))
+    resumed = Trainer(TrainConfig(**BASELINE), seed=2)
+    resumed.restore(str(tmp_path))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+    assert resumed.step() == first.step()
 
 
 def overlapping_ho_trainer(tmp_path):
