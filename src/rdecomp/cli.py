@@ -5,7 +5,10 @@
   rdecomp export-attention --ckpt model.json --traj rollouts.jsonl --out attn.csv
   rdecomp bench --recipe NAME [--seeds 1,2,3] [--iterations N] ...
 
-The output root for relative paths is $RDECOMP_OUTPUT_ROOT (default ./runs).
+A relative run directory of `train` or `bench` (its `output_dir` or
+`--output-root`) resolves under $RDECOMP_OUTPUT_ROOT (default ./runs).
+Every other path, `verify --out` and `export-attention --out` among them,
+is an ordinary path: a relative one resolves against the working directory.
 """
 
 from __future__ import annotations

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from rdecomp import _kernels, policies
+
 
 @dataclass
 class GradientEstimate:
@@ -106,6 +108,23 @@ def grad_bias_corrected(batch, policy, decomps):
     """Composite gradient plus the residual term; unbiased for any predictor."""
     coeffs = [dec.residual + generalized_q(dec, traj.length) for traj, dec in zip(batch, decomps)]
     return _finish(policy.weighted_score_gradient(batch, coeffs))
+
+
+def variance_bias_corrected(batch, policy, decomps, a, head_grads):
+    """`grad_bias_corrected(batch, policy, decomps).variance` without the
+    (B, P) matrix (`policies.score_sum_variance`), from the caller's
+    `policy.forward` of the batch's stacked steps (`a`) and the map
+    `log_prob_head` returned for them. It agrees with the matrix form to
+    roundoff, and reads 0.0 where roundoff would make it negative."""
+    lengths = np.array([traj.length for traj in batch])
+    if [len(dec.per_interval) for dec in decomps] != lengths.tolist():
+        raise ValueError("one per-interval reward per step of each trajectory is required")
+    at = (np.repeat(np.arange(lengths.size), lengths), _kernels.segment_positions(lengths))
+    rewards = np.zeros((lengths.size, int(lengths.max())))
+    rewards[at] = np.concatenate([dec.per_interval for dec in decomps])
+    residuals = np.array([dec.residual for dec in decomps])
+    coeffs = residuals.repeat(lengths) + generalized_q_rows(rewards)[at]
+    return policies.score_sum_variance(policy, a, head_grads, coeffs, lengths)
 
 
 def grad_control_variate(batch, policy, decomps):

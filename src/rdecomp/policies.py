@@ -16,9 +16,10 @@ Gaussian mean) and whose map gives the per-row gradient there and the
 gradients of the policy's other parameters (the Gaussian log_std) summed
 over rows by the caller's reduction. Every surface uses it: the old
 log-probs (`log_prob_np`), so a PPO update's first ratio is exactly 1; the
-PPO minibatch loss and its gradient (`ppo_loss_grad`); and the score sums
+PPO minibatch loss and its gradient (`ppo_loss_grad`); the score sums
 per trajectory for the estimators and the oracle, where each layer's sums
-are one padded batched matmul. `ValueNetwork.loss_grad` is the value net's
+are one padded batched matmul; and the variance of those sums over a batch
+(`score_sum_variance`), which builds no per-trajectory rows. `ValueNetwork.loss_grad` is the value net's
 squared error and its gradient. The PPO and value forms make the float ops
 of the equivalent tape in the tape's order, so they are bit-identical to
 the tape engine's `backward` on it (tests/reference_scores.py holds that
@@ -77,6 +78,60 @@ def _segment_scores(policy, states, actions, coeffs, lengths):
 
     policy.backward(a, {"head": g_head}, segment_sums)
     return out
+
+
+def score_sum_variance(policy, a, head_grads, coeffs, lengths):
+    """tr Var / P of the segment sums G_b = sum_t coeffs[t] grad log pi(a_t|s_t)
+    over the B segments of the stacked steps, as `np.var` over the B rows of
+    `_segment_scores`, averaged over its P columns, gives it, but without
+    those rows: (sum_b |G_b|^2 / B - |sum_b G_b|^2 / B^2) / P, clamped at 0
+    (a batch of one has variance 0.0).
+
+    `a` is `policy.forward` of the steps and `head_grads` the map
+    `log_prob_head` returned for them, so a caller that needs that pass
+    anyway (PPO's old log-probs) shares it. A layer's weight and bias sums
+    over segment b are H_b^T D_b and 1^T D_b, with H_b and D_b the segment's
+    (T, i) and (T, o) rows of its input and of the gradient at its
+    pre-activation, zero-padded to the longest segment's T. Of the two ways
+    to their squared norm, each layer takes the one with fewer flops: the
+    (B, i, o) sums themselves when i o <= T (i + o), which also add up to
+    the layer's totals; otherwise the per-segment Gram blocks,
+    sum((K_h + 1) * K_d) with K = X X^T, and the ordinary sums over all
+    steps for the totals."""
+    n = lengths.size
+    if n == 1:
+        return 0.0
+    at = (np.repeat(np.arange(n), lengths), _kernels.segment_positions(lengths))
+    t_len = int(lengths.max())
+
+    def pad(rows):
+        out = np.zeros((n, t_len, rows.shape[1]))
+        out[at] = rows
+        return out
+
+    g_head, others = head_grads(coeffs.reshape(-1, 1), None, lambda rows: pad(rows).sum(axis=1))
+    sq_sum = 0.0
+
+    def reduce(h, d, name):
+        nonlocal sq_sum
+        hp, dp = pad(h), pad(d)
+        i, o = h.shape[1], d.shape[1]
+        if i * o <= t_len * (i + o):
+            sums, bias_sums = np.matmul(hp.transpose(0, 2, 1), dp), dp.sum(axis=1)
+            sq_sum += float(np.vdot(sums, sums)) + float(np.vdot(bias_sums, bias_sums))
+            return sums.sum(axis=0), bias_sums.sum(axis=0)
+        k_h = np.matmul(hp, hp.transpose(0, 2, 1))
+        k_h += 1.0
+        sq_sum += float(np.vdot(k_h, np.matmul(dp, dp.transpose(0, 2, 1))))
+        return _kernels.matmul(h.T, d), d.sum(axis=0)
+
+    total = policy.backward(a, {"head": g_head}, reduce)
+    for name, sums in others.items():
+        sq_sum += float(np.vdot(sums, sums))
+        total[name] = sums.sum(axis=0)
+    total_sq = sum(float(np.vdot(g, g)) for g in total.values())
+    variance = (sq_sum / n - total_sq / (n * n)) / nn.layout(policy.params).size
+    return max(variance, 0.0)
 
 
 def _weighted_score_gradient(policy, trajs, coeffs):

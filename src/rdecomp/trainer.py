@@ -27,9 +27,12 @@ predictor, all closed forms in numpy.
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import io
 import json
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,19 +179,22 @@ def compute_advantages(batch, decomps, value_net, gamma, lam):
 
 
 def ppo_update(policy, value_net, batch, advantages, targets_r, targets_0, config,
-               rng, opt):
+               rng, opt, old_logp=None):
     """Clipped-surrogate update over epochs x minibatches.
 
     `advantages`, `targets_r` and `targets_0` are (N,) arrays over the
-    batch's steps, as `compute_advantages` returns them. Advantages are
-    normalized across the whole batch first. `opt` steps the policy and
+    batch's steps, as `compute_advantages` returns them. `old_logp` is
+    log pi(a_t|s_t) per step under the policy that drew the batch, taken
+    by `policy.log_prob_np` if None. Advantages are normalized across the
+    whole batch first. `opt` steps the policy and
     the value net as one vector. If a loss or a probability ratio goes
     non-finite (a gradient comes back None), the previous parameters and
     Adam state are restored and the update is abandoned for this iteration.
     """
     states = np.concatenate([t.states for t in batch])
     actions = np.concatenate([t.actions for t in batch])
-    old_logp = policy.log_prob_np(states, actions)
+    if old_logp is None:
+        old_logp = policy.log_prob_np(states, actions)
 
     adv = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
 
@@ -235,11 +241,39 @@ def _zero_decomposition(traj):
     )
 
 
+# glibc's mallopt parameters (malloc.h) and the values a Trainer pins them to
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MALLOC_THRESHOLDS = ((M_MMAP_THRESHOLD, 32 << 20), (M_TRIM_THRESHOLD, 64 << 20))
+
+
+@functools.cache
+def pin_malloc_thresholds():
+    """Pin glibc's mmap and trim thresholds, once per process; True if pinned.
+
+    A step's transient arrays (a few MB, the largest the regression's
+    attention blocks) then stay on the heap. With glibc's dynamic
+    thresholds, a step that frees no mmapped block of that size leaves
+    them low: each such array is then mmapped, or trimmed from the heap
+    top, and its pages fault in again on every step. A quiet no-op where
+    the C library has no `mallopt` (not glibc); a warning if it refuses a
+    value."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in MALLOC_THRESHOLDS:
+        if mallopt(param, value) != 1:
+            warnings.warn(f"mallopt({param}, {value}) failed", RuntimeWarning, stacklevel=2)
+            return False
+    return True
+
+
 class Trainer:
     """Owns the models, Adams and RNG streams of one seeded training run; with
     a decomposer, also the replay buffer and the reward Adam."""
 
     def __init__(self, config, seed=0):
+        pin_malloc_thresholds()
         self.config = config
         self.seed = seed
         seqs = np.random.SeedSequence(seed).spawn(5)
@@ -292,9 +326,10 @@ class Trainer:
                 ))
         return float(np.mean(losses))
 
-    def _gradient_variance(self, batch, decomps):
-        """Variance diagnostic of the corrected-estimator coefficients."""
-        return estimators.grad_bias_corrected(batch, self.policy, decomps).variance
+    def _gradient_variance(self, batch, decomps, a, head_grads):
+        """Variance diagnostic of the corrected-estimator coefficients at the
+        policy that drew the batch, from its pass over the stacked steps."""
+        return estimators.variance_bias_corrected(batch, self.policy, decomps, a, head_grads)
 
     def step(self):
         """One outer iteration; returns the metrics row."""
@@ -317,9 +352,16 @@ class Trainer:
         advantages, t_r, t_0 = compute_advantages(
             batch, decomps, self.value_net, config.gamma, config.lam
         )
+        # one policy pass over the batch gives PPO's old log-probs and the
+        # diagnostic, both before the update moves the policy
+        a = self.policy.forward(np.concatenate([t.states for t in batch]))
+        logp, _, head_grads = self.policy.log_prob_head(
+            a["head"], np.concatenate([t.actions for t in batch])
+        )
+        grad_variance = self._gradient_variance(batch, decomps, a, head_grads)
         ppo_metrics = ppo_update(
             self.policy, self.value_net, batch, advantages, t_r, t_0,
-            config, self.ppo_rng, self.ppo_opt,
+            config, self.ppo_rng, self.ppo_opt, logp.reshape(-1),
         )
         row = {
             "iteration": self.iteration,
@@ -328,7 +370,7 @@ class Trainer:
             "return_std": float(returns.std()),
             "regression_loss": regression_loss,
             "residual_abs_mean": float(np.mean([abs(d.residual) for d in decomps])),
-            "grad_variance": self._gradient_variance(batch, decomps),
+            "grad_variance": grad_variance,
             "ppo_aborted": int(ppo_metrics["aborted"]),
         }
         self.iteration += 1

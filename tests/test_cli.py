@@ -753,3 +753,21 @@ def test_bench_command_runs_tiny(tmp_path, monkeypatch):
         assert metrics.exists()
         rows = list(csv.DictReader(metrics.open()))
         assert len(rows) == 1
+
+
+# ---------------------------------------------------------------------------
+# output paths: only run directories resolve under the output root
+
+
+def test_out_files_resolve_against_the_working_directory(tmp_path, monkeypatch):
+    root, work = tmp_path / "root", tmp_path / "work"
+    work.mkdir()
+    monkeypatch.setenv("RDECOMP_OUTPUT_ROOT", str(root))
+    monkeypatch.chdir(work)
+    assert cli.main(["verify", "--mdp", "chain3", "--inits", "1", "--out", "report.json"]) == 0
+    ckpt, traj_path = make_attention_checkpoint(tmp_path)
+    assert cli.main(["export-attention", "--ckpt", str(ckpt), "--traj", str(traj_path),
+                     "--out", "attn.csv"]) == 0
+    assert json.loads((work / "report.json").read_text())
+    assert (work / "attn.csv").is_file() and (work / "attn_head0.csv").is_file()
+    assert not root.exists()

@@ -3,7 +3,7 @@ import pytest
 
 from rdecomp import estimators
 from rdecomp.decomposer import RewardDecomposition
-from rdecomp.policies import CategoricalPolicy
+from rdecomp.policies import CategoricalPolicy, GaussianPolicy
 from rdecomp.trajectory import Trajectory
 
 
@@ -277,3 +277,74 @@ def test_finish_is_bitwise_the_column_mean_and_numpy_variance(batch):
         assert np.array_equal(est.grad, x.sum(axis=0) / batch)
         want = 0.0 if batch == 1 else float(x.var(axis=0).mean())
         assert type(est.variance) is float and est.variance == want
+
+
+# ---------------------------------------------------------------------------
+# the variance diagnostic without the (B, P) matrix
+
+
+def policy_pass(policy, batch):
+    """`policy.forward` of the batch's stacked steps and `log_prob_head`'s map."""
+    a = policy.forward(np.concatenate([t.states for t in batch]))
+    head_grads = policy.log_prob_head(a["head"], np.concatenate([t.actions for t in batch]))[2]
+    return a, head_grads
+
+
+def ragged_batch(rng, policy, n, max_len):
+    batch, decomps = [], []
+    for _ in range(n):
+        t_len = int(rng.integers(1, max_len + 1))
+        states = rng.normal(size=(t_len, policy.state_dim))
+        if isinstance(policy, CategoricalPolicy):
+            actions = rng.integers(0, policy.n_actions, size=t_len)
+        else:
+            actions = rng.normal(size=(t_len, policy.action_dim))
+        ret = float(rng.normal())
+        batch.append(Trajectory(states=states, actions=actions, episodic_return=ret))
+        decomps.append(decomposition(rng.normal(size=t_len), ret))
+    return batch, decomps
+
+
+# (hidden, longest episode): every layer takes its per-segment sums; the
+# hidden-to-hidden layer takes Gram blocks; every layer takes Gram blocks
+SHAPES = [((8,), 8), ((32, 32), 8), ((64, 64), 3)]
+
+
+@pytest.mark.parametrize("hidden,max_len", SHAPES)
+@pytest.mark.parametrize("kind", ["categorical", "gaussian"])
+@pytest.mark.parametrize("n", [1, 2, 57])
+def test_gram_variance_matches_the_score_matrix_form(kind, n, hidden, max_len):
+    rng = np.random.default_rng(100 + n)
+    if kind == "categorical":
+        policy = CategoricalPolicy(rng, 6, 4, hidden=hidden)
+    else:
+        policy = GaussianPolicy(rng, 6, 2, hidden=hidden)
+    batch, decomps = ragged_batch(rng, policy, n, max_len)
+    got = estimators.variance_bias_corrected(batch, policy, decomps, *policy_pass(policy, batch))
+    want = estimators.grad_bias_corrected(batch, policy, decomps).variance
+    if n == 1:
+        assert got == 0.0 and want == 0.0
+    else:
+        assert want > 0.0
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("hidden,max_len", SHAPES)
+def test_gram_variance_of_identical_trajectories_is_not_negative(hidden, max_len):
+    rng = np.random.default_rng(7)
+    policy = GaussianPolicy(rng, 6, 2, hidden=hidden)
+    batch, decomps = ragged_batch(rng, policy, 1, max_len)
+    batch, decomps = batch * 9, decomps * 9
+    got = estimators.variance_bias_corrected(batch, policy, decomps, *policy_pass(policy, batch))
+    # exactly 0; roundoff is relative to the mean squared gradient entry
+    scale = np.mean(estimators.grad_bias_corrected(batch[:1], policy, decomps[:1]).grad ** 2)
+    assert 0.0 <= got <= 1e-12 * scale
+
+
+def test_gram_variance_rejects_a_decomposition_of_the_wrong_length():
+    rng = np.random.default_rng(8)
+    policy = CategoricalPolicy(rng, 6, 4, hidden=(8,))
+    batch, decomps = ragged_batch(rng, policy, 3, 5)
+    decomps[1] = decomposition(np.zeros(batch[1].length + 1), 0.0)
+    with pytest.raises(ValueError, match="per-interval"):
+        estimators.variance_bias_corrected(batch, policy, decomps, *policy_pass(policy, batch))

@@ -38,3 +38,25 @@ def test_script_prints_one_digest_per_output():
     lines = proc.stdout.splitlines()
     assert [line.split()[0] for line in lines] == ["train-full", "train-baseline", "verify"]
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)
+
+
+def test_dropped_column_digest_ignores_only_that_column(monkeypatch):
+    fingerprint = load_script()
+    from rdecomp.trainer import Trainer
+
+    full = fingerprint.train_fingerprint(SMALL, steps=2)
+    dropped = fingerprint.train_fingerprint(SMALL, steps=2, drop_columns=("grad_variance",))
+    assert dropped != full
+    # a trainer that differs only in its variance diagnostic
+    monkeypatch.setattr(Trainer, "_gradient_variance", lambda self, *args: 123.0)
+    assert fingerprint.train_fingerprint(SMALL, steps=2) != full
+    assert fingerprint.train_fingerprint(SMALL, steps=2,
+                                         drop_columns=("grad_variance",)) == dropped
+    assert fingerprint.train_fingerprint(SMALL, steps=2,
+                                         drop_columns=("return_mean",)) != dropped
+
+
+def test_script_rejects_an_unknown_column():
+    proc = subprocess.run([sys.executable, str(SCRIPT), "--drop-column", "no_such_column"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2 and "no_such_column" in proc.stderr

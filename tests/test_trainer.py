@@ -1,5 +1,8 @@
+import copy
 import csv
+import ctypes
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -500,6 +503,91 @@ def test_unknown_buffer_scheme_rejected_with_or_without_a_decomposer():
     for use_decomposer in (True, False):
         with pytest.raises(ValueError, match="buffer_scheme must be one of"):
             TrainConfig(**TINY, buffer_scheme="X", use_decomposer=use_decomposer)
+
+
+@pytest.mark.parametrize("overrides", [{}, {"use_decomposer": False},
+                                       {"bias_correction": False},
+                                       {"env": "point_mass", "env_params": {"horizon": 5}}])
+def test_grad_variance_is_taken_at_the_policy_that_drew_the_batch(monkeypatch, overrides):
+    # the reference: the (B, P) matrix form on a copy of the policy made
+    # before the update, with the decompositions the step used
+    seen = []
+    real_update, real_variance = trainer_mod.ppo_update, Trainer._gradient_variance
+
+    def spy_variance(self, batch, decomps, a, head_grads):
+        seen.append({"batch": batch, "decomps": decomps})
+        return real_variance(self, batch, decomps, a, head_grads)
+
+    def spy_update(policy, value_net, batch, *args):
+        seen[-1]["policy"], seen[-1]["old_logp"] = copy.deepcopy(policy), args[-1]
+        return real_update(policy, value_net, batch, *args)
+
+    monkeypatch.setattr(Trainer, "_gradient_variance", spy_variance)
+    monkeypatch.setattr(trainer_mod, "ppo_update", spy_update)
+    trainer = Trainer(TrainConfig(**{**TINY, **overrides}), seed=6)
+    for _ in range(3):
+        row, _ = trainer.step()
+        got = seen[-1]
+        want = estimators.grad_bias_corrected(got["batch"], got["policy"], got["decomps"])
+        np.testing.assert_allclose(row["grad_variance"], want.variance, rtol=1e-10, atol=0.0)
+        # PPO's old log-probs come from the same pass, bit for bit
+        states = np.concatenate([t.states for t in got["batch"]])
+        actions = np.concatenate([t.actions for t in got["batch"]])
+        assert np.array_equal(got["old_logp"], got["policy"].log_prob_np(states, actions))
+
+
+def test_malloc_pinning_runs_once_per_process(monkeypatch):
+    calls = []
+    real_cdll = ctypes.CDLL
+
+    def counting_cdll(name):
+        calls.append(name)
+        return real_cdll(name)
+
+    trainer_mod.pin_malloc_thresholds.cache_clear()
+    monkeypatch.setattr(trainer_mod.ctypes, "CDLL", counting_cdll)
+    try:
+        first = trainer_mod.pin_malloc_thresholds()
+        Trainer(TrainConfig(**TINY), seed=0)
+        assert trainer_mod.pin_malloc_thresholds() is first
+        assert calls == [None]
+        assert first == (getattr(real_cdll(None), "mallopt", None) is not None)
+    finally:
+        trainer_mod.pin_malloc_thresholds.cache_clear()
+
+
+class _NoMallopt:
+    """A C library without `mallopt`, as on a libc other than glibc."""
+
+
+class _RefusingMallopt:
+    """A C library whose `mallopt` rejects every value."""
+
+    def __init__(self):
+        self.mallopt = lambda param, value: 0
+
+
+def test_malloc_pinning_is_a_quiet_no_op_without_mallopt(monkeypatch):
+    trainer_mod.pin_malloc_thresholds.cache_clear()
+    monkeypatch.setattr(trainer_mod.ctypes, "CDLL", lambda name: _NoMallopt())
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert trainer_mod.pin_malloc_thresholds() is False
+            row, _ = Trainer(TrainConfig(**TINY), seed=0).step()
+        assert np.isfinite(row["grad_variance"])
+    finally:
+        trainer_mod.pin_malloc_thresholds.cache_clear()
+
+
+def test_malloc_pinning_warns_when_mallopt_refuses(monkeypatch):
+    trainer_mod.pin_malloc_thresholds.cache_clear()
+    monkeypatch.setattr(trainer_mod.ctypes, "CDLL", lambda name: _RefusingMallopt())
+    try:
+        with pytest.warns(RuntimeWarning, match="mallopt"):
+            assert trainer_mod.pin_malloc_thresholds() is False
+    finally:
+        trainer_mod.pin_malloc_thresholds.cache_clear()
 
 
 def test_training_metrics_deterministic():
