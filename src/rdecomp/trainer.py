@@ -186,8 +186,8 @@ def ppo_update(policy, value_net, batch, advantages, targets_r, targets_0, confi
     batch's steps, as `compute_advantages` returns them. `old_logp` is
     log pi(a_t|s_t) per step under the policy that drew the batch, taken
     by `policy.log_prob_np` if None. Advantages are normalized across the
-    whole batch first. `opt` steps the policy and
-    the value net as one vector. If a loss or a probability ratio goes
+    whole batch first. `opt` steps the policy and the value net as one
+    vector. If a loss or a probability ratio goes
     non-finite (a gradient comes back None), the previous parameters and
     Adam state are restored and the update is abandoned for this iteration.
     """
@@ -250,13 +250,14 @@ MALLOC_THRESHOLDS = ((M_MMAP_THRESHOLD, 32 << 20), (M_TRIM_THRESHOLD, 64 << 20))
 def pin_malloc_thresholds():
     """Pin glibc's mmap and trim thresholds, once per process; True if pinned.
 
-    A step's transient arrays (a few MB, the largest the regression's
-    attention blocks) then stay on the heap. With glibc's dynamic
-    thresholds, a step that frees no mmapped block of that size leaves
-    them low: each such array is then mmapped, or trimmed from the heap
-    top, and its pages fault in again on every step. A quiet no-op where
-    the C library has no `mallopt` (not glibc); a warning if it refuses a
-    value."""
+    Every step allocates and frees a few MB of transient arrays, many of
+    them above glibc's initial 128 KiB mmap threshold (the regression's
+    attention blocks among them). glibc raises its thresholds only when it
+    frees an mmapped block, so how those arrays are served depends on what
+    earlier steps happened to free: mmapped, or trimmed off the heap top,
+    their pages fault in again on every step. Pinned, they stay on the
+    heap. A quiet no-op where the C library has no `mallopt` (not glibc);
+    a warning if it refuses a value."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is None:
         return False
