@@ -20,10 +20,10 @@ PPO minibatch loss and its gradient (`ppo_loss_grad`); the score sums
 per trajectory for the estimators and the oracle, where each layer's sums
 are one padded batched matmul; and the variance of those sums over a
 batch (`score_sum_variance`), which builds no per-trajectory rows.
-`ValueNetwork.loss_grad` is the value net's squared error and its gradient. The PPO and value forms make the float ops
-of the equivalent tape in the tape's order, so they are bit-identical to
-the tape engine's `backward` on it (tests/reference_scores.py holds that
-tape).
+`ValueNetwork.loss_grad` is the value net's squared error and its
+gradient. The PPO and value forms make the float ops of the equivalent
+tape in the tape's order, so they are bit-identical to the tape engine's
+`backward` on it (tests/reference_scores.py holds that tape).
 """
 
 from __future__ import annotations

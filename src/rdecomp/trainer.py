@@ -179,22 +179,20 @@ def compute_advantages(batch, decomps, value_net, gamma, lam):
 
 
 def ppo_update(policy, value_net, batch, advantages, targets_r, targets_0, config,
-               rng, opt, old_logp=None):
+               rng, opt, old_logp):
     """Clipped-surrogate update over epochs x minibatches.
 
-    `advantages`, `targets_r` and `targets_0` are (N,) arrays over the
-    batch's steps, as `compute_advantages` returns them. `old_logp` is
-    log pi(a_t|s_t) per step under the policy that drew the batch, taken
-    by `policy.log_prob_np` if None. Advantages are normalized across the
+    `advantages`, `targets_r`, `targets_0` and `old_logp` are (N,) arrays
+    over the batch's steps: the first three as `compute_advantages` returns
+    them, `old_logp` log pi(a_t|s_t) under the policy that drew the batch,
+    as `policy.log_prob_np` gives it. Advantages are normalized across the
     whole batch first. `opt` steps the policy and the value net as one
-    vector. If a loss or a probability ratio goes
-    non-finite (a gradient comes back None), the previous parameters and
-    Adam state are restored and the update is abandoned for this iteration.
+    vector. If a loss or a probability ratio goes non-finite (a gradient
+    comes back None), the previous parameters and Adam state are restored
+    and the update is abandoned for this iteration.
     """
     states = np.concatenate([t.states for t in batch])
     actions = np.concatenate([t.actions for t in batch])
-    if old_logp is None:
-        old_logp = policy.log_prob_np(states, actions)
 
     adv = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
 

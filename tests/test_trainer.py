@@ -266,11 +266,18 @@ def test_length_mismatch_rejected():
 # PPO update
 
 
+def old_log_probs(policy, batch):
+    """log pi(a_t|s_t) over the batch's stacked steps, `ppo_update`'s old_logp."""
+    return policy.log_prob_np(np.concatenate([t.states for t in batch]),
+                              np.concatenate([t.actions for t in batch]))
+
+
 def run_ppo(policy, value_net, batch, advantages, t_r, t_0, **overrides):
     config = TrainConfig(**{**TINY, **overrides})
     return ppo_update(
         policy, value_net, batch, advantages, t_r, t_0, config,
         np.random.default_rng(0), nn.AdamOptimizer(config.policy_lr),
+        old_log_probs(policy, batch),
     )
 
 
@@ -403,12 +410,14 @@ def test_aborted_update_restores_optimizer_state():
     opt = nn.AdamOptimizer(config.policy_lr)
     advantages = targets = np.ones(sum(t.length for t in batch))
     rng = np.random.default_rng(0)
-    ppo_update(policy, value_net, batch, advantages, targets, targets, config, rng, opt)
+    ppo_update(policy, value_net, batch, advantages, targets, targets, config, rng, opt,
+               old_log_probs(policy, batch))
     steps, m, v = opt.t, opt.m.copy(), opt.v.copy()
     bad_targets = targets.copy()
     bad_targets[-1] = np.inf
     metrics = ppo_update(
-        policy, value_net, batch, advantages, bad_targets, targets, config, rng, opt
+        policy, value_net, batch, advantages, bad_targets, targets, config, rng, opt,
+        old_log_probs(policy, batch),
     )
     assert metrics["aborted"] and metrics["updates"] > 0
     assert opt.t == steps
@@ -456,7 +465,7 @@ def test_ppo_update_is_bitwise_a_loop_with_two_adams():
         bad_targets[-1] = np.inf
         for t_r in (targets, bad_targets, targets):
             metrics = ppo_update(policy, value_net, batch, advantages, t_r, targets, config,
-                                 rng, opt)
+                                 rng, opt, old_log_probs(policy, batch))
             saved = (dict(ref_policy.params), dict(ref_value.params),
                      [(a.t, a.m, a.v) for a in adams])
             aborted = two_adam_ppo(ref_policy, ref_value, batch, advantages, t_r, targets,
