@@ -1,9 +1,9 @@
 """Seconds and minor page faults per Trainer.step, and per phase.
 
-    python3 scripts/step_faults.py --workload train-full --seed 11 --steps 40 [--warmup 5]
+    python3 scripts/step_faults.py --workload train-full --seed 11 --steps 40
 
 Builds a Trainer on the workload's config (`perfbench.workloads.settings`)
-at the seed, steps it --warmup times unmeasured, then --steps times, and
+at the seed, steps it WARMUP times unmeasured, then --steps times, and
 prints one JSON line: for the whole step and for each phase, the wall
 seconds and the process's `ru_minflt` delta of every measured step, and
 their medians. The phases are wrapped from outside, on the entry points
@@ -25,6 +25,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+WARMUP = 5  # unmeasured steps before the measured ones
 
 
 def phases():
@@ -50,13 +51,13 @@ def _summary(s, faults):
             "median_minflt": statistics.median(faults)}
 
 
-def probe(config, seed, steps, warmup=0):
+def probe(config, seed, steps):
     """Per-step seconds and minor faults of `steps` Trainer.steps after
-    `warmup`, for the step and per phase, as the dict `main` prints."""
+    WARMUP, for the step and per phase, as the dict `main` prints."""
     from rdecomp.trainer import TrainConfig, Trainer
 
     trainer = Trainer(TrainConfig(**config), seed=seed)
-    for _ in range(warmup):
+    for _ in range(WARMUP):
         trainer.step()
     current = {}  # phase name -> [seconds, faults] of the step being measured
 
@@ -94,7 +95,7 @@ def probe(config, seed, steps, warmup=0):
         for (owner, attr, _), original in zip(points, originals):
             setattr(owner, attr, original)
     step = per_step.pop("step")
-    return {"steps": steps, "warmup": warmup, "step": _summary(*step),
+    return {"steps": steps, "warmup": WARMUP, "step": _summary(*step),
             "phases": {name: _summary(*v) for name, v in per_step.items()}}
 
 
@@ -103,14 +104,12 @@ def main(argv=None):
     parser.add_argument("--workload", required=True, choices=("train-full", "train-baseline"))
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--steps", type=int, default=40)
-    parser.add_argument("--warmup", type=int, default=5)
     args = parser.parse_args(argv)
-    if args.steps < 1 or args.warmup < 0:
-        parser.error("--steps must be at least 1 and --warmup at least 0")
+    if args.steps < 1:
+        parser.error("--steps must be at least 1")
     from perfbench import workloads
 
-    result = probe(workloads.settings(args.workload)["config"], args.seed, args.steps,
-                   args.warmup)
+    result = probe(workloads.settings(args.workload)["config"], args.seed, args.steps)
     print(json.dumps({"workload": args.workload, "seed": args.seed, **result}), flush=True)
 
 

@@ -108,9 +108,16 @@ def segment_positions(lengths):
     return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
-def pad_segments(rows, lengths):
+def segment_index(lengths):
+    """(segment, position) of each stacked row: its index into a zero-padded
+    (B, T, ...) block of the segments."""
+    return np.repeat(np.arange(lengths.size), lengths), segment_positions(lengths)
+
+
+def pad_segments(rows, lengths, at=None):
     """Stacked rows of segments of the given lengths, scattered into a
-    zero-padded (B, T, ...) block; T is the longest length."""
+    zero-padded (B, T, ...) block; T is the longest length. `at` is
+    `segment_index(lengths)`, for a caller that pads many row sets."""
     out = np.zeros((lengths.size, int(lengths.max())) + rows.shape[1:])
-    out[np.repeat(np.arange(lengths.size), lengths), segment_positions(lengths)] = rows
+    out[segment_index(lengths) if at is None else at] = rows
     return out

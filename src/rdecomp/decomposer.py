@@ -279,7 +279,7 @@ def causal_attention(q, k, v, lengths, n_heads):
         )
     dk, dv = q.shape[1] // n_heads, v.shape[1] // n_heads
     b, t = lengths.size, int(lengths.max())
-    seg, pos = np.repeat(np.arange(b), lengths), _kernels.segment_positions(lengths)
+    seg, pos = _kernels.segment_index(lengths)
 
     def pad(rows, width):
         out = np.zeros((b, t, n_heads, width))

@@ -104,10 +104,25 @@ def grad_composite(batch, policy, decomps):
     return _finish(policy.weighted_score_gradient(batch, coeffs))
 
 
+def _corrected_coeffs(batch, decomps):
+    """The corrected coefficients r_0(tau) + q_t over the batch's stacked
+    steps, and the trajectories' lengths. Each q row is `generalized_q` of
+    its trajectory alone: the zero padding comes first in the scan."""
+    lengths = np.array([traj.length for traj in batch])
+    at = _kernels.segment_index(lengths)
+    rewards = _kernels.pad_segments(
+        np.concatenate([interval_rewards(dec, traj.length) for traj, dec in zip(batch, decomps)]),
+        lengths, at,
+    )
+    residuals = np.array([dec.residual for dec in decomps])
+    return residuals.repeat(lengths) + generalized_q_rows(rewards)[at], lengths
+
+
 def grad_bias_corrected(batch, policy, decomps):
     """Composite gradient plus the residual term; unbiased for any predictor."""
-    coeffs = [dec.residual + generalized_q(dec, traj.length) for traj, dec in zip(batch, decomps)]
-    return _finish(policy.weighted_score_gradient(batch, coeffs))
+    coeffs, lengths = _corrected_coeffs(batch, decomps)
+    per_trajectory = np.split(coeffs, np.cumsum(lengths)[:-1])
+    return _finish(policy.weighted_score_gradient(batch, per_trajectory))
 
 
 def variance_bias_corrected(batch, policy, decomps, a, head_grads):
@@ -116,14 +131,7 @@ def variance_bias_corrected(batch, policy, decomps, a, head_grads):
     `policy.forward` of the batch's stacked steps (`a`) and the map
     `log_prob_head` returned for them. It agrees with the matrix form to
     roundoff, and reads 0.0 where roundoff would make it negative."""
-    lengths = np.array([traj.length for traj in batch])
-    if [len(dec.per_interval) for dec in decomps] != lengths.tolist():
-        raise ValueError("one per-interval reward per step of each trajectory is required")
-    at = (np.repeat(np.arange(lengths.size), lengths), _kernels.segment_positions(lengths))
-    rewards = np.zeros((lengths.size, int(lengths.max())))
-    rewards[at] = np.concatenate([dec.per_interval for dec in decomps])
-    residuals = np.array([dec.residual for dec in decomps])
-    coeffs = residuals.repeat(lengths) + generalized_q_rows(rewards)[at]
+    coeffs, lengths = _corrected_coeffs(batch, decomps)
     return policies.score_sum_variance(policy, a, head_grads, coeffs, lengths)
 
 

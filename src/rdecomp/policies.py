@@ -101,20 +101,15 @@ def score_sum_variance(policy, a, head_grads, coeffs, lengths):
     n = lengths.size
     if n == 1:
         return 0.0
-    at = (np.repeat(np.arange(n), lengths), _kernels.segment_positions(lengths))
+    at = _kernels.segment_index(lengths)
     t_len = int(lengths.max())
-
-    def pad(rows):
-        out = np.zeros((n, t_len, rows.shape[1]))
-        out[at] = rows
-        return out
-
-    g_head, others = head_grads(coeffs.reshape(-1, 1), None, lambda rows: pad(rows).sum(axis=1))
+    g_head, others = head_grads(coeffs.reshape(-1, 1), None,
+                                lambda rows: pad_segments(rows, lengths, at).sum(axis=1))
     sq_sum = 0.0
 
     def reduce(h, d, name):
         nonlocal sq_sum
-        hp, dp = pad(h), pad(d)
+        hp, dp = pad_segments(h, lengths, at), pad_segments(d, lengths, at)
         i, o = h.shape[1], d.shape[1]
         if i * o <= t_len * (i + o):
             sums, bias_sums = np.matmul(hp.transpose(0, 2, 1), dp), dp.sum(axis=1)

@@ -165,7 +165,7 @@ def compute_advantages(batch, decomps, value_net, gamma, lam):
                 f"decomposition length {len(dec.per_interval)} != T {traj.length}"
             )
     b, t_len = lengths.size, int(lengths.max())
-    at = (np.repeat(np.arange(b), lengths), _kernels.segment_positions(lengths))
+    at = _kernels.segment_index(lengths)
     # each stream's rewards and values, zero-padded to (B, T + 1); the
     # rewards' last column only pads
     r1, vr, r2, v0 = np.zeros((4, b, t_len + 1))
@@ -178,12 +178,13 @@ def compute_advantages(batch, decomps, value_net, gamma, lam):
     return adv1 + adv2, adv1 + vr[at], adv2 + v0[at]
 
 
-def ppo_update(policy, value_net, batch, advantages, targets_r, targets_0, config,
+def ppo_update(policy, value_net, states, actions, advantages, targets_r, targets_0, config,
                rng, opt, old_logp):
     """Clipped-surrogate update over epochs x minibatches.
 
-    `advantages`, `targets_r`, `targets_0` and `old_logp` are (N,) arrays
-    over the batch's steps: the first three as `compute_advantages` returns
+    `states` and `actions` are the batch's steps stacked episode after
+    episode, and `advantages`, `targets_r`, `targets_0` and `old_logp`
+    (N,) arrays over them: the first three as `compute_advantages` returns
     them, `old_logp` log pi(a_t|s_t) under the policy that drew the batch,
     as `policy.log_prob_np` gives it. Advantages are normalized across the
     whole batch first. `opt` steps the policy and the value net as one
@@ -191,9 +192,6 @@ def ppo_update(policy, value_net, batch, advantages, targets_r, targets_0, confi
     comes back None), the previous parameters and Adam state are restored
     and the update is abandoned for this iteration.
     """
-    states = np.concatenate([t.states for t in batch])
-    actions = np.concatenate([t.actions for t in batch])
-
     adv = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
 
     # A step returns fresh parameter arrays, so references to them suffice;
@@ -254,17 +252,28 @@ def pin_malloc_thresholds():
     frees an mmapped block, so how those arrays are served depends on what
     earlier steps happened to free: mmapped, or trimmed off the heap top,
     their pages fault in again on every step. Pinned, they stay on the
-    heap. A quiet no-op where the C library has no `mallopt` (not glibc);
-    a warning if it refuses a value."""
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is None:
+    heap.
+
+    A quiet no-op returning False where the process's C library is not
+    glibc: where `ctypes.CDLL(None)` cannot load it (Windows), where it has
+    no `gnu_get_libc_version` (musl, whose `mallopt` only returns 0; macOS)
+    or no `mallopt`. On glibc, a value `mallopt` refuses is warned of and
+    leaves its threshold as it was; the other is still pinned, and the
+    result is False."""
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return False
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None or not hasattr(libc, "gnu_get_libc_version"):
         return False
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    pinned = True
     for param, value in MALLOC_THRESHOLDS:
         if mallopt(param, value) != 1:
             warnings.warn(f"mallopt({param}, {value}) failed", RuntimeWarning, stacklevel=2)
-            return False
-    return True
+            pinned = False
+    return pinned
 
 
 class Trainer:
@@ -353,13 +362,13 @@ class Trainer:
         )
         # one policy pass over the batch gives PPO's old log-probs and the
         # diagnostic, both before the update moves the policy
-        a = self.policy.forward(np.concatenate([t.states for t in batch]))
-        logp, _, head_grads = self.policy.log_prob_head(
-            a["head"], np.concatenate([t.actions for t in batch])
-        )
+        states = np.concatenate([t.states for t in batch])
+        actions = np.concatenate([t.actions for t in batch])
+        a = self.policy.forward(states)
+        logp, _, head_grads = self.policy.log_prob_head(a["head"], actions)
         grad_variance = self._gradient_variance(batch, decomps, a, head_grads)
         ppo_metrics = ppo_update(
-            self.policy, self.value_net, batch, advantages, t_r, t_0,
+            self.policy, self.value_net, states, actions, advantages, t_r, t_0,
             config, self.ppo_rng, self.ppo_opt, logp.reshape(-1),
         )
         row = {

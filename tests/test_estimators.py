@@ -346,5 +346,5 @@ def test_gram_variance_rejects_a_decomposition_of_the_wrong_length():
     policy = CategoricalPolicy(rng, 6, 4, hidden=(8,))
     batch, decomps = ragged_batch(rng, policy, 3, 5)
     decomps[1] = decomposition(np.zeros(batch[1].length + 1), 0.0)
-    with pytest.raises(ValueError, match="per-interval"):
+    with pytest.raises(ValueError, match="entries for T="):
         estimators.variance_bias_corrected(batch, policy, decomps, *policy_pass(policy, batch))

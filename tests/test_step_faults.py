@@ -21,9 +21,9 @@ def test_probe_times_each_step_and_phase_and_unwraps():
     step_faults = load_script()
 
     before = [owner.__dict__[attr] for owner, attr, _ in step_faults.phases()]
-    result = step_faults.probe(TINY_CHAIN, seed=1, steps=3, warmup=1)
+    result = step_faults.probe(TINY_CHAIN, seed=1, steps=3)
     assert [owner.__dict__[attr] for owner, attr, _ in step_faults.phases()] == before
-    assert result["steps"] == 3 and result["warmup"] == 1
+    assert result["steps"] == 3 and result["warmup"] == step_faults.WARMUP
     assert list(result["phases"]) == PHASES
     for part in [result["step"], *result["phases"].values()]:
         assert len(part["s"]) == len(part["minflt"]) == 3
@@ -36,7 +36,7 @@ def test_probe_times_each_step_and_phase_and_unwraps():
 
 def test_script_prints_one_json_line():
     proc = subprocess.run([sys.executable, str(SCRIPT), "--workload", "train-baseline",
-                           "--seed", "2", "--steps", "1", "--warmup", "0"],
+                           "--seed", "2", "--steps", "1"],
                           capture_output=True, text=True, check=True)
     lines = proc.stdout.splitlines()
     assert len(lines) == 1

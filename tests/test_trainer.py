@@ -266,18 +266,21 @@ def test_length_mismatch_rejected():
 # PPO update
 
 
-def old_log_probs(policy, batch):
-    """log pi(a_t|s_t) over the batch's stacked steps, `ppo_update`'s old_logp."""
-    return policy.log_prob_np(np.concatenate([t.states for t in batch]),
-                              np.concatenate([t.actions for t in batch]))
+def stacked(batch):
+    """The batch's states and actions, stacked as `ppo_update` takes them."""
+    return (np.concatenate([t.states for t in batch]),
+            np.concatenate([t.actions for t in batch]))
 
 
-def run_ppo(policy, value_net, batch, advantages, t_r, t_0, **overrides):
+def run_ppo(policy, value_net, batch, advantages, t_r, t_0, old_logp=None, **overrides):
+    """`ppo_update` from a fresh Adam; `old_logp` defaults to the policy's own."""
     config = TrainConfig(**{**TINY, **overrides})
+    states, actions = stacked(batch)
+    if old_logp is None:
+        old_logp = policy.log_prob_np(states, actions)
     return ppo_update(
-        policy, value_net, batch, advantages, t_r, t_0, config,
-        np.random.default_rng(0), nn.AdamOptimizer(config.policy_lr),
-        old_log_probs(policy, batch),
+        policy, value_net, states, actions, advantages, t_r, t_0, config,
+        np.random.default_rng(0), nn.AdamOptimizer(config.policy_lr), old_logp,
     )
 
 
@@ -377,7 +380,7 @@ def test_non_finite_loss_restores_parameters():
         np.testing.assert_array_equal(p, before_v[k])
 
 
-def test_overflowing_ratio_with_positive_advantage_aborts(monkeypatch):
+def test_overflowing_ratio_with_positive_advantage_aborts():
     # exp(logp + 800) overflows; where the advantage is positive the minimum
     # takes the finite clipped branch, so the loss stays finite and only the
     # ratio shows the fault. One minibatch, one epoch: nothing runs after it.
@@ -388,12 +391,10 @@ def test_overflowing_ratio_with_positive_advantage_aborts(monkeypatch):
     before_v = {k: p.copy() for k, p in value_net.params.items()}
     advantages = np.concatenate([np.where(np.arange(t.length) % 2, 1.0, -1.0) for t in batch])
     positive = advantages > 0
-    log_prob_np = policy.log_prob_np
-    monkeypatch.setattr(policy, "log_prob_np",
-                        lambda s, a: log_prob_np(s, a) - 800.0 * positive)
+    old_logp = policy.log_prob_np(*stacked(batch)) - 800.0 * positive
     targets = np.ones(len(advantages))
     with np.errstate(over="ignore"):
-        metrics = run_ppo(policy, value_net, batch, advantages, targets, targets,
+        metrics = run_ppo(policy, value_net, batch, advantages, targets, targets, old_logp,
                           epochs=1, minibatch=len(positive))
     assert metrics["aborted"] and metrics["updates"] == 0
     for k, p in policy.params.items():
@@ -410,14 +411,15 @@ def test_aborted_update_restores_optimizer_state():
     opt = nn.AdamOptimizer(config.policy_lr)
     advantages = targets = np.ones(sum(t.length for t in batch))
     rng = np.random.default_rng(0)
-    ppo_update(policy, value_net, batch, advantages, targets, targets, config, rng, opt,
-               old_log_probs(policy, batch))
+    states, actions = stacked(batch)
+    ppo_update(policy, value_net, states, actions, advantages, targets, targets, config, rng,
+               opt, policy.log_prob_np(states, actions))
     steps, m, v = opt.t, opt.m.copy(), opt.v.copy()
     bad_targets = targets.copy()
     bad_targets[-1] = np.inf
     metrics = ppo_update(
-        policy, value_net, batch, advantages, bad_targets, targets, config, rng, opt,
-        old_log_probs(policy, batch),
+        policy, value_net, states, actions, advantages, bad_targets, targets, config, rng,
+        opt, policy.log_prob_np(states, actions),
     )
     assert metrics["aborted"] and metrics["updates"] > 0
     assert opt.t == steps
@@ -464,8 +466,9 @@ def test_ppo_update_is_bitwise_a_loop_with_two_adams():
         bad_targets = targets.copy()
         bad_targets[-1] = np.inf
         for t_r in (targets, bad_targets, targets):
-            metrics = ppo_update(policy, value_net, batch, advantages, t_r, targets, config,
-                                 rng, opt, old_log_probs(policy, batch))
+            states, actions = stacked(batch)
+            metrics = ppo_update(policy, value_net, states, actions, advantages, t_r, targets,
+                                 config, rng, opt, policy.log_prob_np(states, actions))
             saved = (dict(ref_policy.params), dict(ref_value.params),
                      [(a.t, a.m, a.v) for a in adams])
             aborted = two_adam_ppo(ref_policy, ref_value, batch, advantages, t_r, targets,
@@ -527,9 +530,10 @@ def test_grad_variance_is_taken_at_the_policy_that_drew_the_batch(monkeypatch, o
         seen.append({"batch": batch, "decomps": decomps})
         return real_variance(self, batch, decomps, a, head_grads)
 
-    def spy_update(policy, value_net, batch, *args):
-        seen[-1]["policy"], seen[-1]["old_logp"] = copy.deepcopy(policy), args[-1]
-        return real_update(policy, value_net, batch, *args)
+    def spy_update(policy, value_net, states, actions, *args):
+        seen[-1].update(policy=copy.deepcopy(policy), states=states, actions=actions,
+                        old_logp=args[-1])
+        return real_update(policy, value_net, states, actions, *args)
 
     monkeypatch.setattr(Trainer, "_gradient_variance", spy_variance)
     monkeypatch.setattr(trainer_mod, "ppo_update", spy_update)
@@ -539,9 +543,11 @@ def test_grad_variance_is_taken_at_the_policy_that_drew_the_batch(monkeypatch, o
         got = seen[-1]
         want = estimators.grad_bias_corrected(got["batch"], got["policy"], got["decomps"])
         np.testing.assert_allclose(row["grad_variance"], want.variance, rtol=1e-10, atol=0.0)
-        # PPO's old log-probs come from the same pass, bit for bit
-        states = np.concatenate([t.states for t in got["batch"]])
-        actions = np.concatenate([t.actions for t in got["batch"]])
+        # PPO gets the batch's steps, and its old log-probs come from the
+        # same pass, bit for bit
+        states, actions = stacked(got["batch"])
+        assert np.array_equal(got["states"], states)
+        assert np.array_equal(got["actions"], actions)
         assert np.array_equal(got["old_logp"], got["policy"].log_prob_np(states, actions))
 
 
@@ -553,6 +559,8 @@ def test_malloc_pinning_runs_once_per_process(monkeypatch):
         calls.append(name)
         return real_cdll(name)
 
+    libc = real_cdll(None)
+    glibc = hasattr(libc, "mallopt") and hasattr(libc, "gnu_get_libc_version")
     trainer_mod.pin_malloc_thresholds.cache_clear()
     monkeypatch.setattr(trainer_mod.ctypes, "CDLL", counting_cdll)
     try:
@@ -560,25 +568,35 @@ def test_malloc_pinning_runs_once_per_process(monkeypatch):
         Trainer(TrainConfig(**TINY), seed=0)
         assert trainer_mod.pin_malloc_thresholds() is first
         assert calls == [None]
-        assert first == (getattr(real_cdll(None), "mallopt", None) is not None)
+        assert first == glibc
     finally:
         trainer_mod.pin_malloc_thresholds.cache_clear()
 
 
-class _NoMallopt:
-    """A C library without `mallopt`, as on a libc other than glibc."""
+class _Libc:
+    """A C library: glibc if it names its version, with a `mallopt` that
+    accepts the parameters in `accepts` (None: no `mallopt` at all)."""
+
+    def __init__(self, glibc=True, accepts=()):
+        if glibc:
+            self.gnu_get_libc_version = lambda: b"2.0"
+        if accepts is not None:
+            self.calls = []
+            self.mallopt = lambda param, value: self.calls.append(param) or int(param in accepts)
 
 
-class _RefusingMallopt:
-    """A C library whose `mallopt` rejects every value."""
-
-    def __init__(self):
-        self.mallopt = lambda param, value: 0
+def _no_libc(name):
+    raise TypeError("LoadLibrary() argument 1 must be str, not None")
 
 
-def test_malloc_pinning_is_a_quiet_no_op_without_mallopt(monkeypatch):
+@pytest.mark.parametrize("cdll", [
+    lambda name: _Libc(accepts=None),  # glibc with mallopt monkeypatched away
+    lambda name: _Libc(glibc=False, accepts=()),  # musl: a mallopt that returns 0
+    _no_libc,  # Windows: CDLL(None) cannot load the C library
+], ids=["no-mallopt", "not-glibc", "no-libc"])
+def test_malloc_pinning_is_a_quiet_no_op_without_glibc(monkeypatch, cdll):
     trainer_mod.pin_malloc_thresholds.cache_clear()
-    monkeypatch.setattr(trainer_mod.ctypes, "CDLL", lambda name: _NoMallopt())
+    monkeypatch.setattr(trainer_mod.ctypes, "CDLL", cdll)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -589,12 +607,17 @@ def test_malloc_pinning_is_a_quiet_no_op_without_mallopt(monkeypatch):
         trainer_mod.pin_malloc_thresholds.cache_clear()
 
 
-def test_malloc_pinning_warns_when_mallopt_refuses(monkeypatch):
+@pytest.mark.parametrize("accepts", [(), (trainer_mod.M_MMAP_THRESHOLD,)])
+def test_malloc_pinning_warns_when_mallopt_refuses(monkeypatch, accepts):
+    # a refused value still leaves the other one pinned
+    libc = _Libc(accepts=accepts)
     trainer_mod.pin_malloc_thresholds.cache_clear()
-    monkeypatch.setattr(trainer_mod.ctypes, "CDLL", lambda name: _RefusingMallopt())
+    monkeypatch.setattr(trainer_mod.ctypes, "CDLL", lambda name: libc)
     try:
-        with pytest.warns(RuntimeWarning, match="mallopt"):
+        with pytest.warns(RuntimeWarning, match="mallopt") as caught:
             assert trainer_mod.pin_malloc_thresholds() is False
+        assert len(caught) == 2 - len(accepts)
+        assert libc.calls == [param for param, _ in trainer_mod.MALLOC_THRESHOLDS]
     finally:
         trainer_mod.pin_malloc_thresholds.cache_clear()
 
