@@ -109,10 +109,12 @@ def _corrected_coeffs(batch, decomps):
     steps, and the trajectories' lengths. Each q row is `generalized_q` of
     its trajectory alone: the zero padding comes first in the scan."""
     lengths = np.array([traj.length for traj in batch])
+    if [len(dec.per_interval) for dec in decomps] != lengths.tolist():
+        for traj, dec in zip(batch, decomps):
+            interval_rewards(dec, traj.length)  # raises at the first mismatch
     at = _kernels.segment_index(lengths)
     rewards = _kernels.pad_segments(
-        np.concatenate([interval_rewards(dec, traj.length) for traj, dec in zip(batch, decomps)]),
-        lengths, at,
+        np.concatenate([dec.per_interval for dec in decomps]), lengths, at
     )
     residuals = np.array([dec.residual for dec in decomps])
     return residuals.repeat(lengths) + generalized_q_rows(rewards)[at], lengths
