@@ -1,6 +1,6 @@
 """Seconds and minor page faults per Trainer.step, and per phase.
 
-    python3 scripts/step_faults.py --workload train-full --seed 11 --steps 40
+    python3 scripts/step_faults.py --workload train-full --seed 11 --steps 40 [--unpinned]
 
 Builds a Trainer on the workload's config (`perfbench.workloads.settings`)
 at the seed, steps it WARMUP times unmeasured, then --steps times, and
@@ -8,7 +8,10 @@ prints one JSON line: for the whole step and for each phase, the wall
 seconds and the process's `ru_minflt` delta of every measured step, and
 their medians. The phases are wrapped from outside, on the entry points
 that perfbench's tracer wraps, so the package carries no hook; a phase
-that runs more than once in a step is summed within it.
+that runs more than once in a step is summed within it. With --unpinned,
+`trainer.pin_malloc_thresholds` is a no-op while the Trainer is built, so
+glibc keeps its default, dynamic mmap and trim thresholds: the speed and
+faults a host process that does not pin them would see.
 
 BLAS runs one thread, as in perfbench/run.py.
 """
@@ -51,12 +54,21 @@ def _summary(s, faults):
             "median_minflt": statistics.median(faults)}
 
 
-def probe(config, seed, steps):
+def probe(config, seed, steps, pinned=True):
     """Per-step seconds and minor faults of `steps` Trainer.steps after
-    WARMUP, for the step and per phase, as the dict `main` prints."""
-    from rdecomp.trainer import TrainConfig, Trainer
+    WARMUP, for the step and per phase, as the dict `main` prints. With
+    pinned False, the Trainer is built with `pin_malloc_thresholds`
+    replaced by a no-op; the pin is process-wide, so that measures the
+    unpinned heap only in a process where no Trainer was built before."""
+    from rdecomp import trainer as trainer_mod
 
-    trainer = Trainer(TrainConfig(**config), seed=seed)
+    pin = trainer_mod.pin_malloc_thresholds
+    if not pinned:
+        trainer_mod.pin_malloc_thresholds = lambda: False
+    try:
+        trainer = trainer_mod.Trainer(trainer_mod.TrainConfig(**config), seed=seed)
+    finally:
+        trainer_mod.pin_malloc_thresholds = pin
     for _ in range(WARMUP):
         trainer.step()
     current = {}  # phase name -> [seconds, faults] of the step being measured
@@ -95,7 +107,7 @@ def probe(config, seed, steps):
         for (owner, attr, _), original in zip(points, originals):
             setattr(owner, attr, original)
     step = per_step.pop("step")
-    return {"steps": steps, "warmup": WARMUP, "step": _summary(*step),
+    return {"steps": steps, "warmup": WARMUP, "pinned": pinned, "step": _summary(*step),
             "phases": {name: _summary(*v) for name, v in per_step.items()}}
 
 
@@ -104,12 +116,15 @@ def main(argv=None):
     parser.add_argument("--workload", required=True, choices=("train-full", "train-baseline"))
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--steps", type=int, default=40)
+    parser.add_argument("--unpinned", action="store_true",
+                        help="build the Trainer without pinning glibc's malloc thresholds")
     args = parser.parse_args(argv)
     if args.steps < 1:
         parser.error("--steps must be at least 1")
     from perfbench import workloads
 
-    result = probe(workloads.settings(args.workload)["config"], args.seed, args.steps)
+    result = probe(workloads.settings(args.workload)["config"], args.seed, args.steps,
+                   pinned=not args.unpinned)
     print(json.dumps({"workload": args.workload, "seed": args.seed, **result}), flush=True)
 
 

@@ -41,24 +41,34 @@ def softmax_rows(x, mask=None):
     """Softmax over the last axis of an array.
 
     With a boolean mask (broadcastable to x), entries where it is False are
-    excluded and come out exactly 0; every row must keep at least one entry.
+    excluded and come out exactly 0, whatever x holds there; every row must
+    keep at least one entry.
     """
     if mask is not None:
-        x = np.where(mask, x, -np.inf)
-    # The row max as a running maximum over the columns: a max is exact in
-    # any order, so this equals x.max(axis=-1), and on short rows it is
-    # faster than numpy's reduction along the last axis.
-    row_max = x[..., 0]
-    for j in range(1, x.shape[-1]):
-        row_max = np.maximum(row_max, x[..., j])
-    e = np.exp(x - row_max[..., None])
-    return e / e.sum(axis=-1, keepdims=True)
+        masked = np.where(mask, x, -np.inf)
+    # The exact row max in one reduction over the leading axis of a
+    # column-major copy: a max is exact in any order, so this equals
+    # x.max(axis=-1), and it is faster than numpy's reduction along a short
+    # last axis.
+    row_max = np.moveaxis(x if mask is None else masked, -1, 0).copy().max(axis=0)
+    if mask is None:
+        e = np.exp(x - row_max[..., None])
+    else:
+        # exp of finite values only, several times faster than exp of -inf:
+        # excluded entries go in as 0, by a select, since x may hold inf or
+        # nan there, and come out as 1 * False = 0
+        e = np.subtract(x, row_max[..., None], out=masked)
+        np.copyto(e, 0.0, where=~mask)
+        np.exp(e, out=e)
+        np.multiply(e, mask, out=e)
+    return np.divide(e, e.sum(axis=-1, keepdims=True), out=e)
 
 
 def softmax_rows_vjp(p, g):
     # dx = p * (g - sum_j g_j p_j); masked entries (p = 0) stay zero.
-    dot = (g * p).sum(axis=-1, keepdims=True)
-    return p * (g - dot)
+    out = g * p
+    dot = out.sum(axis=-1, keepdims=True)
+    return np.multiply(p, np.subtract(g, dot, out=out), out=out)
 
 
 def layer_norm_rows(x, gain, bias, eps):
@@ -67,21 +77,27 @@ def layer_norm_rows(x, gain, bias, eps):
     n = x.shape[1]
     mean = x.sum(axis=1, keepdims=True) / n
     centered = x - mean
-    var = (centered * centered).sum(axis=1) / n
+    y = centered * centered
+    var = y.sum(axis=1) / n
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std[:, None]
-    return xhat * gain + bias, xhat, inv_std
+    xhat = np.multiply(centered, inv_std[:, None], out=centered)
+    np.multiply(xhat, gain, out=y)
+    return np.add(y, bias, out=y), xhat, inv_std
 
 
-def layer_norm_rows_vjp(xhat, inv_std, gain, g):
-    """Backward pass of layer_norm_rows. Returns (dx, dgain, dbias)."""
-    dgain = (g * xhat).sum(axis=0)
-    dbias = g.sum(axis=0)
-    gg = g * gain
+def layer_norm_rows_vjp(xhat, inv_std, gain, g, out=(None, None)):
+    """Backward pass of layer_norm_rows. Returns (dx, dgain, dbias); dgain
+    and dbias are written into the arrays `out` holds, where not None."""
+    dgain = (g * xhat).sum(axis=0, out=out[0])
+    dbias = g.sum(axis=0, out=out[1])
     n = g.shape[1]
-    dx = (gg - gg.sum(axis=1, keepdims=True) / n
-          - xhat * ((gg * xhat).sum(axis=1, keepdims=True) / n)) * inv_std[:, None]
-    return dx, dgain, dbias
+    # dx = (gg - mean(gg) - xhat * mean(gg * xhat)) * inv_std, gg = g * gain
+    gg = g * gain
+    t = gg * xhat
+    mean_gg_xhat = t.sum(axis=1, keepdims=True) / n
+    np.subtract(gg, gg.sum(axis=1, keepdims=True) / n, out=gg)
+    np.subtract(gg, np.multiply(xhat, mean_gg_xhat, out=t), out=gg)
+    return np.multiply(gg, inv_std[:, None], out=gg), dgain, dbias
 
 
 def gae(rewards, values, gamma, lam):

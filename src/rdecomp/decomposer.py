@@ -33,6 +33,7 @@ T depends on when the episode ends, so interval i would read later steps.)
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,13 +117,27 @@ class ReturnNormalizer:
 # ---------------------------------------------------------------------------
 # predictor architectures
 #
-# `forward(x, lengths)` maps the stacked input rows x, an (N, d) array, of
-# trajectories with the given lengths to its activations by name, among
-# them the per-interval rewards "rhat" (N, 1), row for row.
-# `backward(a, g)` takes those activations and the gradient g (N, 1) at
-# "rhat" and returns the gradient per parameter name. The closed forms make
-# the tape's float ops in the tape's order, so they are bit-identical to the
+# `forward(x, lengths, at=None)` maps the stacked input rows x, an (N, d)
+# array, of trajectories with the given lengths to its activations by name,
+# among them the per-interval rewards "rhat" (N, 1), row for row; `at` is
+# `_kernels.segment_index(lengths)`, for a caller that already has it.
+# `backward(a, g, out=None)` takes those activations and the gradient g
+# (N, 1) at "rhat" and returns the gradient per parameter name. `out`, if
+# given, is the `Layout.blocks` of a flat gradient vector: each gradient is
+# written into its block, and `out` is returned. The closed forms make the
+# tape's float ops in the tape's order, so they are bit-identical to the
 # tapes in tests/reference_predictors.py.
+
+
+def _dense(x, w, b=None, act=None):
+    """act(x w + b), the sum and act written into the product x w; None
+    leaves out b or act."""
+    out = _kernels.matmul(x, w)
+    if b is not None:
+        np.add(out, b, out=out)
+    if act is not None:
+        act(out, out=out)
+    return out
 
 
 def _plus_head(a, b):
@@ -145,15 +160,18 @@ class FeedForwardPredictor(nn.TanhMlp):
                          head_scale=1.0)
         self.input_dim = input_dim
 
-    def forward(self, x, lengths):
+    def forward(self, x, lengths, at=None):
         """`TanhMlp.forward`, with the head's output also under "rhat". Rows
-        are independent, so the lengths are not read."""
+        are independent, so neither lengths nor at is read."""
         a = super().forward(x)
         a["rhat"] = a["head"]
         return a
 
-    def backward(self, a, g):
-        return super().backward(a, {"head": g})
+    def backward(self, a, g, out=None):
+        if out is None:
+            return super().backward(a, {"head": g})
+        self.flat_grad(a, {"head": g}, {}, blocks=out)
+        return out
 
 
 class RecurrentPredictor:
@@ -179,9 +197,9 @@ class RecurrentPredictor:
             "head_b": hb,
         }
 
-    def forward(self, x, lengths):
+    def forward(self, x, lengths, at=None):
         """Activations by name, among them the rewards "rhat" (N, 1). All
-        trajectories step together, longest first.
+        trajectories step together, longest first; at is not read.
 
         The rows are reordered time-major ("order"): step t holds the n_t
         trajectories still running, so the state is narrowed to its first
@@ -219,13 +237,16 @@ class RecurrentPredictor:
         a["rhat"] = (mm(a["pooled"], p["head_w"]) + p["head_b"])[np.argsort(order)]
         return a
 
-    def backward(self, a, g):
+    def backward(self, a, g, out=None):
         """Backpropagation through time, from the last step to the first.
         The recurrent weights' gradient sums the steps' in that order."""
         p, e, hd = self.params, self.embed_dim, self.hidden_dim
         mm = _kernels.matmul
         g = g[a["order"]]
-        grads = {"head_w": mm(a["pooled"].T, g), "head_b": g.sum(axis=0)}
+        grads = {} if out is None else out
+        w = grads.get  # a gradient's block, None for a fresh array
+        grads["head_w"], grads["head_b"] = mm(a["pooled"].T, g, out=w("head_w")), g.sum(
+            axis=0, out=w("head_b"))
         g_rows = mm(g, p["head_w"].T)
         # gradients at the gate pre-activations, time-major like x_gates
         g_gates = np.empty((len(g), 4 * hd))
@@ -245,14 +266,23 @@ class RecurrentPredictor:
             g_wh = mm(h_prev.T, d) if g_wh is None else g_wh + mm(h_prev.T, d)
             g_h, g_c = mm(d, p["lstm_w"][e:].T), g_ct * f
             end = start
-        grads["lstm_b"] = g_gates.sum(axis=0)
-        grads["lstm_w"] = np.concatenate([mm(a["v"].T, g_gates), g_wh])
+        grads["lstm_b"] = g_gates.sum(axis=0, out=w("lstm_b"))
+        grads["lstm_w"] = np.concatenate([mm(a["v"].T, g_gates), g_wh], out=w("lstm_w"))
         g_embed = _kernels.tanh_vjp(a["v"], mm(g_gates, p["lstm_w"][:e].T))
-        grads["embed_w"], grads["embed_b"] = mm(a["x"].T, g_embed), g_embed.sum(axis=0)
+        grads["embed_w"] = mm(a["x"].T, g_embed, out=w("embed_w"))
+        grads["embed_b"] = g_embed.sum(axis=0, out=w("embed_b"))
         return grads
 
 
-def causal_attention(q, k, v, lengths, n_heads):
+@functools.lru_cache(maxsize=None)
+def _causal_mask(t_len):
+    """The read-only (T, T) mask of entries on or below the diagonal."""
+    mask = np.tril(np.ones((t_len, t_len), dtype=bool))
+    mask.flags.writeable = False
+    return mask
+
+
+def causal_attention(q, k, v, lengths, n_heads, at=None):
     """Multi-head causal self-attention inside each segment of stacked rows.
 
     q, k (N, n_heads * dk) and v (N, n_heads * dv) are arrays holding the
@@ -261,13 +291,17 @@ def causal_attention(q, k, v, lengths, n_heads):
     q k^T / sqrt(dk). Returns the head outputs (N, n_heads * dv), side by
     side; the attention weights (B, n_heads, T, T), T the longest length,
     where row i of segment b holds weights on its first i + 1 columns only;
-    and the map from the outputs' gradient to those of q, k and v.
+    and the map from the outputs' gradient to those of q, k and v. `at` is
+    `_kernels.segment_index(lengths)`, for a caller that already has it.
 
-    The segments are scattered into a zero-padded (B, n_heads, T, .) block
-    so that every segment and head is one batched matmul under one causal
-    mask: a real row never reaches a padded column, which lies after it.
-    Padded rows get weights too, but their outputs are dropped and get no
-    gradient.
+    The segments are scattered into zero-padded (B, T, n_heads, .) blocks,
+    whose transposed (B, n_heads, T, .) views make every segment and head
+    one batched matmul under one causal mask: a real row never reaches a
+    padded column, which lies after it. Padded rows get weights too, but
+    their outputs are dropped and get no gradient. The four products that
+    go back to stacked rows are written straight into (B, T, n_heads, .)
+    blocks, so the stacked rows are one take of (B * T) rows at the flat
+    row index b * T + t.
     """
     lengths = np.asarray(lengths, dtype=np.intp)
     n = q.shape[0]
@@ -279,32 +313,36 @@ def causal_attention(q, k, v, lengths, n_heads):
         )
     dk, dv = q.shape[1] // n_heads, v.shape[1] // n_heads
     b, t = lengths.size, int(lengths.max())
-    seg, pos = _kernels.segment_index(lengths)
+    seg, pos = _kernels.segment_index(lengths) if at is None else at
+    rows = seg * t + pos
 
-    def pad(rows, width):
-        out = np.zeros((b, t, n_heads, width))
-        out[seg, pos] = rows.reshape(n, n_heads, width)
-        return out.transpose(0, 2, 1, 3)
+    def pad(x, width):
+        out = np.zeros((b * t, n_heads * width))
+        out[rows] = x
+        return out.reshape(b, t, n_heads, width).transpose(0, 2, 1, 3)
 
-    def unpad(block):
-        return block.transpose(0, 2, 1, 3)[seg, pos].reshape(n, -1)
+    def stacked_product(x, y, width):
+        out = np.empty((b, t, n_heads, width))
+        np.matmul(x, y, out=out.transpose(0, 2, 1, 3))
+        return out.reshape(b * t, n_heads * width).take(rows, axis=0)
 
-    mask = np.tril(np.ones((t, t), dtype=bool))
     inv_sqrt = 1.0 / np.sqrt(dk)
     qp, kp, vp = pad(q, dk), pad(k, dk), pad(v, dv)
-    p = _kernels.softmax_rows(np.matmul(qp, kp.transpose(0, 1, 3, 2)) * inv_sqrt, mask)
+    scores = np.matmul(qp, kp.transpose(0, 1, 3, 2))
+    p = _kernels.softmax_rows(np.multiply(scores, inv_sqrt, out=scores), _causal_mask(t))
     p.flags.writeable = False
 
     def vjp(g):
         gp = pad(g, dv)
-        ds = _kernels.softmax_rows_vjp(p, np.matmul(gp, vp.transpose(0, 1, 3, 2))) * inv_sqrt
+        ds = _kernels.softmax_rows_vjp(p, np.matmul(gp, vp.transpose(0, 1, 3, 2)))
+        np.multiply(ds, inv_sqrt, out=ds)
         return (
-            unpad(np.matmul(ds, kp)),
-            unpad(np.matmul(ds.transpose(0, 1, 3, 2), qp)),
-            unpad(np.matmul(p.transpose(0, 1, 3, 2), gp)),
+            stacked_product(ds, kp, dk),
+            stacked_product(ds.transpose(0, 1, 3, 2), qp, dk),
+            stacked_product(p.transpose(0, 1, 3, 2), gp, dv),
         )
 
-    return unpad(np.matmul(p, vp)), p, vjp
+    return stacked_product(p, vp, dv), p, vjp
 
 
 class AttentionPredictor:
@@ -344,64 +382,75 @@ class AttentionPredictor:
         p["head_w"], p["head_b"] = nn.init_linear(rng, d, 1)
         self.params = p
 
-    def forward(self, x, lengths):
+    def forward(self, x, lengths, at=None):
         """Activations by name, among them the rewards "rhat" (N, 1), the
         importance "z" (N, 1) and the attention weights "attn" (B, heads,
         T, T). Positions, from 0 in each trajectory, are added after
         "embed", which thus depends on (s, a) alone."""
         p = self.params
         lengths = np.asarray(lengths)
+        at = _kernels.segment_index(lengths) if at is None else at
         mm = _kernels.matmul
-        v = np.tanh(mm(x, p["embed_w"]) + p["embed_b"])
+        v = _dense(x, p["embed_w"], p["embed_b"], np.tanh)
         a = {"x": x, "embed": v}
         pos = nn.sinusoidal_positions(int(lengths.max()), self.embed_dim)
-        a["v"] = v = v + pos[_kernels.segment_positions(lengths)]
+        a["v"] = v = v + pos[at[1]]
         a["heads"], a["attn"], a["attn_vjp"] = causal_attention(
-            mm(v, p["wq"]), mm(v, p["wk"]), mm(v, p["wv"]), lengths, self.n_heads
+            mm(v, p["wq"]), mm(v, p["wk"]), mm(v, p["wv"]), lengths, self.n_heads, at
         )
-        mixed = mm(a["heads"], p["wo"]) + p["bo"]
-        a["ln1"] = _kernels.layer_norm_rows(v + mixed, p["ln1_g"], p["ln1_b"], 1e-5)
+        mixed = _dense(a["heads"], p["wo"], p["bo"])
+        a["ln1"] = _kernels.layer_norm_rows(np.add(v, mixed, out=mixed), p["ln1_g"],
+                                            p["ln1_b"], 1e-5)
         a["u"] = a["ln1"][0]
-        a["f"] = np.tanh(mm(a["u"], p["ff1_w"]) + p["ff1_b"])
-        ff = mm(a["f"], p["ff2_w"]) + p["ff2_b"]
-        a["ln2"] = _kernels.layer_norm_rows(a["u"] + ff, p["ln2_g"], p["ln2_b"], 1e-5)
+        a["f"] = _dense(a["u"], p["ff1_w"], p["ff1_b"], np.tanh)
+        ff = _dense(a["f"], p["ff2_w"], p["ff2_b"])
+        a["ln2"] = _kernels.layer_norm_rows(np.add(a["u"], ff, out=ff), p["ln2_g"],
+                                            p["ln2_b"], 1e-5)
         hs = a["hs"] = a["ln2"][0]
         # importance gate z = sigmoid(w_s2 tanh(W_s1 H^T)), head on z_t h_t
-        a["pool"] = np.tanh(mm(hs, p["pool_w1"]))
+        a["pool"] = _dense(hs, p["pool_w1"], act=np.tanh)
         a["z"] = _kernels.sigmoid(mm(a["pool"], p["pool_w2"]))
         a["pooled"] = hs * a["z"]
-        a["rhat"] = mm(a["pooled"], p["head_w"]) + p["head_b"]
+        a["rhat"] = _dense(a["pooled"], p["head_w"], p["head_b"])
         return a
 
-    def backward(self, a, g):
+    def backward(self, a, g, out=None):
         p = self.params
         mm = _kernels.matmul
-        grads = {"head_w": mm(a["pooled"].T, g), "head_b": g.sum(axis=0)}
+        grads = {} if out is None else out
+        w = grads.get  # a gradient's block, None for a fresh array
+        grads["head_w"] = mm(a["pooled"].T, g, out=w("head_w"))
+        grads["head_b"] = g.sum(axis=0, out=w("head_b"))
         g_pooled = mm(g, p["head_w"].T)
         g_gate = _kernels.sigmoid_vjp(a["z"], (g_pooled * a["hs"]).sum(axis=1).reshape(-1, 1))
-        grads["pool_w2"] = mm(a["pool"].T, g_gate)
+        grads["pool_w2"] = mm(a["pool"].T, g_gate, out=w("pool_w2"))
         g_pool = _kernels.tanh_vjp(a["pool"], mm(g_gate, p["pool_w2"].T))
-        grads["pool_w1"] = mm(a["hs"].T, g_pool)
-        g_hs = g_pooled * a["z"] + mm(g_pool, p["pool_w1"].T)
+        grads["pool_w1"] = mm(a["hs"].T, g_pool, out=w("pool_w1"))
+        g_hs = np.add(g_pooled * a["z"], mm(g_pool, p["pool_w1"].T), out=g_pooled)
 
         g_r2, grads["ln2_g"], grads["ln2_b"] = _kernels.layer_norm_rows_vjp(
-            *a["ln2"][1:], p["ln2_g"], g_hs
+            *a["ln2"][1:], p["ln2_g"], g_hs, out=(w("ln2_g"), w("ln2_b"))
         )
-        grads["ff2_w"], grads["ff2_b"] = mm(a["f"].T, g_r2), g_r2.sum(axis=0)
+        grads["ff2_w"] = mm(a["f"].T, g_r2, out=w("ff2_w"))
+        grads["ff2_b"] = g_r2.sum(axis=0, out=w("ff2_b"))
         d_f = _kernels.tanh_vjp(a["f"], mm(g_r2, p["ff2_w"].T))
-        grads["ff1_w"], grads["ff1_b"] = mm(a["u"].T, d_f), d_f.sum(axis=0)
+        grads["ff1_w"] = mm(a["u"].T, d_f, out=w("ff1_w"))
+        grads["ff1_b"] = d_f.sum(axis=0, out=w("ff1_b"))
         g_r1, grads["ln1_g"], grads["ln1_b"] = _kernels.layer_norm_rows_vjp(
-            *a["ln1"][1:], p["ln1_g"], g_r2 + mm(d_f, p["ff1_w"].T)
+            *a["ln1"][1:], p["ln1_g"], np.add(g_r2, mm(d_f, p["ff1_w"].T), out=g_r2),
+            out=(w("ln1_g"), w("ln1_b")),
         )
-        grads["wo"], grads["bo"] = mm(a["heads"].T, g_r1), g_r1.sum(axis=0)
+        grads["wo"] = mm(a["heads"].T, g_r1, out=w("wo"))
+        grads["bo"] = g_r1.sum(axis=0, out=w("bo"))
         # v reaches the loss through the residual, q, k and v; the tape sums
-        # their gradients in that order.
+        # their gradients in that order, here into g_r1.
         g_v = g_r1
         for name, g_in in zip(("wq", "wk", "wv"), a["attn_vjp"](mm(g_r1, p["wo"].T))):
-            grads[name] = mm(a["v"].T, g_in)
-            g_v = g_v + mm(g_in, p[name].T)
+            grads[name] = mm(a["v"].T, g_in, out=w(name))
+            np.add(g_v, mm(g_in, p[name].T), out=g_v)
         g_embed = _kernels.tanh_vjp(a["embed"], g_v)
-        grads["embed_w"], grads["embed_b"] = mm(a["x"].T, g_embed), g_embed.sum(axis=0)
+        grads["embed_w"] = mm(a["x"].T, g_embed, out=w("embed_w"))
+        grads["embed_b"] = g_embed.sum(axis=0, out=w("embed_b"))
         return grads
 
 
@@ -505,13 +554,15 @@ def regression_targets(batch, normalizer=None):
     return targets if normalizer is None else normalizer.normalize(targets)
 
 
-def regression_loss(rhat, lengths, targets):
+def regression_loss(rhat, lengths, targets, segment=None):
     """Sum over trajectories of (sum of its rewards - target)^2, given the
     stacked rewards rhat (N, 1), and the gradient at rhat, or None if the
     loss is not finite. A (B, N) 0/1 segment-sum matrix makes the B
-    composites."""
+    composites. `segment` is each row's trajectory,
+    `_kernels.segment_index(lengths)[0]`, for a caller that already has it."""
     b = len(lengths)
-    segment = np.repeat(np.arange(b), lengths)
+    if segment is None:
+        segment = np.repeat(np.arange(b), lengths)
     segment_sum = (segment[None, :] == np.arange(b)[:, None]).astype(np.float64)
     err = _kernels.matmul(segment_sum, rhat) - np.reshape(targets, (-1, 1))
     loss = float((err * err).sum())
@@ -523,12 +574,19 @@ def regression_loss(rhat, lengths, targets):
 def loss_grad(model, x, lengths, targets):
     """The `regression_loss` of the model on the stacked input rows x of
     trajectories with the given lengths and regression targets, and its
-    flat gradient, or None for it if the loss is not finite."""
-    a = model.forward(x, lengths)
-    loss, g = regression_loss(a["rhat"], lengths, targets)
+    flat gradient, or None for it if the loss is not finite. One segment
+    index serves the forward pass and the loss, and the backward pass
+    writes each gradient straight into its block of the flat vector."""
+    lengths = np.asarray(lengths)
+    at = _kernels.segment_index(lengths)
+    a = model.forward(x, lengths, at)
+    loss, g = regression_loss(a["rhat"], lengths, targets, at[0])
     if g is None:
         return loss, None
-    return loss, nn.layout(model.params).flatten(model.backward(a, g))
+    lay = nn.layout(model.params)
+    grad = np.empty(lay.size)
+    model.backward(a, g, lay.blocks(grad))
+    return loss, grad
 
 
 def regression_step(model, x, lengths, targets, optimizer):

@@ -104,7 +104,8 @@ class TanhMlp:
             return (_kernels.matmul(h.T, d, out=blocks[f"{name}_w"]),
                     d.sum(axis=0, out=blocks[f"{name}_b"]))
 
-        self.backward(a, g_by_head, reduce)
+        # TanhMlp's own backward: a subclass may override the name
+        TanhMlp.backward(self, a, g_by_head, reduce)
         return out
 
 

@@ -320,17 +320,24 @@ class Trainer:
             return 0.0
         sample = self.buffer.sample(self.config.buffer_capacity)
         lengths = np.array([traj.length for traj in sample])
-        rows = np.split(decomposer.input_rows(self.model, sample), np.cumsum(lengths)[:-1])
+        rows = decomposer.input_rows(self.model, sample)
+        starts = np.cumsum(lengths) - lengths
         targets = decomposer.regression_targets(sample, self.normalizer)
         losses = []
         mb = self.config.regression_minibatch
         for _ in range(self.config.regression_epochs):
+            # the rows gathered once per epoch, trajectory by trajectory in
+            # the permuted order, so each minibatch is a contiguous slice
             order = self.regression_rng.permutation(len(sample))
+            e_lengths, e_targets = lengths[order], targets[order]
+            e_rows = rows[np.repeat(starts[order], e_lengths)
+                          + _kernels.segment_positions(e_lengths)]
+            bounds = np.concatenate([[0], np.cumsum(e_lengths)])
             for start in range(0, len(sample), mb):
-                idx = order[start : start + mb]
-                x = np.concatenate([rows[i] for i in idx])
+                stop = min(start + mb, len(sample))
                 losses.append(decomposer.regression_step(
-                    self.model, x, lengths[idx], targets[idx], self.reward_opt
+                    self.model, e_rows[bounds[start] : bounds[stop]], e_lengths[start:stop],
+                    e_targets[start:stop], self.reward_opt,
                 ))
         return float(np.mean(losses))
 

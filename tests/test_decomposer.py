@@ -522,6 +522,29 @@ def test_loss_grad_is_bitwise_the_tape(arch, kind, scale):
 
 
 @pytest.mark.parametrize("arch,kind", BITWISE_SPECS, ids=spec_ids(BITWISE_SPECS))
+def test_loss_grad_writes_every_entry_of_its_gradient(arch, kind, monkeypatch):
+    # backward writes through the Layout.blocks views of a vector from
+    # np.empty: with np.empty handing out nan, an entry left unwritten shows
+    model, batch, norm = _bitwise_case(arch, kind, BITWISE_LENGTHS[0], 3, 1.0)
+    x, lengths, targets = reference.stacked(model, batch, norm)
+    a = model.forward(x, np.asarray(lengths))
+    want = nn.layout(model.params).flatten(
+        model.backward(a, decomposer.regression_loss(a["rhat"], lengths, targets)[1])
+    )
+    empty = np.empty
+
+    def nan_empty(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        if out.dtype.kind == "f":
+            out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", nan_empty)
+    grad = loss_grad(model, x, lengths, targets)[1]
+    assert np.isfinite(grad).all() and np.array_equal(grad, want)
+
+
+@pytest.mark.parametrize("arch,kind", BITWISE_SPECS, ids=spec_ids(BITWISE_SPECS))
 def test_regression_step_applies_the_tape_gradient(arch, kind):
     model, batch, norm = _bitwise_case(arch, kind, BITWISE_LENGTHS[0], 7, 1.0)
     x, lengths, targets = reference.stacked(model, batch, norm)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import reference_estimators
 
 from rdecomp import estimators
 from rdecomp.decomposer import RewardDecomposition
@@ -8,7 +9,8 @@ from rdecomp.trajectory import Trajectory
 
 
 def grad_composite_by_interval(batch, policy, decomps):
-    """Interval-major form of `estimators.grad_composite`, the batch mean.
+    """Interval-major form of `reference_estimators.grad_composite`, the
+    batch mean.
 
     Sums r_hat_i times the scores of steps 0..i, interval by interval; a
     pure rearrangement of the step-major form kept as an independent
@@ -46,14 +48,14 @@ def random_setup(seed, t_len=None, n_states=3, n_actions=2):
 
 def test_generalized_q_is_return_to_go():
     dec = decomposition([1.0, 2.0, 3.0], 6.0)
-    np.testing.assert_array_equal(estimators.generalized_q(dec, 3), [6.0, 5.0, 3.0])
+    np.testing.assert_array_equal(reference_estimators.generalized_q(dec, 3), [6.0, 5.0, 3.0])
 
 
 def test_generalized_q_prefixes_same_rule():
     # prefix i ends at step i, so the Q rule is identical for both kinds
     a, b, c = 0.3, -1.2, 2.5
     dec = decomposition([a, b, c], 0.0)
-    q = estimators.generalized_q(dec, 3)
+    q = reference_estimators.generalized_q(dec, 3)
     np.testing.assert_allclose(q, [a + b + c, b + c, c], rtol=1e-15)
 
 
@@ -62,7 +64,7 @@ def test_generalized_q_matches_brute_force_membership():
     for kind in ("singletons", "prefixes"):
         values = rng.normal(size=4)
         dec = decomposition(values, 1.0)
-        q = estimators.generalized_q(dec, 4)
+        q = reference_estimators.generalized_q(dec, 4)
         # brute force over (interval, t) membership in the ends-at->=t set
         for t in range(4):
             total = 0.0
@@ -96,8 +98,8 @@ def test_cumulative_sums_equal_the_step_loops_bit_for_bit():
     for t_len, values in zip(t_lens, rows):
         dec = decomposition(values, 1.0)
         rnot, total = loop_rnot(values)
-        assert np.array_equal(estimators.generalized_q(dec, t_len), loop_q(values))
-        assert np.array_equal(estimators.r_not_t(dec, t_len), rnot)
+        assert np.array_equal(reference_estimators.generalized_q(dec, t_len), loop_q(values))
+        assert np.array_equal(reference_estimators.r_not_t(dec, t_len), rnot)
         assert dec.composite == total
 
     # the padded-block forms the oracle uses: zero past each row's end
@@ -115,27 +117,27 @@ def test_cumulative_sums_equal_the_step_loops_bit_for_bit():
 
 def test_generalized_q_length_mismatch_rejected():
     with pytest.raises(ValueError, match="entries"):
-        estimators.generalized_q(decomposition([1.0], 1.0), 3)
+        reference_estimators.generalized_q(decomposition([1.0], 1.0), 3)
 
 
 def test_complement_trivial_cases():
     dec = decomposition([1.0, 2.0, 3.0], 6.0)
-    np.testing.assert_array_equal(estimators.r_not_t(dec, 3), [0.0, 1.0, 3.0])
+    np.testing.assert_array_equal(reference_estimators.r_not_t(dec, 3), [0.0, 1.0, 3.0])
 
 
 def test_complement_at_step_zero_is_always_zero():
     for seed in range(10):
         values = np.random.default_rng(seed).normal(size=6)
         dec = decomposition(values, 0.5)
-        assert estimators.r_not_t(dec, 6)[0] == 0.0
+        assert reference_estimators.r_not_t(dec, 6)[0] == 0.0
 
 
 def test_partition_identity():
     for seed in range(50):
         values = np.random.default_rng(seed).normal(size=8) * 10
         dec = decomposition(values, 2.0)
-        q = estimators.generalized_q(dec, 8)
-        rnot = estimators.r_not_t(dec, 8)
+        q = reference_estimators.generalized_q(dec, 8)
+        rnot = reference_estimators.r_not_t(dec, 8)
         np.testing.assert_allclose(rnot + q, dec.composite, rtol=1e-12, atol=1e-12)
         # and the complement agrees with its direct definition
         direct = np.array([values[:t].sum() for t in range(8)])
@@ -149,14 +151,14 @@ def test_partition_identity():
 def test_zero_surrogate_rewards_give_zero_composite_gradient():
     traj, policy, _ = random_setup(1)
     dec = decomposition(np.zeros(traj.length), traj.episodic_return)
-    est = estimators.grad_composite([traj], policy, [dec])
+    est = reference_estimators.grad_composite([traj], policy, [dec])
     np.testing.assert_array_equal(est.grad, np.zeros_like(est.grad))
 
 
 def test_single_step_composite_reduces_to_reinforce_with_surrogate():
     traj, policy, _ = random_setup(2, t_len=1)
     dec = decomposition([0.7], traj.episodic_return)
-    est = estimators.grad_composite([traj], policy, [dec])
+    est = reference_estimators.grad_composite([traj], policy, [dec])
     scores = policy.score_matrix(traj)
     np.testing.assert_allclose(est.grad, 0.7 * scores[0], rtol=1e-12)
 
@@ -166,31 +168,31 @@ def test_exact_decomposition_makes_corrected_equal_composite():
     values = np.random.default_rng(33).normal(size=5)
     dec = decomposition(values, 0.0)
     dec = RewardDecomposition(dec.per_interval, dec.composite, 0.0)  # r_0 == 0
-    a = estimators.grad_bias_corrected([traj], policy, [dec])
-    b = estimators.grad_composite([traj], policy, [dec])
+    a = reference_estimators.grad_bias_corrected([traj], policy, [dec])
+    b = reference_estimators.grad_composite([traj], policy, [dec])
     np.testing.assert_array_equal(a.grad, b.grad)
 
 
 def test_zero_decomposition_makes_corrected_equal_reinforce():
     traj, policy, _ = random_setup(4, t_len=6)
     dec = decomposition(np.zeros(6), traj.episodic_return)
-    a = estimators.grad_bias_corrected([traj], policy, [dec])
-    b = estimators.grad_reinforce([traj], policy)
+    a = reference_estimators.grad_bias_corrected([traj], policy, [dec])
+    b = reference_estimators.grad_reinforce([traj], policy)
     np.testing.assert_array_equal(a.grad, b.grad)
 
 
 def test_zero_decomposition_makes_control_variate_equal_reinforce():
     traj, policy, _ = random_setup(5, t_len=4)
     dec = decomposition(np.zeros(4), traj.episodic_return)
-    a = estimators.grad_control_variate([traj], policy, [dec])
-    b = estimators.grad_reinforce([traj], policy)
+    a = reference_estimators.grad_control_variate([traj], policy, [dec])
+    b = reference_estimators.grad_reinforce([traj], policy)
     np.testing.assert_array_equal(a.grad, b.grad)
 
 
 def test_single_step_control_variate_coefficient_is_return():
     traj, policy, dec = random_setup(6, t_len=1)
-    a = estimators.grad_control_variate([traj], policy, [dec])
-    b = estimators.grad_reinforce([traj], policy)
+    a = reference_estimators.grad_control_variate([traj], policy, [dec])
+    b = reference_estimators.grad_reinforce([traj], policy)
     np.testing.assert_allclose(a.grad, b.grad, rtol=1e-12)
 
 
@@ -207,7 +209,7 @@ def test_reinforce_zero_return_zero_gradient():
                 episodic_return=0.0,
             )
         )
-    est = estimators.grad_reinforce(batch, policy)
+    est = reference_estimators.grad_reinforce(batch, policy)
     np.testing.assert_array_equal(est.grad, np.zeros_like(est.grad))
 
 
@@ -223,7 +225,7 @@ def rel_gap(a, b):
 def test_composite_forms_agree_per_sample(kind):
     for seed in range(30):
         traj, policy, dec = random_setup(100 + seed)
-        a = estimators.grad_composite([traj], policy, [dec])
+        a = reference_estimators.grad_composite([traj], policy, [dec])
         b = grad_composite_by_interval([traj], policy, [dec])
         assert rel_gap(a.grad, b) <= 1e-12
 
@@ -231,16 +233,16 @@ def test_composite_forms_agree_per_sample(kind):
 def test_corrected_and_control_variate_agree_per_sample():
     for seed in range(30):
         traj, policy, dec = random_setup(200 + seed)
-        a = estimators.grad_bias_corrected([traj], policy, [dec])
-        b = estimators.grad_control_variate([traj], policy, [dec])
+        a = reference_estimators.grad_bias_corrected([traj], policy, [dec])
+        b = reference_estimators.grad_control_variate([traj], policy, [dec])
         assert rel_gap(a.grad, b.grad) <= 1e-12
 
 
 def test_long_horizon_identities():
     for seed in range(5):
         traj, policy, dec = random_setup(300 + seed, t_len=32)
-        a = estimators.grad_bias_corrected([traj], policy, [dec])
-        b = estimators.grad_control_variate([traj], policy, [dec])
+        a = reference_estimators.grad_bias_corrected([traj], policy, [dec])
+        b = reference_estimators.grad_control_variate([traj], policy, [dec])
         assert rel_gap(a.grad, b.grad) <= 1e-12
 
 
@@ -250,7 +252,7 @@ def test_long_horizon_identities():
 
 def test_variance_zero_for_identical_samples():
     traj, policy, dec = random_setup(8, t_len=3)
-    est = estimators.grad_bias_corrected([traj, traj], policy, [dec, dec])
+    est = reference_estimators.grad_bias_corrected([traj, traj], policy, [dec, dec])
     assert est.variance == 0.0
 
 
@@ -262,8 +264,8 @@ def test_batch_mean_and_variance_definition():
         policy = policy or pol
         trajs.append(traj)
         decs.append(dec)
-    est = estimators.grad_reinforce(trajs, policy)
-    singles = np.stack([estimators.grad_reinforce([t], policy).grad for t in trajs])
+    est = reference_estimators.grad_reinforce(trajs, policy)
+    singles = np.stack([reference_estimators.grad_reinforce([t], policy).grad for t in trajs])
     np.testing.assert_allclose(est.grad, singles.mean(axis=0), rtol=1e-12)
     np.testing.assert_allclose(est.variance, singles.var(axis=0).mean(), rtol=1e-10)
 
@@ -273,7 +275,7 @@ def test_finish_is_bitwise_the_column_mean_and_numpy_variance(batch):
     rng = np.random.default_rng(batch)
     for scale in (1e-6, 1.0, 1e4):
         x = rng.normal(size=(batch, 301)) * scale + rng.normal(size=301)
-        est = estimators._finish(x.copy())
+        est = reference_estimators.finish(x.copy())
         assert np.array_equal(est.grad, x.sum(axis=0) / batch)
         want = 0.0 if batch == 1 else float(x.var(axis=0).mean())
         assert type(est.variance) is float and est.variance == want
@@ -321,7 +323,7 @@ def test_gram_variance_matches_the_score_matrix_form(kind, n, hidden, max_len):
         policy = GaussianPolicy(rng, 6, 2, hidden=hidden)
     batch, decomps = ragged_batch(rng, policy, n, max_len)
     got = estimators.variance_bias_corrected(batch, policy, decomps, *policy_pass(policy, batch))
-    want = estimators.grad_bias_corrected(batch, policy, decomps).variance
+    want = reference_estimators.grad_bias_corrected(batch, policy, decomps).variance
     if n == 1:
         assert got == 0.0 and want == 0.0
     else:
@@ -337,7 +339,7 @@ def test_gram_variance_of_identical_trajectories_is_not_negative(hidden, max_len
     batch, decomps = batch * 9, decomps * 9
     got = estimators.variance_bias_corrected(batch, policy, decomps, *policy_pass(policy, batch))
     # exactly 0; roundoff is relative to the mean squared gradient entry
-    scale = np.mean(estimators.grad_bias_corrected(batch[:1], policy, decomps[:1]).grad ** 2)
+    scale = np.mean(reference_estimators.grad_bias_corrected(batch[:1], policy, decomps[:1]).grad ** 2)
     assert 0.0 <= got <= 1e-12 * scale
 
 

@@ -49,6 +49,21 @@ def test_softmax_rows_is_bitwise_the_reduction_max(t_len):
                           reference_softmax_rows(x + 800.0, mask))
 
 
+@pytest.mark.parametrize("fill", [np.inf, -np.inf, np.nan, 1e308, -1e308])
+def test_softmax_rows_ignores_what_masked_entries_hold(fill):
+    # a 0/1 mask multiplied in would turn a masked inf into nan; the
+    # reference selects -inf there, so it never reads what x holds
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(3, 4, 6, 6)) * 4
+    causal = np.tril(np.ones((6, 6), dtype=bool))
+    with np.errstate(all="raise"):
+        got = _kernels.softmax_rows(np.where(causal, x, fill), causal)
+        flat = _kernels.softmax_rows(np.where(causal, x[1, 2], fill), causal)
+    assert np.array_equal(got, reference_softmax_rows(x, causal))
+    # a 2-D block, as the tape's softmax passes it
+    assert np.array_equal(flat, reference_softmax_rows(x[1, 2], causal))
+
+
 def test_gae_matches_textbook_recursion():
     rng = np.random.default_rng(4)
     rewards = rng.normal(size=9)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-
+import reference_estimators
 from fdcheck import numeric_gradient
 from rdecomp import decomposer, nn, oracle
 from rdecomp.decomposer import RewardDecomposition
@@ -246,11 +246,9 @@ def test_true_stepwise_rewards_reduce_to_classic_policy_gradient():
     report = oracle.verify_identities(ctx, true_rewards)
     assert report["pass"]
     # residuals vanish, so the composite form alone equals the true gradient
-    from rdecomp import estimators
-
     decomps = true_rewards(ctx.trajectories)
     composite = sum(
-        p * estimators.generalized_q(dec, traj.length) @ scores[: traj.length]
+        p * reference_estimators.generalized_q(dec, traj.length) @ scores[: traj.length]
         for traj, dec, p, scores in zip(
             ctx.trajectories, decomps, ctx.probabilities, ctx.scores, strict=True
         )

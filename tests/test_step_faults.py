@@ -34,12 +34,30 @@ def test_probe_times_each_step_and_phase_and_unwraps():
         assert all(phases[name]["s"][i] > 0.0 for name in ("rollout", "ppo", "grad_variance"))
 
 
+def test_unpinned_probe_builds_the_trainer_without_the_pin(monkeypatch):
+    from rdecomp import trainer
+
+    step_faults = load_script()
+    calls = []
+
+    def spy():
+        calls.append(1)
+        return True
+
+    monkeypatch.setattr(trainer, "pin_malloc_thresholds", spy)
+    assert step_faults.probe(TINY_CHAIN, seed=1, steps=1, pinned=False)["pinned"] is False
+    assert calls == [] and trainer.pin_malloc_thresholds is spy
+    assert step_faults.probe(TINY_CHAIN, seed=1, steps=1)["pinned"] is True
+    assert calls == [1]
+
+
 def test_script_prints_one_json_line():
     proc = subprocess.run([sys.executable, str(SCRIPT), "--workload", "train-baseline",
-                           "--seed", "2", "--steps", "1"],
+                           "--seed", "2", "--steps", "1", "--unpinned"],
                           capture_output=True, text=True, check=True)
     lines = proc.stdout.splitlines()
     assert len(lines) == 1
     result = json.loads(lines[0])
     assert result["workload"] == "train-baseline" and result["seed"] == 2
+    assert result["pinned"] is False
     assert len(result["step"]["minflt"]) == 1 and list(result["phases"]) == PHASES

@@ -6,11 +6,12 @@ import warnings
 
 import numpy as np
 import pytest
+import reference_estimators
 from reference_adam import ReferenceAdam
 from test_buffers import assert_same_trajectories
 
 from rdecomp import autodiff as ad
-from rdecomp import _kernels, checkpoint, cli, envs, estimators, nn, oracle
+from rdecomp import _kernels, checkpoint, cli, envs, nn, oracle
 from rdecomp import trainer as trainer_mod
 from rdecomp.buffers import ReplayBuffer
 from rdecomp.decomposer import (
@@ -168,10 +169,10 @@ def test_monte_carlo_limit_recovers_corrected_coefficients():
     value_net = zeroed_value_net(4)
     advantages, _, _ = compute_advantages(batch, decomps, value_net, 1.0, 1.0)
     for traj, dec, adv in zip(batch, decomps, per_episode(advantages, batch), strict=True):
-        want = dec.residual + estimators.generalized_q(dec, traj.length)
+        want = dec.residual + reference_estimators.generalized_q(dec, traj.length)
         np.testing.assert_array_equal(adv, want)
         # and ties back to the baseline-subtracted coefficient form
-        alt = traj.episodic_return - estimators.r_not_t(dec, traj.length)
+        alt = traj.episodic_return - reference_estimators.r_not_t(dec, traj.length)
         np.testing.assert_allclose(adv, alt, rtol=1e-12, atol=1e-12)
 
 
@@ -541,7 +542,7 @@ def test_grad_variance_is_taken_at_the_policy_that_drew_the_batch(monkeypatch, o
     for _ in range(3):
         row, _ = trainer.step()
         got = seen[-1]
-        want = estimators.grad_bias_corrected(got["batch"], got["policy"], got["decomps"])
+        want = reference_estimators.grad_bias_corrected(got["batch"], got["policy"], got["decomps"])
         np.testing.assert_allclose(row["grad_variance"], want.variance, rtol=1e-10, atol=0.0)
         # PPO gets the batch's steps, and its old log-probs come from the
         # same pass, bit for bit
