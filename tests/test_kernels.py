@@ -23,12 +23,19 @@ def test_softmax_rows_properties(masked):
         assert np.array_equal(np.triu(p, k=1), np.zeros_like(p))
 
 
+def blas_row_sums(x):
+    # each row's sum as its product with a ones vector: one gemv over the
+    # rows of x, laid out as they are in x
+    n = x.shape[-1]
+    return np.dot(x.reshape(-1, n), np.ones(n)).reshape(x.shape[:-1] + (1,))
+
+
 def reference_softmax_rows(x, mask=None):
     # the row max as numpy's reduction over the last axis
     if mask is not None:
         x = np.where(mask, x, -np.inf)
     e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / blas_row_sums(e)
 
 
 @pytest.mark.parametrize("t_len", [1, 2, 7, 16])
@@ -86,10 +93,12 @@ def test_gae_monte_carlo_limit():
 
 
 def mean_form_layer_norm(x, gain, bias, eps):
-    # layer_norm_rows and its vjp with numpy's .mean, the form they replaced
-    mean = x.mean(axis=1, keepdims=True)
+    # layer_norm_rows and its vjp written with row means, each a row's
+    # product with a ones vector over the width
+    n = x.shape[1]
+    mean = blas_row_sums(x) / n
     centered = x - mean
-    var = (centered * centered).mean(axis=1)
+    var = blas_row_sums(centered * centered)[:, 0] / n
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std[:, None]
     return xhat * gain + bias, xhat, inv_std
@@ -97,8 +106,9 @@ def mean_form_layer_norm(x, gain, bias, eps):
 
 def mean_form_layer_norm_vjp(xhat, inv_std, gain, g):
     gg = g * gain
-    dx = (gg - gg.mean(axis=1, keepdims=True)
-          - xhat * (gg * xhat).mean(axis=1, keepdims=True)) * inv_std[:, None]
+    n = g.shape[1]
+    dx = (gg - blas_row_sums(gg) / n
+          - xhat * (blas_row_sums(gg * xhat) / n)) * inv_std[:, None]
     return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
 
 
