@@ -64,22 +64,12 @@ def softmax_rows(x, mask=None):
     keep at least one entry.
     """
     if mask is not None:
-        masked = np.where(mask, x, -np.inf)
-    # The exact row max in one reduction over the leading axis of a
-    # column-major copy: a max is exact in any order, so this equals
-    # x.max(axis=-1), and it is faster than numpy's reduction along a short
-    # last axis.
-    row_max = np.moveaxis(x if mask is None else masked, -1, 0).copy().max(axis=0)
-    if mask is None:
-        e = np.exp(x - row_max[..., None])
-    else:
-        # exp of finite values only, several times faster than exp of -inf:
-        # excluded entries go in as 0, by a select, since x may hold inf or
-        # nan there, and come out as 1 * False = 0
-        e = np.subtract(x, row_max[..., None], out=masked)
-        np.copyto(e, 0.0, where=~mask)
-        np.exp(e, out=e)
-        np.multiply(e, mask, out=e)
+        x = np.where(mask, x, -np.inf)
+    # The row max in one reduction over the leading axis of a column-major
+    # copy: a max is exact in any order, so this equals x.max(axis=-1), and
+    # it is faster than numpy's reduction along a short last axis.
+    e = x - np.moveaxis(x, -1, 0).copy().max(axis=0)[..., None]
+    np.exp(e, out=e)
     return np.divide(e, row_sums(e)[..., None], out=e)
 
 

@@ -129,17 +129,6 @@ class ReturnNormalizer:
 # tapes in tests/reference_predictors.py.
 
 
-def _dense(x, w, b=None, act=None):
-    """act(x w + b), the sum and act written into the product x w; None
-    leaves out b or act."""
-    out = _kernels.matmul(x, w)
-    if b is not None:
-        np.add(out, b, out=out)
-    if act is not None:
-        act(out, out=out)
-    return out
-
-
 def _plus_head(a, b):
     """a with b added to its first len(b) rows; None adds nothing."""
     if b is None:
@@ -391,27 +380,25 @@ class AttentionPredictor:
         lengths = np.asarray(lengths)
         at = _kernels.segment_index(lengths) if at is None else at
         mm = _kernels.matmul
-        v = _dense(x, p["embed_w"], p["embed_b"], np.tanh)
+        v = np.tanh(mm(x, p["embed_w"]) + p["embed_b"])
         a = {"x": x, "embed": v}
         pos = nn.sinusoidal_positions(int(lengths.max()), self.embed_dim)
         a["v"] = v = v + pos[at[1]]
         a["heads"], a["attn"], a["attn_vjp"] = causal_attention(
             mm(v, p["wq"]), mm(v, p["wk"]), mm(v, p["wv"]), lengths, self.n_heads, at
         )
-        mixed = _dense(a["heads"], p["wo"], p["bo"])
-        a["ln1"] = _kernels.layer_norm_rows(np.add(v, mixed, out=mixed), p["ln1_g"],
-                                            p["ln1_b"], 1e-5)
+        mixed = mm(a["heads"], p["wo"]) + p["bo"]
+        a["ln1"] = _kernels.layer_norm_rows(v + mixed, p["ln1_g"], p["ln1_b"], 1e-5)
         a["u"] = a["ln1"][0]
-        a["f"] = _dense(a["u"], p["ff1_w"], p["ff1_b"], np.tanh)
-        ff = _dense(a["f"], p["ff2_w"], p["ff2_b"])
-        a["ln2"] = _kernels.layer_norm_rows(np.add(a["u"], ff, out=ff), p["ln2_g"],
-                                            p["ln2_b"], 1e-5)
+        a["f"] = np.tanh(mm(a["u"], p["ff1_w"]) + p["ff1_b"])
+        ff = mm(a["f"], p["ff2_w"]) + p["ff2_b"]
+        a["ln2"] = _kernels.layer_norm_rows(a["u"] + ff, p["ln2_g"], p["ln2_b"], 1e-5)
         hs = a["hs"] = a["ln2"][0]
         # importance gate z = sigmoid(w_s2 tanh(W_s1 H^T)), head on z_t h_t
-        a["pool"] = _dense(hs, p["pool_w1"], act=np.tanh)
+        a["pool"] = np.tanh(mm(hs, p["pool_w1"]))
         a["z"] = _kernels.sigmoid(mm(a["pool"], p["pool_w2"]))
         a["pooled"] = hs * a["z"]
-        a["rhat"] = _dense(a["pooled"], p["head_w"], p["head_b"])
+        a["rhat"] = mm(a["pooled"], p["head_w"]) + p["head_b"]
         return a
 
     def backward(self, a, g, out=None):
