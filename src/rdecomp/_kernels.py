@@ -61,7 +61,7 @@ def softmax_rows(x, mask=None):
 
     With a boolean mask (broadcastable to x), entries where it is False are
     excluded and come out exactly 0, whatever x holds there; every row must
-    keep at least one entry.
+    keep at least one entry. The normalizers are `row_sums`.
     """
     if mask is not None:
         x = np.where(mask, x, -np.inf)
@@ -81,7 +81,8 @@ def softmax_rows_vjp(p, g):
 
 
 def layer_norm_rows(x, gain, bias, eps):
-    """Row-wise layer normalization. Returns (y, xhat, inv_std)."""
+    """Row-wise layer normalization. Returns (y, xhat, inv_std). Means are
+    `row_sums` / n, and temporaries are reused in place."""
     n = x.shape[1]
     mean = row_sums(x)[:, None] / n
     centered = x - mean

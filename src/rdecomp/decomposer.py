@@ -17,8 +17,9 @@ regression minibatch is one forward and one backward pass, and `predict`
 is one forward pass over a list of trajectories, for the trainer and the
 oracle alike. Each predictor has one numpy `forward` and a closed-form
 `backward`; none builds a tape. The attention predictor's multi-head causal
-attention (`causal_attention`) is one masked batched kernel over all the
-segments, and returns its backward map with its outputs.
+attention (`causal_attention`) is a few batched matmuls over zero-padded
+blocks of all the segments under one causal mask, and returns its backward
+map with its outputs.
 
 Training regresses the summed per-interval predictions onto the episodic
 return with a squared loss. Returns are standardized by a running
@@ -120,13 +121,12 @@ class ReturnNormalizer:
 # `forward(x, lengths, at=None)` maps the stacked input rows x, an (N, d)
 # array, of trajectories with the given lengths to its activations by name,
 # among them the per-interval rewards "rhat" (N, 1), row for row; `at` is
-# `_kernels.segment_index(lengths)`, for a caller that already has it.
-# `backward(a, g, out=None)` takes those activations and the gradient g
-# (N, 1) at "rhat" and returns the gradient per parameter name. `out`, if
-# given, is the `Layout.blocks` of a flat gradient vector: each gradient is
-# written into its block, and `out` is returned. The closed forms make the
-# tape's float ops in the tape's order, so they are bit-identical to the
-# tapes in tests/reference_predictors.py.
+# `_kernels.segment_index(lengths)`, if the caller has it. `backward(a, g,
+# out=None)` takes those activations and the gradient g (N, 1) at "rhat"
+# and returns the gradient per parameter name, written into the blocks of
+# `out`, a `Layout.blocks` dict, if given. The closed forms make the tape's
+# float ops in the tape's order, so they are bit-identical to the tapes in
+# tests/reference_predictors.py.
 
 
 def _plus_head(a, b):
@@ -151,7 +151,7 @@ class FeedForwardPredictor(nn.TanhMlp):
 
     def forward(self, x, lengths, at=None):
         """`TanhMlp.forward`, with the head's output also under "rhat". Rows
-        are independent, so neither lengths nor at is read."""
+        are independent, so lengths and at are not read."""
         a = super().forward(x)
         a["rhat"] = a["head"]
         return a
@@ -281,16 +281,15 @@ def causal_attention(q, k, v, lengths, n_heads, at=None):
     side; the attention weights (B, n_heads, T, T), T the longest length,
     where row i of segment b holds weights on its first i + 1 columns only;
     and the map from the outputs' gradient to those of q, k and v. `at` is
-    `_kernels.segment_index(lengths)`, for a caller that already has it.
+    `_kernels.segment_index(lengths)`, if the caller has it.
 
-    The segments are scattered into zero-padded (B, T, n_heads, .) blocks,
-    whose transposed (B, n_heads, T, .) views make every segment and head
-    one batched matmul under one causal mask: a real row never reaches a
-    padded column, which lies after it. Padded rows get weights too, but
-    their outputs are dropped and get no gradient. The four products that
-    go back to stacked rows are written straight into (B, T, n_heads, .)
-    blocks, so the stacked rows are one take of (B * T) rows at the flat
-    row index b * T + t.
+    The segments are scattered into zero-padded (B, T, n_heads, .) blocks at
+    the flat row index b * T + t, and their (B, n_heads, T, .) views make
+    every segment and head one batched matmul under one causal mask: a real
+    row never reaches a padded column, which lies after it. Padded rows get
+    weights too, but their outputs are dropped and get no gradient. The
+    products that return to stacked rows are written into such blocks and
+    read back by the same index.
     """
     lengths = np.asarray(lengths, dtype=np.intp)
     n = q.shape[0]
