@@ -234,8 +234,8 @@ class RecurrentPredictor:
         g = g[a["order"]]
         grads = {} if out is None else out
         w = grads.get  # a gradient's block, None for a fresh array
-        grads["head_w"], grads["head_b"] = mm(a["pooled"].T, g, out=w("head_w")), g.sum(
-            axis=0, out=w("head_b"))
+        grads["head_w"] = mm(a["pooled"].T, g, out=w("head_w"))
+        grads["head_b"] = g.sum(axis=0, out=w("head_b"))
         g_rows = mm(g, p["head_w"].T)
         # gradients at the gate pre-activations, time-major like x_gates
         g_gates = np.empty((len(g), 4 * hd))
