@@ -557,32 +557,36 @@ def regression_loss(rhat, lengths, targets, segment=None):
     return loss, _kernels.matmul(segment_sum.T, 2.0 * err)
 
 
-def loss_grad(model, x, lengths, targets):
+def loss_grad(model, x, lengths, targets, out=None, blocks=None):
     """The `regression_loss` of the model on the stacked input rows x of
     trajectories with the given lengths and regression targets, and its
-    flat gradient, or None for it if the loss is not finite. One segment
-    index serves the forward pass and the loss, and the backward pass
-    writes each gradient straight into its block of the flat vector."""
+    flat gradient, written into `out` (a fresh vector if None) through
+    `blocks`, its `nn.layout(model.params).blocks(out)` if the caller built
+    them once; or None for it if the loss is not finite. One segment index
+    serves the forward pass and the loss."""
     lengths = np.asarray(lengths)
     at = _kernels.segment_index(lengths)
     a = model.forward(x, lengths, at)
     loss, g = regression_loss(a["rhat"], lengths, targets, at[0])
     if g is None:
         return loss, None
-    lay = nn.layout(model.params)
-    grad = np.empty(lay.size)
-    model.backward(a, g, lay.blocks(grad))
-    return loss, grad
+    if blocks is None:
+        lay = nn.layout(model.params)
+        out = np.empty(lay.size) if out is None else out
+        blocks = lay.blocks(out)
+    model.backward(a, g, blocks)
+    return loss, out
 
 
-def regression_step(model, x, lengths, targets, optimizer):
+def regression_step(model, x, lengths, targets, optimizer, out=None, blocks=None):
     """One update of the predictor by `optimizer` on the stacked input rows
-    x of trajectories with the given lengths and regression targets;
-    returns the loss. A non-finite loss aborts with the offending value
-    before any parameter is touched."""
+    x of trajectories with the given lengths and regression targets, its
+    gradient written as `loss_grad` writes it; returns the loss. A
+    non-finite loss aborts with the offending value before any parameter
+    is touched."""
     if len(lengths) == 0:
         raise ValueError("regression_step: empty batch")
-    loss, grad = loss_grad(model, x, lengths, targets)
+    loss, grad = loss_grad(model, x, lengths, targets, out, blocks)
     if grad is None:
         raise FloatingPointError(f"regression loss is non-finite ({loss})")
     (model.params,) = optimizer.step([model.params], grad)

@@ -323,6 +323,10 @@ class Trainer:
         rows = decomposer.input_rows(self.model, sample)
         starts = np.cumsum(lengths) - lengths
         targets = decomposer.regression_targets(sample, self.normalizer)
+        # one gradient vector for the phase, written through views built once
+        lay = nn.layout(self.model.params)
+        grad = np.empty(lay.size)
+        blocks = lay.blocks(grad)
         losses = []
         mb = self.config.regression_minibatch
         for _ in range(self.config.regression_epochs):
@@ -337,7 +341,7 @@ class Trainer:
                 stop = min(start + mb, len(sample))
                 losses.append(decomposer.regression_step(
                     self.model, e_rows[bounds[start] : bounds[stop]], e_lengths[start:stop],
-                    e_targets[start:stop], self.reward_opt,
+                    e_targets[start:stop], self.reward_opt, grad, blocks,
                 ))
         return float(np.mean(losses))
 
