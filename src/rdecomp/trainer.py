@@ -303,6 +303,11 @@ class Trainer:
             self.buffer = buffers.ReplayBuffer(config.buffer_scheme, config.buffer_capacity,
                                                config.reservoir_capacity, seed=seqs[4])
             self.reward_opt = nn.AdamOptimizer(config.reward_lr)
+            # the regression's flat gradient, which every minibatch rewrites
+            # through views built once
+            lay = nn.layout(self.model.params)
+            grad = np.empty(lay.size)
+            self._regression_grad = grad, lay.blocks(grad)
         # one Adam over the policy and the value net, laid end to end
         self.ppo_opt = nn.AdamOptimizer(config.policy_lr)
         self.iteration = 0
@@ -323,10 +328,6 @@ class Trainer:
         rows = decomposer.input_rows(self.model, sample)
         starts = np.cumsum(lengths) - lengths
         targets = decomposer.regression_targets(sample, self.normalizer)
-        # one gradient vector for the phase, written through views built once
-        lay = nn.layout(self.model.params)
-        grad = np.empty(lay.size)
-        blocks = lay.blocks(grad)
         losses = []
         mb = self.config.regression_minibatch
         for _ in range(self.config.regression_epochs):
@@ -341,7 +342,7 @@ class Trainer:
                 stop = min(start + mb, len(sample))
                 losses.append(decomposer.regression_step(
                     self.model, e_rows[bounds[start] : bounds[stop]], e_lengths[start:stop],
-                    e_targets[start:stop], self.reward_opt, grad, blocks,
+                    e_targets[start:stop], self.reward_opt, *self._regression_grad,
                 ))
         return float(np.mean(losses))
 
