@@ -304,10 +304,7 @@ class Trainer:
                                                config.reservoir_capacity, seed=seqs[4])
             self.reward_opt = nn.AdamOptimizer(config.reward_lr)
             # the regression's flat gradient, which every minibatch rewrites
-            # through views built once
-            lay = nn.layout(self.model.params)
-            grad = np.empty(lay.size)
-            self._regression_grad = grad, lay.blocks(grad)
+            self._regression_grad = np.empty(nn.layout(self.model.params).size)
         # one Adam over the policy and the value net, laid end to end
         self.ppo_opt = nn.AdamOptimizer(config.policy_lr)
         self.iteration = 0
@@ -328,6 +325,8 @@ class Trainer:
         rows = decomposer.input_rows(self.model, sample)
         starts = np.cumsum(lengths) - lengths
         targets = decomposer.regression_targets(sample, self.normalizer)
+        grad = self._regression_grad
+        blocks = nn.layout(self.model.params).blocks(grad)  # built once per phase
         losses = []
         mb = self.config.regression_minibatch
         for _ in range(self.config.regression_epochs):
@@ -342,7 +341,7 @@ class Trainer:
                 stop = min(start + mb, len(sample))
                 losses.append(decomposer.regression_step(
                     self.model, e_rows[bounds[start] : bounds[stop]], e_lengths[start:stop],
-                    e_targets[start:stop], self.reward_opt, *self._regression_grad,
+                    e_targets[start:stop], self.reward_opt, grad, blocks,
                 ))
         return float(np.mean(losses))
 
