@@ -557,15 +557,17 @@ def regression_loss(rhat, lengths, targets, segment=None):
     return loss, _kernels.matmul(segment_sum.T, 2.0 * err)
 
 
-def loss_grad(model, x, lengths, targets, out=None, blocks=None):
+def loss_grad(model, x, lengths, targets, out=None, blocks=None, at=None):
     """The `regression_loss` of the model on the stacked input rows x of
     trajectories with the given lengths and regression targets, and its
     flat gradient, written into `out` (a fresh vector if None) through
     `blocks`, its `nn.layout(model.params).blocks(out)` if the caller built
     them once; or None for it if the loss is not finite. One segment index
-    serves the forward pass and the loss."""
+    serves the forward pass and the loss: `at`, the rows'
+    `_kernels.segment_index(lengths)` if the caller has it."""
     lengths = np.asarray(lengths)
-    at = _kernels.segment_index(lengths)
+    if at is None:
+        at = _kernels.segment_index(lengths)
     a = model.forward(x, lengths, at)
     loss, g = regression_loss(a["rhat"], lengths, targets, at[0])
     if g is None:
@@ -578,15 +580,16 @@ def loss_grad(model, x, lengths, targets, out=None, blocks=None):
     return loss, out
 
 
-def regression_step(model, x, lengths, targets, optimizer, out=None, blocks=None):
+def regression_step(model, x, lengths, targets, optimizer, out=None, blocks=None, at=None):
     """One update of the predictor by `optimizer` on the stacked input rows
     x of trajectories with the given lengths and regression targets, its
-    gradient written as `loss_grad` writes it; returns the loss. A
+    gradient written as `loss_grad` writes it, from the segment index `at`
+    if given; returns the loss. A
     non-finite loss aborts with the offending value before any parameter
     is touched."""
     if len(lengths) == 0:
         raise ValueError("regression_step: empty batch")
-    loss, grad = loss_grad(model, x, lengths, targets, out, blocks)
+    loss, grad = loss_grad(model, x, lengths, targets, out, blocks, at)
     if grad is None:
         raise FloatingPointError(f"regression loss is non-finite ({loss})")
     (model.params,) = optimizer.step([model.params], grad)

@@ -6,9 +6,11 @@ the full trajectory tree. The discrete ones additionally expose an integer
 state index view (`n_cells`, `transition`, `state_vector`) for tabular
 enumeration.
 
-`EpisodicWrapper` is the only reward surface the agent sees: every visible
-reward is 0 until the episode ends, at which point the sum of the hidden
-dense rewards is paid out in one lump.
+The agent sees episodic rewards only: every visible reward is 0 until the
+episode ends, at which point the sum of the hidden dense rewards is paid
+out in one lump. `EpisodicWrapper` pays them so for any env; on the
+one-hot cell envs, `trainer.rollout` walks cell indices through
+`transition` and pays the same sum itself.
 """
 
 from __future__ import annotations

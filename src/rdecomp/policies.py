@@ -188,7 +188,8 @@ def _ppo_loss_grad(policy, states, actions, old_logp, adv, clip, entropy_coef, o
 
 
 class CategoricalPolicy(nn.TanhMlp):
-    """Softmax policy over a finite action set; the head gives the logits."""
+    """Softmax policy over a finite action set; the head gives the logits,
+    and an action is the state's `cdf` bisected at one `rng.random()`."""
 
     def __init__(self, rng, state_dim, n_actions, hidden=(64, 64)):
         super().__init__(rng, state_dim, hidden, {"head": n_actions})
@@ -198,29 +199,23 @@ class CategoricalPolicy(nn.TanhMlp):
     def log_prob_matrix_np(self, states):
         return _log_softmax(self.forward(np.atleast_2d(states))["head"])
 
-    def sampler(self):
-        """`act` while the parameters stay fixed, with each state's cdf
-        computed once and kept as a list of floats; each call still draws
-        one `rng.random()`. `bisect_right` on the list is the index that
-        `searchsorted(u, side="right")` gives on the float64 cdf."""
-        cdfs = {}
-
-        def sample(state, rng):
-            key = state.tobytes()
-            cdf = cdfs.get(key)
-            if cdf is None:
-                # The draw Generator.choice(n, p=p) makes, without its per-call overhead.
-                p = np.exp(self.log_prob_matrix_np(state)[0])
-                cdf = np.cumsum(p / p.sum())
-                if not np.isfinite(cdf[-1]):
-                    raise ValueError("probabilities contain NaN")
-                cdf = cdfs[key] = (cdf / cdf[-1]).tolist()
-            return bisect.bisect_right(cdf, rng.random())
-
-        return sample
+    def cdf(self, state):
+        """The cumulative probabilities of pi(.|state), as a list of floats
+        whose last entry is 1.0; ValueError if they are not finite. The
+        float ops are those of the draw `Generator.choice(n, p=p)` makes,
+        without its per-call overhead: `bisect_right` on the list at one
+        `rng.random()` is the index that `searchsorted(u, side="right")`
+        gives on the float64 cdf. A rollout on cell states computes each
+        cell's list once and draws from it at every later visit."""
+        p = np.exp(self.log_prob_matrix_np(state)[0])
+        cdf = np.cumsum(p / p.sum())
+        if not np.isfinite(cdf[-1]):
+            raise ValueError("probabilities contain NaN")
+        return (cdf / cdf[-1]).tolist()
 
     def act(self, state, rng):
-        return self.sampler()(state, rng)
+        """One action drawn from pi(.|state), its cdf computed afresh."""
+        return bisect.bisect_right(self.cdf(state), rng.random())
 
     def log_prob_head(self, logits, actions):
         """log pi(a_t|s_t) and the entropy per step, each (m, 1), given the
@@ -267,10 +262,6 @@ class GaussianPolicy(nn.TanhMlp):
         mean = self.mean_np(state)[0]
         std = np.exp(self.params["log_std"])
         return mean + std * rng.standard_normal(self.action_dim)
-
-    def sampler(self):
-        """`act`: continuous states do not repeat, so nothing is cached."""
-        return self.act
 
     def log_prob_head(self, mean, actions):
         """As `CategoricalPolicy.log_prob_head`; actions (m, action_dim), the

@@ -26,6 +26,7 @@ predictor, all closed forms in numpy.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import ctypes
 import functools
@@ -115,12 +116,20 @@ class TrainConfig:
 def rollout(policy, env, n_steps, rng):
     """Whole episodes until at least n_steps environment steps are collected.
 
-    Episodic returns come from the wrapper: zero everywhere, the summed
-    dense reward at the final step. The policy is fixed for the whole call,
-    so its sampler may cache per state.
+    Each episode's return is its dense rewards summed from 0.0 in step
+    order and paid at its end, as `envs.EpisodicWrapper` pays it, and the
+    episode is cut at the env's horizon. The policy is fixed for the whole
+    call. On a one-hot cell env (chain, grid) the episodes walk cell
+    indices: each cell's cdf is computed at its first visit and kept for
+    the call, each step draws one `rng.random()` from it and calls
+    `env.transition`, and each episode's states are stacked once from the
+    env's cell vectors. Any other env runs through the wrapper, with one
+    `policy.act` per step. Both make the same draws from `rng`, so on a
+    cell env they give the same batch.
     """
+    if isinstance(env, envs._OneHotCells):
+        return _walk_cells(policy, env, n_steps, rng)
     wrapper = envs.EpisodicWrapper(env)
-    act = policy.sampler()
     batch = []
     steps = 0
     while steps < n_steps:
@@ -129,7 +138,7 @@ def rollout(policy, env, n_steps, rng):
         final_reward = 0.0
         done = False
         while not done:
-            action = act(state, rng)
+            action = policy.act(state, rng)
             result = wrapper.step(state, action, rng)
             states.append(state)
             actions.append(action)
@@ -144,6 +153,31 @@ def rollout(policy, env, n_steps, rng):
                 episodic_return=final_reward,
             )
         )
+    return batch
+
+
+def _walk_cells(policy, env, n_steps, rng):
+    """`rollout` on an `envs._OneHotCells` env, by cell index."""
+    cdfs = [None] * env.n_cells
+    draw, transition, vector = rng.random, env.transition, env.state_vector
+    batch = []
+    steps = 0
+    while steps < n_steps:
+        cell, cells, actions, episodic_return = env.initial_index, [], [], 0.0
+        for _ in range(env.horizon):
+            cdf = cdfs[cell]
+            if cdf is None:
+                cdf = cdfs[cell] = policy.cdf(vector(cell))
+            action = bisect.bisect_right(cdf, draw())
+            cells.append(cell)
+            actions.append(action)
+            cell, reward, done = transition(cell, action)
+            episodic_return += reward
+            if done:
+                break
+        steps += len(cells)
+        batch.append(Trajectory(np.array([vector(c) for c in cells]), np.array(actions),
+                                episodic_return))
     return batch
 
 
@@ -231,12 +265,6 @@ def ppo_update(policy, value_net, states, actions, advantages, targets_r, target
     return metrics
 
 
-def _zero_decomposition(traj):
-    return decomposer.RewardDecomposition.from_values(
-        np.zeros(traj.length), traj.episodic_return
-    )
-
-
 # glibc's mallopt parameters (malloc.h) and the values a Trainer pins them to
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 MALLOC_THRESHOLDS = ((M_MMAP_THRESHOLD, 32 << 20), (M_TRIM_THRESHOLD, 64 << 20))
@@ -312,9 +340,14 @@ class Trainer:
         self.metrics = []
 
     def decompose(self, batch):
-        """Per-interval rewards of every trajectory, in one forward pass."""
+        """Per-interval rewards of every trajectory, in one forward pass. The
+        baseline's are zero: views of one read-only zeros array, with
+        composite 0.0 and the return as the residual."""
         if self.model is None:
-            return [_zero_decomposition(traj) for traj in batch]
+            zeros = np.zeros(max(traj.length for traj in batch))
+            zeros.flags.writeable = False
+            return [decomposer.RewardDecomposition(zeros[: traj.length], 0.0, traj.episodic_return)
+                    for traj in batch]
         return decomposer.predict(self.model, batch, self.normalizer)
 
     def _regression_phase(self):
@@ -334,14 +367,17 @@ class Trainer:
             # the permuted order, so each minibatch is a contiguous slice
             order = self.regression_rng.permutation(len(sample))
             e_lengths, e_targets = lengths[order], targets[order]
-            e_rows = rows[np.repeat(starts[order], e_lengths)
-                          + _kernels.segment_positions(e_lengths)]
+            # one segment index per epoch; a minibatch takes its slice, with
+            # its first trajectory as segment 0
+            e_segment, e_positions = _kernels.segment_index(e_lengths)
+            e_rows = rows[np.repeat(starts[order], e_lengths) + e_positions]
             bounds = np.concatenate([[0], np.cumsum(e_lengths)])
             for start in range(0, len(sample), mb):
                 stop = min(start + mb, len(sample))
+                span = slice(bounds[start], bounds[stop])
                 losses.append(decomposer.regression_step(
-                    self.model, e_rows[bounds[start] : bounds[stop]], e_lengths[start:stop],
-                    e_targets[start:stop], self.reward_opt, grad, blocks,
+                    self.model, e_rows[span], e_lengths[start:stop], e_targets[start:stop],
+                    self.reward_opt, grad, blocks, (e_segment[span] - start, e_positions[span]),
                 ))
         return float(np.mean(losses))
 

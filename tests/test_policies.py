@@ -204,16 +204,17 @@ def test_sampler_draws_the_searchsorted_index():
         # to exactly 0, which repeats entries of the cdf
         scale = (1.0, 30.0, 3000.0)[trial % 3]
         policy.params["head_w"] = rng.normal(scale=scale, size=policy.params["head_w"].shape)
-        sample = policy.sampler()
         for state in rng.normal(size=(4, 3)):
             cdf = searchsorted_draw(policy, state, 0.0)[1]
+            # the list a rollout bisects, once per cell, and `act` per call
+            assert policy.cdf(state) == cdf.tolist()
             ties += np.any(cdf[1:] == cdf[:-1])
             # every entry but the final 1.0 (random() < 1), and its neighbours
             us = [0.0] + [np.nextafter(c, d) for c in cdf[:-1] for d in (0.0, c, 1.0)]
-            got = [sample(state, FixedDraws([u])) for u in us]
+            got = [policy.act(state, FixedDraws([u])) for u in us]
             assert got == [searchsorted_draw(policy, state, u)[0] for u in us]
             draws, want_draws = (np.random.default_rng(trial) for _ in range(2))
-            got = [sample(state, draws) for _ in range(20)]
+            got = [policy.act(state, draws) for _ in range(20)]
             assert got == [searchsorted_draw(policy, state, want_draws.random())[0]
                            for _ in range(20)]
             assert draws.bit_generator.state == want_draws.bit_generator.state

@@ -9,6 +9,7 @@ import pytest
 import reference_estimators
 from reference_adam import ReferenceAdam
 from test_buffers import assert_same_trajectories
+from test_policies import FixedDraws
 
 from rdecomp import autodiff as ad
 from rdecomp import _kernels, checkpoint, cli, envs, nn, oracle
@@ -83,8 +84,26 @@ def test_rollout_deterministic_given_seed():
         assert x.episodic_return == y.episodic_return
 
 
+class StepOnly:
+    """An env seen only through `reset`, `step` and its horizon: not a
+    one-hot cell env, so `rollout` runs it through its generic loop."""
+
+    def __init__(self, env):
+        self.reset, self.step, self.horizon = env.reset, env.step, env.horizon
+
+
+def assert_same_batches(got, want):
+    """Bit for bit: states, actions and their dtypes, and the returns."""
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        for a, b in ((x.states, y.states), (x.actions, y.actions)):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+        assert repr(x.episodic_return) == repr(y.episodic_return)
+
+
 @pytest.mark.parametrize("env_name,params", [("grid", {"size": 4, "horizon": 16}),
-                                             ("point_mass", {"horizon": 12})])
+                                             ("point_mass", {"horizon": 12}),
+                                             ("chain", {"n_states": 8, "horizon": 12})])
 def test_cached_rollout_equals_per_step_act(monkeypatch, env_name, params):
     env = envs.make_env(env_name, params)
     policy = make_policy(np.random.default_rng(1), env, hidden=(8,))
@@ -96,22 +115,62 @@ def test_cached_rollout_equals_per_step_act(monkeypatch, env_name, params):
     rng = np.random.default_rng(3)
     cached = rollout(policy, env, 300, rng)
     n_forwards = len(forwards)
-    # per-step act: a fresh sampler, so a fresh cache, for every step
-    sampler = type(policy).sampler
-    monkeypatch.setattr(policy, "sampler", lambda: lambda s, r: sampler(policy)(s, r))
+    # per-step act: the generic loop, one `policy.act` and one forward per step
     per_step_rng = np.random.default_rng(3)
-    per_step = rollout(policy, env, 300, per_step_rng)
-    assert len(cached) == len(per_step)
-    for x, y in zip(cached, per_step):
-        assert np.array_equal(x.states, y.states) and np.array_equal(x.actions, y.actions)
-        assert x.episodic_return == y.episodic_return
+    per_step = rollout(policy, StepOnly(env), 300, per_step_rng)
+    assert_same_batches(cached, per_step)
     assert rng.bit_generator.state == per_step_rng.bit_generator.state
     steps = sum(t.length for t in cached)
-    if env_name == "grid":
-        distinct = {s.tobytes() for t in cached for s in t.states}
-        assert n_forwards == len(distinct) <= 16 < steps
-    else:
+    assert len(forwards) - n_forwards == steps
+    if env_name == "point_mass":
         assert n_forwards == steps
+    else:
+        distinct = {s.tobytes() for t in cached for s in t.states}
+        assert n_forwards == len(distinct) <= env.n_cells < steps
+
+
+@pytest.mark.parametrize("make", [lambda: envs.ChainMdp(2, 1), lambda: envs.ChainMdp(4, 5),
+                                  lambda: envs.SparseGridworld(2, 3),
+                                  lambda: envs.SparseGridworld(3, 8)],
+                         ids=["chain2-h1", "chain4-h5", "grid2-h3", "grid3-h8"])
+def test_cell_walk_is_bitwise_the_generic_loop(monkeypatch, make):
+    env = make()
+    policy = make_policy(np.random.default_rng(2), env, hidden=(8,))
+    calls = []
+    forward = policy.forward
+    monkeypatch.setattr(policy, "forward", lambda x: calls.append(x) or forward(x))
+    for seed in range(3):
+        rng, generic_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        walked = rollout(policy, env, 200, rng)
+        n_calls = len(calls)
+        assert_same_batches(walked, rollout(policy, StepOnly(env), 200, generic_rng))
+        assert rng.bit_generator.state == generic_rng.bit_generator.state
+        # the forward runs once per visited cell, on that cell's vector
+        visited = {env.state_index(s) for t in walked for s in t.states}
+        assert sorted(env.state_index(x) for x in calls[:n_calls]) == sorted(visited)
+        calls.clear()
+        endings = {(t.episodic_return, t.length == env.horizon) for t in walked}
+        # goal endings (a chain of 2 at horizon 1 reaches it at the cut) and
+        # horizon cut-offs without the goal
+        assert (1.0, env.horizon == 1) in endings and (0.0, True) in endings
+
+
+def test_cell_walk_draws_the_searchsorted_index():
+    # a chain of 2 at horizon 1: each episode is one draw from cell 0's cdf
+    env = envs.ChainMdp(2, 1)
+    policy = make_policy(np.random.default_rng(4), env, hidden=(8,))
+    p_left = policy.cdf(env.state_vector(0))[0]
+    draws = [0.0, np.nextafter(p_left, 0.0), p_left, np.nextafter(p_left, 1.0)]
+    batch = rollout(policy, env, len(draws), FixedDraws(draws))
+    assert [int(t.actions[0]) for t in batch] == [0, 0, 1, 1]
+
+
+def test_cell_walk_rejects_non_finite_probabilities():
+    env = envs.ChainMdp(4, 5)
+    policy = make_policy(np.random.default_rng(8), env, hidden=(8,))
+    policy.params["head_b"] = np.array([np.nan, 0.0])
+    with pytest.raises(ValueError, match="NaN"):
+        rollout(policy, env, 10, np.random.default_rng(0))
 
 
 def test_rollout_mean_return_matches_enumeration():
@@ -332,6 +391,27 @@ def test_ppo_update_builds_no_tape(monkeypatch, env_name):
     assert nodes == [] and backward_calls == []
 
 
+def test_regression_minibatches_take_their_slice_of_the_epoch_index(monkeypatch):
+    config = dict(TINY, env="grid", env_params={"size": 3, "horizon": 6}, ppo_batch=64,
+                  regression_minibatch=4)
+    trainer = Trainer(TrainConfig(**config), seed=0)
+    trainer.buffer.insert(rollout(trainer.policy, trainer.env, 64, trainer.rollout_rng))
+    seen, step = [], trainer_mod.decomposer.regression_step
+
+    def recorded(model, x, lengths, *rest):
+        seen.append((np.array(lengths), rest[-1]))
+        return step(model, x, lengths, *rest)
+
+    monkeypatch.setattr(trainer_mod.decomposer, "regression_step", recorded)
+    trainer._regression_phase()
+    # more than one minibatch per epoch, so most slices start past row 0
+    assert len(seen) >= 2 * trainer.config.regression_epochs
+    for lengths, (segment, positions) in seen:
+        want = _kernels.segment_index(lengths)
+        assert segment.dtype == want[0].dtype and positions.dtype == want[1].dtype
+        assert np.array_equal(segment, want[0]) and np.array_equal(positions, want[1])
+
+
 def test_regression_and_predict_build_no_tape(monkeypatch):
     config = dict(TINY, env="grid", env_params={"size": 3, "horizon": 6}, ppo_batch=64,
                   regression_minibatch=4, architecture="attention", interval_kind="prefixes")
@@ -510,6 +590,24 @@ def test_baseline_mode_runs_and_logs():
         # with a zero decomposition the residual is the whole return
         assert row["residual_abs_mean"] >= 0.0
         assert np.isfinite(row["return_mean"])
+
+
+def test_baseline_zero_decompositions_are_bitwise_from_values():
+    trainer = Trainer(TrainConfig(**{**TINY, "use_decomposer": False}), seed=0)
+    batch = rollout(trainer.policy, trainer.env, 60, np.random.default_rng(2))
+    # a return of -0.0 keeps its sign through R - 0.0
+    batch.append(Trajectory(batch[0].states, batch[0].actions, -0.0))
+    decomps = trainer.decompose(batch)
+    assert {1.0, 0.0} <= {t.episodic_return for t in batch}
+    base = decomps[0].per_interval.base
+    for traj, got in zip(batch, decomps, strict=True):
+        want = RewardDecomposition.from_values(np.zeros(traj.length), traj.episodic_return)
+        # views of one read-only zeros array
+        assert got.per_interval.base is base is not None and not base.flags.writeable
+        assert got.per_interval.dtype == want.per_interval.dtype
+        assert np.array_equal(got.per_interval, want.per_interval)
+        assert repr(got.composite) == repr(want.composite) == "0.0"
+        assert repr(got.residual) == repr(want.residual) == repr(traj.episodic_return)
 
 
 def test_unknown_buffer_scheme_rejected_with_or_without_a_decomposer():
