@@ -181,16 +181,17 @@ def _walk_cells(policy, env, n_steps, rng):
     return batch
 
 
-def compute_advantages(batch, decomps, value_net, gamma, lam):
+def compute_advantages(batch, decomps, value_net, gamma, lam, states=None):
     """Per-step advantages and value targets for both streams.
 
     Returns (advantages, targets_r, targets_0), each one (N,) array over the
     batch's steps, episode after episode in batch order. Episodes are
     terminal by construction, so the bootstrap value after the last step is
     zero, and each stream is one GAE scan over the batch's zero-padded
-    (B, T) block. The value net runs once per episode: its rows then meet
-    the same matrix products as an episode alone, which keeps the values'
-    bits.
+    (B, T) block. The value net runs once, over the batch's stacked states:
+    `states`, if the caller has stacked them. A row's value may then differ
+    in its last bits from that of the same episode run alone, since BLAS
+    blocks the matrix products by the batch's shape.
     """
     lengths = np.array([traj.length for traj in batch])
     for traj, dec in zip(batch, decomps):
@@ -205,8 +206,9 @@ def compute_advantages(batch, decomps, value_net, gamma, lam):
     r1, vr, r2, v0 = np.zeros((4, b, t_len + 1))
     r1[at] = np.concatenate([np.asarray(d.per_interval, dtype=np.float64) for d in decomps])
     r2[np.arange(b), lengths - 1] = [d.residual for d in decomps]
-    values = [value_net.values_np(traj.states) for traj in batch]
-    vr[at], v0[at] = (np.concatenate([v[i] for v in values]) for i in (0, 1))
+    if states is None:
+        states = np.concatenate([traj.states for traj in batch])
+    vr[at], v0[at] = value_net.values_np(states)
     adv1 = _kernels.gae(r1[:, :t_len], vr, gamma, lam)[at]
     adv2 = _kernels.gae(r2[:, :t_len], v0, gamma, lam)[at]
     return adv1 + adv2, adv1 + vr[at], adv2 + v0[at]
@@ -404,13 +406,13 @@ class Trainer:
                 decomposer.RewardDecomposition(d.per_interval, d.composite, 0.0)
                 for d in decomps
             ]
+        states = np.concatenate([t.states for t in batch])
+        actions = np.concatenate([t.actions for t in batch])
         advantages, t_r, t_0 = compute_advantages(
-            batch, decomps, self.value_net, config.gamma, config.lam
+            batch, decomps, self.value_net, config.gamma, config.lam, states
         )
         # one policy pass over the batch gives PPO's old log-probs and the
         # diagnostic, both before the update moves the policy
-        states = np.concatenate([t.states for t in batch])
-        actions = np.concatenate([t.actions for t in batch])
         a = self.policy.forward(states)
         logp, _, head_grads = self.policy.log_prob_head(a["head"], actions)
         grad_variance = self._gradient_variance(batch, decomps, a, head_grads)

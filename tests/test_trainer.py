@@ -291,7 +291,7 @@ def test_batched_gae_is_bitwise_the_per_row_scans():
         assert np.array_equal(adv[b, :n], row) and not adv[b, n:].any()
 
 
-def test_advantages_are_bitwise_the_per_episode_scans():
+def test_advantages_are_bitwise_the_per_episode_scans_of_one_stacked_value_pass():
     rng = np.random.default_rng(8)
     batch, decomps = [], []
     for n in RAGGED:
@@ -300,12 +300,16 @@ def test_advantages_are_bitwise_the_per_episode_scans():
         batch.append(traj)
         decomps.append(RewardDecomposition.from_values(rng.normal(size=n), traj.episodic_return))
     value_net = ValueNetwork(np.random.default_rng(9), 4, hidden=(8,))
+    states = np.concatenate([t.states for t in batch])
     got = compute_advantages(batch, decomps, value_net, 0.99, 0.95)
+    assert all(np.array_equal(a, b) for a, b in zip(
+        got, compute_advantages(batch, decomps, value_net, 0.99, 0.95, states), strict=True))
+    # the value net's one pass over the stacked states, split per episode
+    values = zip(*(per_episode(v, batch) for v in value_net.values_np(states)))
     want = [[], [], []]
-    for traj, dec in zip(batch, decomps):
+    for traj, dec, (vr, v0) in zip(batch, decomps, values, strict=True):
         r2 = np.zeros(traj.length)
         r2[-1] = dec.residual
-        vr, v0 = value_net.values_np(traj.states)
         adv1 = _kernels.gae(np.asarray(dec.per_interval), np.append(vr, 0.0), 0.99, 0.95)
         adv2 = _kernels.gae(r2, np.append(v0, 0.0), 0.99, 0.95)
         for rows, row in zip(want, (adv1 + adv2, adv1 + vr, adv2 + v0)):
