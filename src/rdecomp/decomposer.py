@@ -584,9 +584,8 @@ def regression_step(model, x, lengths, targets, optimizer, out=None, blocks=None
     """One update of the predictor by `optimizer` on the stacked input rows
     x of trajectories with the given lengths and regression targets, its
     gradient written as `loss_grad` writes it, from the segment index `at`
-    if given; returns the loss. A
-    non-finite loss aborts with the offending value before any parameter
-    is touched."""
+    if given; returns the loss. A non-finite loss aborts with the offending
+    value before any parameter is touched."""
     if len(lengths) == 0:
         raise ValueError("regression_step: empty batch")
     loss, grad = loss_grad(model, x, lengths, targets, out, blocks, at)

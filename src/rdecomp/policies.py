@@ -200,13 +200,11 @@ class CategoricalPolicy(nn.TanhMlp):
         return _log_softmax(self.forward(np.atleast_2d(states))["head"])
 
     def cdf(self, state):
-        """The cumulative probabilities of pi(.|state), as a list of floats
-        whose last entry is 1.0; ValueError if they are not finite. The
-        float ops are those of the draw `Generator.choice(n, p=p)` makes,
-        without its per-call overhead: `bisect_right` on the list at one
-        `rng.random()` is the index that `searchsorted(u, side="right")`
-        gives on the float64 cdf. A rollout on cell states computes each
-        cell's list once and draws from it at every later visit."""
+        """The cumulative probabilities of pi(.|state) as a list of floats
+        ending in 1.0, by the float ops of `Generator.choice(n, p=p)`;
+        ValueError if not finite. `bisect_right` on the list at one
+        `rng.random()` is the index `searchsorted(u, side="right")` gives
+        on the float64 cdf. A rollout on cell states keeps each cell's."""
         p = np.exp(self.log_prob_matrix_np(state)[0])
         cdf = np.cumsum(p / p.sum())
         if not np.isfinite(cdf[-1]):

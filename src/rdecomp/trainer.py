@@ -116,16 +116,13 @@ class TrainConfig:
 def rollout(policy, env, n_steps, rng):
     """Whole episodes until at least n_steps environment steps are collected.
 
-    Each episode's return is its dense rewards summed from 0.0 in step
-    order and paid at its end, as `envs.EpisodicWrapper` pays it, and the
-    episode is cut at the env's horizon. The policy is fixed for the whole
-    call. On a one-hot cell env (chain, grid) the episodes walk cell
-    indices: each cell's cdf is computed at its first visit and kept for
-    the call, each step draws one `rng.random()` from it and calls
-    `env.transition`, and each episode's states are stacked once from the
-    env's cell vectors. Any other env runs through the wrapper, with one
-    `policy.act` per step. Both make the same draws from `rng`, so on a
-    cell env they give the same batch.
+    Each episode's return is paid at its end, as `envs.EpisodicWrapper`
+    pays it, and the episode is cut at the env's horizon. On a one-hot cell
+    env (chain, grid) the episodes walk cell indices: the fixed policy's
+    cdf at each cell is computed at its first visit, each step draws one
+    `rng.random()` and calls `env.transition`, and an episode's states are
+    stacked once. Any other env runs through the wrapper with one
+    `policy.act` per step, which gives a cell env the same batch.
     """
     if isinstance(env, envs._OneHotCells):
         return _walk_cells(policy, env, n_steps, rng)
