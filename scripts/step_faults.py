@@ -1,17 +1,20 @@
 """Seconds and minor page faults per Trainer.step, and per phase.
 
     python3 scripts/step_faults.py --workload train-full --seed 11 --steps 40 [--unpinned]
+        [--warmup 5]
 
 Builds a Trainer on the workload's config (`perfbench.workloads.settings`)
-at the seed, steps it WARMUP times unmeasured, then --steps times, and
-prints one JSON line: for the whole step and for each phase, the wall
-seconds and the process's `ru_minflt` delta of every measured step, and
-their medians. The phases are wrapped from outside, on the entry points
+at the seed, steps it --warmup times (default WARMUP) unmeasured, then
+--steps times, and prints one JSON line: for the whole step and for each
+phase, the wall seconds and the process's `ru_minflt` delta of every
+measured step, and their medians. The phases are wrapped from outside, on the entry points
 that perfbench's tracer wraps, so the package carries no hook; a phase
 that runs more than once in a step is summed within it. With --unpinned,
 `trainer.pin_malloc_thresholds` is a no-op while the Trainer is built, so
 glibc keeps its default, dynamic mmap and trim thresholds: the speed and
-faults a host process that does not pin them would see.
+faults a host process that does not pin them would see. With --warmup 0
+the first step is measured too, with the start of the Trainer's value-stream
+worker; the faults counted are this process's alone, never the worker's.
 
 BLAS runs one thread, as in perfbench/run.py.
 """
@@ -54,9 +57,10 @@ def _summary(s, faults):
             "median_minflt": statistics.median(faults)}
 
 
-def probe(config, seed, steps, pinned=True):
+def probe(config, seed, steps, pinned=True, warmup=WARMUP):
     """Per-step seconds and minor faults of `steps` Trainer.steps after
-    WARMUP, for the step and per phase, as the dict `main` prints. With
+    `warmup` unmeasured ones, for the step and per phase, as the dict `main`
+    prints. With
     pinned False, the Trainer is built with `pin_malloc_thresholds`
     replaced by a no-op; the pin is process-wide, so that measures the
     unpinned heap only in a process where no Trainer was built before."""
@@ -69,7 +73,7 @@ def probe(config, seed, steps, pinned=True):
         trainer = trainer_mod.Trainer(trainer_mod.TrainConfig(**config), seed=seed)
     finally:
         trainer_mod.pin_malloc_thresholds = pin
-    for _ in range(WARMUP):
+    for _ in range(warmup):
         trainer.step()
     current = {}  # phase name -> [seconds, faults] of the step being measured
 
@@ -107,7 +111,7 @@ def probe(config, seed, steps, pinned=True):
         for (owner, attr, _), original in zip(points, originals):
             setattr(owner, attr, original)
     step = per_step.pop("step")
-    return {"steps": steps, "warmup": WARMUP, "pinned": pinned, "step": _summary(*step),
+    return {"steps": steps, "warmup": warmup, "pinned": pinned, "step": _summary(*step),
             "phases": {name: _summary(*v) for name, v in per_step.items()}}
 
 
@@ -116,15 +120,19 @@ def main(argv=None):
     parser.add_argument("--workload", required=True, choices=("train-full", "train-baseline"))
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--steps", type=int, default=40)
+    parser.add_argument("--warmup", type=int, default=WARMUP,
+                        help="unmeasured steps before the measured ones")
     parser.add_argument("--unpinned", action="store_true",
                         help="build the Trainer without pinning glibc's malloc thresholds")
     args = parser.parse_args(argv)
     if args.steps < 1:
         parser.error("--steps must be at least 1")
+    if args.warmup < 0:
+        parser.error("--warmup must be at least 0")
     from perfbench import workloads
 
     result = probe(workloads.settings(args.workload)["config"], args.seed, args.steps,
-                   pinned=not args.unpinned)
+                   pinned=not args.unpinned, warmup=args.warmup)
     print(json.dumps({"workload": args.workload, "seed": args.seed, **result}), flush=True)
 
 

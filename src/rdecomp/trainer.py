@@ -22,18 +22,31 @@ gradient only ever sees the freshest on-policy batch. Each minibatch's
 loss and flat gradient come from one call: `ppo_loss_grad` on the policy,
 `loss_grad` on the value net, `decomposer.loss_grad` on the reward
 predictor, all closed forms in numpy.
+
+The policy and the value net share no parameter, and each has its own
+Adam, so a PPO update is two streams over the same minibatches: the
+policy's in the calling process, and the value net's in a `ValueWorker`,
+one forked process per Trainer where two or more CPUs are usable, at the
+same time. With one CPU it runs inline after the policy's. The numbers
+are bit for bit the same either way.
 """
 
 from __future__ import annotations
 
 import bisect
+import copy
 import csv
 import ctypes
 import functools
+import gc
 import io
 import json
+import operator
 import os
+import signal
+import traceback
 import warnings
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,7 +225,7 @@ def compute_advantages(batch, decomps, value_net, gamma, lam, states=None):
 
 
 def ppo_update(policy, value_net, states, actions, advantages, targets_r, targets_0, config,
-               rng, opt, old_logp):
+               rng, opts, old_logp, worker=None):
     """Clipped-surrogate update over epochs x minibatches.
 
     `states` and `actions` are the batch's steps stacked episode after
@@ -220,48 +233,226 @@ def ppo_update(policy, value_net, states, actions, advantages, targets_r, target
     (N,) arrays over them: the first three as `compute_advantages` returns
     them, `old_logp` log pi(a_t|s_t) under the policy that drew the batch,
     as `policy.log_prob_np` gives it. Advantages are normalized across the
-    whole batch first. `opt` steps the policy and the value net as one
-    vector. If a loss or a probability ratio goes non-finite (a gradient
-    comes back None), the previous parameters and Adam state are restored
-    and the update is abandoned for this iteration.
-    """
-    adv = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
+    whole batch first. `opts` is the (policy, value net) pair of Adams.
 
+    The two networks share no parameter, so the update is two streams over
+    the same epoch permutations, drawn from `rng`: `policy_stream` here,
+    and `value_stream` in `worker` (a `ValueWorker`) while this one runs,
+    or here after it where `worker` is None. Either way the numbers are
+    bit for bit the same. If a loss or a probability ratio goes non-finite
+    at some minibatch j of either stream (a gradient comes back None), the
+    update is abandoned: both networks and both Adams keep their state from
+    before it, the losses are summed over the minibatches before j, and
+    `rng` is left after the permutation of j's epoch. RuntimeError if the
+    worker raises or dies.
+    """
+    policy_opt, value_opt = opts
+    adv = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
+    value_lay = nn.layout(value_net.params)
+    request = {
+        "params": value_lay.flatten(value_net.params),
+        "adam": (value_opt.lr, value_opt.beta1, value_opt.beta2, value_opt.eps,
+                 value_opt.t, value_opt.m, value_opt.v),
+        "states": states, "targets_r": targets_r, "targets_0": targets_0,
+        "rng_state": rng.bit_generator.state,
+        "epochs": config.epochs, "minibatch": config.minibatch,
+    }
     # A step returns fresh parameter arrays, so references to them suffice;
     # it writes the Adam moments in place, so those are copied.
-    saved = (dict(policy.params), dict(value_net.params), opt.t, opt.m.copy(), opt.v.copy())
-    # Each net writes its gradient into its slice of one vector, through
-    # views built once for the update: the layouts do not change.
-    policy_lay, value_lay = nn.layout(policy.params), nn.layout(value_net.params)
-    grad = np.empty(policy_lay.size + value_lay.size)
-    policy_out, value_out = grad[: policy_lay.size], grad[policy_lay.size :]
-    policy_blocks, value_blocks = policy_lay.blocks(policy_out), value_lay.blocks(value_out)
+    saved = (dict(policy.params), policy_opt.t, policy_opt.m.copy(), policy_opt.v.copy())
+    if worker is None:
+        policy_losses, policy_failed, drawn = policy_stream(
+            policy, policy_opt, states, actions, old_logp, adv, config, rng)
+        reply = value_stream(value_net, request)
+    else:
+        worker.submit(request)
+        try:
+            policy_losses, policy_failed, drawn = policy_stream(
+                policy, policy_opt, states, actions, old_logp, adv, config, rng)
+        finally:
+            reply = worker.reply()  # read even if the policy stream raised
+    failed = [j for j in (policy_failed, reply["failed_at"]) if j is not None]
+    updates = min(failed, default=len(policy_losses))
+    metrics = {
+        # summed left to right from 0.0, as one loop over the minibatches would
+        "policy_loss": functools.reduce(operator.add, policy_losses[:updates], 0.0),
+        "value_loss": functools.reduce(operator.add, reply["losses"][:updates], 0.0),
+        "updates": updates,
+        "aborted": bool(failed),
+    }
+    if failed:
+        policy.params, policy_opt.t, policy_opt.m, policy_opt.v = saved
+        per_epoch = -(-len(adv) // config.minibatch)
+        rng.bit_generator.state = drawn[updates // per_epoch]
+        return metrics
+    value_net.params = value_lay.views(reply["params"])
+    value_opt.t, value_opt.m, value_opt.v = reply["adam"]
+    return metrics
+
+
+def policy_stream(policy, opt, states, actions, old_logp, adv, config, rng):
+    """The policy's half of `ppo_update`: `ppo_loss_grad` and an `opt` step
+    per minibatch, each epoch's permutation drawn from `rng`. Returns the
+    per-minibatch losses, the index of the first minibatch whose gradient
+    was None (or None; it stops there) and `rng`'s state after each draw."""
+    # the gradient is written through views built once for the update
+    lay = nn.layout(policy.params)
+    out = np.empty(lay.size)
+    blocks = lay.blocks(out)
     n = len(adv)
-    metrics = {"policy_loss": 0.0, "value_loss": 0.0, "updates": 0, "aborted": False}
+    losses, drawn = [], []
     for _ in range(config.epochs):
         # gathered once per epoch, so each minibatch is a contiguous slice
         order = rng.permutation(n)
-        e_states, e_actions, e_logp, e_adv, e_tr, e_t0 = (
-            x[order] for x in (states, actions, old_logp, adv, targets_r, targets_0)
-        )
+        drawn.append(rng.bit_generator.state)
+        e_states, e_actions, e_logp, e_adv = (x[order] for x in (states, actions, old_logp, adv))
         for start in range(0, n, config.minibatch):
             mb = slice(start, start + config.minibatch)
-            policy_loss, policy_grad = policy.ppo_loss_grad(
-                e_states[mb], e_actions[mb], e_logp[mb], e_adv[mb], config.clip,
-                config.entropy_coef, policy_out, policy_blocks,
-            )
-            value_loss, value_grad = value_net.loss_grad(e_states[mb], e_tr[mb], e_t0[mb],
-                                                         value_out, value_blocks)
+            loss, grad = policy.ppo_loss_grad(e_states[mb], e_actions[mb], e_logp[mb], e_adv[mb],
+                                              config.clip, config.entropy_coef, out, blocks)
+            if grad is None:
+                return losses, len(losses), drawn
+            (policy.params,) = opt.step((policy.params,), grad)
+            losses.append(loss)
+    return losses, None, drawn
 
-            if policy_grad is None or value_grad is None:
-                policy.params, value_net.params, opt.t, opt.m, opt.v = saved
-                metrics["aborted"] = True
-                return metrics
-            policy.params, value_net.params = opt.step((policy.params, value_net.params), grad)
-            metrics["policy_loss"] += policy_loss
-            metrics["value_loss"] += value_loss
-            metrics["updates"] += 1
-    return metrics
+
+def value_stream(value_net, request):
+    """The value net's half of `ppo_update`: `loss_grad` and an Adam step per
+    minibatch, over the epoch permutations that `policy_stream` draws, from
+    a generator at the request's `rng_state`. `value_net` gives the network's
+    shape only: its parameters and Adam come from the request, which
+    `ppo_update` builds, and neither is changed in place (the parameter
+    vector is made read-only). Returns the reply:
+    the new flat parameters ("params"), the Adam's (t, m, v) ("adam"), the
+    per-minibatch losses and the index of the first minibatch whose gradient
+    was None ("failed_at", or None; it stops there). Only numpy arrays and
+    Python values go in and out, so a `ValueWorker` can pickle both."""
+    lay = nn.layout(value_net.params)
+    net = copy.copy(value_net)
+    net.params = lay.views(request["params"])
+    *hyper, t, m, v = request["adam"]
+    opt = nn.AdamOptimizer(*hyper)
+    opt.t, opt.m, opt.v = t, m.copy(), v.copy()  # a step writes its moments in place
+    state = request["rng_state"]
+    rng = np.random.Generator(getattr(np.random, state["bit_generator"])())
+    rng.bit_generator.state = state
+    states, t_r, t_0 = request["states"], request["targets_r"], request["targets_0"]
+    out = np.empty(lay.size)
+    blocks = lay.blocks(out)
+    n, size = len(states), request["minibatch"]
+    losses, failed_at = [], None
+    for _ in range(request["epochs"]):
+        order = rng.permutation(n)
+        e_states, e_tr, e_t0 = states[order], t_r[order], t_0[order]
+        for start in range(0, n, size):
+            mb = slice(start, start + size)
+            loss, grad = net.loss_grad(e_states[mb], e_tr[mb], e_t0[mb], out, blocks)
+            if grad is None:
+                failed_at = len(losses)
+                break
+            (net.params,) = opt.step((net.params,), grad)
+            losses.append(loss)
+        if failed_at is not None:
+            break
+    return {"params": lay.flatten(net.params), "adam": (opt.t, opt.m, opt.v),
+            "losses": losses, "failed_at": failed_at}
+
+
+def usable_cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class ValueWorker:
+    """One forked process that runs `value_stream` on the requests of
+    `ppo_update`, one at a time, for the value net it was forked with (its
+    shape; the parameters come with each request).
+
+    Fork, not spawn: the child starts in a few ms with the package and the
+    value net already in memory, where a spawned one would import numpy and
+    the package at the first update of every Trainer. (A fork is unsafe
+    while another thread holds a lock; the training loop starts no thread.)
+    The child exits on EOF, on a None message, or when its parent changes
+    (the parent died); `close` sends None and waits for it."""
+
+    def __init__(self, value_net):
+        import multiprocessing  # only where a worker starts
+
+        ctx = multiprocessing.get_context("fork")
+        self._conn, child_end = ctx.Pipe()
+        self.process = ctx.Process(target=_serve_value_stream, name="rdecomp-value-stream",
+                                   args=(child_end, self._conn, value_net, os.getpid()),
+                                   daemon=True)
+        self.process.start()
+        child_end.close()
+
+    def submit(self, request):
+        try:
+            self._conn.send(request)
+        except OSError as exc:  # a closed connection, or a worker that is gone
+            raise RuntimeError(f"value-stream worker {self.process.pid} is gone: {exc!r}") from exc
+
+    def reply(self):
+        """The reply to the last request; RuntimeError if the worker raised or died."""
+        try:
+            reply = self._conn.recv()
+        except (EOFError, OSError) as exc:
+            raise RuntimeError(f"value-stream worker {self.process.pid} died: {exc!r}") from exc
+        if "error" in reply:
+            raise RuntimeError(f"value-stream worker {self.process.pid} raised:\n{reply['error']}")
+        return reply
+
+    def close(self):
+        """Stop the process and wait for it, at most 5 s before it is
+        terminated. A second call does nothing."""
+        if self._conn.closed:
+            return
+        try:
+            self._conn.send(None)
+        except OSError:
+            pass
+        self._conn.close()
+        self.process.join(5)
+        if self.process.is_alive():
+            self.process.terminate()
+            self.process.join()
+
+
+def _serve_value_stream(conn, parent_end, value_net, parent_pid):
+    """A `ValueWorker`'s process: reply to each request on conn with
+    `value_stream`'s result, or with the traceback of what it raised."""
+    # a child that kept the parent's end would never see EOF on its own
+    parent_end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
+    gc.freeze()  # the collector leaves the inherited objects, and their pages, alone
+    # A pipe's wakeup may place the woken process on the waker's CPU, where
+    # the parent goes on running the policy stream: on a 2-vCPU VM both ran
+    # on one CPU, and the update took as long as inline. A CPU of its own
+    # avoids that; the parent, which is not pinned, is balanced off it.
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+    while True:
+        while not conn.poll(1.0):
+            if os.getppid() != parent_pid:
+                return
+        try:
+            request = conn.recv()
+        except EOFError:
+            return
+        if request is None:
+            return
+        try:
+            reply = value_stream(value_net, request)
+        except Exception:  # reported to the caller, which raises it
+            reply = {"error": traceback.format_exc()}
+        try:
+            conn.send(reply)
+        except OSError:  # the parent is gone
+            return
 
 
 # glibc's mallopt parameters (malloc.h) and the values a Trainer pins them to
@@ -305,7 +496,10 @@ def pin_malloc_thresholds():
 
 class Trainer:
     """Owns the models, Adams and RNG streams of one seeded training run; with
-    a decomposer, also the replay buffer and the reward Adam."""
+    a decomposer, also the replay buffer and the reward Adam. Where two or
+    more CPUs are usable, it also owns the `ValueWorker` that runs the value
+    net's half of its PPO updates, from the first update until the Trainer
+    is collected or the interpreter exits."""
 
     def __init__(self, config, seed=0):
         pin_malloc_thresholds()
@@ -332,11 +526,23 @@ class Trainer:
             self.reward_opt = nn.AdamOptimizer(config.reward_lr)
             # the regression's flat gradient, which every minibatch rewrites
             self._regression_grad = np.empty(nn.layout(self.model.params).size)
-        # one Adam over the policy and the value net, laid end to end
-        self.ppo_opt = nn.AdamOptimizer(config.policy_lr)
+        self.policy_opt = nn.AdamOptimizer(config.policy_lr)
+        self.value_opt = nn.AdamOptimizer(config.policy_lr)
+        self._worker = None  # the value stream's, started at the first PPO update
         self.iteration = 0
         self.env_steps = 0
         self.metrics = []
+
+    def _value_worker(self):
+        """The `ValueWorker` of this Trainer's PPO updates, started at the
+        first one, so that building a Trainer starts no process; None where
+        fewer than two CPUs are usable, and the value stream runs inline. A
+        finalizer closes the worker when the Trainer is collected, or at
+        exit."""
+        if self._worker is None and usable_cpus() >= 2:
+            self._worker = ValueWorker(self.value_net)
+            weakref.finalize(self, self._worker.close)
+        return self._worker
 
     def decompose(self, batch):
         """Per-interval rewards of every trajectory, in one forward pass. The
@@ -414,8 +620,9 @@ class Trainer:
         logp, _, head_grads = self.policy.log_prob_head(a["head"], actions)
         grad_variance = self._gradient_variance(batch, decomps, a, head_grads)
         ppo_metrics = ppo_update(
-            self.policy, self.value_net, states, actions, advantages, t_r, t_0,
-            config, self.ppo_rng, self.ppo_opt, logp.reshape(-1),
+            self.policy, self.value_net, states, actions, advantages, t_r, t_0, config,
+            self.ppo_rng, (self.policy_opt, self.value_opt), logp.reshape(-1),
+            worker=self._value_worker(),
         )
         row = {
             "iteration": self.iteration,
@@ -472,19 +679,16 @@ class Trainer:
         self._save_state(out_dir, suffix)
 
     def _optimizers(self):
-        """(label, Adam, the label's slice of the Adam's moments); the reward
-        entry only with a reward model."""
-        n_policy = nn.layout(self.policy.params).size
-        entries = (("policy", self.ppo_opt, slice(0, n_policy)),
-                   ("value", self.ppo_opt, slice(n_policy, None)))
+        """(label, Adam) per model; the reward entry only with a reward model."""
+        entries = (("policy", self.policy_opt), ("value", self.value_opt))
         if self.model is None:
             return entries
-        return entries + (("reward", self.reward_opt, slice(None)),)
+        return entries + (("reward", self.reward_opt),)
 
     def _save_state(self, out_dir, suffix):
         opt_arrays, steps = {}, {}
-        for label, opt, part in self._optimizers():
-            opt_arrays[f"{label}/m"], opt_arrays[f"{label}/v"] = opt.m[part], opt.v[part]
+        for label, opt in self._optimizers():
+            opt_arrays[f"{label}/m"], opt_arrays[f"{label}/v"] = opt.m, opt.v
             steps[label] = opt.t
         checkpoint.save(
             os.path.join(out_dir, f"optimizer{suffix}.json"),
@@ -527,10 +731,10 @@ class Trainer:
                 )
         buffer_trajs = None if self.buffer is None else read_jsonl(path("buffer", ".jsonl"))
         opt_arrays, opt_meta = loaded["optimizer"]
-        adams = {}
+        adams = []
         models = (("policy", self.policy), ("value", self.value_net), ("reward_model", self.model))
         # a baseline lists no reward Adam, so the zip stops before its None model
-        for (label, opt, _), (name, model) in zip(self._optimizers(), models):
+        for (label, opt), (name, model) in zip(self._optimizers(), models):
             if f"{label}/m" not in opt_arrays or f"{label}/v" not in opt_arrays:
                 raise checkpoint.CheckpointError(
                     f"{path('optimizer')} has no flat Adam state {label}/m, {label}/v"
@@ -551,13 +755,13 @@ class Trainer:
                     f"{path('optimizer')} holds Adam moments of shapes {m.shape}, {v.shape}"
                     f" for {label}, which has {size} parameters"
                 )
-            t_pair, ms, vs = adams.setdefault(opt, (t, [], []))
-            if t != t_pair:
-                raise checkpoint.CheckpointError(
-                    f"{path('optimizer')}: policy Adam step {t_pair}, value {t}"
-                )
-            ms.append(m)
-            vs.append(v)
+            adams.append((opt, t, m, v))
+        # the two PPO Adams step together
+        if opt_meta["steps"]["policy"] != opt_meta["steps"]["value"]:
+            raise checkpoint.CheckpointError(
+                f"{path('optimizer')}: policy Adam step {opt_meta['steps']['policy']},"
+                f" value {opt_meta['steps']['value']}"
+            )
 
         self.policy.params, self.value_net.params = loaded["policy"][0], loaded["value"][0]
         if self.model is not None:
@@ -569,9 +773,9 @@ class Trainer:
         self.env_steps = state["env_steps"]
         for name, rng_state in state["rngs"].items():
             getattr(self, name).bit_generator.state = rng_state
-        for opt, (t, ms, vs) in adams.items():
+        for opt, t, m, v in adams:
             # copies: loaded arrays are read-only, and a step writes the moments
-            opt.t, opt.m, opt.v = t, np.concatenate(ms), np.concatenate(vs)
+            opt.t, opt.m, opt.v = t, m.copy(), v.copy()
 
 
 class MetricsWriter:

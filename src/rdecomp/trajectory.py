@@ -24,12 +24,10 @@ class Trajectory:
     episodic_return: float
 
     def __post_init__(self):
+        # np.asarray copies only where the dtype differs
         object.__setattr__(self, "states", np.asarray(self.states, dtype=np.float64))
         actions = np.asarray(self.actions)
-        if actions.dtype.kind in "iu":
-            actions = actions.astype(np.int64)
-        else:
-            actions = actions.astype(np.float64)
+        actions = np.asarray(actions, dtype=np.int64 if actions.dtype.kind in "iu" else np.float64)
         object.__setattr__(self, "actions", actions)
         if len(self.states) != len(actions):
             raise ValueError(

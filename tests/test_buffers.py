@@ -207,6 +207,27 @@ def test_deterministic_given_seed():
     assert run(11) != run(12)
 
 
+def test_float64_states_and_int64_actions_are_kept_as_they_are():
+    states, actions = np.zeros((3, 2)), np.arange(3, dtype=np.int64)
+    for acts in (actions, np.zeros((3, 1))):
+        t = Trajectory(states, acts, 1.0)
+        assert t.states is states and t.actions is acts
+
+
+@pytest.mark.parametrize("states,actions,want", [
+    (np.zeros((2, 3), dtype=np.float32), np.array([1, 0], dtype=np.int32), np.int64),
+    ([[0.0, 1.0], [2.0, 3.0]], [1, 0], np.int64),
+    (np.zeros((2, 3)), np.array([3, 4], dtype=np.uint8), np.int64),
+    (np.zeros((2, 3)), np.array([[0.5], [1.5]], dtype=np.float32), np.float64),
+    (np.zeros((2, 3)), np.array([True, False]), np.float64),
+])
+def test_other_dtypes_are_converted(states, actions, want):
+    t = Trajectory(states, actions, 0.0)
+    assert t.states.dtype == np.float64 and t.actions.dtype == want
+    assert np.array_equal(t.states, np.asarray(states, dtype=np.float64))
+    assert np.array_equal(t.actions, np.asarray(actions).astype(want))
+
+
 def test_jsonl_round_trip():
     buf = ReplayBuffer("O", capacity=8)
     buf.insert([traj(i / 3.0, seed=i) for i in range(5)])

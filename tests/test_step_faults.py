@@ -53,11 +53,11 @@ def test_unpinned_probe_builds_the_trainer_without_the_pin(monkeypatch):
 
 def test_script_prints_one_json_line():
     proc = subprocess.run([sys.executable, str(SCRIPT), "--workload", "train-baseline",
-                           "--seed", "2", "--steps", "1", "--unpinned"],
+                           "--seed", "2", "--steps", "1", "--unpinned", "--warmup", "0"],
                           capture_output=True, text=True, check=True)
     lines = proc.stdout.splitlines()
     assert len(lines) == 1
     result = json.loads(lines[0])
     assert result["workload"] == "train-baseline" and result["seed"] == 2
-    assert result["pinned"] is False
+    assert result["pinned"] is False and result["warmup"] == 0
     assert len(result["step"]["minflt"]) == 1 and list(result["phases"]) == PHASES

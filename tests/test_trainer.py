@@ -1,8 +1,19 @@
+import contextlib
 import copy
 import csv
 import ctypes
+import gc
+import importlib.util
+import itertools
 import json
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +46,7 @@ from rdecomp.trainer import (
 )
 from rdecomp.trajectory import Trajectory, read_jsonl, write_jsonl
 
+ROOT = Path(__file__).resolve().parents[1]
 TINY = dict(
     env="chain",
     env_params={"n_states": 4, "horizon": 5},
@@ -336,16 +348,22 @@ def stacked(batch):
             np.concatenate([t.actions for t in batch]))
 
 
-def run_ppo(policy, value_net, batch, advantages, t_r, t_0, old_logp=None, **overrides):
-    """`ppo_update` from a fresh Adam; `old_logp` defaults to the policy's own."""
+def run_ppo(policy, value_net, batch, advantages, t_r, t_0, old_logp=None, worker=None,
+            **overrides):
+    """`ppo_update` from fresh Adams; `old_logp` defaults to the policy's own."""
     config = TrainConfig(**{**TINY, **overrides})
     states, actions = stacked(batch)
     if old_logp is None:
         old_logp = policy.log_prob_np(states, actions)
     return ppo_update(
         policy, value_net, states, actions, advantages, t_r, t_0, config,
-        np.random.default_rng(0), nn.AdamOptimizer(config.policy_lr), old_logp,
+        np.random.default_rng(0), adams(config), old_logp, worker=worker,
     )
+
+
+def adams(config):
+    """Fresh (policy, value net) Adams, as a Trainer builds them."""
+    return nn.AdamOptimizer(config.policy_lr), nn.AdamOptimizer(config.policy_lr)
 
 
 def test_zero_advantages_leave_policy_unchanged():
@@ -493,85 +511,223 @@ def test_aborted_update_restores_optimizer_state():
     config = TrainConfig(**{**TINY, "minibatch": 5})
     policy = CategoricalPolicy(np.random.default_rng(5), 4, 2, hidden=(8,))
     value_net = ValueNetwork(np.random.default_rng(6), 4, hidden=(8,))
-    opt = nn.AdamOptimizer(config.policy_lr)
+    opts = adams(config)
     advantages = targets = np.ones(sum(t.length for t in batch))
     rng = np.random.default_rng(0)
     states, actions = stacked(batch)
     ppo_update(policy, value_net, states, actions, advantages, targets, targets, config, rng,
-               opt, policy.log_prob_np(states, actions))
-    steps, m, v = opt.t, opt.m.copy(), opt.v.copy()
+               opts, policy.log_prob_np(states, actions))
+    before = [(opt.t, opt.m.copy(), opt.v.copy()) for opt in opts]
     bad_targets = targets.copy()
     bad_targets[-1] = np.inf
     metrics = ppo_update(
         policy, value_net, states, actions, advantages, bad_targets, targets, config, rng,
-        opt, policy.log_prob_np(states, actions),
+        opts, policy.log_prob_np(states, actions),
     )
     assert metrics["aborted"] and metrics["updates"] > 0
-    assert opt.t == steps
-    assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
+    for opt, (steps, m, v) in zip(opts, before, strict=True):
+        assert opt.t == steps
+        assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
 
 
-def two_adam_ppo(policy, value_net, batch, advantages, t_r, t_0, config, rng, adams):
-    """`ppo_update` as a loop with one reference Adam per network, each
+def two_adam_ppo(policy, value_net, batch, advantages, t_r, t_0, config, rng, adams, old_logp):
+    """`ppo_update` as one loop with one reference Adam per network, each
     gradient a fresh vector. Returns whether a gradient came back None, which
-    leaves the models and Adams where that minibatch found them."""
-    states = np.concatenate([t.states for t in batch])
-    actions = np.concatenate([t.actions for t in batch])
-    old_logp = policy.log_prob_np(states, actions)
+    leaves the models and Adams where that minibatch found them, and the
+    metrics: the losses summed over the minibatches before it."""
+    states, actions = stacked(batch)
     adv = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
+    metrics = {"policy_loss": 0.0, "value_loss": 0.0, "updates": 0}
     for _ in range(config.epochs):
         order = rng.permutation(len(adv))
         for start in range(0, len(adv), config.minibatch):
             idx = order[start : start + config.minibatch]
-            _, g_policy = policy.ppo_loss_grad(states[idx], actions[idx], old_logp[idx],
-                                               adv[idx], config.clip, config.entropy_coef)
-            _, g_value = value_net.loss_grad(states[idx], t_r[idx], t_0[idx])
+            policy_loss, g_policy = policy.ppo_loss_grad(
+                states[idx], actions[idx], old_logp[idx], adv[idx], config.clip,
+                config.entropy_coef)
+            value_loss, g_value = value_net.loss_grad(states[idx], t_r[idx], t_0[idx])
             if g_policy is None or g_value is None:
-                return True
+                return True, metrics
             policy.params = adams[0].step(policy.params, g_policy)
             value_net.params = adams[1].step(value_net.params, g_value)
-    return False
+            metrics["policy_loss"] += policy_loss
+            metrics["value_loss"] += value_loss
+            metrics["updates"] += 1
+    return False, metrics
 
 
 def test_ppo_update_is_bitwise_a_loop_with_two_adams():
     # (episodes of 5 steps, minibatch): 40 steps in 8 full minibatches, 30
-    # in 3, and 40 in 3 of 13 and a 1-step tail
-    for n, minibatch in ((8, 5), (6, 10), (8, 13)):
+    # in 3, and 40 in 3 of 13 and a 1-step tail; the value stream inline
+    # and in a worker
+    for (n, minibatch), inline in itertools.product(((8, 5), (6, 10), (8, 13)), (True, False)):
         batch, _ = random_batch(9, n=n)
         config = TrainConfig(**{**TINY, "minibatch": minibatch, "entropy_coef": 0.01})
         models = [(CategoricalPolicy(np.random.default_rng(5), 4, 2, hidden=(8,)),
                    ValueNetwork(np.random.default_rng(6), 4, hidden=(8,))) for _ in range(2)]
         (policy, value_net), (ref_policy, ref_value) = models
-        opt, adams = nn.AdamOptimizer(config.policy_lr), [ReferenceAdam(config.policy_lr)
-                                                          for _ in range(2)]
+        opts, refs = adams(config), [ReferenceAdam(config.policy_lr) for _ in range(2)]
         rng, ref_rng = np.random.default_rng(0), np.random.default_rng(0)
         draw = np.random.default_rng(1)
         advantages = draw.normal(size=n * 5)
         targets = draw.normal(size=n * 5)
         bad_targets = targets.copy()
         bad_targets[-1] = np.inf
-        for t_r in (targets, bad_targets, targets):
-            states, actions = stacked(batch)
-            metrics = ppo_update(policy, value_net, states, actions, advantages, t_r, targets,
-                                 config, rng, opt, policy.log_prob_np(states, actions))
-            saved = (dict(ref_policy.params), dict(ref_value.params),
-                     [(a.t, a.m, a.v) for a in adams])
-            aborted = two_adam_ppo(ref_policy, ref_value, batch, advantages, t_r, targets,
-                                   config, ref_rng, adams)
-            assert metrics["aborted"] == aborted and metrics["updates"] > 0
-            if aborted:
-                ref_policy.params, ref_value.params = saved[0], saved[1]
-                for a, (t, m, v) in zip(adams, saved[2]):
-                    a.t, a.m, a.v = t, m, v
-            else:
-                assert metrics["updates"] == config.epochs * -(-n * 5 // minibatch)
-            for model, ref in ((policy, ref_policy), (value_net, ref_value)):
-                assert model.params.keys() == ref.params.keys()
-                assert all(np.array_equal(model.params[k], ref.params[k]) for k in ref.params)
-            assert opt.t == adams[0].t == adams[1].t
-            assert np.array_equal(opt.m, np.concatenate([a.m for a in adams]))
-            assert np.array_equal(opt.v, np.concatenate([a.v for a in adams]))
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # the policy stream aborts where an old log-prob makes the ratio overflow
+        bad_logp = np.zeros(n * 5)
+        bad_logp[n * 5 // 2] = -800.0
+        worker = None if inline else trainer_mod.ValueWorker(value_net)
+        try:
+            for t_r, logp_shift in ((targets, 0.0), (bad_targets, 0.0), (targets, bad_logp),
+                                    (targets, 0.0)):
+                states, actions = stacked(batch)
+                with np.errstate(over="ignore"):
+                    metrics = ppo_update(
+                        policy, value_net, states, actions, advantages, t_r, targets, config,
+                        rng, opts, policy.log_prob_np(states, actions) + logp_shift,
+                        worker=worker)
+                    saved = (dict(ref_policy.params), dict(ref_value.params),
+                             [(a.t, a.m, a.v) for a in refs])
+                    aborted, want = two_adam_ppo(
+                        ref_policy, ref_value, batch, advantages, t_r, targets, config,
+                        ref_rng, refs, ref_policy.log_prob_np(states, actions) + logp_shift)
+                assert metrics == {**want, "aborted": aborted}
+                assert metrics["updates"] > 0
+                if aborted:
+                    ref_policy.params, ref_value.params = saved[0], saved[1]
+                    for a, (t, m, v) in zip(refs, saved[2]):
+                        a.t, a.m, a.v = t, m, v
+                else:
+                    assert metrics["updates"] == config.epochs * -(-n * 5 // minibatch)
+                for model, ref in ((policy, ref_policy), (value_net, ref_value)):
+                    assert model.params.keys() == ref.params.keys()
+                    assert all(np.array_equal(model.params[k], ref.params[k])
+                               for k in ref.params)
+                    assert all(not p.flags.writeable for p in model.params.values())
+                for opt, ref in zip(opts, refs, strict=True):
+                    assert opt.t == ref.t
+                    assert np.array_equal(opt.m, ref.m) and np.array_equal(opt.v, ref.v)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+        finally:
+            if worker is not None:
+                worker.close()
+
+
+# ---------------------------------------------------------------------------
+# the value-stream worker
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """TimeoutError in the block if it runs for more than `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def benchmark_config(workload):
+    """The TrainConfig of one of the benchmark's train workloads."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return TrainConfig(**workloads.settings(workload)["config"])
+
+
+def trainer_state(trainer):
+    """Every model's parameters, every Adam's state and every RNG's state."""
+    models = [m for m in (trainer.policy, trainer.value_net, trainer.model) if m is not None]
+    opts = [o for o in (trainer.policy_opt, trainer.value_opt, trainer.reward_opt) if o is not None]
+    rngs = [trainer.init_rng, trainer.rollout_rng, trainer.ppo_rng, trainer.regression_rng]
+    if trainer.buffer is not None:
+        rngs.append(trainer.buffer.rng)
+    return ([nn.layout(m.params).flatten(m.params).tobytes() for m in models],
+            [(o.t, o.m.tobytes(), o.v.tobytes()) for o in opts],
+            [r.bit_generator.state for r in rngs])
+
+
+@pytest.mark.parametrize("workload", ["train-full", "train-baseline"])
+def test_worker_and_inline_steps_are_bitwise_equal(monkeypatch, workload):
+    config = benchmark_config(workload)
+    runs = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(trainer_mod, "usable_cpus", lambda: cpus)
+        trainer = Trainer(config, seed=11)
+        outputs = repr([trainer.step() for _ in range(20)])
+        assert (trainer._worker is None) == (cpus == 1)
+        runs.append((outputs, trainer_state(trainer)))
+    assert runs[0] == runs[1]
+
+
+def test_worker_exits_when_its_trainer_is_dropped_or_its_pipe_closes(monkeypatch):
+    monkeypatch.setattr(trainer_mod, "usable_cpus", lambda: 2)
+    trainer = Trainer(TrainConfig(**TINY), seed=0)
+    assert trainer._worker is None  # building a Trainer starts no process
+    trainer.step()
+    process = trainer._worker.process
+    assert process.is_alive()
+    del trainer
+    gc.collect()
+    process.join(5)
+    assert not process.is_alive() and process.exitcode == 0
+    worker = trainer_mod.ValueWorker(ValueNetwork(np.random.default_rng(0), 4, hidden=(8,)))
+    worker._conn.close()
+    worker.process.join(5)
+    assert not worker.process.is_alive() and worker.process.exitcode == 0
+
+
+def test_a_worker_that_raises_or_dies_gives_a_runtime_error():
+    class Broken(ValueNetwork):
+        def loss_grad(self, *args):
+            raise ValueError("a broken value net")
+
+    batch, _ = random_batch(7)
+    policy = CategoricalPolicy(np.random.default_rng(5), 4, 2, hidden=(8,))
+    value_net = Broken(np.random.default_rng(6), 4, hidden=(8,))
+    n = sum(t.length for t in batch)
+    worker = trainer_mod.ValueWorker(value_net)
+    try:
+        with deadline(30):
+            with pytest.raises(RuntimeError, match="a broken value net"):
+                run_ppo(policy, value_net, batch, np.ones(n), np.ones(n), np.ones(n),
+                        worker=worker)
+            worker.process.kill()
+            worker.process.join(5)
+            with pytest.raises(RuntimeError, match="worker .* (is gone|died)"):
+                run_ppo(policy, value_net, batch, np.ones(n), np.ones(n), np.ones(n),
+                        worker=worker)
+    finally:
+        worker.close()
+    assert not worker.process.is_alive()
+
+
+def test_a_training_process_leaves_no_worker_behind():
+    code = ("from rdecomp import trainer\n"
+            "trainer.usable_cpus = lambda: 2\n"
+            f"run = trainer.Trainer(trainer.TrainConfig(**{TINY!r}), seed=0)\n"
+            "run.step()\n"
+            "print(run._worker.process.pid, flush=True)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    # with capture_output, a worker that outlived the run would hold its
+    # stdout open and this call would time out
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    pid = int(proc.stdout)
+    for _ in range(50):
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return
+        time.sleep(0.1)
+    pytest.fail(f"worker {pid} is still there after its run exited")
 
 
 # ---------------------------------------------------------------------------
@@ -633,10 +789,10 @@ def test_grad_variance_is_taken_at_the_policy_that_drew_the_batch(monkeypatch, o
         seen.append({"batch": batch, "decomps": decomps})
         return real_variance(self, batch, decomps, a, head_grads)
 
-    def spy_update(policy, value_net, states, actions, *args):
+    def spy_update(policy, value_net, states, actions, *args, **kwargs):
         seen[-1].update(policy=copy.deepcopy(policy), states=states, actions=actions,
                         old_logp=args[-1])
-        return real_update(policy, value_net, states, actions, *args)
+        return real_update(policy, value_net, states, actions, *args, **kwargs)
 
     monkeypatch.setattr(Trainer, "_gradient_variance", spy_variance)
     monkeypatch.setattr(trainer_mod, "ppo_update", spy_update)
@@ -892,6 +1048,26 @@ def test_old_layout_buffer_file_resumes_bit_identically(tmp_path):
     assert resumed.step() == first.step()
 
 
+def test_run_directory_of_one_shared_adam_resumes_bit_identically(tmp_path):
+    # tests/data/shared_adam_baseline_run was saved after 2 steps by the code
+    # in which one Adam stepped the policy and the value net over their
+    # parameters laid end to end; optimizer.json held its slices
+    config = TrainConfig(env="chain", env_params={"n_states": 4, "horizon": 5}, iterations=4,
+                         ppo_batch=60, minibatch=20, hidden=(8,), use_decomposer=False)
+    saved = ROOT / "tests" / "data" / "shared_adam_baseline_run"
+    straight = Trainer(config, seed=3)
+    straight.step()
+    straight.step()
+    straight.save(str(tmp_path / "again"))
+    for path in saved.iterdir():
+        assert (tmp_path / "again" / path.name).read_bytes() == path.read_bytes()
+    shutil.copytree(saved, tmp_path / "run")
+    resumed = Trainer(config, seed=3)
+    resumed.restore(str(tmp_path / "run"))
+    assert [resumed.step() for _ in range(2)] == [straight.step() for _ in range(2)]
+    assert trainer_state(resumed) == trainer_state(straight)
+
+
 def test_restore_rejects_per_tensor_optimizer_state(tmp_path):
     trainer = Trainer(TrainConfig(**TINY), seed=0)
     trainer.step()
@@ -925,16 +1101,16 @@ def test_failed_restore_leaves_trainer_unchanged(tmp_path):
     for k, p in fresh.value_net.params.items():
         np.testing.assert_array_equal(p, value[k])
     assert fresh.rollout_rng.bit_generator.state == rng_state
-    assert (fresh.iteration, len(fresh.buffer), fresh.ppo_opt.t) == (0, 0, 0)
+    assert (fresh.iteration, len(fresh.buffer), fresh.policy_opt.t, fresh.value_opt.t) == (
+        0, 0, 0, 0)
 
 
 def test_optimizer_file_keeps_one_adam_state_per_model(tmp_path):
-    # the PPO Adam spans the policy and the value net; the file still holds
-    # each model's slice of its moments under the model's label
     trainer = Trainer(TrainConfig(**TINY), seed=0)
-    sizes = {label: nn.layout(model.params).size for label, model in
-             (("policy", trainer.policy), ("value", trainer.value_net),
-              ("reward", trainer.model))}
+    models = {"policy": (trainer.policy, trainer.policy_opt),
+              "value": (trainer.value_net, trainer.value_opt),
+              "reward": (trainer.model, trainer.reward_opt)}
+    sizes = {label: nn.layout(model.params).size for label, (model, _) in models.items()}
     for steps in (0, 1):
         if steps:
             trainer.step()
@@ -944,10 +1120,11 @@ def test_optimizer_file_keeps_one_adam_state_per_model(tmp_path):
         for label, size in sizes.items():
             assert arrays[f"{label}/m"].shape == arrays[f"{label}/v"].shape == (
                 size if steps else 0,)
-        assert meta["steps"]["policy"] == meta["steps"]["value"] == trainer.ppo_opt.t
-        for k in "mv":
-            pair = np.concatenate([arrays[f"policy/{k}"], arrays[f"value/{k}"]])
-            assert np.array_equal(pair, getattr(trainer.ppo_opt, k))
+        assert meta["steps"]["policy"] == meta["steps"]["value"] == trainer.policy_opt.t
+        for label, (_, opt) in models.items():
+            assert meta["steps"][label] == opt.t
+            for k in "mv":
+                assert np.array_equal(arrays[f"{label}/{k}"], getattr(opt, k))
 
 
 def test_restore_rejects_policy_and_value_adams_at_different_steps(tmp_path):
@@ -965,8 +1142,8 @@ def test_restore_rejects_policy_and_value_adams_at_different_steps(tmp_path):
     with pytest.raises(checkpoint.CheckpointError, match=f"policy Adam step {t}, value {t + 1}"):
         fresh.restore(str(tmp_path))
     assert all(m.params is p for m, p in zip(models, before))
-    assert (fresh.iteration, len(fresh.buffer), fresh.ppo_opt.t, fresh.ppo_opt.m.size) == (
-        0, 0, 0, 0)
+    assert (fresh.iteration, len(fresh.buffer), fresh.policy_opt.t, fresh.value_opt.t,
+            fresh.policy_opt.m.size, fresh.value_opt.m.size) == (0, 0, 0, 0, 0, 0)
 
 
 def _shrink_policy_moments(run_dir):
@@ -995,8 +1172,8 @@ def test_restore_rejects_a_model_it_would_not_fit(tmp_path, change, tamper, matc
     with pytest.raises(checkpoint.CheckpointError, match=match):
         fresh.restore(str(tmp_path))
     assert all(m.params is p for m, p in zip(models, before))
-    assert (fresh.iteration, len(fresh.buffer), fresh.ppo_opt.t, fresh.reward_opt.t) == (
-        0, 0, 0, 0)
+    assert (fresh.iteration, len(fresh.buffer), fresh.policy_opt.t, fresh.value_opt.t,
+            fresh.reward_opt.t) == (0, 0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("arch,kind", [("ff", "singletons"), ("recurrent", "prefixes"),
