@@ -429,16 +429,19 @@ def _serve_value_stream(conn, parent_end, value_net, parent_pid):
     parent_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
     gc.freeze()  # the collector leaves the inherited objects, and their pages, alone
-    # A pipe's wakeup may place the woken process on the waker's CPU, where
-    # the parent goes on running the policy stream: on a 2-vCPU VM both ran
-    # on one CPU, and the update took as long as inline. A CPU of its own
-    # avoids that; the parent, which is not pinned, is balanced off it.
-    if hasattr(os, "sched_setaffinity"):
-        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+    usable = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else None
     while True:
         while not conn.poll(1.0):
             if os.getppid() != parent_pid:
                 return
+        # A pipe's wakeup may run the woken process on the waker's CPU, and
+        # the scheduler may not move either one to an idle CPU: on a 2-vCPU
+        # VM the parent, which goes on with the policy stream, and this
+        # process ran on one CPU, and the update took as long as inline. So
+        # each request is served off the CPU the parent is on.
+        parent_cpu = _cpu_of(parent_pid) if usable else None
+        if parent_cpu is not None:
+            os.sched_setaffinity(0, (usable - {parent_cpu}) or usable)
         try:
             request = conn.recv()
         except EOFError:
@@ -453,6 +456,17 @@ def _serve_value_stream(conn, parent_end, value_net, parent_pid):
             conn.send(reply)
         except OSError:  # the parent is gone
             return
+
+
+def _cpu_of(pid):
+    """The CPU that process pid last ran on, from Linux's /proc; None where
+    that cannot be read."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as fh:
+            # the fields after the parenthesized command name; "processor" is field 39
+            return int(fh.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
 
 
 # glibc's mallopt parameters (malloc.h) and the values a Trainer pins them to
