@@ -708,6 +708,14 @@ def test_a_worker_that_raises_or_dies_gives_a_runtime_error():
     assert not worker.process.is_alive()
 
 
+@pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/stat"), reason="no /proc")
+def test_worker_reads_the_cpu_its_parent_is_on():
+    assert trainer_mod._cpu_of(os.getpid()) in os.sched_getaffinity(0)
+    child = subprocess.Popen([sys.executable, "-c", ""])
+    child.wait()
+    assert trainer_mod._cpu_of(child.pid) is None  # a process that is gone
+
+
 def test_a_training_process_leaves_no_worker_behind():
     code = ("from rdecomp import trainer\n"
             "trainer.usable_cpus = lambda: 2\n"
