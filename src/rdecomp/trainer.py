@@ -25,10 +25,10 @@ predictor, all closed forms in numpy.
 
 The policy and the value net share no parameter, and each has its own
 Adam, so a PPO update is two streams over the same minibatches: the
-policy's in the calling process, and the value net's in a `ValueWorker`,
-one forked process per Trainer where two or more CPUs are usable, at the
-same time. With one CPU it runs inline after the policy's. The numbers
-are bit for bit the same either way.
+policy's in the calling process, and the value net's at the same time in
+a `value_worker.ValueWorker`, one forked process per Trainer, on Linux
+with two or more usable CPUs. Elsewhere it runs inline after the
+policy's. The numbers are bit for bit the same either way.
 """
 
 from __future__ import annotations
@@ -38,13 +38,10 @@ import copy
 import csv
 import ctypes
 import functools
-import gc
 import io
 import json
 import operator
 import os
-import signal
-import traceback
 import warnings
 import weakref
 from dataclasses import dataclass, field
@@ -236,15 +233,15 @@ def ppo_update(policy, value_net, states, actions, advantages, targets_r, target
     whole batch first. `opts` is the (policy, value net) pair of Adams.
 
     The two networks share no parameter, so the update is two streams over
-    the same epoch permutations, drawn from `rng`: `policy_stream` here,
-    and `value_stream` in `worker` (a `ValueWorker`) while this one runs,
-    or here after it where `worker` is None. Either way the numbers are
-    bit for bit the same. If a loss or a probability ratio goes non-finite
-    at some minibatch j of either stream (a gradient comes back None), the
-    update is abandoned: both networks and both Adams keep their state from
-    before it, the losses are summed over the minibatches before j, and
-    `rng` is left after the permutation of j's epoch. RuntimeError if the
-    worker raises or dies.
+    the same epoch permutations, drawn from `rng`: the policy's
+    `ppo_stream` here, and `value_stream` in `worker` (a
+    `value_worker.ValueWorker`) while this one runs, or here after it where
+    `worker` is None. Either way the numbers are bit for bit the same. If a
+    loss or a probability ratio goes non-finite at some minibatch j of
+    either stream (a gradient comes back None), the update is abandoned:
+    both networks and both Adams keep their state from before it, the
+    losses are summed over the minibatches before j, and `rng` is left after
+    the permutation of j's epoch. RuntimeError if the worker raises or dies.
     """
     policy_opt, value_opt = opts
     adv = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
@@ -260,15 +257,19 @@ def ppo_update(policy, value_net, states, actions, advantages, targets_r, target
     # A step returns fresh parameter arrays, so references to them suffice;
     # it writes the Adam moments in place, so those are copied.
     saved = (dict(policy.params), policy_opt.t, policy_opt.m.copy(), policy_opt.v.copy())
+
+    def policy_loss_grad(s, a, logp, ad, out, blocks):
+        return policy.ppo_loss_grad(s, a, logp, ad, config.clip, config.entropy_coef, out, blocks)
+
+    policy_stream = (policy, policy_loss_grad, policy_opt, rng, (states, actions, old_logp, adv),
+                     config.epochs, config.minibatch)
     if worker is None:
-        policy_losses, policy_failed, drawn = policy_stream(
-            policy, policy_opt, states, actions, old_logp, adv, config, rng)
+        policy_losses, policy_failed, drawn = ppo_stream(*policy_stream)
         reply = value_stream(value_net, request)
     else:
         worker.submit(request)
         try:
-            policy_losses, policy_failed, drawn = policy_stream(
-                policy, policy_opt, states, actions, old_logp, adv, config, rng)
+            policy_losses, policy_failed, drawn = ppo_stream(*policy_stream)
         finally:
             reply = worker.reply()  # read even if the policy stream raised
     failed = [j for j in (policy_failed, reply["failed_at"]) if j is not None]
@@ -290,44 +291,46 @@ def ppo_update(policy, value_net, states, actions, advantages, targets_r, target
     return metrics
 
 
-def policy_stream(policy, opt, states, actions, old_logp, adv, config, rng):
-    """The policy's half of `ppo_update`: `ppo_loss_grad` and an `opt` step
-    per minibatch, each epoch's permutation drawn from `rng`. Returns the
-    per-minibatch losses, the index of the first minibatch whose gradient
-    was None (or None; it stops there) and `rng`'s state after each draw."""
+def ppo_stream(net, loss_grad, opt, rng, arrays, epochs, minibatch):
+    """One network's half of `ppo_update`. Each epoch gathers the per-step
+    `arrays` in a permutation drawn from `rng`; per minibatch,
+    `loss_grad(*its rows of them, out, blocks)` gives the loss and the flat
+    gradient at `net`'s parameters, and an `opt` step replaces them.
+    Returns the per-minibatch losses, the index of the first minibatch whose
+    gradient was None (or None; it stops there) and `rng`'s state after
+    each draw."""
     # the gradient is written through views built once for the update
-    lay = nn.layout(policy.params)
+    lay = nn.layout(net.params)
     out = np.empty(lay.size)
     blocks = lay.blocks(out)
-    n = len(adv)
+    n = len(arrays[0])
     losses, drawn = [], []
-    for _ in range(config.epochs):
+    for _ in range(epochs):
         # gathered once per epoch, so each minibatch is a contiguous slice
         order = rng.permutation(n)
         drawn.append(rng.bit_generator.state)
-        e_states, e_actions, e_logp, e_adv = (x[order] for x in (states, actions, old_logp, adv))
-        for start in range(0, n, config.minibatch):
-            mb = slice(start, start + config.minibatch)
-            loss, grad = policy.ppo_loss_grad(e_states[mb], e_actions[mb], e_logp[mb], e_adv[mb],
-                                              config.clip, config.entropy_coef, out, blocks)
+        gathered = [x[order] for x in arrays]
+        for start in range(0, n, minibatch):
+            mb = slice(start, start + minibatch)
+            loss, grad = loss_grad(*(x[mb] for x in gathered), out, blocks)
             if grad is None:
                 return losses, len(losses), drawn
-            (policy.params,) = opt.step((policy.params,), grad)
+            (net.params,) = opt.step((net.params,), grad)
             losses.append(loss)
     return losses, None, drawn
 
 
 def value_stream(value_net, request):
-    """The value net's half of `ppo_update`: `loss_grad` and an Adam step per
-    minibatch, over the epoch permutations that `policy_stream` draws, from
-    a generator at the request's `rng_state`. `value_net` gives the network's
+    """The value net's half of `ppo_update`: `ppo_stream` over its
+    `loss_grad`, drawing the policy stream's epoch permutations from a
+    generator at the request's `rng_state`. `value_net` gives the network's
     shape only: its parameters and Adam come from the request, which
     `ppo_update` builds, and neither is changed in place (the parameter
-    vector is made read-only). Returns the reply:
-    the new flat parameters ("params"), the Adam's (t, m, v) ("adam"), the
-    per-minibatch losses and the index of the first minibatch whose gradient
-    was None ("failed_at", or None; it stops there). Only numpy arrays and
-    Python values go in and out, so a `ValueWorker` can pickle both."""
+    vector is made read-only). Returns the reply: the new flat parameters
+    ("params"), the Adam's (t, m, v) ("adam"), the per-minibatch losses and
+    the index of the first minibatch whose gradient was None ("failed_at",
+    or None). Only numpy arrays and Python values go in and out, so a
+    `value_worker.ValueWorker` can pickle both."""
     lay = nn.layout(value_net.params)
     net = copy.copy(value_net)
     net.params = lay.views(request["params"])
@@ -337,136 +340,19 @@ def value_stream(value_net, request):
     state = request["rng_state"]
     rng = np.random.Generator(getattr(np.random, state["bit_generator"])())
     rng.bit_generator.state = state
-    states, t_r, t_0 = request["states"], request["targets_r"], request["targets_0"]
-    out = np.empty(lay.size)
-    blocks = lay.blocks(out)
-    n, size = len(states), request["minibatch"]
-    losses, failed_at = [], None
-    for _ in range(request["epochs"]):
-        order = rng.permutation(n)
-        e_states, e_tr, e_t0 = states[order], t_r[order], t_0[order]
-        for start in range(0, n, size):
-            mb = slice(start, start + size)
-            loss, grad = net.loss_grad(e_states[mb], e_tr[mb], e_t0[mb], out, blocks)
-            if grad is None:
-                failed_at = len(losses)
-                break
-            (net.params,) = opt.step((net.params,), grad)
-            losses.append(loss)
-        if failed_at is not None:
-            break
+    arrays = (request["states"], request["targets_r"], request["targets_0"])
+    losses, failed_at, _ = ppo_stream(net, net.loss_grad, opt, rng, arrays, request["epochs"],
+                                      request["minibatch"])
     return {"params": lay.flatten(net.params), "adam": (opt.t, opt.m, opt.v),
             "losses": losses, "failed_at": failed_at}
 
 
 def usable_cpus():
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-class ValueWorker:
-    """One forked process that runs `value_stream` on the requests of
-    `ppo_update`, one at a time, for the value net it was forked with (its
-    shape; the parameters come with each request).
-
-    Fork, not spawn: the child starts in a few ms with the package and the
-    value net already in memory, where a spawned one would import numpy and
-    the package at the first update of every Trainer. (A fork is unsafe
-    while another thread holds a lock; the training loop starts no thread.)
-    The child exits on EOF, on a None message, or when its parent changes
-    (the parent died); `close` sends None and waits for it."""
-
-    def __init__(self, value_net):
-        import multiprocessing  # only where a worker starts
-
-        ctx = multiprocessing.get_context("fork")
-        self._conn, child_end = ctx.Pipe()
-        self.process = ctx.Process(target=_serve_value_stream, name="rdecomp-value-stream",
-                                   args=(child_end, self._conn, value_net, os.getpid()),
-                                   daemon=True)
-        self.process.start()
-        child_end.close()
-
-    def submit(self, request):
-        try:
-            self._conn.send(request)
-        except OSError as exc:  # a closed connection, or a worker that is gone
-            raise RuntimeError(f"value-stream worker {self.process.pid} is gone: {exc!r}") from exc
-
-    def reply(self):
-        """The reply to the last request; RuntimeError if the worker raised or died."""
-        try:
-            reply = self._conn.recv()
-        except (EOFError, OSError) as exc:
-            raise RuntimeError(f"value-stream worker {self.process.pid} died: {exc!r}") from exc
-        if "error" in reply:
-            raise RuntimeError(f"value-stream worker {self.process.pid} raised:\n{reply['error']}")
-        return reply
-
-    def close(self):
-        """Stop the process and wait for it, at most 5 s before it is
-        terminated. A second call does nothing."""
-        if self._conn.closed:
-            return
-        try:
-            self._conn.send(None)
-        except OSError:
-            pass
-        self._conn.close()
-        self.process.join(5)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join()
-
-
-def _serve_value_stream(conn, parent_end, value_net, parent_pid):
-    """A `ValueWorker`'s process: reply to each request on conn with
-    `value_stream`'s result, or with the traceback of what it raised."""
-    # a child that kept the parent's end would never see EOF on its own
-    parent_end.close()
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
-    gc.freeze()  # the collector leaves the inherited objects, and their pages, alone
-    usable = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else None
-    while True:
-        while not conn.poll(1.0):
-            if os.getppid() != parent_pid:
-                return
-        # A pipe's wakeup may run the woken process on the waker's CPU, and
-        # the scheduler may not move either one to an idle CPU: on a 2-vCPU
-        # VM the parent, which goes on with the policy stream, and this
-        # process ran on one CPU, and the update took as long as inline. So
-        # each request is served off the CPU the parent is on.
-        parent_cpu = _cpu_of(parent_pid) if usable else None
-        if parent_cpu is not None:
-            os.sched_setaffinity(0, (usable - {parent_cpu}) or usable)
-        try:
-            request = conn.recv()
-        except EOFError:
-            return
-        if request is None:
-            return
-        try:
-            reply = value_stream(value_net, request)
-        except Exception:  # reported to the caller, which raises it
-            reply = {"error": traceback.format_exc()}
-        try:
-            conn.send(reply)
-        except OSError:  # the parent is gone
-            return
-
-
-def _cpu_of(pid):
-    """The CPU that process pid last ran on, from Linux's /proc; None where
-    that cannot be read."""
-    try:
-        with open(f"/proc/{pid}/stat", "rb") as fh:
-            # the fields after the parenthesized command name; "processor" is field 39
-            return int(fh.read().rsplit(b")", 1)[1].split()[36])
-    except (OSError, IndexError, ValueError):
-        return None
+    """The number of CPUs this process may run on; 1 where the platform has
+    no affinity call (Windows, macOS), so that no worker is started there."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 # glibc's mallopt parameters (malloc.h) and the values a Trainer pins them to
@@ -510,10 +396,11 @@ def pin_malloc_thresholds():
 
 class Trainer:
     """Owns the models, Adams and RNG streams of one seeded training run; with
-    a decomposer, also the replay buffer and the reward Adam. Where two or
-    more CPUs are usable, it also owns the `ValueWorker` that runs the value
-    net's half of its PPO updates, from the first update until the Trainer
-    is collected or the interpreter exits."""
+    a decomposer, also the replay buffer and the reward Adam. On Linux with
+    two or more usable CPUs, it also owns the `value_worker.ValueWorker`
+    that runs the value net's half of its PPO updates, from the first update
+    until the Trainer is collected or the interpreter exits, or until an
+    update raises; the next update then starts a fresh one."""
 
     def __init__(self, config, seed=0):
         pin_malloc_thresholds()
@@ -542,7 +429,8 @@ class Trainer:
             self._regression_grad = np.empty(nn.layout(self.model.params).size)
         self.policy_opt = nn.AdamOptimizer(config.policy_lr)
         self.value_opt = nn.AdamOptimizer(config.policy_lr)
-        self._worker = None  # the value stream's, started at the first PPO update
+        # the value stream's worker, started at the first PPO update, and its finalizer
+        self._worker = self._close_worker = None
         self.iteration = 0
         self.env_steps = 0
         self.metrics = []
@@ -550,12 +438,15 @@ class Trainer:
     def _value_worker(self):
         """The `ValueWorker` of this Trainer's PPO updates, started at the
         first one, so that building a Trainer starts no process; None where
-        fewer than two CPUs are usable, and the value stream runs inline. A
-        finalizer closes the worker when the Trainer is collected, or at
-        exit."""
+        fewer than two CPUs are usable or no process can be forked, and the
+        value stream runs inline. A finalizer closes the worker when the
+        Trainer is collected, or at exit."""
         if self._worker is None and usable_cpus() >= 2:
-            self._worker = ValueWorker(self.value_net)
-            weakref.finalize(self, self._worker.close)
+            from rdecomp import value_worker  # only where a worker starts
+
+            if value_worker.FORKS:
+                self._worker = value_worker.ValueWorker(self.value_net)
+                self._close_worker = weakref.finalize(self, self._worker.close)
         return self._worker
 
     def decompose(self, batch):
@@ -633,11 +524,21 @@ class Trainer:
         a = self.policy.forward(states)
         logp, _, head_grads = self.policy.log_prob_head(a["head"], actions)
         grad_variance = self._gradient_variance(batch, decomps, a, head_grads)
-        ppo_metrics = ppo_update(
-            self.policy, self.value_net, states, actions, advantages, t_r, t_0, config,
-            self.ppo_rng, (self.policy_opt, self.value_opt), logp.reshape(-1),
-            worker=self._value_worker(),
-        )
+        worker = self._value_worker()
+        try:
+            ppo_metrics = ppo_update(
+                self.policy, self.value_net, states, actions, advantages, t_r, t_0, config,
+                self.ppo_rng, (self.policy_opt, self.value_opt), logp.reshape(-1),
+                worker=worker,
+            )
+        except BaseException:
+            # The worker may be gone, or an interrupted update may have left
+            # its reply in the pipe for the next one to read: it is closed,
+            # and the next update starts a fresh one.
+            if worker is not None:
+                self._close_worker()
+                self._worker = None
+            raise
         row = {
             "iteration": self.iteration,
             "env_steps": self.env_steps,

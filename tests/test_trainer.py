@@ -23,7 +23,7 @@ from test_buffers import assert_same_trajectories
 from test_policies import FixedDraws
 
 from rdecomp import autodiff as ad
-from rdecomp import _kernels, checkpoint, cli, envs, nn, oracle
+from rdecomp import _kernels, checkpoint, cli, envs, nn, oracle, value_worker
 from rdecomp import trainer as trainer_mod
 from rdecomp.buffers import ReplayBuffer
 from rdecomp.decomposer import (
@@ -576,7 +576,7 @@ def test_ppo_update_is_bitwise_a_loop_with_two_adams():
         # the policy stream aborts where an old log-prob makes the ratio overflow
         bad_logp = np.zeros(n * 5)
         bad_logp[n * 5 // 2] = -800.0
-        worker = None if inline else trainer_mod.ValueWorker(value_net)
+        worker = None if inline else value_worker.ValueWorker(value_net)
         try:
             for t_r, logp_shift in ((targets, 0.0), (bad_targets, 0.0), (targets, bad_logp),
                                     (targets, 0.0)):
@@ -655,15 +655,21 @@ def trainer_state(trainer):
 
 @pytest.mark.parametrize("workload", ["train-full", "train-baseline"])
 def test_worker_and_inline_steps_are_bitwise_equal(monkeypatch, workload):
+    # inline on one CPU, and where the platform has no affinity call
+    # (Windows, macOS), whatever its CPU count
     config = benchmark_config(workload)
     runs = []
-    for cpus in (2, 1):
-        monkeypatch.setattr(trainer_mod, "usable_cpus", lambda: cpus)
-        trainer = Trainer(config, seed=11)
-        outputs = repr([trainer.step() for _ in range(20)])
-        assert (trainer._worker is None) == (cpus == 1)
+    for where in ("two cpus", "one cpu", "no affinity call"):
+        with monkeypatch.context() as patch:
+            if where == "no affinity call":
+                patch.delattr(os, "sched_getaffinity", raising=False)
+            else:
+                patch.setattr(trainer_mod, "usable_cpus", lambda: 2 if where == "two cpus" else 1)
+            trainer = Trainer(config, seed=11)
+            outputs = repr([trainer.step() for _ in range(20)])
+        assert (trainer._worker is None) == (where != "two cpus")
         runs.append((outputs, trainer_state(trainer)))
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_worker_exits_when_its_trainer_is_dropped_or_its_pipe_closes(monkeypatch):
@@ -677,7 +683,7 @@ def test_worker_exits_when_its_trainer_is_dropped_or_its_pipe_closes(monkeypatch
     gc.collect()
     process.join(5)
     assert not process.is_alive() and process.exitcode == 0
-    worker = trainer_mod.ValueWorker(ValueNetwork(np.random.default_rng(0), 4, hidden=(8,)))
+    worker = value_worker.ValueWorker(ValueNetwork(np.random.default_rng(0), 4, hidden=(8,)))
     worker._conn.close()
     worker.process.join(5)
     assert not worker.process.is_alive() and worker.process.exitcode == 0
@@ -692,7 +698,7 @@ def test_a_worker_that_raises_or_dies_gives_a_runtime_error():
     policy = CategoricalPolicy(np.random.default_rng(5), 4, 2, hidden=(8,))
     value_net = Broken(np.random.default_rng(6), 4, hidden=(8,))
     n = sum(t.length for t in batch)
-    worker = trainer_mod.ValueWorker(value_net)
+    worker = value_worker.ValueWorker(value_net)
     try:
         with deadline(30):
             with pytest.raises(RuntimeError, match="a broken value net"):
@@ -708,12 +714,29 @@ def test_a_worker_that_raises_or_dies_gives_a_runtime_error():
     assert not worker.process.is_alive()
 
 
+def test_a_trainer_replaces_a_worker_that_died(monkeypatch):
+    # the failed update raises; the next one starts a fresh worker, so no
+    # later update reads a dead worker or a reply left in its pipe
+    monkeypatch.setattr(trainer_mod, "usable_cpus", lambda: 2)
+    trainer = Trainer(TrainConfig(**TINY), seed=0)
+    trainer.step()
+    dead = trainer._worker.process
+    dead.kill()
+    dead.join(5)
+    with deadline(30):
+        with pytest.raises(RuntimeError, match="worker .* (is gone|died)"):
+            trainer.step()
+    assert trainer._worker is None
+    trainer.step()
+    assert trainer._worker.process.pid != dead.pid and trainer._worker.process.is_alive()
+
+
 @pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/stat"), reason="no /proc")
 def test_worker_reads_the_cpu_its_parent_is_on():
-    assert trainer_mod._cpu_of(os.getpid()) in os.sched_getaffinity(0)
+    assert value_worker._cpu_of(os.getpid()) in os.sched_getaffinity(0)
     child = subprocess.Popen([sys.executable, "-c", ""])
     child.wait()
-    assert trainer_mod._cpu_of(child.pid) is None  # a process that is gone
+    assert value_worker._cpu_of(child.pid) is None  # a process that is gone
 
 
 def test_a_training_process_leaves_no_worker_behind():
