@@ -1,7 +1,7 @@
 """Seconds and minor page faults per Trainer.step, and per phase.
 
     python3 scripts/step_faults.py --workload train-full --seed 11 --steps 40 [--unpinned]
-        [--warmup 5]
+        [--inline] [--warmup 5]
 
 Builds a Trainer on the workload's config (`perfbench.workloads.settings`)
 at the seed, steps it --warmup times (default WARMUP) unmeasured, then
@@ -12,8 +12,11 @@ that perfbench's tracer wraps, so the package carries no hook; a phase
 that runs more than once in a step is summed within it. With --unpinned,
 `trainer.pin_malloc_thresholds` is a no-op while the Trainer is built, so
 glibc keeps its default, dynamic mmap and trim thresholds: the speed and
-faults a host process that does not pin them would see. With --warmup 0
-the first step is measured too, with the start of the Trainer's value-stream
+faults a host process that does not pin them would see. With --inline,
+`trainer.usable_cpus` reports one CPU while the probe runs, so the Trainer
+starts no worker and runs the value stream and both groups of each
+regression minibatch in this process: the speed on a one-CPU host. With
+--warmup 0 the first step is measured too, with the start of the Trainer's
 worker; the faults counted are this process's alone, never the worker's.
 
 BLAS runs one thread, as in perfbench/run.py.
@@ -57,15 +60,28 @@ def _summary(s, faults):
             "median_minflt": statistics.median(faults)}
 
 
-def probe(config, seed, steps, pinned=True, warmup=WARMUP):
+def probe(config, seed, steps, pinned=True, warmup=WARMUP, inline=False):
     """Per-step seconds and minor faults of `steps` Trainer.steps after
     `warmup` unmeasured ones, for the step and per phase, as the dict `main`
     prints. With
     pinned False, the Trainer is built with `pin_malloc_thresholds`
     replaced by a no-op; the pin is process-wide, so that measures the
-    unpinned heap only in a process where no Trainer was built before."""
+    unpinned heap only in a process where no Trainer was built before. With
+    inline True, `trainer.usable_cpus` returns 1 until the probe returns,
+    so the Trainer starts no worker."""
     from rdecomp import trainer as trainer_mod
 
+    cpus = trainer_mod.usable_cpus
+    if inline:
+        trainer_mod.usable_cpus = lambda: 1
+    try:
+        result = _probe(trainer_mod, config, seed, steps, pinned, warmup)
+    finally:
+        trainer_mod.usable_cpus = cpus
+    return {**result, "inline": inline}
+
+
+def _probe(trainer_mod, config, seed, steps, pinned, warmup):
     pin = trainer_mod.pin_malloc_thresholds
     if not pinned:
         trainer_mod.pin_malloc_thresholds = lambda: False
@@ -124,6 +140,8 @@ def main(argv=None):
                         help="unmeasured steps before the measured ones")
     parser.add_argument("--unpinned", action="store_true",
                         help="build the Trainer without pinning glibc's malloc thresholds")
+    parser.add_argument("--inline", action="store_true",
+                        help="start no worker: run every phase in this process")
     args = parser.parse_args(argv)
     if args.steps < 1:
         parser.error("--steps must be at least 1")
@@ -132,7 +150,7 @@ def main(argv=None):
     from perfbench import workloads
 
     result = probe(workloads.settings(args.workload)["config"], args.seed, args.steps,
-                   pinned=not args.unpinned, warmup=args.warmup)
+                   pinned=not args.unpinned, warmup=args.warmup, inline=args.inline)
     print(json.dumps({"workload": args.workload, "seed": args.seed, **result}), flush=True)
 
 

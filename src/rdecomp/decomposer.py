@@ -580,15 +580,30 @@ def loss_grad(model, x, lengths, targets, out=None, blocks=None, at=None):
     return loss, out
 
 
-def regression_step(model, x, lengths, targets, optimizer, out=None, blocks=None, at=None):
+def regression_step(model, x, lengths, targets, optimizer, out=None, blocks=None, at=None,
+                    rest=None):
     """One update of the predictor by `optimizer` on the stacked input rows
     x of trajectories with the given lengths and regression targets, its
     gradient written as `loss_grad` writes it, from the segment index `at`
-    if given; returns the loss. A non-finite loss aborts with the offending
-    value before any parameter is touched."""
+    if given; returns the loss.
+
+    `rest`, if given, returns the loss and flat gradient of the minibatch's
+    other trajectories, as `loss_grad` does; it is called after this
+    group's `loss_grad`, whatever that gave. The loss is then the two
+    losses' sum, and the other gradient is added into this one: the
+    regression loss is a sum over trajectories. A non-finite loss, of
+    either group or of the sum, aborts with the offending value before any
+    parameter is touched."""
     if len(lengths) == 0:
         raise ValueError("regression_step: empty batch")
     loss, grad = loss_grad(model, x, lengths, targets, out, blocks, at)
+    if rest is not None:
+        rest_loss, rest_grad = rest()
+        loss += rest_loss
+        if rest_grad is None or not np.isfinite(loss):
+            grad = None
+        elif grad is not None:
+            grad += rest_grad
     if grad is None:
         raise FloatingPointError(f"regression loss is non-finite ({loss})")
     (model.params,) = optimizer.step([model.params], grad)

@@ -148,9 +148,10 @@ class Layout:
         self.entries = tuple(self.entries)
         self.size = i
 
-    def flatten(self, arrays):
-        """The arrays keyed by parameter name in one flat float64 vector."""
-        out = np.empty(self.size)
+    def flatten(self, arrays, out=None):
+        """The arrays keyed by parameter name in one flat float64 vector,
+        written into `out` (a fresh vector if None)."""
+        out = np.empty(self.size) if out is None else out
         for name, where, _ in self.entries:
             out[where] = arrays[name].reshape(-1)
         return out

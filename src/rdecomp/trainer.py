@@ -23,12 +23,18 @@ loss and flat gradient come from one call: `ppo_loss_grad` on the policy,
 `loss_grad` on the value net, `decomposer.loss_grad` on the reward
 predictor, all closed forms in numpy.
 
-The policy and the value net share no parameter, and each has its own
-Adam, so a PPO update is two streams over the same minibatches: the
-policy's in the calling process, and the value net's at the same time in
-a `value_worker.ValueWorker`, one forked process per Trainer, on Linux
-with two or more usable CPUs. Elsewhere it runs inline after the
-policy's. The numbers are bit for bit the same either way.
+Two phases run on two CPUs, in the calling process and in a
+`worker.Worker`, one forked process per Trainer, on Linux with two or more
+usable CPUs. The policy and the value net share no parameter, and each has
+its own Adam, so a PPO update is two streams over the same minibatches:
+the policy's in the caller, and the value net's at the same time in the
+worker. The regression loss is a sum over trajectories, so each regression
+minibatch of two or more trajectories is cut into two groups of whole
+trajectories (`split_at`): the caller computes the first group's loss and
+gradient while the worker computes the second's, and the caller takes one
+Adam step on their sums. Without a worker, the value stream runs after the
+policy's and the second group after the first, in the caller. The numbers
+are bit for bit the same either way.
 """
 
 from __future__ import annotations
@@ -235,7 +241,7 @@ def ppo_update(policy, value_net, states, actions, advantages, targets_r, target
     The two networks share no parameter, so the update is two streams over
     the same epoch permutations, drawn from `rng`: the policy's
     `ppo_stream` here, and `value_stream` in `worker` (a
-    `value_worker.ValueWorker`) while this one runs, or here after it where
+    `worker.Worker`) while this one runs, or here after it where
     `worker` is None. Either way the numbers are bit for bit the same. If a
     loss or a probability ratio goes non-finite at some minibatch j of
     either stream (a gradient comes back None), the update is abandoned:
@@ -330,7 +336,7 @@ def value_stream(value_net, request):
     ("params"), the Adam's (t, m, v) ("adam"), the per-minibatch losses and
     the index of the first minibatch whose gradient was None ("failed_at",
     or None). Only numpy arrays and Python values go in and out, so a
-    `value_worker.ValueWorker` can pickle both."""
+    `worker.Worker` can pickle both."""
     lay = nn.layout(value_net.params)
     net = copy.copy(value_net)
     net.params = lay.views(request["params"])
@@ -345,6 +351,46 @@ def value_stream(value_net, request):
                                       request["minibatch"])
     return {"params": lay.flatten(net.params), "adam": (opt.t, opt.m, opt.v),
             "losses": losses, "failed_at": failed_at}
+
+
+def split_at(lengths):
+    """Where a regression minibatch of two or more trajectories with these
+    lengths is cut into two groups of whole trajectories: the number of
+    trajectories in the shortest prefix that holds at least half of the
+    rows, at most all but the last, so that neither group is empty."""
+    rows = np.cumsum(lengths)
+    return min(int(np.argmax(2 * rows >= rows[-1])) + 1, len(lengths) - 1)
+
+
+def regression_minibatches(rows, lengths, targets, orders, minibatch):
+    """The minibatches of a regression phase, in order, over a sample of
+    trajectories given by its stacked input `rows`, `lengths` and
+    `targets`: per epoch, one permutation in `orders`, cut into slices of
+    `minibatch` trajectories. Each is a list of its groups: one for a single
+    trajectory, else two, cut at `split_at`. A group is (rows, lengths,
+    targets, segment index), the arguments `decomposer.loss_grad` takes
+    after the model and as `at`."""
+    starts = np.cumsum(lengths) - lengths
+    for order in orders:
+        # the rows gathered once per epoch, trajectory by trajectory in
+        # the permuted order, so each group is a contiguous slice
+        e_lengths, e_targets = lengths[order], targets[order]
+        # one segment index per epoch; a group takes its slice, with its
+        # first trajectory as segment 0
+        e_segment, e_positions = _kernels.segment_index(e_lengths)
+        e_rows = rows[np.repeat(starts[order], e_lengths) + e_positions]
+        bounds = np.concatenate([[0], np.cumsum(e_lengths)])
+        for start in range(0, len(order), minibatch):
+            stop = min(start + minibatch, len(order))
+            cuts = [start, stop]
+            if stop - start > 1:
+                cuts.insert(1, start + split_at(e_lengths[start:stop]))
+            groups = []
+            for first, end in zip(cuts, cuts[1:]):
+                span = slice(bounds[first], bounds[end])
+                groups.append((e_rows[span], e_lengths[first:end], e_targets[first:end],
+                               (e_segment[span] - first, e_positions[span])))
+            yield groups
 
 
 def usable_cpus():
@@ -397,10 +443,12 @@ def pin_malloc_thresholds():
 class Trainer:
     """Owns the models, Adams and RNG streams of one seeded training run; with
     a decomposer, also the replay buffer and the reward Adam. On Linux with
-    two or more usable CPUs, it also owns the `value_worker.ValueWorker`
-    that runs the value net's half of its PPO updates, from the first update
-    until the Trainer is collected or the interpreter exits, or until an
-    update raises; the next update then starts a fresh one."""
+    two or more usable CPUs, it also owns the `worker.Worker` that runs the
+    value net's half of its PPO updates and the second group of each split
+    regression minibatch. The worker lives from the Trainer's first
+    regression phase or PPO update, whichever comes first, until the
+    Trainer is collected or the interpreter exits, or until a step raises
+    in or between those phases; the next phase then starts a fresh one."""
 
     def __init__(self, config, seed=0):
         pin_malloc_thresholds()
@@ -425,27 +473,28 @@ class Trainer:
             self.buffer = buffers.ReplayBuffer(config.buffer_scheme, config.buffer_capacity,
                                                config.reservoir_capacity, seed=seqs[4])
             self.reward_opt = nn.AdamOptimizer(config.reward_lr)
-            # the regression's flat gradient, which every minibatch rewrites
-            self._regression_grad = np.empty(nn.layout(self.model.params).size)
+            # the regression's flat gradients of a minibatch's two groups,
+            # which every minibatch rewrites; the second only without a worker
+            self._regression_grads = np.empty((2, nn.layout(self.model.params).size))
         self.policy_opt = nn.AdamOptimizer(config.policy_lr)
         self.value_opt = nn.AdamOptimizer(config.policy_lr)
-        # the value stream's worker, started at the first PPO update, and its finalizer
+        # the worker, started at the first phase that uses it, and its finalizer
         self._worker = self._close_worker = None
         self.iteration = 0
         self.env_steps = 0
         self.metrics = []
 
-    def _value_worker(self):
-        """The `ValueWorker` of this Trainer's PPO updates, started at the
-        first one, so that building a Trainer starts no process; None where
-        fewer than two CPUs are usable or no process can be forked, and the
-        value stream runs inline. A finalizer closes the worker when the
+    def _start_worker(self):
+        """This Trainer's `worker.Worker`, started at the first phase that
+        asks for it, so that building a Trainer starts no process; None
+        where fewer than two CPUs are usable or no process can be forked,
+        and both phases run inline. A finalizer closes the worker when the
         Trainer is collected, or at exit."""
         if self._worker is None and usable_cpus() >= 2:
-            from rdecomp import value_worker  # only where a worker starts
+            from rdecomp import worker as worker_mod  # only where a worker starts
 
-            if value_worker.FORKS:
-                self._worker = value_worker.ValueWorker(self.value_net)
+            if worker_mod.FORKS:
+                self._worker = worker_mod.Worker(self.value_net, self.model)
                 self._close_worker = weakref.finalize(self, self._worker.close)
         return self._worker
 
@@ -464,31 +513,32 @@ class Trainer:
         if self.model is None or len(self.buffer) == 0:
             return 0.0
         sample = self.buffer.sample(self.config.buffer_capacity)
-        lengths = np.array([traj.length for traj in sample])
-        rows = decomposer.input_rows(self.model, sample)
-        starts = np.cumsum(lengths) - lengths
-        targets = decomposer.regression_targets(sample, self.normalizer)
-        grad = self._regression_grad
-        blocks = nn.layout(self.model.params).blocks(grad)  # built once per phase
+        job = (decomposer.input_rows(self.model, sample),
+               np.array([traj.length for traj in sample]),
+               decomposer.regression_targets(sample, self.normalizer),
+               # every epoch's order, drawn before the first epoch runs
+               [self.regression_rng.permutation(len(sample))
+                for _ in range(self.config.regression_epochs)],
+               self.config.regression_minibatch)
+        worker = self._start_worker()
+        if worker is not None:
+            worker.start_regression(job)
+        lay = nn.layout(self.model.params)
+        grad, rest_grad = self._regression_grads
+        blocks, rest_blocks = lay.blocks(grad), lay.blocks(rest_grad)  # built once per phase
         losses = []
-        mb = self.config.regression_minibatch
-        for _ in range(self.config.regression_epochs):
-            # the rows gathered once per epoch, trajectory by trajectory in
-            # the permuted order, so each minibatch is a contiguous slice
-            order = self.regression_rng.permutation(len(sample))
-            e_lengths, e_targets = lengths[order], targets[order]
-            # one segment index per epoch; a minibatch takes its slice, with
-            # its first trajectory as segment 0
-            e_segment, e_positions = _kernels.segment_index(e_lengths)
-            e_rows = rows[np.repeat(starts[order], e_lengths) + e_positions]
-            bounds = np.concatenate([[0], np.cumsum(e_lengths)])
-            for start in range(0, len(sample), mb):
-                stop = min(start + mb, len(sample))
-                span = slice(bounds[start], bounds[stop])
-                losses.append(decomposer.regression_step(
-                    self.model, e_rows[span], e_lengths[start:stop], e_targets[start:stop],
-                    self.reward_opt, grad, blocks, (e_segment[span] - start, e_positions[span]),
-                ))
+        for (x, lengths, targets, at), *rest in regression_minibatches(*job):
+            if not rest:
+                second = None
+            elif worker is None:
+                r_x, r_lengths, r_targets, r_at = rest[0]
+                second = functools.partial(decomposer.loss_grad, self.model, r_x, r_lengths,
+                                           r_targets, rest_grad, rest_blocks, r_at)
+            else:
+                worker.start_group(self.model.params)
+                second = worker.group_result
+            losses.append(decomposer.regression_step(
+                self.model, x, lengths, targets, self.reward_opt, grad, blocks, at, second))
         return float(np.mean(losses))
 
     def _gradient_variance(self, batch, decomps, a, head_grads):
@@ -506,36 +556,35 @@ class Trainer:
         if self.model is not None:
             self.buffer.insert(batch)
             self.normalizer.update(returns)
-        regression_loss = self._regression_phase()
-
-        decomps = self.decompose(batch)
-        if not config.bias_correction:
-            decomps = [
-                decomposer.RewardDecomposition(d.per_interval, d.composite, 0.0)
-                for d in decomps
-            ]
-        states = np.concatenate([t.states for t in batch])
-        actions = np.concatenate([t.actions for t in batch])
-        advantages, t_r, t_0 = compute_advantages(
-            batch, decomps, self.value_net, config.gamma, config.lam, states
-        )
-        # one policy pass over the batch gives PPO's old log-probs and the
-        # diagnostic, both before the update moves the policy
-        a = self.policy.forward(states)
-        logp, _, head_grads = self.policy.log_prob_head(a["head"], actions)
-        grad_variance = self._gradient_variance(batch, decomps, a, head_grads)
-        worker = self._value_worker()
         try:
+            regression_loss = self._regression_phase()
+            decomps = self.decompose(batch)
+            if not config.bias_correction:
+                decomps = [
+                    decomposer.RewardDecomposition(d.per_interval, d.composite, 0.0)
+                    for d in decomps
+                ]
+            states = np.concatenate([t.states for t in batch])
+            actions = np.concatenate([t.actions for t in batch])
+            advantages, t_r, t_0 = compute_advantages(
+                batch, decomps, self.value_net, config.gamma, config.lam, states
+            )
+            # one policy pass over the batch gives PPO's old log-probs and the
+            # diagnostic, both before the update moves the policy
+            a = self.policy.forward(states)
+            logp, _, head_grads = self.policy.log_prob_head(a["head"], actions)
+            grad_variance = self._gradient_variance(batch, decomps, a, head_grads)
             ppo_metrics = ppo_update(
                 self.policy, self.value_net, states, actions, advantages, t_r, t_0, config,
                 self.ppo_rng, (self.policy_opt, self.value_opt), logp.reshape(-1),
-                worker=worker,
+                worker=self._start_worker(),
             )
         except BaseException:
-            # The worker may be gone, or an interrupted update may have left
-            # its reply in the pipe for the next one to read: it is closed,
-            # and the next update starts a fresh one.
-            if worker is not None:
+            # The worker may be gone, or a phase that raised or was
+            # interrupted may have left a request half served, or a byte or
+            # reply in the pipe for the next phase to read: it is closed,
+            # and the next phase starts a fresh one.
+            if self._worker is not None:
                 self._close_worker()
                 self._worker = None
             raise

@@ -51,13 +51,31 @@ def test_unpinned_probe_builds_the_trainer_without_the_pin(monkeypatch):
     assert calls == [1]
 
 
+def test_inline_probe_starts_no_worker(monkeypatch):
+    from rdecomp import trainer
+
+    step_faults = load_script()
+    calls = []
+
+    def spy():
+        calls.append(1)
+        return 2
+
+    monkeypatch.setattr(trainer, "usable_cpus", spy)
+    assert step_faults.probe(TINY_CHAIN, seed=1, steps=1, inline=True)["inline"] is True
+    assert calls == [] and trainer.usable_cpus is spy
+    assert step_faults.probe(TINY_CHAIN, seed=1, steps=1)["inline"] is False
+    assert calls == [1]
+
+
 def test_script_prints_one_json_line():
     proc = subprocess.run([sys.executable, str(SCRIPT), "--workload", "train-baseline",
-                           "--seed", "2", "--steps", "1", "--unpinned", "--warmup", "0"],
+                           "--seed", "2", "--steps", "1", "--unpinned", "--inline",
+                           "--warmup", "0"],
                           capture_output=True, text=True, check=True)
     lines = proc.stdout.splitlines()
     assert len(lines) == 1
     result = json.loads(lines[0])
     assert result["workload"] == "train-baseline" and result["seed"] == 2
-    assert result["pinned"] is False and result["warmup"] == 0
+    assert result["pinned"] is False and result["inline"] is True and result["warmup"] == 0
     assert len(result["step"]["minflt"]) == 1 and list(result["phases"]) == PHASES

@@ -23,8 +23,9 @@ from test_buffers import assert_same_trajectories
 from test_policies import FixedDraws
 
 from rdecomp import autodiff as ad
-from rdecomp import _kernels, checkpoint, cli, envs, nn, oracle, value_worker
+from rdecomp import _kernels, checkpoint, cli, envs, nn, oracle
 from rdecomp import trainer as trainer_mod
+from rdecomp import worker as worker_mod
 from rdecomp.buffers import ReplayBuffer
 from rdecomp.decomposer import (
     RewardDecomposition,
@@ -414,21 +415,32 @@ def test_ppo_update_builds_no_tape(monkeypatch, env_name):
 
 
 def test_regression_minibatches_take_their_slice_of_the_epoch_index(monkeypatch):
+    # inline, so that both groups' `loss_grad` calls are made in this process
+    monkeypatch.setattr(trainer_mod, "usable_cpus", lambda: 1)
     config = dict(TINY, env="grid", env_params={"size": 3, "horizon": 6}, ppo_batch=64,
                   regression_minibatch=4)
     trainer = Trainer(TrainConfig(**config), seed=0)
     trainer.buffer.insert(rollout(trainer.policy, trainer.env, 64, trainer.rollout_rng))
-    seen, step = [], trainer_mod.decomposer.regression_step
+    steps, groups = [], []
+    step, loss_grad = trainer_mod.decomposer.regression_step, trainer_mod.decomposer.loss_grad
 
-    def recorded(model, x, lengths, *rest):
-        seen.append((np.array(lengths), rest[-1]))
+    def recorded_step(model, x, lengths, *rest):
+        steps.append(rest[-1] is not None)  # split: a second group's loss_grad comes
         return step(model, x, lengths, *rest)
 
-    monkeypatch.setattr(trainer_mod.decomposer, "regression_step", recorded)
+    def recorded_loss_grad(model, x, lengths, *rest):
+        groups.append((np.array(lengths), rest[-1]))
+        return loss_grad(model, x, lengths, *rest)
+
+    monkeypatch.setattr(trainer_mod.decomposer, "regression_step", recorded_step)
+    monkeypatch.setattr(trainer_mod.decomposer, "loss_grad", recorded_loss_grad)
     trainer._regression_phase()
-    # more than one minibatch per epoch, so most slices start past row 0
-    assert len(seen) >= 2 * trainer.config.regression_epochs
-    for lengths, (segment, positions) in seen:
+    # one regression_step per minibatch, more than one minibatch per epoch,
+    # so most slices start past row 0; each split minibatch makes two calls
+    per_epoch = -(-len(trainer.buffer) // trainer.config.regression_minibatch)
+    assert len(steps) == per_epoch * trainer.config.regression_epochs >= 10
+    assert len(groups) == len(steps) + sum(steps) and any(steps)
+    for lengths, (segment, positions) in groups:
         want = _kernels.segment_index(lengths)
         assert segment.dtype == want[0].dtype and positions.dtype == want[1].dtype
         assert np.array_equal(segment, want[0]) and np.array_equal(positions, want[1])
@@ -576,7 +588,7 @@ def test_ppo_update_is_bitwise_a_loop_with_two_adams():
         # the policy stream aborts where an old log-prob makes the ratio overflow
         bad_logp = np.zeros(n * 5)
         bad_logp[n * 5 // 2] = -800.0
-        worker = None if inline else value_worker.ValueWorker(value_net)
+        worker = None if inline else worker_mod.Worker(value_net)
         try:
             for t_r, logp_shift in ((targets, 0.0), (bad_targets, 0.0), (targets, bad_logp),
                                     (targets, 0.0)):
@@ -683,7 +695,7 @@ def test_worker_exits_when_its_trainer_is_dropped_or_its_pipe_closes(monkeypatch
     gc.collect()
     process.join(5)
     assert not process.is_alive() and process.exitcode == 0
-    worker = value_worker.ValueWorker(ValueNetwork(np.random.default_rng(0), 4, hidden=(8,)))
+    worker = worker_mod.Worker(ValueNetwork(np.random.default_rng(0), 4, hidden=(8,)))
     worker._conn.close()
     worker.process.join(5)
     assert not worker.process.is_alive() and worker.process.exitcode == 0
@@ -698,7 +710,7 @@ def test_a_worker_that_raises_or_dies_gives_a_runtime_error():
     policy = CategoricalPolicy(np.random.default_rng(5), 4, 2, hidden=(8,))
     value_net = Broken(np.random.default_rng(6), 4, hidden=(8,))
     n = sum(t.length for t in batch)
-    worker = value_worker.ValueWorker(value_net)
+    worker = worker_mod.Worker(value_net)
     try:
         with deadline(30):
             with pytest.raises(RuntimeError, match="a broken value net"):
@@ -714,29 +726,154 @@ def test_a_worker_that_raises_or_dies_gives_a_runtime_error():
     assert not worker.process.is_alive()
 
 
-def test_a_trainer_replaces_a_worker_that_died(monkeypatch):
-    # the failed update raises; the next one starts a fresh worker, so no
-    # later update reads a dead worker or a reply left in its pipe
+@pytest.mark.parametrize("use_decomposer, first_met", [(False, "ppo_update"),
+                                                         (True, "_regression_phase")])
+def test_a_trainer_replaces_a_worker_that_died(monkeypatch, use_decomposer, first_met):
+    # the failed phase raises; the next one starts a fresh worker, so no
+    # later phase reads a dead worker or a byte or reply left in its pipe.
+    # With a decomposer the regression phase meets the dead worker first.
     monkeypatch.setattr(trainer_mod, "usable_cpus", lambda: 2)
-    trainer = Trainer(TrainConfig(**TINY), seed=0)
+    trainer = Trainer(TrainConfig(**TINY, use_decomposer=use_decomposer), seed=0)
     trainer.step()
     dead = trainer._worker.process
     dead.kill()
     dead.join(5)
     with deadline(30):
-        with pytest.raises(RuntimeError, match="worker .* (is gone|died)"):
+        with pytest.raises(RuntimeError, match="worker .* (is gone|died)") as failed:
             trainer.step()
+    assert any(entry.name == first_met for entry in failed.traceback)
     assert trainer._worker is None
     trainer.step()
     assert trainer._worker.process.pid != dead.pid and trainer._worker.process.is_alive()
 
 
+def test_a_worker_that_raises_in_the_regression_phase_gives_a_runtime_error(monkeypatch):
+    # loss_grad raises in the worker alone; the worker is forked with the patch
+    parent, loss_grad = os.getpid(), trainer_mod.decomposer.loss_grad
+
+    def broken_in_the_worker(*args):
+        if os.getpid() != parent:
+            raise ValueError("a broken second group")
+        return loss_grad(*args)
+
+    monkeypatch.setattr(trainer_mod, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(trainer_mod.decomposer, "loss_grad", broken_in_the_worker)
+    trainer = Trainer(TrainConfig(**TINY), seed=0)
+    with deadline(30):
+        with pytest.raises(RuntimeError, match="a broken second group"):
+            trainer.step()
+    assert trainer._worker is None
+
+
+# ---------------------------------------------------------------------------
+# the regression phase's two groups
+
+
+def test_the_split_gives_two_non_empty_groups_of_whole_trajectories():
+    rng = np.random.default_rng(0)
+    cases = [rng.integers(1, 17, size=rng.integers(2, 20)) for _ in range(300)]
+    cases += [np.array([1, 1]), np.array([1, 30]), np.array([30, 1]), np.array([3, 1, 1, 1])]
+    for lengths in cases:
+        k = trainer_mod.split_at(lengths)
+        assert 1 <= k <= len(lengths) - 1
+        # the shortest prefix with at least half of the rows, or all but the
+        # last trajectory where only the whole minibatch has that
+        prefix, total = lengths[:k].sum(), lengths.sum()
+        assert 2 * prefix >= total or k == len(lengths) - 1
+        assert 2 * (prefix - lengths[k - 1]) < total
+    lengths = rng.integers(1, 17, size=23)
+    rows = rng.normal(size=(lengths.sum(), 3))
+    targets = rng.normal(size=23)
+    orders = [rng.permutation(23) for _ in range(2)]
+    starts = np.cumsum(lengths) - lengths
+    minibatches = list(trainer_mod.regression_minibatches(rows, lengths, targets, orders, 8))
+    assert [len(groups) for groups in minibatches] == [2, 2, 2] * 2
+    for i, groups in enumerate(minibatches):
+        # the groups, end to end, are the minibatch's trajectories in order
+        order = orders[i // 3][8 * (i % 3) : 8 * (i % 3) + 8]
+        want = np.concatenate([rows[s : s + n] for s, n in zip(starts[order], lengths[order])])
+        assert np.array_equal(np.concatenate([g[0] for g in groups]), want)
+        assert np.array_equal(np.concatenate([g[1] for g in groups]), lengths[order])
+        assert np.array_equal(np.concatenate([g[2] for g in groups]), targets[order])
+        assert len(groups[0][1]) == trainer_mod.split_at(lengths[order])
+
+
+def test_a_one_trajectory_tail_minibatch_is_not_split():
+    lengths = np.arange(1, 18)
+    rows = np.arange(float(lengths.sum())).reshape(-1, 1)
+    orders = [np.arange(17), np.arange(17)[::-1]]
+    minibatches = list(trainer_mod.regression_minibatches(rows, lengths, np.zeros(17), orders, 8))
+    assert [len(groups) for groups in minibatches] == [2, 2, 1, 2, 2, 1]
+    for groups, last in ((minibatches[2], 17), (minibatches[5], 1)):
+        (x, tail, _, (segment, positions)), = groups
+        assert tail.tolist() == [last] and len(x) == last
+        assert not segment.any() and positions.tolist() == list(range(last))
+
+
+def regression_state(trainer):
+    """The predictor's parameters, the reward Adam and the regression RNG."""
+    opt = trainer.reward_opt
+    return (nn.layout(trainer.model.params).flatten(trainer.model.params).tobytes(),
+            (opt.t, opt.m.tobytes(), opt.v.tobytes()), trainer.regression_rng.bit_generator.state)
+
+
+def test_worker_and_inline_regression_phases_are_bitwise_equal(monkeypatch):
+    # minibatches of 5 from samples of 10 or so, with one-trajectory tails
+    # on some of them
+    config = TrainConfig(**{**TINY, "iterations": 3, "regression_minibatch": 3})
+    runs = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(trainer_mod, "usable_cpus", lambda: cpus)
+        trainer = Trainer(config, seed=4)
+        rows = [trainer.step()[0]["regression_loss"] for _ in range(3)]
+        rows.append(trainer._regression_phase())
+        assert (trainer._worker is None) == (cpus == 1)
+        runs.append((rows, regression_state(trainer)))
+    assert runs[0] == runs[1]
+
+
+def poison_targets(monkeypatch, trainer, group):
+    """Make one target of the next regression phase infinite: a trajectory
+    of the first minibatch's group 1 or 2. The minibatch must hold the
+    whole sample."""
+    targets_of = trainer_mod.decomposer.regression_targets
+
+    def poisoned(sample, normalizer=None):
+        targets = targets_of(sample, normalizer).copy()
+        # the first epoch's order, as the phase will draw it
+        order = copy.deepcopy(trainer.regression_rng).permutation(len(sample))
+        k = trainer_mod.split_at(np.array([t.length for t in sample])[order])
+        targets[order[0] if group == 1 else order[k]] = np.inf
+        return targets
+
+    monkeypatch.setattr(trainer_mod.decomposer, "regression_targets", poisoned)
+
+
+@pytest.mark.parametrize("group", [1, 2])
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_a_non_finite_loss_in_either_group_leaves_the_predictor_untouched(monkeypatch, group,
+                                                                           cpus):
+    monkeypatch.setattr(trainer_mod, "usable_cpus", lambda: cpus)
+    trainer = Trainer(TrainConfig(**{**TINY, "regression_minibatch": 64}), seed=0)
+    trainer.step()
+    worker = trainer._worker
+    before = regression_state(trainer)[:2]
+    poison_targets(monkeypatch, trainer, group)
+    with deadline(30):
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            trainer.step()
+    assert regression_state(trainer)[:2] == before
+    assert trainer._worker is None
+    if worker is not None:  # closed in the middle of its phase
+        assert not worker.process.is_alive() and worker.process.exitcode == 0
+
+
 @pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/stat"), reason="no /proc")
 def test_worker_reads_the_cpu_its_parent_is_on():
-    assert value_worker._cpu_of(os.getpid()) in os.sched_getaffinity(0)
+    assert worker_mod._cpu_of(os.getpid()) in os.sched_getaffinity(0)
     child = subprocess.Popen([sys.executable, "-c", ""])
     child.wait()
-    assert value_worker._cpu_of(child.pid) is None  # a process that is gone
+    assert worker_mod._cpu_of(child.pid) is None  # a process that is gone
 
 
 def test_a_training_process_leaves_no_worker_behind():
