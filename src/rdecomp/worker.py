@@ -14,6 +14,7 @@ import mmap
 import multiprocessing
 import os
 import pickle
+import select
 import signal
 import time
 import traceback
@@ -62,7 +63,9 @@ class Worker:
     parent changes (the parent died); `close` sends None and waits for it."""
 
     def __init__(self, value_net, model=None):
-        size = 0 if model is None else nn.layout(model.params).size
+        # the predictor's layout, built once: `start_group` runs per minibatch
+        self._layout = None if model is None else nn.layout(model.params)
+        size = 0 if model is None else self._layout.size
         # the predictor's parameters, the second group's gradient and its loss
         flat = np.frombuffer(mmap.mmap(-1, 8 * (2 * size + 1)), dtype=np.float64)
         self._shared = (flat[:size], flat[size : 2 * size], flat[2 * size :])
@@ -74,6 +77,7 @@ class Worker:
                                    daemon=True)
         self.process.start()
         child_end.close()
+        self._poller = _poller(self._conn)
 
     def _pipe(self, method, *args):
         """conn.method(*args); RuntimeError if the worker is gone."""
@@ -104,7 +108,7 @@ class Worker:
 
     def start_group(self, params):
         """Run the next second group at the predictor's parameters `params`."""
-        nn.layout(params).flatten(params, out=self._shared[0])
+        self._layout.flatten(params, out=self._shared[0])
         self._pipe(self._conn.send_bytes, GO)
 
     def group_result(self):
@@ -112,7 +116,7 @@ class Worker:
         gradient where the loss is not finite, as `decomposer.loss_grad`
         gives them. The gradient is a view of the shared mmap, which the next
         group overwrites. RuntimeError if the worker raised or died."""
-        _spin(self._conn)
+        _spin(self._poller)
         answer = self._pipe(self._conn.recv_bytes)
         if answer not in (GRAD, NO_GRAD):
             self._raise(pickle.loads(answer))
@@ -184,11 +188,11 @@ def _serve_regression(conn, model, shared, job, parent_pid):
     lay = nn.layout(model.params)
     model.params = lay.views(params)  # read-only views of what the caller writes
     blocks = lay.blocks(grad)
+    poller = _poller(conn)
     for groups in regression_minibatches(*job):
         if len(groups) == 1:
             continue
-        _spin(conn)
-        if not _wait(conn, parent_pid) or conn.recv_bytes() != GO:
+        if not (_spin(poller) or _wait(conn, parent_pid)) or conn.recv_bytes() != GO:
             return False
         x, lengths, targets, at = groups[1]
         loss[0], g = decomposer.loss_grad(model, x, lengths, targets, grad, blocks, at)
@@ -196,11 +200,22 @@ def _serve_regression(conn, model, shared, job, parent_pid):
     return True
 
 
-def _spin(conn):
-    """Poll conn until a message is there, for at most SPIN_S."""
+def _poller(conn):
+    """A `select.poll` on conn: a poll of it is one system call, where
+    `conn.poll` builds a selector at each call."""
+    poller = select.poll()
+    poller.register(conn.fileno(), select.POLLIN)
+    return poller
+
+
+def _spin(poller):
+    """Poll for at most SPIN_S until a message is there, or the other end
+    is closed; whether one of those came."""
     end = time.perf_counter() + SPIN_S
-    while not conn.poll(0) and time.perf_counter() < end:
-        pass
+    while not poller.poll(0):
+        if time.perf_counter() >= end:
+            return False
+    return True
 
 
 def _wait(conn, parent_pid):

@@ -726,25 +726,24 @@ def test_a_worker_that_raises_or_dies_gives_a_runtime_error():
     assert not worker.process.is_alive()
 
 
-@pytest.mark.parametrize("use_decomposer, first_met", [(False, "ppo_update"),
-                                                         (True, "_regression_phase")])
-def test_a_trainer_replaces_a_worker_that_died(monkeypatch, use_decomposer, first_met):
+def test_a_trainer_replaces_a_worker_that_died(monkeypatch):
     # the failed phase raises; the next one starts a fresh worker, so no
     # later phase reads a dead worker or a byte or reply left in its pipe.
     # With a decomposer the regression phase meets the dead worker first.
     monkeypatch.setattr(trainer_mod, "usable_cpus", lambda: 2)
-    trainer = Trainer(TrainConfig(**TINY, use_decomposer=use_decomposer), seed=0)
-    trainer.step()
-    dead = trainer._worker.process
-    dead.kill()
-    dead.join(5)
-    with deadline(30):
-        with pytest.raises(RuntimeError, match="worker .* (is gone|died)") as failed:
-            trainer.step()
-    assert any(entry.name == first_met for entry in failed.traceback)
-    assert trainer._worker is None
-    trainer.step()
-    assert trainer._worker.process.pid != dead.pid and trainer._worker.process.is_alive()
+    for use_decomposer, first_met in ((False, "ppo_update"), (True, "_regression_phase")):
+        trainer = Trainer(TrainConfig(**TINY, use_decomposer=use_decomposer), seed=0)
+        trainer.step()
+        dead = trainer._worker.process
+        dead.kill()
+        dead.join(5)
+        with deadline(30):
+            with pytest.raises(RuntimeError, match="worker .* (is gone|died)") as failed:
+                trainer.step()
+        assert any(entry.name == first_met for entry in failed.traceback)
+        assert trainer._worker is None
+        trainer.step()
+        assert trainer._worker.process.pid != dead.pid and trainer._worker.process.is_alive()
 
 
 def test_a_worker_that_raises_in_the_regression_phase_gives_a_runtime_error(monkeypatch):
