@@ -440,6 +440,47 @@ def pin_malloc_thresholds():
     return pinned
 
 
+# The thread-count setters of OpenBLAS builds: plain, with 64-bit integers,
+# and the scipy-openblas build that numpy's wheels ship
+OPENBLAS_SETTERS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                    "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_")
+
+
+@functools.cache
+def pin_blas_threads():
+    """Run the process's OpenBLAS on one thread, once per process; True if
+    pinned.
+
+    A Trainer's matrices are small, so a second BLAS thread gains little,
+    and OpenBLAS's idle threads spin. With the `worker.Worker` on the
+    second CPU they took its time: on a 2-vCPU box with OpenBLAS at its
+    default two threads, a train-full regression phase took 88 ms against
+    24 ms inline. One thread also makes the numbers independent of the
+    host's CPU count: a train-baseline step's bits differ between one and
+    two BLAS threads.
+
+    The library is found by its path in /proc/self/maps, so this is a quiet
+    no-op returning False where that file or an OpenBLAS is missing
+    (Windows, macOS, another BLAS)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line}
+    except OSError:
+        return False
+    for path in sorted(paths):
+        try:
+            lib = ctypes.cdll.LoadLibrary(path)  # the handle numpy's import opened
+        except OSError:
+            continue
+        for name in OPENBLAS_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = (ctypes.c_int,), None
+                setter(1)
+                return True
+    return False
+
+
 class Trainer:
     """Owns the models, Adams and RNG streams of one seeded training run; with
     a decomposer, also the replay buffer and the reward Adam. On Linux with
@@ -452,6 +493,7 @@ class Trainer:
 
     def __init__(self, config, seed=0):
         pin_malloc_thresholds()
+        pin_blas_threads()
         self.config = config
         self.seed = seed
         seqs = np.random.SeedSequence(seed).spawn(5)

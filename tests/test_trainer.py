@@ -999,6 +999,37 @@ def test_malloc_pinning_runs_once_per_process(monkeypatch):
         trainer_mod.pin_malloc_thresholds.cache_clear()
 
 
+def _openblas_threads():
+    """The thread count of the OpenBLAS this process loaded, or None."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.cdll.LoadLibrary(path)
+        for name in ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_"):
+            if hasattr(lib, name):
+                return getattr(lib, name)()
+    return None
+
+
+def test_a_trainer_runs_openblas_on_one_thread(monkeypatch):
+    if _openblas_threads() is None:
+        pytest.skip("no OpenBLAS found in /proc/self/maps")
+    trainer_mod.pin_blas_threads.cache_clear()
+    try:
+        Trainer(TrainConfig(**TINY), seed=0)
+        assert trainer_mod.pin_blas_threads() is True and _openblas_threads() == 1
+        # a quiet no-op where no setter is found
+        trainer_mod.pin_blas_threads.cache_clear()
+        monkeypatch.setattr(trainer_mod, "OPENBLAS_SETTERS", ())
+        assert trainer_mod.pin_blas_threads() is False
+    finally:
+        trainer_mod.pin_blas_threads.cache_clear()
+
+
 class _Libc:
     """A C library: glibc if it names its version, with a `mallopt` that
     accepts the parameters in `accepts` (None: no `mallopt` at all)."""
