@@ -48,6 +48,7 @@ import io
 import json
 import operator
 import os
+import sys
 import warnings
 import weakref
 from dataclasses import dataclass, field
@@ -440,10 +441,11 @@ def pin_malloc_thresholds():
     return pinned
 
 
-# The thread-count setters of OpenBLAS builds: plain, with 64-bit integers,
-# and the scipy-openblas build that numpy's wheels ship
-OPENBLAS_SETTERS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
-                    "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_")
+# The thread-count setters of OpenBLAS builds, most likely first: the
+# scipy-openblas build that numpy's wheels ship, then plain OpenBLAS, each
+# with 64-bit integers and without
+OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                    "openblas_set_num_threads64_", "openblas_set_num_threads")
 
 
 @functools.cache
@@ -459,25 +461,23 @@ def pin_blas_threads():
     host's CPU count: a train-baseline step's bits differ between one and
     two BLAS threads.
 
-    The library is found by its path in /proc/self/maps, so this is a quiet
-    no-op returning False where that file or an OpenBLAS is missing
-    (Windows, macOS, another BLAS)."""
+    The setter is looked up through the handle of numpy's core extension
+    module, which also resolves the symbols of the BLAS it links. So this
+    is a quiet no-op returning False where none of OPENBLAS_SETTERS
+    resolves: another BLAS, or a loader that searches the module's own
+    symbols only (Windows)."""
+    core = (sys.modules.get("numpy._core._multiarray_umath")
+            or sys.modules.get("numpy.core._multiarray_umath"))
     try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line}
-    except OSError:
+        lib = ctypes.cdll.LoadLibrary(core.__file__)  # the handle numpy's import opened
+    except (AttributeError, OSError):
         return False
-    for path in sorted(paths):
-        try:
-            lib = ctypes.cdll.LoadLibrary(path)  # the handle numpy's import opened
-        except OSError:
-            continue
-        for name in OPENBLAS_SETTERS:
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = (ctypes.c_int,), None
-                setter(1)
-                return True
+    for name in OPENBLAS_SETTERS:
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            setter.argtypes, setter.restype = (ctypes.c_int,), None
+            setter(1)
+            return True
     return False
 
 

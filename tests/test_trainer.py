@@ -1000,24 +1000,20 @@ def test_malloc_pinning_runs_once_per_process(monkeypatch):
 
 
 def _openblas_threads():
-    """The thread count of the OpenBLAS this process loaded, or None."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line})
-    except OSError:
-        return None
-    for path in paths:
-        lib = ctypes.cdll.LoadLibrary(path)
-        for name in ("openblas_get_num_threads", "openblas_get_num_threads64_",
-                     "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_"):
-            if hasattr(lib, name):
-                return getattr(lib, name)()
+    """The thread count of the OpenBLAS numpy links, or None."""
+    core = (sys.modules.get("numpy._core._multiarray_umath")
+            or sys.modules["numpy.core._multiarray_umath"])
+    lib = ctypes.cdll.LoadLibrary(core.__file__)
+    for name in trainer_mod.OPENBLAS_SETTERS:
+        getter = getattr(lib, name.replace("_set_", "_get_"), None)
+        if getter is not None:
+            return getter()
     return None
 
 
 def test_a_trainer_runs_openblas_on_one_thread(monkeypatch):
     if _openblas_threads() is None:
-        pytest.skip("no OpenBLAS found in /proc/self/maps")
+        pytest.skip("numpy links no OpenBLAS")
     trainer_mod.pin_blas_threads.cache_clear()
     try:
         Trainer(TrainConfig(**TINY), seed=0)
